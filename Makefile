@@ -4,6 +4,8 @@ GO ?= go
 # Benchmarks recorded in the machine-readable trajectory. FullCampaign
 # runs the complete 79 629-test study once; drop it (make bench-json
 # BENCH='Fig4Campaign|TableIII$$|ShapeDedup') for a quicker refresh.
+# Plan records the cold plan build only (Plan/cold): there is no plan
+# cache to warm.
 BENCH ?= Fig4Campaign|TableIII$$|FullCampaign|ShapeDedup|AnalysisCache|Plan$$
 # bench-check tolerance: fail when FullCampaign tests/s drops by more
 # than this fraction vs the committed BENCH_campaign.json.

@@ -5,7 +5,7 @@
 //
 //	interop [-report fig4|chart|table3|findings|deploy|failures|dedup|profiles|maturity|compare|comm|robust|versions|plan|metrics|json|markdown|all]
 //	        [-limit N] [-workers N] [-server NAME] [-client NAME] [-wsi-profile NAME]
-//	        [-faults] [-versions] [-reparse] [-dedup=false] [-plan=false] [-plan-cache DIR]
+//	        [-faults] [-versions] [-reparse] [-dedup=false]
 //	        [-cpuprofile FILE] [-metrics-json FILE] [-debug ADDR]
 //	        [-checkpoint DIR] [-resume]
 //	        [-shard I/N] [-merge DIR,DIR,...] [-serve ADDR]
@@ -25,12 +25,9 @@
 // finishes the rest — producing output identical to an uninterrupted
 // run (DESIGN.md §9).
 //
-// Planning: the campaign executes shape-first from a precomputed plan
-// (DESIGN.md §12); -plan-cache DIR persists built plans keyed by the
-// campaign configuration so repeated runs skip the catalog walk,
-// -report plan prints the plan without running anything, and
-// -plan=false selects the lazy class-first path (the planner
-// ablation).
+// Planning: every mode executes shape-first from a plan built up front
+// (DESIGN.md §12); -report plan prints the plan without running
+// anything.
 //
 // Distribution: -shard I/N runs one deterministic slice of the
 // campaign — N worker processes, each with its own -checkpoint DIR,
@@ -120,10 +117,6 @@ func run(args []string, out io.Writer) error {
 		"re-parse the WSDL bytes in every client test instead of sharing one analysis per service (the cache ablation)")
 	dedup := fs.Bool("dedup", true,
 		"memoize publish/WS-I/client-test work per structural shape; -dedup=false runs every class individually (the shape-memo ablation)")
-	plan := fs.Bool("plan", true,
-		"build the shape-first execution plan up front; -plan=false runs the lazy class-first path (the planner ablation)")
-	planCache := fs.String("plan-cache", "",
-		"cache built execution plans in this directory, keyed by the campaign configuration, so repeated runs skip the catalog walk")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	metricsJSON := fs.String("metrics-json", "", "write the observability metrics snapshot as JSON to this file (marked partial if the run failed)")
 	debugAddr := fs.String("debug", "",
@@ -211,12 +204,6 @@ func run(args []string, out io.Writer) error {
 	}
 	if !*dedup {
 		opts = append(opts, campaign.WithoutDedup())
-	}
-	if !*plan {
-		opts = append(opts, campaign.WithoutPlan())
-	}
-	if *planCache != "" {
-		opts = append(opts, campaign.WithPlanCache(*planCache))
 	}
 	if *checkpoint != "" {
 		opts = append(opts, campaign.WithCheckpoint(*checkpoint))
@@ -334,9 +321,8 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *reportKind == "plan" {
-		// -report plan resolves the execution plan — from the cache when
-		// -plan-cache holds one, from a catalog walk otherwise — and
-		// describes it without running any campaign work.
+		// -report plan builds the execution plan and describes it
+		// without running any campaign work.
 		sum, err := runner.PlanSummary()
 		if err != nil {
 			return finish(err)

@@ -337,28 +337,6 @@ type Config struct {
 	// identical either way (see TestDedupEquivalenceFull); Result.Dedup
 	// reports the layer's statistics.
 	NoDedup bool
-	// NoPlan disables shape-first planned execution (plan.go, DESIGN.md
-	// §12): the runner then discovers shapes lazily per class through the
-	// mutex-guarded memo table, exactly as before the planner existed —
-	// the planning ablation. When false — the default — the runner builds
-	// an immutable execution plan up front (one catalog pass grouping
-	// classes by shape per server) and the execution phase is lock-free:
-	// workers own whole shape groups and clone fan-out is a columnar
-	// broadcast of the representative's outcome codes. The Result is
-	// identical either way (TestPlanEquivalenceFull). NoPlan is
-	// deliberately outside the checkpoint fingerprint: either mode may
-	// resume the other's journal.
-	NoPlan bool
-	// PlanCache, when non-empty, persists built execution plans to this
-	// directory, content-addressed by the campaign configuration
-	// fingerprint. Later runs with the same configuration — repeated
-	// benchmarks, every POST /campaigns of a -serve daemon, resumed
-	// -checkpoint runs — load the plan instead of re-walking the catalog
-	// and re-fingerprinting 22 024 shapes. A cache file that fails any
-	// validation (fingerprint, digest, version, catalog binding) is
-	// ignored and rebuilt, never trusted. Ignored when CatalogFor is set:
-	// the fingerprint cannot distinguish custom catalogs.
-	PlanCache string
 	// Variant selects the service interface complexity (the paper's
 	// future-work extension); zero means services.VariantSimple.
 	Variant services.Variant
@@ -439,9 +417,8 @@ type Runner struct {
 	// ckpt is the open journal of the current Run when Config.Checkpoint
 	// is set (checkpoint.go); nil otherwise.
 	ckpt *checkpointState
-	// plan is the immutable execution plan, built or cache-loaded once
-	// per runner (plan.go); nil until ensurePlan, and never set when
-	// Config.NoPlan is on.
+	// plan is the immutable execution plan, built or adopted once per
+	// runner (plan.go); nil until ensurePlan.
 	planOnce sync.Once
 	plan     *campaignPlan
 	planErr  error
@@ -501,34 +478,43 @@ func (r *Runner) catalog(lang typesys.Language) *typesys.Catalog {
 }
 
 // Publish runs the service description generation step for one server
-// framework over its catalog, returning the published services and
-// the created-service count.
+// framework over its catalog, returning the published services (in
+// catalog order) and the created-service count. It executes over the
+// runner's execution plan exactly like Run: workers own whole plan
+// items, and each shape's builder is its first member in catalog order.
 func (r *Runner) Publish(ctx context.Context, server framework.ServerFramework) ([]PublishedService, int, error) {
-	defs, err := r.defsFor(server)
+	sp, err := r.planFor(server)
 	if err != nil {
 		return nil, 0, err
 	}
-
+	defs := sp.defs
+	entries := r.resolveEntries(server, sp)
 	slots := make([]publishSlot, len(defs))
 
-	workers := r.workers()
 	var wg sync.WaitGroup
 	ch := make(chan int)
-	for w := 0; w < workers; w++ {
+	for w := 0; w < r.workers(); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range ch {
-				slots[i] = r.publishOne(ctx, server, defs[i], true)
+			for it := range ch {
+				if it >= len(sp.Groups) {
+					di := sp.Loose[it-len(sp.Groups)]
+					slots[di] = r.publishLoose(server, defs[di])
+					continue
+				}
+				for _, di := range sp.Groups[it].Members {
+					slots[di] = r.publishEntry(entries[it], server, defs[di], true)
+				}
 			}
 		}()
 	}
 feed:
-	for i := range defs {
+	for it := 0; it < len(sp.Groups)+len(sp.Loose); it++ {
 		select {
 		case <-ctx.Done():
 			break feed
-		case ch <- i:
+		case ch <- it:
 		}
 	}
 	close(ch)
@@ -709,14 +695,12 @@ func generationFor(client framework.ClientFramework, svc *PublishedService, repa
 	return client.Generate(svc.Doc)
 }
 
-// Run executes the full campaign. Each server stage is a streaming
-// pipeline: publish workers feed published services directly into the
-// test worker pool — description generation overlaps artifact
-// generation and compilation — and every test worker folds classified
-// outcomes into a private Result shard as services complete. A
-// deterministic per-server merge then re-establishes the aggregate, so
-// the Result is identical to a sequential run regardless of worker
-// count or scheduling.
+// Run executes the full campaign. Each server stage executes the
+// runner's execution plan shape-first (plan.go): workers own whole
+// shape groups, publish and test their members, and fold classified
+// outcomes into a private Result shard. A deterministic per-server
+// merge then re-establishes the aggregate, so the Result is identical
+// to a sequential run regardless of worker count or scheduling.
 //
 // With Config.Checkpoint set the run is durable: completed cells are
 // journaled as they finish, cancellation drains in-flight work and
@@ -813,33 +797,19 @@ func newResult(r *Runner) *Result {
 	return res
 }
 
-// svcState tracks one published service through the streaming test
-// stage: a result slot per client plus the count of outstanding
-// client tests. Each worker writes only its own slot; the worker
-// completing the last test observes the counter hit zero (which
-// orders it after every slot write) and folds the whole service into
-// its shard, so per-service classification happens exactly once with
-// all client results visible.
+// svcState carries one published service through its client tests
+// and the classification fold.
 type svcState struct {
 	svc PublishedService
 	// codes is the columnar outcome row: one packed outcomeCode per
 	// client slot (columnar.go), including the executed bit the cell
 	// journal persists so resume reconstructs memo state and counters
-	// exactly. Written under the same last-test ordering the remaining
-	// counter establishes.
+	// exactly.
 	codes []outcomeCode
 	// mode and verified record the service's publish route for the
 	// journal (checkpoint.go).
-	mode      recordMode
-	verified  bool
-	remaining atomic.Int32
-}
-
-// testJob is one (published service × client) test in the stream.
-type testJob struct {
-	st     *svcState
-	svcIdx int
-	cli    int
+	mode     recordMode
+	verified bool
 }
 
 // shard is one test worker's private partial Result for the current
@@ -1034,160 +1004,8 @@ func (r *Runner) defsFor(server framework.ServerFramework) ([]services.Definitio
 	return defs, nil
 }
 
-// runServer executes one server's full stage and merges the outcome
-// into res: shape-first planned execution by default (plan.go), the
-// lazy streaming pipeline under the Config.NoPlan ablation.
-func (r *Runner) runServer(ctx context.Context, server framework.ServerFramework, res *Result) error {
-	sp, err := r.planFor(server)
-	if err != nil {
-		return err
-	}
-	if sp != nil {
-		return r.runServerPlanned(ctx, server, res, sp)
-	}
-	defs, err := r.defsFor(server)
-	if err != nil {
-		return fmt.Errorf("publish on %s: %w", server.Name(), err)
-	}
-	return r.runServerLazy(ctx, server, res, defs)
-}
-
-// runServerLazy executes one server's stage as the class-first
-// streaming pipeline: publish workers feed published services into the
-// test pool and shapes are discovered lazily through the memo table.
-// Retained as the planning ablation (Config.NoPlan); the planned path
-// must stay byte-identical to it.
-func (r *Runner) runServerLazy(ctx context.Context, server framework.ServerFramework, res *Result, defs []services.Definition) error {
-	workers := r.workers()
-	pubErrs := make([]error, len(defs))
-	var failures [][]TestResult
-	if r.cfg.KeepFailures {
-		failures = make([][]TestResult, len(defs))
-	}
-	prog := newProgress(r.cfg.Progress, server.Name(), len(defs))
-	defer prog.close()
-
-	// Resume: re-seed the shape memo table from the journal, then
-	// replay every journaled cell into a dedicated shard before the
-	// streaming pool starts. The executed remainder then takes exactly
-	// the paths the interrupted run would have taken.
-	replay := r.replayPlan(server, defs)
-	var replayShard *shard
-	if replay != nil {
-		if err := r.seedMemoFromJournal(server, defs, replay); err != nil {
-			return err
-		}
-		var err error
-		replayShard, err = r.replayStage(server, replay, failures, prog)
-		if err != nil {
-			return err
-		}
-	}
-
-	shards := make([]*shard, workers)
-	pubCh := make(chan int)
-	testCh := make(chan testJob, workers*len(r.clients))
-	r.met.workers.Set(int64(workers))
-	stageStart := r.met.now()
-
-	var pubWG, testWG sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		sh := newShard(len(r.clients), len(r.profiles))
-		shards[w] = sh
-		testWG.Add(1)
-		go func() {
-			defer testWG.Done()
-			// Cancellation drains rather than abandons: testCh is read to
-			// exhaustion so every service whose tests were enqueued
-			// completes, folds, and is journaled — the resumable boundary.
-			for j := range testCh {
-				r.met.queueDepth.Add(-1)
-				j.st.codes[j.cli] = r.testFor(ctx, &j.st.svc, j.cli)
-				if j.st.remaining.Add(-1) == 0 {
-					fails := r.foldService(j.st, sh)
-					if failures != nil {
-						failures[j.svcIdx] = fails
-					}
-					r.journalService(j.st)
-					prog.serviceDone()
-				}
-			}
-		}()
-	}
-	for w := 0; w < workers; w++ {
-		pubWG.Add(1)
-		go func() {
-			defer pubWG.Done()
-			for i := range pubCh {
-				slot := r.publishOne(ctx, server, defs[i], false)
-				switch {
-				case slot.err != nil:
-					pubErrs[i] = slot.err
-					prog.serviceDone()
-				case !slot.ok:
-					// Not deployable: resolved with no client tests.
-					r.journalRejected(server, defs[i], slot)
-					prog.serviceDone()
-				default:
-					st := &svcState{
-						svc:      slot.svc,
-						mode:     slot.mode,
-						verified: slot.verified,
-						codes:    make([]outcomeCode, len(r.clients)),
-					}
-					st.remaining.Store(int32(len(r.clients)))
-					// Feed the tests straight into the streaming pool;
-					// test workers drain testCh until it closes, so this
-					// send cannot deadlock.
-					for ci := range r.clients {
-						r.met.queueDepth.Add(1)
-						testCh <- testJob{st: st, svcIdx: i, cli: ci}
-					}
-				}
-			}
-		}()
-	}
-
-feed:
-	for i := range defs {
-		if _, replayed := replay[i]; replayed {
-			continue
-		}
-		select {
-		case <-ctx.Done():
-			break feed
-		case pubCh <- i:
-		}
-	}
-	close(pubCh)
-	pubWG.Wait()
-	close(testCh)
-	testWG.Wait()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	for _, perr := range pubErrs {
-		if perr != nil {
-			return fmt.Errorf("publish on %s: %w", server.Name(), perr)
-		}
-	}
-	if replayShard != nil {
-		shards = append(shards, replayShard)
-	}
-	r.mergeServer(res, server.Name(), len(defs), shards, failures)
-	r.obs.Emit(obs.Event{
-		Trace:        obs.TraceID(server.Name()),
-		Stage:        "server-stage",
-		Server:       server.Name(),
-		Detail:       fmt.Sprintf("%d services", len(defs)),
-		ElapsedNanos: int64(r.met.since(stageStart)),
-	})
-	return nil
-}
-
 // foldService classifies one fully tested service into a shard — the
-// per-service body of the classification fold, applied by whichever
-// worker completed the service's last test. It returns the service's
+// per-service body of the classification fold. It returns the service's
 // errored tests in client roster order for the Failures index (nil
 // unless Config.KeepFailures).
 func (r *Runner) foldService(st *svcState, sh *shard) []TestResult {

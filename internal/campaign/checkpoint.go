@@ -39,7 +39,7 @@ import (
 )
 
 // recordMode is the publish route a cell took, mirroring the branches
-// of publishOne. Replay dispatches on it to re-apply the route's exact
+// of publishLoose and publishEntry. Replay dispatches on it to re-apply the route's exact
 // counter contributions.
 type recordMode uint8
 
@@ -177,8 +177,9 @@ func (r *Runner) openCheckpoint() error {
 	}
 	meta := journal.Meta{Fingerprint: r.checkpointFingerprint(), Shard: shard}
 	if p := r.plan; p != nil {
-		// Provenance only — journal.Open does not compare it on resume,
-		// so planned and lazy sessions may finish each other's journals.
+		// Provenance only — journal.Open does not compare it on resume;
+		// the checkpoint fingerprint already covers everything the plan
+		// is derived from.
 		meta.Plan = &journal.PlanMeta{Fingerprint: p.fingerprint, Classes: p.classes, Shapes: p.shapes}
 	}
 	j, err := journal.Open(r.cfg.Checkpoint, meta, r.cfg.Resume)

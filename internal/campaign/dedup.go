@@ -23,6 +23,10 @@ import (
 // the class's name-derived strings and by cloning test results with
 // the class name rewritten.
 //
+// The shapes themselves come from the execution plan (plan.go), which
+// groups every catalog by fingerprint up front; this file holds the
+// per-entry memo logic the plan's executors share.
+//
 // The memo never assumes the shape equivalence it exploits: the first
 // class of every shape runs the full per-class path, and the shape's
 // template is admitted only if it re-renders that class's document
@@ -71,8 +75,8 @@ type shapeKey struct {
 
 // shapeEntry memoizes everything the campaign derives from one
 // structural shape on one server. The entry is built exactly once,
-// from the shape's first-seen class; test slots fill lazily as the
-// streaming pool first reaches each client.
+// from the shape's builder (its first member in catalog order); test
+// slots fill as the builder's client tests run.
 type shapeEntry struct {
 	once sync.Once
 	// rejected records a memoized NotDeployable outcome.
@@ -85,9 +89,7 @@ type shapeEntry struct {
 	// solo marks a shape the execution plan proved single-member: no
 	// clone will ever render from the template, so buildShape skips
 	// constructing and verifying it (about 91% of shapes at full
-	// scale). Only the planned executor sets it — the lazy path cannot
-	// know a shape's future population, which is exactly the
-	// information advantage the plan buys.
+	// scale), and a repeated publish of the one member serves rep.
 	solo               bool
 	flagged, compliant bool
 	// profiles is the shape's per-profile verdict mask (bit i set =
@@ -96,7 +98,7 @@ type shapeEntry struct {
 	// every registered profile's name-sensitive assertion set is covered
 	// by the chunk predicates — so clones inherit it verbatim.
 	profiles uint64
-	// rep is the shape's representative: the first-seen class, whose
+	// rep is the shape's representative: the builder class, whose
 	// outputs were produced on the per-class path and verified against
 	// the template. Memoized tests always run against rep (its analysis
 	// cell is seeded once per shape), so same-shape clones never parse
@@ -162,58 +164,20 @@ func (d *dedupState) statsSince(before dedupCounters) *DedupStats {
 // dedupOn reports whether the shape memo layer is active.
 func (r *Runner) dedupOn() bool { return !r.cfg.NoDedup }
 
-// shapeFor returns (creating if needed) the memo entry for the
-// definition's shape on the given server.
-func (r *Runner) shapeFor(server framework.ServerFramework, def services.Definition) *shapeEntry {
-	key := shapeKey{server: server.Name(), fp: shape.Of(def)}
-	d := r.dedup
-	d.mu.Lock()
-	e := d.entries[key]
-	if e == nil {
-		e = &shapeEntry{tests: make([]testMemo, len(r.clients))}
-		d.entries[key] = e
-	}
-	d.mu.Unlock()
-	return e
-}
-
-// publishOne runs the description step for one service definition,
-// through the shape memo when it applies. The returned slot carries
-// the route taken (recordMode) so the cell journal can replay the
-// exact same counter contributions on resume; ctx is threaded from the
-// publish workers for parity with the transport APIs (in-process
-// publishing runs to completion — the drain contract).
+// publishEntry routes one memoizable definition through its shape memo
+// entry, resolved in bulk from the plan (resolveEntries). The returned
+// slot carries the route taken (recordMode) so the cell journal can
+// replay the exact same counter contributions on resume.
 //
 // needDoc controls whether a memo-served clone materializes its
 // rendered document. Inside Run nothing ever reads a clone's bytes —
 // tests run against the shape representative and only builder records
-// journal a document — so the streaming pipeline passes false and
-// skips the render entirely; the public Publish API passes true. Every
-// other route (direct, fallback, builder) always carries its document.
-func (r *Runner) publishOne(_ context.Context, server framework.ServerFramework, def services.Definition, needDoc bool) (s publishSlot) {
-	r.met.publishTotal.Inc()
-	if !r.dedupOn() {
-		s = r.publishDirect(server, def)
-		s.mode = modeDirect
-		return s
-	}
-	if !shape.Memoizable(def) {
-		r.dedup.fallbacks.Add(1)
-		r.met.publishFallback.Inc()
-		s = r.publishDirect(server, def)
-		s.mode = modeFallback
-		return s
-	}
-	r.dedup.pubTotal.Add(1)
-	return r.publishEntry(r.shapeFor(server, def), server, def, needDoc)
-}
-
-// publishEntry routes one memoizable definition through its shape memo
-// entry — publishOne's body once the entry is resolved. The planned
-// executor (plan.go) calls it directly with entries resolved in bulk,
-// so the hot path shares every memo branch (and every counter
-// contribution) with the lazy path.
+// journal a document — so Run passes false and skips the render
+// entirely; the public Publish API passes true. Every other route
+// (direct, fallback, builder) always carries its document.
 func (r *Runner) publishEntry(e *shapeEntry, server framework.ServerFramework, def services.Definition, needDoc bool) (s publishSlot) {
+	r.met.publishTotal.Inc()
+	r.dedup.pubTotal.Add(1)
 	built := false
 	e.once.Do(func() {
 		built = true
@@ -240,6 +204,17 @@ func (r *Runner) publishEntry(e *shapeEntry, server framework.ServerFramework, d
 		r.dedup.pubHits.Add(1)
 		r.met.publishMemoized.Inc()
 		s.err = fmt.Errorf("marshal WSDL for %s on %s: %w", def.Parameter.Name, server.Name(), e.err)
+		return s
+	case e.solo:
+		// The plan proved the shape single-member, so this is the builder
+		// published again (a repeated Run, or the next mode's Publish on
+		// this runner): serve the representative itself.
+		r.dedup.pubHits.Add(1)
+		r.met.publishMemoized.Inc()
+		r.met.wsiMemoized.Inc()
+		s.ok = true
+		s.mode = modeMemoized
+		s.svc = e.rep
 		return s
 	case e.tmpl == nil:
 		// The shape failed template verification: per-class path.
@@ -292,8 +267,7 @@ func (r *Runner) publishEntry(e *shapeEntry, server framework.ServerFramework, d
 	return s
 }
 
-// buildShape computes the memo entry from the shape's first-seen
-// class. The class's own outputs are produced exactly as on the
+// buildShape computes the memo entry from the shape's builder class. The class's own outputs are produced exactly as on the
 // per-class path; the split template is admitted only after it
 // reproduces those outputs byte-for-byte.
 func (r *Runner) buildShape(e *shapeEntry, server framework.ServerFramework, def services.Definition) (s publishSlot) {
@@ -370,8 +344,7 @@ func (r *Runner) splitShape(server framework.ServerFramework, def services.Defin
 // testFor runs steps 2–3 for one (service × client) test, serving it
 // from the shape memo when the service carries a verified entry, and
 // returns the packed outcome code for the service's columnar row. The
-// memoized outcome is computed by whichever same-shape service
-// reaches the client first; because the columnar form carries no
+// memoized outcome is computed by the shape's representative; because the columnar form carries no
 // name-derived strings, a clone IS the memoized code with the
 // executed bit cleared — the distinction the cell journal persists so
 // resume can re-seed memo slots without double-running tests.

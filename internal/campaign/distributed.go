@@ -133,7 +133,7 @@ func (r *Runner) Merge(ctx context.Context, dirs []string) (*Result, error) {
 		return nil, err
 	}
 	// Replay-only checkpoint state: every cell is in loaded, so the
-	// streaming pool executes nothing and the journal writer side (j,
+	// stage executor runs nothing and the journal writer side (j,
 	// ch) stays nil — append is nil-channel-safe and closeCheckpoint is
 	// never involved because runCampaign is entered directly.
 	r.ckpt = &checkpointState{
@@ -352,7 +352,7 @@ func equalProfiles(a, b []string) bool {
 }
 
 // substitutionSafe reports whether the class's name-derived strings
-// pass the WS-I chunk predicates — the publishOne condition for
+// pass the WS-I chunk predicates — publishEntry's condition for
 // serving a clone from the shape template (DESIGN.md §10).
 func substitutionSafe(def services.Definition) bool {
 	vars := shape.VarsArray(def)

@@ -48,14 +48,9 @@ type runnerMetrics struct {
 	testMemoized     *obs.Counter // tests served by cloning a memoized outcome
 	commCells        *obs.Counter // communication cells exchanged
 
-	// Plan bookkeeping (plan.go) — deliberately namespaced under
-	// campaign.plan. so the planned-vs-lazy equivalence tests can strip
-	// them: the lazy ablation never builds a plan.
-	planBuilds        *obs.Counter // plans built from a catalog walk
-	planCacheHits     *obs.Counter // plans loaded from the on-disk cache
-	planCacheMisses   *obs.Counter // cache lookups with no file
-	planCacheRejected *obs.Counter // cache files refused (stale, corrupt, version skew)
-	planShared        *obs.Counter // plans adopted from another runner (AdoptPlan)
+	// Plan bookkeeping (plan.go).
+	planBuilds *obs.Counter // plans built from a catalog walk
+	planShared *obs.Counter // plans adopted from another runner (AdoptPlan)
 
 	// Robustness outcome counters (folded deterministically).
 	robustSkipped      *obs.Counter
@@ -71,8 +66,7 @@ type runnerMetrics struct {
 	versionMishandled *obs.Counter
 
 	// Live gauges — outside the determinism contract.
-	queueDepth *obs.Gauge // outstanding jobs in the streaming test pool
-	workers    *obs.Gauge // configured worker count
+	workers *obs.Gauge // configured worker count
 }
 
 // newRunnerMetrics resolves every instrument once.
@@ -108,9 +102,6 @@ func newRunnerMetrics(reg *obs.Registry) *runnerMetrics {
 		testMemoized:       reg.Counter("campaign.test.memoized"),
 		commCells:          reg.Counter("campaign.communication.cells"),
 		planBuilds:         reg.Counter("campaign.plan.builds"),
-		planCacheHits:      reg.Counter("campaign.plan.cache.hits"),
-		planCacheMisses:    reg.Counter("campaign.plan.cache.misses"),
-		planCacheRejected:  reg.Counter("campaign.plan.cache.rejected"),
 		planShared:         reg.Counter("campaign.plan.shared"),
 		robustSkipped:      reg.Counter("campaign.robust.skipped"),
 		robustDetected:     reg.Counter("campaign.robust.detected"),
@@ -121,7 +112,6 @@ func newRunnerMetrics(reg *obs.Registry) *runnerMetrics {
 		versionAccepted:    reg.Counter("campaign.versions.accepted"),
 		versionRejected:    reg.Counter("campaign.versions.typed_reject"),
 		versionMishandled:  reg.Counter("campaign.versions.silent_mishandle"),
-		queueDepth:         reg.Gauge("campaign.queue.depth"),
 		workers:            reg.Gauge("campaign.workers"),
 	}
 }

@@ -41,8 +41,8 @@ func metricsSnapshot(t *testing.T, workers int) *obs.Snapshot {
 
 // TestMetricsDeterministicAcrossWorkers is the acceptance check for the
 // observability layer: counters are exact and histograms (on a frozen
-// clock) identical at any worker count. Gauges — queue depth, worker
-// count — are live state and explicitly outside the contract.
+// clock) identical at any worker count. Gauges — the worker count —
+// are live state and explicitly outside the contract.
 func TestMetricsDeterministicAcrossWorkers(t *testing.T) {
 	serial := metricsSnapshot(t, 1)
 	parallel := metricsSnapshot(t, 8)

@@ -146,17 +146,3 @@ func WithShard(index, count int) Option {
 func WithShardSpec(spec ShardSpec) Option {
 	return func(cfg *Config) { cfg.Shard = spec }
 }
-
-// WithoutPlan disables shape-first planned execution — the planner
-// ablation (DESIGN.md §12). The campaign runs on the lazy class-first
-// path, discovering shapes during execution.
-func WithoutPlan() Option {
-	return func(cfg *Config) { cfg.NoPlan = true }
-}
-
-// WithPlanCache persists built execution plans to dir, keyed by the
-// campaign fingerprint, so repeated runs of the same configuration
-// skip the catalog walk and shape hashing (DESIGN.md §12).
-func WithPlanCache(dir string) Option {
-	return func(cfg *Config) { cfg.PlanCache = dir }
-}

@@ -1,49 +1,33 @@
 package campaign
 
-// Shape-first planned execution (DESIGN.md §12). The lazy memo layer
-// (dedup.go) discovers shapes while executing: every worker hashes its
-// class, takes the table mutex, and races a sync.Once for the builder
-// role. That discovery is pure bookkeeping — the shape partition of a
-// catalog is a deterministic function of the campaign configuration —
-// so the planner computes it once, up front, into an immutable Plan:
+// Shape-first planned execution (DESIGN.md §12). The shape partition of
+// a catalog is a deterministic function of the campaign configuration,
+// so the planner computes it once, up front, into an immutable plan:
 // per server, the catalog's definition indexes grouped by shape
 // fingerprint, each group's builder designated (the first member in
 // catalog order), and the members whose names fail the substitution-
-// safety predicates marked for the per-class path.
+// safety predicates marked for the per-class path. The plan is the
+// campaign's only shape-discovery path: Run and Publish (and with it
+// the communication, robustness and versions modes) all execute over
+// it.
 //
-// Execution then inverts from class-first to shape-first: workers own
-// whole groups, so the table mutex is taken exactly once per stage
-// (resolveEntries), no sync.Once races ever occur, and once a group's
-// representative outcomes exist the remaining safe clones are a pure
-// columnar broadcast — one multiplied fold of the representative's
-// outcome codes (foldCodes), with counters batched per group instead
-// of bumped per class.
+// Workers own whole groups, so the memo table mutex is taken exactly
+// once per stage (resolveEntries), and once a group's representative
+// outcomes exist the remaining safe clones are a pure columnar
+// broadcast — one multiplied fold of the representative's outcome
+// codes (foldCodes), with counters batched per group instead of bumped
+// per class.
 //
 // The plan is bookkeeping, never authority: builders still publish,
-// byte-verify their templates, and execute real client tests exactly
-// as on the lazy path (publishEntry/testFor are shared code), so the
-// §6.6 guarantee — memoization can never change a Result — carries
-// over unchanged. TestPlanEquivalenceFull proves byte-identical
-// Results against the Config.NoPlan ablation at full scale.
-//
-// Because the partition is configuration-addressed, it can also be
-// persisted: Config.PlanCache stores each built plan in a JSON file
-// keyed by the campaign fingerprint, and later runs — repeated
-// benchmarks, daemon campaigns, resumed checkpoints — load it instead
-// of re-walking and re-hashing the catalog. A loaded plan is
-// re-validated against the live catalog (exact index partition, and
-// every group's builder re-fingerprinted and its substitution safety
-// recomputed), so a stale or hostile cache file degrades to a fresh
-// build, never to a wrong plan.
+// byte-verify their templates, and execute real client tests through
+// the memo code (publishEntry/testFor), so the §6.6 guarantee —
+// memoization can never change a Result — holds unchanged;
+// TestDedupEquivalenceFull proves it against the per-class NoDedup
+// path at full scale.
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io/fs"
-	"os"
-	"path/filepath"
 	"sync"
 
 	"wsinterop/internal/framework"
@@ -53,40 +37,17 @@ import (
 	"wsinterop/internal/shape"
 )
 
-// planCacheVersion is the on-disk plan schema version. Bump it when
-// the plan format — or any algorithm whose output a plan caches, such
-// as the shape canonicalization or the substitution-safety predicates
-// — changes incompatibly; version skew falls back to a fresh build.
-const planCacheVersion = 1
-
 // planGroup is one (server, shape) work unit: the definition indexes
 // of every same-shape class, in catalog order. Members[0] is the
 // designated builder — it runs the full per-class path (publish,
 // marshal, WS-I check, template verification, all client tests) and
 // the group's remaining safe members broadcast its outcomes.
 type planGroup struct {
-	// FP is the full shape fingerprint, hex-encoded for the cache file.
-	FP      string `json:"fp"`
-	Members []int  `json:"members"`
-	// Unsafe holds positions into Members (not definition indexes —
-	// they compress better) whose classes fail the substitution-safety
-	// predicates and must take the per-class path.
-	Unsafe []int `json:"unsafe,omitempty"`
-
-	// Decoded forms, never serialized.
-	fp   shape.Fingerprint
+	fp      shape.Fingerprint
+	Members []int
+	// safe is parallel to Members: false marks a class whose names fail
+	// the substitution-safety predicates, so it takes the per-class path.
 	safe []bool
-}
-
-// finish materializes the in-memory safety mask from the sparse list.
-func (g *planGroup) finish() {
-	g.safe = make([]bool, len(g.Members))
-	for i := range g.safe {
-		g.safe[i] = true
-	}
-	for _, u := range g.Unsafe {
-		g.safe[u] = false
-	}
 }
 
 // serverPlan is one server's stage plan: a partition of the catalog's
@@ -94,13 +55,13 @@ func (g *planGroup) finish() {
 // classes the memo layer cannot serve (shape.Memoizable failures, or
 // every class under the NoDedup ablation).
 type serverPlan struct {
-	Server string      `json:"server"`
-	Defs   int         `json:"defs"`
-	Groups []planGroup `json:"groups,omitempty"`
-	Loose  []int       `json:"loose,omitempty"`
+	Server string
+	Defs   int
+	Groups []planGroup
+	Loose  []int
 
-	// defs is the definition list the plan was built against (or bound
-	// to, for cache loads), retained so the stage need not regenerate it.
+	// defs is the definition list the plan was built against, retained
+	// so the stage need not regenerate it.
 	defs []services.Definition
 }
 
@@ -111,16 +72,7 @@ type campaignPlan struct {
 	order       []string
 	classes     int
 	shapes      int
-	source      string // "built", "cache", or "shared"
-}
-
-// planFile is the on-disk cache envelope. Servers stays raw so the
-// digest is computed over the exact bytes read back.
-type planFile struct {
-	Version     int             `json:"version"`
-	Fingerprint string          `json:"fingerprint"`
-	Digest      string          `json:"digest"`
-	Servers     json.RawMessage `json:"servers"`
+	source      string // "built" or "shared"
 }
 
 // Plan is an opaque handle to a resolved execution plan. A plan is
@@ -142,25 +94,21 @@ func (p *Plan) Fingerprint() string {
 	return p.p.fingerprint
 }
 
-// ExecutionPlan resolves the runner's plan (building or cache-loading
-// it if it has not been resolved yet) and returns a shareable handle.
-// It errors under the NoPlan ablation.
+// ExecutionPlan resolves the runner's plan (building it if it has not
+// been resolved yet) and returns a shareable handle.
 func (r *Runner) ExecutionPlan() (*Plan, error) {
 	p, err := r.ensurePlan()
 	if err != nil {
 		return nil, err
 	}
-	if p == nil {
-		return nil, fmt.Errorf("campaign: no execution plan under NoPlan")
-	}
 	return &Plan{p: p}, nil
 }
 
 // PlanFingerprint returns the fingerprint the runner's plan resolves
-// to, or "" when the configuration cannot share plans (NoPlan, or a
-// custom CatalogFor — whose catalogs the fingerprint cannot address).
+// to, or "" when the configuration cannot share plans (a custom
+// CatalogFor, whose catalogs the fingerprint cannot address).
 func (r *Runner) PlanFingerprint() string {
-	if !r.planOn() || r.cfg.CatalogFor != nil {
+	if r.cfg.CatalogFor != nil {
 		return ""
 	}
 	return r.planFingerprint()
@@ -174,9 +122,6 @@ func (r *Runner) AdoptPlan(p *Plan) error {
 	if p == nil || p.p == nil {
 		return fmt.Errorf("campaign: cannot adopt a nil plan")
 	}
-	if !r.planOn() {
-		return fmt.Errorf("campaign: cannot adopt a plan under NoPlan")
-	}
 	if r.cfg.CatalogFor != nil {
 		return fmt.Errorf("campaign: custom catalogs cannot share plans")
 	}
@@ -187,9 +132,6 @@ func (r *Runner) AdoptPlan(p *Plan) error {
 	return nil
 }
 
-// planOn reports whether planned execution is active.
-func (r *Runner) planOn() bool { return !r.cfg.NoPlan }
-
 // planFingerprint content-addresses everything the plan depends on:
 // the campaign configuration fingerprint (roster, limit, variant,
 // style, ablations) plus the shard slice, which changes defsFor's
@@ -199,21 +141,17 @@ func (r *Runner) planFingerprint() string {
 	return obs.TraceID("wsinterop-plan-v1", r.checkpointFingerprint(), r.cfg.Shard.String())
 }
 
-// ensurePlan resolves the runner's execution plan exactly once:
-// loaded from the plan cache when possible, built from the catalog
-// otherwise. Returns (nil, nil) under the NoPlan ablation.
+// ensurePlan resolves the runner's execution plan exactly once: the
+// adopted plan when there is one, built from the catalog otherwise.
 func (r *Runner) ensurePlan() (*campaignPlan, error) {
-	if !r.planOn() {
-		return nil, nil
-	}
-	r.planOnce.Do(func() { r.plan, r.planErr = r.buildOrLoadPlan() })
+	r.planOnce.Do(func() { r.plan, r.planErr = r.resolvePlan() })
 	return r.plan, r.planErr
 }
 
-// planFor returns one server's stage plan (nil under NoPlan).
+// planFor returns one server's stage plan.
 func (r *Runner) planFor(server framework.ServerFramework) (*serverPlan, error) {
 	p, err := r.ensurePlan()
-	if err != nil || p == nil {
+	if err != nil {
 		return nil, err
 	}
 	sp := p.servers[server.Name()]
@@ -223,8 +161,7 @@ func (r *Runner) planFor(server framework.ServerFramework) (*serverPlan, error) 
 	return sp, nil
 }
 
-func (r *Runner) buildOrLoadPlan() (*campaignPlan, error) {
-	fp := r.planFingerprint()
+func (r *Runner) resolvePlan() (*campaignPlan, error) {
 	if sp := r.sharedPlan; sp != nil {
 		// AdoptPlan already proved the fingerprint matches. Shallow-copy
 		// so the shared immutable body keeps its original source label.
@@ -233,43 +170,11 @@ func (r *Runner) buildOrLoadPlan() (*campaignPlan, error) {
 		cp.source = "shared"
 		return &cp, nil
 	}
-	// A custom catalog is only a boolean in the fingerprint — two
-	// different CatalogFor funcs would collide — so such runs never
-	// touch the cache.
-	cacheable := r.cfg.PlanCache != "" && r.cfg.CatalogFor == nil
-	if cacheable {
-		p, err := r.loadCachedPlan(fp)
-		switch {
-		case err == nil:
-			r.met.planCacheHits.Inc()
-			return p, nil
-		case errors.Is(err, fs.ErrNotExist):
-			r.met.planCacheMisses.Inc()
-		default:
-			r.met.planCacheRejected.Inc()
-			r.obs.Emit(obs.Event{
-				Trace:  obs.TraceID("plan-cache", fp),
-				Stage:  "plan",
-				Detail: fmt.Sprintf("plan cache rejected, rebuilding: %v", err),
-			})
-		}
-	}
-	p, err := r.buildPlan(fp)
+	p, err := r.buildPlan(r.planFingerprint())
 	if err != nil {
 		return nil, err
 	}
 	r.met.planBuilds.Inc()
-	if cacheable {
-		if err := r.storePlan(p); err != nil {
-			// A cache that cannot be written only costs the next run a
-			// rebuild; the campaign proceeds.
-			r.obs.Emit(obs.Event{
-				Trace:  obs.TraceID("plan-cache", fp),
-				Stage:  "plan",
-				Detail: fmt.Sprintf("plan cache write failed: %v", err),
-			})
-		}
-	}
 	return p, nil
 }
 
@@ -325,16 +230,11 @@ func (r *Runner) buildServerPlan(server string, defs []services.Definition) *ser
 		if !ok {
 			gi = len(sp.Groups)
 			index[t.fp] = gi
-			sp.Groups = append(sp.Groups, planGroup{FP: t.fp.Hex(), fp: t.fp})
+			sp.Groups = append(sp.Groups, planGroup{fp: t.fp})
 		}
 		g := &sp.Groups[gi]
-		if !t.safe {
-			g.Unsafe = append(g.Unsafe, len(g.Members))
-		}
 		g.Members = append(g.Members, i)
-	}
-	for gi := range sp.Groups {
-		sp.Groups[gi].finish()
+		g.safe = append(g.safe, t.safe)
 	}
 	return sp
 }
@@ -385,195 +285,13 @@ func fillTraits(t *classTraits, def services.Definition) {
 	}
 }
 
-func (r *Runner) planCachePath(fp string) string {
-	return filepath.Join(r.cfg.PlanCache, "plan-"+fp+".json")
-}
-
-// planDigest content-addresses the serialized server plans, so any
-// corruption of the payload — truncation, bit rot, hand edits — is
-// caught before the indexes are even parsed.
-func planDigest(servers []byte) string {
-	return obs.TraceID("wsinterop-plan-digest", string(servers))
-}
-
-// storePlan persists a built plan atomically (temp file + rename).
-func (r *Runner) storePlan(p *campaignPlan) error {
-	list := make([]*serverPlan, 0, len(p.order))
-	for _, name := range p.order {
-		list = append(list, p.servers[name])
-	}
-	servers, err := json.Marshal(list)
-	if err != nil {
-		return err
-	}
-	data, err := json.Marshal(&planFile{
-		Version:     planCacheVersion,
-		Fingerprint: p.fingerprint,
-		Digest:      planDigest(servers),
-		Servers:     servers,
-	})
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(r.cfg.PlanCache, 0o755); err != nil {
-		return err
-	}
-	path := r.planCachePath(p.fingerprint)
-	tmp, err := os.CreateTemp(r.cfg.PlanCache, "plan-*.tmp")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-// loadCachedPlan reads, validates, and binds the cached plan for the
-// given fingerprint. Every defect — missing file, corrupt JSON, digest
-// or fingerprint mismatch, version skew, an index partition that does
-// not tile the live catalog, a builder whose recomputed shape differs
-// — returns an error and the caller rebuilds. fs.ErrNotExist is the
-// only "expected" failure (counted as a miss, not a rejection).
-func (r *Runner) loadCachedPlan(fp string) (*campaignPlan, error) {
-	data, err := os.ReadFile(r.planCachePath(fp))
-	if err != nil {
-		return nil, err
-	}
-	var env planFile
-	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, fmt.Errorf("plan cache: %w", err)
-	}
-	if env.Version != planCacheVersion {
-		return nil, fmt.Errorf("plan cache: schema version %d, this build reads %d", env.Version, planCacheVersion)
-	}
-	if env.Fingerprint != fp {
-		return nil, fmt.Errorf("plan cache: fingerprint %s, campaign is %s", env.Fingerprint, fp)
-	}
-	if got := planDigest(env.Servers); got != env.Digest {
-		return nil, fmt.Errorf("plan cache: content digest mismatch")
-	}
-	var list []*serverPlan
-	if err := json.Unmarshal(env.Servers, &list); err != nil {
-		return nil, fmt.Errorf("plan cache: %w", err)
-	}
-	if len(list) != len(r.servers) {
-		return nil, fmt.Errorf("plan cache: %d server stages, campaign has %d", len(list), len(r.servers))
-	}
-	p := &campaignPlan{
-		fingerprint: fp,
-		servers:     make(map[string]*serverPlan, len(list)),
-		source:      "cache",
-	}
-	for i, server := range r.servers {
-		sp := list[i]
-		if sp == nil || sp.Server != server.Name() {
-			return nil, fmt.Errorf("plan cache: stage %d is not for server %s", i, server.Name())
-		}
-		defs, err := r.defsFor(server)
-		if err != nil {
-			return nil, fmt.Errorf("publish on %s: %w", server.Name(), err)
-		}
-		if err := r.bindServerPlan(sp, defs); err != nil {
-			return nil, fmt.Errorf("plan cache: %s: %w", sp.Server, err)
-		}
-		p.servers[sp.Server] = sp
-		p.order = append(p.order, sp.Server)
-		p.classes += sp.Defs
-		p.shapes += len(sp.Groups)
-	}
-	return p, nil
-}
-
-// bindServerPlan validates one cached stage against the live catalog
-// and attaches the definition list. The expensive invariant a cache
-// hit skips is re-hashing every clone; what it must never skip is
-// proof that the partition still describes this catalog, so binding
-// checks that the indexes tile [0, len(defs)) exactly once, that each
-// group's builder re-fingerprints to the group's stored shape, and
-// that the stored safety mask matches the live predicates (builders
-// are the only members re-hashed — ~4 856 SHA-256s instead of 22 024;
-// a cache written by a build with a different shape algorithm fails
-// the builder check and is discarded wholesale).
-func (r *Runner) bindServerPlan(sp *serverPlan, defs []services.Definition) error {
-	if sp.Defs != len(defs) {
-		return fmt.Errorf("plan covers %d definitions, catalog has %d", sp.Defs, len(defs))
-	}
-	seen := make([]bool, len(defs))
-	claim := func(i int) error {
-		if i < 0 || i >= len(defs) {
-			return fmt.Errorf("definition index %d out of range", i)
-		}
-		if seen[i] {
-			return fmt.Errorf("definition index %d claimed twice", i)
-		}
-		seen[i] = true
-		return nil
-	}
-	if !r.dedupOn() && len(sp.Groups) > 0 {
-		return fmt.Errorf("plan has shape groups, campaign has memoization disabled")
-	}
-	for gi := range sp.Groups {
-		g := &sp.Groups[gi]
-		if len(g.Members) == 0 {
-			return fmt.Errorf("group %d is empty", gi)
-		}
-		fp, err := shape.ParseHex(g.FP)
-		if err != nil {
-			return fmt.Errorf("group %d: %w", gi, err)
-		}
-		g.fp = fp
-		unsafe := make(map[int]bool, len(g.Unsafe))
-		for _, u := range g.Unsafe {
-			if u < 0 || u >= len(g.Members) {
-				return fmt.Errorf("group %d: unsafe position %d out of range", gi, u)
-			}
-			unsafe[u] = true
-		}
-		for mi, di := range g.Members {
-			if err := claim(di); err != nil {
-				return fmt.Errorf("group %d: %w", gi, err)
-			}
-			def := defs[di]
-			if !shape.Memoizable(def) {
-				return fmt.Errorf("group %d: member %s is not memoizable", gi, def.Parameter.Name)
-			}
-			if unsafe[mi] == substitutionSafe(def) {
-				return fmt.Errorf("group %d: member %s safety mask is stale", gi, def.Parameter.Name)
-			}
-		}
-		if shape.Of(defs[g.Members[0]]) != g.fp {
-			return fmt.Errorf("group %d: builder no longer matches the stored shape fingerprint", gi)
-		}
-		g.finish()
-	}
-	for _, i := range sp.Loose {
-		if err := claim(i); err != nil {
-			return fmt.Errorf("loose: %w", err)
-		}
-	}
-	for i, ok := range seen {
-		if !ok {
-			return fmt.Errorf("definition index %d is not covered", i)
-		}
-	}
-	sp.defs = defs
-	return nil
-}
-
 // resolveEntries pins one shape-memo entry per plan group in a single
 // pass under the table lock — the only mutex acquisition of a planned
-// stage. The entries live in the runner-wide table, so a planned
-// stage's built shapes are reused by later Publish calls, the
-// communication/robustness extensions, and repeated Runs exactly as a
-// lazy stage's would be, and a resumed stage finds the entries
-// seedMemoFromJournal already registered.
+// stage or Publish. The entries live in the runner-wide table, so the
+// shapes one stage builds are reused by later Publish calls (the
+// communication, robustness and versions modes) and repeated Runs, and
+// a resumed stage finds the entries seedMemoFromJournal already
+// registered.
 func (r *Runner) resolveEntries(server framework.ServerFramework, sp *serverPlan) []*shapeEntry {
 	if len(sp.Groups) == 0 {
 		return nil
@@ -599,12 +317,16 @@ func (r *Runner) resolveEntries(server framework.ServerFramework, sp *serverPlan
 	return entries
 }
 
-// runServerPlanned executes one server's stage shape-first: workers
-// own whole plan items (a shape group, or one loose class), so no two
-// workers ever touch the same memo entry and the execution phase takes
-// no locks. Group outcomes fold into per-worker columnar shards that
-// tree-merge at the end, exactly like the lazy pipeline's.
-func (r *Runner) runServerPlanned(ctx context.Context, server framework.ServerFramework, res *Result, sp *serverPlan) error {
+// runServer executes one server's stage shape-first and merges the
+// outcome into res: workers own whole plan items (a shape group, or one
+// loose class), so no two workers ever touch the same memo entry and
+// the execution phase takes no locks. Group outcomes fold into
+// per-worker columnar shards that tree-merge at the end.
+func (r *Runner) runServer(ctx context.Context, server framework.ServerFramework, res *Result) error {
+	sp, err := r.planFor(server)
+	if err != nil {
+		return err
+	}
 	defs := sp.defs
 	workers := r.workers()
 	var failures [][]TestResult
@@ -641,9 +363,9 @@ func (r *Runner) runServerPlanned(ctx context.Context, server framework.ServerFr
 		wg.Add(1)
 		go func(w int, sh *shard) {
 			defer wg.Done()
-			// Like the lazy pool, cancellation drains: an item already
-			// received executes to completion (folded and journaled — the
-			// resumable boundary) before the worker exits.
+			// Cancellation drains: an item already received executes to
+			// completion (folded and journaled — the resumable boundary)
+			// before the worker exits.
 			for it := range ch {
 				var err error
 				if it < len(sp.Groups) {
@@ -690,18 +412,16 @@ feed:
 }
 
 // runPlannedGroup executes one shape group on its single owning
-// worker. Members run individually — through the exact lazy-path memo
-// code (publishEntry/testFor) — until the entry's test slots are all
+// worker. Members run individually — through the memo code
+// (publishEntry/testFor) — until the entry's test slots are all
 // filled; every later safe member is then served by the clone
 // broadcast: one multiplied fold of the representative's outcome row,
 // with the memo-hit counters batched per group. Unsafe members always
 // take the individual path, as do all members of unverified shapes
-// (publishEntry degrades them to per-class fallbacks, identical to
-// lazy).
+// (publishEntry degrades them to per-class fallbacks).
 func (r *Runner) runPlannedGroup(ctx context.Context, server framework.ServerFramework, defs []services.Definition,
 	g *planGroup, e *shapeEntry, replay map[int]journal.Record,
 	sh *shard, failures [][]TestResult, prog *progress) error {
-	d, m := r.dedup, r.met
 	nc := len(r.clients)
 	// slotsFilled means every test slot of e is known-filled, so a safe
 	// clone's row is e's codes with the executed bit cleared. It becomes
@@ -720,8 +440,6 @@ func (r *Runner) runPlannedGroup(ctx context.Context, server framework.ServerFra
 			continue
 		}
 		def := defs[di]
-		m.publishTotal.Inc()
-		d.pubTotal.Add(1)
 		slot := r.publishEntry(e, server, def, false)
 		switch {
 		case slot.err != nil:
@@ -761,14 +479,14 @@ func (r *Runner) runPlannedGroup(ctx context.Context, server framework.ServerFra
 }
 
 // broadcastClones resolves a group's remaining safe members in one
-// columnar step. Counter parity with the lazy path, per clone:
-// publishOne's memoized branch contributes publishTotal, pubTotal,
+// columnar step. Counter parity with the per-member path, per clone:
+// publishEntry's memoized branch contributes publishTotal, pubTotal,
 // pubHits, publishMemoized and wsiMemoized; testFor's memo-hit branch
 // contributes testTotal (both), testMemoized per client. Those sums
 // are batched here; the outcome row is the representative's with the
 // executed bit cleared — exactly what testFor returns for a clone —
 // so the fold, the Failures index, and the journal see byte-identical
-// data to the lazy path's.
+// data to running every clone individually.
 func (r *Runner) broadcastClones(server framework.ServerFramework, defs []services.Definition,
 	g *planGroup, e *shapeEntry, clones []int,
 	sh *shard, failures [][]TestResult, prog *progress) {
@@ -803,23 +521,28 @@ func (r *Runner) broadcastClones(server framework.ServerFramework, defs []servic
 	prog.add(len(clones))
 }
 
-// runPlannedLoose executes one loose class: non-memoizable (the
-// fallback route), or any class under the NoDedup ablation (the
-// direct route) — publishOne's two non-memo branches, inlined.
+// publishLoose runs the description step for one loose class outside
+// the shape memo: a non-memoizable class (the fallback route), or any
+// class under the NoDedup ablation (the direct route).
+func (r *Runner) publishLoose(server framework.ServerFramework, def services.Definition) publishSlot {
+	r.met.publishTotal.Inc()
+	if !r.dedupOn() {
+		s := r.publishDirect(server, def)
+		s.mode = modeDirect
+		return s
+	}
+	r.dedup.fallbacks.Add(1)
+	r.met.publishFallback.Inc()
+	s := r.publishDirect(server, def)
+	s.mode = modeFallback
+	return s
+}
+
+// runPlannedLoose executes one loose class: publish, then every client
+// test on the per-class path.
 func (r *Runner) runPlannedLoose(ctx context.Context, server framework.ServerFramework, def services.Definition,
 	di int, sh *shard, failures [][]TestResult, prog *progress) error {
-	m := r.met
-	m.publishTotal.Inc()
-	var slot publishSlot
-	if r.dedupOn() {
-		r.dedup.fallbacks.Add(1)
-		m.publishFallback.Inc()
-		slot = r.publishDirect(server, def)
-		slot.mode = modeFallback
-	} else {
-		slot = r.publishDirect(server, def)
-		slot.mode = modeDirect
-	}
+	slot := r.publishLoose(server, def)
 	switch {
 	case slot.err != nil:
 		prog.serviceDone()
@@ -865,11 +588,11 @@ type PlanServerSummary struct {
 }
 
 // PlanSummary describes a campaign execution plan — the -report plan
-// data. Building it resolves the plan (cache load or catalog walk) but
+// data. Building it resolves the plan (adopted, or a catalog walk) but
 // runs nothing.
 type PlanSummary struct {
 	// Fingerprint is the plan's content address; Source is "built" or
-	// "cache".
+	// "shared" (adopted from another runner).
 	Fingerprint string
 	Source      string
 	NoDedup     bool
@@ -882,11 +605,7 @@ type PlanSummary struct {
 }
 
 // PlanSummary resolves and summarizes the runner's execution plan.
-// It errors under the NoPlan ablation — there is no plan to describe.
 func (r *Runner) PlanSummary() (*PlanSummary, error) {
-	if !r.planOn() {
-		return nil, errors.New("campaign: planned execution is disabled (NoPlan)")
-	}
 	p, err := r.ensurePlan()
 	if err != nil {
 		return nil, err

@@ -1,86 +1,77 @@
 package campaign
 
-// Tests for shape-first planned execution and the plan cache
-// (plan.go). The planner must be invisible in every observable output:
-// a planned campaign's Result is byte-identical to the lazy class-first
-// ablation's (Config.NoPlan), its counters and histograms DeepEqual
-// after stripping the plan's own bookkeeping, and a cache file that is
-// stale, corrupt, or hostile degrades to a fresh build — never to a
-// wrong plan.
+// Tests for shape-first planned execution (plan.go): the plan's
+// structural invariants, memo statistics and counters pinned to the
+// values the campaign has always produced, in-process plan sharing, and
+// Publish — the wire modes' entry point — executing over the same plan
+// as Run.
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"wsinterop/internal/obs"
 	"wsinterop/internal/shape"
 )
 
-// stripPlan drops the campaign.plan.* bookkeeping counters before a
-// planned-vs-lazy comparison: the lazy ablation never builds a plan,
-// so they necessarily differ.
-func stripPlan(counters []obs.CounterSnapshot) []obs.CounterSnapshot {
-	kept := make([]obs.CounterSnapshot, 0, len(counters))
-	for _, c := range counters {
-		if strings.HasPrefix(c.Name, "campaign.plan.") {
-			continue
+// memoParity is a campaign's shape-memo accounting: its DedupStats and
+// the stage counters the memo routes feed.
+type memoParity struct {
+	dedup    DedupStats
+	counters map[string]int64
+}
+
+// pinnedParity holds the accounting of resumeConfig(limit, 4) runs,
+// keyed by limit, as recorded by the class-first executor that
+// discovered shapes per class through the memo table before the plan
+// became the only discovery path. The planned executor must reproduce
+// it exactly at every worker count, resumed, and shard-merged.
+var pinnedParity = map[int]memoParity{
+	150: {
+		dedup: DedupStats{Enabled: true, Shapes: 254, PublishTotal: 450, PublishMemoized: 196,
+			TestTotal: 4928, TestMemoized: 2156, Fallbacks: 0, WSIChecks: 252, WSIMemoized: 196},
+		counters: map[string]int64{
+			"campaign.publish.total": 450, "campaign.publish.memoized": 196,
+			"campaign.publish.fallbacks": 0, "campaign.publish.rejected": 2,
+			"campaign.test.total": 4928, "campaign.test.memoized": 2156,
+			"campaign.wsi.checks": 252, "campaign.wsi.memoized": 196, "campaign.wsi.flagged": 84,
+			"campaign.generate.runs": 2772, "campaign.compile.runs": 2498,
+		},
+	},
+	0: {
+		dedup: DedupStats{Enabled: true, Shapes: 4856, PublishTotal: 22024, PublishMemoized: 17168,
+			TestTotal: 79629, TestMemoized: 28127, Fallbacks: 0, WSIChecks: 4682, WSIMemoized: 2557},
+		counters: map[string]int64{
+			"campaign.publish.total": 22024, "campaign.publish.memoized": 17168,
+			"campaign.publish.fallbacks": 0, "campaign.publish.rejected": 174,
+			"campaign.test.total": 79629, "campaign.test.memoized": 28127,
+			"campaign.wsi.checks": 4682, "campaign.wsi.memoized": 2557, "campaign.wsi.flagged": 84,
+			"campaign.generate.runs": 51502, "campaign.compile.runs": 51228,
+		},
+	},
+}
+
+func checkParity(t *testing.T, want memoParity, res *Result, snap *obs.Snapshot) {
+	t.Helper()
+	if !reflect.DeepEqual(*res.Dedup, want.dedup) {
+		t.Errorf("dedup stats = %+v, want %+v", *res.Dedup, want.dedup)
+	}
+	for name, v := range want.counters {
+		if got := counterValue(snap, name); got != v {
+			t.Errorf("counter %s = %d, want %d", name, got, v)
 		}
-		kept = append(kept, c)
-	}
-	return kept
-}
-
-func comparePlanSnapshots(t *testing.T, label string, lazy, planned *obs.Snapshot) {
-	t.Helper()
-	a := stripPlan(stripJournal(lazy.Counters))
-	b := stripPlan(stripJournal(planned.Counters))
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("%s: counters differ:\nlazy:    %+v\nplanned: %+v", label, a, b)
-	}
-	if !reflect.DeepEqual(lazy.Histograms, planned.Histograms) {
-		t.Errorf("%s: histograms differ:\nlazy:    %+v\nplanned: %+v", label, lazy.Histograms, planned.Histograms)
 	}
 }
 
-// lazyBaseline runs the class-first ablation once and returns its
-// Result, serialized bytes, and metrics snapshot.
-func lazyBaseline(t *testing.T, limit int) (*Result, []byte, *obs.Snapshot) {
-	t.Helper()
-	cfg := resumeConfig(limit, 4)
-	cfg.NoPlan = true
-	res, err := NewRunner(cfg).Run(context.Background())
-	if err != nil {
-		t.Fatalf("lazy baseline: %v", err)
-	}
-	return res, resultBytes(t, res), cfg.Obs.Snapshot()
-}
-
-func comparePlanned(t *testing.T, label string, lazy *Result, lazyBytes []byte, lazySnap *obs.Snapshot,
-	res *Result, snap *obs.Snapshot) {
-	t.Helper()
-	compareResults(t, lazy, res)
-	if !reflect.DeepEqual(lazy.Dedup, res.Dedup) {
-		t.Errorf("%s: dedup stats differ:\nlazy:    %+v\nplanned: %+v", label, lazy.Dedup, res.Dedup)
-	}
-	if got := resultBytes(t, res); string(got) != string(lazyBytes) {
-		t.Errorf("%s: serialized Result is not byte-identical to the lazy run", label)
-	}
-	comparePlanSnapshots(t, label, lazySnap, snap)
-}
-
-// runPlanMatrix is the shared planned-vs-lazy matrix: the planned
-// executor at workers 1 and 8, resumed from a mid-run interruption,
-// and merged from a 2-way shard split — every variant byte-identical
-// to the lazy ablation.
+// runPlanMatrix runs the planned executor at workers 1 and 8, resumed
+// from a mid-run interruption, and merged from a 2-way shard split:
+// every variant matches the pinned accounting, and its Result is
+// byte-identical to the serial run's.
 func runPlanMatrix(t *testing.T, limit int) {
-	lazy, lazyBytes, lazySnap := lazyBaseline(t, limit)
-
+	want := pinnedParity[limit]
+	var ref []byte
 	for _, workers := range []int{1, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			cfg := resumeConfig(limit, workers)
@@ -88,21 +79,33 @@ func runPlanMatrix(t *testing.T, limit int) {
 			if err != nil {
 				t.Fatalf("planned run: %v", err)
 			}
-			comparePlanned(t, t.Name(), lazy, lazyBytes, lazySnap, res, cfg.Obs.Snapshot())
+			checkParity(t, want, res, cfg.Obs.Snapshot())
+			got := resultBytes(t, res)
+			if ref == nil {
+				ref = got
+			} else if string(got) != string(ref) {
+				t.Error("serialized Result differs from the workers=1 run")
+			}
 		})
 	}
 
 	t.Run("resumed", func(t *testing.T) {
 		dir := t.TempDir()
-		interruptAt(t, resumeConfig(limit, 8), dir, lazy.TotalServices/2)
+		interruptAt(t, resumeConfig(limit, 8), dir, int(want.dedup.PublishTotal)/2)
 		res, snap := resume(t, resumeConfig(limit, 8), dir)
-		comparePlanned(t, t.Name(), lazy, lazyBytes, lazySnap, res, snap)
+		checkParity(t, want, res, snap)
+		if string(resultBytes(t, res)) != string(ref) {
+			t.Error("resumed Result differs from the uninterrupted run")
+		}
 	})
 
 	t.Run("sharded", func(t *testing.T) {
 		dirs := runShardWorkers(t, limit, 4, 2, -1, 0)
 		res, snap := mergeShardJournals(t, limit, 4, dirs)
-		comparePlanned(t, t.Name(), lazy, lazyBytes, lazySnap, res, snap)
+		checkParity(t, want, res, snap)
+		if string(resultBytes(t, res)) != string(ref) {
+			t.Error("shard-merged Result differs from the single-process run")
+		}
 	})
 }
 
@@ -111,8 +114,8 @@ func TestPlanEquivalenceScaled(t *testing.T) {
 }
 
 // TestPlanEquivalenceFull is the acceptance check at full study scale:
-// all 22 024 service cells on the planned executor, against the lazy
-// ablation, plus the resumed and sharded variants.
+// all 22 024 service cells on the planned executor, plus the resumed
+// and sharded variants.
 func TestPlanEquivalenceFull(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale plan equivalence skipped in -short mode")
@@ -233,49 +236,6 @@ func planCounter(reg *obs.Registry, name string) int64 {
 	return reg.Counter(name).Value()
 }
 
-// TestPlanCacheReuse proves the cache round trip: the first run builds
-// and stores (one miss, one build), the second loads (one hit, no
-// build) and produces a byte-identical Result.
-func TestPlanCacheReuse(t *testing.T) {
-	cache := t.TempDir()
-	first := resumeConfig(80, 4)
-	first.PlanCache = cache
-	a, err := NewRunner(first).Run(context.Background())
-	if err != nil {
-		t.Fatalf("first run: %v", err)
-	}
-	if b, m, h := planCounter(first.Obs, "campaign.plan.builds"), planCounter(first.Obs, "campaign.plan.cache.misses"),
-		planCounter(first.Obs, "campaign.plan.cache.hits"); b != 1 || m != 1 || h != 0 {
-		t.Errorf("first run: builds=%d misses=%d hits=%d, want 1/1/0", b, m, h)
-	}
-
-	second := resumeConfig(80, 4)
-	second.PlanCache = cache
-	b, err := NewRunner(second).Run(context.Background())
-	if err != nil {
-		t.Fatalf("second run: %v", err)
-	}
-	if bu, m, h := planCounter(second.Obs, "campaign.plan.builds"), planCounter(second.Obs, "campaign.plan.cache.misses"),
-		planCounter(second.Obs, "campaign.plan.cache.hits"); bu != 0 || m != 0 || h != 1 {
-		t.Errorf("second run: builds=%d misses=%d hits=%d, want 0/0/1", bu, m, h)
-	}
-	compareResults(t, a, b)
-	if got, want := resultBytes(t, b), resultBytes(t, a); string(got) != string(want) {
-		t.Error("cached-plan Result is not byte-identical to the building run's")
-	}
-
-	// A different configuration must miss: its fingerprint names a file
-	// that does not exist yet.
-	other := resumeConfig(60, 4)
-	other.PlanCache = cache
-	if _, err := NewRunner(other).Run(context.Background()); err != nil {
-		t.Fatalf("other-config run: %v", err)
-	}
-	if m, h := planCounter(other.Obs, "campaign.plan.cache.misses"), planCounter(other.Obs, "campaign.plan.cache.hits"); m != 1 || h != 0 {
-		t.Errorf("other config: misses=%d hits=%d, want 1/0", m, h)
-	}
-}
-
 // TestSharedPlan proves the in-process sharing path: a plan resolved
 // by one runner is adopted by a second with the same configuration
 // (no build, one shared-plan credit, byte-identical Result), and a
@@ -322,234 +282,100 @@ func TestSharedPlan(t *testing.T) {
 	if err := NewRunner(resumeConfig(60, 4)).AdoptPlan(plan); err == nil {
 		t.Error("AdoptPlan accepted a plan for a different configuration")
 	}
-	// NoPlan ablation: nothing to adopt into.
-	noplan := resumeConfig(80, 4)
-	noplan.NoPlan = true
-	if err := NewRunner(noplan).AdoptPlan(plan); err == nil {
-		t.Error("AdoptPlan accepted a plan under NoPlan")
-	}
-	if _, err := NewRunner(noplan).ExecutionPlan(); err == nil {
-		t.Error("ExecutionPlan succeeded under NoPlan")
-	}
 }
 
-// cachedPlanFile locates the single plan file a primed cache holds.
-func cachedPlanFile(t *testing.T, cache string) string {
-	t.Helper()
-	matches, err := filepath.Glob(filepath.Join(cache, "plan-*.json"))
-	if err != nil || len(matches) != 1 {
-		t.Fatalf("plan cache holds %d files (%v)", len(matches), err)
+// samePublished reports the first difference between two Publish
+// outputs, comparing every field a wire mode consumes.
+func samePublished(a, b []PublishedService) error {
+	if len(a) != len(b) {
+		return fmt.Errorf("%d services, want %d", len(b), len(a))
 	}
-	return matches[0]
+	for i := range a {
+		x, y := &a[i], &b[i]
+		if x.Server != y.Server || x.Class != y.Class || string(x.Doc) != string(y.Doc) ||
+			x.Flagged != y.Flagged || x.Compliant != y.Compliant || x.Profiles != y.Profiles {
+			return fmt.Errorf("service %d: %s on %s differs from %s on %s", i, y.Class, y.Server, x.Class, x.Server)
+		}
+	}
+	return nil
 }
 
-// TestPlanCacheInvalidation tampers with a primed cache file in every
-// way the loader guards against and proves each one degrades to a
-// fresh build — rejected counter bumped, Result identical, and the
-// rebuilt plan healing the cache file for the next run.
-func TestPlanCacheInvalidation(t *testing.T) {
-	const limit = 80
-	_, cleanBytes, _ := lazyBaseline(t, limit)
-
-	// rewrite unmarshals the primed file, lets the case mutate it, and
-	// re-marshals with a consistent digest — so the tamper under test is
-	// the only defect the loader can object to.
-	rewrite := func(t *testing.T, path string, mutate func(env *planFile, servers []*serverPlan)) {
+// TestPublishPlanned proves Publish executes over the plan: its output
+// is byte-identical at workers 1 and 8, every shape's representative is
+// the group's first member in catalog order, and publishing again on
+// the same runner serves every service from the memo.
+func TestPublishPlanned(t *testing.T) {
+	ctx := context.Background()
+	publishAll := func(r *Runner) [][]PublishedService {
 		t.Helper()
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
+		var out [][]PublishedService
+		for _, server := range r.servers {
+			published, _, err := r.Publish(ctx, server)
+			if err != nil {
+				t.Fatalf("Publish on %s: %v", server.Name(), err)
+			}
+			out = append(out, published)
 		}
-		var env planFile
-		if err := json.Unmarshal(data, &env); err != nil {
-			t.Fatal(err)
-		}
-		var servers []*serverPlan
-		if err := json.Unmarshal(env.Servers, &servers); err != nil {
-			t.Fatal(err)
-		}
-		mutate(&env, servers)
-		raw, err := json.Marshal(servers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		env.Servers = raw
-		env.Digest = planDigest(raw)
-		out, err := json.Marshal(&env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, out, 0o644); err != nil {
-			t.Fatal(err)
+		return out
+	}
+	reg := frozenRegistry()
+	serial := NewRunner(Config{Limit: 150, Workers: 1, Obs: reg})
+	first := publishAll(serial)
+	parallel := publishAll(NewRunner(Config{Limit: 150, Workers: 8}))
+	for si := range first {
+		if err := samePublished(first[si], parallel[si]); err != nil {
+			t.Errorf("workers 1 vs 8, server %d: %v", si, err)
 		}
 	}
 
-	cases := []struct {
-		name   string
-		tamper func(t *testing.T, path string)
-	}{
-		{"fingerprint-mismatch", func(t *testing.T, path string) {
-			rewrite(t, path, func(env *planFile, _ []*serverPlan) { env.Fingerprint = "deadbeefdeadbeef" })
-		}},
-		{"version-skew", func(t *testing.T, path string) {
-			rewrite(t, path, func(env *planFile, _ []*serverPlan) { env.Version = 99 })
-		}},
-		{"truncated", func(t *testing.T, path string) {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
+	for _, server := range serial.servers {
+		sp, err := serial.planFor(server)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range sp.Groups {
+			e := serial.dedup.entries[shapeKey{server: server.Name(), fp: g.fp}]
+			if e == nil || e.rejected {
+				continue
 			}
-			if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
-				t.Fatal(err)
+			if want := sp.defs[g.Members[0]].Parameter.Name; e.rep.Class != want {
+				t.Errorf("%s: shape representative is %q, want first member %q", server.Name(), e.rep.Class, want)
 			}
-		}},
-		{"garbage", func(t *testing.T, path string) {
-			if err := os.WriteFile(path, []byte("{definitely not a plan"), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"digest-mismatch", func(t *testing.T, path string) {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Flip one byte inside the servers payload without touching
-			// the recorded digest.
-			i := strings.Index(string(data), `"members":[`)
-			if i < 0 {
-				t.Fatal("no members array to corrupt")
-			}
-			data[i+len(`"members":[`)] ^= 0x01
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"stale-shape", func(t *testing.T, path string) {
-			rewrite(t, path, func(_ *planFile, servers []*serverPlan) {
-				// A fingerprint from a different shape algorithm: valid hex,
-				// right length, wrong value — the builder re-hash must catch
-				// it even though the digest is consistent.
-				servers[0].Groups[0].FP = strings.Repeat("ab", 32)
-			})
-		}},
-		{"index-out-of-range", func(t *testing.T, path string) {
-			rewrite(t, path, func(_ *planFile, servers []*serverPlan) {
-				servers[0].Groups[0].Members[0] = 1 << 20
-			})
-		}},
-		{"index-claimed-twice", func(t *testing.T, path string) {
-			rewrite(t, path, func(_ *planFile, servers []*serverPlan) {
-				servers[0].Loose = append(servers[0].Loose, servers[0].Groups[0].Members[0])
-			})
-		}},
-		{"unsafe-out-of-range", func(t *testing.T, path string) {
-			rewrite(t, path, func(_ *planFile, servers []*serverPlan) {
-				servers[0].Groups[0].Unsafe = append(servers[0].Groups[0].Unsafe, 99)
-			})
-		}},
-		{"stale-safety-mask", func(t *testing.T, path string) {
-			rewrite(t, path, func(_ *planFile, servers []*serverPlan) {
-				// Mark a genuinely safe member unsafe: the recomputed
-				// predicate disagrees and the plan is refused.
-				servers[0].Groups[0].Unsafe = append(servers[0].Groups[0].Unsafe, 0)
-			})
-		}},
+		}
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cache := t.TempDir()
-			prime := resumeConfig(limit, 4)
-			prime.PlanCache = cache
-			if _, err := NewRunner(prime).Run(context.Background()); err != nil {
-				t.Fatalf("priming run: %v", err)
-			}
-			path := cachedPlanFile(t, cache)
-			tc.tamper(t, path)
 
-			cfg := resumeConfig(limit, 4)
-			cfg.PlanCache = cache
-			res, err := NewRunner(cfg).Run(context.Background())
-			if err != nil {
-				t.Fatalf("run with tampered cache: %v", err)
-			}
-			if rej, b := planCounter(cfg.Obs, "campaign.plan.cache.rejected"), planCounter(cfg.Obs, "campaign.plan.builds"); rej != 1 || b != 1 {
-				t.Errorf("rejected=%d builds=%d, want 1/1", rej, b)
-			}
-			if got := resultBytes(t, res); string(got) != string(cleanBytes) {
-				t.Error("Result after cache rejection is not byte-identical to the baseline")
-			}
-
-			// The rebuild heals the file: a third run loads it cleanly.
-			again := resumeConfig(limit, 4)
-			again.PlanCache = cache
-			if _, err := NewRunner(again).Run(context.Background()); err != nil {
-				t.Fatalf("run after heal: %v", err)
-			}
-			if h, rej := planCounter(again.Obs, "campaign.plan.cache.hits"), planCounter(again.Obs, "campaign.plan.cache.rejected"); h != 1 || rej != 0 {
-				t.Errorf("after heal: hits=%d rejected=%d, want 1/0", h, rej)
-			}
-		})
+	checks := reg.Counter("campaign.wsi.checks").Value()
+	again := publishAll(serial)
+	for si := range first {
+		if err := samePublished(first[si], again[si]); err != nil {
+			t.Errorf("repeated Publish, server %d: %v", si, err)
+		}
+	}
+	if got := reg.Counter("campaign.wsi.checks").Value(); got != checks {
+		t.Errorf("repeated Publish executed %d WS-I checks, want 0 (memo-served)", got-checks)
+	}
+	if f := reg.Counter("campaign.publish.fallbacks").Value(); f != 0 {
+		t.Errorf("publish fallbacks = %d, want 0", f)
 	}
 }
 
-// FuzzPlanCache throws hostile bytes at the cache loader. The safety
-// property: loadCachedPlan either errors (the caller rebuilds) or
-// returns a plan structurally identical to a fresh build — it must
-// never accept a file that would change execution.
-func FuzzPlanCache(f *testing.F) {
-	// Seed with the real file and near-miss mutations of it.
-	seedCfg := Config{Limit: 30, Workers: 1, PlanCache: f.TempDir()}
-	r := NewRunner(seedCfg)
-	fp := r.planFingerprint()
-	p, err := r.buildPlan(fp)
-	if err != nil {
-		f.Fatal(err)
+// TestWireModesShareOnePlan proves the communication, robustness and
+// versions modes find shapes through the runner's one plan: three modes
+// on one runner build it exactly once.
+func TestWireModesShareOnePlan(t *testing.T) {
+	ctx := context.Background()
+	reg := frozenRegistry()
+	r := NewRunner(Config{Limit: 10, Workers: 4, Obs: reg})
+	if _, err := r.RunCommunication(ctx); err != nil {
+		t.Fatalf("communication: %v", err)
 	}
-	if err := r.storePlan(p); err != nil {
-		f.Fatal(err)
+	if _, err := r.RunRobustness(ctx); err != nil {
+		t.Fatalf("robustness: %v", err)
 	}
-	valid, err := os.ReadFile(r.planCachePath(fp))
-	if err != nil {
-		f.Fatal(err)
+	if _, err := r.RunVersions(ctx); err != nil {
+		t.Fatalf("versions: %v", err)
 	}
-	f.Add(valid)
-	f.Add([]byte("{}"))
-	f.Add([]byte(`{"version":1,"fingerprint":"x","digest":"y","servers":[]}`))
-	f.Add(valid[:len(valid)/3])
-	mutated := append([]byte(nil), valid...)
-	mutated[len(mutated)/2] ^= 0xff
-	f.Add(mutated)
-
-	fresh, err := r.buildPlan(fp)
-	if err != nil {
-		f.Fatal(err)
+	if b := planCounter(reg, "campaign.plan.builds"); b != 1 {
+		t.Errorf("campaign.plan.builds = %d, want 1", b)
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if err := os.WriteFile(r.planCachePath(fp), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := r.loadCachedPlan(fp)
-		if err != nil {
-			return // rejected: the runner would rebuild
-		}
-		if len(loaded.servers) != len(fresh.servers) {
-			t.Fatalf("accepted plan has %d stages, fresh build %d", len(loaded.servers), len(fresh.servers))
-		}
-		for name, want := range fresh.servers {
-			got := loaded.servers[name]
-			if got == nil {
-				t.Fatalf("accepted plan is missing stage %s", name)
-			}
-			if got.Defs != want.Defs || len(got.Groups) != len(want.Groups) || !reflect.DeepEqual(got.Loose, want.Loose) {
-				t.Fatalf("accepted stage %s differs from fresh build", name)
-			}
-			for gi := range want.Groups {
-				if !reflect.DeepEqual(got.Groups[gi].Members, want.Groups[gi].Members) ||
-					got.Groups[gi].fp != want.Groups[gi].fp ||
-					!reflect.DeepEqual(got.Groups[gi].safe, want.Groups[gi].safe) {
-					t.Fatalf("accepted stage %s group %d differs from fresh build", name, gi)
-				}
-			}
-		}
-	})
 }

@@ -56,10 +56,9 @@ type CampaignSpec struct {
 	// CLI's -server/-client semantics.
 	Server string `json:"server,omitempty"`
 	Client string `json:"client,omitempty"`
-	// Reparse, NoDedup, and NoPlan select the ablation paths.
+	// Reparse and NoDedup select the ablation paths.
 	Reparse bool `json:"reparse,omitempty"`
 	NoDedup bool `json:"noDedup,omitempty"`
-	NoPlan  bool `json:"noPlan,omitempty"`
 	// KeepFailures retains the per-test failure index in the report.
 	KeepFailures bool `json:"keepFailures,omitempty"`
 }
@@ -75,9 +74,6 @@ func (s *CampaignSpec) options() ([]Option, error) {
 	}
 	if s.NoDedup {
 		opts = append(opts, WithoutDedup())
-	}
-	if s.NoPlan {
-		opts = append(opts, WithoutPlan())
 	}
 	if s.KeepFailures {
 		opts = append(opts, WithKeepFailures())

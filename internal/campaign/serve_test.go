@@ -216,6 +216,7 @@ func TestDaemonRequestErrors(t *testing.T) {
 	for body, want := range map[string]int{
 		"not json":         http.StatusBadRequest,
 		`{"bogus":1}`:      http.StatusBadRequest, // unknown fields are refused
+		`{"noPlan":true}`:  http.StatusBadRequest, // so is a removed knob: never silently ignored
 		`{"server":"zzz"}`: http.StatusBadRequest,
 		`{"client":"zzz"}`: http.StatusBadRequest,
 		`{"limit":-1}`:     http.StatusBadRequest,

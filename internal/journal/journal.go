@@ -70,16 +70,16 @@ type Meta struct {
 	// (nil for a whole-campaign journal). The merge coordinator uses it
 	// to verify that a set of journals tiles the campaign exactly once.
 	Shard *ShardMeta `json:"shard,omitempty"`
-	// Plan records the execution plan the session ran under (nil for
-	// lazy-dedup runs). It is provenance, deliberately not part of the
-	// resume identity check: planned and lazy execution are
-	// result-identical, so either mode may finish the other's journal.
+	// Plan records the execution plan the session ran under (nil in
+	// journals written without one). It is provenance, deliberately not
+	// part of the resume identity check: the plan is a pure function of
+	// the configuration Fingerprint already covers.
 	Plan *PlanMeta `json:"plan,omitempty"`
 }
 
 // PlanMeta is the journal-side record of a campaign execution plan
-// (internal/campaign plan cache): its content-addressed fingerprint
-// and the catalog scale it covered.
+// (internal/campaign plan.go): its content-addressed fingerprint and
+// the catalog scale it covered.
 type PlanMeta struct {
 	Fingerprint string `json:"fingerprint"`
 	Classes     int    `json:"classes,omitempty"`

@@ -29,7 +29,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 
 	"wsinterop/internal/services"
 	"wsinterop/internal/typesys"
@@ -44,26 +43,6 @@ type Fingerprint [sha256.Size]byte
 
 // String renders the fingerprint as hex for reports and debugging.
 func (f Fingerprint) String() string { return hex.EncodeToString(f[:8]) }
-
-// Hex renders the full fingerprint — the serialization the campaign's
-// persistent plan cache stores and ParseHex round-trips.
-func (f Fingerprint) Hex() string { return hex.EncodeToString(f[:]) }
-
-// ParseHex decodes a full-length fingerprint produced by Hex. Anything
-// else — wrong length, non-hex bytes — is an error, never a truncated
-// or zero-padded fingerprint.
-func ParseHex(s string) (Fingerprint, error) {
-	var f Fingerprint
-	raw, err := hex.DecodeString(s)
-	if err != nil {
-		return f, fmt.Errorf("shape: malformed fingerprint %q: %w", s, err)
-	}
-	if len(raw) != len(f) {
-		return f, fmt.Errorf("shape: fingerprint %q has %d bytes, want %d", s, len(raw), len(f))
-	}
-	copy(f[:], raw)
-	return f, nil
-}
 
 // Of computes the structural fingerprint of a definition.
 func Of(def services.Definition) Fingerprint {

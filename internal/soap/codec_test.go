@@ -58,7 +58,7 @@ func TestUnmarshalRejectsForeignEnvelopeNamespace(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			m, err := Unmarshal([]byte(tc.data))
+			m, err := V11.Unmarshal([]byte(tc.data))
 			if err == nil {
 				t.Fatalf("Unmarshal accepted foreign-version content as message %+v", m)
 			}

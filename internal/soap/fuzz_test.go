@@ -49,17 +49,17 @@ func fuzzSeeds(f *testing.F) {
 func FuzzUnmarshal(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := Unmarshal(data)
+		m, err := V11.Unmarshal(data)
 		if err != nil {
 			return
 		}
-		out, err := Marshal(m)
+		out, err := V11.Marshal(m)
 		if err != nil {
 			// Messages with wrapper names that are not serializable
 			// (e.g. containing spaces) are rejected at marshal time.
 			return
 		}
-		if _, err := Unmarshal(out); err != nil {
+		if _, err := V11.Unmarshal(out); err != nil {
 			t.Fatalf("marshal output failed to reparse: %v\n%s", err, out)
 		}
 	})

@@ -122,25 +122,6 @@ func ValidNCName(s string) bool {
 	return true
 }
 
-// Marshal serializes a message into a SOAP 1.1 envelope.
-//
-// Deprecated: use V11.Marshal, or the Codec of the version in play.
-func Marshal(m *Message) ([]byte, error) { return V11.Marshal(m) }
-
-// MarshalFault serializes a SOAP 1.1 fault envelope.
-//
-// Deprecated: use V11.MarshalFault, or the Codec of the version in
-// play.
-func MarshalFault(f *Fault) ([]byte, error) { return V11.MarshalFault(f) }
-
-// Unmarshal parses a SOAP 1.1 envelope. It returns the message, or a
-// *Fault as the error when the body carries a fault.
-//
-// Deprecated: use V11.Unmarshal, or the Codec of the version in play;
-// UnmarshalFlexible and UnmarshalCoerce model the lenient framework
-// behaviors.
-func Unmarshal(data []byte) (*Message, error) { return V11.Unmarshal(data) }
-
 func escape(s string) string {
 	var b bytes.Buffer
 	if err := xml.EscapeText(&b, []byte(s)); err != nil {

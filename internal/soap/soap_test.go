@@ -22,11 +22,11 @@ func testMessage() *Message {
 
 func TestRoundTrip(t *testing.T) {
 	orig := testMessage()
-	data, err := Marshal(orig)
+	data, err := V11.Marshal(orig)
 	if err != nil {
 		t.Fatalf("Marshal: %v", err)
 	}
-	got, err := Unmarshal(data)
+	got, err := V11.Unmarshal(data)
 	if err != nil {
 		t.Fatalf("Unmarshal: %v\n%s", err, data)
 	}
@@ -36,11 +36,11 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestMarshalDeterministic(t *testing.T) {
-	a, err := Marshal(testMessage())
+	a, err := V11.Marshal(testMessage())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Marshal(testMessage())
+	b, err := V11.Marshal(testMessage())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestMarshalDeterministic(t *testing.T) {
 }
 
 func TestMarshalRejectsAnonymous(t *testing.T) {
-	if _, err := Marshal(&Message{Namespace: "urn:x"}); err == nil {
+	if _, err := V11.Marshal(&Message{Namespace: "urn:x"}); err == nil {
 		t.Error("expected error for missing wrapper name")
 	}
 }
@@ -62,14 +62,14 @@ func TestMarshalRejectsHostileNames(t *testing.T) {
 		"ns:qualified", "tab\tname", "new\nline",
 	}
 	for _, name := range hostile {
-		if _, err := Marshal(&Message{Namespace: "urn:x", Local: "echo",
+		if _, err := V11.Marshal(&Message{Namespace: "urn:x", Local: "echo",
 			Fields: map[string]string{name: "v"}}); err == nil {
 			t.Errorf("field name %q accepted; markup injection possible", name)
 		}
 		if name == "" {
 			continue // covered by TestMarshalRejectsAnonymous
 		}
-		if _, err := Marshal(&Message{Namespace: "urn:x", Local: name}); err == nil {
+		if _, err := V11.Marshal(&Message{Namespace: "urn:x", Local: name}); err == nil {
 			t.Errorf("wrapper name %q accepted; markup injection possible", name)
 		}
 	}
@@ -98,7 +98,7 @@ func TestUnmarshalRejectsDuplicateChildren(t *testing.T) {
   </soap:Body>
 </soap:Envelope>`
 	var de *DecodeError
-	_, err := Unmarshal([]byte(doc))
+	_, err := V11.Unmarshal([]byte(doc))
 	if !errors.As(err, &de) {
 		t.Fatalf("duplicate children accepted (last-wins would mask corruption), got %v", err)
 	}
@@ -109,11 +109,11 @@ func TestUnmarshalRejectsDuplicateChildren(t *testing.T) {
 
 func TestFaultRoundTrip(t *testing.T) {
 	f := &Fault{Code: FaultClient, String: "bad request", Detail: "missing element"}
-	data, err := MarshalFault(f)
+	data, err := V11.MarshalFault(f)
 	if err != nil {
 		t.Fatalf("MarshalFault: %v", err)
 	}
-	_, err = Unmarshal(data)
+	_, err = V11.Unmarshal(data)
 	var got *Fault
 	if !errors.As(err, &got) {
 		t.Fatalf("expected *Fault error, got %v", err)
@@ -128,14 +128,14 @@ func TestFaultRoundTrip(t *testing.T) {
 
 func TestUnmarshalGarbage(t *testing.T) {
 	var de *DecodeError
-	if _, err := Unmarshal([]byte("nope")); !errors.As(err, &de) {
+	if _, err := V11.Unmarshal([]byte("nope")); !errors.As(err, &de) {
 		t.Errorf("expected DecodeError, got %v", err)
 	}
 }
 
 func TestUnmarshalEmptyBody(t *testing.T) {
 	doc := `<soap:Envelope xmlns:soap="http://schemas.xmlsoap.org/soap/envelope/"><soap:Body/></soap:Envelope>`
-	_, err := Unmarshal([]byte(doc))
+	_, err := V11.Unmarshal([]byte(doc))
 	if !errors.Is(err, ErrNoBody) {
 		t.Errorf("expected ErrNoBody, got %v", err)
 	}
@@ -166,11 +166,11 @@ func TestRoundTripProperty(t *testing.T) {
 			}
 			m.Fields[names[i]] = v
 		}
-		data, err := Marshal(m)
+		data, err := V11.Marshal(m)
 		if err != nil {
 			return false
 		}
-		got, err := Unmarshal(data)
+		got, err := V11.Unmarshal(data)
 		if err != nil {
 			return false
 		}

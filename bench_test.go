@@ -152,15 +152,24 @@ func BenchmarkFindings(b *testing.B) {
 // 79 629 tests — and is the full-scale regenerator for E1–E3.
 // FULLCAMPAIGN_LIMIT caps classes per catalog for CI's reduced-catalog
 // regression guard (make bench-check); unset, the complete study runs.
+// A capped run reports as FullCampaign/limit=N, so its numbers are
+// never mistaken for (or compared with) the full-scale ones.
 func BenchmarkFullCampaign(b *testing.B) {
-	limit := 0
-	if s := os.Getenv("FULLCAMPAIGN_LIMIT"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil {
-			b.Fatalf("FULLCAMPAIGN_LIMIT=%q: %v", s, err)
-		}
-		limit = n
+	s := os.Getenv("FULLCAMPAIGN_LIMIT")
+	if s == "" {
+		benchFullCampaign(b, 0)
+		return
 	}
+	limit, err := strconv.Atoi(s)
+	if err != nil || limit <= 0 {
+		b.Fatalf("FULLCAMPAIGN_LIMIT=%q: want a positive class count", s)
+	}
+	b.Run("limit="+s, func(b *testing.B) { benchFullCampaign(b, limit) })
+}
+
+// benchFullCampaign runs the campaign at a classes-per-catalog cap;
+// 0 is the complete study.
+func benchFullCampaign(b *testing.B, limit int) {
 	cfg := campaign.Config{Limit: limit}
 	// Resolve the execution plan once and share it across iterations:
 	// the steady state of any process running repeated campaigns (the
@@ -322,6 +331,38 @@ func BenchmarkCommunicationCampaign(b *testing.B) {
 		if _, err := r.RunCommunication(context.Background()); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// robustLimit is the classes-per-catalog cap of the robustness bench,
+// the scale of the wire_faults workload in wsbench.
+const robustLimit = 15
+
+// BenchmarkRobustnessMatrix measures the wire fault paths: the
+// robustness matrix (fault injection, retries, typed decode errors)
+// then the version matrix (SOAP 1.2, hybrid wires) on one runner.
+// Run it with -benchmem: a fault that copies its padding shows up in
+// B/op long before it shows in ns/op.
+func BenchmarkRobustnessMatrix(b *testing.B) {
+	cells := 0
+	for i := 0; i < b.N; i++ {
+		r := campaign.NewRunner(campaign.Config{Limit: robustLimit})
+		robust, err := r.RunRobustness(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
+		versions, err := r.RunVersions(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
+		rt := robust.Totals()
+		if rt.WrongSuccess != 0 {
+			b.Fatalf("wrong-success cells: %d", rt.WrongSuccess)
+		}
+		cells += rt.Cells + versions.Totals().Cells
+	}
+	if s := b.Elapsed().Seconds(); s > 0 {
+		b.ReportMetric(float64(cells)/s, "cells/s")
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -32,8 +33,12 @@ type Benchmark struct {
 	// Iterations is b.N for the recorded run.
 	Iterations int64 `json:"iterations"`
 	// Metrics maps unit → value for every reported metric (ns/op,
-	// tests/s, classes/shape, B/op, allocs/op, ...).
+	// tests/s, classes/shape, B/op, allocs/op, ...). For a benchmark
+	// run more than once (-count N) each value is the median.
 	Metrics map[string]float64 `json:"metrics"`
+	// Runs is the number of result lines folded into the medians;
+	// omitted for a single run.
+	Runs int `json:"runs,omitempty"`
 }
 
 // Trajectory is the file layout of BENCH_campaign.json.
@@ -75,7 +80,7 @@ func main() {
 	out := flag.String("o", "BENCH_campaign.json", "output file path")
 	check := flag.Bool("check", false, "compare stdin against -baseline instead of writing; exit 1 on regression")
 	baseline := flag.String("baseline", "BENCH_campaign.json", "baseline trajectory for -check")
-	benchName := flag.String("bench", "FullCampaign", "benchmark compared by -check")
+	benchName := flag.String("bench", "FullCampaign", "benchmark compared by -check, with its sub-benchmarks")
 	metric := flag.String("metric", "tests/s", "metric compared by -check (higher is better)")
 	maxRegress := flag.Float64("max-regress", 0.20, "maximum allowed fractional drop for -check")
 	flag.Parse()
@@ -151,27 +156,41 @@ func metricOf(traj *Trajectory, bench, unit string) (float64, error) {
 
 // checkRegression compares the run on stdin against the committed
 // baseline and fails when the metric (higher-is-better) dropped by
-// more than the allowed fraction.
+// more than the allowed fraction. Every entry of the run named bench,
+// or one of its sub-benchmarks (FullCampaign/limit=300), is compared
+// with the baseline entry of exactly the same name; a baseline without
+// one is an error, never a comparison against another scale.
 func checkRegression(cur *Trajectory, baselinePath, bench, unit string, maxRegress float64) error {
 	base, err := loadTrajectory(baselinePath)
 	if err != nil {
 		return err
 	}
-	baseV, err := metricOf(base, bench, unit)
-	if err != nil {
-		return fmt.Errorf("baseline %s: %w", baselinePath, err)
+	checked := 0
+	for _, bm := range cur.Benchmarks {
+		if bm.Name != bench && !strings.HasPrefix(bm.Name, bench+"/") {
+			continue
+		}
+		checked++
+		curV, err := metricOf(cur, bm.Name, unit)
+		if err != nil {
+			return fmt.Errorf("current run: %w", err)
+		}
+		baseV, err := metricOf(base, bm.Name, unit)
+		if err != nil {
+			return fmt.Errorf("baseline %s: %w; refusing to compare against another benchmark or scale (record one with make bench-json)",
+				baselinePath, err)
+		}
+		floor := baseV * (1 - maxRegress)
+		if curV < floor {
+			return fmt.Errorf("%s %s regressed: %.0f < %.0f (baseline %.0f, tolerance %.0f%%)",
+				bm.Name, unit, curV, floor, baseV, maxRegress*100)
+		}
+		fmt.Fprintf(os.Stderr, "benchjson: %s %s OK: %.0f vs baseline %.0f (floor %.0f)\n",
+			bm.Name, unit, curV, baseV, floor)
 	}
-	curV, err := metricOf(cur, bench, unit)
-	if err != nil {
-		return fmt.Errorf("current run: %w", err)
+	if checked == 0 {
+		return fmt.Errorf("current run: benchmark %s not found", bench)
 	}
-	floor := baseV * (1 - maxRegress)
-	if curV < floor {
-		return fmt.Errorf("%s %s regressed: %.0f < %.0f (baseline %.0f, tolerance %.0f%%)",
-			bench, unit, curV, floor, baseV, maxRegress*100)
-	}
-	fmt.Fprintf(os.Stderr, "benchjson: %s %s OK: %.0f vs baseline %.0f (floor %.0f)\n",
-		bench, unit, curV, baseV, floor)
 	return nil
 }
 
@@ -210,11 +229,57 @@ func parse(r io.Reader) (*Trajectory, error) {
 	if len(traj.Benchmarks) == 0 {
 		return nil, fmt.Errorf("no benchmark lines found on stdin")
 	}
+	traj.Benchmarks = foldRepeats(traj.Benchmarks)
 	if traj.Gomaxprocs == 0 {
 		// go test omits the -N suffix exactly when GOMAXPROCS is 1.
 		traj.Gomaxprocs, traj.Workers = 1, 1
 	}
 	return traj, nil
+}
+
+// foldRepeats merges the result lines of a benchmark run more than
+// once (-count N) into one entry, in first-appearance order, holding
+// the median of each metric: on a machine whose speed drifts, one
+// sample can land far from the typical run, the median rarely does.
+func foldRepeats(lines []Benchmark) []Benchmark {
+	var out []Benchmark
+	runs := make(map[string][]Benchmark, len(lines))
+	for _, bm := range lines {
+		if _, seen := runs[bm.Name]; !seen {
+			out = append(out, bm)
+		}
+		runs[bm.Name] = append(runs[bm.Name], bm)
+	}
+	for i, bm := range out {
+		rs := runs[bm.Name]
+		if len(rs) == 1 {
+			continue
+		}
+		folded := Benchmark{Name: bm.Name, Iterations: bm.Iterations,
+			Metrics: make(map[string]float64, len(bm.Metrics)), Runs: len(rs)}
+		for unit := range bm.Metrics {
+			vals := make([]float64, 0, len(rs))
+			for _, r := range rs {
+				if v, ok := r.Metrics[unit]; ok {
+					vals = append(vals, v)
+				}
+			}
+			folded.Metrics[unit] = median(vals)
+		}
+		out[i] = folded
+	}
+	return out
+}
+
+// median returns the middle value of vals (the mean of the two middle
+// values for an even count); vals is reordered.
+func median(vals []float64) float64 {
+	sort.Float64s(vals)
+	n := len(vals)
+	if n%2 == 1 {
+		return vals[n/2]
+	}
+	return (vals[n/2-1] + vals[n/2]) / 2
 }
 
 // parseBenchLine parses one result line, returning the benchmark and

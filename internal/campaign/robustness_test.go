@@ -2,11 +2,14 @@ package campaign
 
 import (
 	"context"
+	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"wsinterop/internal/faultinject"
 	"wsinterop/internal/soap"
+	"wsinterop/internal/transport"
 )
 
 // robustLimit shrinks the corpus in -short mode (the -race CI step)
@@ -158,5 +161,45 @@ func TestClassifyRobustWrongSuccessGuards(t *testing.T) {
 	}
 	if got := classifyRobust(benign, 2, shape("ping"), nil); got != RobustRecovered {
 		t.Errorf("multi-attempt success = %v, want recovered", got)
+	}
+}
+
+// TestOversizeCellAllocationBound is the allocation regression guard
+// of the oversize row: a cell runs two attempts under the robustness
+// retry policy, each padding a response past the 1 MiB read budget.
+// The bound is a quarter of one copy of the padding, so any path that
+// copies the filler or buffers the refused response fails it.
+func TestOversizeCellAllocationBound(t *testing.T) {
+	const cells, perCell = 50, 256 << 10
+	host := transport.NewHost()
+	if err := host.Deploy(&transport.Endpoint{
+		Path: "/svc", Namespace: "urn:test",
+		Operations: map[string]string{"echo": "echoResponse"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	injector := faultinject.New(host)
+	req := &soap.Message{Namespace: "urn:test", Local: "echo",
+		Fields: map[string]string{"input": "ping"}}
+	cell := func() {
+		attempts := 0
+		bridge := transport.NewLocalBridge(injector).
+			WithRetry(robustRetryPolicy(string(faultinject.KindOversize), &attempts))
+		_, err := bridge.Invoke(context.Background(), "/svc", req)
+		var de *soap.DecodeError
+		if !errors.As(err, &de) || attempts != 2 {
+			t.Fatalf("oversize cell: attempts %d, error %v; want 2 attempts ending in a *soap.DecodeError", attempts, err)
+		}
+	}
+	cell() // builds the shared filler once
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < cells; i++ {
+		cell()
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / cells; got >= perCell {
+		t.Errorf("oversize cell allocates %d bytes, want < %d", got, perCell)
 	}
 }

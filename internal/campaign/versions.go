@@ -24,7 +24,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -236,9 +235,9 @@ func (vw *versionWire) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// claims 1.2 — the host-side hybrid.
 		r.Header.Set("Content-Type", soap.ContentType12)
 	}
-	rec := httptest.NewRecorder()
+	rec := transport.NewCapture(0)
 	vw.next.ServeHTTP(rec, r)
-	status, ctype, body := rec.Code, rec.Header().Get("Content-Type"), rec.Body.Bytes()
+	status, ctype, body := rec.Status(), rec.Header().Get("Content-Type"), rec.Body()
 	if scenario == scenarioHybridFault && status == http.StatusOK {
 		// Replace the successful response with a 1.2 fault under the
 		// unchanged 1.1 Content-Type and 200 status: the wire now
@@ -252,12 +251,7 @@ func (vw *versionWire) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if trace := r.Header.Get(obs.TraceHeader); trace != "" {
 		vw.taps.Store(trace, &wireCapture{status: status, contentType: ctype, body: body})
 	}
-	for k, v := range rec.Header() {
-		w.Header()[k] = v
-	}
-	w.Header().Del("Content-Length")
-	w.Header().Set("Content-Type", ctype)
-	w.WriteHeader(status)
+	rec.WriteHeaderTo(w, status, ctype)
 	_, _ = w.Write(body)
 }
 

@@ -22,7 +22,6 @@ package faultinject
 import (
 	"bytes"
 	"net/http"
-	"net/http/httptest"
 	"regexp"
 	"strconv"
 	"strings"
@@ -31,6 +30,7 @@ import (
 
 	"wsinterop/internal/obs"
 	"wsinterop/internal/soap"
+	"wsinterop/internal/transport"
 )
 
 // Request headers steering the injector.
@@ -111,6 +111,10 @@ func Catalog() []Fault {
 // oversizePad exceeds the 1 MiB body budget transport clients read,
 // guaranteeing the padded envelope is cut off mid-document.
 const oversizePad = 1<<20 + 1024
+
+// oversizeFiller is the oversizePad spaces every KindOversize response
+// carries: built once, on first use, and only ever read.
+var oversizeFiller = sync.OnceValue(func() []byte { return bytes.Repeat([]byte(" "), oversizePad) })
 
 // Injection is one fired fault, recorded for post-hoc joining with
 // campaign cells: Trace carries the request's X-Wsinterop-Trace header,
@@ -229,15 +233,14 @@ func (i *Injector) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		i.next.ServeHTTP(w, r)
 	case KindTruncate, KindHTMLError, KindStatus500, KindWrongContentType,
 		KindEmptyBody, KindOversize, KindDuplicateChild, KindRenameChild:
-		rec := httptest.NewRecorder()
+		rec := transport.NewCapture(0)
 		i.next.ServeHTTP(rec, r)
-		status, ctype, body := i.mutate(kind, rec.Code, rec.Header().Get("Content-Type"), rec.Body.Bytes())
-		for k, v := range rec.Header() {
-			w.Header()[k] = v
+		status, ctype, body := i.mutate(kind, rec.Status(), rec.Header().Get("Content-Type"), rec.Body())
+		rec.WriteHeaderTo(w, status, ctype)
+		if kind == KindOversize {
+			i.writeOversize(w, body)
+			return
 		}
-		w.Header().Del("Content-Length")
-		w.Header().Set("Content-Type", ctype)
-		w.WriteHeader(status)
 		_, _ = w.Write(body)
 	default:
 		http.Error(w, "faultinject: unknown fault directive "+directive, http.StatusInternalServerError)
@@ -259,8 +262,6 @@ func (i *Injector) mutate(kind Kind, status int, ctype string, body []byte) (int
 		return status, "application/octet-stream", body
 	case KindEmptyBody:
 		return status, ctype, nil
-	case KindOversize:
-		return status, ctype, i.pad(body)
 	case KindDuplicateChild:
 		return status, ctype, mutateChild(body, true)
 	case KindRenameChild:
@@ -269,25 +270,27 @@ func (i *Injector) mutate(kind Kind, status int, ctype string, body []byte) (int
 	return status, ctype, body
 }
 
-// pad inserts whitespace inside the envelope (before the closing
-// Envelope tag) so a budget-bounded reader truncates the document
-// itself, not ignorable trailing bytes. The closing tag comes from the
+// writeOversize streams body with the shared filler spliced in before
+// the closing Envelope tag, so a budget-bounded reader truncates the
+// document itself, not ignorable trailing bytes; a body without the
+// tag gets the filler appended. The closing tag comes from the
 // injector's codec, so a 1.2 handler's envelopes are padded inside the
-// document too.
-func (i *Injector) pad(body []byte) []byte {
-	filler := bytes.Repeat([]byte(" "), oversizePad)
+// document too. Nothing is copied, and writing stops at the first
+// error: a reader past its budget refuses the rest.
+func (i *Injector) writeOversize(w http.ResponseWriter, body []byte) {
 	codec := i.codec
 	if codec == nil {
 		codec = soap.V11
 	}
-	closing := []byte(codec.EnvelopeClose())
-	if i := bytes.LastIndex(body, closing); i >= 0 {
-		out := make([]byte, 0, len(body)+len(filler))
-		out = append(out, body[:i]...)
-		out = append(out, filler...)
-		return append(out, body[i:]...)
+	cut := bytes.LastIndex(body, []byte(codec.EnvelopeClose()))
+	if cut < 0 {
+		cut = len(body)
 	}
-	return append(body, filler...)
+	for _, part := range [][]byte{body[:cut], oversizeFiller(), body[cut:]} {
+		if _, err := w.Write(part); err != nil {
+			return
+		}
+	}
 }
 
 // childLine matches one single-line payload child of the canonical

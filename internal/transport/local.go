@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 
 	"wsinterop/internal/obs"
 	"wsinterop/internal/soap"
@@ -81,20 +80,27 @@ func (b *LocalBridge) Invoke(ctx context.Context, path string, req *soap.Message
 		return nil, fmt.Errorf("encode request: %w", err)
 	}
 	return invokeWithRetry(ctx, b.meters, b.retry, func(ctx context.Context, n int) (*soap.Message, error) {
-		httpReq := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+		httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, path, bytes.NewReader(body))
+		if err != nil {
+			return nil, fmt.Errorf("build request: %w", err)
+		}
 		httpReq.Header.Set("Content-Type", codec.ContentType(""))
 		if codec.UsesActionHeader() {
 			httpReq.Header.Set("SOAPAction", `""`)
 		}
 		stampTrace(ctx, httpReq.Header)
 		b.retry.annotate(n, httpReq.Header)
-		httpReq = httpReq.WithContext(ctx)
 
-		rec := httptest.NewRecorder()
+		// The capture enforces the read budget while the handler writes,
+		// so an oversized response is never held in full.
+		rec := NewCapture(maxResponseBytes)
 		if err := b.serve(rec, httpReq); err != nil {
 			return nil, err
 		}
-		return decodeResponse(codec, b.strict, rec.Code, rec.Header().Get("Content-Type"), rec.Body.Bytes())
+		if rec.Overflowed() {
+			return nil, errReadBudget()
+		}
+		return decodeResponse(codec, b.strict, rec.Status(), rec.Header().Get("Content-Type"), rec.Body())
 	})
 }
 

@@ -21,9 +21,17 @@ import (
 var ErrAborted = errors.New("transport: connection aborted")
 
 // maxResponseBytes is the response read budget shared by Client and
-// LocalBridge. A response padded past it is truncated mid-document,
-// which the decode then rejects.
+// LocalBridge. Client reads at most one byte past it, LocalBridge
+// stores at most the budget itself; either way a longer response is
+// refused with errReadBudget before any parse.
 const maxResponseBytes = 1 << 20
+
+// errReadBudget is the typed refusal of a response longer than
+// maxResponseBytes.
+func errReadBudget() error {
+	return &soap.DecodeError{
+		Reason: fmt.Sprintf("response exceeds the %d-byte read budget", maxResponseBytes)}
+}
 
 // HTTPError is the typed transport error for an HTTP response whose
 // status code contradicts success: a non-2xx status whose body is not
@@ -108,8 +116,7 @@ func decodeResponse(codec soap.Codec, strict soap.Strictness, status int, conten
 		// The reader fetched one byte past the budget: the response is
 		// oversized and necessarily incomplete. Reject it without paying
 		// for a parse of megabytes of padding.
-		return nil, &soap.DecodeError{
-			Reason: fmt.Sprintf("response exceeds the %d-byte read budget", maxResponseBytes)}
+		return nil, errReadBudget()
 	}
 	detected := soap.Detect(body, contentType)
 	if strict == soap.StrictReject && detected != soap.VersionUnknown && detected != codec.Version() {

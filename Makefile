@@ -58,6 +58,8 @@ bench-json:
 bench-check:
 	FULLCAMPAIGN_LIMIT=$(BENCH_LIMIT) $(GO) test -run '^$$' -bench 'FullCampaign$$' $(BENCH_LIMIT_RUNS) -benchmem -cpuprofile bench-cpu.prof . | $(GO) run ./cmd/benchjson -check -baseline BENCH_campaign.json -max-regress $(BENCH_TOLERANCE)
 
-# bench-smoke is the CI guard: every campaign benchmark must still run.
+# bench-smoke is the CI guard: every campaign benchmark must still run,
+# and so must the journal's append bench (its ns/record stays flat in n).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Fig4Campaign|ShapeDedup|AnalysisCache|RobustnessMatrix' -benchtime 1x -benchmem -count 1 .
+	$(GO) test -run '^$$' -bench 'JournalAppend' -benchtime 1x -benchmem -count 1 ./internal/journal

@@ -15,15 +15,16 @@ package campaign
 //     shape memo, so replay re-applies the precise counter and
 //     histogram contributions the original execution made.
 //
-//   - The shape memo table is re-seeded from the journal before the
-//     executed remainder starts (seedMemoFromJournal), so remaining
-//     classes take exactly the memo paths they would have taken had
-//     the run never stopped. The counter totals are invariant under
-//     *which* class of a shape happens to be the builder: the builder
-//     contributes shapes+1 plus the full publish metrics, and every
-//     other same-shape class contributes one memo hit — so a shape
-//     whose builder record was lost is simply rebuilt by the first
-//     executing class, with identical totals.
+//   - The shape memo entries of groups that still have members to run
+//     are re-seeded from the journal before the executed remainder
+//     starts (seedMemoFromJournal), so remaining classes take exactly
+//     the memo paths they would have taken had the run never stopped.
+//     The counter totals are invariant under *which* class of a shape
+//     happens to be the builder: the builder contributes shapes+1 plus
+//     the full publish metrics, and every other same-shape class
+//     contributes one memo hit — so a shape whose builder record was
+//     lost is simply rebuilt by the first executing class, with
+//     identical totals.
 
 import (
 	"fmt"
@@ -35,7 +36,6 @@ import (
 	"wsinterop/internal/journal"
 	"wsinterop/internal/obs"
 	"wsinterop/internal/services"
-	"wsinterop/internal/shape"
 )
 
 // recordMode is the publish route a cell took, mirroring the branches
@@ -248,9 +248,6 @@ func (r *Runner) closeCheckpoint() error {
 	r.ckpt = nil
 	close(cs.ch)
 	cs.wg.Wait()
-	if n := cs.j.Compactions(); n > 0 {
-		r.obs.Counter("journal.compactions").Add(int64(n))
-	}
 	err := cs.err
 	if cerr := cs.j.Close(); err == nil {
 		err = cerr
@@ -291,9 +288,11 @@ func (r *Runner) journalService(st *svcState) {
 		Profiles:  r.profileIDs(svc.Profiles),
 		Tests:     r.testRecords(st.codes),
 	}
-	if st.mode == modeBuilt {
-		// Only builder records carry the document: resume re-splits the
-		// shape template from it, and clones re-render.
+	if st.mode == modeBuilt && st.verified && !svc.memo.solo {
+		// Only the verified builder of a multi-member shape carries its
+		// document: a resume that still has members of the shape to run
+		// re-splits the template from it. A solo shape has nobody left to
+		// render, and an unverified one never seeds a template.
 		rec.Doc = svc.Doc
 	}
 	r.ckpt.append(rec)
@@ -372,90 +371,104 @@ func (r *Runner) replayPlan(server framework.ServerFramework, defs []services.De
 	return plan
 }
 
-// seedMemoFromJournal reconstructs the shape memo table state the
-// journaled cells had established. Builder records rebuild their full
-// entry — template re-split from the journaled document and
-// re-verified byte-for-byte, once consumed so no executing class
-// rebuilds (and double-counts) the shape. Memo-routed records whose
-// builder was not journaled get a skeleton entry (once untouched), so
-// the first executing class becomes the builder exactly as some class
-// was in the interrupted run. Journaled Ran outcomes seed the
-// per-client test memo slots, so each (shape, client) test executes at
-// most once across the whole resumed campaign.
-func (r *Runner) seedMemoFromJournal(server framework.ServerFramework, defs []services.Definition, plan map[int]journal.Record) error {
-	if !r.dedupOn() {
-		return nil
-	}
-	entryFor := func(key shapeKey, e *shapeEntry) *shapeEntry {
-		r.dedup.mu.Lock()
-		defer r.dedup.mu.Unlock()
-		if cur := r.dedup.entries[key]; cur != nil {
-			return cur
-		}
-		r.dedup.entries[key] = e
-		return e
-	}
-	// Pass 1: full entries from builder records (at most one per shape
-	// in any journal, since a session only builds unseeded shapes).
-	for i, rec := range plan {
-		if rec.Mode != modeBuilt.id() || !shape.Memoizable(defs[i]) {
-			continue
-		}
-		key := shapeKey{server: server.Name(), fp: shape.Of(defs[i])}
-		e := &shapeEntry{tests: make([]testMemo, len(r.clients))}
-		e.once.Do(func() {})
-		switch {
-		case !rec.Published:
-			e.rejected = true
-		default:
-			e.flagged, e.compliant = rec.Flagged, rec.Compliant
-			e.profiles = r.profileMask(rec.Profiles)
-			if rec.Verified {
-				if len(rec.Doc) == 0 {
-					return fmt.Errorf("campaign: journal record %s (%s on %s): verified builder without a document", rec.Trace, rec.Class, rec.Server)
-				}
-				e.tmpl = r.splitShape(server, defs[i], rec.Doc)
-				if e.tmpl == nil {
-					return fmt.Errorf("campaign: journal record %s (%s on %s): shape template no longer reproduces the journaled document", rec.Trace, rec.Class, rec.Server)
-				}
-				e.rep = PublishedService{
-					Server:    rec.Server,
-					Class:     rec.Class,
-					Doc:       rec.Doc,
-					Flagged:   rec.Flagged,
-					Compliant: rec.Compliant,
-					Profiles:  e.profiles,
-					analysis:  &sharedAnalysis{},
-					memo:      e,
-				}
+// seedMemoFromJournal reconstructs the shape memo state of the stage's
+// unfinished shape groups. A group with every member journaled has
+// nothing left to run, so it is not seeded: its cells replay and its
+// entry stays unbuilt until something publishes the shape again. In a
+// group with work left, the builder record rebuilds the full entry
+// (seedBuilder); memo-routed records whose builder was not journaled
+// get a skeleton entry (once untouched), so the first executing class
+// becomes the builder exactly as some class was in the interrupted run.
+// Journaled Ran outcomes seed the per-client test memo slots, so each
+// (shape, client) test executes at most once across the whole resumed
+// campaign.
+func (r *Runner) seedMemoFromJournal(server framework.ServerFramework, sp *serverPlan, plan map[int]journal.Record) error {
+	d := r.dedup
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for gi := range sp.Groups {
+		g := &sp.Groups[gi]
+		var done []int
+		for _, di := range g.Members {
+			if _, ok := plan[di]; ok {
+				done = append(done, di)
 			}
 		}
-		entryFor(key, e)
-	}
-	// Pass 2: seed executed test outcomes from every memo-routed record.
-	for i, rec := range plan {
-		if !rec.Published || !memoRouted(&rec) {
+		if len(done) == 0 || len(done) == len(g.Members) {
 			continue
 		}
-		if len(rec.Tests) != len(r.clients) {
-			return fmt.Errorf("campaign: journal record %s: %d client tests, roster has %d", rec.Trace, len(rec.Tests), len(r.clients))
-		}
-		key := shapeKey{server: server.Name(), fp: shape.Of(defs[i])}
-		e := entryFor(key, &shapeEntry{tests: make([]testMemo, len(r.clients))})
-		for ci := range rec.Tests {
-			tr := rec.Tests[ci]
-			if tr.Client != r.clients[ci].Name() {
-				return fmt.Errorf("campaign: journal record %s: test %d is for client %q, roster has %q", rec.Trace, ci, tr.Client, r.clients[ci].Name())
+		key := shapeKey{server: server.Name(), fp: g.fp}
+		e := d.entries[key]
+		// At most one builder per shape in any journal, since a session
+		// only builds unseeded shapes.
+		for _, di := range done {
+			if rec := plan[di]; e == nil && rec.Mode == modeBuilt.id() {
+				var err error
+				if e, err = r.seedBuilder(server, sp.defs[di], &rec); err != nil {
+					return err
+				}
+				d.entries[key] = e
 			}
-			if !tr.Ran {
+		}
+		for _, di := range done {
+			rec := plan[di]
+			if !rec.Published || !memoRouted(&rec) {
 				continue
 			}
-			tm := &e.tests[ci]
-			code := encodeRecord(tr)
-			tm.once.Do(func() { tm.code = code })
+			if len(rec.Tests) != len(r.clients) {
+				return fmt.Errorf("campaign: journal record %s: %d client tests, roster has %d", rec.Trace, len(rec.Tests), len(r.clients))
+			}
+			if e == nil {
+				e = &shapeEntry{tests: make([]testMemo, len(r.clients))}
+				d.entries[key] = e
+			}
+			for ci, tr := range rec.Tests {
+				if tr.Client != r.clients[ci].Name() {
+					return fmt.Errorf("campaign: journal record %s: test %d is for client %q, roster has %q", rec.Trace, ci, tr.Client, r.clients[ci].Name())
+				}
+				if tr.Ran {
+					tm, code := &e.tests[ci], encodeRecord(tr)
+					tm.once.Do(func() { tm.code = code })
+				}
+			}
 		}
 	}
 	return nil
+}
+
+// seedBuilder rebuilds a shape entry from its journaled builder: the
+// template is re-split from the journaled document and re-verified
+// byte-for-byte, and the entry's once is consumed so no executing class
+// rebuilds (and double-counts) the shape.
+func (r *Runner) seedBuilder(server framework.ServerFramework, def services.Definition, rec *journal.Record) (*shapeEntry, error) {
+	e := &shapeEntry{tests: make([]testMemo, len(r.clients))}
+	e.once.Do(func() {})
+	if !rec.Published {
+		e.rejected = true
+		return e, nil
+	}
+	e.flagged, e.compliant = rec.Flagged, rec.Compliant
+	e.profiles = r.profileMask(rec.Profiles)
+	if !rec.Verified {
+		return e, nil
+	}
+	if len(rec.Doc) == 0 {
+		return nil, fmt.Errorf("campaign: journal record %s (%s on %s): verified builder without a document", rec.Trace, rec.Class, rec.Server)
+	}
+	if e.tmpl = r.splitShape(server, def, rec.Doc); e.tmpl == nil {
+		return nil, fmt.Errorf("campaign: journal record %s (%s on %s): shape template no longer reproduces the journaled document", rec.Trace, rec.Class, rec.Server)
+	}
+	e.rep = PublishedService{
+		Server:    rec.Server,
+		Class:     rec.Class,
+		Doc:       rec.Doc,
+		Flagged:   rec.Flagged,
+		Compliant: rec.Compliant,
+		Profiles:  e.profiles,
+		analysis:  &sharedAnalysis{},
+		memo:      e,
+	}
+	return e, nil
 }
 
 // replayStage replays every journaled cell of one server stage into a

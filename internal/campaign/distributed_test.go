@@ -8,9 +8,11 @@ package campaign
 // TestDistributedEquivalenceFull.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -307,11 +309,26 @@ func TestMergeRefusals(t *testing.T) {
 		if _, err := NewRunner(cfg).Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		// Shard 1 is interrupted and never resumed.
+		// Shard 1 is killed after its third cell and never resumed: its
+		// journal keeps the first three records. A cancelled run would
+		// not do: its drain can finish every cell before the
+		// cancellation lands.
 		icfg := resumeConfig(limit, 4)
 		icfg.Shard = ShardSpec{Index: 1, Count: 2}
-		interruptAt(t, icfg, half[1], 3)
-		_, err := NewRunner(resumeConfig(limit, 4)).Merge(context.Background(), half)
+		icfg.Checkpoint = half[1]
+		if _, err := NewRunner(icfg).Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(half[1], "journal.jsonl")
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := bytes.SplitAfter(data, []byte("\n"))
+		if err := os.WriteFile(path, bytes.Join(lines[:3], nil), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err = NewRunner(resumeConfig(limit, 4)).Merge(context.Background(), half)
 		if err == nil || !strings.Contains(err.Error(), "incomplete") {
 			t.Errorf("merging an interrupted shard: err = %v", err)
 		}

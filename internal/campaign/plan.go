@@ -339,7 +339,7 @@ func (r *Runner) runServer(ctx context.Context, server framework.ServerFramework
 	replay := r.replayPlan(server, defs)
 	var replayShard *shard
 	if replay != nil {
-		if err := r.seedMemoFromJournal(server, defs, replay); err != nil {
+		if err := r.seedMemoFromJournal(server, sp, replay); err != nil {
 			return err
 		}
 		var err error

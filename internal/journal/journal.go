@@ -1,24 +1,25 @@
 // Package journal is the campaign's durable checkpoint store: an
 // append-only JSONL journal of completed campaign cells, keyed by the
-// cell's content-addressed trace ID (obs.TraceID), plus a periodically
-// compacted atomic snapshot. A campaign run that is interrupted —
-// SIGINT, SIGTERM, preemption, crash — leaves a journal from which a
-// later run replays every completed cell instead of re-executing it,
-// and the replayed-plus-executed Result is byte-identical to an
-// uninterrupted run (internal/campaign, DESIGN.md §9).
+// cell's content-addressed trace ID (obs.TraceID). A campaign run that
+// is interrupted — SIGINT, SIGTERM, preemption, crash — leaves a
+// journal from which a later run replays every completed cell instead
+// of re-executing it, and the replayed-plus-executed Result is
+// byte-identical to an uninterrupted run (internal/campaign, DESIGN.md
+// §9).
 //
 // Durability model
 //
 //   - journal.jsonl: one JSON record per line, appended and flushed as
-//     each cell completes. The final line may be torn by a hard kill;
-//     Open drops an unparseable or newline-less final line and
-//     truncates the file back to the last valid record. A torn line
-//     anywhere else is corruption and refuses to load.
-//   - snapshot.jsonl: every CompactEvery appends, all records so far
-//     are rewritten to a temporary file, fsynced, and renamed over the
-//     snapshot — atomic on POSIX — after which journal.jsonl restarts
-//     empty. Load order is snapshot first, then journal (journal
-//     wins), so a kill at any instant leaves a loadable store.
+//     each cell completes, and fsynced every SyncEvery appends and at
+//     Close. The store only ever grows at its end: nothing is rewritten,
+//     so appending costs the same at the millionth record as at the
+//     first. The final line may be torn by a hard kill; Open drops an
+//     unparseable or newline-less final line and truncates the file
+//     back to the last valid record. A torn line anywhere else is
+//     corruption and refuses to load.
+//   - snapshot.jsonl: never written. Stores from builds that compacted
+//     their journal into a snapshot still load: the snapshot is read
+//     first, then the journal, and the journal's record wins per trace.
 //   - meta.json: the campaign configuration fingerprint. Resuming
 //     under a different configuration (roster, limit, variant, memo
 //     ablations) is refused rather than silently merging
@@ -43,9 +44,10 @@ const (
 	// Version is the record schema version stamped into meta.json.
 	Version = 1
 
-	// DefaultCompactEvery is the append count between snapshot
-	// compactions.
-	DefaultCompactEvery = 4096
+	// SyncEvery is the append count between fsyncs of journal.jsonl:
+	// a record reaches the file at its flush, and stable storage at the
+	// next sync point or at Close.
+	SyncEvery = 4096
 )
 
 // ErrExists reports that a checkpoint directory already holds state
@@ -174,17 +176,14 @@ type Journal struct {
 	dir     string
 	f       *os.File
 	w       *bufio.Writer
+	enc     *json.Encoder // one line per record into w
 	records map[string]Record
 	order   []string // trace IDs in first-seen order
 
-	// CompactEvery is the number of appends between snapshot
-	// compactions; set it before the first Append to override
-	// DefaultCompactEvery.
-	CompactEvery int
 	// FlushEvery is the number of appends between durable flushes; 0
 	// or 1 (the default) flushes every record before Append returns.
 	// Larger values group-commit: records become durable at the next
-	// flush boundary (every FlushEvery appends, at a compaction, at
+	// flush boundary (every FlushEvery appends, at a sync point, at
 	// Flush, or at Close), and a hard kill in between loses only the
 	// unflushed tail — buffered lines reach the file whole except
 	// possibly the last, which torn-tail recovery already drops.
@@ -196,11 +195,10 @@ type Journal struct {
 	// becomes durable.
 	AfterAppend func(total int)
 
-	appended     int
-	sinceCompact int
-	sinceFlush   int
-	notified     int
-	compactions  int
+	appended   int
+	sinceSync  int
+	sinceFlush int
+	notified   int
 }
 
 // Open opens (resume=true) or initializes (resume=false) the
@@ -235,11 +233,7 @@ func Open(dir string, meta Meta, resume bool) (*Journal, error) {
 			existing.Shard.describe(), meta.Shard.describe())
 	}
 
-	j := &Journal{
-		dir:          dir,
-		records:      make(map[string]Record),
-		CompactEvery: DefaultCompactEvery,
-	}
+	j := &Journal{dir: dir, records: make(map[string]Record)}
 	if err := j.loadFile(filepath.Join(dir, snapshotFile), false); err != nil {
 		return nil, err
 	}
@@ -263,6 +257,7 @@ func Open(dir string, meta Meta, resume bool) (*Journal, error) {
 	}
 	j.f = f
 	j.w = bufio.NewWriter(f)
+	j.enc = json.NewEncoder(j.w)
 	return j, nil
 }
 
@@ -408,40 +403,40 @@ func (j *Journal) Len() int { return len(j.records) }
 // Appended reports the number of records appended this session.
 func (j *Journal) Appended() int { return j.appended }
 
-// Compactions reports the number of snapshot compactions this session.
-func (j *Journal) Compactions() int { return j.compactions }
-
 // Append records one completed cell. With the default FlushEvery the
 // line is written and flushed before Append returns, so a kill after
 // Append never loses the cell; a group-commit FlushEvery defers the
-// flush to the next batch boundary. Every CompactEvery appends the
-// store compacts into an atomic snapshot and restarts the journal
-// file (which also makes every pending record durable).
+// flush to the next batch boundary. Every SyncEvery appends the file
+// is flushed and fsynced, which also makes every pending record
+// durable.
 func (j *Journal) Append(rec Record) error {
 	if rec.Trace == "" {
 		return errors.New("journal: record has no trace ID")
 	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	if _, err := j.w.Write(append(line, '\n')); err != nil {
+	if err := j.enc.Encode(rec); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
 	j.put(rec)
 	j.appended++
-	j.sinceCompact++
+	j.sinceSync++
 	j.sinceFlush++
-	if fe := j.FlushEvery; fe <= 1 || j.sinceFlush >= fe {
-		if err := j.Flush(); err != nil {
-			return err
-		}
+	switch fe := j.FlushEvery; {
+	case j.sinceSync >= SyncEvery:
+		return j.sync()
+	case fe <= 1 || j.sinceFlush >= fe:
+		return j.Flush()
 	}
-	if j.sinceCompact >= j.CompactEvery {
-		if err := j.compact(); err != nil {
-			return err
-		}
-		j.notifyDurable()
+	return nil
+}
+
+// sync flushes the journal and pushes it to stable storage.
+func (j *Journal) sync() error {
+	if err := j.Flush(); err != nil {
+		return err
+	}
+	j.sinceSync = 0
+	if err := j.f.Sync(); err != nil {
+		return fmt.Errorf("journal: %w", err)
 	}
 	return nil
 }
@@ -473,36 +468,6 @@ func (j *Journal) notifyDurable() {
 		j.notified++
 		j.AfterAppend(j.notified)
 	}
-}
-
-// compact rewrites every record into the snapshot file atomically and
-// truncates the journal. A kill before the rename keeps the old
-// snapshot plus the full journal; a kill after it keeps the new
-// snapshot plus whatever was appended since — both load completely.
-func (j *Journal) compact() error {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	for _, trace := range j.order {
-		if err := enc.Encode(j.records[trace]); err != nil {
-			return fmt.Errorf("journal: %w", err)
-		}
-	}
-	if err := atomicWrite(j.dir, snapshotFile, buf.Bytes()); err != nil {
-		return err
-	}
-	if err := j.f.Truncate(0); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	if _, err := j.f.Seek(0, 0); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	// Pending buffered bytes are already captured in the snapshot;
-	// Reset discards them and the records count as flushed.
-	j.w.Reset(j.f)
-	j.sinceCompact = 0
-	j.sinceFlush = 0
-	j.compactions++
-	return nil
 }
 
 // Load reads the checkpoint store in dir without opening it for
@@ -585,13 +550,10 @@ func (j *Journal) Close() error {
 	if j.f == nil {
 		return nil
 	}
-	ferr := j.Flush()
-	if serr := j.f.Sync(); ferr == nil {
-		ferr = serr
-	}
-	if cerr := j.f.Close(); ferr == nil {
-		ferr = cerr
+	err := j.sync()
+	if cerr := j.f.Close(); err == nil {
+		err = cerr
 	}
 	j.f = nil
-	return ferr
+	return err
 }

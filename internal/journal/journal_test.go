@@ -1,6 +1,8 @@
 package journal
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -199,58 +201,92 @@ func TestMidFileCorruptionRefused(t *testing.T) {
 	}
 }
 
-// TestSnapshotCompaction proves the journal compacts into an atomic
-// snapshot every CompactEvery appends and that the store reloads
-// completely at every boundary.
-func TestSnapshotCompaction(t *testing.T) {
+// writeSnapshot hand-writes snapshot.jsonl the way earlier builds
+// compacted their journal into it: one JSON record per line.
+func writeSnapshot(t *testing.T, dir string, recs ...Record) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for _, rec := range recs {
+		if err := enc.Encode(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, snapshotFile), buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestSnapshotLoadsBeforeJournal proves a store written by a build
+// that compacted into snapshot.jsonl still resumes: the snapshot loads
+// first, the journal second, the journal's record wins per trace, the
+// order is first-seen, and appends land in the journal without ever
+// rewriting the snapshot.
+func TestSnapshotLoadsBeforeJournal(t *testing.T) {
 	dir := t.TempDir()
 	j, err := Open(dir, testMeta(), false)
 	if err != nil {
 		t.Fatalf("open fresh: %v", err)
 	}
-	j.CompactEvery = 4
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var snapRecs []Record
+	for i := 0; i < 8; i++ {
+		snapRecs = append(snapRecs, record(i))
+	}
+	snap := writeSnapshot(t, dir, snapRecs...)
+
+	j, err = Open(dir, testMeta(), true)
+	if err != nil {
+		t.Fatalf("resume over snapshot: %v", err)
+	}
+	if j.Len() != len(snapRecs) {
+		t.Errorf("Len after snapshot load = %d, want %d", j.Len(), len(snapRecs))
+	}
 	const n = 11
-	for i := 0; i < n; i++ {
+	for i := len(snapRecs); i < n; i++ {
 		if err := j.Append(record(i)); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
-	if got := j.Compactions(); got != 2 {
-		t.Errorf("Compactions = %d, want 2 (11 appends, every 4)", got)
+	superseded := record(3)
+	superseded.Mode = "memoized"
+	if err := j.Append(superseded); err != nil {
+		t.Fatalf("append superseding record: %v", err)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	snap, err := os.Stat(filepath.Join(dir, "snapshot.jsonl"))
+	if got, err := os.ReadFile(filepath.Join(dir, snapshotFile)); err != nil || !bytes.Equal(got, snap) {
+		t.Errorf("snapshot rewritten by appends (err %v)", err)
+	}
+	lines, err := os.ReadFile(filepath.Join(dir, journalFile))
 	if err != nil {
-		t.Fatalf("snapshot not written: %v", err)
+		t.Fatal(err)
 	}
-	if snap.Size() == 0 {
-		t.Error("snapshot is empty")
+	if got := bytes.Count(lines, []byte("\n")); got != n-len(snapRecs)+1 {
+		t.Errorf("journal holds %d lines, want the %d appended", got, n-len(snapRecs)+1)
 	}
-	// The journal holds only the post-compaction tail (11 - 8 = 3).
+
 	j2, err := Open(dir, testMeta(), true)
 	if err != nil {
 		t.Fatalf("reload: %v", err)
 	}
 	defer func() { _ = j2.Close() }()
-	if j2.Len() != n {
-		t.Errorf("Len after compaction reload = %d, want %d", j2.Len(), n)
-	}
-	traces := make(map[string]bool)
-	for _, rec := range j2.Records() {
-		traces[rec.Trace] = true
-	}
+	var want []Record
 	for i := 0; i < n; i++ {
-		if !traces[fmt.Sprintf("trace-%04d", i)] {
-			t.Errorf("record %d lost across compaction", i)
-		}
+		want = append(want, record(i))
+	}
+	want[3] = superseded
+	if got := j2.Records(); !reflect.DeepEqual(got, want) {
+		t.Errorf("records after reload differ:\ngot  %+v\nwant %+v", got, want)
 	}
 }
 
-// TestDuplicateTraceLastWins: a resumed session may legitimately
-// re-append a cell that was already snapshotted if it was replayed
-// into a fresh journal file; the newest record must win on load.
+// TestDuplicateTraceLastWins: a trace appended twice keeps one record,
+// and the newest must win on load.
 func TestDuplicateTraceLastWins(t *testing.T) {
 	dir := t.TempDir()
 	j, err := Open(dir, testMeta(), false)
@@ -303,7 +339,7 @@ func TestAfterAppendHook(t *testing.T) {
 
 // TestFlushEveryGroupCommit exercises the batched-append contract:
 // records become durable at flush boundaries (FlushEvery-th append,
-// explicit Flush, compaction, Close), AfterAppend fires once per
+// explicit Flush, sync point, Close), AfterAppend fires once per
 // record in order at its durable point, and a reopened store replays
 // everything that was flushed.
 func TestFlushEveryGroupCommit(t *testing.T) {
@@ -359,38 +395,62 @@ func TestFlushEveryGroupCommit(t *testing.T) {
 	}
 }
 
-// TestFlushEveryCompactionIsDurable checks that a compaction mid-batch
-// counts as the batch's durable point: the snapshot captures pending
-// records, AfterAppend fires for them, and nothing is lost on reopen.
-func TestFlushEveryCompactionIsDurable(t *testing.T) {
+// TestFlushEverySyncPointIsDurable checks that the sync point mid-batch
+// counts as the batch's durable point: every pending record reaches the
+// file, AfterAppend fires for each in order, and nothing is lost on
+// reopen.
+func TestFlushEverySyncPointIsDurable(t *testing.T) {
 	dir := t.TempDir()
 	j, err := Open(dir, testMeta(), false)
 	if err != nil {
 		t.Fatalf("open fresh: %v", err)
 	}
-	j.FlushEvery = 100 // never reached
-	j.CompactEvery = 5
+	j.FlushEvery = 2 * SyncEvery // never reached
 	var seen []int
 	j.AfterAppend = func(total int) { seen = append(seen, total) }
-	for i := 0; i < 7; i++ {
+	path := filepath.Join(dir, journalFile)
+	var synced int64
+	for i := 0; i < SyncEvery+2; i++ {
 		if err := j.Append(record(i)); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
+		if i == SyncEvery-2 && len(seen) != 0 {
+			t.Fatalf("AfterAppend fired before the sync point: %d records", len(seen))
+		}
+		if i == SyncEvery-1 {
+			info, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			synced = info.Size()
+		}
 	}
-	// The compaction at append 5 made 1-5 durable; 6-7 pend.
-	if want := []int{1, 2, 3, 4, 5}; !reflect.DeepEqual(seen, want) {
-		t.Fatalf("AfterAppend saw %v after compaction, want %v", seen, want)
+	// The sync point at append SyncEvery made 1..SyncEvery durable;
+	// the last two pend.
+	if len(seen) != SyncEvery {
+		t.Fatalf("AfterAppend saw %d records after the sync point, want %d", len(seen), SyncEvery)
+	}
+	for i, total := range seen {
+		if total != i+1 {
+			t.Fatalf("AfterAppend saw %d at position %d, want %d", total, i, i+1)
+		}
+	}
+	if info, err := os.Stat(path); err != nil || info.Size() != synced {
+		t.Errorf("pending records reached the file before their flush (size %v, synced %d)", info, synced)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatalf("close: %v", err)
+	}
+	if len(seen) != SyncEvery+2 || seen[len(seen)-1] != SyncEvery+2 {
+		t.Fatalf("AfterAppend saw %d records after close, want %d", len(seen), SyncEvery+2)
 	}
 	re, err := Open(dir, testMeta(), true)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer func() { _ = re.Close() }()
-	if got := len(re.Records()); got != 7 {
-		t.Errorf("reopened store holds %d records, want 7", got)
+	if got := len(re.Records()); got != SyncEvery+2 {
+		t.Errorf("reopened store holds %d records, want %d", got, SyncEvery+2)
 	}
 }
 
@@ -488,11 +548,21 @@ func TestLoadReadOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.CompactEvery = 10
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
 	var want []Record
-	for i := 0; i < 25; i++ { // crosses two compactions: snapshot + live journal
-		rec := record(i)
-		want = append(want, rec)
+	for i := 0; i < 25; i++ {
+		want = append(want, record(i))
+	}
+	// Records 0-9 sit in a snapshot an earlier build compacted; 10-24
+	// are appended to the live journal.
+	writeSnapshot(t, dir, want[:10]...)
+	j, err = Open(dir, shardMeta(0, 2), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range want[10:] {
 		if err := j.Append(rec); err != nil {
 			t.Fatal(err)
 		}

@@ -18,8 +18,10 @@ BENCH_LIMIT ?= 300
 # Runs of the capped FullCampaign, recorded and checked alike: 5 runs
 # of 20 iterations, folded by benchjson into their median. On a 2-core
 # VM single 3x runs (about 15 ms an iteration) spread 597k-762k tests/s,
-# past the 10% tolerance; 5-run medians spread 610k-729k.
-BENCH_LIMIT_RUNS := -benchtime 20x -count 5
+# past the 10% tolerance; 5-run medians spread 610k-729k. -cpu 2 pins
+# GOMAXPROCS to the committed baseline's, so a runner with more cores
+# still compares like with like (benchjson -check refuses a mismatch).
+BENCH_LIMIT_RUNS := -benchtime 20x -count 5 -cpu 2
 
 .PHONY: build test test-short bench bench-json bench-check bench-smoke vet
 
@@ -59,7 +61,8 @@ bench-check:
 	FULLCAMPAIGN_LIMIT=$(BENCH_LIMIT) $(GO) test -run '^$$' -bench 'FullCampaign$$' $(BENCH_LIMIT_RUNS) -benchmem -cpuprofile bench-cpu.prof . | $(GO) run ./cmd/benchjson -check -baseline BENCH_campaign.json -max-regress $(BENCH_TOLERANCE)
 
 # bench-smoke is the CI guard: every campaign benchmark must still run,
-# and so must the journal's append bench (its ns/record stays flat in n).
+# and so must the SOAP envelope stages and the journal's append bench
+# (its ns/record stays flat in n).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Fig4Campaign|ShapeDedup|AnalysisCache|RobustnessMatrix' -benchtime 1x -benchmem -count 1 .
+	$(GO) test -run '^$$' -bench 'Fig4Campaign|ShapeDedup|AnalysisCache|RobustnessMatrix|SOAPRoundTrip' -benchtime 1x -benchmem -count 1 .
 	$(GO) test -run '^$$' -bench 'JournalAppend' -benchtime 1x -benchmem -count 1 ./internal/journal

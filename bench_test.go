@@ -478,22 +478,46 @@ func BenchmarkCompile(b *testing.B) {
 	}
 }
 
-// BenchmarkSOAPRoundTrip measures envelope encode+decode without HTTP.
+// BenchmarkSOAPRoundTrip measures the envelope stages without HTTP:
+// marshal writes an echo request, decode is the transport's one scan
+// plus the strict 1.1 parse, and detect is a standalone Detect.
 func BenchmarkSOAPRoundTrip(b *testing.B) {
 	msg := &soap.Message{
 		Namespace: "http://bench.test/", Local: "echo",
 		Fields: map[string]string{"input": "payload", "count": "7"},
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		raw, err := soap.V11.Marshal(msg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := soap.V11.Unmarshal(raw); err != nil {
-			b.Fatal(err)
-		}
+	raw, err := soap.V11.Marshal(msg)
+	if err != nil {
+		b.Fatal(err)
 	}
+	b.Run("marshal", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := soap.V11.Marshal(msg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			scan := soap.Scan(raw)
+			if scan.Detect(soap.ContentType) != soap.Version11 {
+				b.Fatal("echo request not detected as SOAP 1.1")
+			}
+			if _, err := soap.V11.UnmarshalScanned(scan); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("detect", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if soap.Detect(raw, soap.ContentType) != soap.Version11 {
+				b.Fatal("echo request not detected as SOAP 1.1")
+			}
+		}
+	})
 }
 
 // BenchmarkCatalogConstruction measures Preparation Phase catalog

@@ -159,11 +159,17 @@ func metricOf(traj *Trajectory, bench, unit string) (float64, error) {
 // more than the allowed fraction. Every entry of the run named bench,
 // or one of its sub-benchmarks (FullCampaign/limit=300), is compared
 // with the baseline entry of exactly the same name; a baseline without
-// one is an error, never a comparison against another scale.
+// one is an error, never a comparison against another scale. So is a
+// run at another GOMAXPROCS than the baseline's: the campaign benches
+// size their worker pool from it.
 func checkRegression(cur *Trajectory, baselinePath, bench, unit string, maxRegress float64) error {
 	base, err := loadTrajectory(baselinePath)
 	if err != nil {
 		return err
+	}
+	if cur.Gomaxprocs != base.Gomaxprocs {
+		return fmt.Errorf("current run at gomaxprocs %d, baseline %s at gomaxprocs %d; refusing to compare different core counts (run with -cpu %d)",
+			cur.Gomaxprocs, baselinePath, base.Gomaxprocs, base.Gomaxprocs)
 	}
 	checked := 0
 	for _, bm := range cur.Benchmarks {

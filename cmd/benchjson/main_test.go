@@ -8,10 +8,11 @@ import (
 	"testing"
 )
 
-// writeBaseline stores a trajectory holding the given tests/s entries.
+// writeBaseline stores a trajectory holding the given tests/s entries,
+// recorded at GOMAXPROCS 2.
 func writeBaseline(t *testing.T, entries map[string]float64) string {
 	t.Helper()
-	traj := Trajectory{Recorded: "2026-01-01T00:00:00Z"}
+	traj := Trajectory{Recorded: "2026-01-01T00:00:00Z", Gomaxprocs: 2, Workers: 2}
 	for name, v := range entries {
 		traj.Benchmarks = append(traj.Benchmarks, Benchmark{
 			Name: name, Iterations: 3, Metrics: map[string]float64{"tests/s": v}})
@@ -66,6 +67,26 @@ func TestCheckComparesLikeWithLike(t *testing.T) {
 	}
 	if err := checkRegression(full, both, "Fig4Campaign", "tests/s", 0.10); err == nil {
 		t.Error("a run without the checked benchmark must fail")
+	}
+}
+
+// TestCheckRefusesOtherCoreCounts: a run at another GOMAXPROCS than
+// the baseline's is refused, naming both, even when its number would
+// pass.
+func TestCheckRefusesOtherCoreCounts(t *testing.T) {
+	base := writeBaseline(t, map[string]float64{"FullCampaign/limit=300": 650000})
+	for _, tc := range []struct{ out, procs string }{
+		{"BenchmarkFullCampaign/limit=300-4 3 100 ns/op 900000 tests/s\n", "gomaxprocs 4"},
+		{"BenchmarkFullCampaign/limit=300 3 100 ns/op 900000 tests/s\n", "gomaxprocs 1"},
+	} {
+		err := checkRegression(parseRun(t, tc.out), base, "FullCampaign", "tests/s", 0.10)
+		if err == nil || !strings.Contains(err.Error(), tc.procs) || !strings.Contains(err.Error(), "gomaxprocs 2") {
+			t.Errorf("run at %s against a gomaxprocs 2 baseline: err = %v, want a refusal naming both", tc.procs, err)
+		}
+	}
+	same := parseRun(t, "BenchmarkFullCampaign/limit=300-2 3 100 ns/op 640000 tests/s\n")
+	if err := checkRegression(same, base, "FullCampaign", "tests/s", 0.10); err != nil {
+		t.Errorf("run at the baseline's gomaxprocs: %v", err)
 	}
 }
 

@@ -16,9 +16,9 @@ import (
 	"encoding/xml"
 	"errors"
 	"fmt"
-	"io"
 	"mime"
 	"sort"
+	"strconv"
 )
 
 // NamespaceEnvelope12 is the SOAP 1.2 envelope namespace.
@@ -137,6 +137,9 @@ type Codec interface {
 	// — is rejected with a version-labeled *DecodeError. A well-formed
 	// fault is returned as a *Fault error.
 	Unmarshal(data []byte) (*Message, error)
+	// UnmarshalScanned is Unmarshal over an already scanned message,
+	// for callers that also Detect it: the message is walked once.
+	UnmarshalScanned(s *Scanned) (*Message, error)
 }
 
 // V11 and V12 are the two codec implementations.
@@ -181,7 +184,9 @@ func marshalMessage(prefix, ns string, m *Message) ([]byte, error) {
 	buf.WriteString(xml.Header)
 	buf.WriteString(`<` + prefix + `:Envelope xmlns:` + prefix + `="` + ns + `">` + "\n")
 	buf.WriteString("  <" + prefix + ":Body>\n")
-	fmt.Fprintf(buf, "    <m:%s xmlns:m=%q>\n", m.Local, m.Namespace)
+	buf.WriteString("    <m:" + m.Local + " xmlns:m=")
+	buf.WriteString(strconv.Quote(m.Namespace))
+	buf.WriteString(">\n")
 
 	names := make([]string, 0, len(m.Fields))
 	for k := range m.Fields {
@@ -189,10 +194,10 @@ func marshalMessage(prefix, ns string, m *Message) ([]byte, error) {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		fmt.Fprintf(buf, "      <m:%s>%s</m:%s>\n", name, escape(m.Fields[name]), name)
+		writeElement(buf, "      ", "m:", name, m.Fields[name])
 	}
 
-	fmt.Fprintf(buf, "    </m:%s>\n", m.Local)
+	buf.WriteString("    </m:" + m.Local + ">\n")
 	buf.WriteString("  </" + prefix + ":Body>\n")
 	buf.WriteString("</" + prefix + ":Envelope>\n")
 	out := make([]byte, buf.Len())
@@ -226,13 +231,13 @@ func (v11Codec) MarshalFault(f *Fault) ([]byte, error) {
 	buf.WriteString(`<soap:Envelope xmlns:soap="` + NamespaceEnvelope + `">` + "\n")
 	buf.WriteString("  <soap:Body>\n")
 	buf.WriteString("    <soap:Fault>\n")
-	fmt.Fprintf(buf, "      <faultcode>%s</faultcode>\n", escape(f.Code))
-	fmt.Fprintf(buf, "      <faultstring>%s</faultstring>\n", escape(f.String))
+	writeElement(buf, "      ", "", "faultcode", f.Code)
+	writeElement(buf, "      ", "", "faultstring", f.String)
 	if f.Actor != "" {
-		fmt.Fprintf(buf, "      <faultactor>%s</faultactor>\n", escape(f.Actor))
+		writeElement(buf, "      ", "", "faultactor", f.Actor)
 	}
 	if f.Detail != "" {
-		fmt.Fprintf(buf, "      <detail>%s</detail>\n", escape(f.Detail))
+		writeElement(buf, "      ", "", "detail", f.Detail)
 	}
 	buf.WriteString("    </soap:Fault>\n")
 	buf.WriteString("  </soap:Body>\n")
@@ -242,76 +247,12 @@ func (v11Codec) MarshalFault(f *Fault) ([]byte, error) {
 	return out, nil
 }
 
-// envelope is the 1.1 parse-side wire structure.
-type envelope struct {
-	XMLName xml.Name `xml:"http://schemas.xmlsoap.org/soap/envelope/ Envelope"`
-	Body    struct {
-		Fault   *Fault  `xml:"http://schemas.xmlsoap.org/soap/envelope/ Fault"`
-		Payload payload `xml:",any"`
-	} `xml:"http://schemas.xmlsoap.org/soap/envelope/ Body"`
-}
-
-type payload struct {
-	XMLName  xml.Name
-	Children []child `xml:",any"`
-}
-
-type child struct {
-	XMLName xml.Name
-	Value   string `xml:",chardata"`
-}
-
 func (v11Codec) Unmarshal(data []byte) (*Message, error) {
-	// Version gate first. encoding/xml enforces the root namespace but
-	// is silently lenient about nested machinery: a 1.2-namespace Fault
-	// inside a 1.1 envelope lands in the ",any" payload field and used
-	// to parse as a *successful* message with Local="Fault" — exactly
-	// the silent-mishandle class the version matrix measures.
-	switch dv := Detect(data, ""); dv {
-	case Version12, VersionHybrid:
-		return nil, &DecodeError{
-			Reason:  "envelope is not pure SOAP 1.1 (detected " + dv.String() + ")",
-			Version: dv,
-		}
-	}
-	var env envelope
-	if err := xml.Unmarshal(data, &env); err != nil {
-		return nil, &DecodeError{Reason: "malformed envelope", Err: err}
-	}
-	if env.Body.Fault != nil {
-		return nil, env.Body.Fault
-	}
-	return messageFromPayload(env.Body.Payload)
+	return Scan(data).strict(Version11)
 }
 
-// messageFromPayload converts a parsed wrapper into a Message,
-// rejecting duplicate children with a DecodeError: Message carries
-// one value per field name, and silently keeping the last occurrence
-// would let a corrupted (or attacker-duplicated) envelope masquerade
-// as a clean one. Payload elements living in either SOAP envelope
-// namespace are envelope machinery, never application data.
-func messageFromPayload(p payload) (*Message, error) {
-	if p.XMLName.Local == "" {
-		return nil, &DecodeError{Reason: "no payload", Err: ErrNoBody}
-	}
-	if p.XMLName.Space == NamespaceEnvelope || p.XMLName.Space == NamespaceEnvelope12 {
-		return nil, &DecodeError{
-			Reason:  fmt.Sprintf("payload element %q lives in a SOAP envelope namespace", p.XMLName.Local),
-			Version: VersionHybrid,
-		}
-	}
-	m := &Message{
-		Namespace: p.XMLName.Space,
-		Local:     p.XMLName.Local,
-		Fields:    make(map[string]string, len(p.Children)),
-	}
-	for _, c := range p.Children {
-		if _, dup := m.Fields[c.XMLName.Local]; dup {
-			return nil, &DecodeError{Reason: fmt.Sprintf("duplicate payload element %q", c.XMLName.Local)}
-		}
-		m.Fields[c.XMLName.Local] = c.Value
-	}
-	return m, nil
+func (v11Codec) UnmarshalScanned(s *Scanned) (*Message, error) {
+	return s.strict(Version11)
 }
 
 // v12Codec implements the SOAP 1.2 binding: the 2003/05 envelope,
@@ -325,7 +266,7 @@ func (v12Codec) ContentType(action string) string {
 	if action == "" {
 		return ContentType12
 	}
-	return ContentType12 + fmt.Sprintf("; action=%q", action)
+	return ContentType12 + "; action=" + strconv.Quote(action)
 }
 func (v12Codec) UsesActionHeader() bool { return false }
 func (v12Codec) FaultCode(code string) string {
@@ -354,16 +295,18 @@ func (v12Codec) MarshalFault(f *Fault) ([]byte, error) {
 	buf.WriteString("  <env:Body>\n")
 	buf.WriteString("    <env:Fault>\n")
 	buf.WriteString("      <env:Code>\n")
-	fmt.Fprintf(buf, "        <env:Value>%s</env:Value>\n", escape(f.Code))
+	writeElement(buf, "        ", "env:", "Value", f.Code)
 	buf.WriteString("      </env:Code>\n")
 	buf.WriteString("      <env:Reason>\n")
-	fmt.Fprintf(buf, "        <env:Text xml:lang=\"en\">%s</env:Text>\n", escape(f.String))
+	buf.WriteString(`        <env:Text xml:lang="en">`)
+	writeEscaped(buf, f.String)
+	buf.WriteString("</env:Text>\n")
 	buf.WriteString("      </env:Reason>\n")
 	if f.Actor != "" {
-		fmt.Fprintf(buf, "      <env:Node>%s</env:Node>\n", escape(f.Actor))
+		writeElement(buf, "      ", "env:", "Node", f.Actor)
 	}
 	if f.Detail != "" {
-		fmt.Fprintf(buf, "      <env:Detail>%s</env:Detail>\n", escape(f.Detail))
+		writeElement(buf, "      ", "env:", "Detail", f.Detail)
 	}
 	buf.WriteString("    </env:Fault>\n")
 	buf.WriteString("  </env:Body>\n")
@@ -373,117 +316,12 @@ func (v12Codec) MarshalFault(f *Fault) ([]byte, error) {
 	return out, nil
 }
 
-// envelope12 is the 1.2 parse-side wire structure.
-type envelope12 struct {
-	XMLName xml.Name `xml:"http://www.w3.org/2003/05/soap-envelope Envelope"`
-	Body    struct {
-		Fault   *fault12 `xml:"http://www.w3.org/2003/05/soap-envelope Fault"`
-		Payload payload  `xml:",any"`
-	} `xml:"http://www.w3.org/2003/05/soap-envelope Body"`
-}
-
-type fault12 struct {
-	Code struct {
-		Value string `xml:"http://www.w3.org/2003/05/soap-envelope Value"`
-	} `xml:"http://www.w3.org/2003/05/soap-envelope Code"`
-	Reason struct {
-		Text string `xml:"http://www.w3.org/2003/05/soap-envelope Text"`
-	} `xml:"http://www.w3.org/2003/05/soap-envelope Reason"`
-	Node   string `xml:"http://www.w3.org/2003/05/soap-envelope Node"`
-	Detail string `xml:"http://www.w3.org/2003/05/soap-envelope Detail"`
-}
-
-func (f *fault12) fault() *Fault {
-	return &Fault{
-		Code:   f.Code.Value,
-		String: f.Reason.Text,
-		Actor:  f.Node,
-		Detail: f.Detail,
-	}
-}
-
 func (v12Codec) Unmarshal(data []byte) (*Message, error) {
-	switch dv := Detect(data, ""); dv {
-	case Version11, VersionHybrid:
-		return nil, &DecodeError{
-			Reason:  "envelope is not pure SOAP 1.2 (detected " + dv.String() + ")",
-			Version: dv,
-		}
-	}
-	var env envelope12
-	if err := xml.Unmarshal(data, &env); err != nil {
-		return nil, &DecodeError{Reason: "malformed envelope", Err: err}
-	}
-	if env.Body.Fault != nil {
-		return nil, env.Body.Fault.fault()
-	}
-	return messageFromPayload(env.Body.Payload)
+	return Scan(data).strict(Version12)
 }
 
-// versionSignals is the evidence Detect collects from one message.
-type versionSignals struct {
-	envelope bool   // root element is an Envelope
-	rootNS   string // root element namespace
-	fault11  bool   // fault markup in 1.1 shape (faultcode/faultstring)
-	fault12  bool   // fault markup in 1.2 shape or namespace (Code/Reason)
-}
-
-// scanSignals token-walks a message collecting version evidence. The
-// walk is independent of the strict parsers on purpose: it must keep
-// working on exactly the hybrid messages they reject.
-func scanSignals(data []byte) versionSignals {
-	var sig versionSignals
-	dec := xml.NewDecoder(bytes.NewReader(data))
-	depth := 0
-	inBody := false
-	faultDepth := 0
-	for {
-		tok, err := dec.Token()
-		if err != nil {
-			return sig
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			depth++
-			switch {
-			case depth == 1:
-				if t.Name.Local != "Envelope" {
-					return sig
-				}
-				sig.envelope = true
-				sig.rootNS = t.Name.Space
-			case depth == 2:
-				inBody = t.Name.Local == "Body"
-			case depth == 3 && inBody && t.Name.Local == "Fault":
-				switch t.Name.Space {
-				case NamespaceEnvelope:
-					faultDepth = depth
-				case NamespaceEnvelope12:
-					faultDepth = depth
-					sig.fault12 = true
-				}
-			case faultDepth != 0 && depth == faultDepth+1:
-				switch t.Name.Local {
-				case "faultcode", "faultstring":
-					if t.Name.Space == "" || t.Name.Space == NamespaceEnvelope {
-						sig.fault11 = true
-					}
-				case "Code", "Reason":
-					if t.Name.Space == NamespaceEnvelope || t.Name.Space == NamespaceEnvelope12 {
-						sig.fault12 = true
-					}
-				}
-			}
-		case xml.EndElement:
-			if faultDepth != 0 && depth == faultDepth {
-				faultDepth = 0
-			}
-			if depth == 2 {
-				inBody = false
-			}
-			depth--
-		}
-	}
+func (v12Codec) UnmarshalScanned(s *Scanned) (*Message, error) {
+	return s.strict(Version12)
 }
 
 // Detect classifies raw bytes (and, when available, the HTTP
@@ -501,7 +339,11 @@ func scanSignals(data []byte) versionSignals {
 // namespace is VersionUnknown. Pass contentType "" to classify bytes
 // alone.
 func Detect(data []byte, contentType string) Version {
-	sig := scanSignals(data)
+	return Scan(data).Detect(contentType)
+}
+
+// verdict weighs the collected signals and the media type.
+func (sig *versionSignals) verdict(contentType string) Version {
 	if !sig.envelope {
 		return VersionUnknown
 	}
@@ -540,146 +382,12 @@ func Detect(data []byte, contentType string) Version {
 	}
 }
 
-// envNode is one element in the minimal tree the lenient parsers walk.
-type envNode struct {
-	name xml.Name
-	text string
-	kids []*envNode
-}
-
-func (n *envNode) kid(local string) *envNode {
-	for _, k := range n.kids {
-		if k.name.Local == local {
-			return k
-		}
-	}
-	return nil
-}
-
-// parseTree builds an element tree from one XML document. Depth is
-// bounded: the echo wire format is four levels deep, so anything
-// approaching the cap is hostile input, not SOAP.
-func parseTree(data []byte) (*envNode, error) {
-	dec := xml.NewDecoder(bytes.NewReader(data))
-	var root *envNode
-	var stack []*envNode
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			if len(stack) >= 32 {
-				return nil, errors.New("document nested too deeply")
-			}
-			n := &envNode{name: t.Name}
-			if len(stack) == 0 {
-				root = n
-			} else {
-				parent := stack[len(stack)-1]
-				parent.kids = append(parent.kids, n)
-			}
-			stack = append(stack, n)
-		case xml.EndElement:
-			stack = stack[:len(stack)-1]
-		case xml.CharData:
-			if len(stack) > 0 {
-				stack[len(stack)-1].text += string(t)
-			}
-		}
-	}
-	if root == nil {
-		return nil, errors.New("no document element")
-	}
-	return root, nil
-}
-
-// envelopeBody locates the Body child of a parsed envelope tree and
-// returns its first element child (the payload or fault), enforcing
-// only local-name structure so it works on any namespace mix.
-func envelopeBody(data []byte) (*envNode, error) {
-	root, err := parseTree(data)
-	if err != nil {
-		return nil, &DecodeError{Reason: "malformed envelope", Err: err}
-	}
-	if root.name.Local != "Envelope" {
-		return nil, &DecodeError{Reason: fmt.Sprintf("document element %q is not an Envelope", root.name.Local)}
-	}
-	body := root.kid("Body")
-	if body == nil || len(body.kids) == 0 {
-		return nil, &DecodeError{Reason: "no payload", Err: ErrNoBody}
-	}
-	return body.kids[0], nil
-}
-
-// messageFromNode converts a payload subtree into a Message, keeping
-// the duplicate-child rejection rule of the strict parsers.
-func messageFromNode(n *envNode) (*Message, error) {
-	m := &Message{
-		Namespace: n.name.Space,
-		Local:     n.name.Local,
-		Fields:    make(map[string]string, len(n.kids)),
-	}
-	for _, k := range n.kids {
-		if _, dup := m.Fields[k.name.Local]; dup {
-			return nil, &DecodeError{Reason: fmt.Sprintf("duplicate payload element %q", k.name.Local)}
-		}
-		m.Fields[k.name.Local] = k.text
-	}
-	return m, nil
-}
-
 // UnmarshalFlexible parses an envelope in either version, including
 // hybrids, recognizing fault markup in both shapes. This models the
 // lenient-accept frameworks (Axis, PHP): they never mistake a fault
 // for data, but they also never refuse a version mix.
 func UnmarshalFlexible(data []byte) (*Message, error) {
-	switch Detect(data, "") {
-	case Version11:
-		return V11.Unmarshal(data)
-	case Version12:
-		return V12.Unmarshal(data)
-	case VersionUnknown:
-		// Not an envelope in either namespace; reuse the 1.1 parser for
-		// its diagnostics.
-		return V11.Unmarshal(data)
-	}
-	// Hybrid: neither strict parser will touch it, so walk the tree by
-	// hand, honoring envelope machinery from both versions.
-	first, err := envelopeBody(data)
-	if err != nil {
-		return nil, err
-	}
-	if first.name.Local == "Fault" &&
-		(first.name.Space == NamespaceEnvelope || first.name.Space == NamespaceEnvelope12) {
-		f := &Fault{}
-		for _, k := range first.kids {
-			switch k.name.Local {
-			case "faultcode":
-				f.Code = k.text
-			case "faultstring":
-				f.String = k.text
-			case "faultactor", "Node":
-				f.Actor = k.text
-			case "detail", "Detail":
-				f.Detail = k.text
-			case "Code":
-				if v := k.kid("Value"); v != nil {
-					f.Code = v.text
-				}
-			case "Reason":
-				if v := k.kid("Text"); v != nil {
-					f.String = v.text
-				}
-			}
-		}
-		return nil, f
-	}
-	return messageFromNode(first)
+	return Scan(data).Flexible()
 }
 
 // UnmarshalCoerce parses namespace-blind: any root named Envelope is
@@ -689,22 +397,5 @@ func UnmarshalFlexible(data []byte) (*Message, error) {
 // Local="Fault" — the silent mishandling the version matrix exists to
 // expose.
 func UnmarshalCoerce(data []byte) (*Message, error) {
-	first, err := envelopeBody(data)
-	if err != nil {
-		return nil, err
-	}
-	if first.name.Local == "Fault" && first.kid("faultcode") != nil {
-		f := &Fault{Code: first.kid("faultcode").text}
-		if s := first.kid("faultstring"); s != nil {
-			f.String = s.text
-		}
-		if a := first.kid("faultactor"); a != nil {
-			f.Actor = a.text
-		}
-		if d := first.kid("detail"); d != nil {
-			f.Detail = d.text
-		}
-		return nil, f
-	}
-	return messageFromNode(first)
+	return Scan(data).Coerce()
 }

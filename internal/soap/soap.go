@@ -9,6 +9,11 @@
 // driven end to end. The version-parameterized Codec API (codec.go)
 // extends it further into the hybrid-version error class the paper
 // never reached.
+//
+// Every reader works from one token walk: Scan (scan.go) records the
+// version signals, a small element tree and where the stream broke off,
+// and Detect, the strict codecs and the lenient parsers read that, so a
+// message that is classified and then parsed is tokenized once.
 package soap
 
 import (
@@ -122,10 +127,31 @@ func ValidNCName(s string) bool {
 	return true
 }
 
-func escape(s string) string {
-	var b bytes.Buffer
-	if err := xml.EscapeText(&b, []byte(s)); err != nil {
-		return s
+// writeElement writes one single-line element of the envelope
+// layout: indent, <prefix+local>, the escaped value, the end tag and a
+// newline.
+func writeElement(buf *bytes.Buffer, indent, prefix, local, value string) {
+	buf.WriteString(indent)
+	buf.WriteByte('<')
+	buf.WriteString(prefix)
+	buf.WriteString(local)
+	buf.WriteByte('>')
+	writeEscaped(buf, value)
+	buf.WriteString("</")
+	buf.WriteString(prefix)
+	buf.WriteString(local)
+	buf.WriteString(">\n")
+}
+
+// writeEscaped writes s as XML character data, exactly as
+// xml.EscapeText does. Printable ASCII without markup characters,
+// which is every value the echo campaigns send, is written as is.
+func writeEscaped(buf *bytes.Buffer, s string) {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\'' || c == '&' || c == '<' || c == '>' {
+			_ = xml.EscapeText(buf, []byte(s))
+			return
+		}
 	}
-	return b.String()
+	buf.WriteString(s)
 }

@@ -109,7 +109,8 @@ func snippet(body []byte) string {
 //
 // Under LenientAccept the body is parsed flexibly (either version,
 // hybrids included); under SilentCoerce it is parsed namespace-blind,
-// reproducing the frameworks that turn hybrid faults into data.
+// reproducing the frameworks that turn hybrid faults into data. The
+// body is scanned once for both the version gate and the parse.
 func decodeResponse(codec soap.Codec, strict soap.Strictness, status int, contentType string, body []byte) (*soap.Message, error) {
 	ok := status >= 200 && status <= 299
 	if len(body) > maxResponseBytes {
@@ -118,7 +119,8 @@ func decodeResponse(codec soap.Codec, strict soap.Strictness, status int, conten
 		// for a parse of megabytes of padding.
 		return nil, errReadBudget()
 	}
-	detected := soap.Detect(body, contentType)
+	scan := soap.Scan(body)
+	detected := scan.Detect(contentType)
 	if strict == soap.StrictReject && detected != soap.VersionUnknown && detected != codec.Version() {
 		return nil, &VersionMismatchError{Want: codec.Version(), Got: detected, ContentType: contentType}
 	}
@@ -126,11 +128,11 @@ func decodeResponse(codec soap.Codec, strict soap.Strictness, status int, conten
 	var err error
 	switch strict {
 	case soap.LenientAccept:
-		msg, err = soap.UnmarshalFlexible(body)
+		msg, err = scan.Flexible()
 	case soap.SilentCoerce:
-		msg, err = soap.UnmarshalCoerce(body)
+		msg, err = scan.Coerce()
 	default:
-		msg, err = codec.Unmarshal(body)
+		msg, err = codec.UnmarshalScanned(scan)
 	}
 	if err != nil {
 		var fault *soap.Fault

@@ -10,6 +10,7 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -345,11 +346,12 @@ func (h *Host) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var msg *soap.Message
+	scan := soap.Scan(body)
 	if h.version == nil {
-		msg, err = soap.V11.Unmarshal(body)
+		msg, err = soap.V11.UnmarshalScanned(scan)
 	} else {
 		reqCT := r.Header.Get("Content-Type")
-		detected := soap.Detect(body, reqCT)
+		detected := scan.Detect(reqCT)
 		mismatch := detected != soap.VersionUnknown && detected != codec.Version()
 		switch {
 		case mismatch && h.version.Strictness == soap.StrictReject:
@@ -359,14 +361,14 @@ func (h *Host) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			})
 			return
 		case mismatch && h.version.Strictness == soap.SilentCoerce:
-			msg, err = soap.UnmarshalCoerce(body)
+			msg, err = scan.Coerce()
 			if reqCT != "" {
 				respCT = reqCT
 			}
 		case mismatch: // LenientAccept
-			msg, err = soap.UnmarshalFlexible(body)
+			msg, err = scan.Flexible()
 		default:
-			msg, err = codec.Unmarshal(body)
+			msg, err = codec.UnmarshalScanned(scan)
 		}
 	}
 	if err != nil {
@@ -502,7 +504,7 @@ func (c *Client) Invoke(ctx context.Context, url, soapAction string, req *soap.M
 		return nil, fmt.Errorf("encode request: %w", err)
 	}
 	return invokeWithRetry(ctx, c.meters, c.retry, func(ctx context.Context, n int) (*soap.Message, error) {
-		httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, url, strings.NewReader(string(body)))
+		httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 		if err != nil {
 			return nil, fmt.Errorf("build request: %w", err)
 		}

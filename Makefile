@@ -3,10 +3,12 @@
 GO ?= go
 # Benchmarks recorded in the machine-readable trajectory. FullCampaign
 # runs the complete 79 629-test study once; drop it (make bench-json
-# BENCH='Fig4Campaign|TableIII$$|ShapeDedup') for a quicker refresh.
-# Plan records the cold plan build only (Plan/cold): there is no plan
-# cache to warm.
-BENCH ?= Fig4Campaign|TableIII$$|FullCampaign|ShapeDedup|AnalysisCache|Plan$$|RobustnessMatrix
+# BENCH='Fig4Campaign|TableIII$$') for a quicker refresh. Plan records
+# the cold plan build only (Plan/cold): there is no plan cache to warm.
+BENCH ?= Fig4Campaign|TableIII$$|FullCampaign|Plan$$|RobustnessMatrix
+# The ablation benches run through internal/campaign's test hooks, so
+# they live in that package.
+BENCH_ABLATIONS ?= ShapeDedup|AnalysisCache
 # bench-check tolerance: fail when the capped FullCampaign tests/s
 # drops by more than this fraction vs the committed BENCH_campaign.json.
 BENCH_TOLERANCE ?= 0.10
@@ -40,13 +42,15 @@ vet:
 # bench prints the campaign benchmarks to the terminal.
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH)' -benchtime 3x -benchmem -count 1 .
+	$(GO) test -run '^$$' -bench '$(BENCH_ABLATIONS)' -benchtime 3x -benchmem -count 1 ./internal/campaign
 
 # bench-json records the benchmark trajectory to BENCH_campaign.json,
 # giving later changes a perf baseline to diff against: the BENCH set,
-# then the capped FullCampaign/limit=$(BENCH_LIMIT) entry bench-check
-# compares against.
+# the BENCH_ABLATIONS set, then the capped FullCampaign/limit=$(BENCH_LIMIT)
+# entry bench-check compares against.
 bench-json:
 	{ $(GO) test -run '^$$' -bench '$(BENCH)' -benchtime 3x -benchmem -count 1 . && \
+	  $(GO) test -run '^$$' -bench '$(BENCH_ABLATIONS)' -benchtime 3x -benchmem -count 1 ./internal/campaign && \
 	  FULLCAMPAIGN_LIMIT=$(BENCH_LIMIT) $(GO) test -run '^$$' -bench 'FullCampaign$$' $(BENCH_LIMIT_RUNS) -benchmem . ; } \
 	  | $(GO) run ./cmd/benchjson -o BENCH_campaign.json
 
@@ -64,5 +68,6 @@ bench-check:
 # and so must the SOAP envelope stages and the journal's append bench
 # (its ns/record stays flat in n).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Fig4Campaign|ShapeDedup|AnalysisCache|RobustnessMatrix|SOAPRoundTrip' -benchtime 1x -benchmem -count 1 .
+	$(GO) test -run '^$$' -bench 'Fig4Campaign|RobustnessMatrix|SOAPRoundTrip' -benchtime 1x -benchmem -count 1 .
+	$(GO) test -run '^$$' -bench '$(BENCH_ABLATIONS)' -benchtime 1x -benchmem -count 1 ./internal/campaign
 	$(GO) test -run '^$$' -bench 'JournalAppend' -benchtime 1x -benchmem -count 1 ./internal/journal

@@ -2,7 +2,8 @@ package wsinterop
 
 // Benchmark harness: one benchmark per paper artifact (DESIGN.md §5)
 // plus the ablation benches of DESIGN.md §6 and per-stage
-// micro-benchmarks.
+// micro-benchmarks. The analysis-cache and shape-memo ablations run
+// through test hooks, so their benches live in internal/campaign.
 //
 // The experiment benches (E1–E3) run the campaign at a reduced scale
 // (benchLimit classes per catalog) so the suite completes quickly;
@@ -32,9 +33,9 @@ import (
 // benchLimit caps per-catalog classes for the scaled campaign benches.
 const benchLimit = 300
 
-func runCampaign(b *testing.B, cfg campaign.Config) *campaign.Result {
+func runCampaign(b *testing.B, opts ...campaign.Option) *campaign.Result {
 	b.Helper()
-	res, err := campaign.NewRunner(cfg).Run(context.Background())
+	res, err := campaign.New(opts...).Run(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func reportTestsPerSec(b *testing.B, totalTests int) {
 func BenchmarkFig4Campaign(b *testing.B) {
 	tests := 0
 	for i := 0; i < b.N; i++ {
-		res := runCampaign(b, campaign.Config{Limit: benchLimit})
+		res := runCampaign(b, campaign.WithLimit(benchLimit))
 		tests += res.TotalTests
 		if err := report.Fig4(io.Discard, res); err != nil {
 			b.Fatal(err)
@@ -63,58 +64,12 @@ func BenchmarkFig4Campaign(b *testing.B) {
 	reportTestsPerSec(b, tests)
 }
 
-// BenchmarkAnalysisCache is the shared-analysis ablation (DESIGN.md
-// §6.4): the scaled campaign with each published document parsed and
-// analyzed once per service (cached) vs once per client test
-// (reparse) — the two paths TestReparseEquivalence proves identical.
-func BenchmarkAnalysisCache(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		reparse bool
-	}{{"cached", false}, {"reparse", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			tests := 0
-			for i := 0; i < b.N; i++ {
-				res := runCampaign(b, campaign.Config{Limit: benchLimit, Reparse: mode.reparse})
-				tests += res.TotalTests
-			}
-			reportTestsPerSec(b, tests)
-		})
-	}
-}
-
-// BenchmarkShapeDedup is the structural-shape memo ablation (DESIGN.md
-// §6.6): the scaled campaign with the memo on (default) vs off
-// (Config.NoDedup, the -dedup=false CLI ablation) — the two paths
-// TestDedupEquivalenceFull proves identical. The dedup run also
-// reports the corpus's compression as classes per structural shape.
-func BenchmarkShapeDedup(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		nodedup bool
-	}{{"dedup", false}, {"nodedup", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			tests := 0
-			var stats campaign.DedupStats
-			for i := 0; i < b.N; i++ {
-				res := runCampaign(b, campaign.Config{Limit: benchLimit, NoDedup: mode.nodedup})
-				tests += res.TotalTests
-				stats = *res.Dedup
-			}
-			reportTestsPerSec(b, tests)
-			if stats.Enabled && stats.Shapes > 0 {
-				b.ReportMetric(float64(stats.PublishTotal)/float64(stats.Shapes), "classes/shape")
-			}
-		})
-	}
-}
-
 // BenchmarkTableIII regenerates the Table III matrix (experiment E2)
 // at benchmark scale.
 func BenchmarkTableIII(b *testing.B) {
 	tests := 0
 	for i := 0; i < b.N; i++ {
-		res := runCampaign(b, campaign.Config{Limit: benchLimit})
+		res := runCampaign(b, campaign.WithLimit(benchLimit))
 		tests += res.TotalTests
 		if err := report.TableIII(io.Discard, res); err != nil {
 			b.Fatal(err)
@@ -141,7 +96,7 @@ func BenchmarkPlan(b *testing.B) {
 // (experiment E3) at benchmark scale.
 func BenchmarkFindings(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := runCampaign(b, campaign.Config{Limit: benchLimit})
+		res := runCampaign(b, campaign.WithLimit(benchLimit))
 		if err := report.Findings(io.Discard, res); err != nil {
 			b.Fatal(err)
 		}
@@ -170,19 +125,18 @@ func BenchmarkFullCampaign(b *testing.B) {
 // benchFullCampaign runs the campaign at a classes-per-catalog cap;
 // 0 is the complete study.
 func benchFullCampaign(b *testing.B, limit int) {
-	cfg := campaign.Config{Limit: limit}
 	// Resolve the execution plan once and share it across iterations:
 	// the steady state of any process running repeated campaigns (the
 	// -serve daemon adopts plans the same way). Plan resolution itself
 	// is measured separately by BenchmarkPlan.
-	plan, err := campaign.NewRunner(cfg).ExecutionPlan()
+	plan, err := campaign.New(campaign.WithLimit(limit)).ExecutionPlan()
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	tests := 0
 	for i := 0; i < b.N; i++ {
-		r := campaign.NewRunner(cfg)
+		r := campaign.New(campaign.WithLimit(limit))
 		if err := r.AdoptPlan(plan); err != nil {
 			b.Fatal(err)
 		}
@@ -201,7 +155,7 @@ func benchFullCampaign(b *testing.B, limit int) {
 // BenchmarkServiceDescriptionGeneration measures the description step
 // over the full catalogs (experiment E4: the 22 024 → 7 239 filter).
 func BenchmarkServiceDescriptionGeneration(b *testing.B) {
-	r := campaign.NewRunner(campaign.Config{})
+	r := campaign.New()
 	servers := framework.Servers()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -317,7 +271,7 @@ func BenchmarkComplexityVariants(b *testing.B) {
 	for _, v := range services.Variants() {
 		b.Run(v.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				runCampaign(b, campaign.Config{Limit: benchLimit, Variant: v})
+				runCampaign(b, campaign.WithLimit(benchLimit), campaign.WithVariant(v))
 			}
 		})
 	}
@@ -327,7 +281,7 @@ func BenchmarkComplexityVariants(b *testing.B) {
 // extension (steps 4–5) at benchmark scale.
 func BenchmarkCommunicationCampaign(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := campaign.NewRunner(campaign.Config{Limit: benchLimit})
+		r := campaign.New(campaign.WithLimit(benchLimit))
 		if _, err := r.RunCommunication(context.Background()); err != nil {
 			b.Fatal(err)
 		}
@@ -346,7 +300,7 @@ const robustLimit = 15
 func BenchmarkRobustnessMatrix(b *testing.B) {
 	cells := 0
 	for i := 0; i < b.N; i++ {
-		r := campaign.NewRunner(campaign.Config{Limit: robustLimit})
+		r := campaign.New(campaign.WithLimit(robustLimit))
 		robust, err := r.RunRobustness(context.Background())
 		if err != nil {
 			b.Fatal(err)
@@ -376,7 +330,7 @@ func BenchmarkCampaignParallelism(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				runCampaign(b, campaign.Config{Limit: benchLimit, Workers: workers})
+				runCampaign(b, campaign.WithLimit(benchLimit), campaign.WithWorkers(workers))
 			}
 		})
 	}

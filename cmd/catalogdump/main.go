@@ -1,7 +1,7 @@
 // Command catalogdump exports a platform class catalog as JSON — the
 // reproduction's equivalent of the study's published class lists —
 // and verifies re-importability. Custom catalogs in the same format
-// can be fed back into the campaign via campaign.Config.CatalogFor.
+// can be fed back into the campaign via campaign.WithCatalog.
 //
 // Usage:
 //

@@ -5,7 +5,7 @@
 //
 //	interop [-report fig4|chart|table3|findings|deploy|failures|dedup|profiles|maturity|compare|comm|robust|versions|plan|metrics|json|markdown|all]
 //	        [-limit N] [-workers N] [-server NAME] [-client NAME] [-wsi-profile NAME]
-//	        [-faults] [-versions] [-reparse] [-dedup=false]
+//	        [-faults] [-versions]
 //	        [-cpuprofile FILE] [-metrics-json FILE] [-debug ADDR]
 //	        [-checkpoint DIR] [-resume]
 //	        [-shard I/N] [-merge DIR,DIR,...] [-serve ADDR]
@@ -113,10 +113,6 @@ func run(args []string, out io.Writer) error {
 	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	serverName := fs.String("server", "", "restrict to one server framework (substring match)")
 	clientName := fs.String("client", "", "restrict to one client framework (substring match)")
-	reparse := fs.Bool("reparse", false,
-		"re-parse the WSDL bytes in every client test instead of sharing one analysis per service (the cache ablation)")
-	dedup := fs.Bool("dedup", true,
-		"memoize publish/WS-I/client-test work per structural shape; -dedup=false runs every class individually (the shape-memo ablation)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	metricsJSON := fs.String("metrics-json", "", "write the observability metrics snapshot as JSON to this file (marked partial if the run failed)")
 	debugAddr := fs.String("debug", "",
@@ -143,6 +139,15 @@ func run(args []string, out io.Writer) error {
 	// executing the whole campaign first.
 	if !slices.Contains(validReports, *reportKind) {
 		return fmt.Errorf("unknown report %q (valid modes: %s)", *reportKind, strings.Join(validReports, ", "))
+	}
+	// Negative counts are refused like the daemon refuses them: a
+	// negative -limit would otherwise run the full campaign under a
+	// fingerprint no -limit 0 journal matches.
+	if *limit < 0 {
+		return fmt.Errorf("-limit wants a class count >= 0 (0 = all), got %d", *limit)
+	}
+	if *workers < 0 {
+		return fmt.Errorf("-workers wants a pool size >= 0 (0 = GOMAXPROCS), got %d", *workers)
 	}
 	if *resume && *checkpoint == "" {
 		return fmt.Errorf("-resume requires -checkpoint DIR")
@@ -199,12 +204,6 @@ func run(args []string, out io.Writer) error {
 		}
 		opts = append(opts, campaign.WithChecker(wsi.NewChecker(wsi.WithProfile(p))))
 	}
-	if *reparse {
-		opts = append(opts, campaign.WithReparse())
-	}
-	if !*dedup {
-		opts = append(opts, campaign.WithoutDedup())
-	}
 	if *checkpoint != "" {
 		opts = append(opts, campaign.WithCheckpoint(*checkpoint))
 	}
@@ -212,11 +211,11 @@ func run(args []string, out io.Writer) error {
 		opts = append(opts, campaign.WithResume())
 	}
 	if *shard != "" {
-		index, count, err := parseShard(*shard)
+		spec, err := parseShard(*shard)
 		if err != nil {
 			return err
 		}
-		opts = append(opts, campaign.WithShard(index, count))
+		opts = append(opts, campaign.WithShard(spec))
 	}
 	if *progress {
 		opts = append(opts, campaign.WithProgress(func(stage string, done, total int) {
@@ -232,25 +231,14 @@ func run(args []string, out io.Writer) error {
 		opts = append(opts, campaign.WithServers(servers...))
 	}
 	if *serverName != "" {
-		var matched []framework.ServerFramework
-		for _, s := range servers {
-			if strings.Contains(strings.ToLower(s.Name()), strings.ToLower(*serverName)) {
-				matched = append(matched, s)
-			}
-		}
-		if len(matched) == 0 {
+		servers = campaign.MatchRoster(servers, *serverName)
+		if len(servers) == 0 {
 			return fmt.Errorf("no server framework matches %q", *serverName)
 		}
-		servers = matched
 		opts = append(opts, campaign.WithServers(servers...))
 	}
 	if *clientName != "" {
-		var clients []framework.ClientFramework
-		for _, c := range framework.Clients() {
-			if strings.Contains(strings.ToLower(c.Name()), strings.ToLower(*clientName)) {
-				clients = append(clients, c)
-			}
-		}
+		clients := campaign.MatchRoster(framework.Clients(), *clientName)
 		if len(clients) == 0 {
 			return fmt.Errorf("no client framework matches %q", *clientName)
 		}
@@ -459,19 +447,22 @@ func run(args []string, out io.Writer) error {
 	return finish(nil)
 }
 
-// parseShard parses the -shard argument, INDEX/COUNT.
-func parseShard(s string) (index, count int, err error) {
+// parseShard parses the -shard argument, INDEX/COUNT. A count below 1
+// is refused here: the zero spec would silently run unsharded.
+func parseShard(s string) (campaign.ShardSpec, error) {
+	var spec campaign.ShardSpec
 	is, ns, ok := strings.Cut(s, "/")
+	var err error
 	if ok {
-		index, err = strconv.Atoi(strings.TrimSpace(is))
+		spec.Index, err = strconv.Atoi(strings.TrimSpace(is))
 		if err == nil {
-			count, err = strconv.Atoi(strings.TrimSpace(ns))
+			spec.Count, err = strconv.Atoi(strings.TrimSpace(ns))
 		}
 	}
-	if !ok || err != nil {
-		return 0, 0, fmt.Errorf("-shard wants INDEX/COUNT (e.g. 0/4), got %q", s)
+	if !ok || err != nil || spec.Count < 1 {
+		return campaign.ShardSpec{}, fmt.Errorf("-shard wants INDEX/COUNT with COUNT >= 1 (e.g. 0/4), got %q", s)
 	}
-	return index, count, nil
+	return spec, nil
 }
 
 // runServe runs the campaign daemon until SIGINT/SIGTERM, then shuts

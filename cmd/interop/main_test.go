@@ -158,20 +158,6 @@ func TestRunServerClientFilters(t *testing.T) {
 	}
 }
 
-func TestRunReparseMatchesCached(t *testing.T) {
-	var cached, reparsed bytes.Buffer
-	if err := run([]string{"-limit", "80", "-report", "findings"}, &cached); err != nil {
-		t.Fatalf("cached run: %v", err)
-	}
-	if err := run([]string{"-limit", "80", "-report", "findings", "-reparse"}, &reparsed); err != nil {
-		t.Fatalf("reparse run: %v", err)
-	}
-	if cached.String() != reparsed.String() {
-		t.Errorf("reparse ablation changed the findings:\n--- cached ---\n%s--- reparse ---\n%s",
-			cached.String(), reparsed.String())
-	}
-}
-
 func TestRunCPUProfile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cpu.prof")
 	var buf bytes.Buffer
@@ -206,6 +192,29 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"-bogusflag"}, &buf); err == nil {
 		t.Error("bad flag should fail")
+	}
+	// Out-of-range counts and shard specs fail before any campaign
+	// work, naming the flag; none may fall back to a default.
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-limit", "-5"}, "-limit"},
+		{[]string{"-workers", "-3", "-limit", "10"}, "-workers"},
+		{[]string{"-shard", "0/0", "-limit", "10"}, "-shard"},
+		{[]string{"-shard", "0/-2", "-limit", "10"}, "-shard"},
+		// The ablations are test hooks, not flags.
+		{[]string{"-reparse", "-limit", "10"}, "reparse"},
+		{[]string{"-dedup=false", "-limit", "10"}, "dedup"},
+	} {
+		buf.Reset()
+		err := run(tc.args, &buf)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%v): err = %v, want an error naming %s", tc.args, err, tc.want)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("run(%v) printed output before failing:\n%s", tc.args, buf.String())
+		}
 	}
 }
 

@@ -31,22 +31,24 @@ func run() error {
 	const limit = 300
 	type config struct {
 		name string
-		cfg  campaign.Config
+		opts []campaign.Option
 	}
+	rpc := campaign.WithStyle(wsdl.StyleRPC)
 	configs := []config{
-		{"document/literal + simple (the paper)", campaign.Config{Limit: limit}},
-		{"document/literal + multi-param", campaign.Config{Limit: limit, Variant: services.VariantMultiParam}},
-		{"document/literal + nested", campaign.Config{Limit: limit, Variant: services.VariantNested}},
-		{"document/literal + collection", campaign.Config{Limit: limit, Variant: services.VariantCollection}},
-		{"rpc/literal + simple", campaign.Config{Limit: limit, Style: wsdl.StyleRPC}},
-		{"rpc/literal + multi-param", campaign.Config{Limit: limit, Style: wsdl.StyleRPC, Variant: services.VariantMultiParam}},
+		{"document/literal + simple (the paper)", nil},
+		{"document/literal + multi-param", []campaign.Option{campaign.WithVariant(services.VariantMultiParam)}},
+		{"document/literal + nested", []campaign.Option{campaign.WithVariant(services.VariantNested)}},
+		{"document/literal + collection", []campaign.Option{campaign.WithVariant(services.VariantCollection)}},
+		{"rpc/literal + simple", []campaign.Option{rpc}},
+		{"rpc/literal + multi-param", []campaign.Option{rpc, campaign.WithVariant(services.VariantMultiParam)}},
 	}
 
 	fmt.Printf("%-40s %9s %8s %8s %9s %9s\n",
 		"configuration", "published", "genErr", "compErr", "WS-I flag", "elapsed")
 	for _, c := range configs {
 		start := time.Now()
-		res, err := campaign.NewRunner(c.cfg).Run(context.Background())
+		opts := append([]campaign.Option{campaign.WithLimit(limit)}, c.opts...)
+		res, err := campaign.New(opts...).Run(context.Background())
 		if err != nil {
 			return fmt.Errorf("%s: %w", c.name, err)
 		}

@@ -268,7 +268,7 @@ type Result struct {
 	UnflaggedFailingServices int
 
 	// Failures retains every test that errored, in deterministic
-	// (service, client) order, when Config.KeepFailures is set. It is
+	// (service, client) order, with WithKeepFailures. It is
 	// the data behind the Table III footnotes (1 588 entries at full
 	// scale).
 	Failures []TestResult
@@ -282,29 +282,25 @@ type Result struct {
 	Profiles []*ProfileCompliance
 
 	// Dedup reports the structural-shape memo layer's statistics for
-	// this run: Enabled=false (all other fields zero) when
-	// Config.NoDedup was set. It is bookkeeping, not campaign outcome —
-	// the equivalence tests exclude it when comparing Results.
+	// this run: Enabled=false (all other fields zero) when the noDedup
+	// test hook was set. It is bookkeeping, not campaign outcome — the
+	// equivalence tests exclude it when comparing Results.
 	Dedup *DedupStats
 
 	// Metrics is the observability snapshot taken when Run returned:
 	// per-stage latency histograms, stage counters, memo hit/miss, and
 	// live gauges (DESIGN.md §8). Counter values are deterministic
 	// across worker counts; with a frozen clock injected through
-	// Config.Obs the histograms are too. Like Dedup it is bookkeeping —
+	// WithObs the histograms are too. Like Dedup it is bookkeeping —
 	// equivalence tests exclude it. The snapshot is cumulative for the
 	// Runner, so repeated Run calls on one runner include earlier work.
 	Metrics *obs.Snapshot
 }
 
-// Config parameterizes a campaign run.
-//
-// Prefer constructing runners through New with functional options
-// (options.go) — that is the stable public surface, and new knobs land
-// there first. Populating Config directly and calling NewRunner keeps
-// working for existing callers, but field-by-field struct poking is a
-// compatibility path, not the recommended one.
-type Config struct {
+// config parameterizes a campaign run. It is built only through New and
+// its options (options.go); in-package tests also set the ablation
+// hooks at the end of the struct.
+type config struct {
 	// Servers and Clients select the frameworks under test; nil means
 	// the full sets of the study.
 	Servers []framework.ServerFramework
@@ -320,23 +316,6 @@ type Config struct {
 	// KeepFailures retains per-test detail for every errored test in
 	// Result.Failures (the Table III footnote data).
 	KeepFailures bool
-	// Reparse forces the byte-level client path: every client re-parses
-	// the serialized WSDL per test, exactly as the real tools do (the
-	// DESIGN.md §6.3 ablation). When false — the default — each
-	// published document is parsed and analyzed once and the immutable
-	// analysis is shared across all clients, which produces an
-	// identical Result (see TestReparseEquivalence) at a fraction of
-	// the cost.
-	Reparse bool
-	// NoDedup disables the structural-shape memo layer (DESIGN.md
-	// §6.6): every class then publishes, marshals, WS-I checks, and
-	// client-tests individually, exactly as the real study would. When
-	// false — the default — the runner content-addresses classes by
-	// shape fingerprint and performs that work once per (server, shape),
-	// rehydrating per-class output by name substitution. The Result is
-	// identical either way (see TestDedupEquivalenceFull); Result.Dedup
-	// reports the layer's statistics.
-	NoDedup bool
 	// Variant selects the service interface complexity (the paper's
 	// future-work extension); zero means services.VariantSimple.
 	Variant services.Variant
@@ -375,8 +354,8 @@ type Config struct {
 	// and metrics counters — is identical to an uninterrupted run's
 	// (TestResumeEquivalenceFull proves this at full scale). The journal
 	// must have been written by the same campaign configuration: roster,
-	// limit, variant, style, and ablation knobs are fingerprinted and a
-	// mismatch is refused. Worker count is deliberately not part of the
+	// limit, variant, style and the ablation hooks are fingerprinted and
+	// a mismatch is refused. Worker count is deliberately not part of the
 	// fingerprint. Resume without Checkpoint is an error.
 	Resume bool
 	// Shard restricts the run to one deterministic slice of every
@@ -390,11 +369,22 @@ type Config struct {
 	// checkpointProbe, when non-nil, observes every durable journal
 	// append — test instrumentation for kill-point injection.
 	checkpointProbe func(appended int)
+	// reparse and noDedup are the two ablations, set only by tests: the
+	// oracles the shared analysis and the shape memo are proved against
+	// (DESIGN.md §6.4, §6.6). reparse makes every client re-parse the
+	// serialized WSDL per test, as the real tools do
+	// (TestReparseEquivalence); noDedup publishes, WS-I checks and
+	// client-tests every class individually (TestDedupEquivalenceFull).
+	// Both produce an identical Result; the checkpoint fingerprint
+	// records them, so a journal written under a hook is refused by a
+	// production runner.
+	reparse bool
+	noDedup bool
 }
 
 // Runner executes campaigns.
 type Runner struct {
-	cfg     Config
+	cfg     config
 	servers []framework.ServerFramework
 	clients []framework.ClientFramework
 	checker *wsi.Checker
@@ -410,11 +400,11 @@ type Runner struct {
 	// persist for the runner's lifetime, so repeated Publish/Run calls
 	// reuse shapes already built.
 	dedup *dedupState
-	// obs is the metrics registry (Config.Obs or a private one); met
+	// obs is the metrics registry (WithObs or a private one); met
 	// caches its instruments for the hot paths.
 	obs *obs.Registry
 	met *runnerMetrics
-	// ckpt is the open journal of the current Run when Config.Checkpoint
+	// ckpt is the open journal of the current Run when WithCheckpoint
 	// is set (checkpoint.go); nil otherwise.
 	ckpt *checkpointState
 	// plan is the immutable execution plan, built or adopted once per
@@ -427,8 +417,8 @@ type Runner struct {
 	sharedPlan *campaignPlan
 }
 
-// NewRunner builds a runner from the configuration.
-func NewRunner(cfg Config) *Runner {
+// newRunner builds a runner from the configuration.
+func newRunner(cfg config) *Runner {
 	r := &Runner{
 		cfg: cfg, servers: cfg.Servers, clients: cfg.Clients, checker: cfg.Checker,
 		dedup:    &dedupState{entries: make(map[shapeKey]*shapeEntry)},
@@ -647,22 +637,15 @@ func (r *Runner) workers() int {
 
 // RunTest executes steps 2–3 for one published service against one
 // client framework, sharing the service's memoized document analysis
-// when the runner attached one (Config.Reparse selects the byte-level
-// path instead).
+// when the runner attached one. The generation and compilation steps
+// are in-process and run to completion — a started test is never torn
+// mid-step, which is what makes a drained service a journalable
+// (resumable) unit.
 func RunTest(client framework.ClientFramework, svc PublishedService) TestResult {
-	return RunTestContext(context.Background(), client, svc)
+	return runTest(client, &svc, false, nil)
 }
 
-// RunTestContext is RunTest with a caller-supplied context, for parity
-// with the context-first transport APIs. The generation and
-// compilation steps are in-process and run to completion — a started
-// test is never torn mid-step, which is what makes a drained service a
-// journalable (resumable) unit.
-func RunTestContext(ctx context.Context, client framework.ClientFramework, svc PublishedService) TestResult {
-	return runTest(ctx, client, &svc, false, nil)
-}
-
-func runTest(_ context.Context, client framework.ClientFramework, svc *PublishedService, reparse bool, m *runnerMetrics) TestResult {
+func runTest(client framework.ClientFramework, svc *PublishedService, reparse bool, m *runnerMetrics) TestResult {
 	t := TestResult{Server: svc.Server, Client: client.Name(), Class: svc.Class}
 	start := m.now()
 	gen := generationFor(client, svc, reparse)
@@ -685,7 +668,7 @@ func runTest(_ context.Context, client framework.ClientFramework, svc *Published
 // generationFor runs the artifact generation step through the shared
 // analysis when available. A document the shared parse rejects falls
 // back to the byte path, so each client reports the parse failure in
-// its own voice — identical to Reparse mode.
+// its own voice — identical to the reparse ablation.
 func generationFor(client framework.ClientFramework, svc *PublishedService, reparse bool) framework.GenerationResult {
 	if !reparse {
 		if a, err := svc.Analysis(); err == nil {
@@ -702,10 +685,10 @@ func generationFor(client framework.ClientFramework, svc *PublishedService, repa
 // merge then re-establishes the aggregate, so the Result is identical
 // to a sequential run regardless of worker count or scheduling.
 //
-// With Config.Checkpoint set the run is durable: completed cells are
+// With WithCheckpoint set the run is durable: completed cells are
 // journaled as they finish, cancellation drains in-flight work and
 // flushes the journal before returning ctx.Err(), and a later run with
-// Config.Resume replays the journal into an identical Result
+// WithResume replays the journal into an identical Result
 // (checkpoint.go, DESIGN.md §9).
 func (r *Runner) Run(ctx context.Context) (*Result, error) {
 	// The plan is resolved before the checkpoint opens so the journal
@@ -763,8 +746,8 @@ func (r *Runner) runCampaign(ctx context.Context) (*Result, error) {
 // returned.
 func (r *Runner) Metrics() *obs.Snapshot { return r.obs.Snapshot() }
 
-// Obs exposes the runner's metrics registry (Config.Obs, or the
-// private one NewRunner created) — the -debug endpoint serves it live
+// Obs exposes the runner's metrics registry (WithObs, or the
+// private one New created) — the -debug endpoint serves it live
 // while a campaign runs.
 func (r *Runner) Obs() *obs.Registry { return r.obs }
 
@@ -890,7 +873,7 @@ func mergeShards(shards []*shard) *shard {
 	return shards[0]
 }
 
-// progress delivers Config.Progress callbacks for one server stage
+// progress delivers WithProgress callbacks for one server stage
 // from a dedicated notifier goroutine, so a slow callback — a terminal
 // write, the daemon's NDJSON encoder — never stalls the workers
 // reporting completions: serviceDone is one atomic add plus a
@@ -1007,7 +990,7 @@ func (r *Runner) defsFor(server framework.ServerFramework) ([]services.Definitio
 // foldService classifies one fully tested service into a shard — the
 // per-service body of the classification fold. It returns the service's
 // errored tests in client roster order for the Failures index (nil
-// unless Config.KeepFailures).
+// unless WithKeepFailures).
 func (r *Runner) foldService(st *svcState, sh *shard) []TestResult {
 	errored := r.foldCodes(sh, st.svc.Server, st.svc.Flagged, st.svc.Profiles, st.codes, 1)
 	if !errored || !r.cfg.KeepFailures {

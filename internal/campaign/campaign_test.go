@@ -13,7 +13,7 @@ func TestFullCampaignReproducesPaper(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full campaign skipped in -short mode")
 	}
-	res, err := NewRunner(Config{}).Run(context.Background())
+	res, err := newRunner(config{}).Run(context.Background())
 	if err != nil {
 		t.Fatalf("campaign run: %v", err)
 	}

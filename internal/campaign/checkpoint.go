@@ -45,7 +45,7 @@ type recordMode uint8
 
 const (
 	modeUnknown      recordMode = iota
-	modeDirect                  // memo layer off (Config.NoDedup)
+	modeDirect                  // memo layer off (the noDedup hook)
 	modeFallback                // class failed the shape.Memoizable guard
 	modeBuilt                   // first-seen class of its shape: full per-class path
 	modeMemoRejected            // memoized NotDeployable outcome
@@ -111,8 +111,8 @@ func (r *Runner) checkpointFingerprint() string {
 	parts := []string{
 		"wsinterop-campaign-v1",
 		"limit=" + strconv.Itoa(r.cfg.Limit),
-		"reparse=" + strconv.FormatBool(r.cfg.Reparse),
-		"nodedup=" + strconv.FormatBool(r.cfg.NoDedup),
+		"reparse=" + strconv.FormatBool(r.cfg.reparse),
+		"nodedup=" + strconv.FormatBool(r.cfg.noDedup),
 		"variant=" + strconv.Itoa(int(r.cfg.Variant)),
 		"style=" + string(r.cfg.Style),
 		"custom-catalog=" + strconv.FormatBool(r.cfg.CatalogFor != nil),
@@ -162,7 +162,7 @@ func (r *Runner) shardMeta() (*journal.ShardMeta, error) {
 	return &journal.ShardMeta{Index: sh.Index, Count: sh.Count, Lease: lease}, nil
 }
 
-// openCheckpoint opens the journal configured by Config.Checkpoint (a
+// openCheckpoint opens the journal configured by WithCheckpoint (a
 // no-op without one) and starts the serial writer goroutine.
 func (r *Runner) openCheckpoint() error {
 	shard, err := r.shardMeta()

@@ -20,10 +20,10 @@ import (
 
 // checkpointedRun runs the campaign to completion with a checkpoint in
 // dir and returns the runner, so tests can inspect its plan.
-func checkpointedRun(t *testing.T, cfg Config, dir string) (*Runner, *Result) {
+func checkpointedRun(t *testing.T, cfg config, dir string) (*Runner, *Result) {
 	t.Helper()
 	cfg.Checkpoint = dir
-	r := NewRunner(cfg)
+	r := newRunner(cfg)
 	res, err := r.Run(context.Background())
 	if err != nil {
 		t.Fatalf("checkpointed run: %v", err)
@@ -125,7 +125,7 @@ func TestResumeCompletedJournalSeedsNothing(t *testing.T) {
 	_, clean := checkpointedRun(t, resumeConfig(300, 4), dir)
 	cfg := resumeConfig(300, 4)
 	cfg.Checkpoint, cfg.Resume = dir, true
-	r := NewRunner(cfg)
+	r := newRunner(cfg)
 	res, err := r.Run(context.Background())
 	if err != nil {
 		t.Fatalf("resume: %v", err)
@@ -154,7 +154,7 @@ func TestResumeCompletedJournalSeedsNothing(t *testing.T) {
 // record must win, and the resumed Result must equal a clean run's.
 func TestResumeSnapshotLayout(t *testing.T) {
 	const limit = 150
-	clean, err := NewRunner(resumeConfig(limit, 4)).Run(context.Background())
+	clean, err := newRunner(resumeConfig(limit, 4)).Run(context.Background())
 	if err != nil {
 		t.Fatalf("clean run: %v", err)
 	}
@@ -243,7 +243,7 @@ func TestResumeSnapshotLayout(t *testing.T) {
 func TestCommunicationAfterResume(t *testing.T) {
 	const limit = 60
 	ctx := context.Background()
-	cleanRunner := NewRunner(resumeConfig(limit, 4))
+	cleanRunner := newRunner(resumeConfig(limit, 4))
 	clean, err := cleanRunner.Run(ctx)
 	if err != nil {
 		t.Fatalf("clean run: %v", err)
@@ -257,7 +257,7 @@ func TestCommunicationAfterResume(t *testing.T) {
 		interruptAt(t, resumeConfig(limit, 4), dir, killAt)
 		cfg := resumeConfig(limit, 2)
 		cfg.Checkpoint, cfg.Resume = dir, true
-		r := NewRunner(cfg)
+		r := newRunner(cfg)
 		res, err := r.Run(ctx)
 		if err != nil {
 			t.Fatalf("resume (kill %d): %v", killAt, err)

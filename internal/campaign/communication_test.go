@@ -9,7 +9,7 @@ import (
 )
 
 func TestCommunicationScaled(t *testing.T) {
-	r := NewRunner(limitedConfig(150))
+	r := newRunner(limitedConfig(150))
 	res, err := r.RunCommunication(context.Background())
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -40,7 +40,7 @@ func TestCommunicationSurfacesSilentFailures(t *testing.T) {
 	// JBossWS publishes the two zero-operation WSDLs; Axis1, CXF and
 	// JBossWS client tools generate method-less stubs silently. The
 	// communication step is where those become visible.
-	cfg := Config{
+	cfg := config{
 		Servers: []framework.ServerFramework{framework.NewJBossWSServer()},
 		Clients: []framework.ClientFramework{
 			framework.NewAxis1Client(),
@@ -48,7 +48,7 @@ func TestCommunicationSurfacesSilentFailures(t *testing.T) {
 			framework.NewJBossWSClient(),
 		},
 	}
-	r := NewRunner(cfg)
+	r := newRunner(cfg)
 	res, err := r.RunCommunication(context.Background())
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -63,11 +63,11 @@ func TestCommunicationSurfacesSilentFailures(t *testing.T) {
 func TestCommunicationBlockedMatchesStaticErrors(t *testing.T) {
 	// On Metro with only the Metro client, exactly one combination is
 	// blocked (the W3CEndpointReference generation error).
-	cfg := Config{
+	cfg := config{
 		Servers: []framework.ServerFramework{framework.NewMetroServer()},
 		Clients: []framework.ClientFramework{framework.NewMetroClient()},
 	}
-	res, err := NewRunner(cfg).RunCommunication(context.Background())
+	res, err := newRunner(cfg).RunCommunication(context.Background())
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -91,10 +91,10 @@ func TestCommOutcomeString(t *testing.T) {
 // TestCommunicationReparseEquivalence checks that routing the
 // communication extension through the shared WSDL analysis cache
 // (the default) and re-parsing the published bytes per step
-// (Config.Reparse, the ablation) classify every combination the same.
+// (config.reparse, the ablation) classify every combination the same.
 func TestCommunicationReparseEquivalence(t *testing.T) {
 	run := func(reparse bool) *CommResult {
-		res, err := NewRunner(Config{Limit: 100, Workers: 4, Reparse: reparse}).RunCommunication(context.Background())
+		res, err := newRunner(config{Limit: 100, Workers: 4, reparse: reparse}).RunCommunication(context.Background())
 		if err != nil {
 			t.Fatalf("run (reparse=%v): %v", reparse, err)
 		}
@@ -110,13 +110,13 @@ func TestCommunicationReparseEquivalence(t *testing.T) {
 func TestCommunicationCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := NewRunner(limitedConfig(300)).RunCommunication(ctx); err == nil {
+	if _, err := newRunner(limitedConfig(300)).RunCommunication(ctx); err == nil {
 		t.Error("cancelled context should abort")
 	}
 }
 
 func TestCommunicationPerClientBreakdown(t *testing.T) {
-	r := NewRunner(limitedConfig(150))
+	r := newRunner(limitedConfig(150))
 	res, err := r.RunCommunication(context.Background())
 	if err != nil {
 		t.Fatalf("run: %v", err)

@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -39,7 +38,7 @@ import (
 // campaign run (Result.Dedup).
 type DedupStats struct {
 	// Enabled reports whether the memo layer was active
-	// (Config.NoDedup unset).
+	// (the noDedup hook unset).
 	Enabled bool
 	// Shapes is the number of distinct (server, fingerprint) memo
 	// entries built — the structural diversity of the corpus.
@@ -162,7 +161,7 @@ func (d *dedupState) statsSince(before dedupCounters) *DedupStats {
 }
 
 // dedupOn reports whether the shape memo layer is active.
-func (r *Runner) dedupOn() bool { return !r.cfg.NoDedup }
+func (r *Runner) dedupOn() bool { return !r.cfg.noDedup }
 
 // publishEntry routes one memoizable definition through its shape memo
 // entry, resolved in bulk from the plan (resolveEntries). The returned
@@ -348,11 +347,11 @@ func (r *Runner) splitShape(server framework.ServerFramework, def services.Defin
 // name-derived strings, a clone IS the memoized code with the
 // executed bit cleared — the distinction the cell journal persists so
 // resume can re-seed memo slots without double-running tests.
-func (r *Runner) testFor(ctx context.Context, svc *PublishedService, ci int) outcomeCode {
+func (r *Runner) testFor(svc *PublishedService, ci int) outcomeCode {
 	r.met.testTotal.Inc()
 	e := svc.memo
 	if e == nil {
-		res := runTest(ctx, r.clients[ci], svc, r.cfg.Reparse, r.met)
+		res := runTest(r.clients[ci], svc, r.cfg.reparse, r.met)
 		return encodeOutcome(&res, true)
 	}
 	r.dedup.testTotal.Add(1)
@@ -361,7 +360,7 @@ func (r *Runner) testFor(ctx context.Context, svc *PublishedService, ci int) out
 	tm.once.Do(func() {
 		ran = true
 		r.dedup.testRuns.Add(1)
-		res := runTest(ctx, r.clients[ci], &e.rep, r.cfg.Reparse, r.met)
+		res := runTest(r.clients[ci], &e.rep, r.cfg.reparse, r.met)
 		tm.code = encodeOutcome(&res, true)
 	})
 	if !ran {

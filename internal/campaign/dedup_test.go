@@ -14,19 +14,19 @@ import (
 // performs publish/WS-I/client-test work once per (server, shape) must
 // produce a Result identical — every headline statistic, the full
 // Table III matrix, and the failure index — to one that processes
-// every class individually (Config.NoDedup, the ablation).
+// every class individually (config.noDedup, the ablation).
 
 // runDedupPair executes the same campaign twice, memoized and
 // per-class (with different worker counts, so scheduling differences
 // are covered too), and fails on any divergence.
-func runDedupPair(t *testing.T, dedup, nodedup Config) {
+func runDedupPair(t *testing.T, dedup, nodedup config) {
 	t.Helper()
-	nodedup.NoDedup = true
-	a, err := NewRunner(dedup).Run(context.Background())
+	nodedup.noDedup = true
+	a, err := newRunner(dedup).Run(context.Background())
 	if err != nil {
 		t.Fatalf("dedup run: %v", err)
 	}
-	b, err := NewRunner(nodedup).Run(context.Background())
+	b, err := newRunner(nodedup).Run(context.Background())
 	if err != nil {
 		t.Fatalf("nodedup run: %v", err)
 	}
@@ -44,27 +44,27 @@ func runDedupPair(t *testing.T, dedup, nodedup Config) {
 
 func TestDedupEquivalenceScaled(t *testing.T) {
 	runDedupPair(t,
-		Config{Limit: 200, Workers: 4, KeepFailures: true},
-		Config{Limit: 200, Workers: 2, KeepFailures: true})
+		config{Limit: 200, Workers: 4, KeepFailures: true},
+		config{Limit: 200, Workers: 2, KeepFailures: true})
 }
 
 // TestDedupEquivalenceReparse covers the ablation cross-product: the
 // memo must also be invisible when clients re-parse bytes per test.
 func TestDedupEquivalenceReparse(t *testing.T) {
 	runDedupPair(t,
-		Config{Limit: 150, Workers: 4, KeepFailures: true, Reparse: true},
-		Config{Limit: 150, Workers: 2, KeepFailures: true, Reparse: true})
+		config{Limit: 150, Workers: 4, KeepFailures: true, reparse: true},
+		config{Limit: 150, Workers: 2, KeepFailures: true, reparse: true})
 }
 
 func TestDedupEquivalenceFull(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale equivalence skipped in -short mode")
 	}
-	a, err := NewRunner(Config{KeepFailures: true}).Run(context.Background())
+	a, err := newRunner(config{KeepFailures: true}).Run(context.Background())
 	if err != nil {
 		t.Fatalf("dedup run: %v", err)
 	}
-	b, err := NewRunner(Config{KeepFailures: true, NoDedup: true}).Run(context.Background())
+	b, err := newRunner(config{KeepFailures: true, noDedup: true}).Run(context.Background())
 	if err != nil {
 		t.Fatalf("nodedup run: %v", err)
 	}
@@ -107,8 +107,8 @@ func TestDedupPublishBytes(t *testing.T) {
 		limit = 500
 	}
 	ctx := context.Background()
-	dedup := NewRunner(Config{Limit: limit, Workers: 4})
-	direct := NewRunner(Config{Limit: limit, Workers: 4, NoDedup: true})
+	dedup := newRunner(config{Limit: limit, Workers: 4})
+	direct := newRunner(config{Limit: limit, Workers: 4, noDedup: true})
 	for i, server := range dedup.servers {
 		a, createdA, err := dedup.Publish(ctx, server)
 		if err != nil {
@@ -140,13 +140,13 @@ func TestDedupPublishBytes(t *testing.T) {
 // shape census — is independent of worker count and therefore of
 // scheduling and map iteration order.
 func TestDedupWorkerStability(t *testing.T) {
-	cfgs := []Config{
+	cfgs := []config{
 		{Limit: 200, Workers: 1, KeepFailures: true},
 		{Limit: 200, Workers: 8, KeepFailures: true},
 	}
 	results := make([]*Result, len(cfgs))
 	for i, cfg := range cfgs {
-		res, err := NewRunner(cfg).Run(context.Background())
+		res, err := newRunner(cfg).Run(context.Background())
 		if err != nil {
 			t.Fatalf("workers=%d: %v", cfg.Workers, err)
 		}
@@ -165,7 +165,7 @@ func TestDedupWorkerStability(t *testing.T) {
 // corpus slice, a template split from the sentinel publish must
 // re-render every member's direct per-class marshal exactly.
 func TestShapeTemplateSubstitution(t *testing.T) {
-	r := NewRunner(Config{})
+	r := newRunner(config{})
 	for _, server := range r.servers {
 		defs, err := r.defsFor(server)
 		if err != nil {
@@ -231,16 +231,16 @@ func TestShapeTemplateSubstitution(t *testing.T) {
 // is name-dependent (per-class paths must not collide just because
 // classes share a shape).
 func TestDedupCommunicationEquivalence(t *testing.T) {
-	run := func(cfg Config) *CommResult {
+	run := func(cfg config) *CommResult {
 		t.Helper()
-		res, err := NewRunner(cfg).RunCommunication(context.Background())
+		res, err := newRunner(cfg).RunCommunication(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	a := run(Config{Limit: 120, Workers: 4})
-	b := run(Config{Limit: 120, Workers: 4, NoDedup: true})
+	a := run(config{Limit: 120, Workers: 4})
+	b := run(config{Limit: 120, Workers: 4, noDedup: true})
 	for _, server := range a.ServerOrder {
 		if *a.Servers[server] != *b.Servers[server] {
 			t.Errorf("comm %s: dedup %+v != nodedup %+v", server, *a.Servers[server], *b.Servers[server])

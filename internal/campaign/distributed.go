@@ -38,7 +38,7 @@ import (
 
 // ShardSpec is one worker's lease on a deterministic slice of the
 // campaign: catalog definition indexes congruent to Index modulo
-// Count (after Config.Limit). The zero value means "the whole
+// Count (after WithLimit). The zero value means "the whole
 // campaign". Lease, when set, is the content-addressed lease ID the
 // planner issued; a runner refuses a lease minted for a different
 // campaign configuration, so a spec cannot silently be replayed
@@ -80,7 +80,7 @@ func shardLease(fingerprint string, index, count int) string {
 // the same configuration twice — on different machines — yields the
 // same leases, so workers need no coordinator beyond agreeing on the
 // configuration. Each spec is ready for a worker runner
-// (WithShard/Config.Shard) or the CLI form `interop -shard i/n`.
+// (WithShard) or the CLI form `interop -shard i/n`.
 func (r *Runner) PlanShards(n int) ([]ShardSpec, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("campaign: cannot plan %d shards", n)
@@ -108,7 +108,7 @@ func Merge(ctx context.Context, dirs []string, opts ...Option) (*Result, error) 
 // single-process run of the same configuration
 // (TestDistributedEquivalenceFull proves this at full scale). Every
 // shard must have run to completion — an interrupted shard is resumed
-// in place (Config.Resume) before merging, and incompleteness is
+// in place (WithResume) before merging, and incompleteness is
 // refused with the missing cell named. The merge itself executes
 // nothing: it verifies the journals tile the campaign exactly once,
 // normalizes cross-shard memo state, and replays.

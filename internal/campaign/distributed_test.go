@@ -73,7 +73,7 @@ func TestPlanShards(t *testing.T) {
 	if _, err := r.PlanShards(0); err == nil {
 		t.Error("PlanShards(0) should fail")
 	}
-	if _, err := New(WithShard(0, 2)).PlanShards(2); err == nil {
+	if _, err := New(WithShard(ShardSpec{Index: 0, Count: 2})).PlanShards(2); err == nil {
 		t.Error("planning from a sharded configuration should fail")
 	}
 }
@@ -82,7 +82,7 @@ func TestPlanShards(t *testing.T) {
 // every server the shard slices are disjoint and their union, ordered
 // by shard-interleaving, is exactly the unsharded definition list.
 func TestShardPartitionTiles(t *testing.T) {
-	full := NewRunner(Config{Limit: 37})
+	full := newRunner(config{Limit: 37})
 	for _, server := range full.servers {
 		defs, err := full.defsFor(server)
 		if err != nil {
@@ -92,7 +92,7 @@ func TestShardPartitionTiles(t *testing.T) {
 		seen := make(map[string]int)
 		total := 0
 		for i := 0; i < n; i++ {
-			shr := NewRunner(Config{Limit: 37, Shard: ShardSpec{Index: i, Count: n}})
+			shr := newRunner(config{Limit: 37, Shard: ShardSpec{Index: i, Count: n}})
 			sdefs, err := shr.defsFor(server)
 			if err != nil {
 				t.Fatal(err)
@@ -132,13 +132,13 @@ func runShardWorkers(t *testing.T, limit, workers, n, killShard, killAt int) []s
 			rcfg := resumeConfig(limit, workers)
 			rcfg.Shard = ShardSpec{Index: i, Count: n}
 			rcfg.Checkpoint, rcfg.Resume = dirs[i], true
-			if _, err := NewRunner(rcfg).Run(context.Background()); err != nil {
+			if _, err := newRunner(rcfg).Run(context.Background()); err != nil {
 				t.Fatalf("resume killed shard %d/%d: %v", i, n, err)
 			}
 			continue
 		}
 		cfg.Checkpoint = dirs[i]
-		if _, err := NewRunner(cfg).Run(context.Background()); err != nil {
+		if _, err := newRunner(cfg).Run(context.Background()); err != nil {
 			t.Fatalf("shard %d/%d: %v", i, n, err)
 		}
 	}
@@ -150,7 +150,7 @@ func runShardWorkers(t *testing.T, limit, workers, n, killShard, killAt int) []s
 func mergeShardJournals(t *testing.T, limit, workers int, dirs []string) (*Result, *obs.Snapshot) {
 	t.Helper()
 	cfg := resumeConfig(limit, workers)
-	r := NewRunner(cfg)
+	r := newRunner(cfg)
 	res, err := r.Merge(context.Background(), dirs)
 	if err != nil {
 		t.Fatalf("merge %d shards: %v", len(dirs), err)
@@ -163,7 +163,7 @@ func mergeShardJournals(t *testing.T, limit, workers int, dirs []string) (*Resul
 // merge, and compare against a single-process run byte-for-byte.
 func runDistributedMatrix(t *testing.T, limit int) {
 	cleanCfg := resumeConfig(limit, 4)
-	clean, err := NewRunner(cleanCfg).Run(context.Background())
+	clean, err := newRunner(cleanCfg).Run(context.Background())
 	if err != nil {
 		t.Fatalf("single-process run: %v", err)
 	}
@@ -210,7 +210,7 @@ func TestDistributedEquivalenceFull(t *testing.T) {
 		t.Skip("full-scale distributed equivalence skipped in -short mode")
 	}
 	cleanCfg := resumeConfig(0, 0)
-	clean, err := NewRunner(cleanCfg).Run(context.Background())
+	clean, err := newRunner(cleanCfg).Run(context.Background())
 	if err != nil {
 		t.Fatalf("single-process run: %v", err)
 	}
@@ -246,8 +246,8 @@ func TestDistributedEquivalenceFull(t *testing.T) {
 func TestDistributedNoDedupAblation(t *testing.T) {
 	const limit = 60
 	cleanCfg := resumeConfig(limit, 4)
-	cleanCfg.NoDedup = true
-	clean, err := NewRunner(cleanCfg).Run(context.Background())
+	cleanCfg.noDedup = true
+	clean, err := newRunner(cleanCfg).Run(context.Background())
 	if err != nil {
 		t.Fatalf("single-process run: %v", err)
 	}
@@ -256,16 +256,16 @@ func TestDistributedNoDedupAblation(t *testing.T) {
 	for i := range dirs {
 		dirs[i] = filepath.Join(base, fmt.Sprintf("shard%d", i))
 		cfg := resumeConfig(limit, 4)
-		cfg.NoDedup = true
+		cfg.noDedup = true
 		cfg.Shard = ShardSpec{Index: i, Count: 2}
 		cfg.Checkpoint = dirs[i]
-		if _, err := NewRunner(cfg).Run(context.Background()); err != nil {
+		if _, err := newRunner(cfg).Run(context.Background()); err != nil {
 			t.Fatalf("shard %d: %v", i, err)
 		}
 	}
 	mcfg := resumeConfig(limit, 4)
-	mcfg.NoDedup = true
-	res, err := NewRunner(mcfg).Merge(context.Background(), dirs)
+	mcfg.noDedup = true
+	res, err := newRunner(mcfg).Merge(context.Background(), dirs)
 	if err != nil {
 		t.Fatalf("merge: %v", err)
 	}
@@ -283,19 +283,19 @@ func TestMergeRefusals(t *testing.T) {
 
 	t.Run("fingerprint-mismatch", func(t *testing.T) {
 		cfg := resumeConfig(limit+1, 4) // different Limit → different campaign
-		_, err := NewRunner(cfg).Merge(context.Background(), dirs)
+		_, err := newRunner(cfg).Merge(context.Background(), dirs)
 		if !errors.Is(err, journal.ErrFingerprint) {
 			t.Errorf("err = %v, want journal.ErrFingerprint", err)
 		}
 	})
 	t.Run("missing-shard", func(t *testing.T) {
-		_, err := NewRunner(resumeConfig(limit, 4)).Merge(context.Background(), dirs[:1])
+		_, err := newRunner(resumeConfig(limit, 4)).Merge(context.Background(), dirs[:1])
 		if err == nil || !strings.Contains(err.Error(), "journals for a") {
 			t.Errorf("merging 1 of 2 shards: err = %v", err)
 		}
 	})
 	t.Run("duplicate-shard", func(t *testing.T) {
-		_, err := NewRunner(resumeConfig(limit, 4)).Merge(context.Background(), []string{dirs[0], dirs[0]})
+		_, err := newRunner(resumeConfig(limit, 4)).Merge(context.Background(), []string{dirs[0], dirs[0]})
 		if err == nil || !strings.Contains(err.Error(), "overlap") {
 			t.Errorf("merging one shard twice: err = %v", err)
 		}
@@ -306,7 +306,7 @@ func TestMergeRefusals(t *testing.T) {
 		cfg := resumeConfig(limit, 4)
 		cfg.Shard = ShardSpec{Index: 0, Count: 2}
 		cfg.Checkpoint = half[0]
-		if _, err := NewRunner(cfg).Run(context.Background()); err != nil {
+		if _, err := newRunner(cfg).Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		// Shard 1 is killed after its third cell and never resumed: its
@@ -316,7 +316,7 @@ func TestMergeRefusals(t *testing.T) {
 		icfg := resumeConfig(limit, 4)
 		icfg.Shard = ShardSpec{Index: 1, Count: 2}
 		icfg.Checkpoint = half[1]
-		if _, err := NewRunner(icfg).Run(context.Background()); err != nil {
+		if _, err := newRunner(icfg).Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		path := filepath.Join(half[1], "journal.jsonl")
@@ -328,7 +328,7 @@ func TestMergeRefusals(t *testing.T) {
 		if err := os.WriteFile(path, bytes.Join(lines[:3], nil), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, err = NewRunner(resumeConfig(limit, 4)).Merge(context.Background(), half)
+		_, err = newRunner(resumeConfig(limit, 4)).Merge(context.Background(), half)
 		if err == nil || !strings.Contains(err.Error(), "incomplete") {
 			t.Errorf("merging an interrupted shard: err = %v", err)
 		}
@@ -336,19 +336,19 @@ func TestMergeRefusals(t *testing.T) {
 	t.Run("merge-while-sharded", func(t *testing.T) {
 		cfg := resumeConfig(limit, 4)
 		cfg.Shard = ShardSpec{Index: 0, Count: 2}
-		if _, err := NewRunner(cfg).Merge(context.Background(), dirs); err == nil {
+		if _, err := newRunner(cfg).Merge(context.Background(), dirs); err == nil {
 			t.Error("merge on a sharded runner should fail")
 		}
 	})
 	t.Run("merge-with-checkpoint", func(t *testing.T) {
 		cfg := resumeConfig(limit, 4)
 		cfg.Checkpoint = t.TempDir()
-		if _, err := NewRunner(cfg).Merge(context.Background(), dirs); err == nil {
+		if _, err := newRunner(cfg).Merge(context.Background(), dirs); err == nil {
 			t.Error("merge with its own checkpoint should fail")
 		}
 	})
 	t.Run("no-dirs", func(t *testing.T) {
-		if _, err := NewRunner(resumeConfig(limit, 4)).Merge(context.Background(), nil); err == nil {
+		if _, err := newRunner(resumeConfig(limit, 4)).Merge(context.Background(), nil); err == nil {
 			t.Error("merge with no directories should fail")
 		}
 	})
@@ -363,20 +363,20 @@ func TestShardJournalIdentity(t *testing.T) {
 	cfg := resumeConfig(limit, 2)
 	cfg.Shard = ShardSpec{Index: 0, Count: 2}
 	cfg.Checkpoint = dir
-	if _, err := NewRunner(cfg).Run(context.Background()); err != nil {
+	if _, err := newRunner(cfg).Run(context.Background()); err != nil {
 		t.Fatalf("shard run: %v", err)
 	}
 
 	wrong := resumeConfig(limit, 2)
 	wrong.Shard = ShardSpec{Index: 1, Count: 2}
 	wrong.Checkpoint, wrong.Resume = dir, true
-	if _, err := NewRunner(wrong).Run(context.Background()); !errors.Is(err, journal.ErrShard) {
+	if _, err := newRunner(wrong).Run(context.Background()); !errors.Is(err, journal.ErrShard) {
 		t.Errorf("resuming as the wrong shard: err = %v, want journal.ErrShard", err)
 	}
 
 	whole := resumeConfig(limit, 2)
 	whole.Checkpoint, whole.Resume = dir, true
-	if _, err := NewRunner(whole).Run(context.Background()); !errors.Is(err, journal.ErrShard) {
+	if _, err := newRunner(whole).Run(context.Background()); !errors.Is(err, journal.ErrShard) {
 		t.Errorf("resuming a shard journal unsharded: err = %v, want journal.ErrShard", err)
 	}
 
@@ -385,13 +385,13 @@ func TestShardJournalIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stale := New(WithLimit(limit+5), WithShardSpec(specs[0]))
+	stale := New(WithLimit(limit+5), WithShard(specs[0]))
 	if _, err := stale.Run(context.Background()); err == nil ||
 		!strings.Contains(err.Error(), "different campaign configuration") {
 		t.Errorf("stale lease: err = %v", err)
 	}
 	// The same spec under the configuration that planned it is accepted.
-	good := New(WithLimit(limit), WithShardSpec(specs[0]), WithWorkers(2))
+	good := New(WithLimit(limit), WithShard(specs[0]), WithWorkers(2))
 	if _, err := good.Run(context.Background()); err != nil {
 		t.Errorf("planned spec under its own configuration: %v", err)
 	}

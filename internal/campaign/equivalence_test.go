@@ -10,20 +10,20 @@ import (
 // shares one memoized document analysis across all clients must
 // produce a Result identical — every headline statistic, the full
 // Table III matrix, and the failure index — to one where every client
-// re-parses the serialized WSDL per test (Config.Reparse, the
+// re-parses the serialized WSDL per test (config.reparse, the
 // behaviour of the real tools and the DESIGN.md §6.3 ablation).
 
 // runEquivalencePair executes the same campaign twice, cached and
 // reparsed (with different worker counts, so scheduling differences
 // are covered too), and fails on any divergence.
-func runEquivalencePair(t *testing.T, cached, reparse Config) {
+func runEquivalencePair(t *testing.T, cached, reparse config) {
 	t.Helper()
-	reparse.Reparse = true
-	a, err := NewRunner(cached).Run(context.Background())
+	reparse.reparse = true
+	a, err := newRunner(cached).Run(context.Background())
 	if err != nil {
 		t.Fatalf("cached run: %v", err)
 	}
-	b, err := NewRunner(reparse).Run(context.Background())
+	b, err := newRunner(reparse).Run(context.Background())
 	if err != nil {
 		t.Fatalf("reparse run: %v", err)
 	}
@@ -91,21 +91,21 @@ func compareResults(t *testing.T, a, b *Result) {
 
 func TestReparseEquivalenceScaled(t *testing.T) {
 	runEquivalencePair(t,
-		Config{Limit: 200, Workers: 4, KeepFailures: true},
-		Config{Limit: 200, Workers: 2, KeepFailures: true})
+		config{Limit: 200, Workers: 4, KeepFailures: true},
+		config{Limit: 200, Workers: 2, KeepFailures: true})
 }
 
 func TestReparseEquivalenceFull(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale equivalence skipped in -short mode")
 	}
-	cached := Config{KeepFailures: true}
-	reparse := Config{KeepFailures: true, Reparse: true}
-	a, err := NewRunner(cached).Run(context.Background())
+	cached := config{KeepFailures: true}
+	reparse := config{KeepFailures: true, reparse: true}
+	a, err := newRunner(cached).Run(context.Background())
 	if err != nil {
 		t.Fatalf("cached run: %v", err)
 	}
-	b, err := NewRunner(reparse).Run(context.Background())
+	b, err := newRunner(reparse).Run(context.Background())
 	if err != nil {
 		t.Fatalf("reparse run: %v", err)
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 func TestExplainNarrativeClass(t *testing.T) {
-	r := NewRunner(Config{})
+	r := newRunner(config{})
 	e, err := r.Explain("Metro", typesys.JavaW3CEndpointReference)
 	if err != nil {
 		t.Fatalf("explain: %v", err)
@@ -40,7 +40,7 @@ func TestExplainNarrativeClass(t *testing.T) {
 }
 
 func TestExplainRefusedDeployment(t *testing.T) {
-	r := NewRunner(Config{})
+	r := newRunner(config{})
 	e, err := r.Explain("Metro", typesys.JavaFuture)
 	if err != nil {
 		t.Fatalf("explain: %v", err)
@@ -57,7 +57,7 @@ func TestExplainRefusedDeployment(t *testing.T) {
 }
 
 func TestExplainErrors(t *testing.T) {
-	r := NewRunner(Config{})
+	r := newRunner(config{})
 	if _, err := r.Explain("NoSuchServer", "x.Y"); err == nil {
 		t.Error("unknown server should fail")
 	}

@@ -23,7 +23,7 @@ func TestExtendedFourServerCampaign(t *testing.T) {
 		t.Skip("extended campaign skipped in -short mode")
 	}
 	servers := append(framework.Servers(), framework.NewAxis2Server())
-	res, err := NewRunner(Config{Servers: servers}).Run(context.Background())
+	res, err := newRunner(config{Servers: servers}).Run(context.Background())
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

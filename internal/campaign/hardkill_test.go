@@ -37,7 +37,7 @@ func TestResumeAfterHardKill(t *testing.T) {
 		return
 	}
 	cleanCfg := resumeConfig(hardKillLimit, 4)
-	clean, err := NewRunner(cleanCfg).Run(context.Background())
+	clean, err := newRunner(cleanCfg).Run(context.Background())
 	if err != nil {
 		t.Fatalf("clean run: %v", err)
 	}
@@ -99,6 +99,6 @@ func hardKillVictim(t *testing.T, spec string) {
 			select {} // the signal ends the process; nothing runs after it
 		}
 	}
-	_, err = NewRunner(cfg).Run(context.Background())
+	_, err = newRunner(cfg).Run(context.Background())
 	t.Fatalf("run returned (err %v) without reaching kill point %d", err, killAt)
 }

@@ -17,7 +17,7 @@ func TestClientMaturityMatchesPaper(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full campaign skipped in -short mode")
 	}
-	res, err := NewRunner(Config{}).Run(context.Background())
+	res, err := newRunner(config{}).Run(context.Background())
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

@@ -22,7 +22,7 @@ func frozenRegistry() *obs.Registry {
 func metricsSnapshot(t *testing.T, workers int) *obs.Snapshot {
 	t.Helper()
 	reg := frozenRegistry()
-	r := NewRunner(Config{Limit: 2, Workers: workers, Obs: reg})
+	r := newRunner(config{Limit: 2, Workers: workers, Obs: reg})
 	ctx := context.Background()
 	if _, err := r.Run(ctx); err != nil {
 		t.Fatalf("run (workers=%d): %v", workers, err)
@@ -66,7 +66,7 @@ func counterValue(snap *obs.Snapshot, name string) int64 {
 }
 
 func TestResultCarriesMetrics(t *testing.T) {
-	r := NewRunner(Config{Limit: 2, Workers: 2})
+	r := newRunner(config{Limit: 2, Workers: 2})
 	res, err := r.Run(context.Background())
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -100,7 +100,7 @@ func TestResultCarriesMetrics(t *testing.T) {
 // request header — feeds the same registry.
 func TestCommunicationTraceJoin(t *testing.T) {
 	reg := obs.NewRegistry()
-	r := NewRunner(Config{Limit: 2, Workers: 2, Obs: reg})
+	r := newRunner(config{Limit: 2, Workers: 2, Obs: reg})
 	if _, err := r.RunCommunication(context.Background()); err != nil {
 		t.Fatalf("communication: %v", err)
 	}
@@ -129,7 +129,7 @@ func TestCommunicationTraceJoin(t *testing.T) {
 // lands in the robustness counters.
 func TestRobustnessObservability(t *testing.T) {
 	reg := obs.NewRegistry()
-	r := NewRunner(Config{Limit: 2, Workers: 2, Obs: reg})
+	r := newRunner(config{Limit: 2, Workers: 2, Obs: reg})
 	res, err := r.RunRobustness(context.Background())
 	if err != nil {
 		t.Fatalf("robustness: %v", err)

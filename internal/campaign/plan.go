@@ -22,7 +22,7 @@ package campaign
 // byte-verify their templates, and execute real client tests through
 // the memo code (publishEntry/testFor), so the §6.6 guarantee —
 // memoization can never change a Result — holds unchanged;
-// TestDedupEquivalenceFull proves it against the per-class NoDedup
+// TestDedupEquivalenceFull proves it against the per-class noDedup
 // path at full scale.
 
 import (
@@ -53,7 +53,7 @@ type planGroup struct {
 // serverPlan is one server's stage plan: a partition of the catalog's
 // definition indexes into shape groups plus the loose remainder —
 // classes the memo layer cannot serve (shape.Memoizable failures, or
-// every class under the NoDedup ablation).
+// every class under the noDedup ablation).
 type serverPlan struct {
 	Server string
 	Defs   int
@@ -211,7 +211,7 @@ type classTraits struct {
 func (r *Runner) buildServerPlan(server string, defs []services.Definition) *serverPlan {
 	sp := &serverPlan{Server: server, Defs: len(defs), defs: defs}
 	if !r.dedupOn() {
-		// NoDedup: every class is loose; the executor routes them direct.
+		// noDedup: every class is loose; the executor routes them direct.
 		sp.Loose = make([]int, len(defs))
 		for i := range sp.Loose {
 			sp.Loose[i] = i
@@ -369,9 +369,9 @@ func (r *Runner) runServer(ctx context.Context, server framework.ServerFramework
 			for it := range ch {
 				var err error
 				if it < len(sp.Groups) {
-					err = r.runPlannedGroup(ctx, server, defs, &sp.Groups[it], entries[it], replay, sh, failures, prog)
+					err = r.runPlannedGroup(server, defs, &sp.Groups[it], entries[it], replay, sh, failures, prog)
 				} else if di := sp.Loose[it-len(sp.Groups)]; replay[di].Trace == "" {
-					err = r.runPlannedLoose(ctx, server, defs[di], di, sh, failures, prog)
+					err = r.runPlannedLoose(server, defs[di], di, sh, failures, prog)
 				}
 				if err != nil && errs[w] == nil {
 					errs[w] = err
@@ -419,7 +419,7 @@ feed:
 // with the memo-hit counters batched per group. Unsafe members always
 // take the individual path, as do all members of unverified shapes
 // (publishEntry degrades them to per-class fallbacks).
-func (r *Runner) runPlannedGroup(ctx context.Context, server framework.ServerFramework, defs []services.Definition,
+func (r *Runner) runPlannedGroup(server framework.ServerFramework, defs []services.Definition,
 	g *planGroup, e *shapeEntry, replay map[int]journal.Record,
 	sh *shard, failures [][]TestResult, prog *progress) error {
 	nc := len(r.clients)
@@ -460,7 +460,7 @@ func (r *Runner) runPlannedGroup(ctx context.Context, server framework.ServerFra
 			codes:    make([]outcomeCode, nc),
 		}
 		for ci := 0; ci < nc; ci++ {
-			st.codes[ci] = r.testFor(ctx, &st.svc, ci)
+			st.codes[ci] = r.testFor(&st.svc, ci)
 		}
 		if st.svc.memo != nil {
 			slotsFilled = true
@@ -523,7 +523,7 @@ func (r *Runner) broadcastClones(server framework.ServerFramework, defs []servic
 
 // publishLoose runs the description step for one loose class outside
 // the shape memo: a non-memoizable class (the fallback route), or any
-// class under the NoDedup ablation (the direct route).
+// class under the noDedup ablation (the direct route).
 func (r *Runner) publishLoose(server framework.ServerFramework, def services.Definition) publishSlot {
 	r.met.publishTotal.Inc()
 	if !r.dedupOn() {
@@ -540,7 +540,7 @@ func (r *Runner) publishLoose(server framework.ServerFramework, def services.Def
 
 // runPlannedLoose executes one loose class: publish, then every client
 // test on the per-class path.
-func (r *Runner) runPlannedLoose(ctx context.Context, server framework.ServerFramework, def services.Definition,
+func (r *Runner) runPlannedLoose(server framework.ServerFramework, def services.Definition,
 	di int, sh *shard, failures [][]TestResult, prog *progress) error {
 	slot := r.publishLoose(server, def)
 	switch {
@@ -559,7 +559,7 @@ func (r *Runner) runPlannedLoose(ctx context.Context, server framework.ServerFra
 		codes:    make([]outcomeCode, len(r.clients)),
 	}
 	for ci := range r.clients {
-		st.codes[ci] = r.testFor(ctx, &st.svc, ci)
+		st.codes[ci] = r.testFor(&st.svc, ci)
 	}
 	fails := r.foldService(&st, sh)
 	if failures != nil {
@@ -595,7 +595,6 @@ type PlanSummary struct {
 	// "shared" (adopted from another runner).
 	Fingerprint string
 	Source      string
-	NoDedup     bool
 	Classes     int
 	Shapes      int
 	Clones      int
@@ -613,7 +612,6 @@ func (r *Runner) PlanSummary() (*PlanSummary, error) {
 	sum := &PlanSummary{
 		Fingerprint: p.fingerprint,
 		Source:      p.source,
-		NoDedup:     r.cfg.NoDedup,
 		Classes:     p.classes,
 		Shapes:      p.shapes,
 	}

@@ -75,7 +75,7 @@ func runPlanMatrix(t *testing.T, limit int) {
 	for _, workers := range []int{1, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			cfg := resumeConfig(limit, workers)
-			res, err := NewRunner(cfg).Run(context.Background())
+			res, err := newRunner(cfg).Run(context.Background())
 			if err != nil {
 				t.Fatalf("planned run: %v", err)
 			}
@@ -129,7 +129,7 @@ func TestPlanEquivalenceFull(t *testing.T) {
 // its group's fingerprint, and the plan summary's accounting is an
 // exact identity.
 func TestPlanPartition(t *testing.T) {
-	r := NewRunner(Config{Limit: 200, Workers: 4})
+	r := newRunner(config{Limit: 200, Workers: 4})
 	p, err := r.ensurePlan()
 	if err != nil {
 		t.Fatalf("ensurePlan: %v", err)
@@ -206,7 +206,7 @@ func TestPlanPartition(t *testing.T) {
 	}
 
 	// NoDedup plans are all loose.
-	nd := NewRunner(Config{Limit: 50, NoDedup: true})
+	nd := newRunner(config{Limit: 50, noDedup: true})
 	np, err := nd.ensurePlan()
 	if err != nil {
 		t.Fatalf("NoDedup ensurePlan: %v", err)
@@ -220,7 +220,7 @@ func TestPlanPartition(t *testing.T) {
 
 	// The full-scale shape count is the §6.6 study invariant.
 	if !testing.Short() {
-		full := NewRunner(Config{})
+		full := newRunner(config{})
 		fsum, err := full.PlanSummary()
 		if err != nil {
 			t.Fatalf("full PlanSummary: %v", err)
@@ -242,11 +242,11 @@ func planCounter(reg *obs.Registry, name string) int64 {
 // plan for any other configuration is refused before it can execute.
 func TestSharedPlan(t *testing.T) {
 	base := resumeConfig(80, 4)
-	a, err := NewRunner(base).Run(context.Background())
+	a, err := newRunner(base).Run(context.Background())
 	if err != nil {
 		t.Fatalf("building run: %v", err)
 	}
-	plan, err := NewRunner(resumeConfig(80, 4)).ExecutionPlan()
+	plan, err := newRunner(resumeConfig(80, 4)).ExecutionPlan()
 	if err != nil {
 		t.Fatalf("ExecutionPlan: %v", err)
 	}
@@ -255,7 +255,7 @@ func TestSharedPlan(t *testing.T) {
 	}
 
 	second := resumeConfig(80, 4)
-	r := NewRunner(second)
+	r := newRunner(second)
 	if err := r.AdoptPlan(plan); err != nil {
 		t.Fatalf("AdoptPlan: %v", err)
 	}
@@ -279,7 +279,7 @@ func TestSharedPlan(t *testing.T) {
 	}
 
 	// Wrong configuration: refused up front, never executed.
-	if err := NewRunner(resumeConfig(60, 4)).AdoptPlan(plan); err == nil {
+	if err := newRunner(resumeConfig(60, 4)).AdoptPlan(plan); err == nil {
 		t.Error("AdoptPlan accepted a plan for a different configuration")
 	}
 }
@@ -319,9 +319,9 @@ func TestPublishPlanned(t *testing.T) {
 		return out
 	}
 	reg := frozenRegistry()
-	serial := NewRunner(Config{Limit: 150, Workers: 1, Obs: reg})
+	serial := newRunner(config{Limit: 150, Workers: 1, Obs: reg})
 	first := publishAll(serial)
-	parallel := publishAll(NewRunner(Config{Limit: 150, Workers: 8}))
+	parallel := publishAll(newRunner(config{Limit: 150, Workers: 8}))
 	for si := range first {
 		if err := samePublished(first[si], parallel[si]); err != nil {
 			t.Errorf("workers 1 vs 8, server %d: %v", si, err)
@@ -365,7 +365,7 @@ func TestPublishPlanned(t *testing.T) {
 func TestWireModesShareOnePlan(t *testing.T) {
 	ctx := context.Background()
 	reg := frozenRegistry()
-	r := NewRunner(Config{Limit: 10, Workers: 4, Obs: reg})
+	r := newRunner(config{Limit: 10, Workers: 4, Obs: reg})
 	if _, err := r.RunCommunication(ctx); err != nil {
 		t.Fatalf("communication: %v", err)
 	}

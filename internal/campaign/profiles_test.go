@@ -15,11 +15,11 @@ import (
 // profile — whose check set is a strict superset of BP 1.1's core
 // checks — never admits a service BP 1.1 rejects.
 func TestProfilesMatrixConsistency(t *testing.T) {
-	memo, err := NewRunner(Config{Limit: 150, Workers: 4}).Run(context.Background())
+	memo, err := newRunner(config{Limit: 150, Workers: 4}).Run(context.Background())
 	if err != nil {
 		t.Fatalf("memoized run: %v", err)
 	}
-	perClass, err := NewRunner(Config{Limit: 150, Workers: 2, NoDedup: true}).Run(context.Background())
+	perClass, err := newRunner(config{Limit: 150, Workers: 2, noDedup: true}).Run(context.Background())
 	if err != nil {
 		t.Fatalf("per-class run: %v", err)
 	}

@@ -17,7 +17,7 @@ func TestCampaignInvariantsProperty(t *testing.T) {
 	}
 	prop := func(seed uint16) bool {
 		limit := 20 + int(seed)%180 // 20..199 classes per catalog
-		res, err := NewRunner(Config{Limit: limit}).Run(context.Background())
+		res, err := newRunner(config{Limit: limit}).Run(context.Background())
 		if err != nil {
 			t.Logf("limit %d: %v", limit, err)
 			return false
@@ -51,7 +51,7 @@ func TestCampaignInvariantsProperty(t *testing.T) {
 }
 
 // TestCustomCatalogCampaign runs the campaign over a user-supplied
-// catalog (the ImportJSON facility), demonstrating Config.CatalogFor.
+// catalog (the ImportJSON facility), demonstrating config.CatalogFor.
 func TestCustomCatalogCampaign(t *testing.T) {
 	data := `{"language":"Java","classes":[
 	  {"name":"com.acme.Widget","kind":"bean",
@@ -73,13 +73,13 @@ func TestCustomCatalogCampaign(t *testing.T) {
 		t.Fatalf("import: %v", err)
 	}
 
-	cfg := Config{CatalogFor: func(lang typesys.Language) *typesys.Catalog {
+	cfg := config{CatalogFor: func(lang typesys.Language) *typesys.Catalog {
 		if lang == typesys.Java {
 			return javaCat
 		}
 		return csCat
 	}}
-	res, err := NewRunner(cfg).Run(context.Background())
+	res, err := newRunner(cfg).Run(context.Background())
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

@@ -24,15 +24,15 @@ import (
 // resumeConfig is the campaign configuration under test. KeepFailures
 // exercises the failure-index path through replay; the frozen-clock
 // registry makes histograms comparable.
-func resumeConfig(limit, workers int) Config {
-	return Config{Limit: limit, Workers: workers, KeepFailures: true, Obs: frozenRegistry()}
+func resumeConfig(limit, workers int) config {
+	return config{Limit: limit, Workers: workers, KeepFailures: true, Obs: frozenRegistry()}
 }
 
 // interruptAt runs a checkpointed campaign that cancels its context
 // once the journal holds killAt records — the cooperative-drain
 // equivalent of SIGINT at that boundary. killAt 0 cancels before any
 // cell; killAt < 0 lets the run complete (the 100% journal case).
-func interruptAt(t *testing.T, cfg Config, dir string, killAt int) {
+func interruptAt(t *testing.T, cfg config, dir string, killAt int) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -47,7 +47,7 @@ func interruptAt(t *testing.T, cfg Config, dir string, killAt int) {
 			}
 		}
 	}
-	res, err := NewRunner(cfg).Run(ctx)
+	res, err := newRunner(cfg).Run(ctx)
 	if killAt < 0 {
 		if err != nil {
 			t.Fatalf("uninterrupted checkpointed run: %v", err)
@@ -69,12 +69,12 @@ func interruptAt(t *testing.T, cfg Config, dir string, killAt int) {
 
 // resume re-runs the campaign from the journal in dir and returns the
 // Result plus the resumed session's metrics snapshot.
-func resume(t *testing.T, cfg Config, dir string) (*Result, *obs.Snapshot) {
+func resume(t *testing.T, cfg config, dir string) (*Result, *obs.Snapshot) {
 	t.Helper()
 	cfg.Checkpoint, cfg.Resume = dir, true
 	reg := frozenRegistry()
 	cfg.Obs = reg
-	res, err := NewRunner(cfg).Run(context.Background())
+	res, err := newRunner(cfg).Run(context.Background())
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
@@ -127,7 +127,7 @@ func compareSnapshots(t *testing.T, label string, clean, resumed *obs.Snapshot) 
 func runResumeMatrix(t *testing.T, limit int) {
 	cleanCfg := resumeConfig(limit, 4)
 	cleanReg := cleanCfg.Obs
-	clean, err := NewRunner(cleanCfg).Run(context.Background())
+	clean, err := newRunner(cleanCfg).Run(context.Background())
 	if err != nil {
 		t.Fatalf("clean run: %v", err)
 	}
@@ -179,7 +179,7 @@ func TestResumeEquivalenceFull(t *testing.T) {
 		t.Skip("full-scale resume equivalence skipped in -short mode")
 	}
 	cleanCfg := resumeConfig(0, 0)
-	clean, err := NewRunner(cleanCfg).Run(context.Background())
+	clean, err := newRunner(cleanCfg).Run(context.Background())
 	if err != nil {
 		t.Fatalf("clean run: %v", err)
 	}
@@ -220,7 +220,7 @@ func TestResumeSurvivesSecondInterruption(t *testing.T) {
 	// the end of the campaign.
 	const limit = 400
 	cleanCfg := resumeConfig(limit, 4)
-	clean, err := NewRunner(cleanCfg).Run(context.Background())
+	clean, err := newRunner(cleanCfg).Run(context.Background())
 	if err != nil {
 		t.Fatalf("clean run: %v", err)
 	}
@@ -252,7 +252,7 @@ func TestResumeSurvivesSecondInterruption(t *testing.T) {
 				cancel()
 			}
 		}
-		if _, err := NewRunner(cfg).Run(ctx); !errors.Is(err, context.Canceled) {
+		if _, err := newRunner(cfg).Run(ctx); !errors.Is(err, context.Canceled) {
 			t.Fatalf("second interruption: err = %v, want context.Canceled", err)
 		}
 	}
@@ -269,7 +269,7 @@ func TestResumeSurvivesSecondInterruption(t *testing.T) {
 // to the clean Result: the torn cell is simply re-executed.
 func TestResumeAfterTornJournalTail(t *testing.T) {
 	const limit = 100
-	clean, err := NewRunner(resumeConfig(limit, 4)).Run(context.Background())
+	clean, err := newRunner(resumeConfig(limit, 4)).Run(context.Background())
 	if err != nil {
 		t.Fatalf("clean run: %v", err)
 	}
@@ -299,19 +299,19 @@ func TestResumeChecksConfiguration(t *testing.T) {
 
 	cfg := resumeConfig(80, 4) // different Limit → different cell set
 	cfg.Checkpoint, cfg.Resume = dir, true
-	if _, err := NewRunner(cfg).Run(context.Background()); err == nil {
+	if _, err := newRunner(cfg).Run(context.Background()); err == nil {
 		t.Error("resume under a different configuration should fail")
 	}
 
 	cfg = resumeConfig(60, 4) // same config, but no -resume
 	cfg.Checkpoint = dir
-	if _, err := NewRunner(cfg).Run(context.Background()); err == nil {
+	if _, err := newRunner(cfg).Run(context.Background()); err == nil {
 		t.Error("fresh checkpoint into a used directory should fail")
 	}
 
 	cfg = resumeConfig(60, 4) // Resume without Checkpoint
 	cfg.Resume = true
-	if _, err := NewRunner(cfg).Run(context.Background()); err == nil {
+	if _, err := newRunner(cfg).Run(context.Background()); err == nil {
 		t.Error("Resume without Checkpoint should fail")
 	}
 
@@ -320,7 +320,7 @@ func TestResumeChecksConfiguration(t *testing.T) {
 	// matrix tests; here just prove it is accepted).
 	okCfg := resumeConfig(60, 1)
 	okCfg.Checkpoint, okCfg.Resume = dir, true
-	if _, err := NewRunner(okCfg).Run(context.Background()); err != nil {
+	if _, err := newRunner(okCfg).Run(context.Background()); err != nil {
 		t.Errorf("resume at a different worker count: %v", err)
 	}
 }
@@ -330,17 +330,17 @@ func TestResumeChecksConfiguration(t *testing.T) {
 // touching memo state.
 func TestResumeNoDedupAblation(t *testing.T) {
 	cfg := resumeConfig(60, 4)
-	cfg.NoDedup = true
-	clean, err := NewRunner(cfg).Run(context.Background())
+	cfg.noDedup = true
+	clean, err := newRunner(cfg).Run(context.Background())
 	if err != nil {
 		t.Fatalf("clean run: %v", err)
 	}
 	dir := t.TempDir()
 	killed := resumeConfig(60, 4)
-	killed.NoDedup = true
+	killed.noDedup = true
 	interruptAt(t, killed, dir, clean.TotalServices/2)
 	resumedCfg := resumeConfig(60, 4)
-	resumedCfg.NoDedup = true
+	resumedCfg.noDedup = true
 	res, _ := resume(t, resumedCfg, dir)
 	compareResults(t, clean, res)
 	if !reflect.DeepEqual(clean.Dedup, res.Dedup) {
@@ -348,21 +348,45 @@ func TestResumeNoDedupAblation(t *testing.T) {
 	}
 }
 
-// TestRunContextAndOptions covers the context-first package surface:
-// Run/RunContext wrappers and the functional-option constructor.
+// TestHookJournalRefused: the ablation hooks stay in the checkpoint
+// fingerprint, so a production runner refuses a journal written under
+// either hook instead of replaying its cells.
+func TestHookJournalRefused(t *testing.T) {
+	for name, hook := range map[string]func(*config){
+		"reparse": func(c *config) { c.reparse = true },
+		"noDedup": func(c *config) { c.noDedup = true },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := config{Limit: 2, Workers: 2, Checkpoint: dir}
+			hook(&cfg)
+			if _, err := newRunner(cfg).Run(context.Background()); err != nil {
+				t.Fatalf("hooked run: %v", err)
+			}
+			_, err := New(WithLimit(2), WithCheckpoint(dir), WithResume()).Run(context.Background())
+			if !errors.Is(err, journal.ErrFingerprint) {
+				t.Errorf("resume of a %s journal: err = %v, want journal.ErrFingerprint", name, err)
+			}
+		})
+	}
+}
+
+// TestRunContextAndOptions covers the construction surface: the
+// functional-option constructor against the struct the options fill,
+// and Run under a cancelled context.
 func TestRunContextAndOptions(t *testing.T) {
-	res, err := Run(Config{Limit: 2, Workers: 2})
+	res, err := newRunner(config{Limit: 2, Workers: 2}).Run(context.Background())
 	if err != nil {
-		t.Fatalf("package Run: %v", err)
+		t.Fatalf("struct-built Run: %v", err)
 	}
 	if res.TotalTests == 0 {
-		t.Error("package Run produced an empty result")
+		t.Error("struct-built Run produced an empty result")
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunContext(ctx, Config{Limit: 2}); !errors.Is(err, context.Canceled) {
-		t.Errorf("RunContext with cancelled context: err = %v, want context.Canceled", err)
+	if _, err := New(WithLimit(2)).Run(ctx); !errors.Is(err, context.Canceled) {
+		t.Errorf("Run with cancelled context: err = %v, want context.Canceled", err)
 	}
 
 	reg := frozenRegistry()
@@ -408,7 +432,7 @@ func TestResumeEmitsEvents(t *testing.T) {
 	cfg := resumeConfig(40, 4)
 	cfg.Checkpoint, cfg.Resume = dir, true
 	reg := cfg.Obs
-	if _, err := NewRunner(cfg).Run(context.Background()); err != nil {
+	if _, err := newRunner(cfg).Run(context.Background()); err != nil {
 		t.Fatalf("resume: %v", err)
 	}
 	found := false

@@ -23,7 +23,7 @@ func robustLimit(full int) int {
 }
 
 func TestRobustnessScaled(t *testing.T) {
-	res, err := NewRunner(limitedConfig(robustLimit(80))).RunRobustness(context.Background())
+	res, err := newRunner(limitedConfig(robustLimit(80))).RunRobustness(context.Background())
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -91,7 +91,7 @@ func TestRobustnessScaled(t *testing.T) {
 // for the matrix: scheduling must never change a cell.
 func TestRobustnessDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) *RobustResult {
-		res, err := NewRunner(Config{Limit: robustLimit(60), Workers: workers}).RunRobustness(context.Background())
+		res, err := newRunner(config{Limit: robustLimit(60), Workers: workers}).RunRobustness(context.Background())
 		if err != nil {
 			t.Fatalf("run (workers=%d): %v", workers, err)
 		}
@@ -109,7 +109,7 @@ func TestRobustnessDeterministicAcrossWorkers(t *testing.T) {
 // must produce the same matrix.
 func TestRobustnessReparseEquivalence(t *testing.T) {
 	run := func(reparse bool) *RobustResult {
-		res, err := NewRunner(Config{Limit: robustLimit(60), Workers: 4, Reparse: reparse}).RunRobustness(context.Background())
+		res, err := newRunner(config{Limit: robustLimit(60), Workers: 4, reparse: reparse}).RunRobustness(context.Background())
 		if err != nil {
 			t.Fatalf("run (reparse=%v): %v", reparse, err)
 		}
@@ -124,7 +124,7 @@ func TestRobustnessReparseEquivalence(t *testing.T) {
 func TestRobustnessCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := NewRunner(limitedConfig(300)).RunRobustness(ctx); err == nil {
+	if _, err := newRunner(limitedConfig(300)).RunRobustness(ctx); err == nil {
 		t.Error("cancelled context should abort")
 	}
 }

@@ -10,12 +10,12 @@ import (
 )
 
 // limitedConfig returns a small, fast campaign configuration.
-func limitedConfig(limit int) Config {
-	return Config{Limit: limit, Workers: 4}
+func limitedConfig(limit int) config {
+	return config{Limit: limit, Workers: 4}
 }
 
 func TestScaledCampaignInvariants(t *testing.T) {
-	res, err := NewRunner(limitedConfig(150)).Run(context.Background())
+	res, err := newRunner(limitedConfig(150)).Run(context.Background())
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -60,11 +60,11 @@ func TestScaledCampaignInvariants(t *testing.T) {
 }
 
 func TestCampaignDeterministic(t *testing.T) {
-	a, err := NewRunner(limitedConfig(200)).Run(context.Background())
+	a, err := newRunner(limitedConfig(200)).Run(context.Background())
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	b, err := NewRunner(Config{Limit: 200, Workers: 1}).Run(context.Background())
+	b, err := newRunner(config{Limit: 200, Workers: 1}).Run(context.Background())
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -84,18 +84,18 @@ func TestCampaignDeterministic(t *testing.T) {
 func TestCampaignCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := NewRunner(limitedConfig(500)).Run(ctx); err == nil {
+	if _, err := newRunner(limitedConfig(500)).Run(ctx); err == nil {
 		t.Error("cancelled context should abort the run")
 	}
 }
 
 func TestSubsetOfFrameworks(t *testing.T) {
-	cfg := Config{
+	cfg := config{
 		Servers: []framework.ServerFramework{framework.NewMetroServer()},
 		Clients: []framework.ClientFramework{framework.NewAxis1Client()},
 		Limit:   100,
 	}
-	res, err := NewRunner(cfg).Run(context.Background())
+	res, err := newRunner(cfg).Run(context.Background())
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -112,7 +112,7 @@ func TestSubsetOfFrameworks(t *testing.T) {
 }
 
 func TestPublishStep(t *testing.T) {
-	r := NewRunner(limitedConfig(0))
+	r := newRunner(limitedConfig(0))
 	published, created, err := r.Publish(context.Background(), framework.NewJBossWSServer())
 	if err != nil {
 		t.Fatalf("publish: %v", err)
@@ -148,7 +148,7 @@ func TestPublishStep(t *testing.T) {
 func TestOfficialCheckerMissesZeroOperations(t *testing.T) {
 	cfg := limitedConfig(0)
 	cfg.Checker = wsi.NewChecker(wsi.WithoutExtended())
-	r := NewRunner(cfg)
+	r := newRunner(cfg)
 	published, _, err := r.Publish(context.Background(), framework.NewJBossWSServer())
 	if err != nil {
 		t.Fatalf("publish: %v", err)
@@ -167,7 +167,7 @@ func TestOfficialCheckerMissesZeroOperations(t *testing.T) {
 }
 
 func TestRunTestStepSemantics(t *testing.T) {
-	r := NewRunner(limitedConfig(0))
+	r := newRunner(limitedConfig(0))
 	published, _, err := r.Publish(context.Background(), framework.NewMetroServer())
 	if err != nil {
 		t.Fatalf("publish: %v", err)
@@ -226,7 +226,7 @@ func TestProgressCallback(t *testing.T) {
 		}
 		last, lastTotal = done, total
 	}
-	if _, err := NewRunner(cfg).Run(context.Background()); err != nil {
+	if _, err := newRunner(cfg).Run(context.Background()); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if len(stages) != 3 {

@@ -45,7 +45,7 @@ import (
 )
 
 // CampaignSpec is the daemon's wire form of a campaign request — the
-// subset of Config that is meaningful per-request (checkpointing and
+// subset of the options that is meaningful per-request (checkpointing and
 // sharding stay CLI concerns; a daemon campaign is in-memory).
 type CampaignSpec struct {
 	// Limit caps services per catalog (0 = the full study).
@@ -56,9 +56,6 @@ type CampaignSpec struct {
 	// CLI's -server/-client semantics.
 	Server string `json:"server,omitempty"`
 	Client string `json:"client,omitempty"`
-	// Reparse and NoDedup select the ablation paths.
-	Reparse bool `json:"reparse,omitempty"`
-	NoDedup bool `json:"noDedup,omitempty"`
 	// KeepFailures retains the per-test failure index in the report.
 	KeepFailures bool `json:"keepFailures,omitempty"`
 }
@@ -69,46 +66,24 @@ func (s *CampaignSpec) options() ([]Option, error) {
 		return nil, fmt.Errorf("campaign: negative limit or workers")
 	}
 	opts := []Option{WithLimit(s.Limit), WithWorkers(s.Workers)}
-	if s.Reparse {
-		opts = append(opts, WithReparse())
-	}
-	if s.NoDedup {
-		opts = append(opts, WithoutDedup())
-	}
 	if s.KeepFailures {
 		opts = append(opts, WithKeepFailures())
 	}
 	if s.Server != "" {
-		servers := matchServers(s.Server)
+		servers := MatchRoster(framework.Servers(), s.Server)
 		if len(servers) == 0 {
 			return nil, fmt.Errorf("campaign: no server framework matches %q", s.Server)
 		}
 		opts = append(opts, WithServers(servers...))
 	}
 	if s.Client != "" {
-		var clients []framework.ClientFramework
-		for _, c := range framework.Clients() {
-			if strings.Contains(strings.ToLower(c.Name()), strings.ToLower(s.Client)) {
-				clients = append(clients, c)
-			}
-		}
+		clients := MatchRoster(framework.Clients(), s.Client)
 		if len(clients) == 0 {
 			return nil, fmt.Errorf("campaign: no client framework matches %q", s.Client)
 		}
 		opts = append(opts, WithClients(clients...))
 	}
 	return opts, nil
-}
-
-// matchServers selects study servers by case-insensitive substring.
-func matchServers(name string) []framework.ServerFramework {
-	var servers []framework.ServerFramework
-	for _, s := range framework.Servers() {
-		if strings.Contains(strings.ToLower(s.Name()), strings.ToLower(name)) {
-			servers = append(servers, s)
-		}
-	}
-	return servers
 }
 
 // campaignJob is one multiplexed campaign: its own runner, its own
@@ -181,7 +156,7 @@ type Daemon struct {
 // NewDaemon builds a campaign daemon. reg is the daemon-level registry
 // (request counters; cmd/interop mounts /debug on it); nil creates a
 // private one. baseOpts apply to every campaign before its spec's own
-// options — the CLI uses this to thread ablation defaults through.
+// options — the CLI uses this to thread its flags through.
 func NewDaemon(reg *obs.Registry, baseOpts ...Option) *Daemon {
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -472,7 +447,7 @@ func (d *Daemon) publishService(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad publish request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	servers := matchServers(req.Server)
+	servers := MatchRoster(framework.Servers(), req.Server)
 	if len(servers) != 1 {
 		http.Error(w, fmt.Sprintf("server %q matches %d frameworks, need exactly 1", req.Server, len(servers)), http.StatusBadRequest)
 		return

@@ -217,6 +217,8 @@ func TestDaemonRequestErrors(t *testing.T) {
 		"not json":         http.StatusBadRequest,
 		`{"bogus":1}`:      http.StatusBadRequest, // unknown fields are refused
 		`{"noPlan":true}`:  http.StatusBadRequest, // so is a removed knob: never silently ignored
+		`{"reparse":true}`: http.StatusBadRequest, // the ablations are test hooks, not spec fields
+		`{"noDedup":true}`: http.StatusBadRequest,
 		`{"server":"zzz"}`: http.StatusBadRequest,
 		`{"client":"zzz"}`: http.StatusBadRequest,
 		`{"limit":-1}`:     http.StatusBadRequest,
@@ -224,6 +226,13 @@ func TestDaemonRequestErrors(t *testing.T) {
 		if got := post(body); got != want {
 			t.Errorf("POST %q status = %d, want %d", body, got, want)
 		}
+	}
+	// A refused spec registers no campaign: an old client never gets a
+	// silent run without the knob it asked for.
+	var list []JobStatus
+	getJSON(t, ts.URL+"/campaigns", &list)
+	if len(list) != 0 {
+		t.Errorf("refused specs registered %d campaigns: %+v", len(list), list)
 	}
 
 	for _, tc := range []struct {

@@ -12,11 +12,11 @@ import (
 // the interoperability defect picture is identical whether the servers
 // emit document/literal (the study's configuration) or rpc/literal.
 func TestStyleInvariance(t *testing.T) {
-	docStyle, err := NewRunner(Config{Limit: 200}).Run(context.Background())
+	docStyle, err := newRunner(config{Limit: 200}).Run(context.Background())
 	if err != nil {
 		t.Fatalf("document style: %v", err)
 	}
-	rpcStyle, err := NewRunner(Config{Limit: 200, Style: wsdl.StyleRPC}).Run(context.Background())
+	rpcStyle, err := newRunner(config{Limit: 200, Style: wsdl.StyleRPC}).Run(context.Background())
 	if err != nil {
 		t.Fatalf("rpc style: %v", err)
 	}
@@ -44,8 +44,8 @@ func TestStyleInvariance(t *testing.T) {
 // live round trip: typed message parts are all required, so the
 // payload builder must fill every part with a lexically valid sample.
 func TestRPCCommunication(t *testing.T) {
-	cfg := Config{Limit: 80, Style: wsdl.StyleRPC, Variant: services.VariantMultiParam}
-	res, err := NewRunner(cfg).RunCommunication(context.Background())
+	cfg := config{Limit: 80, Style: wsdl.StyleRPC, Variant: services.VariantMultiParam}
+	res, err := newRunner(cfg).RunCommunication(context.Background())
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

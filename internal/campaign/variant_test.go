@@ -13,14 +13,14 @@ import (
 // complexity (multi-parameter operations, nested envelopes,
 // collections) must not change the error picture.
 func TestVariantCampaignsAgree(t *testing.T) {
-	baseline, err := NewRunner(Config{Limit: 200}).Run(context.Background())
+	baseline, err := newRunner(config{Limit: 200}).Run(context.Background())
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
 	for _, v := range services.Variants()[1:] {
 		v := v
 		t.Run(v.String(), func(t *testing.T) {
-			res, err := NewRunner(Config{Limit: 200, Variant: v}).Run(context.Background())
+			res, err := newRunner(config{Limit: 200, Variant: v}).Run(context.Background())
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
@@ -50,7 +50,7 @@ func TestVariantCommunication(t *testing.T) {
 	for _, v := range services.Variants() {
 		v := v
 		t.Run(v.String(), func(t *testing.T) {
-			r := NewRunner(Config{Limit: 60, Variant: v})
+			r := newRunner(config{Limit: 60, Variant: v})
 			res, err := r.RunCommunication(context.Background())
 			if err != nil {
 				t.Fatalf("run: %v", err)

@@ -308,7 +308,7 @@ func classifyVersion(sc VersionScenario, cap *wireCapture, resp *soap.Message, e
 	return VersionAccepted
 }
 
-// versionsDirName is the subdirectory of Config.Checkpoint holding
+// versionsDirName is the subdirectory of the checkpoint directory holding
 // the version-matrix journal, beside (not inside) the static
 // campaign's store — the two record sets have different shapes and
 // complete independently.
@@ -346,7 +346,7 @@ type versionCheckpoint struct {
 }
 
 // openVersionCheckpoint opens the versions journal configured by
-// Config.Checkpoint (a no-op without one).
+// WithCheckpoint (a no-op without one).
 func (r *Runner) openVersionCheckpoint() (*versionCheckpoint, error) {
 	shard, err := r.shardMeta()
 	if err != nil {
@@ -580,7 +580,7 @@ feed:
 func (r *Runner) versionCombination(ctx context.Context, wire *versionWire,
 	client framework.ClientFramework, svc *PublishedService, ep *transport.Endpoint,
 	scenarios []VersionScenario, cells []VersionOutcome) {
-	op, ok := invocable(client, svc, ep, r.cfg.Reparse)
+	op, ok := invocable(client, svc, ep, r.cfg.reparse)
 	if !ok || op == "" {
 		for i := range cells {
 			cells[i] = VersionSkipped

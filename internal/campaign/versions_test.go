@@ -13,9 +13,9 @@ import (
 	"wsinterop/internal/soap"
 )
 
-func runVersions(t *testing.T, cfg Config) *VersionResult {
+func runVersions(t *testing.T, cfg config) *VersionResult {
 	t.Helper()
-	res, err := NewRunner(cfg).RunVersions(context.Background())
+	res, err := newRunner(cfg).RunVersions(context.Background())
 	if err != nil {
 		t.Fatalf("versions run: %v", err)
 	}
@@ -116,7 +116,7 @@ func TestVersionMatrixEquivalence(t *testing.T) {
 		limit = 60
 	}
 	run := func(workers int, nodedup bool) *VersionResult {
-		res, err := NewRunner(Config{Limit: limit, Workers: workers, NoDedup: nodedup}).
+		res, err := newRunner(config{Limit: limit, Workers: workers, noDedup: nodedup}).
 			RunVersions(context.Background())
 		if err != nil {
 			t.Fatalf("run (workers=%d nodedup=%v): %v", workers, nodedup, err)
@@ -145,13 +145,13 @@ func TestVersionMatrixEquivalence(t *testing.T) {
 // the byte-identical matrix of a clean run.
 func TestVersionsResume(t *testing.T) {
 	limit := robustLimit(40)
-	clean := runVersions(t, Config{Limit: limit, Workers: 4})
+	clean := runVersions(t, config{Limit: limit, Workers: 4})
 	cleanBytes := versionBytes(t, clean)
 
 	for _, killAt := range []int{1, 5, -1} {
 		dir := t.TempDir()
 		ctx, cancel := context.WithCancel(context.Background())
-		cfg := Config{Limit: limit, Workers: 4, Checkpoint: dir}
+		cfg := config{Limit: limit, Workers: 4, Checkpoint: dir}
 		if killAt > 0 {
 			cfg.checkpointProbe = func(appended int) {
 				if appended == killAt {
@@ -159,7 +159,7 @@ func TestVersionsResume(t *testing.T) {
 				}
 			}
 		}
-		_, err := NewRunner(cfg).RunVersions(ctx)
+		_, err := newRunner(cfg).RunVersions(ctx)
 		cancel()
 		if killAt < 0 && err != nil {
 			t.Fatalf("uninterrupted checkpointed run: %v", err)
@@ -167,7 +167,7 @@ func TestVersionsResume(t *testing.T) {
 		// A cancellation racing the end of the run may still complete;
 		// either way the journal resumes below.
 
-		resumed, rerr := NewRunner(Config{Limit: limit, Workers: 4, Checkpoint: dir, Resume: true}).
+		resumed, rerr := newRunner(config{Limit: limit, Workers: 4, Checkpoint: dir, Resume: true}).
 			RunVersions(context.Background())
 		if rerr != nil {
 			t.Fatalf("resume (killAt=%d): %v", killAt, rerr)
@@ -184,11 +184,11 @@ func TestVersionsResume(t *testing.T) {
 func TestVersionsResumeRefusesDrift(t *testing.T) {
 	dir := t.TempDir()
 	limit := 4
-	if _, err := NewRunner(Config{Limit: limit, Workers: 2, Checkpoint: dir}).
+	if _, err := newRunner(config{Limit: limit, Workers: 2, Checkpoint: dir}).
 		RunVersions(context.Background()); err != nil {
 		t.Fatalf("seed run: %v", err)
 	}
-	_, err := NewRunner(Config{Limit: limit + 1, Workers: 2, Checkpoint: dir, Resume: true}).
+	_, err := newRunner(config{Limit: limit + 1, Workers: 2, Checkpoint: dir, Resume: true}).
 		RunVersions(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "different campaign configuration") {
 		t.Errorf("drifted resume error = %v, want fingerprint refusal", err)
@@ -206,9 +206,9 @@ func TestVersionsShardMerge(t *testing.T) {
 	dirs := make([]string, n)
 	for i := 0; i < n; i++ {
 		dirs[i] = filepath.Join(base, "shard", string(rune('a'+i)))
-		cfg := Config{Limit: limit, Workers: 2, Checkpoint: dirs[i],
+		cfg := config{Limit: limit, Workers: 2, Checkpoint: dirs[i],
 			Shard: ShardSpec{Index: i, Count: n}}
-		if _, err := NewRunner(cfg).RunVersions(context.Background()); err != nil {
+		if _, err := newRunner(cfg).RunVersions(context.Background()); err != nil {
 			t.Fatalf("shard %d: %v", i, err)
 		}
 	}
@@ -216,7 +216,7 @@ func TestVersionsShardMerge(t *testing.T) {
 	if err != nil {
 		t.Fatalf("merge: %v", err)
 	}
-	full := runVersions(t, Config{Limit: limit, Workers: 4})
+	full := runVersions(t, config{Limit: limit, Workers: 4})
 	merged.PathCollisions, full.PathCollisions = 0, 0
 	if got, want := versionBytes(t, merged), versionBytes(t, full); string(got) != string(want) {
 		t.Errorf("merged matrix differs from single-process run:\nmerged: %s\nfull:   %s", got, want)
@@ -228,7 +228,7 @@ func TestVersionsShardMerge(t *testing.T) {
 		t.Error("drifted merge configuration not refused")
 	}
 	if _, err := MergeVersions(context.Background(), dirs, WithLimit(limit),
-		WithShard(0, n)); err == nil {
+		WithShard(ShardSpec{Index: 0, Count: n})); err == nil {
 		t.Error("sharded coordinator not refused")
 	}
 }
@@ -239,13 +239,13 @@ func TestVersionsMergeRefusesIncomplete(t *testing.T) {
 	dir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cfg := Config{Limit: 6, Workers: 2, Checkpoint: dir}
+	cfg := config{Limit: 6, Workers: 2, Checkpoint: dir}
 	cfg.checkpointProbe = func(appended int) {
 		if appended == 1 {
 			cancel()
 		}
 	}
-	if _, err := NewRunner(cfg).RunVersions(ctx); err == nil {
+	if _, err := newRunner(cfg).RunVersions(ctx); err == nil {
 		// The tiny run may outrace the cancel; only an actually
 		// interrupted journal exercises the guard.
 		t.Skip("run completed before the kill point")
@@ -260,7 +260,7 @@ func TestVersionsMergeRefusesIncomplete(t *testing.T) {
 // campaign.versions.* counters exactly.
 func TestVersionsObservability(t *testing.T) {
 	reg := obs.NewRegistry()
-	res, err := NewRunner(Config{Limit: 2, Workers: 2, Obs: reg}).RunVersions(context.Background())
+	res, err := newRunner(config{Limit: 2, Workers: 2, Obs: reg}).RunVersions(context.Background())
 	if err != nil {
 		t.Fatalf("versions: %v", err)
 	}
@@ -280,7 +280,7 @@ func TestVersionsObservability(t *testing.T) {
 func TestVersionsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := NewRunner(limitedConfig(300)).RunVersions(ctx); err == nil {
+	if _, err := newRunner(limitedConfig(300)).RunVersions(ctx); err == nil {
 		t.Error("cancelled context should abort")
 	}
 }

@@ -12,7 +12,7 @@ import (
 
 func failureResult(t *testing.T) *campaign.Result {
 	t.Helper()
-	res, err := campaign.NewRunner(campaign.Config{Limit: 120, KeepFailures: true}).Run(context.Background())
+	res, err := campaign.New(campaign.WithLimit(120), campaign.WithKeepFailures()).Run(context.Background())
 	if err != nil {
 		t.Fatalf("campaign: %v", err)
 	}
@@ -99,16 +99,16 @@ func TestFig4ChartRendering(t *testing.T) {
 
 func TestJSONExport(t *testing.T) {
 	res := failureResult(t)
-	comm, err := campaign.NewRunner(campaign.Config{Limit: 60}).RunCommunication(context.Background())
+	comm, err := campaign.New(campaign.WithLimit(60)).RunCommunication(context.Background())
 	if err != nil {
 		t.Fatalf("communication: %v", err)
 	}
 	var buf bytes.Buffer
-	robust, err := campaign.NewRunner(campaign.Config{Limit: 60}).RunRobustness(context.Background())
+	robust, err := campaign.New(campaign.WithLimit(60)).RunRobustness(context.Background())
 	if err != nil {
 		t.Fatalf("robustness: %v", err)
 	}
-	versions, err := campaign.NewRunner(campaign.Config{Limit: 60}).RunVersions(context.Background())
+	versions, err := campaign.New(campaign.WithLimit(60)).RunVersions(context.Background())
 	if err != nil {
 		t.Fatalf("versions: %v", err)
 	}
@@ -146,7 +146,7 @@ func TestJSONWithoutCommunication(t *testing.T) {
 }
 
 func TestCommunicationRendering(t *testing.T) {
-	comm, err := campaign.NewRunner(campaign.Config{Limit: 60}).RunCommunication(context.Background())
+	comm, err := campaign.New(campaign.WithLimit(60)).RunCommunication(context.Background())
 	if err != nil {
 		t.Fatalf("communication: %v", err)
 	}
@@ -163,7 +163,7 @@ func TestCommunicationRendering(t *testing.T) {
 }
 
 func TestMarkdownRendering(t *testing.T) {
-	comm, err := campaign.NewRunner(campaign.Config{Limit: 60}).RunCommunication(context.Background())
+	comm, err := campaign.New(campaign.WithLimit(60)).RunCommunication(context.Background())
 	if err != nil {
 		t.Fatalf("communication: %v", err)
 	}
@@ -206,7 +206,7 @@ func TestMarkdownWithoutCommunication(t *testing.T) {
 }
 
 func TestRobustnessRendering(t *testing.T) {
-	robust, err := campaign.NewRunner(campaign.Config{Limit: 60}).RunRobustness(context.Background())
+	robust, err := campaign.New(campaign.WithLimit(60)).RunRobustness(context.Background())
 	if err != nil {
 		t.Fatalf("robustness: %v", err)
 	}
@@ -231,7 +231,7 @@ func TestRobustnessRendering(t *testing.T) {
 }
 
 func TestVersionsRendering(t *testing.T) {
-	versions, err := campaign.NewRunner(campaign.Config{Limit: 60}).RunVersions(context.Background())
+	versions, err := campaign.New(campaign.WithLimit(60)).RunVersions(context.Background())
 	if err != nil {
 		t.Fatalf("versions: %v", err)
 	}
@@ -275,7 +275,7 @@ func TestVersionsRendering(t *testing.T) {
 }
 
 func TestExplainRendering(t *testing.T) {
-	r := campaign.NewRunner(campaign.Config{})
+	r := campaign.New()
 	e, err := r.Explain("Metro", "javax.xml.ws.wsaddressing.W3CEndpointReference")
 	if err != nil {
 		t.Fatalf("explain: %v", err)
@@ -296,7 +296,7 @@ func TestExplainRendering(t *testing.T) {
 }
 
 func TestExplainRenderingRefused(t *testing.T) {
-	r := campaign.NewRunner(campaign.Config{})
+	r := campaign.New()
 	e, err := r.Explain("Metro", "java.util.concurrent.Future")
 	if err != nil {
 		t.Fatalf("explain: %v", err)

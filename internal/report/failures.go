@@ -22,7 +22,7 @@ type FailureGroup struct {
 }
 
 // GroupFailures builds the footnote index from retained failures
-// (requires campaign.Config.KeepFailures). Groups are ordered by
+// (requires campaign.WithKeepFailures). Groups are ordered by
 // server, then by descending client impact, then class name — so the
 // classes that break the most clients (the paper's a–h narratives)
 // lead the listing.

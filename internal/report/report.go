@@ -112,7 +112,7 @@ func Findings(w io.Writer, res *campaign.Result) error {
 func Dedup(w io.Writer, res *campaign.Result) error {
 	d := res.Dedup
 	if d == nil || !d.Enabled {
-		_, err := fmt.Fprintln(w, "shape memoization disabled (-dedup=false)")
+		_, err := fmt.Fprintln(w, "shape memoization disabled (the noDedup test hook)")
 		return err
 	}
 	rate := func(hits, total int) float64 {
@@ -181,9 +181,6 @@ func Profiles(w io.Writer, res *campaign.Result) error {
 // much of the campaign the clone broadcast will serve (DESIGN.md §12).
 func Plan(w io.Writer, sum *campaign.PlanSummary) error {
 	fmt.Fprintf(w, "plan fingerprint: %s (source: %s)\n", sum.Fingerprint, sum.Source)
-	if sum.NoDedup {
-		fmt.Fprintln(w, "shape memoization disabled: every class runs the direct path")
-	}
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "server\tclasses\tshapes\tclones\tunsafe\tloose")
 	for _, s := range sum.Servers {

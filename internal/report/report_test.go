@@ -20,7 +20,7 @@ var (
 func sharedResult(t *testing.T) *campaign.Result {
 	t.Helper()
 	resOnce.Do(func() {
-		res, resErr = campaign.NewRunner(campaign.Config{Limit: 120}).Run(context.Background())
+		res, resErr = campaign.New(campaign.WithLimit(120)).Run(context.Background())
 	})
 	if resErr != nil {
 		t.Fatalf("campaign: %v", resErr)

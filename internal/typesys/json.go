@@ -9,7 +9,7 @@ import (
 // JSON export/import for catalogs. The study's original artifact
 // published its crawled class lists; this is the equivalent facility —
 // and the inverse direction lets users run the campaign over their own
-// class catalogs (campaign.Config.CatalogFor).
+// class catalogs (campaign.WithCatalog).
 
 // hintNames maps each hint bit to its stable wire name.
 var hintNames = map[Hint]string{

@@ -14,51 +14,70 @@ import (
 	"testing"
 	"time"
 
+	"wsinterop/internal/framework"
 	"wsinterop/internal/journal"
 )
 
-// interruptEnv tells a re-executed test binary to run the checkpointed
-// full campaign as the victim of TestRunInterruptResume:
-// "INT:dir" or "KILL:dir".
+// interruptEnv tells a re-executed test binary to run a checkpointed
+// campaign as the victim of TestRunInterruptResume: "NAME:dir", NAME
+// one of the interruptVictims.
 const interruptEnv = "WSINTEROP_INTERRUPT_VICTIM"
-
-// interruptAfter is the journal size at which the victim signals
-// itself: about an eighth of the full campaign's journal, so the
-// signal lands mid-run.
-const interruptAfter = 1 << 20
 
 // fullCells is the full campaign's cell count, one journal record per
 // (server, class).
 const fullCells = 22024
 
-// interruptArgs is the campaign every run of the test executes.
-var interruptArgs = []string{"-workers", "2", "-report", "table3"}
+// interruptVictim is one interrupted campaign: its CLI arguments, the
+// signal, the journal (relative to the checkpoint directory) whose size
+// triggers it, and that size.
+type interruptVictim struct {
+	name    string
+	sig     syscall.Signal
+	args    []string
+	journal string
+	after   int64
+}
 
-// TestRunInterruptResume interrupts a checkpointed full-scale CLI run
-// with SIGINT (a cooperative drain) and with SIGKILL (no drain, flush
-// or Close), then requires -resume to print the report of a clean run
-// byte for byte. The victim is this test binary re-executed; it
-// signals its own pid once journal.jsonl passes interruptAfter, so
-// the signal lands mid-run on any machine.
+// fullArgs is the full static campaign.
+var fullArgs = []string{"-workers", "2", "-report", "table3"}
+
+// interruptVictims: the full static campaign under a cooperative
+// SIGINT and a SIGKILL once its journal passes 1 MiB (about an eighth
+// of it), and the robustness matrix under SIGINT once its journal
+// passes 64 KiB (about a tenth of it, inside the first server stage).
+var interruptVictims = []interruptVictim{
+	{"SIGINT", syscall.SIGINT, fullArgs, "journal.jsonl", 1 << 20},
+	{"SIGKILL", syscall.SIGKILL, fullArgs, "journal.jsonl", 1 << 20},
+	{"faults", syscall.SIGINT, []string{"-limit", "100", "-workers", "2", "-faults", "-report", "robust"},
+		filepath.Join("robust", "journal.jsonl"), 64 << 10},
+}
+
+// TestRunInterruptResume interrupts checkpointed CLI runs — the full
+// campaign with SIGINT (a cooperative drain) and with SIGKILL (no
+// drain, flush or Close), and the robustness matrix with SIGINT — then
+// requires -resume to print the report of a clean run byte for byte.
+// The victim is this test binary re-executed; it signals its own pid
+// once the watched journal passes its size, so the signal lands
+// mid-run on any machine.
 func TestRunInterruptResume(t *testing.T) {
 	if spec := os.Getenv(interruptEnv); spec != "" {
-		interruptVictim(t, spec)
+		runVictim(t, spec)
 		return
 	}
 	if testing.Short() {
 		t.Skip("full-scale campaign")
 	}
-	var clean bytes.Buffer
-	if err := run(interruptArgs, &clean); err != nil {
-		t.Fatalf("clean run: %v", err)
-	}
-	for _, sig := range []string{"INT", "KILL"} {
-		t.Run("SIG"+sig, func(t *testing.T) {
+	for _, v := range interruptVictims {
+		t.Run(v.name, func(t *testing.T) {
+			var clean bytes.Buffer
+			if err := run(v.args, &clean); err != nil {
+				t.Fatalf("clean run: %v", err)
+			}
 			dir := t.TempDir()
 			cmd := exec.Command(os.Args[0], "-test.run=^TestRunInterruptResume$", "-test.count=1")
-			cmd.Env = append(os.Environ(), interruptEnv+"="+sig+":"+dir)
+			cmd.Env = append(os.Environ(), interruptEnv+"="+v.name+":"+dir)
 			out, err := cmd.CombinedOutput()
-			if sig == "INT" {
+			if v.sig == syscall.SIGINT {
 				// The victim asserts the cancellation itself; a
 				// failure there exits non-zero.
 				if err != nil {
@@ -72,10 +91,10 @@ func TestRunInterruptResume(t *testing.T) {
 				if ws, ok := exit.Sys().(syscall.WaitStatus); !ok || !ws.Signaled() || ws.Signal() != syscall.SIGKILL {
 					t.Fatalf("victim exited without SIGKILL (%v):\n%s", err, out)
 				}
-				assertMidRun(t, dir)
+				assertMidRun(t, v, dir)
 			}
 			var resumed bytes.Buffer
-			if err := run(append([]string{"-checkpoint", dir, "-resume"}, interruptArgs...), &resumed); err != nil {
+			if err := run(append([]string{"-checkpoint", dir, "-resume"}, v.args...), &resumed); err != nil {
 				t.Fatalf("resume: %v", err)
 			}
 			if resumed.String() != clean.String() {
@@ -86,22 +105,24 @@ func TestRunInterruptResume(t *testing.T) {
 	}
 }
 
-// interruptVictim runs the checkpointed campaign through the CLI and
-// sends the signal named by spec to its own process once the journal
-// passes interruptAfter. Under SIGINT, run must return the
-// cancellation error with the journal cut short.
-func interruptVictim(t *testing.T, spec string) {
-	sigName, dir, ok := strings.Cut(spec, ":")
-	if !ok || (sigName != "INT" && sigName != "KILL") {
-		t.Fatalf("bad %s %q", interruptEnv, spec)
+// runVictim runs the checkpointed campaign named by spec through the
+// CLI and sends the victim's signal to its own process once the
+// watched journal passes its size. Under SIGINT, run must return the
+// interrupted error with the journal cut short.
+func runVictim(t *testing.T, spec string) {
+	name, dir, _ := strings.Cut(spec, ":")
+	var v interruptVictim
+	for _, c := range interruptVictims {
+		if c.name == name {
+			v = c
+		}
 	}
-	sig := syscall.SIGINT
-	if sigName == "KILL" {
-		sig = syscall.SIGKILL
+	if v.name == "" {
+		t.Fatalf("bad %s %q", interruptEnv, spec)
 	}
 	done := make(chan struct{})
 	go func() {
-		path := filepath.Join(dir, "journal.jsonl")
+		path := filepath.Join(dir, v.journal)
 		tick := time.NewTicker(time.Millisecond)
 		defer tick.Stop()
 		for {
@@ -110,33 +131,41 @@ func interruptVictim(t *testing.T, spec string) {
 				return
 			case <-tick.C:
 			}
-			if fi, err := os.Stat(path); err == nil && fi.Size() > interruptAfter {
-				_ = syscall.Kill(os.Getpid(), sig)
+			if fi, err := os.Stat(path); err == nil && fi.Size() > v.after {
+				_ = syscall.Kill(os.Getpid(), v.sig)
 				return
 			}
 		}
 	}()
-	err := run(append([]string{"-checkpoint", dir}, interruptArgs...), io.Discard)
+	err := run(append([]string{"-checkpoint", dir}, v.args...), io.Discard)
 	close(done)
-	if sig == syscall.SIGKILL {
+	if v.sig == syscall.SIGKILL {
 		t.Fatalf("run returned (err %v) before the SIGKILL landed", err)
 	}
 	if err == nil || !strings.Contains(err.Error(), "interrupted") {
-		t.Fatalf("run after SIGINT: err = %v, want the cancellation error", err)
+		t.Fatalf("run after SIGINT: err = %v, want the interrupted error", err)
 	}
-	assertMidRun(t, dir)
+	assertMidRun(t, v, dir)
 }
 
-// assertMidRun requires the journal under dir to hold fewer records
-// than the full campaign has cells.
-func assertMidRun(t *testing.T, dir string) {
+// assertMidRun requires the victim's journal under dir to be cut
+// short: the static journal holds fewer records than the full campaign
+// has cells, and a wire-axis journal lacks the completion sentinel of
+// the last server stage.
+func assertMidRun(t *testing.T, v interruptVictim, dir string) {
 	t.Helper()
-	_, recs, err := journal.Load(dir)
+	_, recs, err := journal.Load(filepath.Join(dir, filepath.Dir(v.journal)))
 	if err != nil {
 		t.Fatalf("load the interrupted run's journal: %v", err)
 	}
-	if len(recs) == 0 || len(recs) >= fullCells {
-		t.Fatalf("journal holds %d records; the signal did not land mid-run (%d cells)", len(recs), fullCells)
+	sentinels := 0
+	for _, rec := range recs {
+		if strings.HasSuffix(rec.Mode, "-complete") {
+			sentinels++
+		}
 	}
-	t.Logf("interrupted after %d of %d cells", len(recs), fullCells)
+	if len(recs) == 0 || len(recs) >= fullCells || sentinels == len(framework.Servers()) {
+		t.Fatalf("journal holds %d records; the signal did not land mid-run", len(recs))
+	}
+	t.Logf("interrupted after %d journal records", len(recs))
 }

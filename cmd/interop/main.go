@@ -285,6 +285,12 @@ func run(args []string, out io.Writer) error {
 	// died, so a run error annotates the export ("partial") rather than
 	// suppressing it.
 	finish := func(runErr error) error {
+		if *checkpoint != "" && errors.Is(runErr, context.Canceled) {
+			// Every journaled mode (the static campaign and each wire
+			// axis) resumes from the cells it flushed.
+			runErr = fmt.Errorf("interrupted — journal flushed to %s; rerun with -checkpoint %s -resume to continue",
+				*checkpoint, *checkpoint)
+		}
 		if *metricsJSON == "" {
 			return runErr
 		}
@@ -340,10 +346,6 @@ func run(args []string, out io.Writer) error {
 	}
 	res, err := execute(ctx)
 	if err != nil {
-		if *checkpoint != "" && errors.Is(err, context.Canceled) {
-			err = fmt.Errorf("interrupted — journal flushed to %s; rerun with -checkpoint %s -resume to continue",
-				*checkpoint, *checkpoint)
-		}
 		return finish(err)
 	}
 	if *progress && res.Dedup != nil && res.Dedup.Enabled {

@@ -81,8 +81,8 @@ func TestCommunicationBlockedMatchesStaticErrors(t *testing.T) {
 }
 
 func TestCommOutcomeString(t *testing.T) {
-	for _, o := range []CommOutcome{CommBlocked, CommNoOperations, CommFault, CommEchoMismatch, CommOK} {
-		if s := o.String(); s == "" || s[0] == 'C' {
+	for _, o := range []outcome{commBlocked, commNoOperations, commFault, commEchoMismatch, commOK} {
+		if s := commAxis.codes[o]; s == "" || s[0] == 'C' {
 			t.Errorf("outcome %d has no friendly name: %q", o, s)
 		}
 	}

@@ -46,24 +46,14 @@ type runnerMetrics struct {
 	compileErrors    *obs.Counter // compilations classified as errors
 	testTotal        *obs.Counter // client tests routed (memoized or not)
 	testMemoized     *obs.Counter // tests served by cloning a memoized outcome
-	commCells        *obs.Counter // communication cells exchanged
 
 	// Plan bookkeeping (plan.go).
 	planBuilds *obs.Counter // plans built from a catalog walk
 	planShared *obs.Counter // plans adopted from another runner (AdoptPlan)
 
-	// Robustness outcome counters (folded deterministically).
-	robustSkipped      *obs.Counter
-	robustDetected     *obs.Counter
-	robustMasked       *obs.Counter
-	robustWrongSuccess *obs.Counter
-	robustRecovered    *obs.Counter
-
-	// Version-matrix outcome counters (folded deterministically).
-	versionSkipped    *obs.Counter
-	versionAccepted   *obs.Counter
-	versionRejected   *obs.Counter
-	versionMishandled *obs.Counter
+	// wire maps a wire axis name to its per-outcome counters, which
+	// the executor increments only in its serial fold (wireaxis.go).
+	wire map[string][]*obs.Counter
 
 	// Live gauges — outside the determinism contract.
 	workers *obs.Gauge // configured worker count
@@ -79,40 +69,37 @@ func newRunnerMetrics(reg *obs.Registry) *runnerMetrics {
 		profileCompliant = append(profileCompliant,
 			reg.Counter("campaign.wsi.profile."+p.ID+".compliant"))
 	}
+	wire := make(map[string][]*obs.Counter, len(wireAxes))
+	for _, ax := range wireAxes {
+		for _, name := range ax.counters {
+			wire[ax.name] = append(wire[ax.name], reg.Counter(name))
+		}
+	}
 	return &runnerMetrics{
-		reg:                reg,
-		publishSeconds:     reg.Histogram("campaign.publish.seconds"),
-		wsiSeconds:         reg.Histogram("campaign.wsi.seconds"),
-		genSeconds:         reg.Histogram("campaign.generate.seconds"),
-		compileSeconds:     reg.Histogram("campaign.compile.seconds"),
-		commSeconds:        reg.Histogram("campaign.communication.seconds"),
-		publishTotal:       reg.Counter("campaign.publish.total"),
-		publishRejected:    reg.Counter("campaign.publish.rejected"),
-		publishMemoized:    reg.Counter("campaign.publish.memoized"),
-		publishFallback:    reg.Counter("campaign.publish.fallbacks"),
-		wsiChecks:          reg.Counter("campaign.wsi.checks"),
-		wsiFlagged:         reg.Counter("campaign.wsi.flagged"),
-		wsiMemoized:        reg.Counter("campaign.wsi.memoized"),
-		profileCompliant:   profileCompliant,
-		genRuns:            reg.Counter("campaign.generate.runs"),
-		genErrors:          reg.Counter("campaign.generate.errors"),
-		compileRuns:        reg.Counter("campaign.compile.runs"),
-		compileErrors:      reg.Counter("campaign.compile.errors"),
-		testTotal:          reg.Counter("campaign.test.total"),
-		testMemoized:       reg.Counter("campaign.test.memoized"),
-		commCells:          reg.Counter("campaign.communication.cells"),
-		planBuilds:         reg.Counter("campaign.plan.builds"),
-		planShared:         reg.Counter("campaign.plan.shared"),
-		robustSkipped:      reg.Counter("campaign.robust.skipped"),
-		robustDetected:     reg.Counter("campaign.robust.detected"),
-		robustMasked:       reg.Counter("campaign.robust.masked"),
-		robustWrongSuccess: reg.Counter("campaign.robust.wrong_success"),
-		robustRecovered:    reg.Counter("campaign.robust.recovered"),
-		versionSkipped:     reg.Counter("campaign.versions.skipped"),
-		versionAccepted:    reg.Counter("campaign.versions.accepted"),
-		versionRejected:    reg.Counter("campaign.versions.typed_reject"),
-		versionMishandled:  reg.Counter("campaign.versions.silent_mishandle"),
-		workers:            reg.Gauge("campaign.workers"),
+		reg:              reg,
+		publishSeconds:   reg.Histogram("campaign.publish.seconds"),
+		wsiSeconds:       reg.Histogram("campaign.wsi.seconds"),
+		genSeconds:       reg.Histogram("campaign.generate.seconds"),
+		compileSeconds:   reg.Histogram("campaign.compile.seconds"),
+		commSeconds:      reg.Histogram("campaign.communication.seconds"),
+		publishTotal:     reg.Counter("campaign.publish.total"),
+		publishRejected:  reg.Counter("campaign.publish.rejected"),
+		publishMemoized:  reg.Counter("campaign.publish.memoized"),
+		publishFallback:  reg.Counter("campaign.publish.fallbacks"),
+		wsiChecks:        reg.Counter("campaign.wsi.checks"),
+		wsiFlagged:       reg.Counter("campaign.wsi.flagged"),
+		wsiMemoized:      reg.Counter("campaign.wsi.memoized"),
+		profileCompliant: profileCompliant,
+		genRuns:          reg.Counter("campaign.generate.runs"),
+		genErrors:        reg.Counter("campaign.generate.errors"),
+		compileRuns:      reg.Counter("campaign.compile.runs"),
+		compileErrors:    reg.Counter("campaign.compile.errors"),
+		testTotal:        reg.Counter("campaign.test.total"),
+		testMemoized:     reg.Counter("campaign.test.memoized"),
+		planBuilds:       reg.Counter("campaign.plan.builds"),
+		planShared:       reg.Counter("campaign.plan.shared"),
+		wire:             wire,
+		workers:          reg.Gauge("campaign.workers"),
 	}
 }
 
@@ -168,43 +155,11 @@ func (m *runnerMetrics) recordCompile(start time.Time, errored bool) {
 	}
 }
 
-// recordVersion folds one version-matrix cell outcome. Like
-// recordRobust it is called only from the deterministic per-server
-// fold (and resume replay), keeping the counters inside the
-// determinism contract.
-func (m *runnerMetrics) recordVersion(o VersionOutcome) {
+// axisCounters returns a wire axis's per-outcome counters; nil
+// (no-op) counters when metering is off.
+func (m *runnerMetrics) axisCounters(ax *wireAxis) []*obs.Counter {
 	if m == nil {
-		return
+		return make([]*obs.Counter, len(ax.codes))
 	}
-	switch o {
-	case VersionSkipped:
-		m.versionSkipped.Inc()
-	case VersionAccepted:
-		m.versionAccepted.Inc()
-	case VersionTypedReject:
-		m.versionRejected.Inc()
-	case VersionMishandled:
-		m.versionMishandled.Inc()
-	}
-}
-
-// recordRobust folds one robustness cell outcome. Called from the
-// deterministic per-server fold, never from workers, so the counters
-// stay inside the determinism contract.
-func (m *runnerMetrics) recordRobust(o RobustOutcome) {
-	if m == nil {
-		return
-	}
-	switch o {
-	case RobustSkipped:
-		m.robustSkipped.Inc()
-	case RobustDetected:
-		m.robustDetected.Inc()
-	case RobustMasked:
-		m.robustMasked.Inc()
-	case RobustWrongSuccess:
-		m.robustWrongSuccess.Inc()
-	case RobustRecovered:
-		m.robustRecovered.Inc()
-	}
+	return m.wire[ax.name]
 }

@@ -2,14 +2,11 @@ package campaign
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"wsinterop/internal/faultinject"
-	"wsinterop/internal/framework"
 	"wsinterop/internal/obs"
 	"wsinterop/internal/soap"
 	"wsinterop/internal/transport"
@@ -25,47 +22,50 @@ import (
 // client surfaces (or recovers from) every failure the wire can
 // signal, and that no wire-signaled failure is reported as success.
 
-// RobustOutcome classifies one (service × client × fault) cell.
-type RobustOutcome int
-
-// Robustness outcomes.
+// Robustness outcomes, indexing robustAxis.codes.
 const (
-	// RobustSkipped: the static steps blocked the combination or the
+	// robustSkipped: the static steps blocked the combination or the
 	// artifacts expose nothing to invoke; no exchange happened.
-	RobustSkipped RobustOutcome = iota + 1
-	// RobustDetected: the client surfaced the injected fault — a typed
+	robustSkipped outcome = iota
+	// robustDetected: the client surfaced the injected fault — a typed
 	// transport/decode error, or response validation rejecting a
 	// payload that no longer matches the declared response message.
-	RobustDetected
-	// RobustMasked: the round trip succeeded with intact echo
+	robustDetected
+	// robustMasked: the round trip succeeded with intact echo
 	// semantics despite the fault; the client absorbed a conformance
 	// violation (e.g. a wrong Content-Type) without noticing.
-	RobustMasked
-	// RobustWrongSuccess: the client reported success although the
+	robustMasked
+	// robustWrongSuccess: the client reported success although the
 	// wire signaled failure or the payload was corrupted — the
 	// status-blind bug class this mode exists to catch.
-	RobustWrongSuccess
-	// RobustRecovered: the invocation succeeded after at least one
+	robustWrongSuccess
+	// robustRecovered: the invocation succeeded after at least one
 	// retry; the retry policy turned a transient fault into success.
-	RobustRecovered
+	robustRecovered
 )
 
-// String implements fmt.Stringer.
-func (o RobustOutcome) String() string {
-	switch o {
-	case RobustSkipped:
-		return "skipped"
-	case RobustDetected:
-		return "detected-fault"
-	case RobustMasked:
-		return "masked-fault"
-	case RobustWrongSuccess:
-		return "wrong-success"
-	case RobustRecovered:
-		return "retry-recovered"
-	default:
-		return fmt.Sprintf("RobustOutcome(%d)", int(o))
-	}
+// robustFaults is the fault catalog, the robustness axis's columns.
+var robustFaults = faultinject.Catalog()
+
+// robustAxis is the Robustness mode over the wire-axis executor: one
+// faulted exchange per catalog fault for every (service × client) row,
+// through a wire-level fault injector.
+var robustAxis = &wireAxis{
+	name:    "robust",
+	columns: names(robustFaults, func(f faultinject.Fault) string { return f.Name }),
+	codes:   []string{"skipped", "detected-fault", "masked-fault", "wrong-success", "retry-recovered"},
+	counters: []string{"campaign.robust.skipped", "campaign.robust.detected", "campaign.robust.masked",
+		"campaign.robust.wrong_success", "campaign.robust.recovered"},
+	handler: func(r *Runner, _ string, host *transport.Host) http.Handler {
+		injector := faultinject.New(host)
+		// Keep the matrix wall-clock-free: the delay fault is classified
+		// by what the client does with a slow-but-valid response, not by
+		// actually stalling thousands of cells.
+		injector.Sleep = func(time.Duration) {}
+		injector.Obs = r.obs
+		return injector
+	},
+	exchange: robustRow,
 }
 
 // RobustCounts aggregates cells of one matrix slice.
@@ -78,20 +78,11 @@ type RobustCounts struct {
 	Recovered    int
 }
 
-// Add folds one outcome into the counts.
-func (c *RobustCounts) Add(o RobustOutcome) {
-	c.Cells++
-	switch o {
-	case RobustSkipped:
-		c.Skipped++
-	case RobustDetected:
-		c.Detected++
-	case RobustMasked:
-		c.Masked++
-	case RobustWrongSuccess:
-		c.WrongSuccess++
-	case RobustRecovered:
-		c.Recovered++
+// robustCounts converts an outcome histogram into counts.
+func robustCounts(n []int) *RobustCounts {
+	return &RobustCounts{
+		Cells: sum(n), Skipped: n[robustSkipped], Detected: n[robustDetected],
+		Masked: n[robustMasked], WrongSuccess: n[robustWrongSuccess], Recovered: n[robustRecovered],
 	}
 }
 
@@ -195,145 +186,63 @@ func (x *robustExchange) validShape() bool {
 // a success against a fault the wire unambiguously signaled is the
 // wrong-success bug class; a corrupted-but-accepted echo likewise;
 // everything else the client absorbed silently.
-func classifyRobust(f faultinject.Fault, attempts int, x *robustExchange, err error) RobustOutcome {
+func classifyRobust(f faultinject.Fault, attempts int, x *robustExchange, err error) outcome {
 	if err != nil {
-		return RobustDetected
+		return robustDetected
 	}
 	if !x.validShape() {
-		return RobustDetected
+		return robustDetected
 	}
 	if attempts > 1 {
-		return RobustRecovered
+		return robustRecovered
 	}
 	if f.MustError {
-		return RobustWrongSuccess
+		return robustWrongSuccess
 	}
 	if echoed, _ := x.resp.Field(x.probeField); echoed != x.sent[x.probeField] {
-		return RobustWrongSuccess
+		return robustWrongSuccess
 	}
-	return RobustMasked
+	return robustMasked
 }
 
 // RunRobustness executes the Robustness mode across every configured
-// server framework. The outcome matrix is deterministic: cells land in
-// pre-indexed slots and fold in fixed (server, service, client, fault)
+// server framework. The outcome matrix is deterministic: the wire-axis
+// executor lands cells in pre-indexed slots and folds them in fixed
 // order, so worker count and scheduling never change the result.
 func (r *Runner) RunRobustness(ctx context.Context) (*RobustResult, error) {
-	catalog := faultinject.Catalog()
-	res := &RobustResult{
-		Servers: make(map[string]map[string]*RobustCounts, len(r.servers)),
-		Clients: make(map[string]*RobustCounts, len(r.clients)),
+	t, err := r.runAxis(ctx, robustAxis)
+	if err != nil {
+		return nil, err
 	}
-	for _, f := range catalog {
-		res.Faults = append(res.Faults, f.Name)
-	}
-	for _, c := range r.clients {
-		res.Clients[c.Name()] = &RobustCounts{}
-		res.ClientOrder = append(res.ClientOrder, c.Name())
-	}
-	for _, server := range r.servers {
-		if err := r.runRobustnessServer(ctx, server, catalog, res); err != nil {
-			return nil, fmt.Errorf("robustness on %s: %w", server.Name(), err)
-		}
-	}
-	return res, nil
+	servers, clients := matrix(t, robustCounts)
+	return &RobustResult{
+		Faults:  append([]string(nil), robustAxis.columns...),
+		Servers: servers, ServerOrder: t.servers,
+		Clients: clients, ClientOrder: t.clientOrder,
+		PathCollisions: sum(t.collisions),
+	}, nil
 }
 
-func (r *Runner) runRobustnessServer(ctx context.Context, server framework.ServerFramework,
-	catalog []faultinject.Fault, res *RobustResult) error {
-	published, _, err := r.Publish(ctx, server)
-	if err != nil {
-		return err
-	}
-
-	host := transport.NewHost()
-	endpoints, collisions, err := r.deployPublished(host, published)
-	if err != nil {
-		return err
-	}
-	res.PathCollisions += collisions
-
-	injector := faultinject.New(host)
-	// Keep the matrix wall-clock-free: the delay fault is classified by
-	// what the client does with a slow-but-valid response, not by
-	// actually stalling thousands of cells.
-	injector.Sleep = func(time.Duration) {}
-	injector.Obs = r.obs
-
-	nc, nf := len(r.clients), len(catalog)
-	outcomes := make([]RobustOutcome, len(published)*nc*nf)
-
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < r.workers(); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				si, ci := idx/nc, idx%nc
-				r.robustCombination(ctx, injector, r.clients[ci], &published[si],
-					endpoints[published[si].Class], catalog, outcomes[idx*nf:(idx+1)*nf])
-			}
-		}()
-	}
-feed:
-	for idx := 0; idx < len(published)*nc; idx++ {
-		select {
-		case <-ctx.Done():
-			break feed
-		case jobs <- idx:
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-
-	perFault := make(map[string]*RobustCounts, nf)
-	for _, f := range catalog {
-		perFault[f.Name] = &RobustCounts{}
-	}
-	for idx, o := range outcomes {
-		perFault[catalog[idx%nf].Name].Add(o)
-		res.Clients[r.clients[(idx/nf)%nc].Name()].Add(o)
-		// Counters fold here, in the fixed-order merge, not in workers:
-		// the robustness metrics stay inside the determinism contract.
-		r.met.recordRobust(o)
-	}
-	res.Servers[server.Name()] = perFault
-	res.ServerOrder = append(res.ServerOrder, server.Name())
-	return nil
-}
-
-// robustCombination runs steps 2–3 once for the (service × client)
-// pair, then exchanges one faulted invocation per catalog entry,
-// writing outcomes into the cell slots.
-func (r *Runner) robustCombination(ctx context.Context, handler http.Handler,
-	client framework.ClientFramework, svc *PublishedService, ep *transport.Endpoint,
-	catalog []faultinject.Fault, cells []RobustOutcome) {
-	op, ok := invocable(client, svc, ep, r.cfg.reparse)
-	if !ok || op == "" {
-		for i := range cells {
-			cells[i] = RobustSkipped
+// robustRow runs one faulted invocation per catalog entry for the
+// (service × client) pair, writing outcomes into the row's slots.
+func robustRow(x *wireCall, row []outcome, _ []int) {
+	if x.op == "" {
+		for i := range row {
+			row[i] = robustSkipped
 		}
 		return
 	}
-
-	for fi, f := range catalog {
-		req, probeField := buildEchoRequest(ep, op, svc.Class)
+	for col, f := range robustFaults {
 		// The cell's trace carries (server, class, client, fault), so the
 		// injector's fired-fault log joins back to exactly one matrix cell.
-		trace := obs.TraceID(svc.Server, svc.Class, client.Name(), f.Name)
+		trace := obs.TraceID(x.svc.Server, x.svc.Class, x.client.Name(), f.Name)
 		attempts := 0
-		bridge := transport.NewLocalBridge(handler).
-			WithRetry(robustRetryPolicy(f.Directive, &attempts)).
-			WithObs(r.obs)
-		resp, err := bridge.Invoke(obs.WithTrace(ctx, trace), ep.Path, req)
-		var x *robustExchange
+		req, probeField, resp, err := x.invoke(transport.NewLocalBridge(x.handler).
+			WithRetry(robustRetryPolicy(f.Directive, &attempts)), trace)
+		var ex *robustExchange
 		if err == nil {
-			x = &robustExchange{resp: resp, wantLocal: op + "Response", sent: req.Fields, probeField: probeField}
+			ex = &robustExchange{resp: resp, wantLocal: x.op + "Response", sent: req.Fields, probeField: probeField}
 		}
-		cells[fi] = classifyRobust(f, attempts, x, err)
+		row[col] = classifyRobust(f, attempts, ex, err)
 	}
 }

@@ -130,8 +130,8 @@ func TestRobustnessCancellation(t *testing.T) {
 }
 
 func TestRobustOutcomeString(t *testing.T) {
-	for _, o := range []RobustOutcome{RobustSkipped, RobustDetected, RobustMasked, RobustWrongSuccess, RobustRecovered} {
-		if s := o.String(); s == "" || s[0] == 'R' {
+	for _, o := range []outcome{robustSkipped, robustDetected, robustMasked, robustWrongSuccess, robustRecovered} {
+		if s := robustAxis.codes[o]; s == "" || s[0] == 'R' {
 			t.Errorf("outcome %d has no friendly name: %q", o, s)
 		}
 	}
@@ -149,17 +149,17 @@ func TestClassifyRobustWrongSuccessGuards(t *testing.T) {
 		}
 	}
 	mustErr := faultinject.Fault{Name: "status-500", MustError: true}
-	if got := classifyRobust(mustErr, 1, shape("ping"), nil); got != RobustWrongSuccess {
+	if got := classifyRobust(mustErr, 1, shape("ping"), nil); got != robustWrongSuccess {
 		t.Errorf("success against MustError fault = %v, want wrong-success", got)
 	}
 	benign := faultinject.Fault{Name: "dup-value", MustError: false}
-	if got := classifyRobust(benign, 1, shape("pingx"), nil); got != RobustWrongSuccess {
+	if got := classifyRobust(benign, 1, shape("pingx"), nil); got != robustWrongSuccess {
 		t.Errorf("corrupted probe echo = %v, want wrong-success", got)
 	}
-	if got := classifyRobust(benign, 1, shape("ping"), nil); got != RobustMasked {
+	if got := classifyRobust(benign, 1, shape("ping"), nil); got != robustMasked {
 		t.Errorf("clean benign exchange = %v, want masked", got)
 	}
-	if got := classifyRobust(benign, 2, shape("ping"), nil); got != RobustRecovered {
+	if got := classifyRobust(benign, 2, shape("ping"), nil); got != robustRecovered {
 		t.Errorf("multi-attempt success = %v, want recovered", got)
 	}
 }

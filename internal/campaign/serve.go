@@ -285,20 +285,31 @@ func streamLine(w http.ResponseWriter, v any) error {
 // resolved services, plus every stage boundary.
 const progressEvery = 64
 
-// startCampaign runs one campaign, streaming progress as NDJSON until
-// the final result (or error) line. The campaign is cancelled if the
-// client disconnects or the daemon shuts down.
-func (d *Daemon) startCampaign(w http.ResponseWriter, r *http.Request) {
+// decodeSpec reads a POST /campaigns body (1 MiB cap, unknown fields
+// refused) and resolves it into runner options. On refusal it answers
+// 400 itself and reports false.
+func decodeSpec(w http.ResponseWriter, r *http.Request) (CampaignSpec, []Option, bool) {
 	var spec CampaignSpec
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
 		http.Error(w, "bad campaign spec: "+err.Error(), http.StatusBadRequest)
-		return
+		return spec, nil, false
 	}
 	opts, err := spec.options()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
+		return spec, nil, false
+	}
+	return spec, opts, true
+}
+
+// startCampaign runs one campaign, streaming progress as NDJSON until
+// the final result (or error) line. The campaign is cancelled if the
+// client disconnects or the daemon shuts down.
+func (d *Daemon) startCampaign(w http.ResponseWriter, r *http.Request) {
+	spec, opts, ok := decodeSpec(w, r)
+	if !ok {
 		return
 	}
 	job := d.register(spec)

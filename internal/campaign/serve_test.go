@@ -7,6 +7,7 @@ package campaign
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -383,4 +384,43 @@ func TestDaemonShutdownStopsServing(t *testing.T) {
 	if _, err := http.Get(base + "/healthz"); err == nil {
 		t.Error("daemon still serving after Shutdown")
 	}
+}
+
+// FuzzCampaignSpec feeds arbitrary bodies through the daemon's
+// POST /campaigns decode path. It must never panic; a refused body
+// gets a 4xx from the daemon and registers no campaign; an accepted
+// spec builds runners whose plan fingerprint is stable across builds.
+func FuzzCampaignSpec(f *testing.F) {
+	for _, seed := range []string{
+		"not json", `{"bogus":1}`, `{"noPlan":true}`, `{"reparse":true}`, `{"noDedup":true}`,
+		`{"server":"zzz"}`, `{"client":"zzz"}`, `{"limit":-1}`,
+		`{"limit":3,"workers":2,"server":"metro","client":"axis","keepFailures":true}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		post := func() *http.Request {
+			return httptest.NewRequest(http.MethodPost, "/campaigns", bytes.NewReader(body))
+		}
+		rec := httptest.NewRecorder()
+		_, opts, ok := decodeSpec(rec, post())
+		if ok {
+			if a, b := New(opts...).PlanFingerprint(), New(opts...).PlanFingerprint(); a != b {
+				t.Fatalf("accepted spec %q: plan fingerprint %s, then %s", body, a, b)
+			}
+			return
+		}
+		if rec.Code < 400 || rec.Code > 499 {
+			t.Fatalf("refused spec %q: status %d, want 4xx", body, rec.Code)
+		}
+		d := NewDaemon(nil)
+		rec = httptest.NewRecorder()
+		d.Handler().ServeHTTP(rec, post())
+		if rec.Code < 400 || rec.Code > 499 {
+			t.Fatalf("daemon answered refused spec %q with status %d, want 4xx", body, rec.Code)
+		}
+		if n := len(d.order); n != 0 {
+			t.Fatalf("refused spec %q registered %d campaigns", body, n)
+		}
+	})
 }

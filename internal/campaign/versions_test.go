@@ -107,94 +107,6 @@ func TestVersionsScaled(t *testing.T) {
 	}
 }
 
-// TestVersionMatrixEquivalence is the determinism acceptance check:
-// worker count, scheduling, and the shape-memo ablation must never
-// change a cell of the version matrix.
-func TestVersionMatrixEquivalence(t *testing.T) {
-	limit := 200
-	if testing.Short() {
-		limit = 60
-	}
-	run := func(workers int, nodedup bool) *VersionResult {
-		res, err := newRunner(config{Limit: limit, Workers: workers, noDedup: nodedup}).
-			RunVersions(context.Background())
-		if err != nil {
-			t.Fatalf("run (workers=%d nodedup=%v): %v", workers, nodedup, err)
-		}
-		return res
-	}
-	base := run(4, false)
-	baseBytes := versionBytes(t, base)
-	for _, v := range []struct {
-		label   string
-		workers int
-		nodedup bool
-	}{
-		{"serial", 1, false},
-		{"parallel", 8, false},
-		{"nodedup", 4, true},
-	} {
-		if got := versionBytes(t, run(v.workers, v.nodedup)); string(got) != string(baseBytes) {
-			t.Errorf("matrix differs under %s execution", v.label)
-		}
-	}
-}
-
-// TestVersionsResume is the kill-point matrix for the versions
-// journal: interrupt at several append counts, resume, and require
-// the byte-identical matrix of a clean run.
-func TestVersionsResume(t *testing.T) {
-	limit := robustLimit(40)
-	clean := runVersions(t, config{Limit: limit, Workers: 4})
-	cleanBytes := versionBytes(t, clean)
-
-	for _, killAt := range []int{1, 5, -1} {
-		dir := t.TempDir()
-		ctx, cancel := context.WithCancel(context.Background())
-		cfg := config{Limit: limit, Workers: 4, Checkpoint: dir}
-		if killAt > 0 {
-			cfg.checkpointProbe = func(appended int) {
-				if appended == killAt {
-					cancel()
-				}
-			}
-		}
-		_, err := newRunner(cfg).RunVersions(ctx)
-		cancel()
-		if killAt < 0 && err != nil {
-			t.Fatalf("uninterrupted checkpointed run: %v", err)
-		}
-		// A cancellation racing the end of the run may still complete;
-		// either way the journal resumes below.
-
-		resumed, rerr := newRunner(config{Limit: limit, Workers: 4, Checkpoint: dir, Resume: true}).
-			RunVersions(context.Background())
-		if rerr != nil {
-			t.Fatalf("resume (killAt=%d): %v", killAt, rerr)
-		}
-		if got := versionBytes(t, resumed); string(got) != string(cleanBytes) {
-			t.Errorf("resumed matrix (killAt=%d) differs from clean run", killAt)
-		}
-	}
-}
-
-// TestVersionsResumeRefusesDrift: a versions journal written under a
-// different configuration (here: strictness-bearing fingerprint with
-// another limit) is refused, not silently merged.
-func TestVersionsResumeRefusesDrift(t *testing.T) {
-	dir := t.TempDir()
-	limit := 4
-	if _, err := newRunner(config{Limit: limit, Workers: 2, Checkpoint: dir}).
-		RunVersions(context.Background()); err != nil {
-		t.Fatalf("seed run: %v", err)
-	}
-	_, err := newRunner(config{Limit: limit + 1, Workers: 2, Checkpoint: dir, Resume: true}).
-		RunVersions(context.Background())
-	if err == nil || !strings.Contains(err.Error(), "different campaign configuration") {
-		t.Errorf("drifted resume error = %v, want fingerprint refusal", err)
-	}
-}
-
 // TestVersionsShardMerge: two shard workers journal their slices, the
 // coordinator merges, and the merged matrix equals a single-process
 // run. PathCollisions is deploy-set-dependent bookkeeping (documented
@@ -285,20 +197,20 @@ func TestVersionsCancellation(t *testing.T) {
 	}
 }
 
-// TestVersionOutcomeRoundTrip: the String form is the journal
+// TestVersionOutcomeRoundTrip: the code name is the journal
 // encoding, so it must parse back exactly.
 func TestVersionOutcomeRoundTrip(t *testing.T) {
-	for _, o := range []VersionOutcome{VersionSkipped, VersionAccepted, VersionTypedReject, VersionMishandled} {
-		s := o.String()
+	for _, o := range []outcome{versionSkipped, versionAccepted, versionTypedReject, versionMishandled} {
+		s := versionsAxis.codes[o]
 		if s == "" || strings.HasPrefix(s, "Version") {
 			t.Errorf("outcome %d has no friendly name: %q", o, s)
 		}
-		back, err := parseVersionOutcome(s)
-		if err != nil || back != o {
-			t.Errorf("parse(%q) = %v, %v; want %v", s, back, err, o)
+		back, ok := versionsAxis.parse(s)
+		if !ok || back != o {
+			t.Errorf("parse(%q) = %v, %v; want %v", s, back, ok, o)
 		}
 	}
-	if _, err := parseVersionOutcome("bogus"); err == nil {
+	if _, ok := versionsAxis.parse("bogus"); ok {
 		t.Error("bogus outcome parsed")
 	}
 }

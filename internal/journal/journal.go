@@ -128,12 +128,16 @@ type TestRecord struct {
 	CompileError   bool   `json:"compileE,omitempty"`
 }
 
-// VersionRecord is one client framework's classified outcomes across
-// the version-scenario catalog within a version-matrix cell, in the
-// fixed scenario order the campaign fingerprint pins.
-type VersionRecord struct {
+// OutcomeRow is one client framework's classified outcomes within a
+// wire-axis service cell (internal/campaign's communication,
+// robustness and version modes): one outcome name per axis column, in
+// the fixed column order the axis fingerprint pins, plus the axis's
+// per-cell tallies (the communication axis's sniffed exchanges and
+// message violations; nil on axes without any).
+type OutcomeRow struct {
 	Client   string   `json:"client"`
 	Outcomes []string `json:"outcomes"`
+	Tallies  []int    `json:"tallies,omitempty"`
 }
 
 // Record is one completed campaign cell: a (server, class) service
@@ -161,11 +165,11 @@ type Record struct {
 	Profiles []string     `json:"profiles,omitempty"`
 	Doc      []byte       `json:"doc,omitempty"`
 	Tests    []TestRecord `json:"tests,omitempty"`
-	// Versions holds the version-matrix outcomes of the cell's clients
-	// (`interop -versions`); nil for static-campaign records.
-	Versions []VersionRecord `json:"versions,omitempty"`
+	// Rows holds a wire-axis service cell's per-client outcome rows;
+	// nil for static-campaign records.
+	Rows []OutcomeRow `json:"rows,omitempty"`
 	// Collisions preserves a server stage's deploy path-collision count
-	// on a versions-mode completion sentinel; zero everywhere else.
+	// on a wire-axis completion sentinel; zero everywhere else.
 	Collisions int `json:"collisions,omitempty"`
 }
 

@@ -98,7 +98,10 @@ type PublishedService struct {
 	Server string
 	// Class is the parameter class's fully qualified name.
 	Class string
-	// Doc is the serialized WSDL as clients will consume it.
+	// Doc is the serialized WSDL as clients will consume it. Publish
+	// always fills it. Inside Run the bytes are rendered only where
+	// something reads them, so a solo shape's representative carries
+	// none until a Publish on the same runner asks (DESIGN.md §6.6).
 	Doc []byte
 	// Flagged reports whether the compliance check raised any finding
 	// (profile violation or extended finding) — the paper's

@@ -64,7 +64,8 @@ func TestCheckpointAppendsEachCellOnce(t *testing.T) {
 // TestCheckpointDocsOnlyForSharedShapes pins which records carry a
 // WSDL document: the builder of a solo shape journals none (no resume
 // ever re-splits its template), the verified builder of a multi-member
-// shape keeps its own, and no other record has one.
+// shape keeps its own, and no other record has one. A checkpointed run
+// also never marshals a solo builder's document in memory.
 func TestCheckpointDocsOnlyForSharedShapes(t *testing.T) {
 	dir := t.TempDir()
 	r, _ := checkpointedRun(t, resumeConfig(300, 4), dir)
@@ -115,6 +116,7 @@ func TestCheckpointDocsOnlyForSharedShapes(t *testing.T) {
 	if withDoc != 0 {
 		t.Errorf("%d records other than verified multi-member builders carry a document", withDoc)
 	}
+	requireSoloRepsUnrendered(t, r)
 }
 
 // TestResumeCompletedJournalSeedsNothing: a shape whose members are all

@@ -16,11 +16,18 @@ import (
 // (DESIGN.md §6.6). Framework behaviour depends only on a class's
 // structural traits, so the campaign content-addresses every class by
 // its shape fingerprint and performs the expensive per-class work —
-// publish, WSDL marshal, WS-I check, and all eleven client tests —
-// once per (server, shape) instead of once per class. Per-class
-// output is rehydrated by rendering a split document template with
-// the class's name-derived strings and by cloning test results with
-// the class name rewritten.
+// publish, WS-I check, and all eleven client tests — once per
+// (server, shape) instead of once per class. Per-class output is
+// rehydrated by rendering a split document template with the class's
+// name-derived strings and by cloning test results with the class name
+// rewritten.
+//
+// WSDL bytes are rendered only where something reads them: the builder
+// of a multi-member shape (template verification, the journal), the
+// per-class path, and Publish. Inside Run a solo shape's document is
+// read only in its typed form (WS-I check, analysis), so its builder
+// skips the marshal; a later Publish renders the bytes once per entry
+// from the representative's typed document (shapeEntry.repDoc).
 //
 // The shapes themselves come from the execution plan (plan.go), which
 // groups every catalog by fingerprint up front; this file holds the
@@ -78,10 +85,11 @@ type shapeKey struct {
 // slots fill as the builder's client tests run.
 type shapeEntry struct {
 	once sync.Once
-	// rejected records a memoized NotDeployable outcome.
+	// rejected records a memoized NotDeployable outcome. A marshal
+	// failure is not memoized: the build leaves neither tmpl nor rep
+	// behind, so later members take the per-class path and report it
+	// themselves.
 	rejected bool
-	// err is the underlying marshal failure, re-wrapped per class.
-	err error
 	// tmpl is the verified document template; nil means verification
 	// failed and same-shape classes must take the per-class path.
 	tmpl *wsdl.Template
@@ -105,6 +113,11 @@ type shapeEntry struct {
 	// own analysis cell private for name-dependent consumers like the
 	// communication extension's endpoint derivation.
 	rep PublishedService
+	// docOnce guards the one on-demand render of rep's document when a
+	// solo builder skipped its marshal (repDoc).
+	docOnce sync.Once
+	doc     []byte
+	docErr  error
 	// tests holds one memoized outcome per client framework, keyed by
 	// roster index. Flagged status is constant per entry, so the
 	// (client, fingerprint, flagged) memo key of DESIGN.md §6.6
@@ -168,12 +181,14 @@ func (r *Runner) dedupOn() bool { return !r.cfg.noDedup }
 // slot carries the route taken (recordMode) so the cell journal can
 // replay the exact same counter contributions on resume.
 //
-// needDoc controls whether a memo-served clone materializes its
-// rendered document. Inside Run nothing ever reads a clone's bytes —
-// tests run against the shape representative and only builder records
-// journal a document — so Run passes false and skips the render
-// entirely; the public Publish API passes true. Every other route
-// (direct, fallback, builder) always carries its document.
+// needDoc controls whether the slot's service carries its serialized
+// document. Inside Run nothing reads the bytes of a clone or of a solo
+// shape's builder — tests run against the shape representative's typed
+// document and only multi-member builder records journal bytes — so Run
+// passes false and skips those renders; the public Publish API passes
+// true, rendering a solo representative's bytes at most once per entry
+// (repDoc). Every other route (direct, fallback, multi-member builder)
+// always carries its document.
 func (r *Runner) publishEntry(e *shapeEntry, server framework.ServerFramework, def services.Definition, needDoc bool) (s publishSlot) {
 	r.met.publishTotal.Inc()
 	r.dedup.pubTotal.Add(1)
@@ -181,7 +196,7 @@ func (r *Runner) publishEntry(e *shapeEntry, server framework.ServerFramework, d
 	e.once.Do(func() {
 		built = true
 		r.dedup.shapes.Add(1)
-		s = r.buildShape(e, server, def)
+		s = r.buildShape(e, server, def, needDoc)
 	})
 	if built {
 		s.mode = modeBuilt
@@ -199,21 +214,25 @@ func (r *Runner) publishEntry(e *shapeEntry, server framework.ServerFramework, d
 		r.met.publishMemoized.Inc()
 		s.mode = modeMemoRejected
 		return s
-	case e.err != nil:
-		r.dedup.pubHits.Add(1)
-		r.met.publishMemoized.Inc()
-		s.err = fmt.Errorf("marshal WSDL for %s on %s: %w", def.Parameter.Name, server.Name(), e.err)
-		return s
-	case e.solo:
+	case e.solo && e.rep.memo != nil:
 		// The plan proved the shape single-member, so this is the builder
 		// published again (a repeated Run, or the next mode's Publish on
-		// this runner): serve the representative itself.
+		// this runner): serve the representative itself, with its bytes
+		// rendered on first demand if its build skipped them.
 		r.dedup.pubHits.Add(1)
 		r.met.publishMemoized.Inc()
 		r.met.wsiMemoized.Inc()
+		s.svc = e.rep
+		if needDoc && s.svc.Doc == nil {
+			raw, err := e.repDoc()
+			if err != nil {
+				s.err = fmt.Errorf("marshal WSDL for %s on %s: %w", def.Parameter.Name, server.Name(), err)
+				return s
+			}
+			s.svc.Doc = raw
+		}
 		s.ok = true
 		s.mode = modeMemoized
-		s.svc = e.rep
 		return s
 	case e.tmpl == nil:
 		// The shape failed template verification: per-class path.
@@ -266,10 +285,11 @@ func (r *Runner) publishEntry(e *shapeEntry, server framework.ServerFramework, d
 	return s
 }
 
-// buildShape computes the memo entry from the shape's builder class. The class's own outputs are produced exactly as on the
-// per-class path; the split template is admitted only after it
-// reproduces those outputs byte-for-byte.
-func (r *Runner) buildShape(e *shapeEntry, server framework.ServerFramework, def services.Definition) (s publishSlot) {
+// buildShape computes the memo entry from the shape's builder class.
+// The class's own outputs are produced exactly as on the per-class
+// path; the split template is admitted only after it reproduces those
+// outputs byte-for-byte.
+func (r *Runner) buildShape(e *shapeEntry, server framework.ServerFramework, def services.Definition, needDoc bool) (s publishSlot) {
 	start := r.met.now()
 	doc, err := server.Publish(def)
 	if err != nil {
@@ -278,10 +298,16 @@ func (r *Runner) buildShape(e *shapeEntry, server framework.ServerFramework, def
 		e.rejected = true
 		return s
 	}
-	raw, err := wsdl.Marshal(doc)
+	// A solo builder's bytes have no reader unless the caller or the
+	// reparse hook asks for them; repDoc renders them later on demand.
+	// Skipping the marshal hides no error: wsdl.Marshal fails only when
+	// xsd.MarshalSchemaTo does, and the schema writer has no failing path.
+	var raw []byte
+	if !e.solo || needDoc || r.cfg.reparse {
+		raw, err = wsdl.Marshal(doc)
+	}
 	r.met.observe(r.met.publishSeconds, start)
 	if err != nil {
-		e.err = err
 		s.err = fmt.Errorf("marshal WSDL for %s on %s: %w", def.Parameter.Name, server.Name(), err)
 		return s
 	}
@@ -316,6 +342,16 @@ func (r *Runner) buildShape(e *shapeEntry, server framework.ServerFramework, def
 		e.rep = s.svc
 	}
 	return s
+}
+
+// repDoc renders the representative's document from its seeded typed
+// form, once per entry: the bytes a solo builder skipped, for the
+// Publish calls that read them (concurrent callers share one render).
+func (e *shapeEntry) repDoc() ([]byte, error) {
+	e.docOnce.Do(func() {
+		e.doc, e.docErr = wsdl.Marshal(e.rep.analysis.a.Definitions())
+	})
+	return e.doc, e.docErr
 }
 
 // splitShape publishes the shape's sentinel-renamed definition,

@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"sync"
 	"testing"
 
 	"wsinterop/internal/shape"
@@ -250,5 +251,100 @@ func TestDedupCommunicationEquivalence(t *testing.T) {
 		if *a.Clients[client] != *b.Clients[client] {
 			t.Errorf("comm client %s: dedup %+v != nodedup %+v", client, *a.Clients[client], *b.Clients[client])
 		}
+	}
+}
+
+// TestPublishAfterRun covers the one path that renders a solo shape's
+// bytes on demand: Run skips the marshal of every solo builder, and a
+// later Publish on the same runner serves the representative. Two
+// concurrent Publish calls race for the entry's render cell (run under
+// -race in CI); both must return the per-class path's exact bytes and
+// verdicts.
+func TestPublishAfterRun(t *testing.T) {
+	limit := 0
+	if testing.Short() {
+		limit = 500
+	}
+	ctx := context.Background()
+	r := newRunner(config{Limit: limit, Workers: 4})
+	if _, err := r.Run(ctx); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	requireSoloRepsUnrendered(t, r)
+	direct := newRunner(config{Limit: limit, Workers: 4, noDedup: true})
+	for i, server := range r.servers {
+		var pubs [2][]PublishedService
+		var errs [2]error
+		var wg sync.WaitGroup
+		for k := range pubs {
+			wg.Add(1)
+			go func(k int) {
+				defer wg.Done()
+				pubs[k], _, errs[k] = r.Publish(ctx, server)
+			}(k)
+		}
+		wg.Wait()
+		want, _, err := direct.Publish(ctx, direct.servers[i])
+		if err != nil {
+			t.Fatalf("direct publish on %s: %v", server.Name(), err)
+		}
+		for k, got := range pubs {
+			if errs[k] != nil {
+				t.Fatalf("publish %d after run on %s: %v", k, server.Name(), errs[k])
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s: publish %d served %d services, direct %d", server.Name(), k, len(got), len(want))
+			}
+			for j := range got {
+				a, b := &got[j], &want[j]
+				if a.Class != b.Class || !bytes.Equal(a.Doc, b.Doc) {
+					t.Errorf("%s %s: publish %d after run differs from direct marshal", server.Name(), b.Class, k)
+				}
+				if a.Flagged != b.Flagged || a.Compliant != b.Compliant || a.Profiles != b.Profiles {
+					t.Errorf("%s %s: verdicts %v/%v/%b != %v/%v/%b", server.Name(), b.Class,
+						a.Flagged, a.Compliant, a.Profiles, b.Flagged, b.Compliant, b.Profiles)
+				}
+			}
+		}
+	}
+}
+
+// TestSoloBuildersSkipMarshal pins the saving structurally, with a
+// check that does not drift with the machine: after a plain Run no solo
+// representative holds document bytes (its builder never marshaled),
+// while every verified multi-member builder still does (template
+// verification and the journal read them). The checkpointed half lives
+// in TestCheckpointDocsOnlyForSharedShapes.
+func TestSoloBuildersSkipMarshal(t *testing.T) {
+	r := newRunner(config{Limit: 300, Workers: 4})
+	if _, err := r.Run(context.Background()); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	requireSoloRepsUnrendered(t, r)
+}
+
+// requireSoloRepsUnrendered fails unless every solo representative of
+// r's memo lacks document bytes and every verified multi-member one
+// has them, with at least one of each.
+func requireSoloRepsUnrendered(t *testing.T, r *Runner) {
+	t.Helper()
+	solo, shared := 0, 0
+	for key, e := range r.dedup.entries {
+		switch {
+		case e.rep.memo == nil:
+		case e.solo:
+			solo++
+			if e.rep.Doc != nil || e.doc != nil {
+				t.Errorf("solo shape %s on %s holds document bytes", e.rep.Class, key.server)
+			}
+		case e.tmpl != nil:
+			shared++
+			if len(e.rep.Doc) == 0 {
+				t.Errorf("verified builder %s on %s holds no document", e.rep.Class, key.server)
+			}
+		}
+	}
+	if solo == 0 || shared == 0 {
+		t.Errorf("%d solo and %d verified multi-member representatives; the pin needs both", solo, shared)
 	}
 }

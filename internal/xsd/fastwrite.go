@@ -25,7 +25,8 @@ const indentUnit = "  "
 // line prefixed with basePrefix — the allocation-free form of
 // MarshalSchema used by the WSDL writer, which embeds schema blocks at
 // a fixed indentation. The output carries no trailing newline, exactly
-// like the reference encoder's.
+// like the reference encoder's. The writer has no failing path, so the
+// error is always nil; the result stays for the signature's callers.
 func MarshalSchemaTo(buf *bytes.Buffer, sch *Schema, pt *PrefixTable, basePrefix string) error {
 	if pt == nil {
 		pt = AcquirePrefixTable(sch.TargetNamespace)
@@ -37,7 +38,8 @@ func MarshalSchemaTo(buf *bytes.Buffer, sch *Schema, pt *PrefixTable, basePrefix
 	// on the same namespaces.
 	assignSchemaPrefixes(sch, pt)
 	w := schemaWriter{buf: buf, base: basePrefix, first: true}
-	return w.schema(sch, pt)
+	w.schema(sch, pt)
+	return nil
 }
 
 // MarshalSchema serializes one schema block to XML. The prefix table
@@ -146,7 +148,7 @@ func (w *schemaWriter) attr(name, value string) {
 	w.buf.WriteByte('"')
 }
 
-func (w *schemaWriter) schema(sch *Schema, pt *PrefixTable) error {
+func (w *schemaWriter) schema(sch *Schema, pt *PrefixTable) {
 	w.line(0)
 	w.buf.WriteString(`<schema xmlns="` + NamespaceXSD + `"`)
 	if sch.TargetNamespace != "" {
@@ -171,7 +173,7 @@ func (w *schemaWriter) schema(sch *Schema, pt *PrefixTable) error {
 		len(sch.ComplexTypes) == 0 && len(sch.Elements) == 0 {
 		// Childless schema: the reference encoder closes on the same line.
 		w.buf.WriteString("</schema>")
-		return nil
+		return
 	}
 
 	for i := range sch.Imports {
@@ -185,9 +187,7 @@ func (w *schemaWriter) schema(sch *Schema, pt *PrefixTable) error {
 		w.buf.WriteString("></import>")
 	}
 	for i := range sch.SimpleTypes {
-		if err := w.simpleType(&sch.SimpleTypes[i], pt); err != nil {
-			return err
-		}
+		w.simpleType(&sch.SimpleTypes[i], pt)
 	}
 	for i := range sch.ComplexTypes {
 		w.complexType(&sch.ComplexTypes[i], pt, 1, true)
@@ -198,10 +198,9 @@ func (w *schemaWriter) schema(sch *Schema, pt *PrefixTable) error {
 
 	w.line(0)
 	w.buf.WriteString("</schema>")
-	return nil
 }
 
-func (w *schemaWriter) simpleType(st *SimpleType, pt *PrefixTable) error {
+func (w *schemaWriter) simpleType(st *SimpleType, pt *PrefixTable) {
 	w.line(1)
 	w.buf.WriteString("<simpleType")
 	w.attr("name", st.Name)
@@ -242,7 +241,6 @@ func (w *schemaWriter) simpleType(st *SimpleType, pt *PrefixTable) error {
 	w.buf.WriteString("</restriction>")
 	w.line(1)
 	w.buf.WriteString("</simpleType>")
-	return nil
 }
 
 // complexType writes one complexType block. named=false is the inline

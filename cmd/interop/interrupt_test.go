@@ -42,14 +42,15 @@ type interruptVictim struct {
 var fullArgs = []string{"-workers", "2", "-report", "table3"}
 
 // interruptVictims: the full static campaign under a cooperative
-// SIGINT and a SIGKILL once its journal passes 1 MiB (about an eighth
-// of it), and the robustness matrix under SIGINT once its journal
-// passes 64 KiB (about a tenth of it, inside the first server stage).
+// SIGINT and a SIGKILL once its journal passes 320 KiB (about an eighth
+// of its 2.8 MB), and the robustness matrix under SIGINT once its
+// journal passes 6 KiB (about a tenth of its 68 KB, inside the first
+// server stage).
 var interruptVictims = []interruptVictim{
-	{"SIGINT", syscall.SIGINT, fullArgs, "journal.jsonl", 1 << 20},
-	{"SIGKILL", syscall.SIGKILL, fullArgs, "journal.jsonl", 1 << 20},
+	{"SIGINT", syscall.SIGINT, fullArgs, journal.DataFile, 320 << 10},
+	{"SIGKILL", syscall.SIGKILL, fullArgs, journal.DataFile, 320 << 10},
 	{"faults", syscall.SIGINT, []string{"-limit", "100", "-workers", "2", "-faults", "-report", "robust"},
-		filepath.Join("robust", "journal.jsonl"), 64 << 10},
+		filepath.Join("robust", journal.DataFile), 6 << 10},
 }
 
 // TestRunInterruptResume interrupts checkpointed CLI runs — the full

@@ -345,9 +345,9 @@ type config struct {
 	Obs *obs.Registry
 	// Checkpoint, when non-empty, makes the run durable: every completed
 	// cell — a service's description step plus all of its client tests —
-	// is appended to a JSONL journal in this directory as it completes,
-	// and the journal is fsynced every journal.SyncEvery appends and at
-	// the end of the run (internal/journal, DESIGN.md §9). An interrupted run — context cancellation, or
+	// is appended to a checksummed binary journal in this directory as
+	// it completes, and the journal is fsynced every journal.SyncEvery
+	// appends and at the end of the run (internal/journal, DESIGN.md §9). An interrupted run — context cancellation, or
 	// SIGINT/SIGTERM through cmd/interop — drains its in-flight workers,
 	// flushes the journal, and leaves resumable state. A directory that
 	// already holds checkpoint state is refused unless Resume is set.

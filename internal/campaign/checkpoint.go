@@ -94,7 +94,7 @@ const journalFlushEvery = 64
 // goroutine that owns every append.
 type checkpointState struct {
 	j      *journal.Journal
-	loaded map[string]journal.Record // resume: trace → journaled cell
+	loaded map[string]*journal.Record // resume: trace → journaled cell
 	ch     chan journal.Record
 	wg     sync.WaitGroup
 	err    error // writer-goroutine only until wg.Wait
@@ -200,11 +200,7 @@ func (r *Runner) openCheckpoint() error {
 		executed: r.obs.Counter("journal.cells.executed"),
 	}
 	if r.cfg.Resume {
-		recs := j.Records()
-		cs.loaded = make(map[string]journal.Record, len(recs))
-		for _, rec := range recs {
-			cs.loaded[rec.Trace] = rec
-		}
+		cs.loaded = j.Loaded()
 	}
 	cs.wg.Add(1)
 	go func() {
@@ -354,12 +350,12 @@ func (r *Runner) journalRejected(server framework.ServerFramework, def services.
 
 // replayPlan maps this stage's definition indexes to their journaled
 // cells; nil when nothing of this stage was journaled.
-func (r *Runner) replayPlan(server framework.ServerFramework, defs []services.Definition) map[int]journal.Record {
+func (r *Runner) replayPlan(server framework.ServerFramework, defs []services.Definition) map[int]*journal.Record {
 	cs := r.ckpt
 	if cs == nil || len(cs.loaded) == 0 {
 		return nil
 	}
-	plan := make(map[int]journal.Record)
+	plan := make(map[int]*journal.Record, min(len(defs), len(cs.loaded)))
 	for i := range defs {
 		if rec, ok := cs.loaded[cellTrace(server.Name(), defs[i].Parameter.Name)]; ok {
 			plan[i] = rec
@@ -382,7 +378,7 @@ func (r *Runner) replayPlan(server framework.ServerFramework, defs []services.De
 // Journaled Ran outcomes seed the per-client test memo slots, so each
 // (shape, client) test executes at most once across the whole resumed
 // campaign.
-func (r *Runner) seedMemoFromJournal(server framework.ServerFramework, sp *serverPlan, plan map[int]journal.Record) error {
+func (r *Runner) seedMemoFromJournal(server framework.ServerFramework, sp *serverPlan, plan map[int]*journal.Record) error {
 	d := r.dedup
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -404,7 +400,7 @@ func (r *Runner) seedMemoFromJournal(server framework.ServerFramework, sp *serve
 		for _, di := range done {
 			if rec := plan[di]; e == nil && rec.Mode == modeBuilt.id() {
 				var err error
-				if e, err = r.seedBuilder(server, sp.defs[di], &rec); err != nil {
+				if e, err = r.seedBuilder(server, sp.defs[di], rec); err != nil {
 					return err
 				}
 				d.entries[key] = e
@@ -412,7 +408,7 @@ func (r *Runner) seedMemoFromJournal(server framework.ServerFramework, sp *serve
 		}
 		for _, di := range done {
 			rec := plan[di]
-			if !rec.Published || !memoRouted(&rec) {
+			if !rec.Published || !memoRouted(rec) {
 				continue
 			}
 			if len(rec.Tests) != len(r.clients) {
@@ -478,7 +474,7 @@ func (r *Runner) seedBuilder(server framework.ServerFramework, def services.Defi
 // contiguous index slices and the slice shards tree-merge; the old
 // serial replay loop was the dominant cost of resuming (and of every
 // distributed Merge, which replays the entire campaign).
-func (r *Runner) replayStage(server framework.ServerFramework, replay map[int]journal.Record,
+func (r *Runner) replayStage(server framework.ServerFramework, replay map[int]*journal.Record,
 	failures [][]TestResult, prog *progress) (*shard, error) {
 	idxs := make([]int, 0, len(replay))
 	for i := range replay {
@@ -546,7 +542,7 @@ func (r *Runner) replayStage(server framework.ServerFramework, replay map[int]jo
 // observe zero, matching a frozen-clock run), and the reconstructed
 // per-client results for the deterministic fold. Returns nil state for
 // a cell rejected at the description step.
-func (r *Runner) replayService(rec journal.Record) (*svcState, error) {
+func (r *Runner) replayService(rec *journal.Record) (*svcState, error) {
 	mode, err := parseMode(rec.Mode)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: journal record %s: %w", rec.Trace, err)
@@ -555,20 +551,20 @@ func (r *Runner) replayService(rec journal.Record) (*svcState, error) {
 	m.publishTotal.Inc()
 	switch mode {
 	case modeDirect:
-		r.replayDirectPublish(&rec)
+		r.replayDirectPublish(rec)
 	case modeFallback:
 		d.fallbacks.Add(1)
 		m.publishFallback.Inc()
-		r.replayDirectPublish(&rec)
+		r.replayDirectPublish(rec)
 	case modeBuilt:
 		d.pubTotal.Add(1)
 		d.shapes.Add(1)
-		r.replayDirectPublish(&rec)
+		r.replayDirectPublish(rec)
 	case modeMemoFallback:
 		d.pubTotal.Add(1)
 		d.fallbacks.Add(1)
 		m.publishFallback.Inc()
-		r.replayDirectPublish(&rec)
+		r.replayDirectPublish(rec)
 	case modeMemoRejected, modeMemoized:
 		d.pubTotal.Add(1)
 		d.pubHits.Add(1)
@@ -583,7 +579,7 @@ func (r *Runner) replayService(rec journal.Record) (*svcState, error) {
 	if len(rec.Tests) != len(r.clients) {
 		return nil, fmt.Errorf("campaign: journal record %s: %d client tests, roster has %d", rec.Trace, len(rec.Tests), len(r.clients))
 	}
-	memoed := memoRouted(&rec)
+	memoed := memoRouted(rec)
 	st := &svcState{
 		svc: PublishedService{
 			Server:    rec.Server,

@@ -3,19 +3,21 @@ package campaign
 // Pins of the checkpoint journal's on-disk format and of what a resume
 // rebuilds: every cell is appended exactly once, only the builders of
 // multi-member shapes carry a document, a finished shape is never
-// re-seeded, and a store in the older snapshot-plus-journal layout
-// still resumes.
+// re-seeded, a cut anywhere in the journal resumes to the clean Result,
+// and a store in the older snapshot-plus-journal layout is refused.
 
 import (
 	"bytes"
 	"context"
-	"encoding/json"
+	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"wsinterop/internal/journal"
+	"wsinterop/internal/journal/journaltest"
 )
 
 // checkpointedRun runs the campaign to completion with a checkpoint in
@@ -49,12 +51,8 @@ func TestCheckpointAppendsEachCellOnce(t *testing.T) {
 	if len(recs) != res.TotalServices {
 		t.Errorf("journal holds %d records, campaign has %d cells", len(recs), res.TotalServices)
 	}
-	data, err := os.ReadFile(filepath.Join(dir, "journal.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lines := bytes.Count(data, []byte("\n")); lines != len(recs) {
-		t.Errorf("journal.jsonl has %d lines for %d distinct records", lines, len(recs))
+	if frames := len(journaltest.FrameEnds(t, dir)); frames != len(recs) {
+		t.Errorf("%s has %d frames for %d distinct records", journal.DataFile, frames, len(recs))
 	}
 	if _, err := os.Stat(filepath.Join(dir, "snapshot.jsonl")); !os.IsNotExist(err) {
 		t.Errorf("a snapshot was written (stat err %v)", err)
@@ -149,93 +147,95 @@ func TestResumeCompletedJournalSeedsNothing(t *testing.T) {
 	}
 }
 
-// TestResumeSnapshotLayout resumes a checkpoint in the layout earlier
-// builds wrote: the first part of the records compacted into
-// snapshot.jsonl, the rest in journal.jsonl, and one snapshot record
-// superseded by a journal record for the same trace. The journal's
-// record must win, and the resumed Result must equal a clean run's.
+// TestResumeSnapshotLayout: a checkpoint in the layout earlier builds
+// wrote — part of the records compacted into snapshot.jsonl beside the
+// journal — is refused with journal.ErrVersion, by a resume and by the
+// merge coordinator's Load, and so is a version-1 journal.jsonl store.
+// Neither is ever half-loaded, and the refusal leaves the files as
+// they were.
 func TestResumeSnapshotLayout(t *testing.T) {
 	const limit = 150
 	clean, err := newRunner(resumeConfig(limit, 4)).Run(context.Background())
 	if err != nil {
 		t.Fatalf("clean run: %v", err)
 	}
-	cleanBytes := resultBytes(t, clean)
-	dir := t.TempDir()
-	interruptAt(t, resumeConfig(limit, 4), dir, clean.TotalServices/2)
-
-	path := filepath.Join(dir, "journal.jsonl")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := bytes.SplitAfter(data, []byte("\n"))
-	lines = lines[:len(lines)-1] // the empty remainder after the last newline
-	split := len(lines) / 2
-	// The superseded snapshot copy of the first published cell claims
-	// every client test failed generation; replaying it instead of the
-	// journal's copy would change the Result.
-	sup := -1
-	var stale journal.Record
-	for i := 0; i < split; i++ {
-		if err := json.Unmarshal(lines[i], &stale); err != nil {
+	for _, name := range []string{"snapshot.jsonl", "journal.jsonl"} {
+		dir := t.TempDir()
+		interruptAt(t, resumeConfig(limit, 4), dir, clean.TotalServices/2)
+		legacy := []byte(`{"trace":"0123456789abcdef","server":"Metro","class":"java.lang.Object","mode":"built"}` + "\n")
+		if err := os.WriteFile(filepath.Join(dir, name), legacy, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if stale.Published {
-			sup = i
-			break
+		before, err := os.ReadFile(journaltest.Path(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := resumeConfig(limit, 2)
+		cfg.Checkpoint, cfg.Resume = dir, true
+		if _, err := newRunner(cfg).Run(context.Background()); !errors.Is(err, journal.ErrVersion) {
+			t.Errorf("resume beside %s: err = %v, want journal.ErrVersion", name, err)
+		}
+		if _, _, err := journal.Load(dir); !errors.Is(err, journal.ErrVersion) {
+			t.Errorf("Load beside %s: err = %v, want journal.ErrVersion", name, err)
+		}
+		if after, err := os.ReadFile(journaltest.Path(dir)); err != nil || !bytes.Equal(before, after) {
+			t.Errorf("a refused resume beside %s changed the journal (err %v)", name, err)
 		}
 	}
-	if sup < 0 {
-		t.Fatal("no published cell in the snapshot half")
+}
+
+// TestResumeAfterRandomCut cuts a finished journal at seeded random
+// offsets — inside a frame header, inside a payload, and exactly on
+// frame boundaries — as a kill that tears a write would, and requires
+// every resume to give a Result byte-identical to a clean run's.
+func TestResumeAfterRandomCut(t *testing.T) {
+	const limit = 100
+	clean, err := newRunner(resumeConfig(limit, 4)).Run(context.Background())
+	if err != nil {
+		t.Fatalf("clean run: %v", err)
 	}
-	for ti := range stale.Tests {
-		stale.Tests[ti].GenError = !stale.Tests[ti].GenError
-	}
-	staleLine, err := json.Marshal(stale)
+	cleanBytes := resultBytes(t, clean)
+	full := t.TempDir()
+	interruptAt(t, resumeConfig(limit, 4), full, -1)
+	data, err := os.ReadFile(journaltest.Path(full))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap, live bytes.Buffer
-	for i, line := range lines[:split] {
-		if i == sup {
-			snap.Write(append(staleLine, '\n'))
-			continue
-		}
-		snap.Write(line)
-	}
-	live.Write(lines[sup])
-	for _, line := range lines[split:] {
-		live.Write(line)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "snapshot.jsonl"), snap.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, live.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	_, recs, err := journal.Load(dir)
+	meta, err := os.ReadFile(filepath.Join(full, "meta.json"))
 	if err != nil {
-		t.Fatalf("load snapshot layout: %v", err)
-	}
-	if len(recs) != len(lines) {
-		t.Errorf("Load returned %d records, the store holds %d distinct cells", len(recs), len(lines))
-	}
-	var want journal.Record
-	if err := json.Unmarshal(lines[sup], &want); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(recs[sup], want) {
-		t.Errorf("Load kept the snapshot's superseded record for %s", want.Trace)
+	ends := journaltest.FrameEnds(t, full)
+	rng := rand.New(rand.NewSource(19))
+	frame := func() (start, end int64) {
+		i := rng.Intn(len(ends))
+		if i > 0 {
+			start = ends[i-1]
+		}
+		return start, ends[i]
 	}
-
-	res, snapMetrics := resume(t, resumeConfig(limit, 2), dir)
-	compareResults(t, clean, res)
-	if got := resultBytes(t, res); !bytes.Equal(got, cleanBytes) {
-		t.Error("serialized Result is not byte-identical to the clean run")
+	var cuts []int64
+	for i := 0; i < 3; i++ {
+		start, _ := frame()
+		cuts = append(cuts, start+1+rng.Int63n(11)) // inside the 12-byte header
+		start, end := frame()
+		cuts = append(cuts, start+12+rng.Int63n(end-start-12)) // inside the payload
+		_, end = frame()
+		cuts = append(cuts, end) // on a boundary
 	}
-	compareSnapshots(t, "snapshot-layout", clean.Metrics, snapMetrics)
+	for _, cut := range cuts {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "meta.json"), meta, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(journaltest.Path(dir), data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		res, _ := resume(t, resumeConfig(limit, 2), dir)
+		if got := resultBytes(t, res); !bytes.Equal(got, cleanBytes) {
+			t.Errorf("cut at byte %d of %d: resumed Result is not byte-identical to the clean run", cut, len(data))
+		}
+	}
 }
 
 // TestCommunicationAfterResume is the CLI's `-resume -report json`

@@ -148,10 +148,10 @@ func (r *Runner) Merge(ctx context.Context, dirs []string) (*Result, error) {
 // loadShardJournals reads every shard journal, verifies the set tiles
 // this runner's campaign exactly once (fingerprint, lease, shard
 // indexes), and unions the records, refusing overlap.
-func (r *Runner) loadShardJournals(dirs []string) (map[string]journal.Record, error) {
+func (r *Runner) loadShardJournals(dirs []string) (map[string]*journal.Record, error) {
 	fp := r.checkpointFingerprint()
 	metas := make([]*journal.Meta, 0, len(dirs))
-	loaded := make(map[string]journal.Record)
+	loaded := make(map[string]*journal.Record)
 	for _, dir := range dirs {
 		meta, recs, err := journal.Load(dir)
 		if err != nil {
@@ -168,7 +168,8 @@ func (r *Runner) loadShardJournals(dirs []string) (map[string]journal.Record, er
 			}
 		}
 		metas = append(metas, meta)
-		for _, rec := range recs {
+		for i := range recs {
+			rec := &recs[i]
 			if prev, dup := loaded[rec.Trace]; dup {
 				return nil, fmt.Errorf("campaign: shard journals overlap: cell %s (%s on %s) journaled twice",
 					rec.Trace, prev.Class, prev.Server)
@@ -186,7 +187,7 @@ func (r *Runner) loadShardJournals(dirs []string) (map[string]journal.Record, er
 // so the merge replays everything and executes nothing. A missing cell
 // means its shard was interrupted; the fix is resuming that shard to
 // completion, not silently re-executing inside the coordinator.
-func (r *Runner) checkMergeComplete(loaded map[string]journal.Record) error {
+func (r *Runner) checkMergeComplete(loaded map[string]*journal.Record) error {
 	for _, server := range r.servers {
 		defs, err := r.defsFor(server)
 		if err != nil {
@@ -205,9 +206,8 @@ func (r *Runner) checkMergeComplete(loaded map[string]journal.Record) error {
 
 // shardMember is one journaled cell within a (server, shape) group.
 type shardMember struct {
-	trace string
-	def   services.Definition
-	rec   journal.Record
+	def services.Definition
+	rec *journal.Record
 }
 
 // normalizeShards rewrites the unioned shard records into the form a
@@ -216,7 +216,7 @@ type shardMember struct {
 // exactly one executed test set per (shape, client). A no-op for the
 // nodedup ablation, whose journals contain only per-class records that
 // are already shard-invariant.
-func (r *Runner) normalizeShards(loaded map[string]journal.Record) error {
+func (r *Runner) normalizeShards(loaded map[string]*journal.Record) error {
 	if !r.dedupOn() {
 		return nil
 	}
@@ -240,10 +240,10 @@ func (r *Runner) normalizeShards(loaded map[string]journal.Record) error {
 			if len(groups[fp]) == 0 {
 				order = append(order, fp)
 			}
-			groups[fp] = append(groups[fp], shardMember{trace: trace, def: defs[i], rec: rec})
+			groups[fp] = append(groups[fp], shardMember{def: defs[i], rec: rec})
 		}
 		for _, fp := range order {
-			if err := normalizeShapeGroup(server.Name(), groups[fp], loaded); err != nil {
+			if err := normalizeShapeGroup(server.Name(), groups[fp]); err != nil {
 				return err
 			}
 		}
@@ -257,7 +257,7 @@ func (r *Runner) normalizeShards(loaded map[string]journal.Record) error {
 // builder is demoted to the memo route it would have taken had the
 // designated builder's shard entry been visible to it. Executed test
 // flags consolidate onto the builder: one Ran per (shape, client).
-func normalizeShapeGroup(server string, group []shardMember, loaded map[string]journal.Record) error {
+func normalizeShapeGroup(server string, group []shardMember) error {
 	builderAt := -1
 	for i := range group {
 		if group[i].rec.Mode != modeBuilt.id() {
@@ -322,7 +322,6 @@ func normalizeShapeGroup(server string, group []shardMember, loaded map[string]j
 				rec.Tests[ti].Ran = true
 			}
 		}
-		loaded[group[i].trace] = rec
 	}
 	if builder.Published && builder.Verified {
 		// The single process's builder executes every client test once;
@@ -330,7 +329,6 @@ func normalizeShapeGroup(server string, group []shardMember, loaded map[string]j
 		for ti := range builder.Tests {
 			builder.Tests[ti].Ran = true
 		}
-		loaded[group[builderAt].trace] = builder
 	}
 	return nil
 }

@@ -8,17 +8,16 @@ package campaign
 // TestDistributedEquivalenceFull.
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"wsinterop/internal/journal"
+	"wsinterop/internal/journal/journaltest"
 	"wsinterop/internal/obs"
 )
 
@@ -319,16 +318,8 @@ func TestMergeRefusals(t *testing.T) {
 		if _, err := newRunner(icfg).Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		path := filepath.Join(half[1], "journal.jsonl")
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lines := bytes.SplitAfter(data, []byte("\n"))
-		if err := os.WriteFile(path, bytes.Join(lines[:3], nil), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		_, err = newRunner(resumeConfig(limit, 4)).Merge(context.Background(), half)
+		journaltest.KeepFrames(t, half[1], 3)
+		_, err := newRunner(resumeConfig(limit, 4)).Merge(context.Background(), half)
 		if err == nil || !strings.Contains(err.Error(), "incomplete") {
 			t.Errorf("merging an interrupted shard: err = %v", err)
 		}

@@ -370,7 +370,7 @@ func (r *Runner) runServer(ctx context.Context, server framework.ServerFramework
 				var err error
 				if it < len(sp.Groups) {
 					err = r.runPlannedGroup(server, defs, &sp.Groups[it], entries[it], replay, sh, failures, prog)
-				} else if di := sp.Loose[it-len(sp.Groups)]; replay[di].Trace == "" {
+				} else if di := sp.Loose[it-len(sp.Groups)]; replay[di] == nil {
 					err = r.runPlannedLoose(server, defs[di], di, sh, failures, prog)
 				}
 				if err != nil && errs[w] == nil {
@@ -420,7 +420,7 @@ feed:
 // take the individual path, as do all members of unverified shapes
 // (publishEntry degrades them to per-class fallbacks).
 func (r *Runner) runPlannedGroup(server framework.ServerFramework, defs []services.Definition,
-	g *planGroup, e *shapeEntry, replay map[int]journal.Record,
+	g *planGroup, e *shapeEntry, replay map[int]*journal.Record,
 	sh *shard, failures [][]TestResult, prog *progress) error {
 	nc := len(r.clients)
 	// slotsFilled means every test slot of e is known-filled, so a safe

@@ -11,13 +11,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"wsinterop/internal/journal"
+	"wsinterop/internal/journal/journaltest"
 	"wsinterop/internal/obs"
 )
 
@@ -264,8 +263,8 @@ func TestResumeSurvivesSecondInterruption(t *testing.T) {
 	compareSnapshots(t, "double-interruption", cleanCfg.Obs.Snapshot(), snap)
 }
 
-// TestResumeAfterTornJournalTail appends garbage to the journal (the
-// hard-kill torn-write scenario) and verifies resume still converges
+// TestResumeAfterTornJournalTail appends a half-written frame to the
+// journal (the hard-kill torn-write scenario) and verifies resume still converges
 // to the clean Result: the torn cell is simply re-executed.
 func TestResumeAfterTornJournalTail(t *testing.T) {
 	const limit = 100
@@ -275,17 +274,7 @@ func TestResumeAfterTornJournalTail(t *testing.T) {
 	}
 	dir := t.TempDir()
 	interruptAt(t, resumeConfig(limit, 4), dir, clean.TotalServices/2)
-	path := filepath.Join(dir, "journal.jsonl")
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatalf("open journal for tearing: %v", err)
-	}
-	if _, err := f.WriteString(`{"trace":"torn-mid-wri`); err != nil {
-		t.Fatalf("tear journal: %v", err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatalf("close torn journal: %v", err)
-	}
+	journaltest.AppendTorn(t, dir)
 	res, _ := resume(t, resumeConfig(limit, 4), dir)
 	compareResults(t, clean, res)
 }

@@ -256,7 +256,7 @@ func (r *Runner) runAxisStage(ctx context.Context, ax *wireAxis, aj *axisJournal
 			continue
 		}
 		c, n := service(pi)
-		if err := r.replay(ax, &rec, c, n); err != nil {
+		if err := r.replay(ax, rec, c, n); err != nil {
 			return err
 		}
 		aj.resumed.Inc()
@@ -379,7 +379,7 @@ type axisJournal struct {
 	mu     sync.Mutex
 	j      *journal.Journal
 	err    error
-	loaded map[string]journal.Record
+	loaded map[string]*journal.Record
 
 	resumed  *obs.Counter // journal.cells.resumed
 	executed *obs.Counter // journal.cells.executed
@@ -417,11 +417,7 @@ func (r *Runner) openAxisJournal(ax *wireAxis) (*axisJournal, error) {
 		executed: r.obs.Counter("journal.cells.executed"),
 	}
 	if r.cfg.Resume {
-		recs := j.Records()
-		aj.loaded = make(map[string]journal.Record, len(recs))
-		for _, rec := range recs {
-			aj.loaded[rec.Trace] = rec
-		}
+		aj.loaded = j.Loaded()
 	}
 	return aj, nil
 }
@@ -452,9 +448,9 @@ func (aj *axisJournal) close() error {
 }
 
 // record looks up a loaded journal record; nil-safe.
-func (aj *axisJournal) record(trace string) (journal.Record, bool) {
+func (aj *axisJournal) record(trace string) (*journal.Record, bool) {
 	if aj == nil {
-		return journal.Record{}, false
+		return nil, false
 	}
 	rec, ok := aj.loaded[trace]
 	return rec, ok

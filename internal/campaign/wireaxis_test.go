@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -144,8 +143,7 @@ func TestWireAxisContract(t *testing.T) {
 			refused(t, "changed catalog", err)
 
 			// The pre-executor layout: a <checkpoint>/versions store whose
-			// meta carries the bare campaign fingerprint and whose records
-			// spell their rows as "versions".
+			// meta carries the bare campaign fingerprint.
 			old := t.TempDir()
 			r := newRunner(config{Limit: limit, Workers: 2})
 			j, err := journal.Open(filepath.Join(old, m.axis.name),
@@ -153,12 +151,12 @@ func TestWireAxisContract(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := j.Close(); err != nil {
+			if err := j.Append(journal.Record{Trace: "0123456789abcdef", Server: "Metro", Class: "java.lang.Object",
+				Mode: m.axis.name, Published: true,
+				Rows: []journal.OutcomeRow{{Client: "Metro", Outcomes: []string{"accept"}}}}); err != nil {
 				t.Fatal(err)
 			}
-			line := `{"trace":"0123456789abcdef","server":"Metro","class":"java.lang.Object","mode":"` + m.axis.name +
-				`","published":true,"versions":[{"client":"Metro","outcomes":["accept"]}]}` + "\n"
-			if err := os.WriteFile(filepath.Join(old, m.axis.name, "journal.jsonl"), []byte(line), 0o644); err != nil {
+			if err := j.Close(); err != nil {
 				t.Fatal(err)
 			}
 			_, _, err = run(t, config{Limit: limit, Workers: 2, Checkpoint: old, Resume: true}, context.Background())

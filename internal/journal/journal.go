@@ -1,50 +1,59 @@
 // Package journal is the campaign's durable checkpoint store: an
-// append-only JSONL journal of completed campaign cells, keyed by the
-// cell's content-addressed trace ID (obs.TraceID). A campaign run that
-// is interrupted — SIGINT, SIGTERM, preemption, crash — leaves a
-// journal from which a later run replays every completed cell instead
-// of re-executing it, and the replayed-plus-executed Result is
+// append-only log of completed campaign cells, keyed by the cell's
+// content-addressed trace ID (obs.TraceID). A campaign run that is
+// interrupted — SIGINT, SIGTERM, preemption, crash — leaves a journal
+// from which a later run replays every completed cell instead of
+// re-executing it, and the replayed-plus-executed Result is
 // byte-identical to an uninterrupted run (internal/campaign, DESIGN.md
 // §9).
 //
 // Durability model
 //
-//   - journal.jsonl: one JSON record per line, appended and flushed as
-//     each cell completes, and fsynced every SyncEvery appends and at
-//     Close. The store only ever grows at its end: nothing is rewritten,
-//     so appending costs the same at the millionth record as at the
-//     first. The final line may be torn by a hard kill; Open drops an
-//     unparseable or newline-less final line and truncates the file
-//     back to the last valid record. A torn line anywhere else is
-//     corruption and refuses to load.
-//   - snapshot.jsonl: never written. Stores from builds that compacted
-//     their journal into a snapshot still load: the snapshot is read
-//     first, then the journal, and the journal's record wins per trace.
-//   - meta.json: the campaign configuration fingerprint. Resuming
-//     under a different configuration (roster, limit, variant, memo
-//     ablations) is refused rather than silently merging
-//     incompatible cells.
+//   - journal.wal: one binary frame per record (frame.go), a
+//     length-prefixed payload checksummed with CRC-32C, appended and
+//     flushed as each cell completes, and fsynced every SyncEvery
+//     appends and at Close. The store only ever grows at its end:
+//     nothing is rewritten, so appending costs the same at the
+//     millionth record as at the first. A per-file dictionary spells
+//     each server, mode, client, profile and outcome name once.
+//   - Torn tail vs corruption: a hard kill can leave a final frame cut
+//     short, or followed by garbage. A frame cut short by the end of
+//     the file is a torn tail, and so is a frame that fails a checksum
+//     when no verifying frame header starts anywhere after it; Open
+//     truncates the file back to the last verified frame. A failing
+//     frame with a verifying header after it is mid-file corruption,
+//     and the load is refused with a *CorruptError (ErrCorrupt).
+//   - meta.json: the schema Version and the campaign configuration
+//     fingerprint. Resuming under a different configuration (roster,
+//     limit, variant, memo ablations) is refused rather than silently
+//     merging incompatible cells. A store of another schema version,
+//     including the JSONL layouts of version 1 (journal.jsonl, and
+//     snapshot.jsonl from builds that compacted), is refused with
+//     ErrVersion.
+
 package journal
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 )
 
 const (
-	journalFile  = "journal.jsonl"
-	snapshotFile = "snapshot.jsonl"
-	metaFile     = "meta.json"
+	// DataFile is the name of the record file in a checkpoint
+	// directory.
+	DataFile = "journal.wal"
+	metaFile = "meta.json"
 
-	// Version is the record schema version stamped into meta.json.
-	Version = 1
+	// Version is the record schema version stamped into meta.json:
+	// 2 is the binary frame format.
+	Version = 2
 
-	// SyncEvery is the append count between fsyncs of journal.jsonl:
+	// SyncEvery is the append count between fsyncs of journal.wal:
 	// a record reaches the file at its flush, and stable storage at the
 	// next sync point or at Close.
 	SyncEvery = 4096
@@ -63,6 +72,32 @@ var ErrFingerprint = errors.New("journal: checkpoint was written by a different 
 // match the one the journal was written for: a worker must finish the
 // slice it started, not a different one.
 var ErrShard = errors.New("journal: checkpoint was written for a different shard lease")
+
+// ErrVersion reports a checkpoint directory written in another schema
+// version than this build's, including the JSONL layouts of version 1.
+var ErrVersion = errors.New("journal: checkpoint was written in another journal format version")
+
+// ErrCorrupt reports a journal whose damage is not a torn tail; every
+// *CorruptError matches it under errors.Is.
+var ErrCorrupt = errors.New("journal: corrupt")
+
+// CorruptError locates mid-file corruption: the frame starting at
+// Offset of the data file at Path is damaged in a way no torn write
+// explains. It fails a checksum while a verifying frame header follows
+// it, or it declares a length above the frame cap, or it verifies but
+// does not decode.
+type CorruptError struct {
+	Path   string
+	Offset int64
+	Reason string
+}
+
+func (e *CorruptError) Error() string {
+	return fmt.Sprintf("journal: %s corrupt at offset %d: %s", e.Path, e.Offset, e.Reason)
+}
+
+// Is makes every CorruptError match ErrCorrupt.
+func (e *CorruptError) Is(target error) bool { return target == ErrCorrupt }
 
 // Meta identifies the run a journal belongs to.
 type Meta struct {
@@ -119,13 +154,13 @@ func (s *ShardMeta) describe() string {
 // same distinction so memo statistics and stage counters reconstruct
 // exactly.
 type TestRecord struct {
-	Client         string `json:"client"`
-	Ran            bool   `json:"ran,omitempty"`
-	GenWarning     bool   `json:"genW,omitempty"`
-	GenError       bool   `json:"genE,omitempty"`
-	CompileRan     bool   `json:"compileRan,omitempty"`
-	CompileWarning bool   `json:"compileW,omitempty"`
-	CompileError   bool   `json:"compileE,omitempty"`
+	Client         string
+	Ran            bool
+	GenWarning     bool
+	GenError       bool
+	CompileRan     bool
+	CompileWarning bool
+	CompileError   bool
 }
 
 // OutcomeRow is one client framework's classified outcomes within a
@@ -135,9 +170,9 @@ type TestRecord struct {
 // per-cell tallies (the communication axis's sniffed exchanges and
 // message violations; nil on axes without any).
 type OutcomeRow struct {
-	Client   string   `json:"client"`
-	Outcomes []string `json:"outcomes"`
-	Tallies  []int    `json:"tallies,omitempty"`
+	Client   string
+	Outcomes []string
+	Tallies  []int
 }
 
 // Record is one completed campaign cell: a (server, class) service
@@ -149,47 +184,45 @@ type OutcomeRow struct {
 // the shape table; Doc carries the serialized WSDL only for Mode
 // "built" records, where it seeds the shape template on resume.
 type Record struct {
-	Trace     string `json:"trace"`
-	Server    string `json:"server"`
-	Class     string `json:"class"`
-	Mode      string `json:"mode"`
-	Published bool   `json:"published,omitempty"`
-	Verified  bool   `json:"verified,omitempty"`
-	Flagged   bool   `json:"flagged,omitempty"`
-	Compliant bool   `json:"compliant,omitempty"`
+	Trace     string
+	Server    string
+	Class     string
+	Mode      string
+	Published bool
+	Verified  bool
+	Flagged   bool
+	Compliant bool
 	// Profiles lists the IDs of the compliance profiles the published
 	// description satisfied (the per-profile verdict row of the
 	// campaign's compliance matrix). The campaign fingerprint covers
 	// the profile roster, so a nil list on a published record always
 	// means "checked, compliant with none", never "not checked".
-	Profiles []string     `json:"profiles,omitempty"`
-	Doc      []byte       `json:"doc,omitempty"`
-	Tests    []TestRecord `json:"tests,omitempty"`
+	Profiles []string
+	Doc      []byte
+	Tests    []TestRecord
 	// Rows holds a wire-axis service cell's per-client outcome rows;
 	// nil for static-campaign records.
-	Rows []OutcomeRow `json:"rows,omitempty"`
+	Rows []OutcomeRow
 	// Collisions preserves a server stage's deploy path-collision count
 	// on a wire-axis completion sentinel; zero everywhere else.
-	Collisions int `json:"collisions,omitempty"`
+	Collisions int
 }
 
 // Journal is an open checkpoint store. Append must be serialized by
 // the caller (the campaign writes from a single goroutine); the other
 // methods are not safe for concurrent use either.
 type Journal struct {
-	dir     string
-	f       *os.File
-	w       *bufio.Writer
-	enc     *json.Encoder // one line per record into w
-	records map[string]Record
-	order   []string // trace IDs in first-seen order
+	f      *os.File
+	w      *bufio.Writer
+	enc    *encoder
+	loaded map[string]*Record
 
 	// FlushEvery is the number of appends between durable flushes; 0
 	// or 1 (the default) flushes every record before Append returns.
 	// Larger values group-commit: records become durable at the next
 	// flush boundary (every FlushEvery appends, at a sync point, at
 	// Flush, or at Close), and a hard kill in between loses only the
-	// unflushed tail — buffered lines reach the file whole except
+	// unflushed tail — buffered frames reach the file whole except
 	// possibly the last, which torn-tail recovery already drops.
 	FlushEvery int
 	// AfterAppend, when non-nil, observes every durable append with
@@ -208,8 +241,8 @@ type Journal struct {
 // Open opens (resume=true) or initializes (resume=false) the
 // checkpoint store in dir, creating the directory as needed. A fresh
 // open refuses a directory that already holds checkpoint state; a
-// resume open loads the snapshot and journal, recovers a torn final
-// journal line, and verifies the meta fingerprint.
+// resume open verifies the meta identity, loads the journal, and
+// truncates a torn tail so appends continue at the last verified frame.
 func Open(dir string, meta Meta, resume bool) (*Journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
@@ -217,6 +250,9 @@ func Open(dir string, meta Meta, resume bool) (*Journal, error) {
 	meta.Version = Version
 	existing, err := readMeta(dir)
 	if err != nil {
+		return nil, err
+	}
+	if err := checkVersion(dir, existing); err != nil {
 		return nil, err
 	}
 	switch {
@@ -228,8 +264,6 @@ func Open(dir string, meta Meta, resume bool) (*Journal, error) {
 		}
 	case !resume:
 		return nil, fmt.Errorf("%w: %s", ErrExists, dir)
-	case existing.Version != meta.Version:
-		return nil, fmt.Errorf("journal: %s has schema version %d, this build writes %d", dir, existing.Version, meta.Version)
 	case existing.Fingerprint != meta.Fingerprint:
 		return nil, fmt.Errorf("%w: %s", ErrFingerprint, dir)
 	case !existing.Shard.equal(meta.Shard):
@@ -237,42 +271,80 @@ func Open(dir string, meta Meta, resume bool) (*Journal, error) {
 			existing.Shard.describe(), meta.Shard.describe())
 	}
 
-	j := &Journal{dir: dir, records: make(map[string]Record)}
-	if err := j.loadFile(filepath.Join(dir, snapshotFile), false); err != nil {
-		return nil, err
-	}
-	valid, err := j.loadJournal()
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(filepath.Join(dir, journalFile), os.O_CREATE|os.O_RDWR, 0o644)
+	path := filepath.Join(dir, DataFile)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	// Drop a torn final line so appends continue at the last valid
-	// record boundary.
-	if err := f.Truncate(valid); err != nil {
+	j := &Journal{f: f}
+	if err := j.load(path); err != nil {
 		_ = f.Close()
-		return nil, fmt.Errorf("journal: truncate torn tail: %w", err)
+		return nil, err
 	}
-	if _, err := f.Seek(valid, 0); err != nil {
-		_ = f.Close()
-		return nil, fmt.Errorf("journal: %w", err)
-	}
-	j.f = f
-	j.w = bufio.NewWriter(f)
-	j.enc = json.NewEncoder(j.w)
 	return j, nil
 }
 
-// hasState reports whether dir holds journal or snapshot data.
-func hasState(dir string) bool {
-	for _, name := range []string{journalFile, snapshotFile} {
-		if info, err := os.Stat(filepath.Join(dir, name)); err == nil && info.Size() > 0 {
-			return true
+// load reads the data file, indexes its records and readies it for
+// appends at the last verified frame, truncating a torn tail.
+func (j *Journal) load(path string) error {
+	data, err := readAll(j.f)
+	if err != nil {
+		return err
+	}
+	recs, dict, valid, err := decode(path, data)
+	if err != nil {
+		return err
+	}
+	j.loaded = make(map[string]*Record, len(recs))
+	for i := range recs {
+		j.loaded[recs[i].Trace] = &recs[i]
+	}
+	if err := j.f.Truncate(valid); err != nil {
+		return fmt.Errorf("journal: truncate torn tail: %w", err)
+	}
+	if _, err := j.f.Seek(valid, 0); err != nil {
+		return fmt.Errorf("journal: %w", err)
+	}
+	j.w = bufio.NewWriter(j.f)
+	j.enc = newEncoder(dict)
+	return nil
+}
+
+// readAll reads the whole of f from its start.
+func readAll(f *os.File) ([]byte, error) {
+	info, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("journal: %w", err)
+	}
+	data := make([]byte, info.Size())
+	if _, err := io.ReadFull(f, data); err != nil {
+		return nil, fmt.Errorf("journal: %w", err)
+	}
+	return data, nil
+}
+
+// legacyFiles are the data files of schema version 1.
+var legacyFiles = []string{"journal.jsonl", "snapshot.jsonl"}
+
+// checkVersion refuses a store of another schema version: a meta.json
+// stamped with another Version, or a data file of the version-1 JSONL
+// layout, whatever its meta says.
+func checkVersion(dir string, meta *Meta) error {
+	for _, name := range legacyFiles {
+		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
+			return fmt.Errorf("%w: %s holds %s, a version-1 store this build does not read", ErrVersion, dir, name)
 		}
 	}
-	return false
+	if meta != nil && meta.Version != Version {
+		return fmt.Errorf("%w: %s has schema version %d, this build reads %d", ErrVersion, dir, meta.Version, Version)
+	}
+	return nil
+}
+
+// hasState reports whether dir holds journal data.
+func hasState(dir string) bool {
+	info, err := os.Stat(filepath.Join(dir, DataFile))
+	return err == nil && info.Size() > 0
 }
 
 func readMeta(dir string) (*Meta, error) {
@@ -323,92 +395,17 @@ func atomicWrite(dir, name string, content []byte) error {
 	return nil
 }
 
-// loadFile loads one JSONL file into the record map. With lenient
-// false every line must parse; the journal file instead goes through
-// loadJournal, which tolerates a torn final line.
-func (j *Journal) loadFile(path string, lenient bool) error {
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	_, err = j.consume(path, data, lenient)
-	return err
-}
-
-// loadJournal loads journal.jsonl, dropping a torn final line, and
-// returns the byte offset of the last valid record boundary.
-func (j *Journal) loadJournal() (int64, error) {
-	path := filepath.Join(j.dir, journalFile)
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, fmt.Errorf("journal: %w", err)
-	}
-	return j.consume(path, data, true)
-}
-
-// consume parses JSONL content into the record map and returns the
-// offset just past the last valid record. With lenient set, a final
-// line that is incomplete (no trailing newline) or unparseable is
-// dropped; an invalid line followed by more content is corruption.
-func (j *Journal) consume(path string, data []byte, lenient bool) (int64, error) {
-	offset := int64(0)
-	for len(data) > 0 {
-		nl := bytes.IndexByte(data, '\n')
-		line, rest := data, []byte(nil)
-		torn := nl < 0
-		if !torn {
-			line, rest = data[:nl], data[nl+1:]
-		}
-		var rec Record
-		parseErr := json.Unmarshal(line, &rec)
-		if parseErr == nil && rec.Trace == "" {
-			parseErr = errors.New("record has no trace ID")
-		}
-		if parseErr != nil || torn {
-			if lenient && len(bytes.TrimSpace(rest)) == 0 {
-				// Torn final line: recoverable.
-				return offset, nil
-			}
-			return 0, fmt.Errorf("journal: %s corrupt at offset %d: %v", path, offset, parseErr)
-		}
-		j.put(rec)
-		offset += int64(nl + 1)
-		data = rest
-	}
-	return offset, nil
-}
-
-func (j *Journal) put(rec Record) {
-	if _, seen := j.records[rec.Trace]; !seen {
-		j.order = append(j.order, rec.Trace)
-	}
-	j.records[rec.Trace] = rec
-}
-
-// Records returns the loaded-plus-appended records in first-seen
-// order. The slice is a copy; records themselves are shared.
-func (j *Journal) Records() []Record {
-	out := make([]Record, 0, len(j.order))
-	for _, trace := range j.order {
-		out = append(out, j.records[trace])
-	}
-	return out
-}
-
-// Len reports the number of distinct records in the store.
-func (j *Journal) Len() int { return len(j.records) }
+// Loaded returns the records the store held when it was opened, keyed
+// by trace; a trace journaled twice keeps its last record. Appends do
+// not add to it, so a resuming campaign may read it from any goroutine
+// while its writer appends. Callers must not modify it.
+func (j *Journal) Loaded() map[string]*Record { return j.loaded }
 
 // Appended reports the number of records appended this session.
 func (j *Journal) Appended() int { return j.appended }
 
 // Append records one completed cell. With the default FlushEvery the
-// line is written and flushed before Append returns, so a kill after
+// frame is written and flushed before Append returns, so a kill after
 // Append never loses the cell; a group-commit FlushEvery defers the
 // flush to the next batch boundary. Every SyncEvery appends the file
 // is flushed and fsynced, which also makes every pending record
@@ -417,10 +414,13 @@ func (j *Journal) Append(rec Record) error {
 	if rec.Trace == "" {
 		return errors.New("journal: record has no trace ID")
 	}
-	if err := j.enc.Encode(rec); err != nil {
+	frame, err := j.enc.frame(&rec)
+	if err != nil {
+		return err
+	}
+	if _, err := j.w.Write(frame); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
-	j.put(rec)
 	j.appended++
 	j.sinceSync++
 	j.sinceFlush++
@@ -475,31 +475,43 @@ func (j *Journal) notifyDurable() {
 }
 
 // Load reads the checkpoint store in dir without opening it for
-// writing: the meta identity plus every record, snapshot first then
-// journal, tolerating a torn final journal line exactly as a resume
-// open would (but without truncating the file — Load never mutates the
-// store). It is the merge coordinator's view of a shard worker's
-// journal.
+// writing: the meta identity plus every record in first-journaled
+// order, a trace journaled twice keeping its last record. It tolerates
+// a torn tail exactly as a resume open would, but never truncates it —
+// Load never mutates the store. It is the merge coordinator's view of
+// a shard worker's journal.
 func Load(dir string) (*Meta, []Record, error) {
 	meta, err := readMeta(dir)
 	if err != nil {
 		return nil, nil, err
 	}
+	if err := checkVersion(dir, meta); err != nil {
+		return nil, nil, err
+	}
 	if meta == nil {
 		return nil, nil, fmt.Errorf("journal: %s holds no checkpoint (missing %s)", dir, metaFile)
 	}
-	if meta.Version != Version {
-		return nil, nil, fmt.Errorf("journal: %s has schema version %d, this build reads %d", dir, meta.Version, Version)
+	path := filepath.Join(dir, DataFile)
+	data, err := os.ReadFile(path)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
-	j := &Journal{records: make(map[string]Record)}
-	if err := j.loadFile(filepath.Join(dir, snapshotFile), false); err != nil {
+	recs, _, _, err := decode(path, data)
+	if err != nil {
 		return nil, nil, err
 	}
-	j.dir = dir
-	if _, err := j.loadJournal(); err != nil {
-		return nil, nil, err
+	// Keep each trace's last record at its first position.
+	at := make(map[string]int, len(recs))
+	out := recs[:0]
+	for _, rec := range recs {
+		if i, seen := at[rec.Trace]; seen {
+			out[i] = rec
+			continue
+		}
+		at[rec.Trace] = len(out)
+		out = append(out, rec)
 	}
-	return meta, j.Records(), nil
+	return meta, out, nil
 }
 
 // CheckShards verifies that a set of journal identities tiles one

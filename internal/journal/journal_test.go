@@ -2,31 +2,109 @@ package journal
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 )
 
 func testMeta() Meta { return Meta{Fingerprint: "fp-test"} }
 
 func record(i int) Record {
-	return Record{
+	rec := Record{
 		Trace:     fmt.Sprintf("trace-%04d", i),
 		Server:    "SrvA",
 		Class:     fmt.Sprintf("pkg.Class%d", i),
 		Mode:      "built",
 		Published: true,
 		Verified:  i%2 == 0,
+		Flagged:   i%7 == 0,
+		Compliant: i%7 != 0,
 		Doc:       []byte("<definitions/>"),
 		Tests: []TestRecord{
 			{Client: "c1", Ran: true, GenWarning: i%3 == 0},
-			{Client: "c2", CompileRan: true, CompileError: i%5 == 0},
+			{Client: "c2", CompileRan: true, CompileError: i%5 == 0, CompileWarning: i%2 == 1},
+			{Client: "c3", GenError: true},
 		},
+	}
+	if n := i % 3; n > 0 {
+		rec.Profiles = []string{"bp11", "ivoa"}[:n]
+	}
+	return rec
+}
+
+// axisRecord is a wire-axis record: per-client outcome rows with
+// tallies, and on every fourth a completion sentinel's collisions.
+func axisRecord(i int) Record {
+	rec := Record{
+		Trace:     fmt.Sprintf("axis-%04d", i),
+		Server:    "SrvB",
+		Class:     fmt.Sprintf("pkg.Wire%d", i),
+		Mode:      "robust",
+		Published: true,
+		Rows: []OutcomeRow{
+			{Client: "c1", Outcomes: []string{"accept", "typed-reject"}, Tallies: []int{i, -i}},
+			{Client: "c2", Outcomes: []string{"accept", "accept"}},
+		},
+	}
+	if i%4 == 0 {
+		rec.Rows, rec.Mode, rec.Collisions = nil, "robust-complete", i+1
+	}
+	return rec
+}
+
+// frameEnds returns the offset just past each verified frame of the
+// data file in dir. (journaltest.FrameEnds imports this package, so
+// in-package tests cannot use it.)
+func frameEnds(t *testing.T, dir string) []int64 {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, DataFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ends []int64
+	for off := 0; off+headerSize <= len(data); {
+		n, ok := headerAt(data, off)
+		if !ok || off+headerSize+n > len(data) {
+			break
+		}
+		off += headerSize + n
+		ends = append(ends, int64(off))
+	}
+	return ends
+}
+
+// writeStore journals recs into a fresh store in dir.
+func writeStore(t testing.TB, dir string, meta Meta, recs []Record) {
+	t.Helper()
+	j, err := Open(dir, meta, false)
+	if err != nil {
+		t.Fatalf("open fresh: %v", err)
+	}
+	for i := range recs {
+		if err := j.Append(recs[i]); err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+}
+
+// appendBytes appends raw bytes to the data file in dir.
+func appendBytes(t *testing.T, dir string, b []byte) {
+	t.Helper()
+	f, err := os.OpenFile(filepath.Join(dir, DataFile), os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatalf("reopen for tearing: %v", err)
+	}
+	if _, err := f.Write(b); err != nil {
+		t.Fatalf("tear: %v", err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatalf("close torn file: %v", err)
 	}
 }
 
@@ -39,6 +117,9 @@ func TestRoundTrip(t *testing.T) {
 	var want []Record
 	for i := 0; i < 25; i++ {
 		rec := record(i)
+		if i%2 == 1 {
+			rec = axisRecord(i)
+		}
 		want = append(want, rec)
 		if err := j.Append(rec); err != nil {
 			t.Fatalf("append %d: %v", i, err)
@@ -56,8 +137,17 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("open resume: %v", err)
 	}
 	defer func() { _ = j2.Close() }()
-	if got := j2.Records(); !reflect.DeepEqual(got, want) {
-		t.Errorf("records after reload differ:\ngot  %+v\nwant %+v", got, want)
+	loaded := j2.Loaded()
+	if len(loaded) != len(want) {
+		t.Errorf("reload holds %d records, want %d", len(loaded), len(want))
+	}
+	for _, rec := range want {
+		if got := loaded[rec.Trace]; got == nil || !reflect.DeepEqual(*got, rec) {
+			t.Errorf("record %s after reload differs:\ngot  %+v\nwant %+v", rec.Trace, got, rec)
+		}
+	}
+	if _, got, err := Load(dir); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("Load after reload differs (err %v):\ngot  %+v\nwant %+v", err, got, want)
 	}
 }
 
@@ -98,60 +188,60 @@ func TestResumeOnEmptyDirIsFresh(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resume on empty dir: %v", err)
 	}
-	if j.Len() != 0 {
-		t.Errorf("Len = %d, want 0", j.Len())
+	if n := len(j.Loaded()); n != 0 {
+		t.Errorf("loaded %d records, want 0", n)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
 }
 
+// tornFrame is the first n bytes of a frame journaling a record the
+// five-record stores of the torn-tail tests do not hold.
+func tornFrame(n int) []byte {
+	rec := record(9999)
+	frame, err := newEncoder(nil).frame(&rec)
+	if err != nil {
+		panic(err)
+	}
+	return append([]byte(nil), frame[:n]...)
+}
+
 // TestTornFinalLineRecovered is the hard-kill scenario: the process
-// died mid-append, leaving a partial last line. Reopening must drop
-// exactly that line, keep every complete record, and leave the file
-// appendable at a clean boundary.
+// died mid-append, leaving a partial last frame, or the tail holds
+// bytes no frame verifies. Reopening must drop exactly that tail, keep
+// every complete record, and leave the file appendable at a clean
+// frame boundary.
 func TestTornFinalLineRecovered(t *testing.T) {
-	for _, torn := range []string{
-		`{"trace":"trace-9999","server":"Srv`, // cut mid-JSON, no newline
-		`{"trace":"trace-9999"`,               // cut mid-JSON
-		`garbage that is not JSON`,            // overwritten tail
-		`{"server":"no-trace-field"}`,         // parses but invalid, final line
+	for _, c := range []struct {
+		name string
+		tail []byte
+	}{
+		{"header cut", tornFrame(headerSize / 2)},
+		{"payload cut", tornFrame(headerSize + 9)},
+		{"garbage th", []byte("garbage that is not a frame")},
+		// The torn JSON line a version-1 writer left is garbage here too.
+		{`{"trace":"`, []byte(`{"trace":"trace-9999","server":"Srv`)},
+		{"zero fill", make([]byte, 3*headerSize+5)},
 	} {
-		t.Run(torn[:10], func(t *testing.T) {
+		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
-			j, err := Open(dir, testMeta(), false)
-			if err != nil {
-				t.Fatalf("open fresh: %v", err)
-			}
+			var recs []Record
 			for i := 0; i < 5; i++ {
-				if err := j.Append(record(i)); err != nil {
-					t.Fatalf("append: %v", err)
-				}
+				recs = append(recs, record(i))
 			}
-			if err := j.Close(); err != nil {
-				t.Fatalf("close: %v", err)
-			}
-			path := filepath.Join(dir, "journal.jsonl")
-			f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-			if err != nil {
-				t.Fatalf("reopen for tearing: %v", err)
-			}
-			if _, err := f.WriteString(torn); err != nil {
-				t.Fatalf("tear: %v", err)
-			}
-			if err := f.Close(); err != nil {
-				t.Fatalf("close torn file: %v", err)
-			}
+			writeStore(t, dir, testMeta(), recs)
+			appendBytes(t, dir, c.tail)
 
 			j2, err := Open(dir, testMeta(), true)
 			if err != nil {
 				t.Fatalf("resume over torn tail: %v", err)
 			}
-			if j2.Len() != 5 {
-				t.Errorf("Len = %d, want 5 (torn line dropped)", j2.Len())
+			if n := len(j2.Loaded()); n != 5 {
+				t.Errorf("loaded %d records, want 5 (torn tail dropped)", n)
 			}
 			// The torn bytes must be gone: appending and reloading again
-			// must parse cleanly.
+			// must decode cleanly.
 			if err := j2.Append(record(5)); err != nil {
 				t.Fatalf("append after recovery: %v", err)
 			}
@@ -163,158 +253,288 @@ func TestTornFinalLineRecovered(t *testing.T) {
 				t.Fatalf("reload after recovery append: %v", err)
 			}
 			defer func() { _ = j3.Close() }()
-			if j3.Len() != 6 {
-				t.Errorf("Len after recovery append = %d, want 6", j3.Len())
+			if n := len(j3.Loaded()); n != 6 {
+				t.Errorf("loaded %d records after recovery append, want 6", n)
 			}
 		})
 	}
 }
 
-func TestMidFileCorruptionRefused(t *testing.T) {
+// TestResumedWriterContinuesDictionary: a session that defines new
+// dictionary entries in a frame a kill tears must leave no trace of
+// them. The next session's writer continues the dictionary of the
+// verified frames only, so the strings it defines, and its later
+// references to them, load back as written.
+func TestResumedWriterContinuesDictionary(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, testMeta(), false)
+	writeStore(t, dir, testMeta(), []Record{record(0), record(1)})
+	j, err := Open(dir, testMeta(), true)
 	if err != nil {
-		t.Fatalf("open fresh: %v", err)
+		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		if err := j.Append(record(i)); err != nil {
-			t.Fatalf("append: %v", err)
+	torn := record(2)
+	torn.Server, torn.Mode = "SrvTorn", "torn-mode"
+	frame, err := j.enc.frame(&torn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendBytes(t, dir, frame[:len(frame)-3])
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	want := []Record{record(0), record(1), record(3), record(4)}
+	want[2].Server, want[3].Server = "SrvNew", "SrvNew"
+	want[3].Mode = "torn-mode"
+	j, err = Open(dir, testMeta(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range want[2:] {
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if err := j.Close(); err != nil {
-		t.Fatalf("close: %v", err)
+		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "journal.jsonl")
+	if _, got, err := Load(dir); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("Load after a torn dictionary definition (err %v):\ngot  %+v\nwant %+v", err, got, want)
+	}
+}
+
+// TestOversizeRecordRefused: a record whose frame would pass the size
+// cap is refused at append, and the dictionary entries it would have
+// defined are undone, so later records that use the same strings load.
+func TestOversizeRecordRefused(t *testing.T) {
+	dir := t.TempDir()
+	j, err := Open(dir, testMeta(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := record(0)
+	big.Server, big.Doc = "SrvBig", make([]byte, maxPayload)
+	if err := j.Append(big); err == nil {
+		t.Fatal("a record over the frame cap was appended")
+	}
+	want := []Record{record(1), record(2)}
+	want[0].Server, want[1].Server = "SrvBig", "SrvBig"
+	for _, rec := range want {
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, got, err := Load(dir); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("Load after a refused record (err %v):\ngot  %+v\nwant %+v", err, got, want)
+	}
+}
+
+// requireCorrupt asserts err is a *CorruptError at offset, matching
+// ErrCorrupt.
+func requireCorrupt(t *testing.T, err error, offset int64) {
+	t.Helper()
+	var ce *CorruptError
+	switch {
+	case !errors.Is(err, ErrCorrupt):
+		t.Fatalf("err = %v, want ErrCorrupt", err)
+	case !errors.As(err, &ce):
+		t.Fatalf("err = %v, want a *CorruptError", err)
+	case ce.Offset != offset:
+		t.Fatalf("corruption reported at offset %d, want %d (%v)", ce.Offset, offset, err)
+	}
+}
+
+func TestMidFileCorruptionRefused(t *testing.T) {
+	dir := t.TempDir()
+	writeStore(t, dir, testMeta(), []Record{record(0), record(1), record(2)})
+	path := filepath.Join(dir, DataFile)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
-	// Corrupt the SECOND line — not the tail — which recovery must not
-	// silently skip.
-	lines := strings.SplitAfter(string(data), "\n")
-	lines[1] = "XX" + lines[1][2:]
-	if err := os.WriteFile(path, []byte(strings.Join(lines, "")), 0o644); err != nil {
+	// Corrupt the SECOND frame's payload — not the tail — which
+	// recovery must not silently skip.
+	second := frameEnds(t, dir)[0]
+	data[second+headerSize+2] ^= 0xff
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatalf("write corrupted: %v", err)
 	}
-	if _, err := Open(dir, testMeta(), true); err == nil {
-		t.Error("mid-file corruption should refuse to load")
+	_, err = Open(dir, testMeta(), true)
+	requireCorrupt(t, err, second)
+	_, _, err = Load(dir)
+	requireCorrupt(t, err, second)
+	if after, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(after, data) {
+		t.Error("a refused open changed the journal file")
 	}
 }
 
-// writeSnapshot hand-writes snapshot.jsonl the way earlier builds
-// compacted their journal into it: one JSON record per line.
-func writeSnapshot(t *testing.T, dir string, recs ...Record) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	for _, rec := range recs {
-		if err := enc.Encode(rec); err != nil {
+// TestByteFlipRefused flips each byte of every non-final frame in
+// turn, length field and checksums included. Each flip must be refused
+// as corruption at that frame's offset, never taken for a torn tail
+// that would silently drop the valid records after it.
+func TestByteFlipRefused(t *testing.T) {
+	dir := t.TempDir()
+	writeStore(t, dir, testMeta(), []Record{record(0), axisRecord(1), record(2), axisRecord(3)})
+	data, err := os.ReadFile(filepath.Join(dir, DataFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ends := frameEnds(t, dir)
+	start := int64(0)
+	for _, end := range ends[:len(ends)-1] {
+		for pos := start; pos < end; pos++ {
+			flipped := append([]byte(nil), data...)
+			flipped[pos] ^= 0x5a
+			_, _, _, err := decode("journal.wal", flipped)
+			var ce *CorruptError
+			if !errors.As(err, &ce) || !errors.Is(err, ErrCorrupt) || ce.Offset != start {
+				t.Fatalf("flip at byte %d of the frame at %d: err = %v, want corruption at %d", pos, start, err, start)
+			}
+		}
+		start = end
+	}
+	// The same holds through the store: a flipped length field.
+	flipped := append([]byte(nil), data...)
+	flipped[ends[0]+1] ^= 0x01
+	if err := os.WriteFile(filepath.Join(dir, DataFile), flipped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(dir, testMeta(), true)
+	requireCorrupt(t, err, ends[0])
+}
+
+// TestZeroFilledTailIsTorn: a file system can leave zeros where a
+// crashed write's blocks were allocated but not written. Zeros verify
+// as no frame header, so they are a torn tail however long.
+func TestZeroFilledTailIsTorn(t *testing.T) {
+	for _, n := range []int{1, headerSize, 4096} {
+		dir := t.TempDir()
+		writeStore(t, dir, testMeta(), []Record{record(0), record(1)})
+		size := frameEnds(t, dir)[1]
+		appendBytes(t, dir, make([]byte, n))
+		if _, recs, err := Load(dir); err != nil || len(recs) != 2 {
+			t.Fatalf("%d zero bytes: Load = %d records, %v; want 2, nil", n, len(recs), err)
+		}
+		j, err := Open(dir, testMeta(), true)
+		if err != nil {
+			t.Fatalf("%d zero bytes: %v", n, err)
+		}
+		if err := j.Close(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := os.WriteFile(filepath.Join(dir, snapshotFile), buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestSnapshotLoadsBeforeJournal proves a store written by a build
-// that compacted into snapshot.jsonl still resumes: the snapshot loads
-// first, the journal second, the journal's record wins per trace, the
-// order is first-seen, and appends land in the journal without ever
-// rewriting the snapshot.
-func TestSnapshotLoadsBeforeJournal(t *testing.T) {
-	dir := t.TempDir()
-	j, err := Open(dir, testMeta(), false)
-	if err != nil {
-		t.Fatalf("open fresh: %v", err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var snapRecs []Record
-	for i := 0; i < 8; i++ {
-		snapRecs = append(snapRecs, record(i))
-	}
-	snap := writeSnapshot(t, dir, snapRecs...)
-
-	j, err = Open(dir, testMeta(), true)
-	if err != nil {
-		t.Fatalf("resume over snapshot: %v", err)
-	}
-	if j.Len() != len(snapRecs) {
-		t.Errorf("Len after snapshot load = %d, want %d", j.Len(), len(snapRecs))
-	}
-	const n = 11
-	for i := len(snapRecs); i < n; i++ {
-		if err := j.Append(record(i)); err != nil {
-			t.Fatalf("append %d: %v", i, err)
+		if info, err := os.Stat(filepath.Join(dir, DataFile)); err != nil || info.Size() != size {
+			t.Errorf("%d zero bytes: resume left the file at %v bytes, want %d", n, info, size)
 		}
 	}
-	superseded := record(3)
-	superseded.Mode = "memoized"
-	if err := j.Append(superseded); err != nil {
-		t.Fatalf("append superseding record: %v", err)
+}
+
+// legacyStore writes a checkpoint directory in the version-1 layout:
+// meta.json at version 1 and the JSONL data file name, with a JSONL
+// record in it.
+func legacyStore(t *testing.T, dir, name string) {
+	t.Helper()
+	if err := writeMeta(dir, Meta{Version: 1, Fingerprint: testMeta().Fingerprint}); err != nil {
+		t.Fatal(err)
 	}
-	if err := j.Close(); err != nil {
-		t.Fatalf("close: %v", err)
+	line := `{"trace":"trace-0000","server":"SrvA","class":"pkg.Class0","mode":"built"}` + "\n"
+	if err := os.WriteFile(filepath.Join(dir, name), []byte(line), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if got, err := os.ReadFile(filepath.Join(dir, snapshotFile)); err != nil || !bytes.Equal(got, snap) {
-		t.Errorf("snapshot rewritten by appends (err %v)", err)
+}
+
+// TestSnapshotLoadsBeforeJournal: a store written by a build that
+// compacted into snapshot.jsonl is version 1 and is refused with
+// ErrVersion — by a resume open, by a fresh open and by Load, even
+// when a current meta.json and journal sit beside the snapshot — and
+// the refusal leaves every file as it was.
+func TestSnapshotLoadsBeforeJournal(t *testing.T) {
+	old := t.TempDir()
+	legacyStore(t, old, "snapshot.jsonl")
+	mixed := t.TempDir()
+	writeStore(t, mixed, testMeta(), []Record{record(0)})
+	if err := os.WriteFile(filepath.Join(mixed, "snapshot.jsonl"), []byte(`{"trace":"trace-0001"}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	lines, err := os.ReadFile(filepath.Join(dir, journalFile))
+	for _, dir := range []string{old, mixed} {
+		before := dirFiles(t, dir)
+		for _, resume := range []bool{true, false} {
+			if _, err := Open(dir, testMeta(), resume); !errors.Is(err, ErrVersion) {
+				t.Errorf("open (resume %v) of a snapshot layout: err = %v, want ErrVersion", resume, err)
+			}
+		}
+		if _, _, err := Load(dir); !errors.Is(err, ErrVersion) {
+			t.Errorf("Load of a snapshot layout: err = %v, want ErrVersion", err)
+		}
+		if after := dirFiles(t, dir); !reflect.DeepEqual(before, after) {
+			t.Errorf("a refused snapshot layout was changed:\nbefore %v\nafter  %v", before, after)
+		}
+	}
+}
+
+// TestVersionOneRefused: a version-1 journal.jsonl store, and a meta
+// of any other version, is refused with ErrVersion at Open and Load.
+func TestVersionOneRefused(t *testing.T) {
+	v1 := t.TempDir()
+	legacyStore(t, v1, "journal.jsonl")
+	future := t.TempDir()
+	writeStore(t, future, testMeta(), []Record{record(0)})
+	if err := writeMeta(future, Meta{Version: Version + 1, Fingerprint: testMeta().Fingerprint}); err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range []string{v1, future} {
+		if _, err := Open(dir, testMeta(), true); !errors.Is(err, ErrVersion) {
+			t.Errorf("resume of %s: err = %v, want ErrVersion", dir, err)
+		}
+		if _, _, err := Load(dir); !errors.Is(err, ErrVersion) {
+			t.Errorf("Load of %s: err = %v, want ErrVersion", dir, err)
+		}
+	}
+}
+
+// dirFiles maps each file in dir to its content.
+func dirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := bytes.Count(lines, []byte("\n")); got != n-len(snapRecs)+1 {
-		t.Errorf("journal holds %d lines, want the %d appended", got, n-len(snapRecs)+1)
+	files := make(map[string]string, len(entries))
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(data)
 	}
-
-	j2, err := Open(dir, testMeta(), true)
-	if err != nil {
-		t.Fatalf("reload: %v", err)
-	}
-	defer func() { _ = j2.Close() }()
-	var want []Record
-	for i := 0; i < n; i++ {
-		want = append(want, record(i))
-	}
-	want[3] = superseded
-	if got := j2.Records(); !reflect.DeepEqual(got, want) {
-		t.Errorf("records after reload differ:\ngot  %+v\nwant %+v", got, want)
-	}
+	return files
 }
 
 // TestDuplicateTraceLastWins: a trace appended twice keeps one record,
 // and the newest must win on load.
 func TestDuplicateTraceLastWins(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, testMeta(), false)
-	if err != nil {
-		t.Fatalf("open fresh: %v", err)
-	}
 	rec := record(1)
-	if err := j.Append(rec); err != nil {
-		t.Fatalf("append: %v", err)
+	dup := rec
+	dup.Mode = "memoized"
+	writeStore(t, dir, testMeta(), []Record{record(0), rec, record(2), dup})
+	_, recs, err := Load(dir)
+	if err != nil {
+		t.Fatalf("load: %v", err)
 	}
-	rec.Mode = "memoized"
-	if err := j.Append(rec); err != nil {
-		t.Fatalf("append dup: %v", err)
-	}
-	if j.Len() != 1 {
-		t.Errorf("Len = %d, want 1 (dedup by trace)", j.Len())
-	}
-	if err := j.Close(); err != nil {
-		t.Fatalf("close: %v", err)
+	if len(recs) != 3 || recs[1].Trace != rec.Trace || recs[1].Mode != "memoized" {
+		t.Errorf("Load = %+v, want 3 records (dedup by trace), the second with the last-written mode", recs)
 	}
 	j2, err := Open(dir, testMeta(), true)
 	if err != nil {
 		t.Fatalf("reload: %v", err)
 	}
 	defer func() { _ = j2.Close() }()
-	recs := j2.Records()
-	if len(recs) != 1 || recs[0].Mode != "memoized" {
-		t.Errorf("records = %+v, want single record with last-written mode", recs)
+	loaded := j2.Loaded()
+	if got := loaded[rec.Trace]; len(loaded) != 3 || got == nil || got.Mode != "memoized" {
+		t.Errorf("loaded = %+v, want 3 records, %s with the last-written mode", loaded, rec.Trace)
 	}
 }
 
@@ -390,7 +610,7 @@ func TestFlushEveryGroupCommit(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer func() { _ = re.Close() }()
-	if got := len(re.Records()); got != 7 {
+	if got := len(re.Loaded()); got != 7 {
 		t.Errorf("reopened store holds %d records, want 7", got)
 	}
 }
@@ -408,7 +628,7 @@ func TestFlushEverySyncPointIsDurable(t *testing.T) {
 	j.FlushEvery = 2 * SyncEvery // never reached
 	var seen []int
 	j.AfterAppend = func(total int) { seen = append(seen, total) }
-	path := filepath.Join(dir, journalFile)
+	path := filepath.Join(dir, DataFile)
 	var synced int64
 	for i := 0; i < SyncEvery+2; i++ {
 		if err := j.Append(record(i)); err != nil {
@@ -449,14 +669,14 @@ func TestFlushEverySyncPointIsDurable(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer func() { _ = re.Close() }()
-	if got := len(re.Records()); got != SyncEvery+2 {
+	if got := len(re.Loaded()); got != SyncEvery+2 {
 		t.Errorf("reopened store holds %d records, want %d", got, SyncEvery+2)
 	}
 }
 
 // TestFlushEveryTornTailRecovery drops the unflushed tail plus a torn
-// final line, as a hard kill mid-batch would, and requires the lenient
-// recovery path to surface every record before the tear untouched.
+// final frame, as a hard kill mid-batch would, and requires the
+// torn-tail recovery to surface every record before the tear untouched.
 func TestFlushEveryTornTailRecovery(t *testing.T) {
 	dir := t.TempDir()
 	j, err := Open(dir, testMeta(), false)
@@ -472,19 +692,13 @@ func TestFlushEveryTornTailRecovery(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	// Simulate the kill: truncate the journal mid-line.
-	path := filepath.Join(dir, journalFile)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read journal: %v", err)
+	// Simulate the kill: truncate the journal mid-frame.
+	ends := frameEnds(t, dir)
+	if len(ends) < 2 {
+		t.Fatalf("journal has %d frames, need at least 2", len(ends))
 	}
-	lines := strings.SplitAfter(strings.TrimSuffix(string(raw), "\n"), "\n")
-	if len(lines) < 2 {
-		t.Fatalf("journal has %d lines, need at least 2", len(lines))
-	}
-	last := lines[len(lines)-1]
-	torn := strings.Join(lines[:len(lines)-1], "") + last[:len(last)/2]
-	if err := os.WriteFile(path, []byte(torn), 0o644); err != nil {
+	last := ends[len(ends)-2] + (ends[len(ends)-1]-ends[len(ends)-2])/2
+	if err := os.Truncate(filepath.Join(dir, DataFile), last); err != nil {
 		t.Fatalf("tear journal: %v", err)
 	}
 	re, err := Open(dir, testMeta(), true)
@@ -492,7 +706,7 @@ func TestFlushEveryTornTailRecovery(t *testing.T) {
 		t.Fatalf("reopen torn: %v", err)
 	}
 	defer func() { _ = re.Close() }()
-	if got := len(re.Records()); got != 8 {
+	if got := len(re.Loaded()); got != 8 {
 		t.Errorf("torn reopen surfaced %d records, want 8", got)
 	}
 }
@@ -540,25 +754,18 @@ func TestShardMetaRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadReadOnly: Load sees snapshot + journal records, tolerates a
-// torn final journal line, and never mutates the store.
+// TestLoadReadOnly: Load sees every journal record, tolerates a torn
+// final frame, never mutates the store, and refuses a store that holds
+// an earlier build's snapshot.
 func TestLoadReadOnly(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, shardMeta(0, 2), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
 	var want []Record
 	for i := 0; i < 25; i++ {
 		want = append(want, record(i))
 	}
-	// Records 0-9 sit in a snapshot an earlier build compacted; 10-24
-	// are appended to the live journal.
-	writeSnapshot(t, dir, want[:10]...)
-	j, err = Open(dir, shardMeta(0, 2), true)
+	// Records 0-9 come from a first session, 10-24 from a resumed one.
+	writeStore(t, dir, shardMeta(0, 2), want[:10])
+	j, err := Open(dir, shardMeta(0, 2), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -571,14 +778,11 @@ func TestLoadReadOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Tear the final journal line the way a hard kill would.
-	path := filepath.Join(dir, "journal.jsonl")
-	pre, err := os.ReadFile(path)
+	// Tear the final frame the way a hard kill would.
+	path := filepath.Join(dir, DataFile)
+	appendBytes(t, dir, tornFrame(40))
+	torn, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatal(err)
-	}
-	torn := append(append([]byte{}, pre...), []byte(`{"trace":"torn`)...)
-	if err := os.WriteFile(path, torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -601,6 +805,14 @@ func TestLoadReadOnly(t *testing.T) {
 	}
 	if _, _, err := Load(t.TempDir()); err == nil {
 		t.Error("Load of an empty directory should fail")
+	}
+
+	// Records 0-9 in a snapshot an earlier build compacted: refused.
+	if err := os.WriteFile(filepath.Join(dir, "snapshot.jsonl"), []byte("{}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Load(dir); !errors.Is(err, ErrVersion) {
+		t.Errorf("Load beside a snapshot: err = %v, want ErrVersion", err)
 	}
 }
 

@@ -474,6 +474,38 @@ func BenchmarkSOAPRoundTrip(b *testing.B) {
 	})
 }
 
+// BenchmarkMessageCheck measures the WS-I message layer the
+// communication campaign's sniffer runs twice per exchange: the check
+// of an echo request and of its response, each under its HTTP
+// metadata.
+func BenchmarkMessageCheck(b *testing.B) {
+	checker := wsi.NewChecker()
+	for _, tc := range []struct {
+		name  string
+		local string
+		meta  wsi.MessageMeta
+	}{
+		{"request", "echo", wsi.MessageMeta{ContentType: soap.ContentType, SOAPAction: `""`}},
+		{"response", "echoResponse", wsi.MessageMeta{ContentType: soap.ContentType, HTTPStatus: 200}},
+	} {
+		raw, err := soap.V11.Marshal(&soap.Message{
+			Namespace: "http://bench.test/", Local: tc.local,
+			Fields: map[string]string{"input": "payload", "count": "7"},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if r := checker.CheckMessage(raw, tc.meta); len(r.Violations) != 0 {
+					b.Fatalf("clean echo %s has findings: %v", tc.name, r.Violations)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkCatalogConstruction measures Preparation Phase catalog
 // synthesis (both platforms).
 func BenchmarkCatalogConstruction(b *testing.B) {

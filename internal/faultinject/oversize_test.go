@@ -1,6 +1,7 @@
 package faultinject
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"wsinterop/internal/obs"
 	"wsinterop/internal/soap"
 	"wsinterop/internal/transport"
 )
@@ -127,5 +129,51 @@ func TestOversizeRefusedOverNetwork(t *testing.T) {
 	defer cancel()
 	if _, err := transport.NewClient(nil).Invoke(ctx, srv.URL+"/svc", "", echoRequest()); err != nil {
 		t.Errorf("clean invoke after oversize: %v", err)
+	}
+}
+
+// TestOversizeBehindSniffer stacks the conformance sniffer over the
+// oversize fault: the sniffer keeps at most the 1 MiB read budget of
+// the response for its check, reports the cut as a truncation finding
+// and counts it, while every byte still reaches the client.
+func TestOversizeBehindSniffer(t *testing.T) {
+	host := transport.NewHost()
+	if err := host.Deploy(&transport.Endpoint{
+		Path: "/svc", Namespace: "urn:test",
+		Operations: map[string]string{"echo": "echoResponse"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	sniffer := transport.NewSniffer(New(host), nil).WithObs(reg)
+	body, err := soap.V11.Marshal(echoRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodPost, "/svc", bytes.NewReader(body))
+	req.Header.Set("Content-Type", soap.ContentType)
+	req.Header.Set("SOAPAction", `""`)
+	req.Header.Set(HeaderFault, string(KindOversize))
+	rec := httptest.NewRecorder()
+	sniffer.ServeHTTP(rec, req)
+
+	if rec.Body.Len() <= oversizePad {
+		t.Errorf("client received %d bytes, want the whole padded response", rec.Body.Len())
+	}
+	log := sniffer.ExchangeLog()
+	if len(log) != 1 || log[0].ResponseBytes > 1<<20 {
+		t.Fatalf("exchange log = %+v, want one record keeping at most 1 MiB", log)
+	}
+	truncated := false
+	for _, f := range sniffer.Findings() {
+		if f.Direction == "response" && strings.Contains(f.Violation.Detail, "truncated") {
+			truncated = true
+		}
+	}
+	if !truncated {
+		t.Errorf("no truncation finding for the oversized response: %+v", sniffer.Findings())
+	}
+	if n := reg.Counter("sniffer.response.truncated").Value(); n != 1 {
+		t.Errorf("sniffer.response.truncated = %d, want 1", n)
 	}
 }

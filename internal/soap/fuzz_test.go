@@ -2,46 +2,55 @@ package soap
 
 import "testing"
 
-// fuzzSeeds collects the corpus shared by the codec fuzzers: canonical
+// fuzzSeedInputs collects the corpus shared by the codec fuzzers: canonical
 // envelopes of both versions, faults of both shapes, and the hybrid
 // variants the version matrix measures (a 1.1 envelope carrying a
 // 1.2-shaped fault; a 1.2 envelope framed with 1.1-era headers is a
 // transport-level hybrid, so its bytes are a pure 1.2 seed here).
-func fuzzSeeds(f *testing.F) {
-	f.Helper()
+func fuzzSeedInputs(tb testing.TB) [][]byte {
+	tb.Helper()
+	var seeds [][]byte
 	seed, err := V11.Marshal(testMessage())
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
-	f.Add(seed)
+	seeds = append(seeds, seed)
 	fault, err := V11.MarshalFault(&Fault{Code: FaultClient, String: "x"})
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
-	f.Add(fault)
+	seeds = append(seeds, fault)
 	seed12, err := V12.Marshal(testMessage())
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
-	f.Add(seed12)
+	seeds = append(seeds, seed12)
 	fault12, err := V12.MarshalFault(&Fault{Code: Fault12Sender, String: "x"})
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
-	f.Add(fault12)
-	f.Add([]byte(``))
-	f.Add([]byte(`<soap:Envelope xmlns:soap="http://schemas.xmlsoap.org/soap/envelope/"><soap:Body/></soap:Envelope>`))
-	f.Add([]byte(`<env:Envelope xmlns:env="http://www.w3.org/2003/05/soap-envelope"><env:Body/></env:Envelope>`))
+	seeds = append(seeds, fault12)
+	seeds = append(seeds, []byte(``))
+	seeds = append(seeds, []byte(`<soap:Envelope xmlns:soap="http://schemas.xmlsoap.org/soap/envelope/"><soap:Body/></soap:Envelope>`))
+	seeds = append(seeds, []byte(`<env:Envelope xmlns:env="http://www.w3.org/2003/05/soap-envelope"><env:Body/></env:Envelope>`))
 	// Hostile payload shapes: duplicated children (must be rejected,
 	// not last-wins) and element names Marshal must refuse to re-emit.
-	f.Add([]byte(`<soap:Envelope xmlns:soap="http://schemas.xmlsoap.org/soap/envelope/"><soap:Body><m:echo xmlns:m="urn:x"><m:input>a</m:input><m:input>b</m:input></m:echo></soap:Body></soap:Envelope>`))
-	f.Add([]byte(`<soap:Envelope xmlns:soap="http://schemas.xmlsoap.org/soap/envelope/"><soap:Body><m:echo xmlns:m="urn:x"><m:a.-_9>v</m:a.-_9></m:echo></soap:Body></soap:Envelope>`))
+	seeds = append(seeds, []byte(`<soap:Envelope xmlns:soap="http://schemas.xmlsoap.org/soap/envelope/"><soap:Body><m:echo xmlns:m="urn:x"><m:input>a</m:input><m:input>b</m:input></m:echo></soap:Body></soap:Envelope>`))
+	seeds = append(seeds, []byte(`<soap:Envelope xmlns:soap="http://schemas.xmlsoap.org/soap/envelope/"><soap:Body><m:echo xmlns:m="urn:x"><m:a.-_9>v</m:a.-_9></m:echo></soap:Body></soap:Envelope>`))
 	// Hybrid seeds: 1.1 envelope + 1.2 fault machinery, in both the
 	// foreign-namespace and foreign-shape variants.
-	f.Add([]byte(hybridFaultEnvelope))
-	f.Add([]byte(hybridShapeEnvelope))
+	seeds = append(seeds, []byte(hybridFaultEnvelope))
+	seeds = append(seeds, []byte(hybridShapeEnvelope))
 	// SOAP machinery masquerading as payload.
-	f.Add([]byte(`<soap:Envelope xmlns:soap="http://schemas.xmlsoap.org/soap/envelope/"><soap:Body><env:Fault xmlns:env="http://www.w3.org/2003/05/soap-envelope"><env:Code/></env:Fault></soap:Body></soap:Envelope>`))
+	seeds = append(seeds, []byte(`<soap:Envelope xmlns:soap="http://schemas.xmlsoap.org/soap/envelope/"><soap:Body><env:Fault xmlns:env="http://www.w3.org/2003/05/soap-envelope"><env:Code/></env:Fault></soap:Body></soap:Envelope>`))
+	return seeds
+}
+
+func fuzzSeeds(f *testing.F) {
+	f.Helper()
+	for _, b := range fuzzSeedInputs(f) {
+		f.Add(b)
+	}
 }
 
 // FuzzUnmarshal exercises the strict 1.1 parser with arbitrary bytes:

@@ -1,11 +1,12 @@
 package soap
 
 import (
-	"bytes"
 	"encoding/xml"
 	"errors"
 	"io"
 	"strconv"
+
+	"wsinterop/internal/xmltok"
 )
 
 // Depths the scan stores. The deepest element any reader consults is
@@ -66,26 +67,32 @@ type Scanned struct {
 	err error
 }
 
-// Scan walks data once with encoding/xml's tokenizer and records what
-// every reader of the message needs.
+// Scan walks data once and records what every reader of the message
+// needs. The walk runs on the xmltok scanner; an input the scanner
+// declines is walked again from byte 0 on encoding/xml, so every
+// outcome and error text is encoding/xml's.
 func Scan(data []byte) *Scanned {
+	return xmltok.Walk(data, scan)
+}
+
+// scan is the one walk, over either token source.
+func scan(src xmltok.Stream) *Scanned {
 	s := &Scanned{firstRoot: -1, lastRoot: -1, nodes: make([]node, 0, 8)}
-	dec := xml.NewDecoder(bytes.NewReader(data))
 	var open [keepDepth]int32 // kept element open at each depth
 	depth := 0
 	// Detect's walk state: it stops for good at a root that is not an
 	// Envelope, while the walk goes on for the parsers.
 	detecting, inBody, faultDepth := true, false, 0
 	for {
-		tok, err := dec.Token()
-		if err != nil {
+		t, ok := src.Next()
+		if !ok {
 			// Elements still open here are never read: the strict parse
 			// needs the first root closed, the lenient parsers a clean end.
-			s.err = err
+			s.err = src.Err()
 			return s
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
+		switch t.Kind {
+		case xmltok.StartElement:
 			if depth >= maxNesting {
 				s.tooDeep = true
 			}
@@ -113,7 +120,7 @@ func Scan(data []byte) *Scanned {
 				s.nodes[p.lastKid].nextSibl = i
 			}
 			p.lastKid = i
-		case xml.EndElement:
+		case xmltok.EndElement:
 			if detecting {
 				if faultDepth != 0 && depth == faultDepth {
 					faultDepth = 0
@@ -129,9 +136,9 @@ func Scan(data []byte) *Scanned {
 				s.firstRootClosed = true
 			}
 			depth--
-		case xml.CharData:
+		case xmltok.CharData:
 			if depth >= textDepth && depth <= keepDepth {
-				s.nodes[open[depth-1]].addText(t)
+				s.nodes[open[depth-1]].addText(t.Text)
 			}
 		}
 	}
@@ -173,10 +180,10 @@ func (sig *versionSignals) start(name xml.Name, depth int, inBody *bool, faultDe
 	return true
 }
 
-// addText appends one CharData token. The common single-token value
+// addText appends one CharData token's text. The common single-token value
 // costs one string; later tokens accumulate in a byte slice so a value
 // split by comments or child elements stays linear in its length.
-func (n *node) addText(t xml.CharData) {
+func (n *node) addText(t []byte) {
 	switch {
 	case n.more != nil:
 		n.more = append(n.more, t...)

@@ -10,7 +10,8 @@
 // extends it further into the hybrid-version error class the paper
 // never reached.
 //
-// Every reader works from one token walk: Scan (scan.go) records the
+// Every reader works from one token walk: Scan (scan.go) records, on
+// the internal/xmltok scanner with encoding/xml as its fallback, the
 // version signals, a small element tree and where the stream broke off,
 // and Detect, the strict codecs and the lenient parsers read that, so a
 // message that is classified and then parsed is tokenized once.

@@ -26,6 +26,10 @@ var ErrAborted = errors.New("transport: connection aborted")
 // refused with errReadBudget before any parse.
 const maxResponseBytes = 1 << 20
 
+// maxRequestBytes is the request read budget shared by Host and
+// Sniffer: a longer request body is cut off at it.
+const maxRequestBytes = 1 << 20
+
 // errReadBudget is the typed refusal of a response longer than
 // maxResponseBytes.
 func errReadBudget() error {

@@ -51,6 +51,9 @@ type Exchange struct {
 	// message-level findings per direction.
 	RequestViolations  int
 	ResponseViolations int
+	// ResponseBytes is how much of the response body the capture kept
+	// and checked: all of it, or the read budget for a longer one.
+	ResponseBytes int
 }
 
 // NewSniffer wraps a handler. A nil checker uses the default.
@@ -70,12 +73,16 @@ func (s *Sniffer) WithObs(reg *obs.Registry) *Sniffer {
 
 var _ http.Handler = (*Sniffer)(nil)
 
-// recordingWriter captures the response for post-hoc validation.
+// recordingWriter captures the response for post-hoc validation. It
+// keeps at most maxResponseBytes of the body, the budget a client
+// reads, and marks a longer one truncated; every byte still reaches
+// the wrapped writer.
 type recordingWriter struct {
 	http.ResponseWriter
 	status      int
 	wroteHeader bool
 	body        bytes.Buffer
+	truncated   bool
 }
 
 func (w *recordingWriter) WriteHeader(status int) {
@@ -94,7 +101,12 @@ func (w *recordingWriter) Write(p []byte) (int, error) {
 		w.status = http.StatusOK
 		w.wroteHeader = true
 	}
-	w.body.Write(p)
+	if room := maxResponseBytes - w.body.Len(); len(p) > room {
+		w.body.Write(p[:room])
+		w.truncated = true
+	} else {
+		w.body.Write(p)
+	}
 	return w.ResponseWriter.Write(p)
 }
 
@@ -117,7 +129,7 @@ func (w *recordingWriter) Status() int {
 
 // ServeHTTP implements http.Handler.
 func (s *Sniffer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	reqBody, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	reqBody, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBytes))
 	// Hand the inner handler exactly the bytes the capture saw — also
 	// on a read error, where the original body is a half-drained stream
 	// that would otherwise be forwarded silently corrupted. The handler
@@ -138,7 +150,11 @@ func (s *Sniffer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	respReport := s.checker.CheckMessage(rec.body.Bytes(), wsi.MessageMeta{
 		ContentType: rec.Header().Get("Content-Type"),
 		HTTPStatus:  rec.Status(),
+		Truncated:   rec.truncated,
 	})
+	if rec.truncated {
+		s.reg.Counter("sniffer.response.truncated").Inc()
+	}
 
 	trace := r.Header.Get(obs.TraceHeader)
 	s.reg.Counter("sniffer.exchanges").Inc()
@@ -151,6 +167,7 @@ func (s *Sniffer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		Status:             rec.Status(),
 		RequestViolations:  len(reqReport.Violations),
 		ResponseViolations: len(respReport.Violations),
+		ResponseBytes:      rec.body.Len(),
 	})
 	for _, v := range reqReport.Violations {
 		s.findings = append(s.findings, CapturedViolation{Direction: "request", Violation: v, Trace: trace})

@@ -339,7 +339,7 @@ func (h *Host) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// request framing back, making the hybrid observable on the wire.
 	respCT := codec.ContentType("")
 
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBytes))
 	if err != nil {
 		writeFault(w, codec, respCT, &soap.Fault{Code: soap.FaultClient, String: "unreadable request body"})
 		return

@@ -1,7 +1,6 @@
 package wsi
 
 import (
-	"bytes"
 	"encoding/xml"
 	"fmt"
 	"io"
@@ -9,6 +8,7 @@ import (
 	"strings"
 
 	"wsinterop/internal/soap"
+	"wsinterop/internal/xmltok"
 )
 
 // This file implements message-level conformance checking: validating
@@ -23,7 +23,10 @@ import (
 // rather than reusing internal/soap: a conformance checker that
 // shares the implementation under test would inherit its blind spots.
 // The soap import supplies only version identity (namespace and media
-// type constants via the Codec), never a parser.
+// type constants via the Codec), never a parser. The walk shares only
+// the tokenizer with soap.Scan, as it shared encoding/xml before:
+// internal/xmltok, which declines anything outside its subset to
+// encoding/xml and is pinned to it by differential fuzzing.
 
 // Message-level assertions (BP 1.1 messaging requirements, RM-prefixed
 // to distinguish them from the description-level R-assertions).
@@ -112,6 +115,9 @@ type MessageMeta struct {
 	SOAPAction string
 	// HTTPStatus is the response status (0 for requests).
 	HTTPStatus int
+	// Truncated marks a message the capture cut off at its read
+	// budget: raw is only its first bytes.
+	Truncated bool
 }
 
 const (
@@ -176,11 +182,20 @@ func (c *Checker) CheckMessageCodec(raw []byte, meta MessageMeta, codec soap.Cod
 	return c.checkMessageRules(raw, meta, rules)
 }
 
+// checkMessageRules runs the message walk on the xmltok scanner; a
+// message the scanner declines is checked again from byte 0 on
+// encoding/xml, so every report and error text is encoding/xml's.
 func (c *Checker) checkMessageRules(raw []byte, meta MessageMeta, rules msgRules) *Report {
+	return xmltok.Walk(raw, func(src xmltok.Stream) *Report {
+		return c.checkTokens(src, raw, meta, rules)
+	})
+}
+
+// checkTokens is the one message walk, over either token source.
+func (c *Checker) checkTokens(src xmltok.Stream, raw []byte, meta MessageMeta, rules msgRules) *Report {
 	r := &Report{}
 	ctVersion := c.checkTransportMeta(meta, rules, r)
 
-	dec := xml.NewDecoder(bytes.NewReader(raw))
 	depth := 0
 	sawRoot := false
 	var rootName xml.Name
@@ -193,15 +208,15 @@ func (c *Checker) checkMessageRules(raw []byte, meta MessageMeta, rules msgRules
 	var tokenErr error
 
 	for {
-		tok, err := dec.Token()
-		if err != nil {
-			if err != io.EOF {
+		t, ok := src.Next()
+		if !ok {
+			if err := src.Err(); err != io.EOF {
 				tokenErr = err
 			}
 			break
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
+		switch t.Kind {
+		case xmltok.StartElement:
 			depth++
 			switch {
 			case depth == 1:
@@ -230,7 +245,7 @@ func (c *Checker) checkMessageRules(raw []byte, meta MessageMeta, rules msgRules
 			case isFault && depth == bodyDepth+2:
 				faultFields[t.Name.Local] = true
 			}
-		case xml.EndElement:
+		case xmltok.EndElement:
 			if inBody && depth == bodyDepth {
 				inBody = false
 			}
@@ -242,8 +257,11 @@ func (c *Checker) checkMessageRules(raw []byte, meta MessageMeta, rules msgRules
 	// at all — empty bodies, non-XML garbage and truncated-before-root
 	// documents must not pass RM9980 by breaking out of the token loop
 	// early. A payload whose root parsed but whose XML then broke off
-	// is counted as truncated.
+	// is counted as truncated, as is one the capture cut off, whatever
+	// its prefix parses to.
 	switch {
+	case meta.Truncated:
+		r.add(rules.envAssert, "message truncated at the %d-byte capture budget", len(raw))
 	case !sawRoot && len(raw) == 0:
 		r.add(rules.envAssert, "message payload is empty")
 	case !sawRoot && tokenErr != nil:

@@ -190,3 +190,57 @@ func TestCheckMessageCodecHybrid(t *testing.T) {
 		t.Errorf("hybrid fault not flagged under RMH001: %v", r.Violations)
 	}
 }
+
+// echoEnvelope is a canonical echo message of codec c.
+func echoEnvelope(tb testing.TB, c soap.Codec, local string) []byte {
+	tb.Helper()
+	raw, err := c.Marshal(&soap.Message{
+		Namespace: "http://bench.test/", Local: local,
+		Fields: map[string]string{"input": "payload", "count": "7"},
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return raw
+}
+
+// TestMessageCheckAllocs pins the message check's allocations on the
+// echo exchange the communication campaign sniffs: the request and the
+// response, each under its HTTP metadata. The encoding/xml walk took
+// 55 on the response; the scanner takes 3, the report and the media
+// type's parse among them.
+func TestMessageCheckAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	c := NewChecker()
+	for _, tc := range []struct {
+		name string
+		raw  []byte
+		meta MessageMeta
+	}{
+		{"request", echoEnvelope(t, soap.V11, "echo"), MessageMeta{ContentType: soap.ContentType, SOAPAction: `""`}},
+		{"response", echoEnvelope(t, soap.V11, "echoResponse"), MessageMeta{ContentType: soap.ContentType, HTTPStatus: 200}},
+	} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if r := c.CheckMessage(tc.raw, tc.meta); len(r.Violations) != 0 {
+				t.Fatalf("clean %s has findings: %v", tc.name, r.Violations)
+			}
+		})
+		if allocs > 6 {
+			t.Errorf("CheckMessage of an echo %s: %.0f allocs, want <= 6", tc.name, allocs)
+		}
+		t.Logf("%s: %.0f allocs", tc.name, allocs)
+	}
+}
+
+// TestCheckMessageTruncatedCapture: a message the capture cut off is
+// reported as truncated even when the kept prefix parses cleanly.
+func TestCheckMessageTruncatedCapture(t *testing.T) {
+	meta := cleanMeta()
+	meta.Truncated = true
+	r := NewChecker().CheckMessage([]byte(cleanEnvelope), meta)
+	if len(r.Violations) != 1 || r.Violations[0].Assertion.ID != AssertionMsgEnvelope.ID {
+		t.Errorf("truncated capture: want one RM9980 finding, got %v", r.Violations)
+	}
+}

@@ -33,7 +33,9 @@
 // campaign — N worker processes, each with its own -checkpoint DIR,
 // cover every cell exactly once — and -merge DIR,DIR,... folds the
 // completed shard journals into one report identical to a
-// single-process run (DESIGN.md §11). -serve ADDR runs the command as
+// single-process run (DESIGN.md §11). Every journaled mode merges: the
+// static study, and the comm, robust (-faults) and versions matrices
+// when every shard ran them; the merge executes nothing. -serve ADDR runs the command as
 // a long-lived campaign daemon instead: POST /campaigns streams a
 // campaign's progress as NDJSON, POST /services publishes a class's
 // WSDL over real TCP, and the debug endpoint is mounted at /debug/.
@@ -124,7 +126,8 @@ func run(args []string, out io.Writer) error {
 	shard := fs.String("shard", "",
 		"run one deterministic slice INDEX/COUNT of the campaign; combine with -checkpoint so the shard can be merged later (DESIGN.md §11)")
 	merge := fs.String("merge", "",
-		"merge completed shard journals (comma-separated checkpoint directories; positional arguments are appended) into one report")
+		"merge completed shard journals (comma-separated checkpoint directories; positional arguments are appended) into one report; "+
+			"serves the study and, when every shard ran them, the comm, robust and versions reports without executing anything")
 	serveAddr := fs.String("serve", "",
 		"run as a long-lived campaign daemon on this address: POST /campaigns (NDJSON progress stream), POST /services (publish a WSDL over TCP), /debug/*")
 	progress := fs.Bool("progress", false,
@@ -338,48 +341,69 @@ func run(args []string, out io.Writer) error {
 			stop()
 		}()
 	}
-	execute := runner.Run
+	wantComm := *reportKind == "comm" || *reportKind == "json" || *reportKind == "markdown"
+	wantRobust := *faults || *reportKind == "robust"
+	wantVersions := *versionMatrix || *reportKind == "versions"
+	var (
+		res      *campaign.Result
+		comm     *campaign.CommResult
+		robust   *campaign.RobustResult
+		versions *campaign.VersionResult
+		err      error
+	)
 	if len(mergeDirs) > 0 {
-		execute = func(ctx context.Context) (*campaign.Result, error) {
-			return runner.Merge(ctx, mergeDirs)
+		// Every requested mode is folded from the shards' journals; the
+		// coordinator executes nothing.
+		m, err := runner.Merge(ctx, mergeDirs)
+		if err != nil {
+			return finish(err)
 		}
-	}
-	res, err := execute(ctx)
-	if err != nil {
-		return finish(err)
+		for _, mode := range []struct {
+			name   string
+			absent bool
+		}{
+			{"study", m.Study == nil}, {"comm", wantComm && m.Comm == nil},
+			{"robust", wantRobust && m.Robust == nil}, {"versions", wantVersions && m.Versions == nil},
+		} {
+			if mode.absent {
+				return finish(fmt.Errorf("-merge: no %s journal in %s — run the shards with that mode first",
+					mode.name, strings.Join(mergeDirs, ", ")))
+			}
+		}
+		res = m.Study
+		if wantComm {
+			comm = m.Comm
+		}
+		if wantRobust {
+			robust = m.Robust
+		}
+		if wantVersions {
+			versions = m.Versions
+		}
+	} else {
+		if res, err = runner.Run(ctx); err != nil {
+			return finish(err)
+		}
+		if wantComm {
+			if comm, err = runner.RunCommunication(ctx); err != nil {
+				return finish(err)
+			}
+		}
+		if wantRobust {
+			if robust, err = runner.RunRobustness(ctx); err != nil {
+				return finish(err)
+			}
+		}
+		if wantVersions {
+			if versions, err = runner.RunVersions(ctx); err != nil {
+				return finish(err)
+			}
+		}
 	}
 	if *progress && res.Dedup != nil && res.Dedup.Enabled {
 		d := res.Dedup
 		fmt.Fprintf(os.Stderr, "interop: WS-I verdicts: %d executed, %d memoized from shapes\n",
 			d.WSIChecks, d.WSIMemoized)
-	}
-
-	var comm *campaign.CommResult
-	if *reportKind == "comm" || *reportKind == "json" || *reportKind == "markdown" {
-		if comm, err = runner.RunCommunication(ctx); err != nil {
-			return finish(err)
-		}
-	}
-	var robust *campaign.RobustResult
-	if *faults || *reportKind == "robust" {
-		if robust, err = runner.RunRobustness(ctx); err != nil {
-			return finish(err)
-		}
-	}
-	var versions *campaign.VersionResult
-	if *versionMatrix || *reportKind == "versions" {
-		// Under -merge the version matrix is folded from the shards'
-		// versions journals instead of re-executed, mirroring the static
-		// campaign merge above.
-		runVersions := runner.RunVersions
-		if len(mergeDirs) > 0 {
-			runVersions = func(ctx context.Context) (*campaign.VersionResult, error) {
-				return runner.MergeVersions(ctx, mergeDirs)
-			}
-		}
-		if versions, err = runVersions(ctx); err != nil {
-			return finish(err)
-		}
 	}
 	switch *reportKind {
 	case "json":

@@ -414,6 +414,86 @@ func TestRunShardMergeCLI(t *testing.T) {
 	}
 }
 
+// TestRunShardMergeWireModesCLI: -merge serves the wire modes from the
+// shards' journals — -report comm and -faults -report robust print what
+// a single process prints, and the merge runs no exchange — and a mode
+// the shards never ran is refused with the mode and the directories
+// named.
+func TestRunShardMergeWireModesCLI(t *testing.T) {
+	for _, mode := range [][]string{{"-report", "comm"}, {"-faults", "-report", "robust"}} {
+		t.Run(strings.Join(mode, " "), func(t *testing.T) {
+			args := append([]string{"-limit", "20"}, mode...)
+			var single bytes.Buffer
+			if err := run(args, &single); err != nil {
+				t.Fatalf("single run: %v", err)
+			}
+			dirs := []string{t.TempDir(), t.TempDir()}
+			for i, dir := range dirs {
+				var buf bytes.Buffer
+				shard := append(append([]string(nil), args...), "-shard", fmt.Sprintf("%d/%d", i, len(dirs)), "-checkpoint", dir)
+				if err := run(shard, &buf); err != nil {
+					t.Fatalf("shard %d run: %v", i, err)
+				}
+			}
+			metrics := filepath.Join(t.TempDir(), "m.json")
+			var merged bytes.Buffer
+			if err := run(append(append([]string(nil), args...), "-merge", strings.Join(dirs, ","), "-metrics-json", metrics), &merged); err != nil {
+				t.Fatalf("merge run: %v", err)
+			}
+			if merged.String() != single.String() {
+				t.Errorf("merged report differs from single-process run:\n--- single ---\n%s--- merged ---\n%s",
+					single.String(), merged.String())
+			}
+			data, err := os.ReadFile(metrics)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var snap struct {
+				Counters []struct {
+					Name  string `json:"name"`
+					Value int64  `json:"value"`
+				} `json:"counters"`
+				Histograms []struct {
+					Name  string `json:"name"`
+					Count int64  `json:"count"`
+				} `json:"histograms"`
+			}
+			if err := json.Unmarshal(data, &snap); err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range snap.Counters {
+				if c.Name == "journal.cells.executed" && c.Value != 0 {
+					t.Errorf("the merge executed %d cells", c.Value)
+				}
+			}
+			for _, h := range snap.Histograms {
+				if h.Name == "transport.invoke.seconds" && h.Count != 0 {
+					t.Errorf("the merge made %d SOAP invocations", h.Count)
+				}
+			}
+		})
+	}
+
+	t.Run("missing journal", func(t *testing.T) {
+		dirs := []string{t.TempDir(), t.TempDir()}
+		for i, dir := range dirs {
+			var buf bytes.Buffer
+			if err := run([]string{"-limit", "20", "-report", "table3",
+				"-shard", fmt.Sprintf("%d/%d", i, len(dirs)), "-checkpoint", dir}, &buf); err != nil {
+				t.Fatalf("shard %d run: %v", i, err)
+			}
+		}
+		var buf bytes.Buffer
+		err := run([]string{"-limit", "20", "-report", "comm", "-merge", strings.Join(dirs, ",")}, &buf)
+		if err == nil || !strings.Contains(err.Error(), "comm") || !strings.Contains(err.Error(), dirs[0]) {
+			t.Errorf("merging comm from table3-only shards: err = %v, want a refusal naming comm and %s", err, dirs[0])
+		}
+		if buf.Len() != 0 {
+			t.Errorf("the refused merge printed a report:\n%s", buf.String())
+		}
+	})
+}
+
 func TestRunShardMergeServeFlagErrors(t *testing.T) {
 	var buf bytes.Buffer
 	for _, args := range [][]string{

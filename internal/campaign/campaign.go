@@ -407,9 +407,10 @@ type Runner struct {
 	// caches its instruments for the hot paths.
 	obs *obs.Registry
 	met *runnerMetrics
-	// ckpt is the open journal of the current Run when WithCheckpoint
-	// is set (checkpoint.go); nil otherwise.
-	ckpt *checkpointState
+	// ckpt is the study journal of the current Run when WithCheckpoint
+	// is set, or the merge coordinator's replay-only handle
+	// (checkpoint.go); nil otherwise.
+	ckpt *cellJournal
 	// plan is the immutable execution plan, built or adopted once per
 	// runner (plan.go); nil until ensurePlan.
 	planOnce sync.Once
@@ -567,37 +568,6 @@ func (r *Runner) checkDoc(doc *wsdl.Definitions) (*wsi.Report, uint64) {
 	return report, mask
 }
 
-// profileIDs expands a verdict mask into the compliant profiles' IDs
-// in roster order; nil when none.
-func (r *Runner) profileIDs(mask uint64) []string {
-	if mask == 0 {
-		return nil
-	}
-	var ids []string
-	for i, p := range r.profiles {
-		if mask&(1<<uint(i)) != 0 {
-			ids = append(ids, p.ID)
-		}
-	}
-	return ids
-}
-
-// profileMask rebuilds a verdict mask from journaled profile IDs.
-// Unknown IDs cannot occur — the checkpoint fingerprint covers the
-// roster — but are dropped defensively rather than misattributed.
-func (r *Runner) profileMask(ids []string) uint64 {
-	var mask uint64
-	for _, id := range ids {
-		for i, p := range r.profiles {
-			if p.ID == id {
-				mask |= 1 << uint(i)
-				break
-			}
-		}
-	}
-	return mask
-}
-
 // publishDirect runs the description step for one definition without
 // the shape memo — the per-class path every memoized outcome is
 // verified against.
@@ -699,11 +669,14 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 	if _, err := r.ensurePlan(); err != nil {
 		return nil, err
 	}
-	if err := r.openCheckpoint(); err != nil {
+	ckpt, err := r.openJournal(studyAxis)
+	if err != nil {
 		return nil, err
 	}
+	r.ckpt = ckpt
 	res, err := r.runCampaign(ctx)
-	if cerr := r.closeCheckpoint(); err == nil {
+	r.ckpt = nil
+	if cerr := ckpt.close(); err == nil {
 		err = cerr
 	}
 	if err == nil {

@@ -1,19 +1,23 @@
 package campaign
 
-// This file wires the durable checkpoint store (internal/journal) into
-// the campaign runner: recording one journal record per completed cell
-// from a single writer goroutine, and — on resume — replaying
-// journaled cells into the deterministic merge instead of re-executing
-// them (DESIGN.md §9).
+// This file is the cell journal every campaign mode shares: the
+// durable checkpoint store (internal/journal) under WithCheckpoint, one
+// record per completed cell from a single writer goroutine, one
+// completion sentinel per (shard, server) stage, and — on resume —
+// replay of journaled cells into the deterministic fold instead of
+// re-executing them (DESIGN.md §9). The static study is the journal's
+// "study" axis, at the checkpoint directory's root; each wire axis
+// (wireaxis.go) journals under a subdirectory named after it.
 //
 // The replay contract is exact equivalence: a resumed run's Result,
 // dedup statistics, and metrics counters are identical to an
-// uninterrupted run's. Two properties carry that:
+// uninterrupted run's. Two properties carry that for the study:
 //
 //   - Every record stores its publish route (recordMode) and, per
 //     client, whether the test actually executed or was served by the
-//     shape memo, so replay re-applies the precise counter and
-//     histogram contributions the original execution made.
+//     shape memo (the outcome code's executed bit), so replay re-applies
+//     the precise counter and histogram contributions the original
+//     execution made.
 //
 //   - The shape memo entries of groups that still have members to run
 //     are re-seeded from the journal before the executed remainder
@@ -28,7 +32,7 @@ package campaign
 
 import (
 	"fmt"
-	"sort"
+	"path/filepath"
 	"strconv"
 	"sync"
 
@@ -73,6 +77,23 @@ func parseMode(s string) (recordMode, error) {
 	return modeUnknown, fmt.Errorf("unknown publish mode %q", s)
 }
 
+// studyAxis is the static study's identity in the cell journal: one
+// column per client, holding the cell's outcomeCode byte as is. Its
+// codes name the code's bits, in bit order — classification bits, then
+// the executed bit — so a valid code is any value below 1<<len(codes).
+// It has no exchange of its own; Run drives it.
+var studyAxis = &wireAxis{name: "study", columns: []string{"test"},
+	codes: []string{"gen-warning", "gen-error", "compile-ran", "compile-warning", "compile-error", "executed"}}
+
+// dir is the axis's journal directory under a checkpoint directory:
+// the root for the study, a subdirectory for each wire axis.
+func (ax *wireAxis) dir(checkpoint string) string {
+	if ax == studyAxis {
+		return checkpoint
+	}
+	return filepath.Join(checkpoint, ax.name)
+}
+
 // memoRouted reports whether a record's client tests went through the
 // shape memo (testFor's memo branch): the shape's verified builder and
 // every template-rendered clone.
@@ -80,8 +101,17 @@ func memoRouted(rec *journal.Record) bool {
 	return rec.Mode == modeMemoized.id() || (rec.Mode == modeBuilt.id() && rec.Verified)
 }
 
-// cellTrace is the journal key of one service cell.
+// cellTrace is the journal key of one static service cell.
 func cellTrace(server, class string) string { return obs.TraceID(server, class) }
+
+// codeBytes copies a row of outcome codes into journal form.
+func codeBytes[C ~uint8](codes []C) []byte {
+	b := make([]byte, len(codes))
+	for i, c := range codes {
+		b[i] = byte(c)
+	}
+	return b
+}
 
 // journalFlushEvery bounds how many appends the checkpoint journal may
 // buffer before forcing a durable flush. The writer goroutine normally
@@ -90,11 +120,13 @@ func cellTrace(server, class string) string { return obs.TraceID(server, class) 
 // sustained producer pressure.
 const journalFlushEvery = 64
 
-// checkpointState is one Run's open journal plus the serial writer
-// goroutine that owns every append.
-type checkpointState struct {
+// cellJournal is one mode's open journal: the records a resume
+// replays, plus the serial writer goroutine that owns every append.
+// The merge coordinator's handle is replay-only: it holds the shards'
+// records and no journal or writer (j and ch nil).
+type cellJournal struct {
 	j      *journal.Journal
-	loaded map[string]*journal.Record // resume: trace → journaled cell
+	loaded map[string]*journal.Record // trace → journaled record
 	ch     chan journal.Record
 	wg     sync.WaitGroup
 	err    error // writer-goroutine only until wg.Wait
@@ -103,10 +135,21 @@ type checkpointState struct {
 	executed *obs.Counter // journal.cells.executed
 }
 
+// replayJournal is a replay-only handle over loaded records.
+func (r *Runner) replayJournal(loaded map[string]*journal.Record) *cellJournal {
+	return &cellJournal{
+		loaded:   loaded,
+		resumed:  r.obs.Counter("journal.cells.resumed"),
+		executed: r.obs.Counter("journal.cells.executed"),
+	}
+}
+
 // checkpointFingerprint content-addresses everything that shapes the
-// cell set and its outcomes. Workers and KeepFailures are deliberately
-// excluded: a journal written at one worker count resumes at any
-// other, which the equivalence tests exercise.
+// cell set and its outcomes: the identity shard leases and the plan
+// fingerprint derive from, and the base of every journal fingerprint.
+// Workers and KeepFailures are deliberately excluded: a journal written
+// at one worker count resumes at any other, which the equivalence
+// tests exercise.
 func (r *Runner) checkpointFingerprint() string {
 	parts := []string{
 		"wsinterop-campaign-v1",
@@ -117,7 +160,7 @@ func (r *Runner) checkpointFingerprint() string {
 		"style=" + string(r.cfg.Style),
 		"custom-catalog=" + strconv.FormatBool(r.cfg.CatalogFor != nil),
 		// The primary profile shapes Flagged/Compliant and the roster
-		// shapes the per-profile verdict lists, so a journal written
+		// shapes the per-profile verdict mask, so a journal written
 		// under a different profile configuration must be refused.
 		"profile=" + r.checker.Profile().ID,
 	}
@@ -142,6 +185,21 @@ func (r *Runner) checkpointFingerprint() string {
 	return obs.TraceID(parts...)
 }
 
+// journalFingerprint pins one mode's journal to the campaign
+// configuration and to the mode's column and code catalogs, so a
+// journal whose records a changed catalog would misread is refused with
+// journal.ErrFingerprint instead.
+func (r *Runner) journalFingerprint(ax *wireAxis) string {
+	parts := []string{r.checkpointFingerprint(), "axis=" + ax.name}
+	for _, c := range ax.columns {
+		parts = append(parts, "column="+c)
+	}
+	for _, c := range ax.codes {
+		parts = append(parts, "code="+c)
+	}
+	return obs.TraceID(parts...)
+}
+
 // shardMeta is the journal identity of this runner's shard lease; nil
 // for a whole-campaign run. The lease is (re)derived from the
 // configuration fingerprint, and a caller-supplied lease that was
@@ -162,29 +220,29 @@ func (r *Runner) shardMeta() (*journal.ShardMeta, error) {
 	return &journal.ShardMeta{Index: sh.Index, Count: sh.Count, Lease: lease}, nil
 }
 
-// openCheckpoint opens the journal configured by WithCheckpoint (a
-// no-op without one) and starts the serial writer goroutine.
-func (r *Runner) openCheckpoint() error {
+// openJournal opens the mode's journal under the WithCheckpoint
+// directory (nil without one) and starts its serial writer goroutine.
+func (r *Runner) openJournal(ax *wireAxis) (*cellJournal, error) {
 	shard, err := r.shardMeta()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if r.cfg.Checkpoint == "" {
 		if r.cfg.Resume {
-			return fmt.Errorf("campaign: Resume requires a Checkpoint directory")
+			return nil, fmt.Errorf("campaign: Resume requires a Checkpoint directory")
 		}
-		return nil
+		return nil, nil
 	}
-	meta := journal.Meta{Fingerprint: r.checkpointFingerprint(), Shard: shard}
+	meta := journal.Meta{Fingerprint: r.journalFingerprint(ax), Shard: shard}
 	if p := r.plan; p != nil {
 		// Provenance only — journal.Open does not compare it on resume;
-		// the checkpoint fingerprint already covers everything the plan
-		// is derived from.
+		// the fingerprint already covers everything the plan is derived
+		// from.
 		meta.Plan = &journal.PlanMeta{Fingerprint: p.fingerprint, Classes: p.classes, Shapes: p.shapes}
 	}
-	j, err := journal.Open(r.cfg.Checkpoint, meta, r.cfg.Resume)
+	j, err := journal.Open(ax.dir(r.cfg.Checkpoint), meta, r.cfg.Resume)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	j.AfterAppend = r.cfg.checkpointProbe
 	// Group-commit: under load the writer drains whatever the workers
@@ -193,77 +251,114 @@ func (r *Runner) openCheckpoint() error {
 	// record can stay buffered. AfterAppend still fires once per record
 	// at its durable point, so the kill-point probes are unaffected.
 	j.FlushEvery = journalFlushEvery
-	cs := &checkpointState{
-		j:        j,
-		ch:       make(chan journal.Record, 256),
-		resumed:  r.obs.Counter("journal.cells.resumed"),
-		executed: r.obs.Counter("journal.cells.executed"),
-	}
-	if r.cfg.Resume {
-		cs.loaded = j.Loaded()
-	}
-	cs.wg.Add(1)
-	go func() {
-		defer cs.wg.Done()
-		for rec := range cs.ch {
-			if cs.err != nil {
-				continue // keep draining so producers never block
-			}
-			cs.err = cs.j.Append(rec)
-			// Opportunistically absorb everything already queued, then
-			// make the whole batch durable in one flush.
-		drain:
-			for cs.err == nil {
-				select {
-				case more, ok := <-cs.ch:
-					if !ok {
-						break drain
-					}
-					cs.err = cs.j.Append(more)
-				default:
-					break drain
-				}
-			}
-			if cs.err == nil {
-				cs.err = cs.j.Flush()
-			}
-		}
-	}()
-	r.ckpt = cs
-	return nil
+	cj := r.replayJournal(j.Loaded())
+	// The buffer absorbs a burst of completions from every worker while
+	// the writer flushes, so a flush rarely stalls the workers.
+	cj.j, cj.ch = j, make(chan journal.Record, 256)
+	cj.wg.Add(1)
+	go cj.write()
+	return cj, nil
 }
 
-// closeCheckpoint stops the writer, flushes, and closes the journal —
-// always called before Run returns, so an interrupted run exits with
-// every completed cell durable.
-func (r *Runner) closeCheckpoint() error {
-	cs := r.ckpt
-	if cs == nil {
+// write is the writer goroutine: it appends each queued record and
+// makes everything appended durable whenever the queue runs dry, so a
+// burst of completions costs one flush.
+func (cj *cellJournal) write() {
+	defer cj.wg.Done()
+	for rec := range cj.ch {
+		if cj.err == nil {
+			cj.err = cj.j.Append(rec)
+		}
+		if cj.err == nil && len(cj.ch) == 0 {
+			cj.err = cj.j.Flush()
+		}
+	}
+}
+
+// close stops the writer, flushes, and closes the journal — called
+// before a run returns, so an interrupted run exits with every
+// completed cell durable. Nil-safe.
+func (cj *cellJournal) close() error {
+	if cj == nil || cj.ch == nil {
 		return nil
 	}
-	r.ckpt = nil
-	close(cs.ch)
-	cs.wg.Wait()
-	err := cs.err
-	if cerr := cs.j.Close(); err == nil {
+	close(cj.ch)
+	cj.wg.Wait()
+	err := cj.err
+	if cerr := cj.j.Close(); err == nil {
 		err = cerr
 	}
 	return err
 }
 
 // append hands one completed cell to the writer goroutine; nil-safe so
-// call sites need no checkpoint-enabled branch. A replay-only state —
-// the merge coordinator's, which has no journal of its own — counts
-// the cell but has nowhere to write it.
-func (cs *checkpointState) append(rec journal.Record) {
-	if cs == nil {
+// call sites need no checkpoint-enabled branch.
+func (cj *cellJournal) append(rec journal.Record) {
+	if cj == nil {
 		return
 	}
-	cs.executed.Inc()
-	if cs.ch == nil {
+	cj.executed.Inc()
+	if cj.ch != nil {
+		cj.ch <- rec
+	}
+}
+
+// record looks up a journaled record; nil-safe.
+func (cj *cellJournal) record(trace string) (*journal.Record, bool) {
+	if cj == nil {
+		return nil, false
+	}
+	rec, ok := cj.loaded[trace]
+	return rec, ok
+}
+
+// completeStage journals the completion sentinel of one server stage
+// unless the journal already holds it. Merge completeness keys on it —
+// a stage appends it only after every cell of the stage — and it
+// carries the stage's path collisions, the one wire fold input not
+// reconstructible per service. It is not a cell, so it is not counted.
+func (r *Runner) completeStage(cj *cellJournal, ax *wireAxis, server string, collisions int) {
+	if cj == nil || cj.ch == nil {
 		return
 	}
-	cs.ch <- rec
+	trace := ax.sentinel(r.cfg.Shard, server)
+	if _, done := cj.loaded[trace]; !done {
+		cj.ch <- journal.Record{Trace: trace, Server: server, Mode: ax.complete(), Collisions: collisions}
+	}
+}
+
+// checkRecord refuses a journaled cell whose codes, tallies or profile
+// mask do not fit the mode's catalogs and this roster — before
+// anything folds it. The fingerprint pins all of them, so a misfit
+// means a damaged or forged store, not a configuration drift.
+func (r *Runner) checkRecord(ax *wireAxis, rec *journal.Record) error {
+	fail := func(format string, args ...any) error {
+		return fmt.Errorf("campaign: journal record %s (%s on %s): "+format,
+			append([]any{rec.Trace, rec.Class, rec.Server}, args...)...)
+	}
+	codes, tallies := 0, 0
+	if rec.Published {
+		codes, tallies = len(r.clients)*len(ax.columns), len(r.clients)*ax.tallies
+	}
+	switch {
+	case len(rec.Codes) != codes:
+		return fail("%d outcome codes, want %d (%d clients × %d %s columns)",
+			len(rec.Codes), codes, len(r.clients), len(ax.columns), ax.name)
+	case len(rec.Tallies) != tallies:
+		return fail("%d tallies, want %d", len(rec.Tallies), tallies)
+	case rec.Profiles>>len(r.profiles) != 0:
+		return fail("profile mask %#x has bits beyond the %d-profile roster", rec.Profiles, len(r.profiles))
+	}
+	catalog := len(ax.codes)
+	if ax == studyAxis {
+		catalog = 1 << catalog
+	}
+	for i, c := range rec.Codes {
+		if int(c) >= catalog {
+			return fail("code %d in slot %d is past the %d-code %s catalog", c, i, catalog, ax.name)
+		}
+	}
+	return nil
 }
 
 // journalService records one fully tested service cell.
@@ -281,8 +376,8 @@ func (r *Runner) journalService(st *svcState) {
 		Verified:  st.verified,
 		Flagged:   svc.Flagged,
 		Compliant: svc.Compliant,
-		Profiles:  r.profileIDs(svc.Profiles),
-		Tests:     r.testRecords(st.codes),
+		Profiles:  svc.Profiles,
+		Codes:     codeBytes(st.codes),
 	}
 	if st.mode == modeBuilt && st.verified && !svc.memo.solo {
 		// Only the verified builder of a multi-member shape carries its
@@ -294,30 +389,13 @@ func (r *Runner) journalService(st *svcState) {
 	r.ckpt.append(rec)
 }
 
-// testRecords expands a columnar outcome row into journal form.
-func (r *Runner) testRecords(codes []outcomeCode) []journal.TestRecord {
-	recs := make([]journal.TestRecord, len(r.clients))
-	for ci := range r.clients {
-		code := codes[ci]
-		recs[ci] = journal.TestRecord{
-			Client:         r.clients[ci].Name(),
-			Ran:            code.executed(),
-			GenWarning:     code&codeGenWarning != 0,
-			GenError:       code&codeGenError != 0,
-			CompileRan:     code&codeCompileRan != 0,
-			CompileWarning: code&codeCompileWarning != 0,
-			CompileError:   code&codeCompileError != 0,
-		}
-	}
-	return recs
-}
-
 // journalClone records one broadcast-resolved clone cell. Field-for-
 // field what journalService writes for a memoized service: published,
 // unverified (clones never byte-verify), the entry's flagged and
 // compliance verdicts, and the representative's outcome row with the
-// executed bits already cleared by the caller.
-func (r *Runner) journalClone(server, class string, e *shapeEntry, codes []outcomeCode) {
+// executed bits already cleared by the caller (shared, read-only, by
+// every clone of the broadcast).
+func (r *Runner) journalClone(server, class string, e *shapeEntry, codes []byte) {
 	if r.ckpt == nil {
 		return
 	}
@@ -329,8 +407,8 @@ func (r *Runner) journalClone(server, class string, e *shapeEntry, codes []outco
 		Published: true,
 		Flagged:   e.flagged,
 		Compliant: e.compliant,
-		Profiles:  r.profileIDs(e.profiles),
-		Tests:     r.testRecords(codes),
+		Profiles:  e.profiles,
+		Codes:     codes,
 	})
 }
 
@@ -349,22 +427,26 @@ func (r *Runner) journalRejected(server framework.ServerFramework, def services.
 }
 
 // replayPlan maps this stage's definition indexes to their journaled
-// cells; nil when nothing of this stage was journaled.
-func (r *Runner) replayPlan(server framework.ServerFramework, defs []services.Definition) map[int]*journal.Record {
-	cs := r.ckpt
-	if cs == nil || len(cs.loaded) == 0 {
-		return nil
+// cells, each checked against the study's catalogs; nil when nothing
+// of this stage was journaled.
+func (r *Runner) replayPlan(server framework.ServerFramework, defs []services.Definition) (map[int]*journal.Record, error) {
+	cj := r.ckpt
+	if cj == nil || len(cj.loaded) == 0 {
+		return nil, nil
 	}
-	plan := make(map[int]*journal.Record, min(len(defs), len(cs.loaded)))
+	plan := make(map[int]*journal.Record, min(len(defs), len(cj.loaded)))
 	for i := range defs {
-		if rec, ok := cs.loaded[cellTrace(server.Name(), defs[i].Parameter.Name)]; ok {
+		if rec, ok := cj.loaded[cellTrace(server.Name(), defs[i].Parameter.Name)]; ok {
+			if err := r.checkRecord(studyAxis, rec); err != nil {
+				return nil, err
+			}
 			plan[i] = rec
 		}
 	}
 	if len(plan) == 0 {
-		return nil
+		return nil, nil
 	}
-	return plan
+	return plan, nil
 }
 
 // seedMemoFromJournal reconstructs the shape memo state of the stage's
@@ -375,9 +457,9 @@ func (r *Runner) replayPlan(server framework.ServerFramework, defs []services.De
 // (seedBuilder); memo-routed records whose builder was not journaled
 // get a skeleton entry (once untouched), so the first executing class
 // becomes the builder exactly as some class was in the interrupted run.
-// Journaled Ran outcomes seed the per-client test memo slots, so each
-// (shape, client) test executes at most once across the whole resumed
-// campaign.
+// Journaled executed outcomes seed the per-client test memo slots, so
+// each (shape, client) test executes at most once across the whole
+// resumed campaign.
 func (r *Runner) seedMemoFromJournal(server framework.ServerFramework, sp *serverPlan, plan map[int]*journal.Record) error {
 	d := r.dedup
 	d.mu.Lock()
@@ -411,19 +493,13 @@ func (r *Runner) seedMemoFromJournal(server framework.ServerFramework, sp *serve
 			if !rec.Published || !memoRouted(rec) {
 				continue
 			}
-			if len(rec.Tests) != len(r.clients) {
-				return fmt.Errorf("campaign: journal record %s: %d client tests, roster has %d", rec.Trace, len(rec.Tests), len(r.clients))
-			}
 			if e == nil {
 				e = &shapeEntry{tests: make([]testMemo, len(r.clients))}
 				d.entries[key] = e
 			}
-			for ci, tr := range rec.Tests {
-				if tr.Client != r.clients[ci].Name() {
-					return fmt.Errorf("campaign: journal record %s: test %d is for client %q, roster has %q", rec.Trace, ci, tr.Client, r.clients[ci].Name())
-				}
-				if tr.Ran {
-					tm, code := &e.tests[ci], encodeRecord(tr)
+			for ci, c := range rec.Codes {
+				if code := outcomeCode(c); code.executed() {
+					tm := &e.tests[ci]
 					tm.once.Do(func() { tm.code = code })
 				}
 			}
@@ -443,8 +519,7 @@ func (r *Runner) seedBuilder(server framework.ServerFramework, def services.Defi
 		e.rejected = true
 		return e, nil
 	}
-	e.flagged, e.compliant = rec.Flagged, rec.Compliant
-	e.profiles = r.profileMask(rec.Profiles)
+	e.flagged, e.compliant, e.profiles = rec.Flagged, rec.Compliant, rec.Profiles
 	if !rec.Verified {
 		return e, nil
 	}
@@ -467,179 +542,84 @@ func (r *Runner) seedBuilder(server framework.ServerFramework, def services.Defi
 	return e, nil
 }
 
-// replayStage replays every journaled cell of one server stage into a
-// dedicated replay shard and returns it. Cells are independent — the
-// counters they re-apply are atomic and each fold lands in a private
-// per-slice shard — so replay runs across the worker pool in
-// contiguous index slices and the slice shards tree-merge; the old
-// serial replay loop was the dominant cost of resuming (and of every
-// distributed Merge, which replays the entire campaign).
-func (r *Runner) replayStage(server framework.ServerFramework, replay map[int]*journal.Record,
-	failures [][]TestResult, prog *progress) (*shard, error) {
-	idxs := make([]int, 0, len(replay))
-	for i := range replay {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	workers := r.workers()
-	if workers > len(idxs) {
-		workers = len(idxs)
-	}
-	shards := make([]*shard, workers)
-	errs := make([]error, workers)
-	chunk := (len(idxs) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		sh := newShard(len(r.clients), len(r.profiles))
-		shards[w] = sh
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(idxs) {
-			hi = len(idxs)
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w int, slice []int, sh *shard) {
-			defer wg.Done()
-			for _, i := range slice {
-				st, err := r.replayService(replay[i])
-				if err != nil {
-					if errs[w] == nil {
-						errs[w] = err
-					}
-					return
-				}
-				r.ckpt.resumed.Inc()
-				if st != nil {
-					fails := r.foldService(st, sh)
-					if failures != nil {
-						failures[i] = fails
-					}
-				}
-				prog.serviceDone()
-			}
-		}(w, idxs[lo:hi], sh)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	r.obs.Emit(obs.Event{
-		Trace:  obs.TraceID(server.Name(), "resume"),
-		Stage:  "resume",
-		Server: server.Name(),
-		Detail: fmt.Sprintf("%d cells replayed from journal", len(replay)),
-	})
-	return mergeShards(shards), nil
-}
-
-// replayService re-applies one journaled cell: the exact counter and
-// histogram contributions its original execution made (stage latencies
-// observe zero, matching a frozen-clock run), and the reconstructed
-// per-client results for the deterministic fold. Returns nil state for
-// a cell rejected at the description step.
-func (r *Runner) replayService(rec *journal.Record) (*svcState, error) {
+// replayCell re-applies one journaled cell (already checked by
+// replayPlan) in place of executing it: the exact counter and histogram
+// contributions its original execution made (stage latencies observe
+// zero, matching a frozen-clock run), then the fold of its outcome
+// codes into the stage worker's shard.
+func (r *Runner) replayCell(rec *journal.Record, di int, sh *shard, failures [][]TestResult, prog *progress) error {
 	mode, err := parseMode(rec.Mode)
 	if err != nil {
-		return nil, fmt.Errorf("campaign: journal record %s: %w", rec.Trace, err)
+		return fmt.Errorf("campaign: journal record %s: %w", rec.Trace, err)
 	}
 	m, d := r.met, r.dedup
 	m.publishTotal.Inc()
+	memoLayer := mode != modeDirect && mode != modeFallback
+	if memoLayer {
+		d.pubTotal.Add(1)
+	}
 	switch mode {
-	case modeDirect:
-		r.replayDirectPublish(rec)
-	case modeFallback:
+	case modeFallback, modeMemoFallback:
 		d.fallbacks.Add(1)
 		m.publishFallback.Inc()
-		r.replayDirectPublish(rec)
 	case modeBuilt:
-		d.pubTotal.Add(1)
 		d.shapes.Add(1)
-		r.replayDirectPublish(rec)
-	case modeMemoFallback:
-		d.pubTotal.Add(1)
-		d.fallbacks.Add(1)
-		m.publishFallback.Inc()
-		r.replayDirectPublish(rec)
 	case modeMemoRejected, modeMemoized:
-		d.pubTotal.Add(1)
 		d.pubHits.Add(1)
 		m.publishMemoized.Inc()
 		if rec.Published {
 			m.wsiMemoized.Inc()
 		}
 	}
-	if !rec.Published {
-		return nil, nil
-	}
-	if len(rec.Tests) != len(r.clients) {
-		return nil, fmt.Errorf("campaign: journal record %s: %d client tests, roster has %d", rec.Trace, len(rec.Tests), len(r.clients))
-	}
-	memoed := memoRouted(rec)
-	st := &svcState{
-		svc: PublishedService{
-			Server:    rec.Server,
-			Class:     rec.Class,
-			Doc:       rec.Doc,
-			Flagged:   rec.Flagged,
-			Compliant: rec.Compliant,
-			Profiles:  r.profileMask(rec.Profiles),
-			analysis:  &sharedAnalysis{},
-		},
-		mode:     mode,
-		verified: rec.Verified,
-		codes:    make([]outcomeCode, len(r.clients)),
-	}
-	for ci := range rec.Tests {
-		tr := rec.Tests[ci]
-		if tr.Client != r.clients[ci].Name() {
-			return nil, fmt.Errorf("campaign: journal record %s: test %d is for client %q, roster has %q", rec.Trace, ci, tr.Client, r.clients[ci].Name())
-		}
-		m.testTotal.Inc()
-		if memoed {
-			d.testTotal.Add(1)
-			if tr.Ran {
-				d.testRuns.Add(1)
-			} else {
-				m.testMemoized.Inc()
+	if !memoLayer || mode == modeBuilt || mode == modeMemoFallback {
+		// The publishDirect / buildShape contributions: a publish
+		// latency always, and the WS-I check when published.
+		m.publishSeconds.Observe(0)
+		if !rec.Published {
+			m.publishRejected.Inc()
+		} else {
+			m.wsiSeconds.Observe(0)
+			m.wsiChecks.Inc()
+			if rec.Flagged {
+				m.wsiFlagged.Inc()
 			}
 		}
-		if tr.Ran {
-			m.genSeconds.Observe(0)
-			m.genRuns.Inc()
-			if tr.GenError {
-				m.genErrors.Inc()
-			}
-			if tr.CompileRan {
-				m.compileSeconds.Observe(0)
-				m.compileRuns.Inc()
-				if tr.CompileError {
-					m.compileErrors.Inc()
+	}
+	if rec.Published {
+		memoed := memoRouted(rec)
+		codes := make([]outcomeCode, len(rec.Codes))
+		for ci, c := range rec.Codes {
+			code := outcomeCode(c)
+			m.testTotal.Inc()
+			if memoed {
+				d.testTotal.Add(1)
+				if code.executed() {
+					d.testRuns.Add(1)
+				} else {
+					m.testMemoized.Inc()
 				}
 			}
+			if code.executed() {
+				m.genSeconds.Observe(0)
+				m.genRuns.Inc()
+				if code&codeGenError != 0 {
+					m.genErrors.Inc()
+				}
+				if code&codeCompileRan != 0 {
+					m.compileSeconds.Observe(0)
+					m.compileRuns.Inc()
+					if code&codeCompileError != 0 {
+						m.compileErrors.Inc()
+					}
+				}
+			}
+			codes[ci] = code
 		}
-		st.codes[ci] = encodeRecord(tr)
+		if r.foldCodes(sh, rec.Server, rec.Flagged, rec.Profiles, codes, 1) && failures != nil {
+			failures[di] = r.failsFor(rec.Server, rec.Class, codes)
+		}
 	}
-	return st, nil
-}
-
-// replayDirectPublish re-applies the publishDirect / buildShape
-// metric contributions: a publish latency observation always, and the
-// WS-I check when the document was published.
-func (r *Runner) replayDirectPublish(rec *journal.Record) {
-	m := r.met
-	m.publishSeconds.Observe(0)
-	if !rec.Published {
-		m.publishRejected.Inc()
-		return
-	}
-	m.wsiSeconds.Observe(0)
-	m.wsiChecks.Inc()
-	if rec.Flagged {
-		m.wsiFlagged.Inc()
-	}
+	r.ckpt.resumed.Inc()
+	prog.serviceDone()
+	return nil
 }

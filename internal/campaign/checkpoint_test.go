@@ -14,6 +14,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"wsinterop/internal/journal"
@@ -40,10 +41,11 @@ func TestCheckpointAppendsEachCellOnce(t *testing.T) {
 	dir := t.TempDir()
 	cfg := resumeConfig(300, 4)
 	_, res := checkpointedRun(t, cfg, dir)
-	_, recs, err := journal.Load(dir)
+	_, all, err := journal.Load(dir)
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
+	recs := studyCells(all)
 	executed := cfg.Obs.Counter("journal.cells.executed").Value()
 	if int64(len(recs)) != executed {
 		t.Errorf("journal holds %d records, run executed %d cells", len(recs), executed)
@@ -51,12 +53,24 @@ func TestCheckpointAppendsEachCellOnce(t *testing.T) {
 	if len(recs) != res.TotalServices {
 		t.Errorf("journal holds %d records, campaign has %d cells", len(recs), res.TotalServices)
 	}
-	if frames := len(journaltest.FrameEnds(t, dir)); frames != len(recs) {
-		t.Errorf("%s has %d frames for %d distinct records", journal.DataFile, frames, len(recs))
+	if frames := len(journaltest.FrameEnds(t, dir)); frames != len(all) {
+		t.Errorf("%s has %d frames for %d distinct records", journal.DataFile, frames, len(all))
 	}
 	if _, err := os.Stat(filepath.Join(dir, "snapshot.jsonl")); !os.IsNotExist(err) {
 		t.Errorf("a snapshot was written (stat err %v)", err)
 	}
+}
+
+// studyCells drops the stage completion sentinels from a loaded study
+// journal, keeping its cells.
+func studyCells(recs []journal.Record) []journal.Record {
+	var cells []journal.Record
+	for _, rec := range recs {
+		if rec.Mode != studyAxis.complete() {
+			cells = append(cells, rec)
+		}
+	}
+	return cells
 }
 
 // TestCheckpointDocsOnlyForSharedShapes pins which records carry a
@@ -272,5 +286,90 @@ func TestCommunicationAfterResume(t *testing.T) {
 		if !reflect.DeepEqual(cleanComm, comm) {
 			t.Errorf("kill %d: communication after resume differs:\nclean:   %+v\nresumed: %+v", killAt, cleanComm.Totals(), comm.Totals())
 		}
+	}
+}
+
+// TestJournalRecordChecks writes well-framed records in bad shapes —
+// a code past the axis's catalog, a study code with bits outside
+// outcomeMask|codeExecuted, a profile mask bit beyond the roster, and
+// a code count that is not clients × columns — and requires resume and
+// merge to refuse each with an error naming the record, before any
+// fold.
+func TestJournalRecordChecks(t *testing.T) {
+	const limit = 6
+	ctx := context.Background()
+	r := newRunner(config{Limit: limit, Workers: 2})
+	published, _, err := r.Publish(ctx, r.servers[0])
+	if err != nil || len(published) == 0 {
+		t.Fatalf("publish: %d services, err %v", len(published), err)
+	}
+	server, class := published[0].Server, published[0].Class
+	nc := len(r.clients)
+	study := func(mut func(rec *journal.Record)) journal.Record {
+		rec := journal.Record{Trace: cellTrace(server, class), Server: server, Class: class,
+			Mode: modeDirect.id(), Published: true, Codes: make([]byte, nc)}
+		mut(&rec)
+		return rec
+	}
+	comm := func(mut func(rec *journal.Record)) journal.Record {
+		rec := axisRecord(commAxis, server, class, make([]outcome, nc), make([]int, nc*commAxis.tallies))
+		mut(&rec)
+		return rec
+	}
+	for _, c := range []struct {
+		name string
+		ax   *wireAxis
+		rec  journal.Record
+		want string
+	}{
+		{"wire code past the catalog", commAxis,
+			comm(func(rec *journal.Record) { rec.Codes[nc-1] = byte(len(commAxis.codes)) }), "past the"},
+		{"study code with foreign bits", studyAxis,
+			study(func(rec *journal.Record) { rec.Codes[0] = byte(codeExecuted) << 1 }), "past the"},
+		{"profile mask beyond the roster", studyAxis,
+			study(func(rec *journal.Record) { rec.Profiles = 1 << len(r.profiles) }), "profile mask"},
+		{"study codes not clients × columns", studyAxis,
+			study(func(rec *journal.Record) { rec.Codes = rec.Codes[1:] }), "outcome codes"},
+		{"wire codes not clients × columns", commAxis,
+			comm(func(rec *journal.Record) { rec.Codes = append(rec.Codes, 0) }), "outcome codes"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			j, err := journal.Open(c.ax.dir(dir), journal.Meta{Fingerprint: r.journalFingerprint(c.ax)}, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs := []journal.Record{c.rec}
+			for _, s := range r.servers {
+				recs = append(recs, journal.Record{Trace: c.ax.sentinel(ShardSpec{}, s.Name()), Server: s.Name(), Mode: c.ax.complete()})
+			}
+			for _, rec := range recs {
+				if err := j.Append(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			refused := func(what string, res any, err error) {
+				t.Helper()
+				if err == nil || !strings.Contains(err.Error(), c.rec.Trace) || !strings.Contains(err.Error(), c.want) {
+					t.Errorf("%s: err = %v, want a %q refusal naming record %s", what, err, c.want, c.rec.Trace)
+				}
+				if !reflect.ValueOf(res).IsNil() {
+					t.Errorf("%s returned a result from a refused journal", what)
+				}
+			}
+			resumer := newRunner(config{Limit: limit, Workers: 2, Checkpoint: dir, Resume: true})
+			if c.ax == studyAxis {
+				res, err := resumer.Run(ctx)
+				refused("resume", res, err)
+			} else {
+				res, err := resumer.RunCommunication(ctx)
+				refused("resume", res, err)
+			}
+			m, err := newRunner(config{Limit: limit, Workers: 2}).Merge(ctx, []string{dir})
+			refused("merge", m, err)
+		})
 	}
 }

@@ -1,7 +1,5 @@
 package campaign
 
-import "wsinterop/internal/journal"
-
 // Columnar shard results (DESIGN.md §10). The streaming test stage
 // used to accumulate one full TestResult struct per (service ×
 // client) cell — three interned-elsewhere strings and two outcome
@@ -14,8 +12,8 @@ import "wsinterop/internal/journal"
 // the Failures index and the public RunTest API.
 
 // outcomeCode packs one classified test outcome: the five
-// classification bits the fold reads, plus the executed bit the cell
-// journal persists (memo-served cells have it clear).
+// classification bits the fold reads, plus the executed bit (clear on
+// memo-served cells). The cell journal persists the byte as is.
 type outcomeCode uint8
 
 const (
@@ -87,31 +85,7 @@ func encodeOutcome(t *TestResult, ran bool) outcomeCode {
 	return c
 }
 
-// encodeRecord packs one journaled cell outcome.
-func encodeRecord(tr journal.TestRecord) outcomeCode {
-	var c outcomeCode
-	if tr.GenWarning {
-		c |= codeGenWarning
-	}
-	if tr.GenError {
-		c |= codeGenError
-	}
-	if tr.CompileRan {
-		c |= codeCompileRan
-	}
-	if tr.CompileWarning {
-		c |= codeCompileWarning
-	}
-	if tr.CompileError {
-		c |= codeCompileError
-	}
-	if tr.Ran {
-		c |= codeExecuted
-	}
-	return c
-}
-
-// executed reports whether the test actually ran (journal Ran bit).
+// executed reports whether the test actually ran.
 func (c outcomeCode) executed() bool { return c&codeExecuted != 0 }
 
 // errorAnywhere mirrors TestResult.ErrorAnywhere over the packed form.

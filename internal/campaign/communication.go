@@ -126,6 +126,11 @@ func (r *Runner) RunCommunication(ctx context.Context) (*CommResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	return commResult(t), nil
+}
+
+// commResult converts the executor's tally into the result.
+func commResult(t *wireTally) *CommResult {
 	res := &CommResult{
 		Servers:     make(map[string]*CommSummary, len(t.servers)),
 		ServerOrder: t.servers,
@@ -141,7 +146,7 @@ func (r *Runner) RunCommunication(ctx context.Context) (*CommResult, error) {
 	for ci, name := range t.clientOrder {
 		res.Clients[name] = commSummary(name, t.clients[ci])
 	}
-	return res, nil
+	return res
 }
 
 // commSummary converts an outcome histogram into a summary.

@@ -7,11 +7,11 @@ package campaign
 // journal-shaped: a planner splits every catalog into deterministic
 // shard leases, N worker processes each run one shard under its own
 // checkpoint directory, and a merge coordinator folds the shard
-// journals back into one Result.
+// journals of every campaign mode back into one result per mode.
 //
 // The determinism contract is the regression guard: the merged Result
 // and its obs counters are identical to a single-process run's. Replay
-// (replayService) already reconstructs exact counter contributions per
+// (replayCell) already reconstructs exact counter contributions per
 // journal record; what merging adds is normalization. Each shard runs
 // its own shape memo, so a shape spanning k shards was built k times —
 // k "built" records and k executed test sets where a single process
@@ -26,14 +26,14 @@ package campaign
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"os"
 	"strconv"
+	"strings"
 
 	"wsinterop/internal/journal"
 	"wsinterop/internal/obs"
-	"wsinterop/internal/services"
-	"wsinterop/internal/shape"
-	"wsinterop/internal/wsi"
 )
 
 // ShardSpec is one worker's lease on a deterministic slice of the
@@ -96,154 +96,176 @@ func (r *Runner) PlanShards(n int) ([]ShardSpec, error) {
 	return specs, nil
 }
 
-// Merge folds the shard journals under dirs into one campaign Result,
-// using a runner built from opts — which must describe the exact
-// campaign the shards ran (the configuration fingerprint is verified).
-// The package-level convenience form of Runner.Merge.
-func Merge(ctx context.Context, dirs []string, opts ...Option) (*Result, error) {
-	return New(opts...).Merge(ctx, dirs)
+// Merged is the fold of completed shard journals: one result per
+// campaign mode, each identical to a single-process run of the same
+// configuration (the wire results up to PathCollisions, which sums the
+// shards' deploy-time counts: collisions depend on which classes
+// co-deploy). A mode no shard journaled is nil.
+type Merged struct {
+	Study    *Result
+	Comm     *CommResult
+	Robust   *RobustResult
+	Versions *VersionResult
 }
 
-// Merge folds completed shard journals into one Result identical to a
-// single-process run of the same configuration
-// (TestDistributedEquivalenceFull proves this at full scale). Every
-// shard must have run to completion — an interrupted shard is resumed
-// in place (WithResume) before merging, and incompleteness is
-// refused with the missing cell named. The merge itself executes
-// nothing: it verifies the journals tile the campaign exactly once,
-// normalizes cross-shard memo state, and replays.
-func (r *Runner) Merge(ctx context.Context, dirs []string) (*Result, error) {
-	if len(dirs) == 0 {
+// Merge folds completed shard journals into one result per campaign
+// mode (TestDistributedEquivalenceFull proves the study identical to a
+// single-process run at full scale, TestWireAxisContract every wire
+// mode). Every shard must have run each journaled mode to completion —
+// an interrupted shard is resumed in place (WithResume) before
+// merging, and incompleteness is refused with the unfinished stage
+// named. The merge itself executes nothing: it verifies the journals
+// tile the campaign exactly once, normalizes cross-shard memo state,
+// and replays.
+func (r *Runner) Merge(ctx context.Context, dirs []string) (*Merged, error) {
+	switch {
+	case len(dirs) == 0:
 		return nil, fmt.Errorf("campaign: merge needs at least one shard journal directory")
-	}
-	if r.cfg.Shard.enabled() {
+	case r.cfg.Shard.enabled():
 		return nil, fmt.Errorf("campaign: the merge coordinator runs unsharded (drop shard %s)", r.cfg.Shard)
-	}
-	if r.cfg.Checkpoint != "" || r.cfg.Resume {
+	case r.cfg.Checkpoint != "" || r.cfg.Resume:
 		return nil, fmt.Errorf("campaign: merge reads shard journals; it does not take its own Checkpoint/Resume")
 	}
-	loaded, err := r.loadShardJournals(dirs)
-	if err != nil {
-		return nil, err
+	m, merged := &Merged{}, 0
+	for _, ax := range []*wireAxis{studyAxis, commAxis, robustAxis, versionsAxis} {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		recs, ok, err := r.loadShards(ax, dirs)
+		switch {
+		case err != nil:
+			return nil, err
+		case !ok:
+			continue
+		}
+		merged++
+		if ax == studyAxis {
+			if m.Study, err = r.mergeStudy(ctx, recs); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		t, err := r.foldShards(ax, recs)
+		if err != nil {
+			return nil, err
+		}
+		switch ax {
+		case commAxis:
+			m.Comm = commResult(t)
+		case robustAxis:
+			m.Robust = robustResult(t)
+		case versionsAxis:
+			m.Versions = versionResult(t)
+		}
 	}
-	if err := r.checkMergeComplete(loaded); err != nil {
-		return nil, err
+	if merged == 0 {
+		return nil, fmt.Errorf("campaign: %s holds no shard journal", strings.Join(dirs, ", "))
+	}
+	return m, nil
+}
+
+// loadShards reads one mode's journal from every shard directory and
+// verifies the set tiles this runner's campaign exactly once:
+// fingerprint, lease, no cell journaled twice, a completion sentinel
+// for every server stage of every shard, and shard indexes that cover
+// 0..Count-1. It returns the union of the records, sentinels included;
+// ok is false when no shard journaled the mode.
+func (r *Runner) loadShards(ax *wireAxis, dirs []string) (recs []journal.Record, ok bool, err error) {
+	fp, leaseFP := r.journalFingerprint(ax), r.checkpointFingerprint()
+	metas := make([]*journal.Meta, 0, len(dirs))
+	seen := make(map[string]*journal.Record)
+	absent := ""
+	for _, dir := range dirs {
+		adir := ax.dir(dir)
+		meta, shardRecs, err := journal.Load(adir)
+		if errors.Is(err, os.ErrNotExist) {
+			absent = adir
+			continue
+		}
+		if err != nil {
+			return nil, false, err
+		}
+		if meta.Fingerprint != fp {
+			return nil, false, fmt.Errorf("%w: %s (merge must be invoked with the exact configuration the shards ran)",
+				journal.ErrFingerprint, adir)
+		}
+		spec := ShardSpec{}
+		if sh := meta.Shard; sh != nil {
+			spec = ShardSpec{Index: sh.Index, Count: sh.Count}
+			if sh.Lease != "" && sh.Lease != shardLease(leaseFP, sh.Index, sh.Count) {
+				return nil, false, fmt.Errorf("campaign: %s: lease %s was not issued for shard %d/%d of this campaign",
+					adir, sh.Lease, sh.Index, sh.Count)
+			}
+		}
+		for i := range shardRecs {
+			rec := &shardRecs[i]
+			if prev, dup := seen[rec.Trace]; dup {
+				return nil, false, fmt.Errorf("campaign: shard journals overlap: cell %s (%s on %s) journaled twice",
+					rec.Trace, prev.Class, prev.Server)
+			}
+			seen[rec.Trace] = rec
+		}
+		// A stage appends its sentinel only after every cell of the stage
+		// is journaled, so the sentinel set is the completion proof.
+		for _, server := range r.servers {
+			if _, ok := seen[ax.sentinel(spec, server.Name())]; !ok {
+				return nil, false, fmt.Errorf("campaign: shard journals are incomplete: %s holds no completed %s stage on %s — resume the shard to completion first",
+					adir, ax.name, server.Name())
+			}
+		}
+		metas = append(metas, meta)
+		recs = append(recs, shardRecs...)
+	}
+	switch {
+	case len(metas) == 0:
+		return nil, false, nil
+	case absent != "":
+		return nil, false, fmt.Errorf("campaign: shard journals are incomplete: %s holds no %s journal — run the shard's %s mode first",
+			absent, ax.name, ax.name)
+	}
+	if err := journal.CheckShards(metas); err != nil {
+		return nil, false, err
+	}
+	return recs, true, nil
+}
+
+// mergeStudy replays the unioned study records, normalized to the
+// single-builder form, through the stage executor. Every cell is
+// journaled, so the executor runs nothing.
+func (r *Runner) mergeStudy(ctx context.Context, recs []journal.Record) (*Result, error) {
+	loaded := make(map[string]*journal.Record, len(recs))
+	for i := range recs {
+		rec := &recs[i]
+		if rec.Mode != studyAxis.complete() {
+			if err := r.checkRecord(studyAxis, rec); err != nil {
+				return nil, err
+			}
+		}
+		loaded[rec.Trace] = rec
 	}
 	if err := r.normalizeShards(loaded); err != nil {
 		return nil, err
 	}
-	// Replay-only checkpoint state: every cell is in loaded, so the
-	// stage executor runs nothing and the journal writer side (j,
-	// ch) stays nil — append is nil-channel-safe and closeCheckpoint is
-	// never involved because runCampaign is entered directly.
-	r.ckpt = &checkpointState{
-		loaded:   loaded,
-		resumed:  r.obs.Counter("journal.cells.resumed"),
-		executed: r.obs.Counter("journal.cells.executed"),
-	}
+	r.ckpt = r.replayJournal(loaded)
 	defer func() { r.ckpt = nil }()
 	return r.runCampaign(ctx)
 }
 
-// loadShardJournals reads every shard journal, verifies the set tiles
-// this runner's campaign exactly once (fingerprint, lease, shard
-// indexes), and unions the records, refusing overlap.
-func (r *Runner) loadShardJournals(dirs []string) (map[string]*journal.Record, error) {
-	fp := r.checkpointFingerprint()
-	metas := make([]*journal.Meta, 0, len(dirs))
-	loaded := make(map[string]*journal.Record)
-	for _, dir := range dirs {
-		meta, recs, err := journal.Load(dir)
-		if err != nil {
-			return nil, err
-		}
-		if meta.Fingerprint != fp {
-			return nil, fmt.Errorf("%w: %s (merge must be invoked with the exact configuration the shards ran)",
-				journal.ErrFingerprint, dir)
-		}
-		if sh := meta.Shard; sh != nil && sh.Lease != "" {
-			if want := shardLease(fp, sh.Index, sh.Count); sh.Lease != want {
-				return nil, fmt.Errorf("campaign: %s: lease %s was not issued for shard %d/%d of this campaign",
-					dir, sh.Lease, sh.Index, sh.Count)
-			}
-		}
-		metas = append(metas, meta)
-		for i := range recs {
-			rec := &recs[i]
-			if prev, dup := loaded[rec.Trace]; dup {
-				return nil, fmt.Errorf("campaign: shard journals overlap: cell %s (%s on %s) journaled twice",
-					rec.Trace, prev.Class, prev.Server)
-			}
-			loaded[rec.Trace] = rec
-		}
-	}
-	if err := journal.CheckShards(metas); err != nil {
-		return nil, err
-	}
-	return loaded, nil
-}
-
-// checkMergeComplete verifies every cell of the campaign is journaled,
-// so the merge replays everything and executes nothing. A missing cell
-// means its shard was interrupted; the fix is resuming that shard to
-// completion, not silently re-executing inside the coordinator.
-func (r *Runner) checkMergeComplete(loaded map[string]*journal.Record) error {
-	for _, server := range r.servers {
-		defs, err := r.defsFor(server)
-		if err != nil {
-			return err
-		}
-		for i := range defs {
-			class := defs[i].Parameter.Name
-			if _, ok := loaded[cellTrace(server.Name(), class)]; !ok {
-				return fmt.Errorf("campaign: shard journals are incomplete: no cell for %s on %s — resume the owning shard to completion first",
-					class, server.Name())
-			}
-		}
-	}
-	return nil
-}
-
-// shardMember is one journaled cell within a (server, shape) group.
-type shardMember struct {
-	def services.Definition
-	rec *journal.Record
-}
-
 // normalizeShards rewrites the unioned shard records into the form a
 // single-process run would have journaled: one builder per (server,
-// shape), every other member demoted to its memo-served mode, and
-// exactly one executed test set per (shape, client). A no-op for the
-// nodedup ablation, whose journals contain only per-class records that
-// are already shard-invariant.
+// shape) group of the plan, every other member demoted to its
+// memo-served mode, and exactly one executed test set per (shape,
+// client). A no-op for the nodedup ablation, whose plan has no groups
+// and whose journals hold only per-class records, already
+// shard-invariant.
 func (r *Runner) normalizeShards(loaded map[string]*journal.Record) error {
-	if !r.dedupOn() {
-		return nil
-	}
 	for _, server := range r.servers {
-		defs, err := r.defsFor(server)
+		sp, err := r.planFor(server)
 		if err != nil {
 			return err
 		}
-		groups := make(map[shape.Fingerprint][]shardMember)
-		var order []shape.Fingerprint
-		for i := range defs {
-			if !shape.Memoizable(defs[i]) {
-				continue
-			}
-			trace := cellTrace(server.Name(), defs[i].Parameter.Name)
-			rec, ok := loaded[trace]
-			if !ok {
-				continue // checkMergeComplete already refused; stay safe
-			}
-			fp := shape.Of(defs[i])
-			if len(groups[fp]) == 0 {
-				order = append(order, fp)
-			}
-			groups[fp] = append(groups[fp], shardMember{def: defs[i], rec: rec})
-		}
-		for _, fp := range order {
-			if err := normalizeShapeGroup(server.Name(), groups[fp]); err != nil {
+		for gi := range sp.Groups {
+			if err := normalizeShapeGroup(server.Name(), sp, &sp.Groups[gi], loaded); err != nil {
 				return err
 			}
 		}
@@ -256,26 +278,31 @@ func (r *Runner) normalizeShards(loaded map[string]*journal.Record) error {
 // builder works, the totals are builder-invariant — and every other
 // builder is demoted to the memo route it would have taken had the
 // designated builder's shard entry been visible to it. Executed test
-// flags consolidate onto the builder: one Ran per (shape, client).
-func normalizeShapeGroup(server string, group []shardMember) error {
+// bits consolidate onto the builder: one per (shape, client).
+func normalizeShapeGroup(server string, sp *serverPlan, g *planGroup, loaded map[string]*journal.Record) error {
+	group := make([]*journal.Record, len(g.Members))
 	builderAt := -1
-	for i := range group {
-		if group[i].rec.Mode != modeBuilt.id() {
+	for mi, di := range g.Members {
+		class := sp.defs[di].Parameter.Name
+		rec := loaded[cellTrace(server, class)]
+		if rec == nil {
+			return fmt.Errorf("campaign: shard journals are incomplete: no cell for %s on %s", class, server)
+		}
+		group[mi] = rec
+		if rec.Mode != modeBuilt.id() {
 			continue
 		}
 		if builderAt == -1 {
-			builderAt = i
+			builderAt = mi
 			continue
 		}
 		// Cross-shard consistency: independent builders of one shape must
 		// agree on every shape-level fact, or the journals were produced
 		// by diverging builds and the merge would be fiction.
-		a, b := group[builderAt].rec, group[i].rec
-		if a.Published != b.Published || a.Verified != b.Verified ||
-			a.Flagged != b.Flagged || a.Compliant != b.Compliant ||
-			!equalProfiles(a.Profiles, b.Profiles) {
+		if a := group[builderAt]; a.Published != rec.Published || a.Verified != rec.Verified ||
+			a.Flagged != rec.Flagged || a.Compliant != rec.Compliant || a.Profiles != rec.Profiles {
 			return fmt.Errorf("campaign: shard journals disagree on the shape of %s and %s on %s",
-				a.Class, b.Class, server)
+				a.Class, rec.Class, server)
 		}
 	}
 	if builderAt == -1 {
@@ -283,14 +310,13 @@ func normalizeShapeGroup(server string, group []shardMember) error {
 		// whose cells are all memo-served has no owning builder anywhere —
 		// mismatched journals.
 		return fmt.Errorf("campaign: no shard journaled a builder for the shape of %s on %s",
-			group[0].rec.Class, server)
+			group[0].Class, server)
 	}
-	builder := group[builderAt].rec
-	for i := range group {
+	builder := group[builderAt]
+	for i, rec := range group {
 		if i == builderAt {
 			continue
 		}
-		rec := group[i].rec
 		switch rec.Mode {
 		case modeDirect.id(), modeFallback.id():
 			// Memoizable classes never take these routes; a journal that
@@ -303,56 +329,36 @@ func normalizeShapeGroup(server string, group []shardMember) error {
 			rec.Mode = modeMemoRejected.id()
 			rec.Published, rec.Verified = false, false
 			rec.Flagged, rec.Compliant = false, false
-			rec.Profiles = nil
-			rec.Doc, rec.Tests = nil, nil
-		case builder.Verified && substitutionSafe(group[i].def):
+			rec.Profiles, rec.Doc, rec.Codes = 0, nil, nil
+		case builder.Verified && g.safe[i]:
 			rec.Mode = modeMemoized.id()
 			rec.Verified = false
 			rec.Doc = nil
-			for ti := range rec.Tests {
-				rec.Tests[ti].Ran = false
-			}
+			setExecuted(rec.Codes, false)
 		default:
 			// Unverified shape, or name-sensitive WS-I predicates refuse
 			// the substitution: the per-class path, executed in full.
 			rec.Mode = modeMemoFallback.id()
 			rec.Verified = false
 			rec.Doc = nil
-			for ti := range rec.Tests {
-				rec.Tests[ti].Ran = true
-			}
+			setExecuted(rec.Codes, true)
 		}
 	}
 	if builder.Published && builder.Verified {
 		// The single process's builder executes every client test once;
 		// its same-shape clones are all memo-served.
-		for ti := range builder.Tests {
-			builder.Tests[ti].Ran = true
-		}
+		setExecuted(builder.Codes, true)
 	}
 	return nil
 }
 
-// equalProfiles compares two journaled per-profile verdict lists.
-// Profile IDs are written in roster order by every shard (the
-// fingerprint pins the roster), so element-wise equality is the right
-// comparison.
-func equalProfiles(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+// setExecuted sets or clears the executed bit of every journaled code.
+func setExecuted(codes []byte, ran bool) {
+	for i := range codes {
+		if ran {
+			codes[i] |= byte(codeExecuted)
+		} else {
+			codes[i] &^= byte(codeExecuted)
 		}
 	}
-	return true
-}
-
-// substitutionSafe reports whether the class's name-derived strings
-// pass the WS-I chunk predicates — publishEntry's condition for
-// serving a clone from the shape template (DESIGN.md §10).
-func substitutionSafe(def services.Definition) bool {
-	vars := shape.VarsArray(def)
-	return wsi.SubstitutionSafe(vars[shape.SlotService], vars[shape.SlotNamespace], vars[shape.SlotSimple])
 }

@@ -150,11 +150,11 @@ func mergeShardJournals(t *testing.T, limit, workers int, dirs []string) (*Resul
 	t.Helper()
 	cfg := resumeConfig(limit, workers)
 	r := newRunner(cfg)
-	res, err := r.Merge(context.Background(), dirs)
+	m, err := r.Merge(context.Background(), dirs)
 	if err != nil {
 		t.Fatalf("merge %d shards: %v", len(dirs), err)
 	}
-	return res, cfg.Obs.Snapshot()
+	return m.Study, cfg.Obs.Snapshot()
 }
 
 // runDistributedMatrix is the shared equivalence matrix: split the
@@ -264,10 +264,11 @@ func TestDistributedNoDedupAblation(t *testing.T) {
 	}
 	mcfg := resumeConfig(limit, 4)
 	mcfg.noDedup = true
-	res, err := newRunner(mcfg).Merge(context.Background(), dirs)
+	m, err := newRunner(mcfg).Merge(context.Background(), dirs)
 	if err != nil {
 		t.Fatalf("merge: %v", err)
 	}
+	res := m.Study
 	compareResults(t, clean, res)
 	if got, want := resultBytes(t, res), resultBytes(t, clean); string(got) != string(want) {
 		t.Error("merged nodedup Result is not byte-identical to the single-process run")

@@ -35,6 +35,7 @@ import (
 	"wsinterop/internal/obs"
 	"wsinterop/internal/services"
 	"wsinterop/internal/shape"
+	"wsinterop/internal/wsi"
 )
 
 // planGroup is one (server, shape) work unit: the definition indexes
@@ -239,6 +240,14 @@ func (r *Runner) buildServerPlan(server string, defs []services.Definition) *ser
 	return sp
 }
 
+// substitutionSafe reports whether the class's name-derived strings
+// pass the WS-I chunk predicates — publishEntry's condition for
+// serving a clone from the shape template (DESIGN.md §10).
+func substitutionSafe(def services.Definition) bool {
+	vars := shape.VarsArray(def)
+	return wsi.SubstitutionSafe(vars[shape.SlotService], vars[shape.SlotNamespace], vars[shape.SlotSimple])
+}
+
 // classTraitsFor hashes and classifies every definition across the
 // worker pool — the SHA-256 pass that used to run inside the execution
 // hot path, once per class per run.
@@ -336,17 +345,20 @@ func (r *Runner) runServer(ctx context.Context, server framework.ServerFramework
 	prog := newProgress(r.cfg.Progress, server.Name(), len(defs))
 	defer prog.close()
 
-	replay := r.replayPlan(server, defs)
-	var replayShard *shard
+	replay, err := r.replayPlan(server, defs)
+	if err != nil {
+		return err
+	}
 	if replay != nil {
 		if err := r.seedMemoFromJournal(server, sp, replay); err != nil {
 			return err
 		}
-		var err error
-		replayShard, err = r.replayStage(server, replay, failures, prog)
-		if err != nil {
-			return err
-		}
+		r.obs.Emit(obs.Event{
+			Trace:  obs.TraceID(server.Name(), "resume"),
+			Stage:  "resume",
+			Server: server.Name(),
+			Detail: fmt.Sprintf("%d cells replayed from journal", len(replay)),
+		})
 	}
 	entries := r.resolveEntries(server, sp)
 
@@ -370,7 +382,9 @@ func (r *Runner) runServer(ctx context.Context, server framework.ServerFramework
 				var err error
 				if it < len(sp.Groups) {
 					err = r.runPlannedGroup(server, defs, &sp.Groups[it], entries[it], replay, sh, failures, prog)
-				} else if di := sp.Loose[it-len(sp.Groups)]; replay[di] == nil {
+				} else if di := sp.Loose[it-len(sp.Groups)]; replay[di] != nil {
+					err = r.replayCell(replay[di], di, sh, failures, prog)
+				} else {
 					err = r.runPlannedLoose(server, defs[di], di, sh, failures, prog)
 				}
 				if err != nil && errs[w] == nil {
@@ -397,9 +411,7 @@ feed:
 			return fmt.Errorf("publish on %s: %w", server.Name(), err)
 		}
 	}
-	if replayShard != nil {
-		shards = append(shards, replayShard)
-	}
+	r.completeStage(r.ckpt, studyAxis, server.Name(), 0)
 	r.mergeServer(res, server.Name(), len(defs), shards, failures)
 	r.obs.Emit(obs.Event{
 		Trace:        obs.TraceID(server.Name()),
@@ -432,7 +444,10 @@ func (r *Runner) runPlannedGroup(server framework.ServerFramework, defs []servic
 	var clones []int
 	var firstErr error
 	for mi, di := range g.Members {
-		if _, ok := replay[di]; ok {
+		if rec, ok := replay[di]; ok {
+			if err := r.replayCell(rec, di, sh, failures, prog); err != nil && firstErr == nil {
+				firstErr = err
+			}
 			continue
 		}
 		if slotsFilled && g.safe[mi] {
@@ -510,12 +525,16 @@ func (r *Runner) broadcastClones(server framework.ServerFramework, defs []servic
 	errored := r.foldCodes(sh, server.Name(), e.flagged, e.profiles, codes, len(clones))
 	keep := failures != nil && errored
 	if keep || r.ckpt != nil {
+		var row []byte // every clone's journaled codes
+		if r.ckpt != nil {
+			row = codeBytes(codes)
+		}
 		for _, di := range clones {
 			class := defs[di].Parameter.Name
 			if keep {
 				failures[di] = r.failsFor(server.Name(), class, codes)
 			}
-			r.journalClone(server.Name(), class, e, codes)
+			r.journalClone(server.Name(), class, e, row)
 		}
 	}
 	prog.add(len(clones))

@@ -214,13 +214,18 @@ func (r *Runner) RunRobustness(ctx context.Context) (*RobustResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	return robustResult(t), nil
+}
+
+// robustResult converts the executor's tally into the matrix.
+func robustResult(t *wireTally) *RobustResult {
 	servers, clients := matrix(t, robustCounts)
 	return &RobustResult{
 		Faults:  append([]string(nil), robustAxis.columns...),
 		Servers: servers, ServerOrder: t.servers,
 		Clients: clients, ClientOrder: t.clientOrder,
 		PathCollisions: sum(t.collisions),
-	}, nil
+	}
 }
 
 // robustRow runs one faulted invocation per catalog entry for the

@@ -15,9 +15,9 @@ package campaign
 // pre-indexed slots, the fold runs serially in fixed (server,
 // service, client, scenario) order, and all wire mutation is steered
 // by per-request directive headers — so worker count and scheduling
-// never change a cell. Like every wire axis the matrix journals (one
-// record per service, under <checkpoint>/versions) and resumes; it is
-// also the one axis whose shard journals merge (MergeVersions).
+// never change a cell. Like every campaign mode the matrix journals
+// (one record per service, under <checkpoint>/versions), resumes, and
+// merges across shards (Runner.Merge).
 
 import (
 	"context"
@@ -330,31 +330,4 @@ func versionRow(x *wireCall, row []outcome, _ []int) {
 			WithRetry(versionRetryPolicy(sc.Name)), trace)
 		row[col] = classifyVersion(sc, wire.take(trace), resp, err, x.op+"Response", req.Fields, probeField)
 	}
-}
-
-// MergeVersions folds the shard version journals under dirs into one
-// VersionResult, using a runner built from opts — which must describe
-// the exact campaign the shards ran. The package-level convenience
-// form of Runner.MergeVersions.
-func MergeVersions(ctx context.Context, dirs []string, opts ...Option) (*VersionResult, error) {
-	return New(opts...).MergeVersions(ctx, dirs)
-}
-
-// MergeVersions folds completed shard version journals (the
-// <checkpoint>/versions stores) into one VersionResult identical to a
-// single-process run of the same configuration, except that
-// PathCollisions sums each shard's deploy-time count — collisions are
-// a property of which classes co-deploy, so a sharded campaign may
-// legitimately observe fewer than an unsharded one. Every shard must
-// hold its completion sentinel for every server stage; an interrupted
-// shard is resumed in place before merging. The merge itself
-// exchanges nothing: every cell replays from its journal record, and
-// because every fold input is a commutative sum, replay order is
-// free.
-func (r *Runner) MergeVersions(ctx context.Context, dirs []string) (*VersionResult, error) {
-	t, err := r.mergeAxis(ctx, versionsAxis, dirs)
-	if err != nil {
-		return nil, err
-	}
-	return versionResult(t), nil
 }

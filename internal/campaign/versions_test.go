@@ -110,7 +110,7 @@ func TestVersionsScaled(t *testing.T) {
 // TestVersionsShardMerge: two shard workers journal their slices, the
 // coordinator merges, and the merged matrix equals a single-process
 // run. PathCollisions is deploy-set-dependent bookkeeping (documented
-// on MergeVersions) and is normalized out of the comparison.
+// on Merged) and is normalized out of the comparison.
 func TestVersionsShardMerge(t *testing.T) {
 	limit := robustLimit(37)
 	const n = 2
@@ -124,10 +124,11 @@ func TestVersionsShardMerge(t *testing.T) {
 			t.Fatalf("shard %d: %v", i, err)
 		}
 	}
-	merged, err := MergeVersions(context.Background(), dirs, WithLimit(limit))
+	m, err := New(WithLimit(limit)).Merge(context.Background(), dirs)
 	if err != nil {
 		t.Fatalf("merge: %v", err)
 	}
+	merged := m.Versions
 	full := runVersions(t, config{Limit: limit, Workers: 4})
 	merged.PathCollisions, full.PathCollisions = 0, 0
 	if got, want := versionBytes(t, merged), versionBytes(t, full); string(got) != string(want) {
@@ -136,11 +137,11 @@ func TestVersionsShardMerge(t *testing.T) {
 
 	// Merge guards: a drifted configuration is refused by fingerprint,
 	// and a coordinator cannot itself be sharded.
-	if _, err := MergeVersions(context.Background(), dirs, WithLimit(limit+1)); err == nil {
+	if _, err := New(WithLimit(limit+1)).Merge(context.Background(), dirs); err == nil {
 		t.Error("drifted merge configuration not refused")
 	}
-	if _, err := MergeVersions(context.Background(), dirs, WithLimit(limit),
-		WithShard(ShardSpec{Index: 0, Count: n})); err == nil {
+	if _, err := New(WithLimit(limit),
+		WithShard(ShardSpec{Index: 0, Count: n})).Merge(context.Background(), dirs); err == nil {
 		t.Error("sharded coordinator not refused")
 	}
 }
@@ -162,7 +163,7 @@ func TestVersionsMergeRefusesIncomplete(t *testing.T) {
 		// interrupted journal exercises the guard.
 		t.Skip("run completed before the kill point")
 	}
-	_, err := MergeVersions(context.Background(), []string{dir}, WithLimit(6))
+	_, err := New(WithLimit(6)).Merge(context.Background(), []string{dir})
 	if err == nil || !strings.Contains(err.Error(), "resume the shard") {
 		t.Errorf("incomplete merge error = %v, want completion refusal", err)
 	}
@@ -197,20 +198,27 @@ func TestVersionsCancellation(t *testing.T) {
 	}
 }
 
-// TestVersionOutcomeRoundTrip: the code name is the journal
-// encoding, so it must parse back exactly.
+// TestVersionOutcomeRoundTrip: the journal stores an outcome as its
+// index into the code names and the names join the journal
+// fingerprint, so every outcome needs a distinct friendly name, and a
+// renumbered catalog must not read back under the same fingerprint.
 func TestVersionOutcomeRoundTrip(t *testing.T) {
+	seen := make(map[string]bool)
 	for _, o := range []outcome{versionSkipped, versionAccepted, versionTypedReject, versionMishandled} {
 		s := versionsAxis.codes[o]
 		if s == "" || strings.HasPrefix(s, "Version") {
 			t.Errorf("outcome %d has no friendly name: %q", o, s)
 		}
-		back, ok := versionsAxis.parse(s)
-		if !ok || back != o {
-			t.Errorf("parse(%q) = %v, %v; want %v", s, back, ok, o)
+		if seen[s] {
+			t.Errorf("outcome %d repeats the name %q", o, s)
 		}
+		seen[s] = true
 	}
-	if _, ok := versionsAxis.parse("bogus"); ok {
-		t.Error("bogus outcome parsed")
+	r := newRunner(config{Limit: 1})
+	renumbered := *versionsAxis
+	renumbered.codes = append([]string(nil), versionsAxis.codes...)
+	renumbered.codes[0], renumbered.codes[1] = renumbered.codes[1], renumbered.codes[0]
+	if r.journalFingerprint(&renumbered) == r.journalFingerprint(versionsAxis) {
+		t.Error("a renumbered code catalog keeps the journal fingerprint")
 	}
 }

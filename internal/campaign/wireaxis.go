@@ -14,12 +14,13 @@ package campaign
 //     column slots;
 //   - the serial fixed-order fold into per-(server, column) and
 //     per-client tallies, plus the axis's per-code counters;
-//   - under WithCheckpoint, the journal at <checkpoint>/<axis>: one
-//     record per completed service, written by the worker that
-//     finishes its last client row, and one completion sentinel per
-//     (shard, server) stage carrying the stage's path collisions;
+//   - under WithCheckpoint, the cell journal (checkpoint.go) at
+//     <checkpoint>/<axis>: one record per completed service, queued by
+//     the worker that finishes its last client row, and one completion
+//     sentinel per (shard, server) stage carrying the stage's path
+//     collisions;
 //   - under WithResume, the replay of journaled services, and the
-//     replay-only shard merge.
+//     replay-only shard fold behind Merge.
 //
 // Slots are pre-indexed and the fold is serial, so worker count and
 // scheduling never change a tally; every tally is a commutative sum,
@@ -29,7 +30,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 
@@ -43,18 +43,20 @@ import (
 )
 
 // outcome is one classified cell of a wire axis: an index into the
-// axis's code names. The name is the journal encoding.
+// axis's code names, journaled as that byte.
 type outcome uint8
 
 // wireAxis is one wire mode's definition over the executor.
 type wireAxis struct {
-	// name labels the axis: its checkpoint subdirectory, its journal
-	// record mode and trace prefix, and its fingerprint tag.
+	// name labels the axis: its checkpoint subdirectory (the study
+	// journals at the root), its journal record mode and trace prefix,
+	// and its fingerprint tag.
 	name string
 	// columns names the exchanges of one (service × client) row, in
 	// their fixed order.
 	columns []string
-	// codes names the outcomes, indexed by outcome.
+	// codes names the outcomes, indexed by outcome; the names join the
+	// journal fingerprint.
 	codes []string
 	// counters names the obs counter each outcome folds into.
 	counters []string
@@ -73,16 +75,6 @@ type wireAxis struct {
 // counters up front.
 var wireAxes = []*wireAxis{commAxis, robustAxis, versionsAxis}
 
-// parse inverts the code names for journal replay.
-func (ax *wireAxis) parse(name string) (outcome, bool) {
-	for i, c := range ax.codes {
-		if c == name {
-			return outcome(i), true
-		}
-	}
-	return 0, false
-}
-
 // trace is the journal key of one service's record.
 func (ax *wireAxis) trace(server, class string) string {
 	return obs.TraceID(ax.name, server, class)
@@ -92,8 +84,11 @@ func (ax *wireAxis) trace(server, class string) string {
 // server stage. The shard coordinates keep sentinels from different
 // shards apart in a merge union.
 func (ax *wireAxis) sentinel(shard ShardSpec, server string) string {
-	return obs.TraceID(ax.name+"-complete", shard.String(), server)
+	return obs.TraceID(ax.complete(), shard.String(), server)
 }
+
+// complete is the journal mode of the axis's completion sentinels.
+func (ax *wireAxis) complete() string { return ax.name + "-complete" }
 
 // wireCall is one (service × client) job of an axis.
 type wireCall struct {
@@ -204,27 +199,33 @@ func sum(n []int) int {
 // runAxis executes one wire axis across every configured server
 // framework.
 func (r *Runner) runAxis(ctx context.Context, ax *wireAxis) (*wireTally, error) {
-	aj, err := r.openAxisJournal(ax)
+	cj, err := r.openJournal(ax)
 	if err != nil {
 		return nil, err
 	}
 	t := r.newWireTally(ax)
 	for si, server := range r.servers {
-		if err := r.runAxisStage(ctx, ax, aj, t, si, server); err != nil {
+		if err := r.runAxisStage(ctx, ax, cj, t, si, server); err != nil {
 			// Close flushes, so every service completed before the
 			// interruption is durable for the resume.
-			_ = aj.close()
+			_ = cj.close()
 			return nil, fmt.Errorf("%s on %s: %w", ax.name, server.Name(), err)
 		}
 	}
-	if err := aj.close(); err != nil {
+	if err := cj.close(); err != nil {
+		return nil, err
+	}
+	// The durable-point probes fire from the writer goroutine; a
+	// cancellation they trigger during the final flush must still win,
+	// as it does in Run.
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	return t, nil
 }
 
 // runAxisStage runs one server stage: deploy, replay, exchange, fold.
-func (r *Runner) runAxisStage(ctx context.Context, ax *wireAxis, aj *axisJournal, t *wireTally,
+func (r *Runner) runAxisStage(ctx context.Context, ax *wireAxis, cj *cellJournal, t *wireTally,
 	si int, server framework.ServerFramework) error {
 	name := server.Name()
 	published, _, err := r.Publish(ctx, server)
@@ -250,7 +251,7 @@ func (r *Runner) runAxisStage(ctx context.Context, ax *wireAxis, aj *axisJournal
 	// service has no pending rows, which keeps it out of the feed.
 	pending := make([]atomic.Int32, len(published))
 	for pi := range published {
-		rec, ok := aj.record(ax.trace(name, published[pi].Class))
+		rec, ok := cj.record(ax.trace(name, published[pi].Class))
 		if !ok {
 			pending[pi].Store(int32(nc))
 			continue
@@ -259,7 +260,7 @@ func (r *Runner) runAxisStage(ctx context.Context, ax *wireAxis, aj *axisJournal
 		if err := r.replay(ax, rec, c, n); err != nil {
 			return err
 		}
-		aj.resumed.Inc()
+		cj.resumed.Inc()
 	}
 
 	var wg sync.WaitGroup
@@ -281,7 +282,7 @@ func (r *Runner) runAxisStage(ctx context.Context, ax *wireAxis, aj *axisJournal
 				// or an exchange short, so nothing after it journals.
 				if pending[pi].Add(-1) == 0 && ctx.Err() == nil {
 					c, n := service(pi)
-					aj.append(r.axisRecord(ax, name, x.svc.Class, c, n))
+					cj.append(axisRecord(ax, name, x.svc.Class, c, n))
 				}
 			}
 		}()
@@ -308,218 +309,41 @@ feed:
 	// Serial fixed-order fold: counters land here, inside the
 	// determinism contract, never in workers.
 	t.fold(si, codes, tallies)
-	sentinel := ax.sentinel(r.cfg.Shard, name)
-	if _, done := aj.record(sentinel); !done {
-		// The stage completed: the sentinel is what merge completeness
-		// keys on, and it carries the stage's collision count (the one
-		// fold input not reconstructible per service).
-		aj.append(journal.Record{Trace: sentinel, Server: name, Mode: ax.name + "-complete", Collisions: collisions})
-	}
+	r.completeStage(cj, ax, name, collisions)
 	return nil
 }
 
-// axisRecord encodes one fully exchanged service: every client's row,
-// in roster and column order.
-func (r *Runner) axisRecord(ax *wireAxis, server, class string, codes []outcome, tallies []int) journal.Record {
-	ncol, nt := len(ax.columns), ax.tallies
-	rows := make([]journal.OutcomeRow, len(r.clients))
-	for ci, c := range r.clients {
-		outs := make([]string, ncol)
-		for col := range outs {
-			outs[col] = ax.codes[codes[ci*ncol+col]]
-		}
-		rows[ci] = journal.OutcomeRow{Client: c.Name(), Outcomes: outs}
-		if nt > 0 {
-			rows[ci].Tallies = append([]int(nil), tallies[ci*nt:(ci+1)*nt]...)
-		}
+// axisRecord encodes one fully exchanged service: every client's
+// outcome codes and tallies, in roster and column order.
+func axisRecord(ax *wireAxis, server, class string, codes []outcome, tallies []int) journal.Record {
+	rec := journal.Record{Trace: ax.trace(server, class), Server: server, Class: class,
+		Mode: ax.name, Published: true, Codes: codeBytes(codes)}
+	if len(tallies) > 0 {
+		rec.Tallies = append([]int(nil), tallies...)
 	}
-	return journal.Record{Trace: ax.trace(server, class), Server: server, Class: class,
-		Mode: ax.name, Published: true, Rows: rows}
+	return rec
 }
 
-// replay decodes one journaled service into its slots, validating it
-// against the roster and the column catalog. Both are
-// fingerprint-pinned, so a mismatch means a corrupted store, not a
-// configuration drift.
+// replay decodes one journaled service into its slots, after checking
+// it against the axis's catalogs and the roster.
 func (r *Runner) replay(ax *wireAxis, rec *journal.Record, codes []outcome, tallies []int) error {
-	fail := func(format string, args ...any) error {
-		return fmt.Errorf("campaign: journal record %s: "+format, append([]any{rec.Trace}, args...)...)
+	if rec.Mode != ax.name || !rec.Published {
+		return fmt.Errorf("campaign: journal record %s: mode %q is not a %s cell", rec.Trace, rec.Mode, ax.name)
 	}
-	if rec.Mode != ax.name {
-		return fail("mode %q is not a %s cell", rec.Mode, ax.name)
+	if err := r.checkRecord(ax, rec); err != nil {
+		return err
 	}
-	if len(rec.Rows) != len(r.clients) {
-		return fail("%d client rows, roster has %d", len(rec.Rows), len(r.clients))
+	for i, c := range rec.Codes {
+		codes[i] = outcome(c)
 	}
-	ncol, nt := len(ax.columns), ax.tallies
-	for ci, row := range rec.Rows {
-		if want := r.clients[ci].Name(); row.Client != want {
-			return fail("row %d is for client %q, roster has %q", ci, row.Client, want)
-		}
-		if len(row.Outcomes) != ncol || len(row.Tallies) != nt {
-			return fail("client %q has %d outcomes and %d tallies, the axis has %d columns and %d tallies",
-				row.Client, len(row.Outcomes), len(row.Tallies), ncol, nt)
-		}
-		for col, s := range row.Outcomes {
-			o, ok := ax.parse(s)
-			if !ok {
-				return fail("unknown %s outcome %q", ax.name, s)
-			}
-			codes[ci*ncol+col] = o
-		}
-		copy(tallies[ci*nt:], row.Tallies)
-	}
+	copy(tallies, rec.Tallies)
 	return nil
 }
 
-// axisJournal is one axis run's open journal. Appends are
-// mutex-serialized (one record per service, so contention is
-// negligible) and durable before they return.
-type axisJournal struct {
-	mu     sync.Mutex
-	j      *journal.Journal
-	err    error
-	loaded map[string]*journal.Record
-
-	resumed  *obs.Counter // journal.cells.resumed
-	executed *obs.Counter // journal.cells.executed
-}
-
-// axisFingerprint pins an axis journal to the campaign configuration
-// and to the axis's column catalog, so a changed catalog is refused
-// with journal.ErrFingerprint instead of failing replay.
-func (r *Runner) axisFingerprint(ax *wireAxis) string {
-	return obs.TraceID(append([]string{r.checkpointFingerprint(), "axis=" + ax.name}, ax.columns...)...)
-}
-
-// openAxisJournal opens the axis journal under the WithCheckpoint
-// directory (a no-op without one).
-func (r *Runner) openAxisJournal(ax *wireAxis) (*axisJournal, error) {
-	shard, err := r.shardMeta()
-	if err != nil {
-		return nil, err
-	}
-	if r.cfg.Checkpoint == "" {
-		if r.cfg.Resume {
-			return nil, fmt.Errorf("campaign: Resume requires a Checkpoint directory")
-		}
-		return nil, nil
-	}
-	j, err := journal.Open(filepath.Join(r.cfg.Checkpoint, ax.name),
-		journal.Meta{Fingerprint: r.axisFingerprint(ax), Shard: shard}, r.cfg.Resume)
-	if err != nil {
-		return nil, err
-	}
-	j.AfterAppend = r.cfg.checkpointProbe
-	aj := &axisJournal{
-		j:        j,
-		resumed:  r.obs.Counter("journal.cells.resumed"),
-		executed: r.obs.Counter("journal.cells.executed"),
-	}
-	if r.cfg.Resume {
-		aj.loaded = j.Loaded()
-	}
-	return aj, nil
-}
-
-// append records one completed service durably; nil-safe.
-func (aj *axisJournal) append(rec journal.Record) {
-	if aj == nil {
-		return
-	}
-	aj.executed.Inc()
-	aj.mu.Lock()
-	defer aj.mu.Unlock()
-	if aj.err == nil {
-		aj.err = aj.j.Append(rec)
-	}
-}
-
-// close flushes and closes the journal; nil-safe.
-func (aj *axisJournal) close() error {
-	if aj == nil {
-		return nil
-	}
-	err := aj.err
-	if cerr := aj.j.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// record looks up a loaded journal record; nil-safe.
-func (aj *axisJournal) record(trace string) (*journal.Record, bool) {
-	if aj == nil {
-		return nil, false
-	}
-	rec, ok := aj.loaded[trace]
-	return rec, ok
-}
-
-// mergeAxis folds completed shard journals of one axis (the
-// <dir>/<axis> stores) into one tally. It exchanges nothing: every
-// service replays from its record. Each shard must hold its completion
-// sentinel for every server stage, and the path collisions sum the
-// shards' deploy-time counts.
-func (r *Runner) mergeAxis(ctx context.Context, ax *wireAxis, dirs []string) (*wireTally, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if len(dirs) == 0 {
-		return nil, fmt.Errorf("campaign: merge needs at least one shard journal directory")
-	}
-	if r.cfg.Shard.enabled() {
-		return nil, fmt.Errorf("campaign: the merge coordinator runs unsharded (drop shard %s)", r.cfg.Shard)
-	}
-	if r.cfg.Checkpoint != "" || r.cfg.Resume {
-		return nil, fmt.Errorf("campaign: merge reads shard journals; it does not take its own Checkpoint/Resume")
-	}
-
-	fp, leaseFP := r.axisFingerprint(ax), r.checkpointFingerprint()
-	metas := make([]*journal.Meta, 0, len(dirs))
-	seen := make(map[string]journal.Record)
-	var recs []journal.Record
-	for _, dir := range dirs {
-		adir := filepath.Join(dir, ax.name)
-		meta, shardRecs, err := journal.Load(adir)
-		if err != nil {
-			return nil, err
-		}
-		if meta.Fingerprint != fp {
-			return nil, fmt.Errorf("%w: %s (merge must be invoked with the exact configuration the shards ran)",
-				journal.ErrFingerprint, adir)
-		}
-		spec := ShardSpec{}
-		if sh := meta.Shard; sh != nil {
-			spec = ShardSpec{Index: sh.Index, Count: sh.Count}
-			if sh.Lease != "" && sh.Lease != shardLease(leaseFP, sh.Index, sh.Count) {
-				return nil, fmt.Errorf("campaign: %s: lease %s was not issued for shard %d/%d of this campaign",
-					adir, sh.Lease, sh.Index, sh.Count)
-			}
-		}
-		for _, rec := range shardRecs {
-			if prev, dup := seen[rec.Trace]; dup {
-				return nil, fmt.Errorf("campaign: shard journals overlap: cell %s (%s on %s) journaled twice",
-					rec.Trace, prev.Class, prev.Server)
-			}
-			seen[rec.Trace] = rec
-		}
-		recs = append(recs, shardRecs...)
-		// Completeness: a server stage appends its sentinel only after
-		// every service of the stage is journaled, so the sentinel set
-		// is the completion proof.
-		for _, server := range r.servers {
-			if _, ok := seen[ax.sentinel(spec, server.Name())]; !ok {
-				return nil, fmt.Errorf("campaign: %s holds no completed %s stage — resume the shard to completion first",
-					adir, server.Name())
-			}
-		}
-		metas = append(metas, meta)
-	}
-	if err := journal.CheckShards(metas); err != nil {
-		return nil, err
-	}
-
+// foldShards folds one axis's unioned shard records (loadShards) into
+// one tally. It exchanges nothing: every service replays from its
+// record, and the path collisions sum the shards' sentinels.
+func (r *Runner) foldShards(ax *wireAxis, recs []journal.Record) (*wireTally, error) {
 	t := r.newWireTally(ax)
 	roster := make(map[string]int, len(t.servers))
 	for si, name := range t.servers {
@@ -534,7 +358,7 @@ func (r *Runner) mergeAxis(ctx context.Context, ax *wireAxis, dirs []string) (*w
 		if !ok {
 			return nil, fmt.Errorf("campaign: journal record %s is for server %q, not in this roster", rec.Trace, rec.Server)
 		}
-		if rec.Mode == ax.name+"-complete" {
+		if rec.Mode == ax.complete() {
 			t.collisions[si] += rec.Collisions
 			continue
 		}

@@ -4,12 +4,15 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"wsinterop/internal/journal"
+	"wsinterop/internal/journal/journaltest"
 	"wsinterop/internal/obs"
 )
 
@@ -21,10 +24,22 @@ var wireModes = []struct {
 	// exchanges eleven times per row, so it runs smaller.
 	limit, short int
 	run          func(*Runner, context.Context) (any, error)
+	// merged picks the mode's result out of a Merge, and zeroes its
+	// path collisions in both results: they sum each shard's deploy,
+	// so a merge may count fewer than a single process.
+	merged func(m *Merged) any
+	zero   func(res any)
 }{
-	{commAxis, 200, 60, func(r *Runner, ctx context.Context) (any, error) { return r.RunCommunication(ctx) }},
-	{robustAxis, 60, 20, func(r *Runner, ctx context.Context) (any, error) { return r.RunRobustness(ctx) }},
-	{versionsAxis, 200, 60, func(r *Runner, ctx context.Context) (any, error) { return r.RunVersions(ctx) }},
+	{commAxis, 200, 60, func(r *Runner, ctx context.Context) (any, error) { return r.RunCommunication(ctx) },
+		func(m *Merged) any { return m.Comm }, func(res any) {
+			for _, s := range res.(*CommResult).Servers {
+				s.PathCollisions = 0
+			}
+		}},
+	{robustAxis, 60, 20, func(r *Runner, ctx context.Context) (any, error) { return r.RunRobustness(ctx) },
+		func(m *Merged) any { return m.Robust }, func(res any) { res.(*RobustResult).PathCollisions = 0 }},
+	{versionsAxis, 200, 60, func(r *Runner, ctx context.Context) (any, error) { return r.RunVersions(ctx) },
+		func(m *Merged) any { return m.Versions }, func(res any) { res.(*VersionResult).PathCollisions = 0 }},
 }
 
 // TestWireAxisContract is the shared contract of every wire mode:
@@ -37,7 +52,11 @@ var wireModes = []struct {
 //     counts), and resuming a finished journal exchanges nothing;
 //   - refusal: a journal written under another limit, under another
 //     column catalog, or in the pre-executor layout (the bare campaign
-//     fingerprint) is refused with journal.ErrFingerprint.
+//     fingerprint) is refused with journal.ErrFingerprint;
+//   - merge: 2 and 3 shard journals, written at 1 and 8 workers, merge
+//     into the single-process result (path collisions aside), and a
+//     drifted configuration, a shard given twice, a missing stage
+//     sentinel and a version-2 store are refused.
 func TestWireAxisContract(t *testing.T) {
 	for _, m := range wireModes {
 		run := func(t *testing.T, cfg config, ctx context.Context) (any, []byte, error) {
@@ -152,8 +171,7 @@ func TestWireAxisContract(t *testing.T) {
 				t.Fatal(err)
 			}
 			if err := j.Append(journal.Record{Trace: "0123456789abcdef", Server: "Metro", Class: "java.lang.Object",
-				Mode: m.axis.name, Published: true,
-				Rows: []journal.OutcomeRow{{Client: "Metro", Outcomes: []string{"accept"}}}}); err != nil {
+				Mode: m.axis.name, Published: true, Codes: []byte{0}}); err != nil {
 				t.Fatal(err)
 			}
 			if err := j.Close(); err != nil {
@@ -161,6 +179,81 @@ func TestWireAxisContract(t *testing.T) {
 			}
 			_, _, err = run(t, config{Limit: limit, Workers: 2, Checkpoint: old, Resume: true}, context.Background())
 			refused(t, "pre-executor layout", err)
+		})
+
+		t.Run(m.axis.name+"/merge", func(t *testing.T) {
+			limit := m.short
+			ctx := context.Background()
+			shardDirs := func(t *testing.T, n, workers int) []string {
+				t.Helper()
+				dirs := make([]string, n)
+				for i := range dirs {
+					dirs[i] = t.TempDir()
+					mustRun(t, config{Limit: limit, Workers: workers, Checkpoint: dirs[i],
+						Shard: ShardSpec{Index: i, Count: n}})
+				}
+				return dirs
+			}
+			for _, n := range []int{2, 3} {
+				for _, workers := range []int{1, 8} {
+					want, _ := mustRun(t, config{Limit: limit, Workers: workers})
+					reg := obs.NewRegistry()
+					merged, err := newRunner(config{Limit: limit, Workers: workers, Obs: reg}).
+						Merge(ctx, shardDirs(t, n, workers))
+					if err != nil {
+						t.Fatalf("merge %d shards at %d workers: %v", n, workers, err)
+					}
+					got := m.merged(merged)
+					m.zero(got)
+					m.zero(want)
+					gotBytes, _ := json.Marshal(got)
+					wantBytes, _ := json.Marshal(want)
+					if string(gotBytes) != string(wantBytes) || !reflect.DeepEqual(got, want) {
+						t.Errorf("%d shards at %d workers: merged %s result differs from the single process:\nmerged: %s\nsingle: %s",
+							n, workers, m.axis.name, gotBytes, wantBytes)
+					}
+					if merged.Study != nil {
+						t.Error("shards that journaled no study merged one")
+					}
+					if n := reg.Counter("journal.cells.executed").Value(); n != 0 {
+						t.Errorf("the merge executed %d cells", n)
+					}
+				}
+			}
+
+			dirs := shardDirs(t, 2, 2)
+			if _, err := newRunner(config{Limit: limit + 1}).Merge(ctx, dirs); !errors.Is(err, journal.ErrFingerprint) {
+				t.Errorf("drifted configuration: err = %v, want journal.ErrFingerprint", err)
+			}
+			if _, err := newRunner(config{Limit: limit}).Merge(ctx, []string{dirs[0], dirs[0]}); err == nil ||
+				!strings.Contains(err.Error(), "overlap") {
+				t.Errorf("a shard given twice: err = %v, want an overlap refusal", err)
+			}
+
+			cut := shardDirs(t, 2, 2)
+			ends := journaltest.FrameEnds(t, m.axis.dir(cut[1]))
+			journaltest.KeepFrames(t, m.axis.dir(cut[1]), len(ends)-1) // the last stage's sentinel
+			if _, err := newRunner(config{Limit: limit}).Merge(ctx, cut); err == nil ||
+				!strings.Contains(err.Error(), "incomplete") {
+				t.Errorf("a missing stage sentinel: err = %v, want an incompleteness refusal", err)
+			}
+
+			old := shardDirs(t, 2, 2)
+			meta := filepath.Join(m.axis.dir(old[0]), "meta.json")
+			data, err := os.ReadFile(meta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v3 := fmt.Sprintf(`"version":%d`, journal.Version)
+			if !strings.Contains(string(data), v3) {
+				t.Fatalf("meta.json has no %s: %s", v3, data)
+			}
+			if err := os.WriteFile(meta, []byte(strings.Replace(string(data), v3, `"version":2`, 1)), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := newRunner(config{Limit: limit}).Merge(ctx, old); !errors.Is(err, journal.ErrVersion) {
+				t.Errorf("a version-2 store: err = %v, want journal.ErrVersion", err)
+			}
 		})
 	}
 }

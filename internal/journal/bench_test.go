@@ -56,12 +56,11 @@ func BenchmarkJournalAppend(b *testing.B) {
 }
 
 // campaignRecords returns n records shaped like a full campaign's
-// cells: eleven client tests each, every twentieth the verified builder
-// of a shared shape carrying a ~1.5 KB document.
+// cells: eleven client outcome codes each, every twentieth the verified
+// builder of a shared shape carrying a ~1.5 KB document.
 func campaignRecords(n int) []Record {
 	doc := bytes.Repeat([]byte("<wsdl:definitions/>"), 80) // 1,520 bytes
-	clients := []string{"Apache Axis1", "Apache Axis2", "Apache CXF", "JBossWS CXF", ".NET C#",
-		".NET Visual Basic", ".NET JScript", "gSOAP", "Zend Framework", "suds", "Metro"}
+	const clients = 11
 	recs := make([]Record, n)
 	for i := range recs {
 		rec := Record{
@@ -72,13 +71,20 @@ func campaignRecords(n int) []Record {
 			Published: i%9 != 0,
 			Verified:  i%20 == 0,
 			Compliant: true,
-			Profiles:  []string{"bp11"},
+			Profiles:  1,
+			Codes:     make([]byte, clients),
 		}
 		if i%20 == 0 {
 			rec.Doc = doc
 		}
-		for ci, c := range clients {
-			rec.Tests = append(rec.Tests, TestRecord{Client: c, Ran: i%20 == 0, GenWarning: ci == 3, CompileRan: true})
+		for ci := range rec.Codes {
+			rec.Codes[ci] = 0x04 // compile ran
+			if ci == 3 {
+				rec.Codes[ci] |= 0x01 // generation warning
+			}
+			if i%20 == 0 {
+				rec.Codes[ci] |= 0x20 // executed
+			}
 		}
 		recs[i] = rec
 	}

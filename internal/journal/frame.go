@@ -10,19 +10,17 @@ package journal
 //	class      literal
 //	mode       dict
 //	flags      byte: published, verified, flagged, compliant
-//	profiles   uvarint count, then dict each
+//	profiles   uvarint: the verdict mask
 //	doc        uvarint length, then the raw bytes
-//	tests      uvarint count, then per test: client dict, flags byte
-//	           (ran, genW, genE, compileRan, compileW, compileE)
-//	rows       uvarint count, then per row: client dict, uvarint
-//	           count of outcome dicts, uvarint count of varint tallies
+//	codes      uvarint length, then one byte per code
+//	tallies    uvarint count, then a varint each
 //	collisions varint
 //
 // A literal is a uvarint length and the bytes. A dict string is a
 // uvarint: 0 defines the next dictionary entry with a literal that
 // follows, and n > 0 refers to entry n-1. The dictionary spans the
-// file, so the few server, mode, client, profile and outcome names are
-// spelled once per file rather than once per record.
+// file, so the few server and mode names are spelled once per file
+// rather than once per record.
 
 import (
 	"encoding/binary"
@@ -51,16 +49,6 @@ const (
 	flagVerified
 	flagFlagged
 	flagCompliant
-)
-
-// TestRecord flag bits.
-const (
-	testRan = 1 << iota
-	testGenWarning
-	testGenError
-	testCompileRan
-	testCompileWarning
-	testCompileError
 )
 
 // errPayload reports a payload that passed its checksum but does not
@@ -97,31 +85,14 @@ func (e *encoder) frame(rec *Record) ([]byte, error) {
 	b = e.appendDict(b, rec.Mode)
 	b = append(b, bits(rec.Published, flagPublished)|bits(rec.Verified, flagVerified)|
 		bits(rec.Flagged, flagFlagged)|bits(rec.Compliant, flagCompliant))
-	b = binary.AppendUvarint(b, uint64(len(rec.Profiles)))
-	for _, p := range rec.Profiles {
-		b = e.appendDict(b, p)
-	}
+	b = binary.AppendUvarint(b, rec.Profiles)
 	b = binary.AppendUvarint(b, uint64(len(rec.Doc)))
 	b = append(b, rec.Doc...)
-	b = binary.AppendUvarint(b, uint64(len(rec.Tests)))
-	for i := range rec.Tests {
-		t := &rec.Tests[i]
-		b = e.appendDict(b, t.Client)
-		b = append(b, bits(t.Ran, testRan)|bits(t.GenWarning, testGenWarning)|bits(t.GenError, testGenError)|
-			bits(t.CompileRan, testCompileRan)|bits(t.CompileWarning, testCompileWarning)|bits(t.CompileError, testCompileError))
-	}
-	b = binary.AppendUvarint(b, uint64(len(rec.Rows)))
-	for i := range rec.Rows {
-		row := &rec.Rows[i]
-		b = e.appendDict(b, row.Client)
-		b = binary.AppendUvarint(b, uint64(len(row.Outcomes)))
-		for _, o := range row.Outcomes {
-			b = e.appendDict(b, o)
-		}
-		b = binary.AppendUvarint(b, uint64(len(row.Tallies)))
-		for _, v := range row.Tallies {
-			b = binary.AppendVarint(b, int64(v))
-		}
+	b = binary.AppendUvarint(b, uint64(len(rec.Codes)))
+	b = append(b, rec.Codes...)
+	b = binary.AppendUvarint(b, uint64(len(rec.Tallies)))
+	for _, v := range rec.Tallies {
+		b = binary.AppendVarint(b, int64(v))
 	}
 	b = binary.AppendVarint(b, int64(rec.Collisions))
 	e.buf = b
@@ -213,19 +184,16 @@ func decode(path string, data []byte) (recs []Record, dict []string, valid int64
 }
 
 // decoder reads frames out of one file's bytes. Strings alias text, a
-// single string copy of the file, and documents alias data, so a
-// loaded record costs no allocation beyond its slices.
+// single string copy of the file, and documents and codes alias data,
+// so a loaded record costs no allocation beyond its tallies.
 type decoder struct {
 	data []byte
 	text string
 	dict []string
 	off  int // start of the next frame
 
-	// Slabs the records' short slices are carved from.
-	tests []TestRecord
-	rows  []OutcomeRow
-	strs  []string // Profiles and Outcomes
-	ints  []int    // Tallies
+	// ints is the slab the records' Tallies are carved from.
+	ints []int
 
 	// payload cursor and its sticky error
 	p, end int
@@ -287,47 +255,13 @@ func (d *decoder) record(rec *Record) error {
 	rec.Verified = flags&flagVerified != 0
 	rec.Flagged = flags&flagFlagged != 0
 	rec.Compliant = flags&flagCompliant != 0
+	rec.Profiles = d.uvarint()
+	rec.Doc = d.bytes()
+	rec.Codes = d.bytes()
 	if n := d.count(); n > 0 {
-		rec.Profiles = carve(&d.strs, n)
-		for i := range rec.Profiles {
-			rec.Profiles[i] = d.str()
-		}
-	}
-	if n := d.count(); n > 0 {
-		rec.Doc = d.data[d.p : d.p+n : d.p+n]
-		d.p += n
-	}
-	if n := d.count(); n > 0 {
-		rec.Tests = carve(&d.tests, n)
-		for i := range rec.Tests {
-			t := &rec.Tests[i]
-			t.Client = d.str()
-			flags := d.byte()
-			t.Ran = flags&testRan != 0
-			t.GenWarning = flags&testGenWarning != 0
-			t.GenError = flags&testGenError != 0
-			t.CompileRan = flags&testCompileRan != 0
-			t.CompileWarning = flags&testCompileWarning != 0
-			t.CompileError = flags&testCompileError != 0
-		}
-	}
-	if n := d.count(); n > 0 {
-		rec.Rows = carve(&d.rows, n)
-		for i := range rec.Rows {
-			row := &rec.Rows[i]
-			row.Client = d.str()
-			if n := d.count(); n > 0 {
-				row.Outcomes = carve(&d.strs, n)
-				for j := range row.Outcomes {
-					row.Outcomes[j] = d.str()
-				}
-			}
-			if n := d.count(); n > 0 {
-				row.Tallies = carve(&d.ints, n)
-				for j := range row.Tallies {
-					row.Tallies[j] = d.varint()
-				}
-			}
+		rec.Tallies = carve(&d.ints, n)
+		for i := range rec.Tallies {
+			rec.Tallies[i] = d.varint()
 		}
 	}
 	rec.Collisions = d.varint()
@@ -394,6 +328,18 @@ func (d *decoder) count() int {
 	return int(v)
 }
 
+// bytes reads a length-prefixed byte string, aliasing data; nil when
+// empty.
+func (d *decoder) bytes() []byte {
+	n := d.count()
+	if n == 0 {
+		return nil
+	}
+	b := d.data[d.p : d.p+n : d.p+n]
+	d.p += n
+	return b
+}
+
 func (d *decoder) literal() string {
 	n := d.count()
 	s := d.text[d.p : d.p+n]
@@ -420,15 +366,15 @@ func (d *decoder) str() string {
 }
 
 // slabSize is the element count of a fresh slab: records carve their
-// short slices out of shared backing arrays, one allocation per slab.
+// tallies out of shared backing arrays, one allocation per slab.
 const slabSize = 1024
 
 // carve returns an n-element slice cut from the slab, with its
 // capacity clipped so an append to it cannot reach a neighbour.
-func carve[T any](slab *[]T, n int) []T {
+func carve(slab *[]int, n int) []int {
 	s := *slab
 	if cap(s)-len(s) < n {
-		s = make([]T, 0, max(n, slabSize))
+		s = make([]int, 0, max(n, slabSize))
 	}
 	l := len(s)
 	*slab = s[:l+n]

@@ -2,6 +2,7 @@ package journal
 
 import (
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -26,6 +27,24 @@ func FuzzJournalLoad(f *testing.F) {
 	f.Add(append(append([]byte(nil), valid...), make([]byte, 20)...))
 	f.Add([]byte{})
 	f.Add([]byte("garbage that is not a frame"))
+	// Version-3 corners: every study code byte, a full profile mask,
+	// extreme tallies, and a lone sentinel.
+	corners := f.TempDir()
+	all := make([]byte, 256)
+	for i := range all {
+		all[i] = byte(i)
+	}
+	writeStore(f, corners, testMeta(), []Record{
+		{Trace: "codes", Server: "SrvA", Mode: "study", Published: true, Codes: all, Profiles: math.MaxUint64},
+		{Trace: "tallies", Server: "SrvB", Mode: "comm", Published: true, Codes: []byte{4}, Tallies: []int{math.MinInt, math.MaxInt}},
+		{Trace: "sentinel", Server: "SrvB", Mode: "comm-complete", Collisions: 3},
+	})
+	edge, err := os.ReadFile(filepath.Join(corners, DataFile))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(edge)
+	f.Add(edge[:len(edge)/2])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()

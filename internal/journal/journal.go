@@ -15,7 +15,7 @@
 //     appends and at Close. The store only ever grows at its end:
 //     nothing is rewritten, so appending costs the same at the
 //     millionth record as at the first. A per-file dictionary spells
-//     each server, mode, client, profile and outcome name once.
+//     each server and mode name once.
 //   - Torn tail vs corruption: a hard kill can leave a final frame cut
 //     short, or followed by garbage. A frame cut short by the end of
 //     the file is a torn tail, and so is a frame that fails a checksum
@@ -30,6 +30,10 @@
 //     including the JSONL layouts of version 1 (journal.jsonl, and
 //     snapshot.jsonl from builds that compacted), is refused with
 //     ErrVersion.
+//   - Directory entries: creating the checkpoint directory, creating
+//     journal.wal and renaming meta.json into place each fsync the
+//     directory that holds the new entry, so a crash after Open cannot
+//     lose the files the journal's durability rests on.
 
 package journal
 
@@ -50,8 +54,10 @@ const (
 	metaFile = "meta.json"
 
 	// Version is the record schema version stamped into meta.json:
-	// 2 is the binary frame format.
-	Version = 2
+	// 3 is the binary frame format whose records carry outcome codes
+	// and a profile mask (version 2 spelled out per-client test flags,
+	// outcome names and profile IDs).
+	Version = 3
 
 	// SyncEvery is the append count between fsyncs of journal.wal:
 	// a record reaches the file at its flush, and stable storage at the
@@ -148,41 +154,15 @@ func (s *ShardMeta) describe() string {
 	return fmt.Sprintf("shard %d/%d", s.Index, s.Count)
 }
 
-// TestRecord is one client framework's classified outcome within a
-// service cell. Ran distinguishes a test the run actually executed
-// from one served by the structural-shape memo; resume replays the
-// same distinction so memo statistics and stage counters reconstruct
-// exactly.
-type TestRecord struct {
-	Client         string
-	Ran            bool
-	GenWarning     bool
-	GenError       bool
-	CompileRan     bool
-	CompileWarning bool
-	CompileError   bool
-}
-
-// OutcomeRow is one client framework's classified outcomes within a
-// wire-axis service cell (internal/campaign's communication,
-// robustness and version modes): one outcome name per axis column, in
-// the fixed column order the axis fingerprint pins, plus the axis's
-// per-cell tallies (the communication axis's sniffed exchanges and
-// message violations; nil on axes without any).
-type OutcomeRow struct {
-	Client   string
-	Outcomes []string
-	Tallies  []int
-}
-
-// Record is one completed campaign cell: a (server, class) service
-// that finished the description step — published or rejected — and,
-// when published, every client test against it. Trace is the cell's
-// content-addressed ID (obs.TraceID(server, class)); Mode is the
-// campaign's publish route (direct, fallback, built, memo-rejected,
-// memo-fallback, memoized) so replay reconstructs memo statistics and
-// the shape table; Doc carries the serialized WSDL only for Mode
-// "built" records, where it seeds the shape template on resume.
+// Record is one journaled campaign cell — a (server, class) service of
+// one campaign mode, complete with every client's outcomes — or a
+// server stage's completion sentinel. Trace is the cell's
+// content-addressed key. Mode is the static study's publish route
+// (direct, fallback, built, memo-rejected, memo-fallback, memoized), so
+// replay reconstructs memo statistics and the shape table, or a wire
+// mode's name. Doc carries the serialized WSDL only on the verified
+// builder of a shared shape, where it seeds the shape template on
+// resume.
 type Record struct {
 	Trace     string
 	Server    string
@@ -192,19 +172,19 @@ type Record struct {
 	Verified  bool
 	Flagged   bool
 	Compliant bool
-	// Profiles lists the IDs of the compliance profiles the published
-	// description satisfied (the per-profile verdict row of the
-	// campaign's compliance matrix). The campaign fingerprint covers
-	// the profile roster, so a nil list on a published record always
-	// means "checked, compliant with none", never "not checked".
-	Profiles []string
+	// Profiles is the roster-order bitmask of the compliance profiles
+	// the published description satisfied.
+	Profiles uint64
 	Doc      []byte
-	Tests    []TestRecord
-	// Rows holds a wire-axis service cell's per-client outcome rows;
-	// nil for static-campaign records.
-	Rows []OutcomeRow
+	// Codes holds one outcome code per client × column, in roster and
+	// column order. The journal's fingerprint pins the roster, the
+	// columns and the code catalog, so no record spells them out.
+	Codes []byte
+	// Tallies holds a mode's integer tallies per client (the
+	// communication mode's sniffed exchanges and message violations).
+	Tallies []int
 	// Collisions preserves a server stage's deploy path-collision count
-	// on a wire-axis completion sentinel; zero everywhere else.
+	// on a completion sentinel; zero everywhere else.
 	Collisions int
 }
 
@@ -244,8 +224,14 @@ type Journal struct {
 // resume open verifies the meta identity, loads the journal, and
 // truncates a torn tail so appends continue at the last verified frame.
 func Open(dir string, meta Meta, resume bool) (*Journal, error) {
+	_, statErr := os.Stat(dir)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
+	}
+	if errors.Is(statErr, os.ErrNotExist) {
+		if err := syncDir(filepath.Dir(dir)); err != nil {
+			return nil, err
+		}
 	}
 	meta.Version = Version
 	existing, err := readMeta(dir)
@@ -272,7 +258,15 @@ func Open(dir string, meta Meta, resume bool) (*Journal, error) {
 	}
 
 	path := filepath.Join(dir, DataFile)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if errors.Is(err, os.ErrNotExist) {
+		if f, err = os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644); err == nil {
+			if err := syncDir(dir); err != nil {
+				_ = f.Close()
+				return nil, err
+			}
+		}
+	}
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
@@ -392,6 +386,23 @@ func atomicWrite(dir, name string, content []byte) error {
 	if err := os.Rename(tmp.Name(), filepath.Join(dir, name)); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
+	return syncDir(dir)
+}
+
+// syncDir fsyncs a directory, making the entries created or renamed in
+// it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("journal: %w", err)
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("journal: sync %s: %w", dir, err)
+	}
 	return nil
 }
 
@@ -489,7 +500,7 @@ func Load(dir string) (*Meta, []Record, error) {
 		return nil, nil, err
 	}
 	if meta == nil {
-		return nil, nil, fmt.Errorf("journal: %s holds no checkpoint (missing %s)", dir, metaFile)
+		return nil, nil, fmt.Errorf("journal: %s holds no checkpoint (missing %s): %w", dir, metaFile, os.ErrNotExist)
 	}
 	path := filepath.Join(dir, DataFile)
 	data, err := os.ReadFile(path)

@@ -23,20 +23,15 @@ func record(i int) Record {
 		Flagged:   i%7 == 0,
 		Compliant: i%7 != 0,
 		Doc:       []byte("<definitions/>"),
-		Tests: []TestRecord{
-			{Client: "c1", Ran: true, GenWarning: i%3 == 0},
-			{Client: "c2", CompileRan: true, CompileError: i%5 == 0, CompileWarning: i%2 == 1},
-			{Client: "c3", GenError: true},
-		},
-	}
-	if n := i % 3; n > 0 {
-		rec.Profiles = []string{"bp11", "ivoa"}[:n]
+		Codes:     []byte{0x20 | byte(i%3), 0x04 | byte(i%5), 0x02},
+		Profiles:  uint64(i % 4),
 	}
 	return rec
 }
 
-// axisRecord is a wire-axis record: per-client outcome rows with
-// tallies, and on every fourth a completion sentinel's collisions.
+// axisRecord is a wire-axis record: two columns of outcome codes and
+// two tallies per client, and on every fourth a completion sentinel's
+// collisions.
 func axisRecord(i int) Record {
 	rec := Record{
 		Trace:     fmt.Sprintf("axis-%04d", i),
@@ -44,13 +39,11 @@ func axisRecord(i int) Record {
 		Class:     fmt.Sprintf("pkg.Wire%d", i),
 		Mode:      "robust",
 		Published: true,
-		Rows: []OutcomeRow{
-			{Client: "c1", Outcomes: []string{"accept", "typed-reject"}, Tallies: []int{i, -i}},
-			{Client: "c2", Outcomes: []string{"accept", "accept"}},
-		},
+		Codes:     []byte{1, 2, 1, 1},
+		Tallies:   []int{i, -i, 0, 0},
 	}
 	if i%4 == 0 {
-		rec.Rows, rec.Mode, rec.Collisions = nil, "robust-complete", i+1
+		rec.Codes, rec.Tallies, rec.Mode, rec.Collisions = nil, nil, "robust-complete", i+1
 	}
 	return rec
 }

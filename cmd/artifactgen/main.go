@@ -84,7 +84,7 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	gen := client.Generate(raw)
+	gen := framework.Generate(client, raw)
 	for _, issue := range gen.Issues {
 		fmt.Fprintf(out, "// tool output: %s\n", issue)
 	}

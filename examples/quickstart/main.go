@@ -67,7 +67,7 @@ func run() error {
 		framework.NewMetroClient(),
 		framework.NewDotNetClient(artifact.LangCSharp),
 	} {
-		gen := client.Generate(raw)
+		gen := framework.Generate(client, raw)
 		fmt.Printf("step 2: %s (%s): failed=%v, %d issue(s)\n",
 			client.Name(), client.Tool(), gen.Failed(), len(gen.Issues))
 		for _, issue := range gen.Issues {

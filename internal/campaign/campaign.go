@@ -115,10 +115,11 @@ type PublishedService struct {
 	// per-profile compliance matrix.
 	Profiles uint64
 
-	// analysis is the lazily computed shared document analysis; the
-	// cell pointer (not the cell) is copied with the service, so every
-	// copy shares one memoized parse. Nil for services constructed
-	// outside the runner — those analyze per call.
+	// analysis is the lazily computed shared document analysis
+	// (generationFor); the cell pointer (not the cell) is copied with
+	// the service, so every copy shares one memoized parse. Nil for memo
+	// clones, which test through their shape's representative, and for
+	// services constructed outside the runner — those analyze per call.
 	analysis *sharedAnalysis
 	// memo is the service's verified structural-shape entry; same-shape
 	// services share one and serve their client tests from it. Nil when
@@ -135,19 +136,6 @@ type sharedAnalysis struct {
 	once sync.Once
 	a    *framework.Analysis
 	err  error
-}
-
-// Analysis returns the service's shared document analysis, computing
-// it on first use. The result is immutable and safe for concurrent
-// use by every client framework.
-func (s *PublishedService) Analysis() (*framework.Analysis, error) {
-	if s.analysis == nil {
-		return framework.Analyze(s.Doc)
-	}
-	s.analysis.once.Do(func() {
-		s.analysis.a, s.analysis.err = framework.Analyze(s.Doc)
-	})
-	return s.analysis.a, s.analysis.err
 }
 
 // TestResult is the classified outcome of one (service × client)
@@ -638,17 +626,18 @@ func runTest(client framework.ClientFramework, svc *PublishedService, reparse bo
 	return t
 }
 
-// generationFor runs the artifact generation step through the shared
-// analysis when available. A document the shared parse rejects falls
-// back to the byte path, so each client reports the parse failure in
-// its own voice — identical to the reparse ablation.
+// generationFor runs the artifact generation step through the
+// service's shared analysis, computed on first use, when it has one.
+// Otherwise, and for a document the shared parse rejects, it takes the
+// byte path (framework.Generate), exactly as under the reparse ablation.
 func generationFor(client framework.ClientFramework, svc *PublishedService, reparse bool) framework.GenerationResult {
-	if !reparse {
-		if a, err := svc.Analysis(); err == nil {
-			return client.GenerateAnalyzed(a)
+	if sa := svc.analysis; sa != nil && !reparse {
+		sa.once.Do(func() { sa.a, sa.err = framework.Analyze(svc.Doc) })
+		if sa.err == nil {
+			return client.GenerateAnalyzed(sa.a)
 		}
 	}
-	return client.Generate(svc.Doc)
+	return framework.Generate(client, svc.Doc)
 }
 
 // Run executes the full campaign. Each server stage executes the

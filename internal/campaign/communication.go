@@ -14,7 +14,8 @@ import (
 //
 // For every (published service × client) combination the extension:
 //
-//  1. re-runs artifact generation and verification (steps 2–3);
+//  1. reads the step-2/3 verdict (artifact generation and
+//     verification) from the shape memo, as the static study left it;
 //  2. classifies combinations whose static steps failed as *blocked*;
 //  3. deploys the service on an in-process SOAP host and invokes the
 //     proxy's operation through the full HTTP handler path;

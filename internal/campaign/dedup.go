@@ -108,10 +108,10 @@ type shapeEntry struct {
 	// rep is the shape's representative: the builder class, whose
 	// outputs were produced on the per-class path and verified against
 	// the template. Memoized tests always run against rep (its analysis
-	// cell is seeded once per shape), so same-shape clones never parse
-	// their own documents in the campaign — while keeping each clone's
-	// own analysis cell private for name-dependent consumers like the
-	// communication extension's endpoint derivation.
+	// cell is seeded once per shape), so clones carry no analysis cell
+	// and never parse their own documents: the study and the wire modes
+	// read their step-2/3 verdicts from the slots below, and the wire
+	// modes deploy each class from the document its server emits.
 	rep PublishedService
 	// docOnce guards the one on-demand render of rep's document when a
 	// solo builder skipped its marshal (repDoc).
@@ -279,7 +279,6 @@ func (r *Runner) publishEntry(e *shapeEntry, server framework.ServerFramework, d
 		Flagged:   e.flagged,
 		Compliant: e.compliant,
 		Profiles:  e.profiles,
-		analysis:  &sharedAnalysis{},
 		memo:      e,
 	}
 	return s
@@ -385,23 +384,36 @@ func (r *Runner) splitShape(server framework.ServerFramework, def services.Defin
 // resume can re-seed memo slots without double-running tests.
 func (r *Runner) testFor(svc *PublishedService, ci int) outcomeCode {
 	r.met.testTotal.Inc()
+	code, ran := r.verdict(svc, ci)
+	if svc.memo == nil {
+		return code
+	}
+	r.dedup.testTotal.Add(1)
+	if !ran {
+		r.met.testMemoized.Inc()
+		return code &^ codeExecuted
+	}
+	r.dedup.testRuns.Add(1)
+	return code
+}
+
+// verdict returns client ci's step-2/3 outcome code for svc and whether
+// this call ran the test. A service outside the memo is tested
+// directly. A memoized one reads its shape's slot, which the
+// representative's test fills at most once per runner, for whichever
+// of the study (testFor) and the wire modes asks first; a wire cell
+// counts no study test.
+func (r *Runner) verdict(svc *PublishedService, ci int) (code outcomeCode, ran bool) {
 	e := svc.memo
 	if e == nil {
 		res := runTest(r.clients[ci], svc, r.cfg.reparse, r.met)
-		return encodeOutcome(&res, true)
+		return encodeOutcome(&res, true), true
 	}
-	r.dedup.testTotal.Add(1)
 	tm := &e.tests[ci]
-	ran := false
 	tm.once.Do(func() {
 		ran = true
-		r.dedup.testRuns.Add(1)
 		res := runTest(r.clients[ci], &e.rep, r.cfg.reparse, r.met)
 		tm.code = encodeOutcome(&res, true)
 	})
-	if !ran {
-		r.met.testMemoized.Inc()
-		return tm.code &^ codeExecuted
-	}
-	return tm.code
+	return tm.code, ran
 }

@@ -98,7 +98,7 @@ func explain(server framework.ServerFramework, clients []framework.ClientFramewo
 
 	for _, client := range clients {
 		ce := ClientExplanation{Client: client.Name(), Tool: client.Tool()}
-		gen := client.Generate(raw)
+		gen := framework.Generate(client, raw)
 		ce.GenerationIssues = gen.Issues
 		if gen.Unit != nil {
 			ce.ArtifactsProduced = true

@@ -33,10 +33,10 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"wsinterop/internal/artifact"
 	"wsinterop/internal/framework"
 	"wsinterop/internal/journal"
 	"wsinterop/internal/obs"
+	"wsinterop/internal/services"
 	"wsinterop/internal/soap"
 	"wsinterop/internal/transport"
 	"wsinterop/internal/wsdl"
@@ -145,8 +145,8 @@ func (r *Runner) newWireTally(ax *wireAxis) *wireTally {
 }
 
 // fold adds outcome and tally slots of server si — a whole stage, or
-// one replayed service — to the tally.
-func (t *wireTally) fold(si int, codes []outcome, tallies []int) {
+// one journaled service's codes — to the tally.
+func fold[C ~uint8](t *wireTally, si int, codes []C, tallies []int) {
 	ncol, nc := len(t.ax.columns), len(t.clients)
 	for idx, o := range codes {
 		t.cells[si][idx%ncol][o]++
@@ -225,16 +225,27 @@ func (r *Runner) runAxis(ctx context.Context, ax *wireAxis) (*wireTally, error) 
 }
 
 // runAxisStage runs one server stage: deploy, replay, exchange, fold.
+// A stage whose completion sentinel is journaled folds its records and
+// the sentinel's collisions without publishing or deploying anything.
+// An unfinished stage deploys every published service, replayed or
+// not: the path-collision suffixes depend on the full set.
 func (r *Runner) runAxisStage(ctx context.Context, ax *wireAxis, cj *cellJournal, t *wireTally,
 	si int, server framework.ServerFramework) error {
 	name := server.Name()
+	sp, err := r.planFor(server)
+	if err != nil {
+		return err
+	}
+	if sentinel, done := cj.record(ax.sentinel(r.cfg.Shard, name)); done {
+		return r.replayStage(ax, cj, t, si, sp, sentinel)
+	}
 	published, _, err := r.Publish(ctx, server)
 	if err != nil {
 		return err
 	}
 	host := transport.NewHost()
 	handler := ax.handler(r, name, host)
-	endpoints, collisions, err := r.deployPublished(host, published)
+	deployed, collisions, err := r.deployPublished(host, server, sp.defs, published)
 	if err != nil {
 		return err
 	}
@@ -256,10 +267,14 @@ func (r *Runner) runAxisStage(ctx context.Context, ax *wireAxis, cj *cellJournal
 			pending[pi].Store(int32(nc))
 			continue
 		}
-		c, n := service(pi)
-		if err := r.replay(ax, rec, c, n); err != nil {
+		if err := r.checkAxisRecord(ax, rec); err != nil {
 			return err
 		}
+		c, n := service(pi)
+		for i, code := range rec.Codes {
+			c[i] = outcome(code)
+		}
+		copy(n, rec.Tallies)
 		cj.resumed.Inc()
 	}
 
@@ -272,9 +287,14 @@ func (r *Runner) runAxisStage(ctx context.Context, ax *wireAxis, cj *cellJournal
 			for idx := range jobs {
 				pi, ci := idx/nc, idx%nc
 				x := wireCall{ctx: ctx, r: r, handler: handler, client: r.clients[ci], svc: &published[pi]}
-				x.ep = endpoints[x.svc.Class]
-				op, ok := invocable(x.client, x.svc, x.ep, r.cfg.reparse)
-				x.op, x.blocked = op, !ok
+				// Steps 4–5 start only where steps 2–3 succeeded; the
+				// generated proxy's first method is the document's first
+				// operation (unitgen's port-type order).
+				code, _ := r.verdict(x.svc, ci)
+				x.blocked = code.errorAnywhere() || code&codeCompileRan == 0
+				if !x.blocked {
+					x.ep, x.op = deployed[pi].ep, deployed[pi].op
+				}
 				ax.exchange(&x, codes[idx*ncol:(idx+1)*ncol], tallies[idx*nt:(idx+1)*nt])
 				// The worker finishing a service's last row journals it:
 				// the atomic counter orders the other rows' slot writes
@@ -308,7 +328,7 @@ feed:
 
 	// Serial fixed-order fold: counters land here, inside the
 	// determinism contract, never in workers.
-	t.fold(si, codes, tallies)
+	fold(t, si, codes, tallies)
 	r.completeStage(cj, ax, name, collisions)
 	return nil
 }
@@ -324,20 +344,27 @@ func axisRecord(ax *wireAxis, server, class string, codes []outcome, tallies []i
 	return rec
 }
 
-// replay decodes one journaled service into its slots, after checking
-// it against the axis's catalogs and the roster.
-func (r *Runner) replay(ax *wireAxis, rec *journal.Record, codes []outcome, tallies []int) error {
+// checkAxisRecord refuses a journaled service that is not a published
+// cell of the axis or does not fit its catalogs and the roster.
+func (r *Runner) checkAxisRecord(ax *wireAxis, rec *journal.Record) error {
 	if rec.Mode != ax.name || !rec.Published {
 		return fmt.Errorf("campaign: journal record %s: mode %q is not a %s cell", rec.Trace, rec.Mode, ax.name)
 	}
-	if err := r.checkRecord(ax, rec); err != nil {
-		return err
+	return r.checkRecord(ax, rec)
+}
+
+// replayStage folds a finished stage from the journal: every published
+// class's record, in catalog order, then the stage sentinel.
+func (r *Runner) replayStage(ax *wireAxis, cj *cellJournal, t *wireTally, si int,
+	sp *serverPlan, sentinel *journal.Record) error {
+	for _, def := range sp.defs {
+		if rec, ok := cj.record(ax.trace(sp.Server, def.Parameter.Name)); ok {
+			if err := r.foldRecord(t, si, rec, cj.resumed); err != nil {
+				return err
+			}
+		}
 	}
-	for i, c := range rec.Codes {
-		codes[i] = outcome(c)
-	}
-	copy(tallies, rec.Tallies)
-	return nil
+	return r.foldRecord(t, si, sentinel, cj.resumed)
 }
 
 // foldShards folds one axis's unioned shard records (loadShards) into
@@ -350,53 +377,74 @@ func (r *Runner) foldShards(ax *wireAxis, recs []journal.Record) (*wireTally, er
 		roster[name] = si
 	}
 	resumed := r.obs.Counter("journal.cells.resumed")
-	codes := make([]outcome, len(r.clients)*len(ax.columns))
-	tallies := make([]int, len(r.clients)*ax.tallies)
 	for i := range recs {
 		rec := &recs[i]
 		si, ok := roster[rec.Server]
 		if !ok {
 			return nil, fmt.Errorf("campaign: journal record %s is for server %q, not in this roster", rec.Trace, rec.Server)
 		}
-		if rec.Mode == ax.complete() {
-			t.collisions[si] += rec.Collisions
-			continue
-		}
-		if err := r.replay(ax, rec, codes, tallies); err != nil {
+		if err := r.foldRecord(t, si, rec, resumed); err != nil {
 			return nil, err
 		}
-		t.fold(si, codes, tallies)
-		resumed.Inc()
 	}
 	return t, nil
 }
 
-// deployPublished deploys every invocable service once, reusing the
-// shared document analysis for the endpoint derivation (the reparse
-// test hook restores the per-deploy wsdl.Unmarshal the pre-cache
-// runner did).
-// Zero-operation documents are rejected by the runtime exactly as
-// FromWSDL defines. A path collision between two services is resolved
-// with a deterministic numeric suffix and counted, so the summary can
-// surface it instead of silently dropping an endpoint.
-func (r *Runner) deployPublished(host *transport.Host,
-	published []PublishedService) (map[string]*transport.Endpoint, int, error) {
-	endpoints := make(map[string]*transport.Endpoint, len(published)) // class → endpoint
-	collisions := 0
+// foldRecord folds one journaled record of server si into the tally: a
+// stage sentinel's path collisions, or a service's outcome codes and
+// tallies, counted as resumed.
+func (r *Runner) foldRecord(t *wireTally, si int, rec *journal.Record, resumed *obs.Counter) error {
+	if rec.Mode == t.ax.complete() {
+		t.collisions[si] += rec.Collisions
+		return nil
+	}
+	if err := r.checkAxisRecord(t.ax, rec); err != nil {
+		return err
+	}
+	fold(t, si, rec.Codes, rec.Tallies)
+	resumed.Inc()
+	return nil
+}
+
+// deployment is one published service on its stage host: the endpoint
+// and the operation its generated proxy invokes, both zero for a
+// zero-operation document, which the runtime refuses to deploy.
+type deployment struct {
+	ep *transport.Endpoint
+	op string
+}
+
+// deployPublished deploys every published service once, from the typed
+// document its server emits for the plan's definition — the route the
+// daemon's POST /services takes (the reparse test hook parses the
+// published bytes instead). Zero-operation documents are rejected by
+// the runtime exactly as FromWSDL defines. A path collision between two
+// services is resolved with a deterministic numeric suffix and counted,
+// so the summary can surface it instead of silently dropping an
+// endpoint.
+func (r *Runner) deployPublished(host *transport.Host, server framework.ServerFramework,
+	defs []services.Definition, published []PublishedService) ([]deployment, int, error) {
+	out := make([]deployment, len(published))
+	collisions, di := 0, 0
 	for i := range published {
+		class := published[i].Class
+		// Publish keeps catalog order, so one forward walk pairs each
+		// service with its definition.
+		for di < len(defs) && defs[di].Parameter.Name != class {
+			di++
+		}
+		if di == len(defs) {
+			return nil, 0, fmt.Errorf("deploy %s: no definition in the %s plan", class, server.Name())
+		}
 		var doc *wsdl.Definitions
+		var err error
 		if r.cfg.reparse {
-			d, err := wsdl.Unmarshal(published[i].Doc)
-			if err != nil {
-				return nil, 0, fmt.Errorf("reparse %s: %w", published[i].Class, err)
-			}
-			doc = d
+			doc, err = wsdl.Unmarshal(published[i].Doc)
 		} else {
-			a, err := published[i].Analysis()
-			if err != nil {
-				return nil, 0, fmt.Errorf("analyze %s: %w", published[i].Class, err)
-			}
-			doc = a.Definitions()
+			doc, err = server.Publish(defs[di])
+		}
+		if err != nil {
+			return nil, 0, fmt.Errorf("deploy %s: %w", class, err)
 		}
 		ep, err := transport.FromWSDL(doc)
 		if err != nil {
@@ -412,9 +460,15 @@ func (r *Runner) deployPublished(host *transport.Host,
 				}
 			}
 		}
-		endpoints[published[i].Class] = ep
+		out[i].ep = ep
+		for _, pt := range doc.PortTypes {
+			if len(pt.Operations) > 0 {
+				out[i].op = pt.Operations[0].Name
+				break
+			}
+		}
 	}
-	return endpoints, collisions, nil
+	return out, collisions, nil
 }
 
 // buildEchoRequest builds the invocation payload for one operation
@@ -440,25 +494,4 @@ func buildEchoRequest(ep *transport.Endpoint, op, class string) (*soap.Message, 
 		probeField = ep.Inputs[op][0].Name
 	}
 	return &soap.Message{Namespace: ep.Namespace, Local: op, Fields: fields}, probeField
-}
-
-// invocable runs steps 2–3 for one combination through the shared
-// analysis (the reparse test hook selects the byte path, matching the
-// static campaign) and returns the operation to invoke. ok is false for
-// blocked combinations; an empty op marks the silent no-operation
-// stubs.
-func invocable(client framework.ClientFramework, svc *PublishedService,
-	ep *transport.Endpoint, reparse bool) (op string, ok bool) {
-	gen := generationFor(client, svc, reparse)
-	if gen.Failed() || gen.Unit == nil {
-		return "", false
-	}
-	if diags := client.Verify(gen.Unit); len(artifact.Errors(diags)) > 0 {
-		return "", false
-	}
-	port := gen.Unit.PortClass()
-	if port == nil || len(port.Methods) == 0 || ep == nil {
-		return "", true
-	}
-	return port.Methods[0].Name, true
 }

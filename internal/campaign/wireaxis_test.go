@@ -136,6 +136,13 @@ func TestWireAxisContract(t *testing.T) {
 					if reg.Counter("journal.cells.resumed").Value() == 0 {
 						t.Errorf("resuming a finished %s journal replayed nothing", m.axis.name)
 					}
+					// Finished stages replay from their sentinels: nothing
+					// is described again, let alone deployed.
+					for _, name := range []string{"campaign.publish.total", "campaign.wsi.checks"} {
+						if n := reg.Counter(name).Value(); n != 0 {
+							t.Errorf("resuming a finished %s journal: %s = %d, want 0", m.axis.name, name, n)
+						}
+					}
 				}
 			}
 		})

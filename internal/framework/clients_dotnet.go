@@ -72,15 +72,6 @@ func (c *dotNetClient) Tool() string { return "wsdl.exe" }
 // ArtifactLanguage implements ClientFramework.
 func (c *dotNetClient) ArtifactLanguage() artifact.TargetLanguage { return c.lang }
 
-// Generate implements ClientFramework.
-func (c *dotNetClient) Generate(doc []byte) GenerationResult {
-	f, err := analyze(doc)
-	if err != nil {
-		return parseFailure(err)
-	}
-	return c.generate(f)
-}
-
 // GenerateAnalyzed implements ClientFramework.
 func (c *dotNetClient) GenerateAnalyzed(a *Analysis) GenerationResult {
 	return c.generate(a.features)

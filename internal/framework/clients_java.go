@@ -162,15 +162,6 @@ func (c *javaClient) Tool() string { return c.policy.tool }
 // ArtifactLanguage implements ClientFramework.
 func (c *javaClient) ArtifactLanguage() artifact.TargetLanguage { return artifact.LangJava }
 
-// Generate implements ClientFramework.
-func (c *javaClient) Generate(doc []byte) GenerationResult {
-	f, err := analyze(doc)
-	if err != nil {
-		return parseFailure(err)
-	}
-	return c.generate(f)
-}
-
 // GenerateAnalyzed implements ClientFramework.
 func (c *javaClient) GenerateAnalyzed(a *Analysis) GenerationResult {
 	return c.generate(a.features)

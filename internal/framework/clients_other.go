@@ -35,15 +35,6 @@ func (c *gsoapClient) Tool() string { return "wsdl2h + soapcpp2" }
 // ArtifactLanguage implements ClientFramework.
 func (c *gsoapClient) ArtifactLanguage() artifact.TargetLanguage { return artifact.LangCPP }
 
-// Generate implements ClientFramework.
-func (c *gsoapClient) Generate(doc []byte) GenerationResult {
-	f, err := analyze(doc)
-	if err != nil {
-		return parseFailure(err)
-	}
-	return c.generate(f)
-}
-
 // GenerateAnalyzed implements ClientFramework.
 func (c *gsoapClient) GenerateAnalyzed(a *Analysis) GenerationResult {
 	return c.generate(a.features)
@@ -107,15 +98,6 @@ func (c *zendClient) Tool() string { return "Zend_Soap_Client" }
 // ArtifactLanguage implements ClientFramework.
 func (c *zendClient) ArtifactLanguage() artifact.TargetLanguage { return artifact.LangPHP }
 
-// Generate implements ClientFramework.
-func (c *zendClient) Generate(doc []byte) GenerationResult {
-	f, err := analyze(doc)
-	if err != nil {
-		return parseFailure(err)
-	}
-	return c.generate(f)
-}
-
 // GenerateAnalyzed implements ClientFramework.
 func (c *zendClient) GenerateAnalyzed(a *Analysis) GenerationResult {
 	return c.generate(a.features)
@@ -176,15 +158,6 @@ func (c *sudsClient) Tool() string { return "suds Python client" }
 
 // ArtifactLanguage implements ClientFramework.
 func (c *sudsClient) ArtifactLanguage() artifact.TargetLanguage { return artifact.LangPython }
-
-// Generate implements ClientFramework.
-func (c *sudsClient) Generate(doc []byte) GenerationResult {
-	f, err := analyze(doc)
-	if err != nil {
-		return parseFailure(err)
-	}
-	return c.generate(f)
-}
 
 // GenerateAnalyzed implements ClientFramework.
 func (c *sudsClient) GenerateAnalyzed(a *Analysis) GenerationResult {

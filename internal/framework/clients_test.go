@@ -29,7 +29,7 @@ type stepOutcome struct {
 
 func runClient(client ClientFramework, doc []byte) stepOutcome {
 	var o stepOutcome
-	gen := client.Generate(doc)
+	gen := Generate(client, doc)
 	for _, i := range gen.Issues {
 		if i.Severity >= artifact.SeverityError {
 			o.genErr = true
@@ -229,7 +229,7 @@ func TestAxis1ThrowableCompileErrors(t *testing.T) {
 		t.Error("Axis1 compilation must fail on throwable wrappers")
 	}
 	// The defect is specifically an unresolved member reference.
-	gen := axis1.Generate(doc)
+	gen := Generate(axis1, doc)
 	found := false
 	for _, d := range axis1.Verify(gen.Unit) {
 		if d.Code == artifact.CodeUnresolvedRef {
@@ -339,7 +339,7 @@ func TestJScriptCompilerCrash(t *testing.T) {
 	jscript := clientByName(t, ".NET JScript")
 	deep := typesys.CSharpCatalog().WithHint(typesys.HintDeepNesting)[0]
 	doc := publishRaw(t, NewWCFServer(), deep.Name)
-	gen := jscript.Generate(doc)
+	gen := Generate(jscript, doc)
 	if gen.Unit == nil {
 		t.Fatal("generation should succeed; the crash is at compile time")
 	}
@@ -431,7 +431,7 @@ func TestDotNetDoubleLangWarning(t *testing.T) {
 
 func TestGenerateRejectsGarbageInput(t *testing.T) {
 	for _, c := range Clients() {
-		res := c.Generate([]byte("not a wsdl"))
+		res := Generate(c, []byte("not a wsdl"))
 		if !res.Failed() {
 			t.Errorf("%s accepted garbage input", c.Name())
 		}

@@ -123,21 +123,29 @@ type ClientFramework interface {
 	Tool() string
 	// ArtifactLanguage is the language of generated artifacts.
 	ArtifactLanguage() artifact.TargetLanguage
-	// Generate consumes a serialized WSDL document (the tools re-parse
-	// the XML; handing over in-memory models would hide parser-level
-	// interoperability issues).
-	Generate(doc []byte) GenerationResult
-	// GenerateAnalyzed is the shared-analysis fast path of Generate: it
-	// consumes a pre-computed Analysis of the same document instead of
-	// re-parsing the serialized XML, and produces an identical result.
-	// All behavioural quirks key on the analysis, so skipping the
-	// redundant parse hides no parser-level issue as long as the
-	// analysis came from Analyze on the exact bytes Generate would see.
+	// GenerateAnalyzed runs the artifact generation tool on an analyzed
+	// document. Generate is the entry point for serialized WSDL; the
+	// campaign shares one Analysis of a document across every client.
 	GenerateAnalyzed(a *Analysis) GenerationResult
 	// Verify performs the third step for this framework's artifacts:
 	// compilation for compiled languages, dynamic instantiation
 	// otherwise.
 	Verify(u *artifact.Unit) []artifact.Diagnostic
+}
+
+// Generate runs client c's artifact generation tool on a serialized
+// WSDL document. The tools consume the XML, re-parsing it; handing over
+// in-memory models would hide parser-level interoperability issues. All
+// behavioural quirks key on the analysis, so GenerateAnalyzed over a
+// shared Analysis hides no parser-level issue as long as that analysis
+// came from Analyze on exactly these bytes. A document that does not
+// parse yields the PARSE_FAILURE error every tool reports.
+func Generate(c ClientFramework, doc []byte) GenerationResult {
+	a, err := Analyze(doc)
+	if err != nil {
+		return parseFailure(err)
+	}
+	return c.GenerateAnalyzed(a)
 }
 
 // Analysis is an immutable parsed-and-analyzed view of one serialized

@@ -48,7 +48,7 @@ func TestClientsSurviveCorruptedDocuments(t *testing.T) {
 						t.Fatalf("iteration %d: %s panicked: %v\ndocument:\n%s", i, c.Name(), p, doc)
 					}
 				}()
-				res := c.Generate(doc)
+				res := Generate(c, doc)
 				if res.Unit != nil {
 					// Whatever was generated must be safe to verify.
 					c.Verify(res.Unit)

@@ -1,9 +1,12 @@
 package framework
 
 import (
+	"slices"
 	"testing"
 
 	"wsinterop/internal/artifact"
+	"wsinterop/internal/services"
+	"wsinterop/internal/typesys"
 	"wsinterop/internal/wsdl"
 	"wsinterop/internal/xsd"
 )
@@ -159,4 +162,76 @@ func TestAnalyzeStyleDetection(t *testing.T) {
 	if f.style != styleDotNet {
 		t.Error("non-empty soapAction should read as the .NET convention")
 	}
+}
+
+// TestPortMethodsFollowPortTypes pins the invariant the campaign's wire
+// modes rely on: every client's generated port class exposes exactly
+// the document's operations, in port-type order, so the operation a
+// wire cell invokes (the deployed document's first) is the generated
+// proxy's first method. A zero-operation document yields a port with
+// no methods. The sample strides over each server's catalog and adds
+// the classes JBossWS publishes without operations.
+func TestPortMethodsFollowPortTypes(t *testing.T) {
+	clients := Clients()
+	docs, zeroOps := 0, 0
+	for _, server := range Servers() {
+		cat, stride := typesys.JavaCatalog(), 20
+		if server.Language() == typesys.CSharp {
+			cat, stride = typesys.CSharpCatalog(), 70
+		}
+		var classes []*typesys.Class
+		for i := 0; i < cat.Len(); i += stride {
+			classes = append(classes, &cat.Classes[i])
+		}
+		for _, name := range []string{typesys.JavaFuture, typesys.JavaResponse} {
+			if cls, ok := cat.Lookup(name); ok {
+				classes = append(classes, cls)
+			}
+		}
+		for _, cls := range classes {
+			doc, err := server.Publish(services.ForClass(cls))
+			if err != nil {
+				continue // not deployable: no document
+			}
+			raw, err := wsdl.Marshal(doc)
+			if err != nil {
+				t.Fatalf("marshal %s on %s: %v", cls.Name, server.Name(), err)
+			}
+			a, err := Analyze(raw)
+			if err != nil {
+				t.Fatalf("analyze %s on %s: %v", cls.Name, server.Name(), err)
+			}
+			var want []string
+			for _, pt := range doc.PortTypes {
+				for _, op := range pt.Operations {
+					want = append(want, op.Name)
+				}
+			}
+			docs++
+			if len(want) == 0 {
+				zeroOps++
+			}
+			for _, c := range clients {
+				gen := c.GenerateAnalyzed(a)
+				if gen.Unit == nil {
+					continue
+				}
+				var got []string
+				if port := gen.Unit.PortClass(); port != nil {
+					for _, m := range port.Methods {
+						got = append(got, m.Name)
+					}
+				}
+				if !slices.Equal(got, want) {
+					t.Errorf("%s on %s's %s: port methods %q, want the port-type operations %q",
+						c.Name(), server.Name(), cls.Name, got, want)
+				}
+				ReleaseUnit(gen.Unit)
+			}
+		}
+	}
+	if docs == 0 || zeroOps == 0 {
+		t.Fatalf("covered %d documents, %d without operations; want both above zero", docs, zeroOps)
+	}
+	t.Logf("%d documents (%d without operations) × %d clients", docs, zeroOps, len(clients))
 }

@@ -239,7 +239,7 @@ func TestDiscoveryFlow(t *testing.T) {
 	}
 
 	client := framework.NewMetroClient()
-	gen := client.Generate(fetched)
+	gen := framework.Generate(client, fetched)
 	if gen.Failed() || gen.Unit == nil {
 		t.Fatalf("artifact generation from fetched WSDL failed: %v", gen.Issues)
 	}

@@ -65,9 +65,10 @@ bench-check:
 	FULLCAMPAIGN_LIMIT=$(BENCH_LIMIT) $(GO) test -run '^$$' -bench 'FullCampaign$$' $(BENCH_LIMIT_RUNS) -benchmem -cpuprofile bench-cpu.prof . | $(GO) run ./cmd/benchjson -check -baseline BENCH_campaign.json -max-regress $(BENCH_TOLERANCE)
 
 # bench-smoke is the CI guard: every campaign benchmark must still run,
-# and so must the SOAP envelope stages, the WS-I message check and the
-# journal's append and load benches (append's ns/record stays flat in n).
+# and so must the SOAP envelope stages, the WS-I message check, the
+# in-process exchange through sniffer and host, and the journal's append
+# and load benches (append's ns/record stays flat in n).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Fig4Campaign|RobustnessMatrix|SOAPRoundTrip|MessageCheck' -benchtime 1x -benchmem -count 1 .
+	$(GO) test -run '^$$' -bench 'Fig4Campaign|RobustnessMatrix|SOAPRoundTrip|MessageCheck|LocalExchange' -benchtime 1x -benchmem -count 1 .
 	$(GO) test -run '^$$' -bench '$(BENCH_ABLATIONS)' -benchtime 1x -benchmem -count 1 ./internal/campaign
 	$(GO) test -run '^$$' -bench 'JournalAppend|JournalLoad' -benchtime 1x -benchmem -count 1 ./internal/journal

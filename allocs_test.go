@@ -1,6 +1,7 @@
 package wsinterop
 
 import (
+	"context"
 	"testing"
 
 	"wsinterop/internal/framework"
@@ -69,4 +70,25 @@ func TestStageAllocs(t *testing.T) {
 	}
 	// Measured: 10.
 	pin("Verify/Axis2", 15, func() { axis2.Verify(gen.Unit) })
+}
+
+// TestExchangeAllocs pins the allocations of one in-process echo
+// exchange through sniffer and host (BenchmarkLocalExchange's loop):
+// the request's bytes pass from bridge through sniffer to host without
+// a copy, and known Content-Types resolve without a MIME parse.
+func TestExchangeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	bridge, path, req := localExchange(t)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := bridge.Invoke(context.Background(), path, req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Measured: 30.
+	if allocs > 45 {
+		t.Errorf("LocalExchange: %.0f allocs, want <= 45", allocs)
+	}
+	t.Logf("LocalExchange: %.0f allocs", allocs)
 }

@@ -222,9 +222,11 @@ func BenchmarkDrilldowns(b *testing.B) {
 	}
 }
 
-// BenchmarkCommunication measures a live SOAP echo round trip
-// (experiment E6 — the paper's future-work extension).
-func BenchmarkCommunication(b *testing.B) {
+// echoService deploys the echo service Metro publishes for the first
+// plain bean of the Java catalog, whose echo operation takes one
+// field, and returns the host and the one-field echo request.
+func echoService(tb testing.TB) (*transport.Host, *transport.Endpoint, *soap.Message) {
+	tb.Helper()
 	cat := typesys.JavaCatalog()
 	var cls *typesys.Class
 	for i := range cat.Classes {
@@ -235,13 +237,24 @@ func BenchmarkCommunication(b *testing.B) {
 	}
 	doc, err := framework.NewMetroServer().Publish(services.ForClass(cls))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	host := transport.NewHost()
 	ep, err := host.DeployWSDL(doc)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	req := &soap.Message{
+		Namespace: ep.Namespace, Local: "echo",
+		Fields: map[string]string{"input": "bench"},
+	}
+	return host, ep, req
+}
+
+// BenchmarkCommunication measures a live SOAP echo round trip
+// (experiment E6 — the paper's future-work extension).
+func BenchmarkCommunication(b *testing.B) {
+	host, ep, req := echoService(b)
 	base, err := host.Start()
 	if err != nil {
 		b.Fatal(err)
@@ -252,14 +265,39 @@ func BenchmarkCommunication(b *testing.B) {
 		_ = host.Shutdown(ctx)
 	}()
 	client := transport.NewClient(nil)
-	req := &soap.Message{
-		Namespace: ep.Namespace, Local: "echo",
-		Fields: map[string]string{"input": "bench"},
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := client.Invoke(context.Background(), base+ep.Path, "", req); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// localExchange builds the in-process echo exchange of the
+// communication campaign: the echoService host behind a WS-I message
+// sniffer, reached through a LocalBridge. It returns the bridge, the
+// endpoint path and the request.
+func localExchange(tb testing.TB) (*transport.LocalBridge, string, *soap.Message) {
+	tb.Helper()
+	host, ep, req := echoService(tb)
+	return transport.NewLocalBridge(transport.NewSniffer(host, wsi.NewChecker())), ep.Path, req
+}
+
+// BenchmarkLocalExchange measures one in-process echo exchange of the
+// communication campaign: marshal, sniffer request check, host decode,
+// validation and echo, sniffer response check and client decode. It is
+// BenchmarkCommunication without the TCP socket.
+func BenchmarkLocalExchange(b *testing.B) {
+	bridge, path, req := localExchange(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resp, err := bridge.Invoke(context.Background(), path, req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if v, _ := resp.Field("input"); v != "bench" {
+			b.Fatalf("echo = %q, want bench", v)
 		}
 	}
 }

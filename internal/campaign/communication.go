@@ -192,12 +192,12 @@ func (x *wireCall) communicate(trace string, tally []int) outcome {
 		return commNoOperations
 	}
 	sniffer := transport.NewSniffer(x.handler, x.r.checker).WithObs(x.r.obs)
-	req, probeField, resp, err := x.invoke(transport.NewLocalBridge(sniffer), trace)
+	resp, err := x.invoke(x.bridge.WithHandler(sniffer), trace)
 	tally[0], tally[1] = sniffer.Exchanges(), len(sniffer.Findings())
 	if err != nil {
 		return commFault
 	}
-	if echoed, _ := resp.Field(probeField); echoed != req.Fields[probeField] {
+	if echoed, _ := resp.Field(x.probe); echoed != x.req.Fields[x.probe] {
 		return commEchoMismatch
 	}
 	if resp.Local != x.op+"Response" {

@@ -242,11 +242,10 @@ func robustRow(x *wireCall, row []outcome, _ []int) {
 		// injector's fired-fault log joins back to exactly one matrix cell.
 		trace := obs.TraceID(x.svc.Server, x.svc.Class, x.client.Name(), f.Name)
 		attempts := 0
-		req, probeField, resp, err := x.invoke(transport.NewLocalBridge(x.handler).
-			WithRetry(robustRetryPolicy(f.Directive, &attempts)), trace)
+		resp, err := x.invoke(x.bridge.WithRetry(robustRetryPolicy(f.Directive, &attempts)), trace)
 		var ex *robustExchange
 		if err == nil {
-			ex = &robustExchange{resp: resp, wantLocal: x.op + "Response", sent: req.Fields, probeField: probeField}
+			ex = &robustExchange{resp: resp, wantLocal: x.op + "Response", sent: x.req.Fields, probeField: x.probe}
 		}
 		row[col] = classifyRobust(f, attempts, ex, err)
 	}

@@ -324,10 +324,10 @@ func versionRow(x *wireCall, row []outcome, _ []int) {
 	strict := framework.VersionStrictness(x.client.Name())
 	for col, sc := range versionScenarios {
 		trace := obs.TraceID("versions", x.svc.Server, x.svc.Class, x.client.Name(), sc.Name)
-		req, probeField, resp, err := x.invoke(transport.NewLocalBridge(wire).
+		resp, err := x.invoke(x.bridge.
 			WithCodec(sc.Codec).
 			WithStrictness(strict).
 			WithRetry(versionRetryPolicy(sc.Name)), trace)
-		row[col] = classifyVersion(sc, wire.take(trace), resp, err, x.op+"Response", req.Fields, probeField)
+		row[col] = classifyVersion(sc, wire.take(trace), resp, err, x.op+"Response", x.req.Fields, x.probe)
 	}
 }

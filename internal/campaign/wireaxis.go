@@ -7,8 +7,9 @@ package campaign
 // column catalog, its outcome codes, its handler wrap and its
 // per-(service × client) exchange. The executor owns the rest, once:
 //
-//   - per server stage: Publish, deployPublished and the axis's
-//     handler chain;
+//   - per server stage: Publish, deployPublished (each service's
+//     endpoint and echo request, built once for all its clients), the
+//     axis's handler chain and the bridge with its invoke meters;
 //   - one (service × client) job feed with cancellation, each job
 //     writing its outcome codes into pre-indexed service × client ×
 //     column slots;
@@ -64,7 +65,8 @@ type wireAxis struct {
 	// its outcomes (summed per server by the fold).
 	tallies int
 	// handler prepares one server stage's host and returns the
-	// handler every exchange of the stage goes through.
+	// handler every exchange of the stage goes through; the stage's
+	// bridge invokes it.
 	handler func(r *Runner, server string, host *transport.Host) http.Handler
 	// exchange fills one (service × client) row: an outcome per column
 	// and the row's tallies.
@@ -95,23 +97,22 @@ type wireCall struct {
 	ctx     context.Context
 	r       *Runner
 	handler http.Handler
-	client  framework.ClientFramework
-	svc     *PublishedService
-	ep      *transport.Endpoint
-	// blocked marks a combination whose static steps failed; op is the
-	// operation to invoke, empty when blocked or when the artifacts
-	// expose nothing (the silent no-operation stubs).
+	// bridge is the stage's bridge over handler, metered into the
+	// runner's registry; exchanges derive their per-cell copies from it.
+	bridge *transport.LocalBridge
+	client framework.ClientFramework
+	svc    *PublishedService
+	// blocked marks a combination whose static steps failed. The
+	// deployment is zero when blocked; its op is empty too when the
+	// artifacts expose nothing (the silent no-operation stubs).
 	blocked bool
-	op      string
+	deployment
 }
 
-// invoke sends the operation's echo request through bridge under the
-// cell's trace and returns the request, its probe field and the
-// response.
-func (x *wireCall) invoke(bridge *transport.LocalBridge, trace string) (*soap.Message, string, *soap.Message, error) {
-	req, probe := buildEchoRequest(x.ep, x.op, x.svc.Class)
-	resp, err := bridge.WithObs(x.r.obs).Invoke(obs.WithTrace(x.ctx, trace), x.ep.Path, req)
-	return req, probe, resp, err
+// invoke sends the service's echo request through bridge under the
+// cell's trace.
+func (x *wireCall) invoke(bridge *transport.LocalBridge, trace string) (*soap.Message, error) {
+	return bridge.Invoke(obs.WithTrace(x.ctx, trace), x.ep.Path, x.req)
 }
 
 // wireTally is the fold of one axis run, indexed in roster order.
@@ -245,6 +246,7 @@ func (r *Runner) runAxisStage(ctx context.Context, ax *wireAxis, cj *cellJournal
 	}
 	host := transport.NewHost()
 	handler := ax.handler(r, name, host)
+	bridge := transport.NewLocalBridge(handler).WithObs(r.obs)
 	deployed, collisions, err := r.deployPublished(host, server, sp.defs, published)
 	if err != nil {
 		return err
@@ -286,14 +288,14 @@ func (r *Runner) runAxisStage(ctx context.Context, ax *wireAxis, cj *cellJournal
 			defer wg.Done()
 			for idx := range jobs {
 				pi, ci := idx/nc, idx%nc
-				x := wireCall{ctx: ctx, r: r, handler: handler, client: r.clients[ci], svc: &published[pi]}
+				x := wireCall{ctx: ctx, r: r, handler: handler, bridge: bridge, client: r.clients[ci], svc: &published[pi]}
 				// Steps 4–5 start only where steps 2–3 succeeded; the
 				// generated proxy's first method is the document's first
 				// operation (unitgen's port-type order).
 				code, _ := r.verdict(x.svc, ci)
 				x.blocked = code.errorAnywhere() || code&codeCompileRan == 0
 				if !x.blocked {
-					x.ep, x.op = deployed[pi].ep, deployed[pi].op
+					x.deployment = deployed[pi]
 				}
 				ax.exchange(&x, codes[idx*ncol:(idx+1)*ncol], tallies[idx*nt:(idx+1)*nt])
 				// The worker finishing a service's last row journals it:
@@ -406,18 +408,24 @@ func (r *Runner) foldRecord(t *wireTally, si int, rec *journal.Record, resumed *
 	return nil
 }
 
-// deployment is one published service on its stage host: the endpoint
-// and the operation its generated proxy invokes, both zero for a
+// deployment is one published service on its stage host: the endpoint,
+// the operation its generated proxy invokes, and that operation's echo
+// request with its probe field, which every client cell of the service
+// sends and reads without changing it. All are zero for a
 // zero-operation document, which the runtime refuses to deploy.
 type deployment struct {
-	ep *transport.Endpoint
-	op string
+	ep    *transport.Endpoint
+	op    string
+	req   *soap.Message
+	probe string
 }
 
 // deployPublished deploys every published service once, from the typed
 // document its server emits for the plan's definition — the route the
 // daemon's POST /services takes (the reparse test hook parses the
-// published bytes instead). Zero-operation documents are rejected by
+// published bytes instead). The endpoint serves at ?wsdl the bytes
+// Publish rendered, which equal wsdl.Marshal of the typed document, so
+// nothing is serialized again. Zero-operation documents are rejected by
 // the runtime exactly as FromWSDL defines. A path collision between two
 // services is resolved with a deterministic numeric suffix and counted,
 // so the summary can surface it instead of silently dropping an
@@ -450,6 +458,7 @@ func (r *Runner) deployPublished(host *transport.Host, server framework.ServerFr
 		if err != nil {
 			continue // zero-operation services stay undeployed
 		}
+		ep.Description = published[i].Doc
 		if err := host.Deploy(ep); err != nil {
 			collisions++
 			base := ep.Path
@@ -464,6 +473,7 @@ func (r *Runner) deployPublished(host *transport.Host, server framework.ServerFr
 		for _, pt := range doc.PortTypes {
 			if len(pt.Operations) > 0 {
 				out[i].op = pt.Operations[0].Name
+				out[i].req, out[i].probe = buildEchoRequest(ep, out[i].op, class)
 				break
 			}
 		}

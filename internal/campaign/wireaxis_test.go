@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -14,6 +15,9 @@ import (
 	"wsinterop/internal/journal"
 	"wsinterop/internal/journal/journaltest"
 	"wsinterop/internal/obs"
+	"wsinterop/internal/services"
+	"wsinterop/internal/transport"
+	"wsinterop/internal/wsdl"
 )
 
 // wireModes drives the three wire axes through their public entry
@@ -262,5 +266,54 @@ func TestWireAxisContract(t *testing.T) {
 				t.Errorf("a version-2 store: err = %v, want journal.ErrVersion", err)
 			}
 		})
+	}
+}
+
+// TestDeployServesPublishedBytes holds the stage host to the bytes it
+// serves at ?wsdl: every deployed endpoint's Description, taken from
+// Publish instead of a second render, equals wsdl.Marshal of the typed
+// document the endpoint was derived from.
+func TestDeployServesPublishedBytes(t *testing.T) {
+	ctx := context.Background()
+	r := newRunner(limitedConfig(60))
+	deployedTotal := 0
+	for _, server := range r.servers {
+		sp, err := r.planFor(server)
+		if err != nil {
+			t.Fatal(err)
+		}
+		published, _, err := r.Publish(ctx, server)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deployed, _, err := r.deployPublished(transport.NewHost(), server, sp.defs, published)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defs := make(map[string]services.Definition, len(sp.defs))
+		for _, def := range sp.defs {
+			defs[def.Parameter.Name] = def
+		}
+		for i, d := range deployed {
+			if d.ep == nil {
+				continue
+			}
+			deployedTotal++
+			doc, err := server.Publish(defs[published[i].Class])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := wsdl.Marshal(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(d.ep.Description, want) {
+				t.Errorf("%s %s: ?wsdl serves %d bytes that differ from wsdl.Marshal of the deployed document (%d bytes)",
+					server.Name(), published[i].Class, len(d.ep.Description), len(want))
+			}
+		}
+	}
+	if deployedTotal == 0 {
+		t.Fatal("no service deployed")
 	}
 }

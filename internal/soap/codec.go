@@ -182,13 +182,22 @@ func marshalMessage(prefix, ns string, m *Message) ([]byte, error) {
 	defer envelopeBufs.Put(buf)
 	buf.Reset()
 	buf.WriteString(xml.Header)
-	buf.WriteString(`<` + prefix + `:Envelope xmlns:` + prefix + `="` + ns + `">` + "\n")
-	buf.WriteString("  <" + prefix + ":Body>\n")
-	buf.WriteString("    <m:" + m.Local + " xmlns:m=")
-	buf.WriteString(strconv.Quote(m.Namespace))
+	buf.WriteByte('<')
+	buf.WriteString(prefix)
+	buf.WriteString(":Envelope xmlns:")
+	buf.WriteString(prefix)
+	buf.WriteString(`="`)
+	buf.WriteString(ns)
+	buf.WriteString("\">\n  <")
+	buf.WriteString(prefix)
+	buf.WriteString(":Body>\n    <m:")
+	buf.WriteString(m.Local)
+	buf.WriteString(" xmlns:m=")
+	buf.Write(strconv.AppendQuote(buf.AvailableBuffer(), m.Namespace))
 	buf.WriteString(">\n")
 
-	names := make([]string, 0, len(m.Fields))
+	var stack [8]string
+	names := stack[:0]
 	for k := range m.Fields {
 		names = append(names, k)
 	}
@@ -197,9 +206,13 @@ func marshalMessage(prefix, ns string, m *Message) ([]byte, error) {
 		writeElement(buf, "      ", "m:", name, m.Fields[name])
 	}
 
-	buf.WriteString("    </m:" + m.Local + ">\n")
-	buf.WriteString("  </" + prefix + ":Body>\n")
-	buf.WriteString("</" + prefix + ":Envelope>\n")
+	buf.WriteString("    </m:")
+	buf.WriteString(m.Local)
+	buf.WriteString(">\n  </")
+	buf.WriteString(prefix)
+	buf.WriteString(":Body>\n</")
+	buf.WriteString(prefix)
+	buf.WriteString(":Envelope>\n")
 	out := make([]byte, buf.Len())
 	copy(out, buf.Bytes())
 	return out, nil
@@ -357,8 +370,8 @@ func (sig *versionSignals) verdict(contentType string) Version {
 		return VersionUnknown
 	}
 	if contentType != "" {
-		if mediaType, _, err := mime.ParseMediaType(contentType); err == nil {
-			switch mediaType {
+		if mt, ok := mediaType(contentType); ok {
+			switch mt {
 			case "text/xml":
 				sees11 = true
 			case "application/soap+xml":
@@ -380,6 +393,20 @@ func (sig *versionSignals) verdict(contentType string) Version {
 	default:
 		return Version11
 	}
+}
+
+// mediaType returns the media type of a Content-Type value and whether
+// it parses. The values the codecs write resolve without a parse; every
+// other value goes through mime.ParseMediaType.
+func mediaType(contentType string) (string, bool) {
+	switch contentType {
+	case ContentType:
+		return "text/xml", true
+	case ContentType12:
+		return "application/soap+xml", true
+	}
+	mt, _, err := mime.ParseMediaType(contentType)
+	return mt, err == nil
 }
 
 // UnmarshalFlexible parses an envelope in either version, including

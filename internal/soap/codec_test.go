@@ -2,6 +2,7 @@ package soap
 
 import (
 	"errors"
+	"mime"
 	"strings"
 	"testing"
 )
@@ -254,5 +255,31 @@ func TestCodecFor(t *testing.T) {
 	}
 	if _, ok := CodecFor(VersionUnknown); ok {
 		t.Fatal("CodecFor(VersionUnknown) must not resolve")
+	}
+}
+
+// TestMediaTypeMatchesMIME holds the media-type fast path to
+// mime.ParseMediaType: for every Content-Type the codecs, the fault
+// injector and the version wire emit, and for malformed values, the
+// media type and the error state agree.
+func TestMediaTypeMatchesMIME(t *testing.T) {
+	values := []string{
+		ContentType, ContentType12, V11.ContentType("urn:op"), V12.ContentType("urn:op"),
+		// faultinject: the HTML error page and the wrong content type;
+		// http.Error pages; net/http's sniffed types.
+		"text/html; charset=utf-8", "application/octet-stream", "text/plain; charset=utf-8",
+		"text/xml", "application/soap+xml",
+		// Malformed or unusual spellings.
+		"", ";", "text/", "/xml", "text/xml;", "text/xml; charset", `text/xml; charset="utf-8`,
+		"text/xml charset=utf-8", "TEXT/XML; CHARSET=UTF-8", " text/xml; charset=utf-8",
+		"text/xml; charset=utf-8 ", "text/xml;charset=utf-8", `application/soap+xml; action="unterminated`,
+		"application/soap+xml; charset=utf-8; charset=utf-8",
+	}
+	for _, ct := range values {
+		mt, ok := mediaType(ct)
+		want, _, err := mime.ParseMediaType(ct)
+		if ok != (err == nil) || (ok && mt != want) {
+			t.Errorf("mediaType(%q) = %q, %v; mime.ParseMediaType = %q, %v", ct, mt, ok, want, err)
+		}
 	}
 }

@@ -1,9 +1,9 @@
 package transport
 
 import (
-	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 
 	"wsinterop/internal/obs"
@@ -32,6 +32,15 @@ func (h *Host) Local() *LocalBridge { return NewLocalBridge(h) }
 // NewLocalBridge builds a bridge over any SOAP-speaking handler
 // (typically a Host, or middleware wrapping one).
 func NewLocalBridge(h http.Handler) *LocalBridge { return &LocalBridge{handler: h} }
+
+// WithHandler returns a copy of the bridge, with its retry policy,
+// meters, codec and strictness, that invokes h: a per-cell middleware
+// over a bridge configured once per stage.
+func (b *LocalBridge) WithHandler(h http.Handler) *LocalBridge {
+	cp := *b
+	cp.handler = h
+	return &cp
+}
 
 // WithRetry returns a copy of the bridge that invokes under the given
 // retry policy, mirroring Client.WithRetry.
@@ -80,13 +89,16 @@ func (b *LocalBridge) Invoke(ctx context.Context, path string, req *soap.Message
 		return nil, fmt.Errorf("encode request: %w", err)
 	}
 	return invokeWithRetry(ctx, b.meters, b.retry, func(ctx context.Context, n int) (*soap.Message, error) {
-		httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, path, bytes.NewReader(body))
+		// Every attempt sends the whole body afresh; Sniffer and Host
+		// read it in place (readBody).
+		httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, path, &localBody{data: body})
 		if err != nil {
 			return nil, fmt.Errorf("build request: %w", err)
 		}
+		httpReq.ContentLength = int64(len(body))
 		httpReq.Header.Set("Content-Type", codec.ContentType(""))
 		if codec.UsesActionHeader() {
-			httpReq.Header.Set("SOAPAction", `""`)
+			httpReq.Header.Set(soapActionHeader, `""`)
 		}
 		stampTrace(ctx, httpReq.Header)
 		b.retry.annotate(n, httpReq.Header)
@@ -120,4 +132,49 @@ func (b *LocalBridge) serve(w http.ResponseWriter, r *http.Request) (err error) 
 	}()
 	b.handler.ServeHTTP(w, r)
 	return nil
+}
+
+// soapActionHeader is the SOAPAction header name in canonical form,
+// which net/http would otherwise rebuild on every Set and Get.
+var soapActionHeader = http.CanonicalHeaderKey("SOAPAction")
+
+// localBody is the request body of an in-process exchange: the
+// marshalled envelope, which readBody hands over without a copy. Any
+// other reader drains it as an ordinary stream; the bytes are shared
+// read-only by bridge, middleware and host.
+type localBody struct {
+	data []byte
+	off  int
+}
+
+func (b *localBody) Read(p []byte) (int, error) {
+	if b.off >= len(b.data) {
+		return 0, io.EOF
+	}
+	n := copy(p, b.data[b.off:])
+	b.off += n
+	return n, nil
+}
+
+func (b *localBody) Close() error { return nil }
+
+// readBody reads a request body within the maxRequestBytes budget: the
+// first maxRequestBytes bytes, and whether the body ran past them. An
+// in-process body hands over its unread bytes in place; any other body
+// is read through a reader one byte past the budget, so truncation is
+// seen, not guessed.
+func readBody(r *http.Request) ([]byte, bool, error) {
+	if lb, ok := r.Body.(*localBody); ok {
+		rest := lb.data[lb.off:]
+		lb.off = len(lb.data)
+		if len(rest) > maxRequestBytes {
+			return rest[:maxRequestBytes], true, nil
+		}
+		return rest, false, nil
+	}
+	data, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBytes+1))
+	if len(data) > maxRequestBytes {
+		return data[:maxRequestBytes], true, err
+	}
+	return data, false, err
 }

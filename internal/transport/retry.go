@@ -27,7 +27,8 @@ var ErrAborted = errors.New("transport: connection aborted")
 const maxResponseBytes = 1 << 20
 
 // maxRequestBytes is the request read budget shared by Host and
-// Sniffer: a longer request body is cut off at it.
+// Sniffer: a longer request body is cut off at it (readBody), and the
+// sniffer flags the cut request as truncated.
 const maxRequestBytes = 1 << 20
 
 // errReadBudget is the typed refusal of a response longer than

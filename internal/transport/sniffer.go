@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"bytes"
-	"io"
 	"net/http"
 	"sync"
 
@@ -76,14 +74,24 @@ var _ http.Handler = (*Sniffer)(nil)
 // recordingWriter captures the response for post-hoc validation. It
 // keeps at most maxResponseBytes of the body, the budget a client
 // reads, and marks a longer one truncated; every byte still reaches
-// the wrapped writer.
+// the wrapped writer. Writers come from recorders and go back once the
+// response is checked: the checker keeps no slice of the bytes it
+// reads (names are interned copies, findings formatted strings).
 type recordingWriter struct {
 	http.ResponseWriter
 	status      int
 	wroteHeader bool
-	body        bytes.Buffer
+	body        []byte
 	truncated   bool
 }
+
+// recorders pools the sniffer's response writers with their body
+// buffers.
+var recorders = sync.Pool{New: func() any { return new(recordingWriter) }}
+
+// maxPooledRecording bounds the body buffer a recorder returns to the
+// pool with: a rare oversized response is not kept alive by it.
+const maxPooledRecording = 64 << 10
 
 func (w *recordingWriter) WriteHeader(status int) {
 	if !w.wroteHeader {
@@ -101,11 +109,11 @@ func (w *recordingWriter) Write(p []byte) (int, error) {
 		w.status = http.StatusOK
 		w.wroteHeader = true
 	}
-	if room := maxResponseBytes - w.body.Len(); len(p) > room {
-		w.body.Write(p[:room])
+	if room := maxResponseBytes - len(w.body); len(p) > room {
+		w.body = append(w.body, p[:room]...)
 		w.truncated = true
 	} else {
-		w.body.Write(p)
+		w.body = append(w.body, p...)
 	}
 	return w.ResponseWriter.Write(p)
 }
@@ -129,31 +137,40 @@ func (w *recordingWriter) Status() int {
 
 // ServeHTTP implements http.Handler.
 func (s *Sniffer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	reqBody, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBytes))
+	reqBody, reqTruncated, err := readBody(r)
 	// Hand the inner handler exactly the bytes the capture saw — also
 	// on a read error, where the original body is a half-drained stream
 	// that would otherwise be forwarded silently corrupted. The handler
 	// then sees a cleanly truncated document and fails the exchange
 	// explicitly (a malformed-envelope fault) instead of arbitrarily.
-	r.Body = io.NopCloser(bytes.NewReader(reqBody))
+	r.Body = &localBody{data: reqBody}
 	if err != nil {
 		s.reg.Counter("sniffer.request.read_errors").Inc()
 	}
+	if reqTruncated {
+		s.reg.Counter("sniffer.request.truncated").Inc()
+	}
 	reqReport := s.checker.CheckMessage(reqBody, wsi.MessageMeta{
 		ContentType: r.Header.Get("Content-Type"),
-		SOAPAction:  r.Header.Get("SOAPAction"),
+		SOAPAction:  r.Header.Get(soapActionHeader),
+		Truncated:   reqTruncated,
 	})
 
-	rec := &recordingWriter{ResponseWriter: w}
+	rec := recorders.Get().(*recordingWriter)
+	rec.ResponseWriter = w
 	s.next.ServeHTTP(rec, r)
-
-	respReport := s.checker.CheckMessage(rec.body.Bytes(), wsi.MessageMeta{
+	status, respBytes := rec.Status(), len(rec.body)
+	respReport := s.checker.CheckMessage(rec.body, wsi.MessageMeta{
 		ContentType: rec.Header().Get("Content-Type"),
-		HTTPStatus:  rec.Status(),
+		HTTPStatus:  status,
 		Truncated:   rec.truncated,
 	})
 	if rec.truncated {
 		s.reg.Counter("sniffer.response.truncated").Inc()
+	}
+	if cap(rec.body) <= maxPooledRecording {
+		*rec = recordingWriter{body: rec.body[:0]}
+		recorders.Put(rec)
 	}
 
 	trace := r.Header.Get(obs.TraceHeader)
@@ -164,10 +181,10 @@ func (s *Sniffer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	defer s.mu.Unlock()
 	s.exchanges = append(s.exchanges, Exchange{
 		Trace:              trace,
-		Status:             rec.Status(),
+		Status:             status,
 		RequestViolations:  len(reqReport.Violations),
 		ResponseViolations: len(respReport.Violations),
-		ResponseBytes:      rec.body.Len(),
+		ResponseBytes:      respBytes,
 	})
 	for _, v := range reqReport.Violations {
 		s.findings = append(s.findings, CapturedViolation{Direction: "request", Violation: v, Trace: trace})

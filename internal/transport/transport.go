@@ -89,7 +89,10 @@ func SampleValue(spec FieldSpec, payload string) string {
 
 // FromWSDL derives the endpoint dispatch table from a service
 // description. It returns an error when the description declares no
-// operations — a live deployment of the "unusable WSDL" finding.
+// operations — a live deployment of the "unusable WSDL" finding. It
+// leaves Description empty: a caller that serves ?wsdl fills it with
+// the serialized document (DeployWSDL marshals it; the campaign's
+// stage hosts reuse the bytes Publish rendered).
 func FromWSDL(d *wsdl.Definitions) (*Endpoint, error) {
 	if d.OperationCount() == 0 {
 		return nil, fmt.Errorf("transport: description %q declares no operations", d.Name)
@@ -107,11 +110,6 @@ func FromWSDL(d *wsdl.Definitions) (*Endpoint, error) {
 			ep.Inputs[op.Name] = inputSpecs(d, op)
 		}
 	}
-	raw, err := wsdl.Marshal(d)
-	if err != nil {
-		return nil, fmt.Errorf("transport: serialize description: %w", err)
-	}
-	ep.Description = raw
 	return ep, nil
 }
 
@@ -244,11 +242,15 @@ func (h *Host) Deploy(ep *Endpoint) error {
 	return nil
 }
 
-// DeployWSDL derives an endpoint from a description and deploys it.
+// DeployWSDL derives an endpoint from a description and deploys it,
+// serving the serialized description at GET <path>?wsdl.
 func (h *Host) DeployWSDL(d *wsdl.Definitions) (*Endpoint, error) {
 	ep, err := FromWSDL(d)
 	if err != nil {
 		return nil, err
+	}
+	if ep.Description, err = wsdl.Marshal(d); err != nil {
+		return nil, fmt.Errorf("transport: serialize description: %w", err)
 	}
 	if err := h.Deploy(ep); err != nil {
 		return nil, err
@@ -339,7 +341,7 @@ func (h *Host) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// request framing back, making the hybrid observable on the wire.
 	respCT := codec.ContentType("")
 
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBytes))
+	body, _, err := readBody(r)
 	if err != nil {
 		writeFault(w, codec, respCT, &soap.Fault{Code: soap.FaultClient, String: "unreadable request body"})
 		return
@@ -510,7 +512,7 @@ func (c *Client) Invoke(ctx context.Context, url, soapAction string, req *soap.M
 		}
 		httpReq.Header.Set("Content-Type", codec.ContentType(soapAction))
 		if codec.UsesActionHeader() {
-			httpReq.Header.Set("SOAPAction", fmt.Sprintf("%q", soapAction))
+			httpReq.Header.Set(soapActionHeader, fmt.Sprintf("%q", soapAction))
 		}
 		stampTrace(ctx, httpReq.Header)
 		c.retry.annotate(n, httpReq.Header)

@@ -346,12 +346,12 @@ func (c *Checker) checkVersionCoherence(root xml.Name, ctVersion int, faultNS st
 func (c *Checker) checkTransportMeta(meta MessageMeta, rules msgRules, r *Report) int {
 	ctVersion := 0
 	if meta.ContentType != "" {
-		mediaType, _, err := mime.ParseMediaType(meta.ContentType)
-		if err != nil || mediaType != rules.mediaType {
+		mt, ok := mediaType(meta.ContentType)
+		if !ok || mt != rules.mediaType {
 			r.add(rules.ctAssert, "content type %q", meta.ContentType)
 		}
-		if err == nil {
-			switch mediaType {
+		if ok {
+			switch mt {
 			case "text/xml":
 				ctVersion = 1
 			case "application/soap+xml":
@@ -366,4 +366,19 @@ func (c *Checker) checkTransportMeta(meta MessageMeta, rules msgRules, r *Report
 		}
 	}
 	return ctVersion
+}
+
+// mediaType returns the media type of a Content-Type value and whether
+// it parses. The exact values the SOAP codecs write resolve without a
+// parse, every other value through mime.ParseMediaType. The switch is
+// the checker's own, not soap's: only the constants are shared.
+func mediaType(contentType string) (string, bool) {
+	switch contentType {
+	case soap.ContentType:
+		return "text/xml", true
+	case soap.ContentType12:
+		return "application/soap+xml", true
+	}
+	mt, _, err := mime.ParseMediaType(contentType)
+	return mt, err == nil
 }

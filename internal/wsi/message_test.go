@@ -1,6 +1,7 @@
 package wsi
 
 import (
+	"mime"
 	"testing"
 
 	"wsinterop/internal/soap"
@@ -242,5 +243,31 @@ func TestCheckMessageTruncatedCapture(t *testing.T) {
 	r := NewChecker().CheckMessage([]byte(cleanEnvelope), meta)
 	if len(r.Violations) != 1 || r.Violations[0].Assertion.ID != AssertionMsgEnvelope.ID {
 		t.Errorf("truncated capture: want one RM9980 finding, got %v", r.Violations)
+	}
+}
+
+// TestMediaTypeMatchesMIME holds the checker's media-type fast path
+// to mime.ParseMediaType: for every Content-Type the codecs, the fault
+// injector and the version wire emit, and for malformed values, the
+// media type and the error state agree.
+func TestMediaTypeMatchesMIME(t *testing.T) {
+	values := []string{
+		soap.ContentType, soap.ContentType12, soap.V11.ContentType("urn:op"), soap.V12.ContentType("urn:op"),
+		// faultinject: the HTML error page and the wrong content type;
+		// http.Error pages; net/http's sniffed types.
+		"text/html; charset=utf-8", "application/octet-stream", "text/plain; charset=utf-8",
+		"text/xml", "application/soap+xml",
+		// Malformed or unusual spellings.
+		"", ";", "text/", "/xml", "text/xml;", "text/xml; charset", `text/xml; charset="utf-8`,
+		"text/xml charset=utf-8", "TEXT/XML; CHARSET=UTF-8", " text/xml; charset=utf-8",
+		"text/xml; charset=utf-8 ", "text/xml;charset=utf-8", `application/soap+xml; action="unterminated`,
+		"application/soap+xml; charset=utf-8; charset=utf-8",
+	}
+	for _, ct := range values {
+		mt, ok := mediaType(ct)
+		want, _, err := mime.ParseMediaType(ct)
+		if ok != (err == nil) || (ok && mt != want) {
+			t.Errorf("mediaType(%q) = %q, %v; mime.ParseMediaType = %q, %v", ct, mt, ok, want, err)
+		}
 	}
 }

@@ -22,7 +22,9 @@ package campaign
 //   - The shape memo entries of groups that still have members to run
 //     are re-seeded from the journal before the executed remainder
 //     starts (seedMemoFromJournal), so remaining classes take exactly
-//     the memo paths they would have taken had the run never stopped.
+//     the memo paths they would have taken had the run never stopped;
+//     a finished group's entry is seeded from its builder record when
+//     a later mode first publishes the shape.
 //     The counter totals are invariant under *which* class of a shape
 //     happens to be the builder: the builder contributes shapes+1 plus
 //     the full publish metrics, and every other same-shape class
@@ -95,7 +97,7 @@ func (ax *wireAxis) dir(checkpoint string) string {
 }
 
 // memoRouted reports whether a record's client tests went through the
-// shape memo (testFor's memo branch): the shape's verified builder and
+// shape memo (testRow's memo branch): the shape's verified builder and
 // every template-rendered clone.
 func memoRouted(rec *journal.Record) bool {
 	return rec.Mode == modeMemoized.id() || (rec.Mode == modeBuilt.id() && rec.Verified)
@@ -450,86 +452,90 @@ func (r *Runner) replayPlan(server framework.ServerFramework, defs []services.De
 }
 
 // seedMemoFromJournal reconstructs the shape memo state of the stage's
-// unfinished shape groups. A group with every member journaled has
-// nothing left to run, so it is not seeded: its cells replay and its
-// entry stays unbuilt until something publishes the shape again. In a
-// group with work left, the builder record rebuilds the full entry
-// (seedBuilder); memo-routed records whose builder was not journaled
-// get a skeleton entry (once untouched), so the first executing class
-// becomes the builder exactly as some class was in the interrupted run.
-// Journaled executed outcomes seed the per-client test memo slots, so
-// each (shape, client) test executes at most once across the whole
-// resumed campaign.
+// journaled shape groups. In a group with work left, the builder record
+// rebuilds the full entry (seedBuilder) before any member runs;
+// memo-routed records whose builder was not journaled get a skeleton
+// entry (once untouched), so the first executing class becomes the
+// builder exactly as some class was in the interrupted run. A group
+// with every member journaled has nothing left to run in this stage, so
+// its entry only keeps the builder record: the first later publish of
+// the shape (a wire mode's Publish) seeds from it (publishEntry), and a
+// resumed wire stage neither re-checks nor re-tests a shape the study
+// finished, while a study resume that publishes nothing seeds nothing.
+// Journaled executed outcomes seed the entry's test row, so each
+// (shape, client) test executes at most once across the whole resumed
+// campaign.
 func (r *Runner) seedMemoFromJournal(server framework.ServerFramework, sp *serverPlan, plan map[int]*journal.Record) error {
 	d := r.dedup
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for gi := range sp.Groups {
 		g := &sp.Groups[gi]
-		var done []int
+		done, builderAt := 0, -1
 		for _, di := range g.Members {
-			if _, ok := plan[di]; ok {
-				done = append(done, di)
+			if rec, ok := plan[di]; ok {
+				done++
+				// At most one builder per shape in any journal, since a
+				// session only builds unseeded shapes.
+				if builderAt < 0 && rec.Mode == modeBuilt.id() {
+					builderAt = di
+				}
 			}
 		}
-		if len(done) == 0 || len(done) == len(g.Members) {
+		if done == 0 {
 			continue
 		}
 		key := shapeKey{server: server.Name(), fp: g.fp}
 		e := d.entries[key]
-		// At most one builder per shape in any journal, since a session
-		// only builds unseeded shapes.
-		for _, di := range done {
-			if rec := plan[di]; e == nil && rec.Mode == modeBuilt.id() {
-				var err error
-				if e, err = r.seedBuilder(server, sp.defs[di], rec); err != nil {
-					return err
-				}
-				d.entries[key] = e
+		if e == nil {
+			e = r.newEntry(g)
+			d.entries[key] = e
+			if builderAt >= 0 {
+				e.seed, e.seedDef = plan[builderAt], &sp.defs[builderAt]
 			}
 		}
-		for _, di := range done {
+		for _, di := range g.Members {
 			rec := plan[di]
-			if !rec.Published || !memoRouted(rec) {
+			if rec == nil || !rec.Published || !memoRouted(rec) {
 				continue
 			}
-			if e == nil {
-				e = &shapeEntry{tests: make([]testMemo, len(r.clients))}
-				d.entries[key] = e
-			}
 			for ci, c := range rec.Codes {
-				if code := outcomeCode(c); code.executed() {
-					tm := &e.tests[ci]
-					tm.once.Do(func() { tm.code = code })
+				if code := outcomeCode(c); code.executed() && e.row.codes[ci] == 0 {
+					e.row.codes[ci] = code
 				}
+			}
+		}
+		if e.seed != nil && done < len(g.Members) {
+			var err error
+			e.once.Do(func() { err = r.seedBuilder(e, server) })
+			if err != nil {
+				return err
 			}
 		}
 	}
 	return nil
 }
 
-// seedBuilder rebuilds a shape entry from its journaled builder: the
-// template is re-split from the journaled document and re-verified
-// byte-for-byte, and the entry's once is consumed so no executing class
-// rebuilds (and double-counts) the shape.
-func (r *Runner) seedBuilder(server framework.ServerFramework, def services.Definition, rec *journal.Record) (*shapeEntry, error) {
-	e := &shapeEntry{tests: make([]testMemo, len(r.clients))}
-	e.once.Do(func() {})
+// seedBuilder builds e from its journaled builder (e.seed), under e's
+// once, so no executing class rebuilds (and double-counts) the shape:
+// a multi-member shape's template is re-split from the journaled
+// document and re-verified byte-for-byte; a solo shape, whose builder
+// journals no document, re-publishes its typed representative.
+func (r *Runner) seedBuilder(e *shapeEntry, server framework.ServerFramework) error {
+	rec, def := e.seed, *e.seedDef
+	e.seed, e.seedDef = nil, nil
 	if !rec.Published {
 		e.rejected = true
-		return e, nil
+		return nil
 	}
 	e.flagged, e.compliant, e.profiles = rec.Flagged, rec.Compliant, rec.Profiles
 	if !rec.Verified {
-		return e, nil
+		return nil
 	}
-	if len(rec.Doc) == 0 {
-		return nil, fmt.Errorf("campaign: journal record %s (%s on %s): verified builder without a document", rec.Trace, rec.Class, rec.Server)
+	fail := func(what string) error {
+		return fmt.Errorf("campaign: journal record %s (%s on %s): %s", rec.Trace, rec.Class, rec.Server, what)
 	}
-	if e.tmpl = r.splitShape(server, def, rec.Doc); e.tmpl == nil {
-		return nil, fmt.Errorf("campaign: journal record %s (%s on %s): shape template no longer reproduces the journaled document", rec.Trace, rec.Class, rec.Server)
-	}
-	e.rep = PublishedService{
+	rep := PublishedService{
 		Server:    rec.Server,
 		Class:     rec.Class,
 		Doc:       rec.Doc,
@@ -539,14 +545,34 @@ func (r *Runner) seedBuilder(server framework.ServerFramework, def services.Defi
 		analysis:  &sharedAnalysis{},
 		memo:      e,
 	}
-	return e, nil
+	if e.solo {
+		doc, err := server.Publish(def)
+		if err != nil {
+			return fail("the journaled shape no longer publishes")
+		}
+		if rep.Doc, err = r.repBytes(e, doc, false); err != nil {
+			return fail(err.Error())
+		}
+		e.seedRep(rep, doc)
+		return nil
+	}
+	if len(rec.Doc) == 0 {
+		return fail("verified builder without a document")
+	}
+	if e.tmpl = r.splitShape(server, def, rec.Doc); e.tmpl == nil {
+		return fail("shape template no longer reproduces the journaled document")
+	}
+	e.rep = rep
+	return nil
 }
 
 // replayCell re-applies one journaled cell (already checked by
 // replayPlan) in place of executing it: the exact counter and histogram
 // contributions its original execution made (stage latencies observe
 // zero, matching a frozen-clock run), then the fold of its outcome
-// codes into the stage worker's shard.
+// codes into the stage worker's shard. A record's executed tests are
+// one test row (runRow), so the generate and compile histograms
+// observe once per record with an executed code, not once per code.
 func (r *Runner) replayCell(rec *journal.Record, di int, sh *shard, failures [][]TestResult, prog *progress) error {
 	mode, err := parseMode(rec.Mode)
 	if err != nil {
@@ -587,6 +613,7 @@ func (r *Runner) replayCell(rec *journal.Record, di int, sh *shard, failures [][
 	}
 	if rec.Published {
 		memoed := memoRouted(rec)
+		generated, compiled := false, false
 		codes := make([]outcomeCode, len(rec.Codes))
 		for ci, c := range rec.Codes {
 			code := outcomeCode(c)
@@ -600,13 +627,13 @@ func (r *Runner) replayCell(rec *journal.Record, di int, sh *shard, failures [][
 				}
 			}
 			if code.executed() {
-				m.genSeconds.Observe(0)
+				generated = true
 				m.genRuns.Inc()
 				if code&codeGenError != 0 {
 					m.genErrors.Inc()
 				}
 				if code&codeCompileRan != 0 {
-					m.compileSeconds.Observe(0)
+					compiled = true
 					m.compileRuns.Inc()
 					if code&codeCompileError != 0 {
 						m.compileErrors.Inc()
@@ -614,6 +641,12 @@ func (r *Runner) replayCell(rec *journal.Record, di int, sh *shard, failures [][
 				}
 			}
 			codes[ci] = code
+		}
+		if generated {
+			m.genSeconds.Observe(0)
+		}
+		if compiled {
+			m.compileSeconds.Observe(0)
 		}
 		if r.foldCodes(sh, rec.Server, rec.Flagged, rec.Profiles, codes, 1) && failures != nil {
 			failures[di] = r.failsFor(rec.Server, rec.Class, codes)

@@ -61,30 +61,6 @@ var outcomeTable = func() [1 << numOutcomeBits]outcomeEntry {
 	return t
 }()
 
-// encodeOutcome packs a classified TestResult and its executed flag.
-func encodeOutcome(t *TestResult, ran bool) outcomeCode {
-	var c outcomeCode
-	if t.Gen.Warning {
-		c |= codeGenWarning
-	}
-	if t.Gen.Error {
-		c |= codeGenError
-	}
-	if t.CompileRan {
-		c |= codeCompileRan
-	}
-	if t.Compile.Warning {
-		c |= codeCompileWarning
-	}
-	if t.Compile.Error {
-		c |= codeCompileError
-	}
-	if ran {
-		c |= codeExecuted
-	}
-	return c
-}
-
 // executed reports whether the test actually ran.
 func (c outcomeCode) executed() bool { return c&codeExecuted != 0 }
 

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"wsinterop/internal/framework"
+	"wsinterop/internal/journal"
 	"wsinterop/internal/services"
 	"wsinterop/internal/shape"
 	"wsinterop/internal/wsdl"
@@ -81,10 +82,17 @@ type shapeKey struct {
 
 // shapeEntry memoizes everything the campaign derives from one
 // structural shape on one server. The entry is built exactly once,
-// from the shape's builder (its first member in catalog order); test
-// slots fill as the builder's client tests run.
+// from the shape's builder (its first member in catalog order), or
+// seeded from the builder's journal record on resume; its test row runs
+// once, on the first test or wire verdict that reads it.
 type shapeEntry struct {
 	once sync.Once
+	// seed is the journaled builder record of a group a resumed study
+	// replayed in full, and seedDef its class: the first publish of the
+	// shape (a later mode's Publish) seeds the entry from them under once
+	// instead of building it again (seedMemoFromJournal). Nil otherwise.
+	seed    *journal.Record
+	seedDef *services.Definition
 	// rejected records a memoized NotDeployable outcome. A marshal
 	// failure is not memoized: the build leaves neither tmpl nor rep
 	// behind, so later members take the per-class path and report it
@@ -118,16 +126,27 @@ type shapeEntry struct {
 	docOnce sync.Once
 	doc     []byte
 	docErr  error
-	// tests holds one memoized outcome per client framework, keyed by
-	// roster index. Flagged status is constant per entry, so the
-	// (client, fingerprint, flagged) memo key of DESIGN.md §6.6
+	// row holds the shape's memoized outcome per client framework,
+	// keyed by roster index. Flagged status is constant per entry, so
+	// the (client, fingerprint, flagged) memo key of DESIGN.md §6.6
 	// collapses to the slot index.
-	tests []testMemo
+	row testRow
 }
 
-type testMemo struct {
-	once sync.Once
-	code outcomeCode
+// testRow is one shape's client tests, run as a unit against the
+// representative: once runs every client whose code is still zero (a
+// resume journal may have seeded the others, executed bit set), so
+// each (shape, client) test runs at most once per runner.
+type testRow struct {
+	once  sync.Once
+	codes []outcomeCode
+}
+
+// newEntry returns an unbuilt entry for a plan group. The plan proves
+// single-member shapes up front; their builders skip template
+// construction (see shapeEntry.solo).
+func (r *Runner) newEntry(g *planGroup) *shapeEntry {
+	return &shapeEntry{solo: len(g.Members) == 1, row: testRow{codes: make([]outcomeCode, len(r.clients))}}
 }
 
 // dedupState is the runner-level memo table plus its counters.
@@ -193,11 +212,22 @@ func (r *Runner) publishEntry(e *shapeEntry, server framework.ServerFramework, d
 	r.met.publishTotal.Inc()
 	r.dedup.pubTotal.Add(1)
 	built := false
+	var seedErr error
 	e.once.Do(func() {
+		if e.seed != nil {
+			// The resumed study replayed this shape's whole group and
+			// already credited its build; seed the entry it left.
+			seedErr = r.seedBuilder(e, server)
+			return
+		}
 		built = true
 		r.dedup.shapes.Add(1)
 		s = r.buildShape(e, server, def, needDoc)
 	})
+	if seedErr != nil {
+		s.err = seedErr
+		return s
+	}
 	if built {
 		s.mode = modeBuilt
 		// verified means the memo is usable: the template reproduced the
@@ -297,14 +327,7 @@ func (r *Runner) buildShape(e *shapeEntry, server framework.ServerFramework, def
 		e.rejected = true
 		return s
 	}
-	// A solo builder's bytes have no reader unless the caller or the
-	// reparse hook asks for them; repDoc renders them later on demand.
-	// Skipping the marshal hides no error: wsdl.Marshal fails only when
-	// xsd.MarshalSchemaTo does, and the schema writer has no failing path.
-	var raw []byte
-	if !e.solo || needDoc || r.cfg.reparse {
-		raw, err = wsdl.Marshal(doc)
-	}
+	raw, err := r.repBytes(e, doc, needDoc)
 	r.met.observe(r.met.publishSeconds, start)
 	if err != nil {
 		s.err = fmt.Errorf("marshal WSDL for %s on %s: %w", def.Parameter.Name, server.Name(), err)
@@ -330,17 +353,37 @@ func (r *Runner) buildShape(e *shapeEntry, server framework.ServerFramework, def
 	if e.tmpl != nil || e.solo {
 		// Only a verified shape may share memoized test outcomes (a
 		// solo shape has nobody to share with, so it keeps the memo's
-		// seeded analysis without needing the template proof). Seed
-		// the representative's analysis from the in-memory document:
-		// its serialized form just passed byte-for-byte verification,
-		// so the serialize→re-parse round trip of the per-class path is
-		// skipped — equivalence is proven at full scale by
-		// TestDedupEquivalenceFull.
-		s.svc.memo = e
-		s.svc.analysis.once.Do(func() { s.svc.analysis.a = framework.AnalyzeDoc(doc) })
-		e.rep = s.svc
+		// seeded analysis without needing the template proof).
+		e.seedRep(s.svc, doc)
+		s.svc = e.rep
 	}
 	return s
+}
+
+// repBytes returns the serialized form of a shape representative's
+// published document, when anything reads it: a multi-member shape
+// splits it into its template, while a solo shape's bytes have no
+// reader unless the caller (needDoc) or the reparse hook asks for them;
+// repDoc renders them later on demand. Skipping the marshal hides no
+// error: wsdl.Marshal fails only when xsd.MarshalSchemaTo does, and the
+// schema writer has no failing path.
+func (r *Runner) repBytes(e *shapeEntry, doc *wsdl.Definitions, needDoc bool) ([]byte, error) {
+	if !e.solo || needDoc || r.cfg.reparse {
+		return wsdl.Marshal(doc)
+	}
+	return nil, nil
+}
+
+// seedRep makes svc the entry's representative, with its analysis
+// seeded from the in-memory document: the document's serialized form
+// passed byte-for-byte verification (or the shape is solo), so the
+// serialize→re-parse round trip of the per-class path is skipped —
+// equivalence is proven at full scale by TestDedupEquivalenceFull.
+func (e *shapeEntry) seedRep(svc PublishedService, doc *wsdl.Definitions) {
+	svc.memo = e
+	svc.analysis = &sharedAnalysis{}
+	svc.analysis.once.Do(func() { svc.analysis.a = framework.AnalyzeDoc(doc) })
+	e.rep = svc
 }
 
 // repDoc renders the representative's document from its seeded typed
@@ -375,45 +418,57 @@ func (r *Runner) splitShape(server framework.ServerFramework, def services.Defin
 	return tmpl
 }
 
-// testFor runs steps 2–3 for one (service × client) test, serving it
+// testRow runs steps 2–3 of svc against every client, serving them
 // from the shape memo when the service carries a verified entry, and
-// returns the packed outcome code for the service's columnar row. The
-// memoized outcome is computed by the shape's representative; because the columnar form carries no
-// name-derived strings, a clone IS the memoized code with the
-// executed bit cleared — the distinction the cell journal persists so
-// resume can re-seed memo slots without double-running tests.
-func (r *Runner) testFor(svc *PublishedService, ci int) outcomeCode {
-	r.met.testTotal.Inc()
-	code, ran := r.verdict(svc, ci)
-	if svc.memo == nil {
-		return code
-	}
-	r.dedup.testTotal.Add(1)
-	if !ran {
-		r.met.testMemoized.Inc()
-		return code &^ codeExecuted
-	}
-	r.dedup.testRuns.Add(1)
-	return code
-}
-
-// verdict returns client ci's step-2/3 outcome code for svc and whether
-// this call ran the test. A service outside the memo is tested
-// directly. A memoized one reads its shape's slot, which the
-// representative's test fills at most once per runner, for whichever
-// of the study (testFor) and the wire modes asks first; a wire cell
-// counts no study test.
-func (r *Runner) verdict(svc *PublishedService, ci int) (code outcomeCode, ran bool) {
+// fills codes (one per client, roster order) with the service's
+// columnar row. The memoized row is computed by the shape's
+// representative; because the columnar form carries no name-derived
+// strings, a clone's row IS the memoized one with the executed bits
+// cleared — the distinction the cell journal persists so resume can
+// re-seed the memo row without double-running tests. The call that
+// runs the row keeps the executed bit of every client it ran.
+func (r *Runner) testRow(svc *PublishedService, codes []outcomeCode) {
+	nc := int64(len(codes))
+	r.met.testTotal.Add(nc)
 	e := svc.memo
 	if e == nil {
-		res := runTest(r.clients[ci], svc, r.cfg.reparse, r.met)
-		return encodeOutcome(&res, true), true
+		clear(codes)
+		runRow(r.met, r.cfg.reparse, svc, r.clients, codes)
+		return
 	}
-	tm := &e.tests[ci]
-	tm.once.Do(func() {
-		ran = true
-		res := runTest(r.clients[ci], &e.rep, r.cfg.reparse, r.met)
-		tm.code = encodeOutcome(&res, true)
+	won := false
+	e.row.once.Do(func() {
+		// codes keeps the pre-run row: a zero slot is one this call runs.
+		won = true
+		copy(codes, e.row.codes)
+		runRow(r.met, r.cfg.reparse, &e.rep, r.clients, e.row.codes)
 	})
-	return tm.code, ran
+	runs := int64(0)
+	for ci, code := range e.row.codes {
+		if won && codes[ci] == 0 {
+			runs++
+		} else {
+			code &^= codeExecuted
+		}
+		codes[ci] = code
+	}
+	r.dedup.testTotal.Add(nc)
+	r.dedup.testRuns.Add(runs)
+	r.met.testMemoized.Add(nc - runs)
+}
+
+// verdict returns client ci's step-2/3 outcome code for svc. A service
+// outside the memo is tested directly, as a one-client row. A memoized
+// one reads its shape's row, which runs at most once per runner, for
+// whichever of the study (testRow) and the wire modes asks first; a
+// wire cell counts no study test.
+func (r *Runner) verdict(svc *PublishedService, ci int) outcomeCode {
+	e := svc.memo
+	if e == nil {
+		var code [1]outcomeCode
+		runRow(r.met, r.cfg.reparse, svc, r.clients[ci:ci+1], code[:])
+		return code[0]
+	}
+	e.row.once.Do(func() { runRow(r.met, r.cfg.reparse, &e.rep, r.clients, e.row.codes) })
+	return e.row.codes[ci]
 }

@@ -10,8 +10,8 @@ import (
 // runnerMetrics caches the campaign's observability instruments so the
 // per-cell hot paths pay atomic operations only, never a registry
 // lookup. Every counter increment site is guarded by the same
-// once-per-unit structure (publish slots, shape entries, test memo
-// slots) that makes the Result deterministic, so counter values are
+// once-per-unit structure (publish slots, shape entries, test rows)
+// that makes the Result deterministic, so counter values are
 // identical across worker counts — the obs package determinism
 // contract. A nil *runnerMetrics (only reachable through the exported
 // RunTest convenience API) disables instrumentation.
@@ -21,8 +21,8 @@ type runnerMetrics struct {
 	// Per-stage latency histograms.
 	publishSeconds *obs.Histogram // description generation (publish + marshal)
 	wsiSeconds     *obs.Histogram // WS-I compliance check
-	genSeconds     *obs.Histogram // client artifact generation
-	compileSeconds *obs.Histogram // artifact compilation / verification
+	genSeconds     *obs.Histogram // client artifact generation, one span per test row
+	compileSeconds *obs.Histogram // artifact compilation / verification, one span per test row
 	commSeconds    *obs.Histogram // communication round trip (steps 4–5)
 
 	// Stage counters.
@@ -127,32 +127,30 @@ func (m *runnerMetrics) observe(h *obs.Histogram, start time.Time) {
 	h.Observe(m.reg.Since(start))
 }
 
-// recordGen folds one artifact-generation run and returns the stage
-// boundary it stamped, so the caller can start the next stage on the
-// same clock read instead of taking another.
-func (m *runnerMetrics) recordGen(start time.Time, errored bool) time.Time {
+// genPhase folds one test row's generation phase: one span from
+// start, observed once, plus the phase's runs and errors. It returns
+// the span's end stamp, so the compile phase starts on the same clock
+// read instead of taking another.
+func (m *runnerMetrics) genPhase(start time.Time, runs, errors int) time.Time {
 	if m == nil {
 		return time.Time{}
 	}
 	end := m.reg.Now()
 	m.genSeconds.Observe(end.Sub(start))
-	m.genRuns.Inc()
-	if errored {
-		m.genErrors.Inc()
-	}
+	m.genRuns.Add(int64(runs))
+	m.genErrors.Add(int64(errors))
 	return end
 }
 
-// recordCompile folds one compilation run.
-func (m *runnerMetrics) recordCompile(start time.Time, errored bool) {
+// compilePhase folds one test row's compile phase: one span from
+// start plus the phase's runs and errors.
+func (m *runnerMetrics) compilePhase(start time.Time, runs, errors int) {
 	if m == nil {
 		return
 	}
 	m.compileSeconds.Observe(m.reg.Since(start))
-	m.compileRuns.Inc()
-	if errored {
-		m.compileErrors.Inc()
-	}
+	m.compileRuns.Add(int64(runs))
+	m.compileErrors.Add(int64(errors))
 }
 
 // axisCounters returns a wire axis's per-outcome counters; nil

@@ -20,7 +20,7 @@ package campaign
 //
 // The plan is bookkeeping, never authority: builders still publish,
 // byte-verify their templates, and execute real client tests through
-// the memo code (publishEntry/testFor), so the §6.6 guarantee —
+// the memo code (publishEntry/testRow), so the §6.6 guarantee —
 // memoization can never change a Result — holds unchanged;
 // TestDedupEquivalenceFull proves it against the per-class noDedup
 // path at full scale.
@@ -35,6 +35,7 @@ import (
 	"wsinterop/internal/obs"
 	"wsinterop/internal/services"
 	"wsinterop/internal/shape"
+	"wsinterop/internal/typesys"
 	"wsinterop/internal/wsi"
 )
 
@@ -54,7 +55,9 @@ type planGroup struct {
 // serverPlan is one server's stage plan: a partition of the catalog's
 // definition indexes into shape groups plus the loose remainder —
 // classes the memo layer cannot serve (shape.Memoizable failures, or
-// every class under the noDedup ablation).
+// every class under the noDedup ablation). Servers of one language
+// share the partition (Groups, Loose and defs alias one immutable
+// catalog partition); only Server differs.
 type serverPlan struct {
 	Server string
 	Defs   int
@@ -179,22 +182,33 @@ func (r *Runner) resolvePlan() (*campaignPlan, error) {
 	return p, nil
 }
 
-// buildPlan walks every server's catalog once and partitions it into
-// shape groups. The per-class fingerprint and safety computations are
-// spread over the worker pool; grouping itself is a single cheap pass.
+// buildPlan walks every catalog once and partitions it into shape
+// groups. The partition depends only on the definition list, which is
+// a function of the server's language (defsFor), so servers of one
+// language share one partition: the two Java servers' plans hold the
+// same immutable Groups and Loose. The per-class fingerprint and
+// safety computations are spread over the worker pool; grouping itself
+// is a single cheap pass.
 func (r *Runner) buildPlan(fp string) (*campaignPlan, error) {
 	p := &campaignPlan{
 		fingerprint: fp,
 		servers:     make(map[string]*serverPlan, len(r.servers)),
 		source:      "built",
 	}
+	parts := make(map[typesys.Language]*serverPlan)
 	for _, server := range r.servers {
-		defs, err := r.defsFor(server)
-		if err != nil {
-			return nil, fmt.Errorf("publish on %s: %w", server.Name(), err)
+		part := parts[server.Language()]
+		if part == nil {
+			defs, err := r.defsFor(server)
+			if err != nil {
+				return nil, fmt.Errorf("publish on %s: %w", server.Name(), err)
+			}
+			part = r.partition(defs)
+			parts[server.Language()] = part
 		}
-		sp := r.buildServerPlan(server.Name(), defs)
-		p.servers[sp.Server] = sp
+		sp := *part
+		sp.Server = server.Name()
+		p.servers[sp.Server] = &sp
 		p.order = append(p.order, sp.Server)
 		p.classes += sp.Defs
 		p.shapes += len(sp.Groups)
@@ -207,10 +221,14 @@ type classTraits struct {
 	fp         shape.Fingerprint
 	memoizable bool
 	safe       bool
+	group      int // index into the partition's groups, once grouped
 }
 
-func (r *Runner) buildServerPlan(server string, defs []services.Definition) *serverPlan {
-	sp := &serverPlan{Server: server, Defs: len(defs), defs: defs}
+// partition groups one catalog's definitions by shape fingerprint. The
+// result is shared by every server of the catalog's language, so it
+// carries no server name, and nothing mutates it once built.
+func (r *Runner) partition(defs []services.Definition) *serverPlan {
+	sp := &serverPlan{Defs: len(defs), defs: defs}
 	if !r.dedupOn() {
 		// noDedup: every class is loose; the executor routes them direct.
 		sp.Loose = make([]int, len(defs))
@@ -221,6 +239,7 @@ func (r *Runner) buildServerPlan(server string, defs []services.Definition) *ser
 	}
 	traits := r.classTraitsFor(defs)
 	index := make(map[shape.Fingerprint]int)
+	var sizes []int
 	for i := range defs {
 		t := &traits[i]
 		if !t.memoizable {
@@ -232,10 +251,27 @@ func (r *Runner) buildServerPlan(server string, defs []services.Definition) *ser
 			gi = len(sp.Groups)
 			index[t.fp] = gi
 			sp.Groups = append(sp.Groups, planGroup{fp: t.fp})
+			sizes = append(sizes, 0)
 		}
+		t.group = gi
+		sizes[gi]++
+	}
+	// Every group's members are carved from one backing array, sized by
+	// the counting pass, so grouping allocates per catalog, not per group.
+	n := len(defs) - len(sp.Loose)
+	members, safe := make([]int, 0, n), make([]bool, 0, n)
+	off := 0
+	for gi, size := range sizes {
 		g := &sp.Groups[gi]
-		g.Members = append(g.Members, i)
-		g.safe = append(g.safe, t.safe)
+		g.Members, g.safe = members[off:off:off+size], safe[off:off:off+size]
+		off += size
+	}
+	for i := range defs {
+		if t := &traits[i]; t.memoizable {
+			g := &sp.Groups[t.group]
+			g.Members = append(g.Members, i)
+			g.safe = append(g.safe, t.safe)
+		}
 	}
 	return sp
 }
@@ -244,7 +280,10 @@ func (r *Runner) buildServerPlan(server string, defs []services.Definition) *ser
 // pass the WS-I chunk predicates — publishEntry's condition for
 // serving a clone from the shape template (DESIGN.md §10).
 func substitutionSafe(def services.Definition) bool {
-	vars := shape.VarsArray(def)
+	return substitutionSafeVars(shape.VarsArray(def))
+}
+
+func substitutionSafeVars(vars [3]string) bool {
 	return wsi.SubstitutionSafe(vars[shape.SlotService], vars[shape.SlotNamespace], vars[shape.SlotSimple])
 }
 
@@ -286,11 +325,14 @@ func (r *Runner) classTraitsFor(defs []services.Definition) []classTraits {
 	return traits
 }
 
+// fillTraits classifies one definition, deriving its name-derived
+// strings once for both the memo guard and the WS-I chunk predicates.
 func fillTraits(t *classTraits, def services.Definition) {
-	t.memoizable = shape.Memoizable(def)
+	vars := shape.VarsArray(def)
+	t.memoizable = shape.MemoizableVars(vars)
 	if t.memoizable {
 		t.fp = shape.Of(def)
-		t.safe = substitutionSafe(def)
+		t.safe = substitutionSafeVars(vars)
 	}
 }
 
@@ -312,12 +354,7 @@ func (r *Runner) resolveEntries(server framework.ServerFramework, sp *serverPlan
 		key := shapeKey{server: server.Name(), fp: sp.Groups[gi].fp}
 		e := d.entries[key]
 		if e == nil {
-			e = &shapeEntry{tests: make([]testMemo, len(r.clients))}
-			// The plan proves single-member shapes up front; their
-			// builders skip template construction (see shapeEntry.solo).
-			// Entries pre-seeded from a resume journal keep whatever the
-			// journaled run decided.
-			e.solo = len(sp.Groups[gi].Members) == 1
+			e = r.newEntry(&sp.Groups[gi])
 			d.entries[key] = e
 		}
 		entries[gi] = e
@@ -425,9 +462,9 @@ feed:
 
 // runPlannedGroup executes one shape group on its single owning
 // worker. Members run individually — through the memo code
-// (publishEntry/testFor) — until the entry's test slots are all
-// filled; every later safe member is then served by the clone
-// broadcast: one multiplied fold of the representative's outcome row,
+// (publishEntry/testRow) — until the entry's test row is filled; every
+// later safe member is then served by the clone broadcast: one
+// multiplied fold of the representative's outcome row,
 // with the memo-hit counters batched per group. Unsafe members always
 // take the individual path, as do all members of unverified shapes
 // (publishEntry degrades them to per-class fallbacks).
@@ -435,12 +472,11 @@ func (r *Runner) runPlannedGroup(server framework.ServerFramework, defs []servic
 	g *planGroup, e *shapeEntry, replay map[int]*journal.Record,
 	sh *shard, failures [][]TestResult, prog *progress) error {
 	nc := len(r.clients)
-	// slotsFilled means every test slot of e is known-filled, so a safe
-	// clone's row is e's codes with the executed bit cleared. It becomes
-	// true after any member runs testFor across the full roster while
-	// holding a verified memo — including a memo seeded entirely from a
-	// resumed journal.
-	slotsFilled := false
+	// rowFilled means e's test row is known-filled, so a safe clone's
+	// row is e's codes with the executed bit cleared. It becomes true
+	// after any member runs testRow while holding a verified memo —
+	// including a memo seeded entirely from a resumed journal.
+	rowFilled := false
 	var clones []int
 	var firstErr error
 	for mi, di := range g.Members {
@@ -450,7 +486,7 @@ func (r *Runner) runPlannedGroup(server framework.ServerFramework, defs []servic
 			}
 			continue
 		}
-		if slotsFilled && g.safe[mi] {
+		if rowFilled && g.safe[mi] {
 			clones = append(clones, di)
 			continue
 		}
@@ -474,11 +510,9 @@ func (r *Runner) runPlannedGroup(server framework.ServerFramework, defs []servic
 			verified: slot.verified,
 			codes:    make([]outcomeCode, nc),
 		}
-		for ci := 0; ci < nc; ci++ {
-			st.codes[ci] = r.testFor(&st.svc, ci)
-		}
+		r.testRow(&st.svc, st.codes)
 		if st.svc.memo != nil {
-			slotsFilled = true
+			rowFilled = true
 		}
 		fails := r.foldService(&st, sh)
 		if failures != nil {
@@ -496,10 +530,10 @@ func (r *Runner) runPlannedGroup(server framework.ServerFramework, defs []servic
 // broadcastClones resolves a group's remaining safe members in one
 // columnar step. Counter parity with the per-member path, per clone:
 // publishEntry's memoized branch contributes publishTotal, pubTotal,
-// pubHits, publishMemoized and wsiMemoized; testFor's memo-hit branch
+// pubHits, publishMemoized and wsiMemoized; testRow's memo-hit branch
 // contributes testTotal (both), testMemoized per client. Those sums
 // are batched here; the outcome row is the representative's with the
-// executed bit cleared — exactly what testFor returns for a clone —
+// executed bit cleared — exactly what testRow returns for a clone —
 // so the fold, the Failures index, and the journal see byte-identical
 // data to running every clone individually.
 func (r *Runner) broadcastClones(server framework.ServerFramework, defs []services.Definition,
@@ -519,8 +553,8 @@ func (r *Runner) broadcastClones(server framework.ServerFramework, defs []servic
 	m.testMemoized.Add(kt)
 
 	codes := make([]outcomeCode, nc)
-	for ci := 0; ci < nc; ci++ {
-		codes[ci] = e.tests[ci].code &^ codeExecuted
+	for ci, code := range e.row.codes {
+		codes[ci] = code &^ codeExecuted
 	}
 	errored := r.foldCodes(sh, server.Name(), e.flagged, e.profiles, codes, len(clones))
 	keep := failures != nil && errored
@@ -577,9 +611,7 @@ func (r *Runner) runPlannedLoose(server framework.ServerFramework, def services.
 		verified: slot.verified,
 		codes:    make([]outcomeCode, len(r.clients)),
 	}
-	for ci := range r.clients {
-		st.codes[ci] = r.testFor(&st.svc, ci)
-	}
+	r.testRow(&st.svc, st.codes)
 	fails := r.foldService(&st, sh)
 	if failures != nil {
 		failures[di] = fails

@@ -292,7 +292,7 @@ func (r *Runner) runAxisStage(ctx context.Context, ax *wireAxis, cj *cellJournal
 				// Steps 4–5 start only where steps 2–3 succeeded; the
 				// generated proxy's first method is the document's first
 				// operation (unitgen's port-type order).
-				code, _ := r.verdict(x.svc, ci)
+				code := r.verdict(x.svc, ci)
 				x.blocked = code.errorAnywhere() || code&codeCompileRan == 0
 				if !x.blocked {
 					x.deployment = deployed[pi]

@@ -44,9 +44,12 @@ type Fingerprint [sha256.Size]byte
 // String renders the fingerprint as hex for reports and debugging.
 func (f Fingerprint) String() string { return hex.EncodeToString(f[:8]) }
 
-// Of computes the structural fingerprint of a definition.
+// Of computes the structural fingerprint of a definition. The
+// canonical form is built in a stack buffer; only a class with an
+// unusually long field list spills it to the heap.
 func Of(def services.Definition) Fingerprint {
-	return sha256.Sum256(Canonical(def, nil))
+	var buf [256]byte
+	return sha256.Sum256(Canonical(def, buf[:0]))
 }
 
 // Canonical appends the canonical trait serialization of the
@@ -158,12 +161,20 @@ func Sentinel(def services.Definition) (services.Definition, []string) {
 // that fail the guard — hostile names — simply skip the memo layer
 // and take the per-class path.
 func Memoizable(def services.Definition) bool {
-	for _, v := range Vars(def) {
-		if !plain(v) {
+	return MemoizableVars(VarsArray(def))
+}
+
+// MemoizableVars is Memoizable over the definition's VarsArray, for a
+// caller that already derived the name-derived strings (the campaign
+// plan feeds the same array to the WS-I substitution predicates).
+func MemoizableVars(v [3]string) bool {
+	for _, s := range v {
+		if !plain(s) {
 			return false
 		}
 	}
-	return xsd.SanitizeNCName(def.Name) == def.Name
+	name := v[SlotService]
+	return xsd.SanitizeNCName(name) == name
 }
 
 // plain reports whether s is non-empty printable ASCII free of XML

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 
 	"wsinterop/internal/obs"
 	"wsinterop/internal/soap"
@@ -88,19 +89,22 @@ func (b *LocalBridge) Invoke(ctx context.Context, path string, req *soap.Message
 	if err != nil {
 		return nil, fmt.Errorf("encode request: %w", err)
 	}
+	// The path is parsed once per Invoke: the first attempt's request
+	// owns the parsed URL, and a retry gets its own copy.
+	target, err := url.Parse(path)
+	if err != nil {
+		return nil, fmt.Errorf("build request: %w", err)
+	}
+	contentType, action := codec.ContentType(""), codec.UsesActionHeader()
 	return invokeWithRetry(ctx, b.meters, b.retry, func(ctx context.Context, n int) (*soap.Message, error) {
 		// Every attempt sends the whole body afresh; Sniffer and Host
 		// read it in place (readBody).
-		httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, path, &localBody{data: body})
-		if err != nil {
-			return nil, fmt.Errorf("build request: %w", err)
+		u := target
+		if n > 1 {
+			cp := *target
+			u = &cp
 		}
-		httpReq.ContentLength = int64(len(body))
-		httpReq.Header.Set("Content-Type", codec.ContentType(""))
-		if codec.UsesActionHeader() {
-			httpReq.Header.Set(soapActionHeader, `""`)
-		}
-		stampTrace(ctx, httpReq.Header)
+		httpReq := newLocalRequest(ctx, u, body, contentType, action)
 		b.retry.annotate(n, httpReq.Header)
 
 		// The capture enforces the read budget while the handler writes,
@@ -132,6 +136,42 @@ func (b *LocalBridge) serve(w http.ResponseWriter, r *http.Request) (err error) 
 	}()
 	b.handler.ServeHTTP(w, r)
 	return nil
+}
+
+// localParts is the per-attempt storage of an in-process request,
+// allocated as one: its body and its header values.
+type localParts struct {
+	body localBody
+	vals [3]string
+}
+
+// newLocalRequest builds one attempt's in-process POST directly: the
+// request http.NewRequestWithContext would build for target, with
+// ContentLength set and no GetBody, and one header map sized for its
+// values — Content-Type, SOAPAction when the codec uses it, and the
+// trace header when ctx carries a trace.
+func newLocalRequest(ctx context.Context, target *url.URL, body []byte, contentType string, action bool) *http.Request {
+	p := &localParts{body: localBody{data: body}, vals: [3]string{contentType, `""`, obs.TraceFrom(ctx)}}
+	h := make(http.Header, len(p.vals))
+	h["Content-Type"] = p.vals[0:1:1]
+	if action {
+		h[soapActionHeader] = p.vals[1:2:2]
+	}
+	if p.vals[2] != "" {
+		h[obs.TraceHeader] = p.vals[2:3:3]
+	}
+	req := http.Request{
+		Method:        http.MethodPost,
+		URL:           target,
+		Proto:         "HTTP/1.1",
+		ProtoMajor:    1,
+		ProtoMinor:    1,
+		Header:        h,
+		Body:          &p.body,
+		ContentLength: int64(len(body)),
+		Host:          target.Host,
+	}
+	return req.WithContext(ctx)
 }
 
 // soapActionHeader is the SOAPAction header name in canonical form,

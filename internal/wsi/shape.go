@@ -107,19 +107,54 @@ func SubstitutionSafe(service, namespace, simple string) bool {
 
 // IsNCName reports whether s is a valid XML NCName (a Name with no
 // colon) — the production service and type names must satisfy for a
-// substitution to leave reference resolution untouched.
+// substitution to leave reference resolution untouched. Plain ASCII
+// names, every name of the stock corpus, are decided byte by byte; a
+// name with any non-ASCII byte takes the rune tables (isNCNameRunes).
 func IsNCName(s string) bool {
-	if s == "" || !utf8.ValidString(s) {
+	if s == "" {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			return isNCNameRunes(s)
+		}
+		if ncNameASCII[c] == 0 || i == 0 && ncNameASCII[c] != ncStart {
+			return false
+		}
+	}
+	return true
+}
+
+// ncNameASCII classifies the ASCII bytes of the NCName production:
+// ncStart may open a name, ncChar only continue one, 0 neither.
+var ncNameASCII = func() (t [utf8.RuneSelf]uint8) {
+	for c := 0; c < utf8.RuneSelf; c++ {
+		switch {
+		case isNCNameStart(rune(c)):
+			t[c] = ncStart
+		case isNCNameChar(rune(c)):
+			t[c] = ncChar
+		}
+	}
+	return t
+}()
+
+const (
+	ncStart = 1 + iota
+	ncChar
+)
+
+// isNCNameRunes is IsNCName over the rune tables, for a non-empty name
+// with at least one non-ASCII byte.
+func isNCNameRunes(s string) bool {
+	if !utf8.ValidString(s) {
 		// Invalid UTF-8 decodes as U+FFFD — a legal NCName rune — so
 		// a byte-wise hostile name would pass the rune checks below
 		// while the raw bytes corrupt the rendered document.
 		return false
 	}
-	ascii := true
 	for i, r := range s {
-		if r >= utf8.RuneSelf {
-			ascii = false
-		}
 		if i == 0 {
 			if !isNCNameStart(r) {
 				return false
@@ -129,9 +164,6 @@ func IsNCName(s string) bool {
 		if !isNCNameChar(r) {
 			return false
 		}
-	}
-	if ascii {
-		return true
 	}
 	return parserAcceptsName(s)
 }

@@ -26,6 +26,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"wsinterop/internal/artifact"
 	"wsinterop/internal/framework"
@@ -472,36 +473,17 @@ func (r *Runner) Publish(ctx context.Context, server framework.ServerFramework) 
 	defs := sp.defs
 	entries := r.resolveEntries(server, sp)
 	slots := make([]publishSlot, len(defs))
-
-	var wg sync.WaitGroup
-	ch := make(chan int)
-	for w := 0; w < r.workers(); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for it := range ch {
-				if it >= len(sp.Groups) {
-					di := sp.Loose[it-len(sp.Groups)]
-					slots[di] = r.publishLoose(server, defs[di])
-					continue
-				}
-				for _, di := range sp.Groups[it].Members {
-					slots[di] = r.publishEntry(entries[it], server, defs[di], true)
-				}
-			}
-		}()
-	}
-feed:
-	for it := 0; it < len(sp.Groups)+len(sp.Loose); it++ {
-		select {
-		case <-ctx.Done():
-			break feed
-		case ch <- it:
+	err = r.feed(ctx, len(sp.Groups)+len(sp.Loose), func(it int) {
+		if it >= len(sp.Groups) {
+			di := sp.Loose[it-len(sp.Groups)]
+			slots[di] = r.publishLoose(server, defs[di])
+			return
 		}
-	}
-	close(ch)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+		for _, di := range sp.Groups[it].Members {
+			slots[di] = r.publishEntry(entries[it], server, defs[di], true)
+		}
+	})
+	if err != nil {
 		return nil, 0, err
 	}
 
@@ -519,20 +501,24 @@ feed:
 
 // publishSlot is the outcome of the description step for one service
 // definition: rejected (ok=false), published, or errored. mode and
-// verified record the route taken, for the cell journal.
+// verified record the route taken, for the cell journal; the spans are
+// what an executed publish measured, for the route ledger
+// (creditPublish).
 type publishSlot struct {
 	ok       bool
 	svc      PublishedService
 	err      error
 	mode     recordMode
 	verified bool
+
+	publishSpan, wsiSpan time.Duration
 }
 
 // checkDoc runs the WS-I compliance check under the stage timer,
-// returning the primary checker's report plus the per-profile verdict
-// mask over the registered roster. The primary checker's own profile
-// reuses its report instead of evaluating twice.
-func (r *Runner) checkDoc(doc *wsdl.Definitions) (*wsi.Report, uint64) {
+// returning the primary checker's report, the per-profile verdict mask
+// over the registered roster, and the check's span. The primary
+// checker's own profile reuses its report instead of evaluating twice.
+func (r *Runner) checkDoc(doc *wsdl.Definitions) (*wsi.Report, uint64, time.Duration) {
 	start := r.met.now()
 	report := r.checker.Check(doc)
 	primary := r.checker.Profile()
@@ -548,34 +534,29 @@ func (r *Runner) checkDoc(doc *wsdl.Definitions) (*wsi.Report, uint64) {
 			mask |= 1 << uint(i)
 		}
 	}
-	r.met.observe(r.met.wsiSeconds, start)
-	r.met.wsiChecks.Inc()
-	if len(report.Violations) > 0 {
-		r.met.wsiFlagged.Inc()
-	}
-	return report, mask
+	return report, mask, r.met.since(start)
 }
 
 // publishDirect runs the description step for one definition without
 // the shape memo — the per-class path every memoized outcome is
-// verified against.
+// verified against. The caller credits the slot.
 func (r *Runner) publishDirect(server framework.ServerFramework, def services.Definition) (s publishSlot) {
 	start := r.met.now()
 	doc, err := server.Publish(def)
 	if err != nil {
 		// Not deployable: excluded from further testing (the paper's
 		// optimistic assumption at the description step).
-		r.met.observe(r.met.publishSeconds, start)
-		r.met.publishRejected.Inc()
+		s.publishSpan = r.met.since(start)
 		return s
 	}
 	raw, err := wsdl.Marshal(doc)
-	r.met.observe(r.met.publishSeconds, start)
+	s.publishSpan = r.met.since(start)
 	if err != nil {
 		s.err = fmt.Errorf("marshal WSDL for %s on %s: %w", def.Parameter.Name, server.Name(), err)
 		return s
 	}
-	report, profiles := r.checkDoc(doc)
+	report, profiles, span := r.checkDoc(doc)
+	s.wsiSpan = span
 	s.ok = true
 	s.svc = PublishedService{
 		Server:    server.Name(),
@@ -594,6 +575,35 @@ func (r *Runner) workers() int {
 		return r.cfg.Workers
 	}
 	return runtime.GOMAXPROCS(0)
+}
+
+// feed runs do for items 0..n-1 on the runner's worker pool — the one
+// pool behind Publish, the study stage and the wire stages. An item a
+// worker has received runs to completion; the feed stops handing out
+// items on cancellation, and ctx.Err() wins after the drain.
+func (r *Runner) feed(ctx context.Context, n int, do func(it int)) error {
+	ch := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < r.workers(); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for it := range ch {
+				do(it)
+			}
+		}()
+	}
+loop:
+	for it := 0; it < n; it++ {
+		select {
+		case <-ctx.Done():
+			break loop
+		case ch <- it:
+		}
+	}
+	close(ch)
+	wg.Wait()
+	return ctx.Err()
 }
 
 // RunTest executes steps 2–3 for one published service against one
@@ -616,10 +626,10 @@ const rowUnits = 16
 // still zero, writing each one's outcome code with the executed bit
 // set. The row generates for every pending client, then compiles every
 // unit that generated, then releases the units back to the generator
-// pool. Each phase is one clock span, observed once per row into
-// campaign.generate.seconds and campaign.compile.seconds (the compile
-// span only when a unit generated); the run and error counters stay per
-// test. A row with nothing pending reads no clock.
+// pool. Each phase is one clock span, credited once per row (creditRow)
+// into campaign.generate.seconds and campaign.compile.seconds (the
+// compile span only when a unit generated); the run and error counters
+// stay per test. A row with nothing pending reads no clock.
 func runRow(m *runnerMetrics, reparse bool, svc *PublishedService,
 	clients []framework.ClientFramework, codes []outcomeCode) {
 	pending := false
@@ -635,7 +645,7 @@ func runRow(m *runnerMetrics, reparse bool, svc *PublishedService,
 		units = make([]*artifact.Unit, 0, len(clients))
 	}
 	start := m.now()
-	gens, genErrs := 0, 0
+	var t rowTally
 	for i, client := range clients {
 		units = append(units, nil)
 		if codes[i] != 0 {
@@ -650,19 +660,18 @@ func runRow(m *runnerMetrics, reparse bool, svc *PublishedService,
 		}
 		if o.Error {
 			code |= codeGenError
-			genErrs++
+			t.genErrs++
 		}
 		if gen.Unit != nil {
 			code |= codeCompileRan
 			units[i] = gen.Unit
 		}
 		codes[i] = code
-		gens++
+		t.gens++
 	}
 	// The generation phase's end stamp doubles as the compile phase's
 	// start.
-	start = m.genPhase(start, gens, genErrs)
-	compiles, compileErrs := 0, 0
+	mid := m.now()
 	for i, u := range units {
 		if u == nil {
 			continue
@@ -674,18 +683,20 @@ func runRow(m *runnerMetrics, reparse bool, svc *PublishedService,
 		}
 		if o.Error {
 			codes[i] |= codeCompileError
-			compileErrs++
+			t.compileErrs++
 		}
-		compiles++
+		t.compiles++
 	}
 	// The units are dead once their diagnostics are folded in; hand the
 	// arena storage back to the generator pool.
 	for _, u := range units {
 		framework.ReleaseUnit(u)
 	}
-	if compiles > 0 {
-		m.compilePhase(start, compiles, compileErrs)
+	var compileSpan time.Duration
+	if t.compiles > 0 {
+		compileSpan = m.since(mid)
 	}
+	m.creditRow(t, mid.Sub(start), compileSpan)
 }
 
 // generationFor runs the artifact generation step through the
@@ -704,10 +715,11 @@ func generationFor(client framework.ClientFramework, svc *PublishedService, repa
 
 // Run executes the full campaign. Each server stage executes the
 // runner's execution plan shape-first (plan.go): workers own whole
-// shape groups, publish and test their members, and fold classified
-// outcomes into a private Result shard. A deterministic per-server
-// merge then re-establishes the aggregate, so the Result is identical
-// to a sequential run regardless of worker count or scheduling.
+// shape groups, publish and test their members, and write each class's
+// classified outcomes into its own slot of the stage's slab. One serial
+// fold then walks the slots in catalog order, so the Result is
+// identical to a sequential run regardless of worker count or
+// scheduling.
 //
 // With WithCheckpoint set the run is durable: completed cells are
 // journaled as they finish, cancellation drains in-flight work and
@@ -805,99 +817,6 @@ func newResult(r *Runner) *Result {
 		})
 	}
 	return res
-}
-
-// svcState carries one published service through its client tests
-// and the classification fold.
-type svcState struct {
-	svc PublishedService
-	// codes is the columnar outcome row: one packed outcomeCode per
-	// client slot (columnar.go), including the executed bit the cell
-	// journal persists so resume reconstructs memo state and counters
-	// exactly.
-	codes []outcomeCode
-	// mode and verified record the service's publish route for the
-	// journal (checkpoint.go).
-	mode     recordMode
-	verified bool
-}
-
-// shard is one test worker's private partial Result for the current
-// server stage: the Fig. 4 / Table III counters folded locally, with
-// no cross-worker synchronization. Shards replace the serial
-// classification loop; the per-server tree merge restores the totals.
-type shard struct {
-	server  ServerSummary
-	clients []ClientSummary
-	cells   []Cell
-	// deployed and descriptionWarnings count the stage's folded
-	// (published) services. They live in the shard so the merge is a
-	// pure columnar sum — no retained per-service state to scan.
-	deployed                 int
-	descriptionWarnings      int
-	interopErrors            int
-	sameFrameworkErrors      int
-	flaggedCleanServices     int
-	unflaggedFailingServices int
-	// profileCompliant counts the stage's folded services compliant
-	// with each registered profile, indexed in roster order.
-	profileCompliant []int
-}
-
-// newShard allocates one worker's private stage shard.
-func newShard(clients, profiles int) *shard {
-	return &shard{
-		clients:          make([]ClientSummary, clients),
-		cells:            make([]Cell, clients),
-		profileCompliant: make([]int, profiles),
-	}
-}
-
-// add folds another shard of the same stage into s. Every field is an
-// integer sum, so folding is associative and commutative — the
-// property the tree merge relies on.
-func (s *shard) add(o *shard) {
-	s.server.Tests += o.server.Tests
-	s.server.GenWarnings += o.server.GenWarnings
-	s.server.GenErrors += o.server.GenErrors
-	s.server.CompileWarnings += o.server.CompileWarnings
-	s.server.CompileErrors += o.server.CompileErrors
-	for ci := range s.clients {
-		s.clients[ci].add(&o.clients[ci])
-		s.cells[ci].add(&o.cells[ci])
-	}
-	s.deployed += o.deployed
-	s.descriptionWarnings += o.descriptionWarnings
-	s.interopErrors += o.interopErrors
-	s.sameFrameworkErrors += o.sameFrameworkErrors
-	s.flaggedCleanServices += o.flaggedCleanServices
-	s.unflaggedFailingServices += o.unflaggedFailingServices
-	for pi := range s.profileCompliant {
-		s.profileCompliant[pi] += o.profileCompliant[pi]
-	}
-}
-
-// mergeShards folds a stage's shards pairwise in parallel rounds — a
-// tree merge. Shard addition is order-independent, so the result is
-// identical to the old serial fold regardless of pairing.
-func mergeShards(shards []*shard) *shard {
-	for len(shards) > 1 {
-		half := (len(shards) + 1) / 2
-		var wg sync.WaitGroup
-		for i := 0; i+half < len(shards); i++ {
-			wg.Add(1)
-			go func(dst, src *shard) {
-				defer wg.Done()
-				dst.add(src)
-			}(shards[i], shards[i+half])
-		}
-		wg.Wait()
-		shards = shards[:half]
-	}
-	if len(shards) == 0 {
-		return nil
-	}
-	return shards[0]
 }
 
 // progress delivers WithProgress callbacks for one server stage
@@ -1014,158 +933,107 @@ func (r *Runner) defsFor(server framework.ServerFramework) ([]services.Definitio
 	return defs, nil
 }
 
-// foldService classifies one fully tested service into a shard — the
-// per-service body of the classification fold. It returns the service's
-// errored tests in client roster order for the Failures index (nil
-// unless WithKeepFailures).
-func (r *Runner) foldService(st *svcState, sh *shard) []TestResult {
-	errored := r.foldCodes(sh, st.svc.Server, st.svc.Flagged, st.svc.Profiles, st.codes, 1)
-	if !errored || !r.cfg.KeepFailures {
-		return nil
+// foldStage is a study stage's one serial fold. It runs after the pool
+// drains and walks the stage's cells in catalog order: each published
+// service is classified into res, and its errored tests join the
+// Failures index. Routes only fill slots, so neither the Result nor a
+// fold counter depends on worker count or scheduling.
+func (r *Runner) foldStage(res *Result, st *studyStage) {
+	name := st.server.Name()
+	sum := res.Servers[name]
+	sum.Created = len(st.cells)
+	res.TotalServices += len(st.cells)
+	cells := make([]*Cell, st.nc)
+	clients := make([]*ClientSummary, st.nc)
+	for ci, c := range r.clients {
+		cells[ci], clients[ci] = res.Matrix[c.Name()][name], res.Clients[c.Name()]
 	}
-	return r.failsFor(st.svc.Server, st.svc.Class, st.codes)
-}
-
-// foldCodes folds one columnar outcome row into a shard n times — the
-// classification fold's core. n > 1 is the planned executor's clone
-// broadcast: every safe clone of a verified shape carries exactly the
-// representative's codes and flagged status, so the whole fan-out is
-// one multiplied fold instead of a per-class pass. Returns whether any
-// cell of the row errored.
-func (r *Runner) foldCodes(sh *shard, server string, flagged bool, profiles uint64, codes []outcomeCode, n int) bool {
-	sh.deployed += n
-	if flagged {
-		sh.descriptionWarnings += n
-	}
-	for pi := range sh.profileCompliant {
-		if profiles&(1<<uint(pi)) != 0 {
-			sh.profileCompliant[pi] += n
-			r.met.profileCompliant[pi].Add(int64(n))
+	compliant := make([]int, len(r.profiles))
+	for di := range st.cells {
+		c := &st.cells[di]
+		if !c.published {
+			continue
 		}
-	}
-	cleanEverywhere := true
-	for ci := range codes {
-		code := codes[ci]
-		cell := &sh.cells[ci]
-		sum := &sh.server
-		cli := &sh.clients[ci]
-
-		cell.Tests += n
-		sum.Tests += n
-		cli.Tests += n
-		if code&codeGenWarning != 0 {
-			cell.GenWarnings += n
-			sum.GenWarnings += n
-			cli.GenWarnings += n
+		sum.Deployed++
+		res.TotalPublished++
+		if c.flagged {
+			sum.DescriptionWarnings++
+			res.FlaggedServices++
 		}
-		if code&codeGenError != 0 {
-			cell.GenErrors += n
-			sum.GenErrors += n
-			cli.GenErrors += n
-			sh.interopErrors += n
-		}
-		if code&codeCompileRan != 0 {
-			if code&codeCompileWarning != 0 {
-				cell.CompileWarnings += n
-				sum.CompileWarnings += n
-				cli.CompileWarnings += n
-			}
-			if code&codeCompileError != 0 {
-				cell.CompileErrors += n
-				sum.CompileErrors += n
-				cli.CompileErrors += n
-				sh.interopErrors += n
+		for pi := range compliant {
+			if c.profiles&(1<<uint(pi)) != 0 {
+				compliant[pi]++
 			}
 		}
-		if code.errorAnywhere() {
-			cleanEverywhere = false
-			if flagged {
-				cli.ErrorsOnFlagged += n
+		row := st.row(di)
+		clean := true
+		for ci, code := range row {
+			cell, cli := cells[ci], clients[ci]
+			cell.Tests++
+			cli.Tests++
+			sum.Tests++
+			res.TotalTests++
+			if code&codeGenWarning != 0 {
+				cell.GenWarnings++
+				cli.GenWarnings++
+				sum.GenWarnings++
+			}
+			if code&codeGenError != 0 {
+				cell.GenErrors++
+				cli.GenErrors++
+				sum.GenErrors++
+				res.InteropErrors++
+			}
+			if code&codeCompileRan != 0 {
+				if code&codeCompileWarning != 0 {
+					cell.CompileWarnings++
+					cli.CompileWarnings++
+					sum.CompileWarnings++
+				}
+				if code&codeCompileError != 0 {
+					cell.CompileErrors++
+					cli.CompileErrors++
+					sum.CompileErrors++
+					res.InteropErrors++
+				}
+			}
+			if !code.errorAnywhere() {
+				continue
+			}
+			clean = false
+			if c.flagged {
+				cli.ErrorsOnFlagged++
 			} else {
-				cli.ErrorsOnClean += n
+				cli.ErrorsOnClean++
 			}
-			if r.sameFramework[r.clients[ci].Name()] == server {
-				sh.sameFrameworkErrors += n
+			if r.sameFramework[r.clients[ci].Name()] == name {
+				res.SameFrameworkErrors++
 			}
 		}
+		switch {
+		case c.flagged && clean:
+			res.FlaggedCleanServices++
+		case !c.flagged && !clean:
+			res.UnflaggedFailingServices++
+		}
+		if !clean && r.cfg.KeepFailures {
+			res.Failures = r.appendFails(res.Failures, name, st.sp.defs[di].Parameter.Name, row)
+		}
 	}
-	if flagged && cleanEverywhere {
-		sh.flaggedCleanServices += n
+	for pi, pc := range res.Profiles {
+		pc.Compliant[name] += compliant[pi]
+		pc.TotalCompliant += compliant[pi]
+		r.met.profileCompliant[pi].Add(int64(compliant[pi]))
 	}
-	if !flagged && !cleanEverywhere {
-		sh.unflaggedFailingServices += n
-	}
-	return !cleanEverywhere
 }
 
-// failsFor materializes the errored cells of one outcome row for the
+// appendFails appends the errored cells of one outcome row to the
 // Failures index, in client roster order.
-func (r *Runner) failsFor(server, class string, codes []outcomeCode) []TestResult {
-	var fails []TestResult
+func (r *Runner) appendFails(fails []TestResult, server, class string, codes []outcomeCode) []TestResult {
 	for ci, code := range codes {
 		if code.errorAnywhere() {
 			fails = append(fails, code.testResult(server, r.clients[ci].Name(), class))
 		}
 	}
 	return fails
-}
-
-// add accumulates another partial cell.
-func (c *Cell) add(o *Cell) {
-	c.Tests += o.Tests
-	c.GenWarnings += o.GenWarnings
-	c.GenErrors += o.GenErrors
-	c.CompileWarnings += o.CompileWarnings
-	c.CompileErrors += o.CompileErrors
-}
-
-// add accumulates another partial client summary.
-func (c *ClientSummary) add(o *ClientSummary) {
-	c.Tests += o.Tests
-	c.GenWarnings += o.GenWarnings
-	c.GenErrors += o.GenErrors
-	c.CompileWarnings += o.CompileWarnings
-	c.CompileErrors += o.CompileErrors
-	c.ErrorsOnFlagged += o.ErrorsOnFlagged
-	c.ErrorsOnClean += o.ErrorsOnClean
-}
-
-// mergeServer tree-merges one stage's shards and folds the total into
-// the aggregate. Counter sums are order-independent and failures are
-// concatenated by service definition index, so the merged Result is
-// identical to the old serial fold's.
-func (r *Runner) mergeServer(res *Result, serverName string, created int,
-	shards []*shard, failures [][]TestResult) {
-	sum := res.Servers[serverName]
-	sum.Created = created
-	res.TotalServices += created
-	sh := mergeShards(shards)
-	if sh == nil {
-		sh = newShard(len(r.clients), len(r.profiles))
-	}
-	sum.Deployed += sh.deployed
-	res.TotalPublished += sh.deployed
-	sum.DescriptionWarnings += sh.descriptionWarnings
-	res.FlaggedServices += sh.descriptionWarnings
-	for pi, pc := range res.Profiles {
-		pc.Compliant[serverName] += sh.profileCompliant[pi]
-		pc.TotalCompliant += sh.profileCompliant[pi]
-	}
-	for ci, c := range r.clients {
-		res.Matrix[c.Name()][serverName].add(&sh.cells[ci])
-		res.Clients[c.Name()].add(&sh.clients[ci])
-	}
-	sum.Tests += sh.server.Tests
-	sum.GenWarnings += sh.server.GenWarnings
-	sum.GenErrors += sh.server.GenErrors
-	sum.CompileWarnings += sh.server.CompileWarnings
-	sum.CompileErrors += sh.server.CompileErrors
-	res.TotalTests += sh.server.Tests
-	res.InteropErrors += sh.interopErrors
-	res.SameFrameworkErrors += sh.sameFrameworkErrors
-	res.FlaggedCleanServices += sh.flaggedCleanServices
-	res.UnflaggedFailingServices += sh.unflaggedFailingServices
-	for _, fails := range failures {
-		res.Failures = append(res.Failures, fails...)
-	}
 }

@@ -59,7 +59,8 @@ const (
 	modeMemoized                // rendered from the shape's verified template
 )
 
-var modeIDs = map[recordMode]string{
+// modeIDs names each route in the journal, indexed by recordMode.
+var modeIDs = [...]string{
 	modeDirect:       "direct",
 	modeFallback:     "fallback",
 	modeBuilt:        "built",
@@ -71,8 +72,8 @@ var modeIDs = map[recordMode]string{
 func (m recordMode) id() string { return modeIDs[m] }
 
 func parseMode(s string) (recordMode, error) {
-	for m, id := range modeIDs {
-		if id == s {
+	for m := modeDirect; int(m) < len(modeIDs); m++ {
+		if modeIDs[m] == s {
 			return m, nil
 		}
 	}
@@ -363,25 +364,26 @@ func (r *Runner) checkRecord(ax *wireAxis, rec *journal.Record) error {
 	return nil
 }
 
-// journalService records one fully tested service cell.
-func (r *Runner) journalService(st *svcState) {
+// journalService records one fully tested service cell: its publish
+// slot and its row of outcome codes.
+func (r *Runner) journalService(s *publishSlot, codes []outcomeCode) {
 	if r.ckpt == nil {
 		return
 	}
-	svc := &st.svc
+	svc := &s.svc
 	rec := journal.Record{
 		Trace:     cellTrace(svc.Server, svc.Class),
 		Server:    svc.Server,
 		Class:     svc.Class,
-		Mode:      st.mode.id(),
+		Mode:      s.mode.id(),
 		Published: true,
-		Verified:  st.verified,
+		Verified:  s.verified,
 		Flagged:   svc.Flagged,
 		Compliant: svc.Compliant,
 		Profiles:  svc.Profiles,
-		Codes:     codeBytes(st.codes),
+		Codes:     codeBytes(codes),
 	}
-	if st.mode == modeBuilt && st.verified && !svc.memo.solo {
+	if s.mode == modeBuilt && s.verified && !svc.memo.solo {
 		// Only the verified builder of a multi-member shape carries its
 		// document: a resume that still has members of the shape to run
 		// re-splits the template from it. A solo shape has nobody left to
@@ -567,92 +569,31 @@ func (r *Runner) seedBuilder(e *shapeEntry, server framework.ServerFramework) er
 }
 
 // replayCell re-applies one journaled cell (already checked by
-// replayPlan) in place of executing it: the exact counter and histogram
-// contributions its original execution made (stage latencies observe
-// zero, matching a frozen-clock run), then the fold of its outcome
-// codes into the stage worker's shard. A record's executed tests are
-// one test row (runRow), so the generate and compile histograms
-// observe once per record with an executed code, not once per code.
-func (r *Runner) replayCell(rec *journal.Record, di int, sh *shard, failures [][]TestResult, prog *progress) error {
+// replayPlan) in place of executing it: its route's counter and
+// histogram contributions go through the same ledger the live routes
+// use, with zero spans (matching a frozen-clock run), and its outcome
+// codes fill its definition's slot for the fold. A record's executed
+// tests are one test row (runRow), so the generate and compile
+// histograms observe once per record with an executed code.
+func (r *Runner) replayCell(st *studyStage, di int, rec *journal.Record) {
 	mode, err := parseMode(rec.Mode)
 	if err != nil {
-		return fmt.Errorf("campaign: journal record %s: %w", rec.Trace, err)
+		st.fail(di, fmt.Errorf("campaign: journal record %s (%s on %s): %w", rec.Trace, rec.Class, rec.Server, err))
+		return
 	}
-	m, d := r.met, r.dedup
-	m.publishTotal.Inc()
-	memoLayer := mode != modeDirect && mode != modeFallback
-	if memoLayer {
-		d.pubTotal.Add(1)
-	}
-	switch mode {
-	case modeFallback, modeMemoFallback:
-		d.fallbacks.Add(1)
-		m.publishFallback.Inc()
-	case modeBuilt:
-		d.shapes.Add(1)
-	case modeMemoRejected, modeMemoized:
-		d.pubHits.Add(1)
-		m.publishMemoized.Inc()
-		if rec.Published {
-			m.wsiMemoized.Inc()
-		}
-	}
-	if !memoLayer || mode == modeBuilt || mode == modeMemoFallback {
-		// The publishDirect / buildShape contributions: a publish
-		// latency always, and the WS-I check when published.
-		m.publishSeconds.Observe(0)
-		if !rec.Published {
-			m.publishRejected.Inc()
-		} else {
-			m.wsiSeconds.Observe(0)
-			m.wsiChecks.Inc()
-			if rec.Flagged {
-				m.wsiFlagged.Inc()
-			}
-		}
-	}
+	r.creditPublish(mode, rec.Published, rec.Flagged, 1, 0, 0)
 	if rec.Published {
-		memoed := memoRouted(rec)
-		generated, compiled := false, false
-		codes := make([]outcomeCode, len(rec.Codes))
+		codes := st.row(di)
+		var t rowTally
 		for ci, c := range rec.Codes {
-			code := outcomeCode(c)
-			m.testTotal.Inc()
-			if memoed {
-				d.testTotal.Add(1)
-				if code.executed() {
-					d.testRuns.Add(1)
-				} else {
-					m.testMemoized.Inc()
-				}
+			if codes[ci] = outcomeCode(c); codes[ci].executed() {
+				t.add(codes[ci])
 			}
-			if code.executed() {
-				generated = true
-				m.genRuns.Inc()
-				if code&codeGenError != 0 {
-					m.genErrors.Inc()
-				}
-				if code&codeCompileRan != 0 {
-					compiled = true
-					m.compileRuns.Inc()
-					if code&codeCompileError != 0 {
-						m.compileErrors.Inc()
-					}
-				}
-			}
-			codes[ci] = code
 		}
-		if generated {
-			m.genSeconds.Observe(0)
-		}
-		if compiled {
-			m.compileSeconds.Observe(0)
-		}
-		if r.foldCodes(sh, rec.Server, rec.Flagged, rec.Profiles, codes, 1) && failures != nil {
-			failures[di] = r.failsFor(rec.Server, rec.Class, codes)
-		}
+		r.creditTests(memoRouted(rec), int64(len(codes)), t.gens)
+		r.met.creditRow(t, 0, 0)
+		st.cells[di] = studyCell{published: true, flagged: rec.Flagged, profiles: rec.Profiles}
 	}
 	r.ckpt.resumed.Inc()
-	prog.serviceDone()
-	return nil
+	st.prog.serviceDone()
 }

@@ -373,3 +373,58 @@ func TestJournalRecordChecks(t *testing.T) {
 		})
 	}
 }
+
+// TestStageErrorInCatalogOrder forges two study records of an unknown
+// publish route into a journal and resumes it at 8 workers, repeatedly:
+// the stage must report the record that comes first in catalog order,
+// whichever workers happened to replay the two.
+func TestStageErrorInCatalogOrder(t *testing.T) {
+	const limit = 60
+	r := newRunner(config{Limit: limit})
+	sp, err := r.planFor(r.servers[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	server := r.servers[0].Name()
+	first, second := sp.defs[3].Parameter.Name, sp.defs[limit-2].Parameter.Name
+	dir := t.TempDir()
+	interruptAt(t, config{Limit: limit, Workers: 2}, dir, 0)
+	j, err := journal.Open(dir, journal.Meta{Fingerprint: r.journalFingerprint(studyAxis)}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The later class is journaled first, so journal order does not
+	// decide either.
+	for _, class := range []string{second, first} {
+		if err := j.Append(journal.Record{Trace: cellTrace(server, class), Server: server, Class: class, Mode: "bogus"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Every resume starts from the forged journal: a failed resume still
+	// journals the cells it finished.
+	data, err := os.ReadFile(journaltest.Path(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, err := os.ReadFile(filepath.Join(dir, "meta.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := cellTrace(server, first)
+	for i := 0; i < 20; i++ {
+		run := t.TempDir()
+		if err := os.WriteFile(journaltest.Path(run), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(run, "meta.json"), meta, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := newRunner(config{Limit: limit, Workers: 8, Checkpoint: run, Resume: true}).Run(context.Background())
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("resume %d: err = %v, want the unknown route of %s (record %s)", i, err, first, want)
+		}
+	}
+}

@@ -198,7 +198,8 @@ func (r *Runner) dedupOn() bool { return !r.cfg.noDedup }
 // publishEntry routes one memoizable definition through its shape memo
 // entry, resolved in bulk from the plan (resolveEntries). The returned
 // slot carries the route taken (recordMode) so the cell journal can
-// replay the exact same counter contributions on resume.
+// replay the exact same counter contributions on resume, and the route
+// ledger (creditPublish) credits it once the route is known.
 //
 // needDoc controls whether the slot's service carries its serialized
 // document. Inside Run nothing reads the bytes of a clone or of a solo
@@ -209,8 +210,7 @@ func (r *Runner) dedupOn() bool { return !r.cfg.noDedup }
 // (repDoc). Every other route (direct, fallback, multi-member builder)
 // always carries its document.
 func (r *Runner) publishEntry(e *shapeEntry, server framework.ServerFramework, def services.Definition, needDoc bool) (s publishSlot) {
-	r.met.publishTotal.Inc()
-	r.dedup.pubTotal.Add(1)
+	defer r.creditSlot(&s)
 	built := false
 	var seedErr error
 	e.once.Do(func() {
@@ -221,7 +221,6 @@ func (r *Runner) publishEntry(e *shapeEntry, server framework.ServerFramework, d
 			return
 		}
 		built = true
-		r.dedup.shapes.Add(1)
 		s = r.buildShape(e, server, def, needDoc)
 	})
 	if seedErr != nil {
@@ -240,8 +239,6 @@ func (r *Runner) publishEntry(e *shapeEntry, server framework.ServerFramework, d
 	}
 	switch {
 	case e.rejected:
-		r.dedup.pubHits.Add(1)
-		r.met.publishMemoized.Inc()
 		s.mode = modeMemoRejected
 		return s
 	case e.solo && e.rep.memo != nil:
@@ -249,9 +246,6 @@ func (r *Runner) publishEntry(e *shapeEntry, server framework.ServerFramework, d
 		// published again (a repeated Run, or the next mode's Publish on
 		// this runner): serve the representative itself, with its bytes
 		// rendered on first demand if its build skipped them.
-		r.dedup.pubHits.Add(1)
-		r.met.publishMemoized.Inc()
-		r.met.wsiMemoized.Inc()
 		s.svc = e.rep
 		if needDoc && s.svc.Doc == nil {
 			raw, err := e.repDoc()
@@ -266,8 +260,6 @@ func (r *Runner) publishEntry(e *shapeEntry, server framework.ServerFramework, d
 		return s
 	case e.tmpl == nil:
 		// The shape failed template verification: per-class path.
-		r.dedup.fallbacks.Add(1)
-		r.met.publishFallback.Inc()
 		s = r.publishDirect(server, def)
 		s.mode = modeMemoFallback
 		return s
@@ -276,8 +268,6 @@ func (r *Runner) publishEntry(e *shapeEntry, server framework.ServerFramework, d
 		// The name-sensitive WS-I chunk predicates failed: the shape's
 		// memoized verdict may not transfer to this class's names, so
 		// it takes the full per-class path (DESIGN.md §10).
-		r.dedup.fallbacks.Add(1)
-		r.met.publishFallback.Inc()
 		s = r.publishDirect(server, def)
 		s.mode = modeMemoFallback
 		return s
@@ -288,18 +278,14 @@ func (r *Runner) publishEntry(e *shapeEntry, server framework.ServerFramework, d
 		raw, err = e.tmpl.Render(shape.Vars(def))
 		if err != nil {
 			// Unreachable (slot arity is fixed); stay correct regardless.
-			r.dedup.fallbacks.Add(1)
-			r.met.publishFallback.Inc()
 			s = r.publishDirect(server, def)
 			s.mode = modeMemoFallback
 			return s
 		}
 	}
-	r.dedup.pubHits.Add(1)
-	r.met.publishMemoized.Inc()
-	// The WS-I verdict rides the memo: count it so the shape-level
-	// check path stays observable next to executed checks (wsiChecks).
-	r.met.wsiMemoized.Inc()
+	// The WS-I verdict rides the memo: the ledger counts it as memoized,
+	// so the shape-level check path stays observable next to executed
+	// checks (campaign.wsi.checks).
 	s.ok = true
 	s.mode = modeMemoized
 	s.svc = PublishedService{
@@ -322,18 +308,18 @@ func (r *Runner) buildShape(e *shapeEntry, server framework.ServerFramework, def
 	start := r.met.now()
 	doc, err := server.Publish(def)
 	if err != nil {
-		r.met.observe(r.met.publishSeconds, start)
-		r.met.publishRejected.Inc()
+		s.publishSpan = r.met.since(start)
 		e.rejected = true
 		return s
 	}
 	raw, err := r.repBytes(e, doc, needDoc)
-	r.met.observe(r.met.publishSeconds, start)
+	s.publishSpan = r.met.since(start)
 	if err != nil {
 		s.err = fmt.Errorf("marshal WSDL for %s on %s: %w", def.Parameter.Name, server.Name(), err)
 		return s
 	}
-	report, profiles := r.checkDoc(doc)
+	report, profiles, span := r.checkDoc(doc)
+	s.wsiSpan = span
 	e.flagged = len(report.Violations) > 0
 	e.compliant = report.Compliant()
 	e.profiles = profiles
@@ -429,11 +415,11 @@ func (r *Runner) splitShape(server framework.ServerFramework, def services.Defin
 // runs the row keeps the executed bit of every client it ran.
 func (r *Runner) testRow(svc *PublishedService, codes []outcomeCode) {
 	nc := int64(len(codes))
-	r.met.testTotal.Add(nc)
 	e := svc.memo
 	if e == nil {
 		clear(codes)
 		runRow(r.met, r.cfg.reparse, svc, r.clients, codes)
+		r.creditTests(false, nc, 0)
 		return
 	}
 	won := false
@@ -452,9 +438,7 @@ func (r *Runner) testRow(svc *PublishedService, codes []outcomeCode) {
 		}
 		codes[ci] = code
 	}
-	r.dedup.testTotal.Add(nc)
-	r.dedup.testRuns.Add(runs)
-	r.met.testMemoized.Add(nc - runs)
+	r.creditTests(true, nc, runs)
 }
 
 // verdict returns client ci's step-2/3 outcome code for svc. A service

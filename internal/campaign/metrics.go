@@ -36,9 +36,9 @@ type runnerMetrics struct {
 
 	// profileCompliant counts folded services compliant with each
 	// registered profile (campaign.wsi.profile.<id>.compliant), indexed
-	// in roster order. Incremented only inside the deterministic
-	// classification fold (foldCodes), so the values obey the obs
-	// determinism contract like every other fold counter.
+	// in roster order. Incremented only inside the study's serial fold
+	// (foldStage), so the values obey the obs determinism contract like
+	// every other fold counter.
 	profileCompliant []*obs.Counter
 	genRuns          *obs.Counter // artifact generations executed
 	genErrors        *obs.Counter // generations classified as errors
@@ -127,30 +127,100 @@ func (m *runnerMetrics) observe(h *obs.Histogram, start time.Time) {
 	h.Observe(m.reg.Since(start))
 }
 
-// genPhase folds one test row's generation phase: one span from
-// start, observed once, plus the phase's runs and errors. It returns
-// the span's end stamp, so the compile phase starts on the same clock
-// read instead of taking another.
-func (m *runnerMetrics) genPhase(start time.Time, runs, errors int) time.Time {
-	if m == nil {
-		return time.Time{}
+// rowTally counts one test row's executed steps 2–3.
+type rowTally struct{ gens, genErrs, compiles, compileErrs int64 }
+
+// add counts one executed test's outcome code.
+func (t *rowTally) add(c outcomeCode) {
+	t.gens++
+	if c&codeGenError != 0 {
+		t.genErrs++
 	}
-	end := m.reg.Now()
-	m.genSeconds.Observe(end.Sub(start))
-	m.genRuns.Add(int64(runs))
-	m.genErrors.Add(int64(errors))
-	return end
+	if c&codeCompileRan != 0 {
+		t.compiles++
+		if c&codeCompileError != 0 {
+			t.compileErrs++
+		}
+	}
 }
 
-// compilePhase folds one test row's compile phase: one span from
-// start plus the phase's runs and errors.
-func (m *runnerMetrics) compilePhase(start time.Time, runs, errors int) {
+// creditRow is the ledger of one test row's generate and compile steps:
+// their runs and errors, and each phase's span observed once per row
+// that ran it. runRow passes the spans it measured; journal replay
+// passes zero spans and a tally read from the executed bits.
+func (m *runnerMetrics) creditRow(t rowTally, genSpan, compileSpan time.Duration) {
 	if m == nil {
 		return
 	}
-	m.compileSeconds.Observe(m.reg.Since(start))
-	m.compileRuns.Add(int64(runs))
-	m.compileErrors.Add(int64(errors))
+	if t.gens > 0 {
+		m.genSeconds.Observe(genSpan)
+		m.genRuns.Add(t.gens)
+		m.genErrors.Add(t.genErrs)
+	}
+	if t.compiles > 0 {
+		m.compileSeconds.Observe(compileSpan)
+		m.compileRuns.Add(t.compiles)
+		m.compileErrors.Add(t.compileErrs)
+	}
+}
+
+// creditPublish is the publish-route ledger: the one place k publishes
+// of one route (recordMode) credit the campaign.publish.* and
+// campaign.wsi.* counters and the memo table's statistics. A route that
+// executed its publish (direct, fallback, built, memo-fallback; k is 1)
+// also observes the publish span and, when it published, the WS-I check
+// span. The live routes pass the spans they measured, the clone
+// broadcast passes k clones, and journal replay passes zero spans.
+func (r *Runner) creditPublish(mode recordMode, published, flagged bool, k int64, publishSpan, wsiSpan time.Duration) {
+	m, d := r.met, r.dedup
+	m.publishTotal.Add(k)
+	if mode != modeDirect && mode != modeFallback {
+		d.pubTotal.Add(k)
+	}
+	switch mode {
+	case modeFallback, modeMemoFallback:
+		d.fallbacks.Add(k)
+		m.publishFallback.Add(k)
+	case modeBuilt:
+		d.shapes.Add(k)
+	case modeMemoRejected, modeMemoized:
+		d.pubHits.Add(k)
+		m.publishMemoized.Add(k)
+		if published {
+			m.wsiMemoized.Add(k)
+		}
+		return
+	}
+	m.publishSeconds.Observe(publishSpan)
+	if !published {
+		m.publishRejected.Add(k)
+		return
+	}
+	m.wsiSeconds.Observe(wsiSpan)
+	m.wsiChecks.Add(k)
+	if flagged {
+		m.wsiFlagged.Add(k)
+	}
+}
+
+// creditSlot credits a completed live publish through the ledger. A
+// failed one credits nothing: its error ends the stage.
+func (r *Runner) creditSlot(s *publishSlot) {
+	if s.err == nil {
+		r.creditPublish(s.mode, s.ok, s.svc.Flagged, 1, s.publishSpan, s.wsiSpan)
+	}
+}
+
+// creditTests is the test-row ledger: tests client tests routed, of
+// which runs executed. Through the shape memo (memo) they count into
+// the memo table's statistics, and the rest count as memo-served.
+func (r *Runner) creditTests(memo bool, tests, runs int64) {
+	r.met.testTotal.Add(tests)
+	if memo {
+		r.dedup.testTotal.Add(tests)
+		r.dedup.testRuns.Add(runs)
+		r.met.testMemoized.Add(tests - runs)
+	}
 }
 
 // axisCounters returns a wire axis's per-outcome counters; nil

@@ -14,9 +14,12 @@ package campaign
 // Workers own whole groups, so the memo table mutex is taken exactly
 // once per stage (resolveEntries), and once a group's representative
 // outcomes exist the remaining safe clones are a pure columnar
-// broadcast — one multiplied fold of the representative's outcome
-// codes (foldCodes), with counters batched per group instead of bumped
-// per class.
+// broadcast: each clone's slot of the stage slab gets the
+// representative's outcome row, and the route ledger credits the whole
+// group in one call instead of once per class. Every route — a live
+// member, a clone, a loose class, a replayed journal record — writes
+// only its own definition's slot, and one serial fold (foldStage) walks
+// the slots in catalog order after the pool drains.
 //
 // The plan is bookkeeping, never authority: builders still publish,
 // byte-verify their templates, and execute real client tests through
@@ -363,98 +366,104 @@ func (r *Runner) resolveEntries(server framework.ServerFramework, sp *serverPlan
 	return entries
 }
 
-// runServer executes one server's stage shape-first and merges the
+// studyStage is one study server stage in flight: its plan, the cells
+// its journal replays, and the slab every route writes its own
+// definition's cell into. Workers own whole plan items, so no two write
+// one cell; the serial fold (foldStage) reads the slab once the pool
+// drains.
+type studyStage struct {
+	server framework.ServerFramework
+	sp     *serverPlan
+	replay map[int]*journal.Record
+	prog   *progress
+	nc     int
+	// codes holds one row of outcome codes per definition (nc clients,
+	// roster order), and cells the facts the fold reads beside each row.
+	codes []outcomeCode
+	cells []studyCell
+
+	mu    sync.Mutex
+	errAt int   // the definition index err failed at
+	err   error // the failed route first in catalog order
+}
+
+// studyCell is the fold's view of one definition: whether it published,
+// and its flagged status and profile mask.
+type studyCell struct {
+	published, flagged bool
+	profiles           uint64
+}
+
+// fail records definition di's route error. The stage reports the
+// failure first in catalog order, whichever worker held which item.
+func (st *studyStage) fail(di int, err error) {
+	st.mu.Lock()
+	if st.err == nil || di < st.errAt {
+		st.errAt, st.err = di, err
+	}
+	st.mu.Unlock()
+}
+
+// row is definition di's slot in the codes slab.
+func (st *studyStage) row(di int) []outcomeCode {
+	return st.codes[di*st.nc : (di+1)*st.nc : (di+1)*st.nc]
+}
+
+// runServer executes one server's stage shape-first and folds the
 // outcome into res: workers own whole plan items (a shape group, or one
-// loose class), so no two workers ever touch the same memo entry and
-// the execution phase takes no locks. Group outcomes fold into
-// per-worker columnar shards that tree-merge at the end.
+// loose class), so no two workers ever touch the same memo entry or
+// cell slot, and only a failing route takes a lock (fail).
 func (r *Runner) runServer(ctx context.Context, server framework.ServerFramework, res *Result) error {
 	sp, err := r.planFor(server)
 	if err != nil {
 		return err
 	}
-	defs := sp.defs
-	workers := r.workers()
-	var failures [][]TestResult
-	if r.cfg.KeepFailures {
-		failures = make([][]TestResult, len(defs))
-	}
-	prog := newProgress(r.cfg.Progress, server.Name(), len(defs))
-	defer prog.close()
+	nc := len(r.clients)
+	st := &studyStage{server: server, sp: sp, nc: nc,
+		codes: make([]outcomeCode, len(sp.defs)*nc), cells: make([]studyCell, len(sp.defs))}
+	st.prog = newProgress(r.cfg.Progress, server.Name(), len(sp.defs))
+	defer st.prog.close()
 
-	replay, err := r.replayPlan(server, defs)
-	if err != nil {
+	if st.replay, err = r.replayPlan(server, sp.defs); err != nil {
 		return err
 	}
-	if replay != nil {
-		if err := r.seedMemoFromJournal(server, sp, replay); err != nil {
+	if st.replay != nil {
+		if err := r.seedMemoFromJournal(server, sp, st.replay); err != nil {
 			return err
 		}
 		r.obs.Emit(obs.Event{
 			Trace:  obs.TraceID(server.Name(), "resume"),
 			Stage:  "resume",
 			Server: server.Name(),
-			Detail: fmt.Sprintf("%d cells replayed from journal", len(replay)),
+			Detail: fmt.Sprintf("%d cells replayed from journal", len(st.replay)),
 		})
 	}
 	entries := r.resolveEntries(server, sp)
 
-	r.met.workers.Set(int64(workers))
+	r.met.workers.Set(int64(r.workers()))
 	stageStart := r.met.now()
-	items := len(sp.Groups) + len(sp.Loose)
-	ch := make(chan int)
-	shards := make([]*shard, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		sh := newShard(len(r.clients), len(r.profiles))
-		shards[w] = sh
-		wg.Add(1)
-		go func(w int, sh *shard) {
-			defer wg.Done()
-			// Cancellation drains: an item already received executes to
-			// completion (folded and journaled — the resumable boundary)
-			// before the worker exits.
-			for it := range ch {
-				var err error
-				if it < len(sp.Groups) {
-					err = r.runPlannedGroup(server, defs, &sp.Groups[it], entries[it], replay, sh, failures, prog)
-				} else if di := sp.Loose[it-len(sp.Groups)]; replay[di] != nil {
-					err = r.replayCell(replay[di], di, sh, failures, prog)
-				} else {
-					err = r.runPlannedLoose(server, defs[di], di, sh, failures, prog)
-				}
-				if err != nil && errs[w] == nil {
-					errs[w] = err
-				}
-			}
-		}(w, sh)
-	}
-feed:
-	for it := 0; it < items; it++ {
-		select {
-		case <-ctx.Done():
-			break feed
-		case ch <- it:
+	err = r.feed(ctx, len(sp.Groups)+len(sp.Loose), func(it int) {
+		if it < len(sp.Groups) {
+			r.runPlannedGroup(st, &sp.Groups[it], entries[it])
+		} else if di := sp.Loose[it-len(sp.Groups)]; st.replay[di] != nil {
+			r.replayCell(st, di, st.replay[di])
+		} else {
+			r.runCell(st, di, r.publishLoose(server, sp.defs[di]))
 		}
-	}
-	close(ch)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	})
+	if err != nil {
 		return err
 	}
-	for _, err := range errs {
-		if err != nil {
-			return fmt.Errorf("publish on %s: %w", server.Name(), err)
-		}
+	if st.err != nil {
+		return fmt.Errorf("publish on %s: %w", server.Name(), st.err)
 	}
+	r.foldStage(res, st)
 	r.completeStage(r.ckpt, studyAxis, server.Name(), 0)
-	r.mergeServer(res, server.Name(), len(defs), shards, failures)
 	r.obs.Emit(obs.Event{
 		Trace:        obs.TraceID(server.Name()),
 		Stage:        "server-stage",
 		Server:       server.Name(),
-		Detail:       fmt.Sprintf("%d services", len(defs)),
+		Detail:       fmt.Sprintf("%d services", len(sp.defs)),
 		ElapsedNanos: int64(r.met.since(stageStart)),
 	})
 	return nil
@@ -463,162 +472,91 @@ feed:
 // runPlannedGroup executes one shape group on its single owning
 // worker. Members run individually — through the memo code
 // (publishEntry/testRow) — until the entry's test row is filled; every
-// later safe member is then served by the clone broadcast: one
-// multiplied fold of the representative's outcome row,
-// with the memo-hit counters batched per group. Unsafe members always
-// take the individual path, as do all members of unverified shapes
-// (publishEntry degrades them to per-class fallbacks).
-func (r *Runner) runPlannedGroup(server framework.ServerFramework, defs []services.Definition,
-	g *planGroup, e *shapeEntry, replay map[int]*journal.Record,
-	sh *shard, failures [][]TestResult, prog *progress) error {
-	nc := len(r.clients)
+// later safe member is then served by the clone broadcast. Unsafe
+// members always take the individual path, as do all members of
+// unverified shapes (publishEntry degrades them to per-class
+// fallbacks).
+func (r *Runner) runPlannedGroup(st *studyStage, g *planGroup, e *shapeEntry) {
 	// rowFilled means e's test row is known-filled, so a safe clone's
 	// row is e's codes with the executed bit cleared. It becomes true
 	// after any member runs testRow while holding a verified memo —
 	// including a memo seeded entirely from a resumed journal.
 	rowFilled := false
 	var clones []int
-	var firstErr error
 	for mi, di := range g.Members {
-		if rec, ok := replay[di]; ok {
-			if err := r.replayCell(rec, di, sh, failures, prog); err != nil && firstErr == nil {
-				firstErr = err
-			}
+		if rec, ok := st.replay[di]; ok {
+			r.replayCell(st, di, rec)
 			continue
 		}
 		if rowFilled && g.safe[mi] {
 			clones = append(clones, di)
 			continue
 		}
-		def := defs[di]
-		slot := r.publishEntry(e, server, def, false)
-		switch {
-		case slot.err != nil:
-			if firstErr == nil {
-				firstErr = slot.err
-			}
-			prog.serviceDone()
-			continue
-		case !slot.ok:
-			r.journalRejected(server, def, slot)
-			prog.serviceDone()
-			continue
-		}
-		st := svcState{
-			svc:      slot.svc,
-			mode:     slot.mode,
-			verified: slot.verified,
-			codes:    make([]outcomeCode, nc),
-		}
-		r.testRow(&st.svc, st.codes)
-		if st.svc.memo != nil {
-			rowFilled = true
-		}
-		fails := r.foldService(&st, sh)
-		if failures != nil {
-			failures[di] = fails
-		}
-		r.journalService(&st)
-		prog.serviceDone()
+		s := r.publishEntry(e, st.server, st.sp.defs[di], false)
+		r.runCell(st, di, s)
+		rowFilled = rowFilled || s.svc.memo != nil
 	}
 	if len(clones) > 0 {
-		r.broadcastClones(server, defs, g, e, clones, sh, failures, prog)
+		r.broadcastClones(st, e, clones)
 	}
-	return firstErr
+}
+
+// runCell completes one executed cell from its publish slot: a failed
+// route records its error, a rejected class is journaled as such, and a
+// published one runs its test row into its slot and is journaled with
+// it.
+func (r *Runner) runCell(st *studyStage, di int, s publishSlot) {
+	switch {
+	case s.err != nil:
+		st.fail(di, s.err)
+	case !s.ok:
+		r.journalRejected(st.server, st.sp.defs[di], s)
+	default:
+		codes := st.row(di)
+		r.testRow(&s.svc, codes)
+		st.cells[di] = studyCell{published: true, flagged: s.svc.Flagged, profiles: s.svc.Profiles}
+		r.journalService(&s, codes)
+	}
+	st.prog.serviceDone()
 }
 
 // broadcastClones resolves a group's remaining safe members in one
-// columnar step. Counter parity with the per-member path, per clone:
-// publishEntry's memoized branch contributes publishTotal, pubTotal,
-// pubHits, publishMemoized and wsiMemoized; testRow's memo-hit branch
-// contributes testTotal (both), testMemoized per client. Those sums
-// are batched here; the outcome row is the representative's with the
-// executed bit cleared — exactly what testRow returns for a clone —
-// so the fold, the Failures index, and the journal see byte-identical
-// data to running every clone individually.
-func (r *Runner) broadcastClones(server framework.ServerFramework, defs []services.Definition,
-	g *planGroup, e *shapeEntry, clones []int,
-	sh *shard, failures [][]TestResult, prog *progress) {
-	d, m := r.dedup, r.met
-	nc := len(r.clients)
+// step: the ledger credits k memoized publishes and k rows of
+// memo-served tests, and each clone's slot gets the representative's
+// row with the executed bit cleared — exactly what testRow returns for
+// a clone — so the fold, the Failures index and the journal see the
+// same data as running every clone individually.
+func (r *Runner) broadcastClones(st *studyStage, e *shapeEntry, clones []int) {
 	k := int64(len(clones))
-	m.publishTotal.Add(k)
-	d.pubTotal.Add(k)
-	d.pubHits.Add(k)
-	m.publishMemoized.Add(k)
-	m.wsiMemoized.Add(k)
-	kt := k * int64(nc)
-	m.testTotal.Add(kt)
-	d.testTotal.Add(kt)
-	m.testMemoized.Add(kt)
-
-	codes := make([]outcomeCode, nc)
+	r.creditPublish(modeMemoized, true, e.flagged, k, 0, 0)
+	r.creditTests(true, k*int64(st.nc), 0)
+	row := st.row(clones[0])
 	for ci, code := range e.row.codes {
-		codes[ci] = code &^ codeExecuted
+		row[ci] = code &^ codeExecuted
 	}
-	errored := r.foldCodes(sh, server.Name(), e.flagged, e.profiles, codes, len(clones))
-	keep := failures != nil && errored
-	if keep || r.ckpt != nil {
-		var row []byte // every clone's journaled codes
-		if r.ckpt != nil {
-			row = codeBytes(codes)
-		}
-		for _, di := range clones {
-			class := defs[di].Parameter.Name
-			if keep {
-				failures[di] = r.failsFor(server.Name(), class, codes)
-			}
-			r.journalClone(server.Name(), class, e, row)
-		}
+	var journaled []byte // every clone's journaled codes
+	if r.ckpt != nil {
+		journaled = codeBytes(row)
 	}
-	prog.add(len(clones))
+	for _, di := range clones {
+		copy(st.row(di), row)
+		st.cells[di] = studyCell{published: true, flagged: e.flagged, profiles: e.profiles}
+		r.journalClone(st.server.Name(), st.sp.defs[di].Parameter.Name, e, journaled)
+	}
+	st.prog.add(len(clones))
 }
 
 // publishLoose runs the description step for one loose class outside
 // the shape memo: a non-memoizable class (the fallback route), or any
 // class under the noDedup ablation (the direct route).
-func (r *Runner) publishLoose(server framework.ServerFramework, def services.Definition) publishSlot {
-	r.met.publishTotal.Inc()
-	if !r.dedupOn() {
-		s := r.publishDirect(server, def)
-		s.mode = modeDirect
-		return s
-	}
-	r.dedup.fallbacks.Add(1)
-	r.met.publishFallback.Inc()
-	s := r.publishDirect(server, def)
+func (r *Runner) publishLoose(server framework.ServerFramework, def services.Definition) (s publishSlot) {
+	defer r.creditSlot(&s)
+	s = r.publishDirect(server, def)
 	s.mode = modeFallback
+	if !r.dedupOn() {
+		s.mode = modeDirect
+	}
 	return s
-}
-
-// runPlannedLoose executes one loose class: publish, then every client
-// test on the per-class path.
-func (r *Runner) runPlannedLoose(server framework.ServerFramework, def services.Definition,
-	di int, sh *shard, failures [][]TestResult, prog *progress) error {
-	slot := r.publishLoose(server, def)
-	switch {
-	case slot.err != nil:
-		prog.serviceDone()
-		return slot.err
-	case !slot.ok:
-		r.journalRejected(server, def, slot)
-		prog.serviceDone()
-		return nil
-	}
-	st := svcState{
-		svc:      slot.svc,
-		mode:     slot.mode,
-		verified: slot.verified,
-		codes:    make([]outcomeCode, len(r.clients)),
-	}
-	r.testRow(&st.svc, st.codes)
-	fails := r.foldService(&st, sh)
-	if failures != nil {
-		failures[di] = fails
-	}
-	r.journalService(&st)
-	prog.serviceDone()
-	return nil
 }
 
 // PlanServerSummary is one server stage's row of a PlanSummary.

@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -18,6 +19,7 @@ import (
 	"wsinterop/internal/journal"
 	"wsinterop/internal/journal/journaltest"
 	"wsinterop/internal/obs"
+	"wsinterop/internal/typesys"
 )
 
 // resumeConfig is the campaign configuration under test. KeepFailures
@@ -438,5 +440,120 @@ func TestResumeEmitsEvents(t *testing.T) {
 	}
 	if reg.Counter("journal.cells.resumed").Value() == 0 {
 		t.Error("journal.cells.resumed counter is zero after a resume")
+	}
+}
+
+// routeCatalogs is a small custom catalog that takes every publish
+// route of the study journal: Widget builds a shape that Gizmo clones,
+// 9Lives shares the shape but its name fails the WS-I substitution
+// predicates (memo-fallback), Wïdget fails the shape.Memoizable guard
+// (fallback), and Hidden/Hidden2 are one undeployable shape (built,
+// then memo-rejected). The C# catalog is one bean.
+func routeCatalogs(t *testing.T) func(lang typesys.Language) *typesys.Catalog {
+	t.Helper()
+	bean := func(name string) string {
+		return `{"name":"` + name + `","kind":"bean","fields":[{"name":"value","kind":"string"}]}`
+	}
+	java, err := typesys.ImportJSON([]byte(`{"language":"Java","classes":[` +
+		bean("com.acme.Widget") + `,` + bean("com.acme.Gizmo") + `,` +
+		bean("com.acme.9Lives") + `,` + bean("com.acme.Wïdget") + `,` +
+		`{"name":"com.acme.Hidden","kind":"interface"},{"name":"com.acme.Hidden2","kind":"interface"}]}`))
+	if err != nil {
+		t.Fatalf("import Java catalog: %v", err)
+	}
+	cs, err := typesys.ImportJSON([]byte(`{"language":"C#","classes":[` + bean("Acme.Gadget") + `]}`))
+	if err != nil {
+		t.Fatalf("import C# catalog: %v", err)
+	}
+	return func(lang typesys.Language) *typesys.Catalog {
+		if lang == typesys.Java {
+			return java
+		}
+		return cs
+	}
+}
+
+// TestResumeEveryRoute kills a checkpointed run of the route catalog at
+// every journal record and resumes it, at workers 1 and 4, and merges
+// 2- and 3-way shard splits: each must reproduce the clean run's Result
+// bytes, dedup statistics and frozen-clock metrics. It runs with and
+// without the noDedup hook, so replay and merge normalization see every
+// record mode: built, memoized, memo-rejected, memo-fallback, fallback
+// and direct.
+func TestResumeEveryRoute(t *testing.T) {
+	catalogs := routeCatalogs(t)
+	for _, noDedup := range []bool{false, true} {
+		cfgFor := func(workers int) config {
+			cfg := resumeConfig(0, workers)
+			cfg.CatalogFor, cfg.noDedup = catalogs, noDedup
+			return cfg
+		}
+		t.Run(fmt.Sprintf("noDedup=%v", noDedup), func(t *testing.T) {
+			cleanCfg := cfgFor(1)
+			clean, err := newRunner(cleanCfg).Run(context.Background())
+			if err != nil {
+				t.Fatalf("clean run: %v", err)
+			}
+			cleanBytes, cleanSnap := resultBytes(t, clean), cleanCfg.Obs.Snapshot()
+			same := func(label string, res *Result, snap *obs.Snapshot) {
+				t.Helper()
+				if got := resultBytes(t, res); string(got) != string(cleanBytes) {
+					t.Errorf("%s: serialized Result differs from the clean run", label)
+				}
+				if !reflect.DeepEqual(clean.Dedup, res.Dedup) {
+					t.Errorf("%s: dedup stats differ:\nclean:   %+v\nresumed: %+v", label, clean.Dedup, res.Dedup)
+				}
+				compareSnapshots(t, label, cleanSnap, snap)
+			}
+
+			// The clean journal must hold every route this variant can take.
+			full := t.TempDir()
+			interruptAt(t, cfgFor(1), full, -1)
+			_, recs, err := journal.Load(full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			modes := map[string]bool{}
+			for _, rec := range recs {
+				modes[rec.Mode] = true
+			}
+			want := []recordMode{modeBuilt, modeMemoized, modeMemoRejected, modeMemoFallback, modeFallback}
+			if noDedup {
+				want = []recordMode{modeDirect}
+			}
+			for _, m := range want {
+				if !modes[m.id()] {
+					t.Errorf("the route catalog journaled no %q record (modes %v)", m.id(), modes)
+				}
+			}
+
+			for _, workers := range []int{1, 4} {
+				for killAt := 0; killAt <= 14; killAt++ {
+					dir := t.TempDir()
+					interruptAt(t, cfgFor(workers), dir, killAt)
+					res, snap := resume(t, cfgFor(workers), dir)
+					same(fmt.Sprintf("workers=%d/kill=%d", workers, killAt), res, snap)
+				}
+			}
+
+			for _, n := range []int{2, 3} {
+				base := t.TempDir()
+				dirs := make([]string, n)
+				for i := range dirs {
+					dirs[i] = filepath.Join(base, fmt.Sprintf("shard%d", i))
+					cfg := cfgFor(2)
+					cfg.Shard, cfg.Checkpoint = ShardSpec{Index: i, Count: n}, dirs[i]
+					if _, err := newRunner(cfg).Run(context.Background()); err != nil {
+						t.Fatalf("shard %d/%d: %v", i, n, err)
+					}
+				}
+				cfg := cfgFor(2)
+				m, err := newRunner(cfg).Merge(context.Background(), dirs)
+				if err != nil {
+					t.Fatalf("merge %d shards: %v", n, err)
+				}
+				same(fmt.Sprintf("merge=%d", n), m.Study, cfg.Obs.Snapshot())
+			}
+		})
 	}
 }

@@ -31,7 +31,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"sync"
 	"sync/atomic"
 
 	"wsinterop/internal/framework"
@@ -263,10 +262,12 @@ func (r *Runner) runAxisStage(ctx context.Context, ax *wireAxis, cj *cellJournal
 	// Resume: replay journaled services into their slots. A replayed
 	// service has no pending rows, which keeps it out of the feed.
 	pending := make([]atomic.Int32, len(published))
+	todo := make([]int, 0, len(published)) // the services the feed exchanges, in catalog order
 	for pi := range published {
 		rec, ok := cj.record(ax.trace(name, published[pi].Class))
 		if !ok {
 			pending[pi].Store(int32(nc))
+			todo = append(todo, pi)
 			continue
 		}
 		if err := r.checkAxisRecord(ax, rec); err != nil {
@@ -280,51 +281,29 @@ func (r *Runner) runAxisStage(ctx context.Context, ax *wireAxis, cj *cellJournal
 		cj.resumed.Inc()
 	}
 
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < r.workers(); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				pi, ci := idx/nc, idx%nc
-				x := wireCall{ctx: ctx, r: r, handler: handler, bridge: bridge, client: r.clients[ci], svc: &published[pi]}
-				// Steps 4–5 start only where steps 2–3 succeeded; the
-				// generated proxy's first method is the document's first
-				// operation (unitgen's port-type order).
-				code := r.verdict(x.svc, ci)
-				x.blocked = code.errorAnywhere() || code&codeCompileRan == 0
-				if !x.blocked {
-					x.deployment = deployed[pi]
-				}
-				ax.exchange(&x, codes[idx*ncol:(idx+1)*ncol], tallies[idx*nt:(idx+1)*nt])
-				// The worker finishing a service's last row journals it:
-				// the atomic counter orders the other rows' slot writes
-				// before this read. A cancellation may have cut a retry
-				// or an exchange short, so nothing after it journals.
-				if pending[pi].Add(-1) == 0 && ctx.Err() == nil {
-					c, n := service(pi)
-					cj.append(axisRecord(ax, name, x.svc.Class, c, n))
-				}
-			}
-		}()
-	}
-feed:
-	for pi := range published {
-		if pending[pi].Load() == 0 {
-			continue
+	err = r.feed(ctx, len(todo)*nc, func(job int) {
+		pi, ci := todo[job/nc], job%nc
+		idx := pi*nc + ci
+		x := wireCall{ctx: ctx, r: r, handler: handler, bridge: bridge, client: r.clients[ci], svc: &published[pi]}
+		// Steps 4–5 start only where steps 2–3 succeeded; the generated
+		// proxy's first method is the document's first operation
+		// (unitgen's port-type order).
+		code := r.verdict(x.svc, ci)
+		x.blocked = code.errorAnywhere() || code&codeCompileRan == 0
+		if !x.blocked {
+			x.deployment = deployed[pi]
 		}
-		for ci := 0; ci < nc; ci++ {
-			select {
-			case <-ctx.Done():
-				break feed
-			case jobs <- pi*nc + ci:
-			}
+		ax.exchange(&x, codes[idx*ncol:(idx+1)*ncol], tallies[idx*nt:(idx+1)*nt])
+		// The worker finishing a service's last row journals it: the
+		// atomic counter orders the other rows' slot writes before this
+		// read. A cancellation may have cut a retry or an exchange short,
+		// so nothing after it journals.
+		if pending[pi].Add(-1) == 0 && ctx.Err() == nil {
+			c, n := service(pi)
+			cj.append(axisRecord(ax, name, x.svc.Class, c, n))
 		}
-	}
-	close(jobs)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	})
+	if err != nil {
 		return err
 	}
 

@@ -12,11 +12,12 @@
 //
 // With no flags it runs the full campaign (22 024 services, 79 629
 // tests) and prints every textual report. -report comm additionally
-// runs the communication/execution extension; -faults (or -report
-// robust) runs the fault-injection robustness matrix on top of it;
-// -versions (or -report versions) runs the SOAP 1.1/1.2/hybrid
-// version interop matrix (DESIGN.md §14); -report json emits a
-// machine-readable dump of everything.
+// runs the communication/execution extension; -report robust runs the
+// fault-injection robustness matrix and -report versions the SOAP
+// 1.1/1.2/hybrid version interop matrix (DESIGN.md §14). -faults and
+// -versions run their matrix beside any -report and add its section to
+// what it prints. -report json emits a machine-readable dump of
+// everything.
 //
 // Durability: -checkpoint DIR journals every completed cell to DIR as
 // the campaign runs; SIGINT/SIGTERM then drain in-flight work, flush
@@ -77,12 +78,17 @@ import (
 )
 
 // validReports are the accepted -report modes, alphabetically, for
-// up-front validation and the error message.
-var validReports = []string{
-	"all", "chart", "comm", "compare", "dedup", "deploy", "failures",
-	"fig4", "findings", "json", "markdown", "maturity", "metrics",
-	"plan", "profiles", "robust", "table3", "versions",
-}
+// up-front validation and the error message: the static reports, the
+// dumps and one mode per wire axis.
+var validReports = func() []string {
+	modes := []string{"all", "chart", "compare", "dedup", "deploy", "failures", "fig4", "findings",
+		"json", "markdown", "maturity", "metrics", "plan", "profiles", "table3"}
+	for _, ax := range campaign.WireAxes() {
+		modes = append(modes, ax.Name())
+	}
+	slices.Sort(modes)
+	return modes
+}()
 
 // Test hooks for -serve: serveListening (when set) receives the bound
 // base URL once the daemon accepts connections, and closing serveStop
@@ -103,10 +109,12 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("interop", flag.ContinueOnError)
 	reportKind := fs.String("report", "all",
 		"report to print: "+strings.Join(validReports, ", "))
-	faults := fs.Bool("faults", false,
-		"run the fault-injection robustness matrix (server × client × fault) and print its report")
-	versionMatrix := fs.Bool("versions", false,
-		"run the SOAP version interop matrix (server × client × version scenario) and print its report")
+	axisFlags := make(map[*campaign.Axis]*bool)
+	for _, ax := range campaign.WireAxes() {
+		if ax.Flag != "" {
+			axisFlags[ax] = fs.Bool(ax.Flag, false, ax.Usage)
+		}
+	}
 	explainClass := fs.String("explain", "",
 		"print the drill-down narrative for one class (combine with -server to restrict)")
 	extended := fs.Bool("extended", false,
@@ -341,64 +349,46 @@ func run(args []string, out io.Writer) error {
 			stop()
 		}()
 	}
-	wantComm := *reportKind == "comm" || *reportKind == "json" || *reportKind == "markdown"
-	wantRobust := *faults || *reportKind == "robust"
-	wantVersions := *versionMatrix || *reportKind == "versions"
+	// A wire axis runs under its own -report mode, under its flag beside
+	// any report, and in the dumps it declares.
+	dump := *reportKind == "json" || *reportKind == "markdown"
 	var (
-		res      *campaign.Result
-		comm     *campaign.CommResult
-		robust   *campaign.RobustResult
-		versions *campaign.VersionResult
-		err      error
+		res    *campaign.Result
+		merged *campaign.Merged
+		wire   []campaign.WireResult
+		err    error
 	)
 	if len(mergeDirs) > 0 {
 		// Every requested mode is folded from the shards' journals; the
 		// coordinator executes nothing.
-		m, err := runner.Merge(ctx, mergeDirs)
-		if err != nil {
+		if merged, err = runner.Merge(ctx, mergeDirs); err != nil {
 			return finish(err)
 		}
-		for _, mode := range []struct {
-			name   string
-			absent bool
-		}{
-			{"study", m.Study == nil}, {"comm", wantComm && m.Comm == nil},
-			{"robust", wantRobust && m.Robust == nil}, {"versions", wantVersions && m.Versions == nil},
-		} {
-			if mode.absent {
-				return finish(fmt.Errorf("-merge: no %s journal in %s — run the shards with that mode first",
-					mode.name, strings.Join(mergeDirs, ", ")))
+		res = merged.Study
+	} else if res, err = runner.Run(ctx); err != nil {
+		return finish(err)
+	}
+	absent := func(mode string) error {
+		return fmt.Errorf("-merge: no %s journal in %s — run the shards with that mode first",
+			mode, strings.Join(mergeDirs, ", "))
+	}
+	if res == nil {
+		return finish(absent("study"))
+	}
+	for _, ax := range campaign.WireAxes() {
+		flagged := axisFlags[ax] != nil && *axisFlags[ax]
+		if *reportKind != ax.Name() && !flagged && !(dump && ax.Dumped) {
+			continue
+		}
+		var wr campaign.WireResult
+		if merged != nil {
+			if wr = merged.Wire[ax.Name()]; wr == nil {
+				return finish(absent(ax.Name()))
 			}
-		}
-		res = m.Study
-		if wantComm {
-			comm = m.Comm
-		}
-		if wantRobust {
-			robust = m.Robust
-		}
-		if wantVersions {
-			versions = m.Versions
-		}
-	} else {
-		if res, err = runner.Run(ctx); err != nil {
+		} else if wr, err = runner.RunWire(ctx, ax); err != nil {
 			return finish(err)
 		}
-		if wantComm {
-			if comm, err = runner.RunCommunication(ctx); err != nil {
-				return finish(err)
-			}
-		}
-		if wantRobust {
-			if robust, err = runner.RunRobustness(ctx); err != nil {
-				return finish(err)
-			}
-		}
-		if wantVersions {
-			if versions, err = runner.RunVersions(ctx); err != nil {
-				return finish(err)
-			}
-		}
+		wire = append(wire, wr)
 	}
 	if *progress && res.Dedup != nil && res.Dedup.Enabled {
 		d := res.Dedup
@@ -407,61 +397,50 @@ func run(args []string, out io.Writer) error {
 	}
 	switch *reportKind {
 	case "json":
-		return finish(report.JSON(out, res, comm, robust, versions))
+		return finish(report.JSON(out, res, wire...))
 	case "markdown":
-		return finish(report.Markdown(out, res, comm, robust, versions))
+		return finish(report.Markdown(out, res, wire...))
 	}
 
-	sections := []struct {
-		name  string
-		title string
-		write func() error
-	}{
-		{"deploy", "Service description generation (Preparation + Step 1)", func() error { return report.Deploy(out, res) }},
-		{"fig4", "Fig. 4 — per-server step overview", func() error { return report.Fig4(out, res) }},
-		{"chart", "Fig. 4 — bar chart", func() error { return report.Fig4Chart(out, res) }},
-		{"table3", "Table III — client × server issue matrix", func() error { return report.TableIII(out, res) }},
-		{"failures", "Failure index (Table III footnotes)", func() error { return report.Failures(out, res, 12) }},
-		{"findings", "Main findings (§IV)", func() error { return report.Findings(out, res) }},
-		{"dedup", "Shape memoization statistics", func() error { return report.Dedup(out, res) }},
-		{"profiles", "Compliance-profile matrix", func() error { return report.Profiles(out, res) }},
-		{"maturity", "Client tool maturity (§IV.A)", func() error { return report.Maturity(out, res) }},
-		{"compare", "Paper vs measured", func() error {
+	// A section prints when -report selects it, or when it reports a
+	// wire axis that ran.
+	type section struct {
+		name, title string
+		ran         bool
+		write       func() error
+	}
+	sections := []section{
+		{"deploy", "Service description generation (Preparation + Step 1)", false, func() error { return report.Deploy(out, res) }},
+		{"fig4", "Fig. 4 — per-server step overview", false, func() error { return report.Fig4(out, res) }},
+		{"chart", "Fig. 4 — bar chart", false, func() error { return report.Fig4Chart(out, res) }},
+		{"table3", "Table III — client × server issue matrix", false, func() error { return report.TableIII(out, res) }},
+		{"failures", "Failure index (Table III footnotes)", false, func() error { return report.Failures(out, res, 12) }},
+		{"findings", "Main findings (§IV)", false, func() error { return report.Findings(out, res) }},
+		{"dedup", "Shape memoization statistics", false, func() error { return report.Dedup(out, res) }},
+		{"profiles", "Compliance-profile matrix", false, func() error { return report.Profiles(out, res) }},
+		{"maturity", "Client tool maturity (§IV.A)", false, func() error { return report.Maturity(out, res) }},
+		{"compare", "Paper vs measured", false, func() error {
 			return report.WriteComparisons(out, report.Comparisons(res))
 		}},
-		{"comm", "Communication & Execution extension (steps 4–5)", func() error {
-			return report.Communication(out, comm)
-		}},
-		{"robust", "Robustness extension (fault injection, steps 4–5)", func() error {
-			return report.Robustness(out, robust)
-		}},
-		{"versions", "Version matrix extension (SOAP 1.1 / 1.2 / hybrid)", func() error {
-			return report.Versions(out, versions)
-		}},
-		{"metrics", "Observability metrics (stage counters & latency histograms)", func() error {
-			// The runner's cumulative registry, so extension stages that
-			// ran above (comm, robust) are included.
-			return report.Metrics(out, runner.Metrics())
-		}},
 	}
+	for _, wr := range wire {
+		ax := wr.Axis()
+		sections = append(sections, section{ax.Name(), ax.Title, true, func() error { return report.Wire(out, wr) }})
+	}
+	sections = append(sections, section{"metrics", "Observability metrics (stage counters & latency histograms)", false, func() error {
+		// The runner's cumulative registry, so the wire axes that ran
+		// above are included.
+		return report.Metrics(out, runner.Metrics())
+	}})
 	printed := false
 	for _, s := range sections {
-		if *reportKind != "all" && *reportKind != s.name {
+		if !s.ran && *reportKind != "all" && *reportKind != s.name {
 			continue
-		}
-		if s.name == "comm" && comm == nil {
-			continue // the extension runs only when requested explicitly
-		}
-		if s.name == "robust" && robust == nil {
-			continue // runs only with -faults or -report robust
-		}
-		if s.name == "versions" && versions == nil {
-			continue // runs only with -versions or -report versions
 		}
 		printed = true
 		fmt.Fprintf(out, "== %s ==\n", s.title)
 		if err := s.write(); err != nil {
-			return err
+			return finish(err)
 		}
 		fmt.Fprintln(out)
 	}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -605,5 +606,66 @@ func TestRunServeEndToEnd(t *testing.T) {
 	close(serveStop)
 	if err := <-done; err != nil {
 		t.Errorf("daemon shutdown: %v", err)
+	}
+}
+
+// TestRunAxisFlagAddsSection: a wire axis's flag runs the axis and
+// adds its section to whatever -report prints, after the static
+// sections.
+func TestRunAxisFlagAddsSection(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"-faults", "-report", "fig4"}, []string{"== Fig. 4 — per-server step overview ==", "== Robustness extension", "wrong-success cells: 0"}},
+		{[]string{"-versions", "-report", "findings"}, []string{"== Main findings", "== Version matrix extension", "hybrid-fault cells accepted: 0"}},
+	} {
+		var buf bytes.Buffer
+		if err := run(append([]string{"-limit", "5"}, tc.args...), &buf); err != nil {
+			t.Fatalf("run %v: %v", tc.args, err)
+		}
+		out, at := buf.String(), 0
+		for _, want := range tc.want {
+			i := strings.Index(out[at:], want)
+			if i < 0 {
+				t.Errorf("run %v: output lacks %q after offset %d:\n%s", tc.args, want, at, out)
+				break
+			}
+			at += i
+		}
+	}
+}
+
+// failingWriter accepts n bytes, then fails every write.
+type failingWriter struct{ n int }
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if len(p) > w.n {
+		k := w.n
+		w.n = 0
+		return k, io.ErrShortWrite
+	}
+	w.n -= len(p)
+	return len(p), nil
+}
+
+// TestRunRenderErrorWritesPartialMetrics: a section that fails to
+// render fails the run, and the metrics snapshot is still written,
+// marked partial.
+func TestRunRenderErrorWritesPartialMetrics(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "metrics.json")
+	err := run([]string{"-limit", "10", "-report", "table3", "-metrics-json", path}, &failingWriter{n: 64})
+	if !errors.Is(err, io.ErrShortWrite) {
+		t.Fatalf("run error = %v, want the writer's error", err)
+	}
+	data, rerr := os.ReadFile(path)
+	if rerr != nil {
+		t.Fatalf("metrics snapshot not written after a render error: %v", rerr)
+	}
+	var snap struct {
+		Partial bool `json:"partial"`
+	}
+	if err := json.Unmarshal(data, &snap); err != nil || !snap.Partial {
+		t.Errorf("snapshot after a render error: partial = %v (parse error %v)", snap.Partial, err)
 	}
 }

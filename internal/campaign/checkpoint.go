@@ -85,12 +85,12 @@ func parseMode(s string) (recordMode, error) {
 // codes name the code's bits, in bit order — classification bits, then
 // the executed bit — so a valid code is any value below 1<<len(codes).
 // It has no exchange of its own; Run drives it.
-var studyAxis = &wireAxis{name: "study", columns: []string{"test"},
+var studyAxis = &Axis{name: "study", columns: []string{"test"},
 	codes: []string{"gen-warning", "gen-error", "compile-ran", "compile-warning", "compile-error", "executed"}}
 
 // dir is the axis's journal directory under a checkpoint directory:
 // the root for the study, a subdirectory for each wire axis.
-func (ax *wireAxis) dir(checkpoint string) string {
+func (ax *Axis) dir(checkpoint string) string {
 	if ax == studyAxis {
 		return checkpoint
 	}
@@ -192,7 +192,7 @@ func (r *Runner) checkpointFingerprint() string {
 // configuration and to the mode's column and code catalogs, so a
 // journal whose records a changed catalog would misread is refused with
 // journal.ErrFingerprint instead.
-func (r *Runner) journalFingerprint(ax *wireAxis) string {
+func (r *Runner) journalFingerprint(ax *Axis) string {
 	parts := []string{r.checkpointFingerprint(), "axis=" + ax.name}
 	for _, c := range ax.columns {
 		parts = append(parts, "column="+c)
@@ -225,7 +225,7 @@ func (r *Runner) shardMeta() (*journal.ShardMeta, error) {
 
 // openJournal opens the mode's journal under the WithCheckpoint
 // directory (nil without one) and starts its serial writer goroutine.
-func (r *Runner) openJournal(ax *wireAxis) (*cellJournal, error) {
+func (r *Runner) openJournal(ax *Axis) (*cellJournal, error) {
 	shard, err := r.shardMeta()
 	if err != nil {
 		return nil, err
@@ -320,7 +320,7 @@ func (cj *cellJournal) record(trace string) (*journal.Record, bool) {
 // a stage appends it only after every cell of the stage — and it
 // carries the stage's path collisions, the one wire fold input not
 // reconstructible per service. It is not a cell, so it is not counted.
-func (r *Runner) completeStage(cj *cellJournal, ax *wireAxis, server string, collisions int) {
+func (r *Runner) completeStage(cj *cellJournal, ax *Axis, server string, collisions int) {
 	if cj == nil || cj.ch == nil {
 		return
 	}
@@ -334,7 +334,7 @@ func (r *Runner) completeStage(cj *cellJournal, ax *wireAxis, server string, col
 // mask do not fit the mode's catalogs and this roster — before
 // anything folds it. The fingerprint pins all of them, so a misfit
 // means a damaged or forged store, not a configuration drift.
-func (r *Runner) checkRecord(ax *wireAxis, rec *journal.Record) error {
+func (r *Runner) checkRecord(ax *Axis, rec *journal.Record) error {
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("campaign: journal record %s (%s on %s): "+format,
 			append([]any{rec.Trace, rec.Class, rec.Server}, args...)...)

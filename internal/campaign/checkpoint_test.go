@@ -318,7 +318,7 @@ func TestJournalRecordChecks(t *testing.T) {
 	}
 	for _, c := range []struct {
 		name string
-		ax   *wireAxis
+		ax   *Axis
 		rec  journal.Record
 		want string
 	}{

@@ -58,13 +58,18 @@ const commCells = "campaign.communication.cells"
 // executor: one echo exchange per (service × client) row, through a
 // per-cell message-level sniffer whose counts the row carries as its
 // two tallies (exchanges, message violations).
-var commAxis = &wireAxis{
-	name:    "comm",
-	columns: []string{"echo"},
-	codes:   commCodes,
+var commAxis = &Axis{
+	name:          "comm",
+	Dumped:        true,
+	Title:         "Communication & Execution extension (steps 4–5)",
+	MarkdownTitle: "Communication & Execution extension",
+	JSONKey:       "communication",
+	columns:       []string{"echo"},
+	codes:         commCodes,
 	// Every outcome counts one exchanged cell.
 	counters: []string{commCells, commCells, commCells, commCells, commCells},
 	tallies:  2,
+	view:     func(m *Matrix) WireResult { return commResult(m) },
 	handler:  func(_ *Runner, _ string, host *transport.Host) http.Handler { return host },
 	exchange: commRow,
 }
@@ -120,32 +125,36 @@ func (r *CommResult) Totals() CommSummary {
 	return t
 }
 
+// Axis returns the communication extension's declaration.
+func (*CommResult) Axis() *Axis { return commAxis }
+
 // RunCommunication executes the communication extension for every
 // configured server framework.
 func (r *Runner) RunCommunication(ctx context.Context) (*CommResult, error) {
-	t, err := r.runAxis(ctx, commAxis)
+	m, err := r.runAxis(ctx, commAxis)
 	if err != nil {
 		return nil, err
 	}
-	return commResult(t), nil
+	return commResult(m), nil
 }
 
-// commResult converts the executor's tally into the result.
-func commResult(t *wireTally) *CommResult {
+// commResult converts the executor's matrix into the result: its one
+// column per server, with the row tallies and path collisions.
+func commResult(m *Matrix) *CommResult {
 	res := &CommResult{
-		Servers:     make(map[string]*CommSummary, len(t.servers)),
-		ServerOrder: t.servers,
-		Clients:     make(map[string]*CommSummary, len(t.clientOrder)),
-		ClientOrder: t.clientOrder,
+		Servers:     make(map[string]*CommSummary, len(m.ServerOrder)),
+		ServerOrder: m.ServerOrder,
+		Clients:     make(map[string]*CommSummary, len(m.ClientOrder)),
+		ClientOrder: m.ClientOrder,
 	}
-	for si, name := range t.servers {
-		s := commSummary(name, t.cells[si][0])
-		s.Exchanges, s.MessageViolations = t.extra[si][0], t.extra[si][1]
-		s.PathCollisions = t.collisions[si]
+	for si, name := range m.ServerOrder {
+		s := commSummary(name, m.Cells[si][0])
+		s.Exchanges, s.MessageViolations = m.extra[si][0], m.extra[si][1]
+		s.PathCollisions = m.Collisions[si]
 		res.Servers[name] = s
 	}
-	for ci, name := range t.clientOrder {
-		res.Clients[name] = commSummary(name, t.clients[ci])
+	for ci, name := range m.ClientOrder {
+		res.Clients[name] = commSummary(name, m.Clients[ci])
 	}
 	return res
 }
@@ -160,9 +169,9 @@ func commSummary(name string, n []int) *CommSummary {
 }
 
 // commRow classifies one combination and records its latency and
-// event. The cell's trace joins sniffer captures (and any fault logs)
-// back to this (server, class, client) combination: the bridge stamps
-// it on the wire as X-Wsinterop-Trace.
+// event. The cell's trace joins sniffer captures back to this (server,
+// class, client) combination: the bridge stamps it on the wire as
+// X-Wsinterop-Trace.
 func commRow(x *wireCall, row []outcome, tally []int) {
 	trace := obs.TraceID(x.svc.Server, x.svc.Class, x.client.Name())
 	start := x.r.met.now()

@@ -98,14 +98,15 @@ func (r *Runner) PlanShards(n int) ([]ShardSpec, error) {
 
 // Merged is the fold of completed shard journals: one result per
 // campaign mode, each identical to a single-process run of the same
-// configuration (the wire results up to PathCollisions, which sums the
-// shards' deploy-time counts: collisions depend on which classes
-// co-deploy). A mode no shard journaled is nil.
+// configuration (the wire results up to their path collisions, which
+// sum the shards' deploy-time counts: collisions depend on which
+// classes co-deploy).
 type Merged struct {
-	Study    *Result
-	Comm     *CommResult
-	Robust   *RobustResult
-	Versions *VersionResult
+	// Study is the static study; nil when no shard journaled it.
+	Study *Result
+	// Wire maps a wire axis's name to its result; an axis no shard
+	// journaled is absent.
+	Wire map[string]WireResult
 }
 
 // Merge folds completed shard journals into one result per campaign
@@ -126,8 +127,8 @@ func (r *Runner) Merge(ctx context.Context, dirs []string) (*Merged, error) {
 	case r.cfg.Checkpoint != "" || r.cfg.Resume:
 		return nil, fmt.Errorf("campaign: merge reads shard journals; it does not take its own Checkpoint/Resume")
 	}
-	m, merged := &Merged{}, 0
-	for _, ax := range []*wireAxis{studyAxis, commAxis, robustAxis, versionsAxis} {
+	m := &Merged{Wire: make(map[string]WireResult)}
+	for _, ax := range append([]*Axis{studyAxis}, wireAxes...) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -137,28 +138,16 @@ func (r *Runner) Merge(ctx context.Context, dirs []string) (*Merged, error) {
 			return nil, err
 		case !ok:
 			continue
+		case ax == studyAxis:
+			m.Study, err = r.mergeStudy(ctx, recs)
+		default:
+			m.Wire[ax.name], err = r.foldShards(ax, recs)
 		}
-		merged++
-		if ax == studyAxis {
-			if m.Study, err = r.mergeStudy(ctx, recs); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		t, err := r.foldShards(ax, recs)
 		if err != nil {
 			return nil, err
 		}
-		switch ax {
-		case commAxis:
-			m.Comm = commResult(t)
-		case robustAxis:
-			m.Robust = robustResult(t)
-		case versionsAxis:
-			m.Versions = versionResult(t)
-		}
 	}
-	if merged == 0 {
+	if m.Study == nil && len(m.Wire) == 0 {
 		return nil, fmt.Errorf("campaign: %s holds no shard journal", strings.Join(dirs, ", "))
 	}
 	return m, nil
@@ -170,7 +159,7 @@ func (r *Runner) Merge(ctx context.Context, dirs []string) (*Merged, error) {
 // for every server stage of every shard, and shard indexes that cover
 // 0..Count-1. It returns the union of the records, sentinels included;
 // ok is false when no shard journaled the mode.
-func (r *Runner) loadShards(ax *wireAxis, dirs []string) (recs []journal.Record, ok bool, err error) {
+func (r *Runner) loadShards(ax *Axis, dirs []string) (recs []journal.Record, ok bool, err error) {
 	fp, leaseFP := r.journalFingerprint(ax), r.checkpointFingerprint()
 	metas := make([]*journal.Meta, 0, len(dirs))
 	seen := make(map[string]*journal.Record)

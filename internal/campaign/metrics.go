@@ -225,7 +225,7 @@ func (r *Runner) creditTests(memo bool, tests, runs int64) {
 
 // axisCounters returns a wire axis's per-outcome counters; nil
 // (no-op) counters when metering is off.
-func (m *runnerMetrics) axisCounters(ax *wireAxis) []*obs.Counter {
+func (m *runnerMetrics) axisCounters(ax *Axis) []*obs.Counter {
 	if m == nil {
 		return make([]*obs.Counter, len(ax.codes))
 	}

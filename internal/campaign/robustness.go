@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"strconv"
 	"time"
@@ -50,10 +51,20 @@ var robustFaults = faultinject.Catalog()
 // robustAxis is the Robustness mode over the wire-axis executor: one
 // faulted exchange per catalog fault for every (service × client) row,
 // through a wire-level fault injector.
-var robustAxis = &wireAxis{
-	name:    "robust",
-	columns: names(robustFaults, func(f faultinject.Fault) string { return f.Name }),
-	codes:   []string{"skipped", "detected-fault", "masked-fault", "wrong-success", "retry-recovered"},
+var robustAxis = &Axis{
+	name:            "robust",
+	Flag:            "faults",
+	Usage:           "run the fault-injection robustness matrix (server × client × fault) and print its report",
+	Title:           "Robustness extension (fault injection, steps 4–5)",
+	MarkdownTitle:   "Robustness extension (fault injection)",
+	JSONKey:         "robustness",
+	Column:          "fault",
+	Labels:          []string{"skipped", "detected", "masked", "wrong-success", "retry-recovered"},
+	JSONKeys:        []string{"skipped", "detected", "masked", "wrongSuccess", "retryRecovered"},
+	Verdict:         robustVerdict("wrong-success cells: %d (0 means the client surfaces every wire-signaled failure); %d recovered by retry"),
+	MarkdownVerdict: robustVerdict("wrong-success cells: %d · retry-recovered: %d"),
+	columns:         names(robustFaults, func(f faultinject.Fault) string { return f.Name }),
+	codes:           []string{"skipped", "detected-fault", "masked-fault", "wrong-success", "retry-recovered"},
 	counters: []string{"campaign.robust.skipped", "campaign.robust.detected", "campaign.robust.masked",
 		"campaign.robust.wrong_success", "campaign.robust.recovered"},
 	handler: func(r *Runner, _ string, host *transport.Host) http.Handler {
@@ -68,7 +79,16 @@ var robustAxis = &wireAxis{
 	exchange: robustRow,
 }
 
-// RobustCounts aggregates cells of one matrix slice.
+// robustVerdict renders the matrix's wrong-success and retry-recovered
+// totals into format.
+func robustVerdict(format string) func(m *Matrix) string {
+	return func(m *Matrix) string {
+		n := m.Totals()
+		return fmt.Sprintf(format, n[robustWrongSuccess], n[robustRecovered])
+	}
+}
+
+// RobustCounts names a robustness histogram's outcomes.
 type RobustCounts struct {
 	Cells        int
 	Skipped      int
@@ -78,61 +98,16 @@ type RobustCounts struct {
 	Recovered    int
 }
 
-// robustCounts converts an outcome histogram into counts.
-func robustCounts(n []int) *RobustCounts {
-	return &RobustCounts{
-		Cells: sum(n), Skipped: n[robustSkipped], Detected: n[robustDetected],
-		Masked: n[robustMasked], WrongSuccess: n[robustWrongSuccess], Recovered: n[robustRecovered],
-	}
-}
-
-// add accumulates another partial count.
-func (c *RobustCounts) add(o *RobustCounts) {
-	c.Cells += o.Cells
-	c.Skipped += o.Skipped
-	c.Detected += o.Detected
-	c.Masked += o.Masked
-	c.WrongSuccess += o.WrongSuccess
-	c.Recovered += o.Recovered
-}
-
-// RobustResult is the (server × client × fault) robustness matrix,
-// aggregated along its two presentation axes.
-type RobustResult struct {
-	// Faults lists the catalog rows in their fixed order.
-	Faults []string
-	// Servers maps server name → fault name → counts.
-	Servers     map[string]map[string]*RobustCounts
-	ServerOrder []string
-	// Clients maps client name → counts across all servers and faults.
-	Clients     map[string]*RobustCounts
-	ClientOrder []string
-	// PathCollisions counts deployments that needed a suffixed path.
-	PathCollisions int
-}
-
-// FaultTotals sums each fault row across servers.
-func (r *RobustResult) FaultTotals() map[string]*RobustCounts {
-	totals := make(map[string]*RobustCounts, len(r.Faults))
-	for _, f := range r.Faults {
-		t := &RobustCounts{}
-		for _, server := range r.ServerOrder {
-			t.add(r.Servers[server][f])
-		}
-		totals[f] = t
-	}
-	return totals
-}
+// RobustResult is the (server × client × fault) robustness matrix.
+type RobustResult struct{ *Matrix }
 
 // Totals sums the whole matrix.
 func (r *RobustResult) Totals() RobustCounts {
-	var t RobustCounts
-	for _, server := range r.ServerOrder {
-		for _, f := range r.Faults {
-			t.add(r.Servers[server][f])
-		}
+	n := r.Matrix.Totals()
+	return RobustCounts{
+		Cells: sum(n), Skipped: n[robustSkipped], Detected: n[robustDetected],
+		Masked: n[robustMasked], WrongSuccess: n[robustWrongSuccess], Recovered: n[robustRecovered],
 	}
-	return t
 }
 
 // robustRetryPolicy builds the per-cell client policy: bounded
@@ -155,51 +130,24 @@ func robustRetryPolicy(directive string, attempts *int) *transport.RetryPolicy {
 	}
 }
 
-// robustExchange is one completed faulted invocation, bundled for
-// classification.
-type robustExchange struct {
-	resp       *soap.Message
-	wantLocal  string
-	sent       map[string]string
-	probeField string
-}
-
-// validShape applies the client-side deserialization check a generated
-// proxy performs against the WSDL-declared response message: correct
-// wrapper name and exactly the expected echo fields.
-func (x *robustExchange) validShape() bool {
-	if x.resp.Local != x.wantLocal || len(x.resp.Fields) != len(x.sent) {
-		return false
-	}
-	for name := range x.sent {
-		if _, ok := x.resp.Fields[name]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // classifyRobust maps one exchange outcome into the taxonomy. Order
-// matters: a surfaced error is always detection; an invalid response
-// shape counts as detection too (the proxy's deserialization
-// validation rejects it); a success that needed retries is recovery;
-// a success against a fault the wire unambiguously signaled is the
-// wrong-success bug class; a corrupted-but-accepted echo likewise;
-// everything else the client absorbed silently.
-func classifyRobust(f faultinject.Fault, attempts int, x *robustExchange, err error) outcome {
+// matters: a surfaced error is always detection; a misshapen response
+// counts as detection too (the proxy's deserialization validation
+// rejects it); a success that needed retries is recovery; a success
+// against a fault the wire unambiguously signaled is the wrong-success
+// bug class; a corrupted-but-accepted echo likewise; everything else
+// the client absorbed silently.
+func classifyRobust(f faultinject.Fault, attempts int, d *deployment, resp *soap.Message, err error) outcome {
 	if err != nil {
 		return robustDetected
 	}
-	if !x.validShape() {
+	shaped, intact := d.echo(resp)
+	switch {
+	case !shaped:
 		return robustDetected
-	}
-	if attempts > 1 {
+	case attempts > 1:
 		return robustRecovered
-	}
-	if f.MustError {
-		return robustWrongSuccess
-	}
-	if echoed, _ := x.resp.Field(x.probeField); echoed != x.sent[x.probeField] {
+	case f.MustError || !intact:
 		return robustWrongSuccess
 	}
 	return robustMasked
@@ -210,22 +158,11 @@ func classifyRobust(f faultinject.Fault, attempts int, x *robustExchange, err er
 // executor lands cells in pre-indexed slots and folds them in fixed
 // order, so worker count and scheduling never change the result.
 func (r *Runner) RunRobustness(ctx context.Context) (*RobustResult, error) {
-	t, err := r.runAxis(ctx, robustAxis)
+	m, err := r.runAxis(ctx, robustAxis)
 	if err != nil {
 		return nil, err
 	}
-	return robustResult(t), nil
-}
-
-// robustResult converts the executor's tally into the matrix.
-func robustResult(t *wireTally) *RobustResult {
-	servers, clients := matrix(t, robustCounts)
-	return &RobustResult{
-		Faults:  append([]string(nil), robustAxis.columns...),
-		Servers: servers, ServerOrder: t.servers,
-		Clients: clients, ClientOrder: t.clientOrder,
-		PathCollisions: sum(t.collisions),
-	}
+	return &RobustResult{m}, nil
 }
 
 // robustRow runs one faulted invocation per catalog entry for the
@@ -238,15 +175,13 @@ func robustRow(x *wireCall, row []outcome, _ []int) {
 		return
 	}
 	for col, f := range robustFaults {
-		// The cell's trace carries (server, class, client, fault), so the
-		// injector's fired-fault log joins back to exactly one matrix cell.
+		// The cell's trace carries (server, class, client, fault). The
+		// bridge stamps it on every attempt as X-Wsinterop-Trace, where a
+		// handler composed around the injector (a sniffer, say) can join
+		// the traffic back to this cell; the injector only counts faults.
 		trace := obs.TraceID(x.svc.Server, x.svc.Class, x.client.Name(), f.Name)
 		attempts := 0
 		resp, err := x.invoke(x.bridge.WithRetry(robustRetryPolicy(f.Directive, &attempts)), trace)
-		var ex *robustExchange
-		if err == nil {
-			ex = &robustExchange{resp: resp, wantLocal: x.op + "Response", sent: x.req.Fields, probeField: x.probe}
-		}
-		row[col] = classifyRobust(f, attempts, ex, err)
+		row[col] = classifyRobust(f, attempts, &x.deployment, resp, err)
 	}
 }

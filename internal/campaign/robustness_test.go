@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"wsinterop/internal/faultinject"
@@ -30,17 +31,17 @@ func TestRobustnessScaled(t *testing.T) {
 	if len(res.ServerOrder) != 3 {
 		t.Fatalf("servers = %v", res.ServerOrder)
 	}
-	if len(res.Faults) != len(faultinject.Catalog()) {
-		t.Fatalf("fault rows = %v", res.Faults)
+	if len(res.Columns) != len(faultinject.Catalog()) {
+		t.Fatalf("fault rows = %v", res.Columns)
 	}
 
 	totals := res.Totals()
 	if totals.Cells == 0 {
 		t.Fatal("no cells executed")
 	}
-	sum := totals.Skipped + totals.Detected + totals.Masked + totals.WrongSuccess + totals.Recovered
-	if sum != totals.Cells {
-		t.Errorf("outcome buckets (%d) do not partition cells (%d)", sum, totals.Cells)
+	buckets := totals.Skipped + totals.Detected + totals.Masked + totals.WrongSuccess + totals.Recovered
+	if buckets != totals.Cells {
+		t.Errorf("outcome buckets (%d) do not partition cells (%d)", buckets, totals.Cells)
 	}
 
 	// The headline acceptance property: after the status-blind fix, no
@@ -59,28 +60,29 @@ func TestRobustnessScaled(t *testing.T) {
 	}
 
 	// Per-fault expectations on this corpus.
-	ft := res.FaultTotals()
-	exchanged := func(c *RobustCounts) int { return c.Cells - c.Skipped }
+	ft := res.ColumnTotals()
+	fault := func(name string) []int { return ft[slices.Index(res.Columns, name)] }
+	exchanged := func(c []int) int { return sum(c) - c[robustSkipped] }
 	for _, name := range []string{"truncate", "html-error", "status-500", "empty-body", "oversize", "dup-child", "rename-child", "abort"} {
-		c := ft[name]
-		if c.Detected != exchanged(c) {
-			t.Errorf("%s: detected = %d, want %d (every exchanged cell)", name, c.Detected, exchanged(c))
+		c := fault(name)
+		if c[robustDetected] != exchanged(c) {
+			t.Errorf("%s: detected = %d, want %d (every exchanged cell)", name, c[robustDetected], exchanged(c))
 		}
 	}
 	for _, name := range []string{"wrong-content-type", "delay"} {
-		c := ft[name]
-		if c.Masked != exchanged(c) {
-			t.Errorf("%s: masked = %d, want %d (benign fault)", name, c.Masked, exchanged(c))
+		c := fault(name)
+		if c[robustMasked] != exchanged(c) {
+			t.Errorf("%s: masked = %d, want %d (benign fault)", name, c[robustMasked], exchanged(c))
 		}
 	}
-	if c := ft["abort-once"]; c.Recovered != exchanged(c) {
-		t.Errorf("abort-once: recovered = %d, want %d", c.Recovered, exchanged(c))
+	if c := fault("abort-once"); c[robustRecovered] != exchanged(c) {
+		t.Errorf("abort-once: recovered = %d, want %d", c[robustRecovered], exchanged(c))
 	}
 
 	// The per-client breakdown re-sums to the matrix totals.
 	var clientCells int
-	for _, name := range res.ClientOrder {
-		clientCells += res.Clients[name].Cells
+	for _, c := range res.Clients {
+		clientCells += sum(c)
 	}
 	if clientCells != totals.Cells {
 		t.Errorf("client cells (%d) != matrix cells (%d)", clientCells, totals.Cells)
@@ -141,25 +143,22 @@ func TestRobustOutcomeString(t *testing.T) {
 // triggers directly: success against a MustError fault, and a
 // well-shaped echo whose probe value was corrupted.
 func TestClassifyRobustWrongSuccessGuards(t *testing.T) {
-	shape := func(probe string) *robustExchange {
-		return &robustExchange{
-			resp:      &soap.Message{Local: "echoResponse", Fields: map[string]string{"input": probe}},
-			wantLocal: "echoResponse", sent: map[string]string{"input": "ping"},
-			probeField: "input",
-		}
+	d := &deployment{op: "echo", req: &soap.Message{Fields: map[string]string{"input": "ping"}}, probe: "input"}
+	shape := func(probe string) *soap.Message {
+		return &soap.Message{Local: "echoResponse", Fields: map[string]string{"input": probe}}
 	}
 	mustErr := faultinject.Fault{Name: "status-500", MustError: true}
-	if got := classifyRobust(mustErr, 1, shape("ping"), nil); got != robustWrongSuccess {
+	if got := classifyRobust(mustErr, 1, d, shape("ping"), nil); got != robustWrongSuccess {
 		t.Errorf("success against MustError fault = %v, want wrong-success", got)
 	}
 	benign := faultinject.Fault{Name: "dup-value", MustError: false}
-	if got := classifyRobust(benign, 1, shape("pingx"), nil); got != robustWrongSuccess {
+	if got := classifyRobust(benign, 1, d, shape("pingx"), nil); got != robustWrongSuccess {
 		t.Errorf("corrupted probe echo = %v, want wrong-success", got)
 	}
-	if got := classifyRobust(benign, 1, shape("ping"), nil); got != robustMasked {
+	if got := classifyRobust(benign, 1, d, shape("ping"), nil); got != robustMasked {
 		t.Errorf("clean benign exchange = %v, want masked", got)
 	}
-	if got := classifyRobust(benign, 2, shape("ping"), nil); got != robustRecovered {
+	if got := classifyRobust(benign, 2, d, shape("ping"), nil); got != robustRecovered {
 		t.Errorf("multi-attempt success = %v, want recovered", got)
 	}
 }

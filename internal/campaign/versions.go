@@ -21,7 +21,9 @@ package campaign
 
 import (
 	"context"
+	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 
 	"wsinterop/internal/framework"
@@ -99,13 +101,33 @@ const (
 // columns.
 var versionScenarios = VersionScenarios()
 
+// versionCodes names the version-matrix outcomes.
+var versionCodes = []string{"skipped", "accept", "typed-reject", "silent-mishandle"}
+
 // versionsAxis is the version matrix over the wire-axis executor: one
 // exchange per scenario for every (service × client) row, against a
 // host that declares its framework's version strictness.
-var versionsAxis = &wireAxis{
-	name:    "versions",
+var versionsAxis = &Axis{
+	name:          "versions",
+	Flag:          "versions",
+	Usage:         "run the SOAP version interop matrix (server × client × version scenario) and print its report",
+	Title:         "Version matrix extension (SOAP 1.1 / 1.2 / hybrid)",
+	MarkdownTitle: "Version matrix extension (SOAP 1.1 / 1.2 / hybrid)",
+	JSONKey:       "versions",
+	Column:        "scenario",
+	Labels:        versionCodes,
+	JSONKeys:      []string{"skipped", "accepted", "typedReject", "silentMishandle"},
+	Verdict: func(m *Matrix) string {
+		hf := m.ColumnTotals()[slices.Index(m.Columns, scenarioHybridFault)]
+		return fmt.Sprintf("hybrid-fault cells accepted: %d (0 means no swallowed fault is reported as success); %d silent-mishandles overall",
+			hf[versionAccepted], m.Totals()[versionMishandled])
+	},
+	MarkdownVerdict: func(m *Matrix) string {
+		n := m.Totals()
+		return fmt.Sprintf("typed rejects: %d · silent mishandles: %d", n[versionTypedReject], n[versionMishandled])
+	},
 	columns: names(versionScenarios, func(sc VersionScenario) string { return sc.Name }),
-	codes:   []string{"skipped", "accept", "typed-reject", "silent-mishandle"},
+	codes:   versionCodes,
 	counters: []string{"campaign.versions.skipped", "campaign.versions.accepted",
 		"campaign.versions.typed_reject", "campaign.versions.silent_mishandle"},
 	handler: func(_ *Runner, server string, host *transport.Host) http.Handler {
@@ -118,9 +140,7 @@ var versionsAxis = &wireAxis{
 	exchange: versionRow,
 }
 
-// VersionCounts aggregates cells of one matrix slice. Every field is
-// a commutative sum, so partial counts fold in any order — the
-// property journal replay and the shard merge rely on.
+// VersionCounts names a version histogram's outcomes.
 type VersionCounts struct {
 	Cells      int
 	Skipped    int
@@ -129,61 +149,25 @@ type VersionCounts struct {
 	Mishandled int
 }
 
-// versionCounts converts an outcome histogram into counts.
-func versionCounts(n []int) *VersionCounts {
-	return &VersionCounts{
-		Cells: sum(n), Skipped: n[versionSkipped], Accepted: n[versionAccepted],
-		Rejected: n[versionTypedReject], Mishandled: n[versionMishandled],
-	}
-}
+// VersionResult is the (server × client × scenario) version matrix.
+type VersionResult struct{ *Matrix }
 
-// add accumulates another partial count.
-func (c *VersionCounts) add(o *VersionCounts) {
-	c.Cells += o.Cells
-	c.Skipped += o.Skipped
-	c.Accepted += o.Accepted
-	c.Rejected += o.Rejected
-	c.Mishandled += o.Mishandled
-}
-
-// VersionResult is the (server × client × scenario) version matrix,
-// aggregated along its two presentation axes.
-type VersionResult struct {
-	// Scenarios lists the catalog columns in their fixed order.
-	Scenarios []string
-	// Servers maps server name → scenario name → counts.
-	Servers     map[string]map[string]*VersionCounts
-	ServerOrder []string
-	// Clients maps client name → counts across all servers and
-	// scenarios.
-	Clients     map[string]*VersionCounts
-	ClientOrder []string
-	// PathCollisions counts deployments that needed a suffixed path.
-	PathCollisions int
-}
+// Totals sums the whole matrix.
+func (r *VersionResult) Totals() VersionCounts { return *versionNamed(r.Matrix.Totals()) }
 
 // ScenarioTotals sums each scenario column across servers.
 func (r *VersionResult) ScenarioTotals() map[string]*VersionCounts {
-	totals := make(map[string]*VersionCounts, len(r.Scenarios))
-	for _, sc := range r.Scenarios {
-		t := &VersionCounts{}
-		for _, server := range r.ServerOrder {
-			t.add(r.Servers[server][sc])
-		}
-		totals[sc] = t
+	totals := make(map[string]*VersionCounts, len(r.Columns))
+	for col, n := range r.ColumnTotals() {
+		totals[r.Columns[col]] = versionNamed(n)
 	}
 	return totals
 }
 
-// Totals sums the whole matrix.
-func (r *VersionResult) Totals() VersionCounts {
-	var t VersionCounts
-	for _, server := range r.ServerOrder {
-		for _, sc := range r.Scenarios {
-			t.add(r.Servers[server][sc])
-		}
-	}
-	return t
+// versionNamed names a version histogram's counts.
+func versionNamed(n []int) *VersionCounts {
+	return &VersionCounts{Cells: sum(n), Skipped: n[versionSkipped], Accepted: n[versionAccepted],
+		Rejected: n[versionTypedReject], Mishandled: n[versionMishandled]}
 }
 
 // wireCapture is the final on-the-wire response of one exchange, as
@@ -263,23 +247,14 @@ func versionRetryPolicy(scenario string) *transport.RetryPolicy {
 // success with a corrupted or misshapen echo accepted wrong data; a
 // success whose response wire mixed versions absorbed a hybrid
 // without noticing. Only a clean echo over a coherent wire accepts.
-func classifyVersion(sc VersionScenario, cap *wireCapture, resp *soap.Message, err error,
-	wantLocal string, sent map[string]string, probeField string) outcome {
+func classifyVersion(sc VersionScenario, cap *wireCapture, d *deployment, resp *soap.Message, err error) outcome {
 	if err != nil {
 		return versionTypedReject
 	}
 	if sc.HybridFault {
 		return versionMishandled
 	}
-	if resp.Local != wantLocal || len(resp.Fields) != len(sent) {
-		return versionMishandled
-	}
-	for name := range sent {
-		if _, ok := resp.Fields[name]; !ok {
-			return versionMishandled
-		}
-	}
-	if echoed, _ := resp.Field(probeField); echoed != sent[probeField] {
+	if _, intact := d.echo(resp); !intact {
 		return versionMishandled
 	}
 	if cap != nil && soap.Detect(cap.body, cap.contentType) == soap.VersionHybrid {
@@ -293,22 +268,11 @@ func classifyVersion(sc VersionScenario, cap *wireCapture, resp *soap.Message, e
 // journals per completed service when a checkpoint is configured, and
 // resumes into a byte-identical result.
 func (r *Runner) RunVersions(ctx context.Context) (*VersionResult, error) {
-	t, err := r.runAxis(ctx, versionsAxis)
+	m, err := r.runAxis(ctx, versionsAxis)
 	if err != nil {
 		return nil, err
 	}
-	return versionResult(t), nil
-}
-
-// versionResult converts the executor's tally into the matrix.
-func versionResult(t *wireTally) *VersionResult {
-	servers, clients := matrix(t, versionCounts)
-	return &VersionResult{
-		Scenarios: append([]string(nil), versionsAxis.columns...),
-		Servers:   servers, ServerOrder: t.servers,
-		Clients: clients, ClientOrder: t.clientOrder,
-		PathCollisions: sum(t.collisions),
-	}
+	return &VersionResult{m}, nil
 }
 
 // versionRow runs the scenario exchanges of one (service × client)
@@ -328,6 +292,6 @@ func versionRow(x *wireCall, row []outcome, _ []int) {
 			WithCodec(sc.Codec).
 			WithStrictness(strict).
 			WithRetry(versionRetryPolicy(sc.Name)), trace)
-		row[col] = classifyVersion(sc, wire.take(trace), resp, err, x.op+"Response", x.req.Fields, x.probe)
+		row[col] = classifyVersion(sc, wire.take(trace), &x.deployment, resp, err)
 	}
 }

@@ -43,8 +43,8 @@ func TestVersionsScaled(t *testing.T) {
 	if len(res.ServerOrder) != 3 {
 		t.Fatalf("servers = %v", res.ServerOrder)
 	}
-	if want := []string{"v11", "v12", "hybrid-headers", "hybrid-fault"}; !reflect.DeepEqual(res.Scenarios, want) {
-		t.Fatalf("scenarios = %v, want %v", res.Scenarios, want)
+	if want := []string{"v11", "v12", "hybrid-headers", "hybrid-fault"}; !reflect.DeepEqual(res.Columns, want) {
+		t.Fatalf("scenarios = %v, want %v", res.Columns, want)
 	}
 
 	totals := res.Totals()
@@ -83,9 +83,9 @@ func TestVersionsScaled(t *testing.T) {
 	// cells: a coerce client parses the 1.2 fault as data, everyone
 	// else rejects it, and no other scenario mishandles on this
 	// all-strict server roster.
-	ns := len(res.Scenarios)
-	for _, name := range res.ClientOrder {
-		c := res.Clients[name]
+	ns := len(res.Columns)
+	for ci, name := range res.ClientOrder {
+		c := versionNamed(res.Clients[ci])
 		perScenario := exchanged(c) / ns
 		want := 0
 		if framework.VersionStrictness(name) == soap.SilentCoerce {
@@ -99,8 +99,8 @@ func TestVersionsScaled(t *testing.T) {
 
 	// The per-client breakdown re-sums to the matrix totals.
 	var clientCells int
-	for _, name := range res.ClientOrder {
-		clientCells += res.Clients[name].Cells
+	for _, c := range res.Clients {
+		clientCells += sum(c)
 	}
 	if clientCells != totals.Cells {
 		t.Errorf("client cells (%d) != matrix cells (%d)", clientCells, totals.Cells)
@@ -128,9 +128,10 @@ func TestVersionsShardMerge(t *testing.T) {
 	if err != nil {
 		t.Fatalf("merge: %v", err)
 	}
-	merged := m.Versions
+	merged := &VersionResult{m.Wire["versions"].(*Matrix)}
 	full := runVersions(t, config{Limit: limit, Workers: 4})
-	merged.PathCollisions, full.PathCollisions = 0, 0
+	clear(merged.Collisions)
+	clear(full.Collisions)
 	if got, want := versionBytes(t, merged), versionBytes(t, full); string(got) != string(want) {
 		t.Errorf("merged matrix differs from single-process run:\nmerged: %s\nfull:   %s", got, want)
 	}

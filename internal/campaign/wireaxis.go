@@ -3,9 +3,10 @@ package campaign
 // The wire-axis executor: the one pipeline behind the extension modes
 // that exchange SOAP messages over the in-process wire — steps 4–5 of
 // the paper's Fig. 1, which it leaves as future work. Each mode
-// (communication.go, robustness.go, versions.go) is a wireAxis: its
-// column catalog, its outcome codes, its handler wrap and its
-// per-(service × client) exchange. The executor owns the rest, once:
+// (communication.go, robustness.go, versions.go) is one Axis
+// declaration: its column catalog, its outcome codes, its handler wrap,
+// its per-(service × client) exchange and its presentation. The
+// executor owns the rest, once:
 //
 //   - per server stage: Publish, deployPublished (each service's
 //     endpoint and echo request, built once for all its clients), the
@@ -13,8 +14,9 @@ package campaign
 //   - one (service × client) job feed with cancellation, each job
 //     writing its outcome codes into pre-indexed service × client ×
 //     column slots;
-//   - the serial fixed-order fold into per-(server, column) and
-//     per-client tallies, plus the axis's per-code counters;
+//   - the serial fixed-order fold into the Matrix: per-(server,
+//     column) and per-client outcome histograms, plus the axis's
+//     per-code counters;
 //   - under WithCheckpoint, the cell journal (checkpoint.go) at
 //     <checkpoint>/<axis>: one record per completed service, queued by
 //     the worker that finishes its last client row, and one completion
@@ -24,13 +26,14 @@ package campaign
 //     replay-only shard fold behind Merge.
 //
 // Slots are pre-indexed and the fold is serial, so worker count and
-// scheduling never change a tally; every tally is a commutative sum,
+// scheduling never change a count; every count is a commutative sum,
 // so replay and merge order are free.
 
 import (
 	"context"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync/atomic"
 
 	"wsinterop/internal/framework"
@@ -46,12 +49,34 @@ import (
 // axis's code names, journaled as that byte.
 type outcome uint8
 
-// wireAxis is one wire mode's definition over the executor.
-type wireAxis struct {
-	// name labels the axis: its checkpoint subdirectory (the study
-	// journals at the root), its journal record mode and trace prefix,
-	// and its fingerprint tag.
+// Axis is one campaign mode's declaration. Its unexported fields drive
+// the executor; its exported fields are the axis's presentation, which
+// the CLI and internal/report read instead of naming axes.
+type Axis struct {
+	// name labels the axis: its -report mode, its checkpoint
+	// subdirectory (the study journals at the root), its journal record
+	// mode and trace prefix, and its fingerprint tag.
 	name string
+	// Flag names the CLI switch that runs the axis and prints its
+	// section beside any -report; Usage is the switch's help. Empty for
+	// an axis that runs only under its own -report mode.
+	Flag, Usage string
+	// Dumped includes the axis in the json and markdown dumps without
+	// its flag.
+	Dumped bool
+	// Title heads the axis's text section, MarkdownTitle its Markdown
+	// section, and JSONKey names its rows in the JSON dump.
+	Title, MarkdownTitle, JSONKey string
+	// Column heads a matrix axis's column in every format. Labels head
+	// its outcome counts in text and Markdown and JSONKeys name them in
+	// JSON, one per code: a code's table label may differ from its name
+	// (robust's detected-fault prints as detected), and the names join
+	// the journal fingerprint, so they stay as they are.
+	Column           string
+	Labels, JSONKeys []string
+	// Verdict and MarkdownVerdict render a matrix axis's closing line.
+	Verdict, MarkdownVerdict func(m *Matrix) string
+
 	// columns names the exchanges of one (service × client) row, in
 	// their fixed order.
 	columns []string
@@ -63,6 +88,9 @@ type wireAxis struct {
 	// tallies is the number of integer tallies a row reports beside
 	// its outcomes (summed per server by the fold).
 	tallies int
+	// view converts the fold into the axis's result; nil means the
+	// Matrix is the result.
+	view func(m *Matrix) WireResult
 	// handler prepares one server stage's host and returns the
 	// handler every exchange of the stage goes through; the stage's
 	// bridge invokes it.
@@ -72,24 +100,46 @@ type wireAxis struct {
 	exchange func(x *wireCall, row []outcome, tally []int)
 }
 
-// wireAxes lists every axis, so the runner's metrics register their
-// counters up front.
-var wireAxes = []*wireAxis{commAxis, robustAxis, versionsAxis}
+// wireAxes lists every wire axis in report order, so the runner's
+// metrics register their counters up front and Merge, the CLI and the
+// reports iterate them.
+var wireAxes = []*Axis{commAxis, robustAxis, versionsAxis}
+
+// WireAxes returns every wire axis's declaration, in report order.
+func WireAxes() []*Axis { return slices.Clone(wireAxes) }
+
+// Name is the axis's -report mode and journal name.
+func (ax *Axis) Name() string { return ax.name }
+
+// result converts a fold into the axis's result.
+func (ax *Axis) result(m *Matrix) WireResult {
+	if ax.view == nil {
+		return m
+	}
+	return ax.view(m)
+}
+
+// WireResult is one wire axis's result: a *Matrix, or the
+// communication extension's *CommResult.
+type WireResult interface {
+	// Axis returns the declaration of the axis that produced the result.
+	Axis() *Axis
+}
 
 // trace is the journal key of one service's record.
-func (ax *wireAxis) trace(server, class string) string {
+func (ax *Axis) trace(server, class string) string {
 	return obs.TraceID(ax.name, server, class)
 }
 
 // sentinel is the journal key of one shard's completion sentinel for a
 // server stage. The shard coordinates keep sentinels from different
 // shards apart in a merge union.
-func (ax *wireAxis) sentinel(shard ShardSpec, server string) string {
+func (ax *Axis) sentinel(shard ShardSpec, server string) string {
 	return obs.TraceID(ax.complete(), shard.String(), server)
 }
 
 // complete is the journal mode of the axis's completion sentinels.
-func (ax *wireAxis) complete() string { return ax.name + "-complete" }
+func (ax *Axis) complete() string { return ax.name + "-complete" }
 
 // wireCall is one (service × client) job of an axis.
 type wireCall struct {
@@ -114,66 +164,93 @@ func (x *wireCall) invoke(bridge *transport.LocalBridge, trace string) (*soap.Me
 	return bridge.Invoke(obs.WithTrace(x.ctx, trace), x.ep.Path, x.req)
 }
 
-// wireTally is the fold of one axis run, indexed in roster order.
-type wireTally struct {
-	ax          *wireAxis
-	servers     []string
-	clientOrder []string
-	cells       [][][]int      // server → column → outcome → count
-	clients     [][]int        // client → outcome → count
-	extra       [][]int        // server → summed row tallies
-	collisions  []int          // server → deploy path collisions
-	counters    []*obs.Counter // outcome → fold counter
+// Matrix is the fold of one wire axis run: outcome histograms per
+// (server × column) and per client, indexed in roster, column and code
+// order. Every count is a commutative sum, so journal replay and shard
+// merge fold in any order. It is the result of every matrix axis; the
+// communication extension converts it (commResult).
+type Matrix struct {
+	ax *Axis
+	// Columns lists the axis's columns in their fixed order.
+	Columns     []string
+	ServerOrder []string
+	ClientOrder []string
+	// Cells holds server → column → outcome → count.
+	Cells [][][]int
+	// Clients holds client → outcome → count, across servers and
+	// columns.
+	Clients [][]int
+	// Collisions holds server → deployments that needed a suffixed
+	// path. A merge sums them per shard: collisions depend on which
+	// classes co-deploy.
+	Collisions []int
+	// extra holds server → summed row tallies.
+	extra [][]int
 }
 
-func (r *Runner) newWireTally(ax *wireAxis) *wireTally {
-	t := &wireTally{ax: ax, collisions: make([]int, len(r.servers)), counters: r.met.axisCounters(ax)}
+func (r *Runner) newMatrix(ax *Axis) *Matrix {
+	m := &Matrix{ax: ax, Columns: slices.Clone(ax.columns), Collisions: make([]int, len(r.servers))}
 	for _, s := range r.servers {
-		t.servers = append(t.servers, s.Name())
+		m.ServerOrder = append(m.ServerOrder, s.Name())
 		cols := make([][]int, len(ax.columns))
 		for i := range cols {
 			cols[i] = make([]int, len(ax.codes))
 		}
-		t.cells = append(t.cells, cols)
-		t.extra = append(t.extra, make([]int, ax.tallies))
+		m.Cells = append(m.Cells, cols)
+		m.extra = append(m.extra, make([]int, ax.tallies))
 	}
 	for _, c := range r.clients {
-		t.clientOrder = append(t.clientOrder, c.Name())
-		t.clients = append(t.clients, make([]int, len(ax.codes)))
+		m.ClientOrder = append(m.ClientOrder, c.Name())
+		m.Clients = append(m.Clients, make([]int, len(ax.codes)))
 	}
-	return t
+	return m
 }
+
+// Axis returns the declaration of the axis the matrix folds.
+func (m *Matrix) Axis() *Axis { return m.ax }
+
+// ColumnTotals sums each column's histogram across servers, in column
+// order.
+func (m *Matrix) ColumnTotals() [][]int {
+	out := make([][]int, len(m.Columns))
+	for col := range out {
+		out[col] = make([]int, len(m.ax.codes))
+		for _, cols := range m.Cells {
+			for o, n := range cols[col] {
+				out[col][o] += n
+			}
+		}
+	}
+	return out
+}
+
+// Totals sums the whole matrix's histogram.
+func (m *Matrix) Totals() []int {
+	out := make([]int, len(m.ax.codes))
+	for _, col := range m.ColumnTotals() {
+		for o, n := range col {
+			out[o] += n
+		}
+	}
+	return out
+}
+
+// PathCollisions counts the deployments that needed a suffixed path.
+func (m *Matrix) PathCollisions() int { return sum(m.Collisions) }
 
 // fold adds outcome and tally slots of server si — a whole stage, or
-// one journaled service's codes — to the tally.
-func fold[C ~uint8](t *wireTally, si int, codes []C, tallies []int) {
-	ncol, nc := len(t.ax.columns), len(t.clients)
+// one journaled service's codes — to the matrix and to the axis's
+// counters.
+func fold[C ~uint8](m *Matrix, counters []*obs.Counter, si int, codes []C, tallies []int) {
+	ncol, nc := len(m.Columns), len(m.Clients)
 	for idx, o := range codes {
-		t.cells[si][idx%ncol][o]++
-		t.clients[(idx/ncol)%nc][o]++
-		t.counters[o].Inc()
+		m.Cells[si][idx%ncol][o]++
+		m.Clients[(idx/ncol)%nc][o]++
+		counters[o].Inc()
 	}
 	for i, v := range tallies {
-		t.extra[si][i%t.ax.tallies] += v
+		m.extra[si][i%m.ax.tallies] += v
 	}
-}
-
-// matrix converts the tally into a matrix result's server → column →
-// counts and client → counts maps.
-func matrix[C any](t *wireTally, counts func(n []int) *C) (map[string]map[string]*C, map[string]*C) {
-	servers := make(map[string]map[string]*C, len(t.servers))
-	for si, name := range t.servers {
-		cols := make(map[string]*C, len(t.ax.columns))
-		for col, c := range t.ax.columns {
-			cols[c] = counts(t.cells[si][col])
-		}
-		servers[name] = cols
-	}
-	clients := make(map[string]*C, len(t.clientOrder))
-	for ci, name := range t.clientOrder {
-		clients[name] = counts(t.clients[ci])
-	}
-	return servers, clients
 }
 
 // names lists a catalog's entry names, in catalog order: an axis's
@@ -187,7 +264,7 @@ func names[T any](catalog []T, name func(T) string) []string {
 }
 
 // sum adds up a count slice: an outcome histogram's cells, or a
-// tally's collisions.
+// matrix's collisions.
 func sum(n []int) int {
 	s := 0
 	for _, v := range n {
@@ -196,16 +273,26 @@ func sum(n []int) int {
 	return s
 }
 
+// RunWire executes one wire axis across every configured server
+// framework and returns its result.
+func (r *Runner) RunWire(ctx context.Context, ax *Axis) (WireResult, error) {
+	m, err := r.runAxis(ctx, ax)
+	if err != nil {
+		return nil, err
+	}
+	return ax.result(m), nil
+}
+
 // runAxis executes one wire axis across every configured server
 // framework.
-func (r *Runner) runAxis(ctx context.Context, ax *wireAxis) (*wireTally, error) {
+func (r *Runner) runAxis(ctx context.Context, ax *Axis) (*Matrix, error) {
 	cj, err := r.openJournal(ax)
 	if err != nil {
 		return nil, err
 	}
-	t := r.newWireTally(ax)
+	m := r.newMatrix(ax)
 	for si, server := range r.servers {
-		if err := r.runAxisStage(ctx, ax, cj, t, si, server); err != nil {
+		if err := r.runAxisStage(ctx, ax, cj, m, si, server); err != nil {
 			// Close flushes, so every service completed before the
 			// interruption is durable for the resume.
 			_ = cj.close()
@@ -221,7 +308,7 @@ func (r *Runner) runAxis(ctx context.Context, ax *wireAxis) (*wireTally, error) 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return t, nil
+	return m, nil
 }
 
 // runAxisStage runs one server stage: deploy, replay, exchange, fold.
@@ -229,7 +316,7 @@ func (r *Runner) runAxis(ctx context.Context, ax *wireAxis) (*wireTally, error) 
 // the sentinel's collisions without publishing or deploying anything.
 // An unfinished stage deploys every published service, replayed or
 // not: the path-collision suffixes depend on the full set.
-func (r *Runner) runAxisStage(ctx context.Context, ax *wireAxis, cj *cellJournal, t *wireTally,
+func (r *Runner) runAxisStage(ctx context.Context, ax *Axis, cj *cellJournal, m *Matrix,
 	si int, server framework.ServerFramework) error {
 	name := server.Name()
 	sp, err := r.planFor(server)
@@ -237,7 +324,7 @@ func (r *Runner) runAxisStage(ctx context.Context, ax *wireAxis, cj *cellJournal
 		return err
 	}
 	if sentinel, done := cj.record(ax.sentinel(r.cfg.Shard, name)); done {
-		return r.replayStage(ax, cj, t, si, sp, sentinel)
+		return r.replayStage(ax, cj, m, si, sp, sentinel)
 	}
 	published, _, err := r.Publish(ctx, server)
 	if err != nil {
@@ -250,7 +337,7 @@ func (r *Runner) runAxisStage(ctx context.Context, ax *wireAxis, cj *cellJournal
 	if err != nil {
 		return err
 	}
-	t.collisions[si] = collisions
+	m.Collisions[si] = collisions
 
 	nc, ncol, nt := len(r.clients), len(ax.columns), ax.tallies
 	codes := make([]outcome, len(published)*nc*ncol)
@@ -309,14 +396,14 @@ func (r *Runner) runAxisStage(ctx context.Context, ax *wireAxis, cj *cellJournal
 
 	// Serial fixed-order fold: counters land here, inside the
 	// determinism contract, never in workers.
-	fold(t, si, codes, tallies)
+	fold(m, r.met.axisCounters(ax), si, codes, tallies)
 	r.completeStage(cj, ax, name, collisions)
 	return nil
 }
 
 // axisRecord encodes one fully exchanged service: every client's
 // outcome codes and tallies, in roster and column order.
-func axisRecord(ax *wireAxis, server, class string, codes []outcome, tallies []int) journal.Record {
+func axisRecord(ax *Axis, server, class string, codes []outcome, tallies []int) journal.Record {
 	rec := journal.Record{Trace: ax.trace(server, class), Server: server, Class: class,
 		Mode: ax.name, Published: true, Codes: codeBytes(codes)}
 	if len(tallies) > 0 {
@@ -327,7 +414,7 @@ func axisRecord(ax *wireAxis, server, class string, codes []outcome, tallies []i
 
 // checkAxisRecord refuses a journaled service that is not a published
 // cell of the axis or does not fit its catalogs and the roster.
-func (r *Runner) checkAxisRecord(ax *wireAxis, rec *journal.Record) error {
+func (r *Runner) checkAxisRecord(ax *Axis, rec *journal.Record) error {
 	if rec.Mode != ax.name || !rec.Published {
 		return fmt.Errorf("campaign: journal record %s: mode %q is not a %s cell", rec.Trace, rec.Mode, ax.name)
 	}
@@ -336,25 +423,25 @@ func (r *Runner) checkAxisRecord(ax *wireAxis, rec *journal.Record) error {
 
 // replayStage folds a finished stage from the journal: every published
 // class's record, in catalog order, then the stage sentinel.
-func (r *Runner) replayStage(ax *wireAxis, cj *cellJournal, t *wireTally, si int,
+func (r *Runner) replayStage(ax *Axis, cj *cellJournal, m *Matrix, si int,
 	sp *serverPlan, sentinel *journal.Record) error {
 	for _, def := range sp.defs {
 		if rec, ok := cj.record(ax.trace(sp.Server, def.Parameter.Name)); ok {
-			if err := r.foldRecord(t, si, rec, cj.resumed); err != nil {
+			if err := r.foldRecord(m, si, rec, cj.resumed); err != nil {
 				return err
 			}
 		}
 	}
-	return r.foldRecord(t, si, sentinel, cj.resumed)
+	return r.foldRecord(m, si, sentinel, cj.resumed)
 }
 
 // foldShards folds one axis's unioned shard records (loadShards) into
-// one tally. It exchanges nothing: every service replays from its
-// record, and the path collisions sum the shards' sentinels.
-func (r *Runner) foldShards(ax *wireAxis, recs []journal.Record) (*wireTally, error) {
-	t := r.newWireTally(ax)
-	roster := make(map[string]int, len(t.servers))
-	for si, name := range t.servers {
+// the axis's result. It exchanges nothing: every service replays from
+// its record, and the path collisions sum the shards' sentinels.
+func (r *Runner) foldShards(ax *Axis, recs []journal.Record) (WireResult, error) {
+	m := r.newMatrix(ax)
+	roster := make(map[string]int, len(m.ServerOrder))
+	for si, name := range m.ServerOrder {
 		roster[name] = si
 	}
 	resumed := r.obs.Counter("journal.cells.resumed")
@@ -364,25 +451,25 @@ func (r *Runner) foldShards(ax *wireAxis, recs []journal.Record) (*wireTally, er
 		if !ok {
 			return nil, fmt.Errorf("campaign: journal record %s is for server %q, not in this roster", rec.Trace, rec.Server)
 		}
-		if err := r.foldRecord(t, si, rec, resumed); err != nil {
+		if err := r.foldRecord(m, si, rec, resumed); err != nil {
 			return nil, err
 		}
 	}
-	return t, nil
+	return ax.result(m), nil
 }
 
-// foldRecord folds one journaled record of server si into the tally: a
-// stage sentinel's path collisions, or a service's outcome codes and
+// foldRecord folds one journaled record of server si into the matrix:
+// a stage sentinel's path collisions, or a service's outcome codes and
 // tallies, counted as resumed.
-func (r *Runner) foldRecord(t *wireTally, si int, rec *journal.Record, resumed *obs.Counter) error {
-	if rec.Mode == t.ax.complete() {
-		t.collisions[si] += rec.Collisions
+func (r *Runner) foldRecord(m *Matrix, si int, rec *journal.Record, resumed *obs.Counter) error {
+	if rec.Mode == m.ax.complete() {
+		m.Collisions[si] += rec.Collisions
 		return nil
 	}
-	if err := r.checkAxisRecord(t.ax, rec); err != nil {
+	if err := r.checkAxisRecord(m.ax, rec); err != nil {
 		return err
 	}
-	fold(t, si, rec.Codes, rec.Tallies)
+	fold(m, r.met.axisCounters(m.ax), si, rec.Codes, rec.Tallies)
 	resumed.Inc()
 	return nil
 }
@@ -397,6 +484,25 @@ type deployment struct {
 	op    string
 	req   *soap.Message
 	probe string
+}
+
+// echo checks a successful exchange's response against the
+// deployment's echo request. It is shaped when it is the operation's
+// response wrapper with exactly the request's fields — the check a
+// generated proxy's deserializer makes against the declared response
+// message — and intact when it is shaped and the probe field came back
+// unchanged.
+func (d *deployment) echo(resp *soap.Message) (shaped, intact bool) {
+	if resp.Local != d.op+"Response" || len(resp.Fields) != len(d.req.Fields) {
+		return false, false
+	}
+	for name := range d.req.Fields {
+		if _, ok := resp.Fields[name]; !ok {
+			return false, false
+		}
+	}
+	echoed, _ := resp.Field(d.probe)
+	return true, echoed == d.req.Fields[d.probe]
 }
 
 // deployPublished deploys every published service once, from the typed

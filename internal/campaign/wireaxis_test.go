@@ -23,7 +23,7 @@ import (
 // wireModes drives the three wire axes through their public entry
 // points, for the contract suite below.
 var wireModes = []struct {
-	axis *wireAxis
+	axis *Axis
 	// limit is the equivalence scale (full, -short); the fault matrix
 	// exchanges eleven times per row, so it runs smaller.
 	limit, short int
@@ -35,15 +35,17 @@ var wireModes = []struct {
 	zero   func(res any)
 }{
 	{commAxis, 200, 60, func(r *Runner, ctx context.Context) (any, error) { return r.RunCommunication(ctx) },
-		func(m *Merged) any { return m.Comm }, func(res any) {
+		func(m *Merged) any { return m.Wire["comm"] }, func(res any) {
 			for _, s := range res.(*CommResult).Servers {
 				s.PathCollisions = 0
 			}
 		}},
 	{robustAxis, 60, 20, func(r *Runner, ctx context.Context) (any, error) { return r.RunRobustness(ctx) },
-		func(m *Merged) any { return m.Robust }, func(res any) { res.(*RobustResult).PathCollisions = 0 }},
+		func(m *Merged) any { return &RobustResult{m.Wire["robust"].(*Matrix)} },
+		func(res any) { clear(res.(*RobustResult).Collisions) }},
 	{versionsAxis, 200, 60, func(r *Runner, ctx context.Context) (any, error) { return r.RunVersions(ctx) },
-		func(m *Merged) any { return m.Versions }, func(res any) { res.(*VersionResult).PathCollisions = 0 }},
+		func(m *Merged) any { return &VersionResult{m.Wire["versions"].(*Matrix)} },
+		func(res any) { clear(res.(*VersionResult).Collisions) }},
 }
 
 // TestWireAxisContract is the shared contract of every wire mode:

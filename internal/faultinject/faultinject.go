@@ -116,16 +116,6 @@ const oversizePad = 1<<20 + 1024
 // carries: built once, on first use, and only ever read.
 var oversizeFiller = sync.OnceValue(func() []byte { return bytes.Repeat([]byte(" "), oversizePad) })
 
-// Injection is one fired fault, recorded for post-hoc joining with
-// campaign cells: Trace carries the request's X-Wsinterop-Trace header,
-// minted per (server, class, client, fault) cell by the robustness
-// runner.
-type Injection struct {
-	Kind    Kind
-	Trace   string
-	Attempt int
-}
-
 // Injector is the fault-injecting middleware. A request without the
 // HeaderFault directive passes through untouched, so the injector can
 // stay permanently composed into a handler chain.
@@ -143,36 +133,23 @@ type Injector struct {
 	// responses; KindOversize pads inside its closing Envelope tag. Nil
 	// means SOAP 1.1, the historical wire format.
 	codec soap.Codec
-
-	mu  sync.Mutex
-	log []Injection
 }
 
 // New wraps a handler with an injector.
 func New(next http.Handler) *Injector { return &Injector{next: next} }
 
 // WithCodec declares the envelope version the wrapped handler speaks
-// and returns the injector for chaining. Injector holds a mutex, so
-// this mutates in place rather than copying; call it before serving.
+// and returns the injector for chaining. It mutates in place; call it
+// before serving.
 func (i *Injector) WithCodec(c soap.Codec) *Injector {
 	i.codec = c
 	return i
 }
 
-// record logs one fired fault and bumps its counters.
-func (i *Injector) record(kind Kind, trace string, attempt int) {
+// record counts one fired fault.
+func (i *Injector) record(kind Kind) {
 	i.Obs.Counter("faultinject.injected").Inc()
 	i.Obs.Counter("faultinject.injected." + string(kind)).Inc()
-	i.mu.Lock()
-	i.log = append(i.log, Injection{Kind: kind, Trace: trace, Attempt: attempt})
-	i.mu.Unlock()
-}
-
-// Injections returns a copy of the fired-fault log, in firing order.
-func (i *Injector) Injections() []Injection {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return append([]Injection(nil), i.log...)
 }
 
 var _ http.Handler = (*Injector)(nil)
@@ -212,7 +189,7 @@ func (i *Injector) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case KindAbort, KindDelay, KindTruncate, KindHTMLError, KindStatus500,
 		KindWrongContentType, KindEmptyBody, KindOversize,
 		KindDuplicateChild, KindRenameChild:
-		i.record(kind, r.Header.Get(obs.TraceHeader), attempt)
+		i.record(kind)
 	}
 	switch kind {
 	case KindAbort:

@@ -48,3 +48,22 @@ func Communication(w io.Writer, res *campaign.CommResult) error {
 	}
 	return nil
 }
+
+// commMarkdown writes the communication extension's Markdown section.
+func commMarkdown(mw *markdownWriter, comm *campaign.CommResult) {
+	mw.heading(3, comm.Axis().MarkdownTitle)
+	mw.tableHeader([]string{"server", "combinations", "blocked", "no-operations",
+		"faults", "mismatches", "succeeded", "msg-violations"})
+	writeRow := func(s *campaign.CommSummary) {
+		mw.tableRow([]string{s.Server,
+			fmt.Sprintf("%d", s.Combinations), fmt.Sprintf("%d", s.Blocked),
+			fmt.Sprintf("%d", s.NoOperations), fmt.Sprintf("%d", s.Faults),
+			fmt.Sprintf("%d", s.Mismatches), fmt.Sprintf("%d", s.Succeeded),
+			fmt.Sprintf("%d", s.MessageViolations)})
+	}
+	for _, name := range comm.ServerOrder {
+		writeRow(comm.Servers[name])
+	}
+	totals := comm.Totals()
+	writeRow(&totals)
+}

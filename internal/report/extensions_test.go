@@ -112,7 +112,7 @@ func TestJSONExport(t *testing.T) {
 	if err != nil {
 		t.Fatalf("versions: %v", err)
 	}
-	if err := JSON(&buf, res, comm, robust, versions); err != nil {
+	if err := JSON(&buf, res, comm, robust.Matrix, versions.Matrix); err != nil {
 		t.Fatalf("JSON: %v", err)
 	}
 	var decoded map[string]any
@@ -131,7 +131,7 @@ func TestJSONExport(t *testing.T) {
 
 func TestJSONWithoutCommunication(t *testing.T) {
 	var buf bytes.Buffer
-	if err := JSON(&buf, sharedResult(t), nil, nil, nil); err != nil {
+	if err := JSON(&buf, sharedResult(t)); err != nil {
 		t.Fatalf("JSON: %v", err)
 	}
 	if strings.Contains(buf.String(), `"communication"`) {
@@ -168,7 +168,7 @@ func TestMarkdownRendering(t *testing.T) {
 		t.Fatalf("communication: %v", err)
 	}
 	var buf bytes.Buffer
-	if err := Markdown(&buf, sharedResult(t), comm, nil, nil); err != nil {
+	if err := Markdown(&buf, sharedResult(t), comm); err != nil {
 		t.Fatalf("Markdown: %v", err)
 	}
 	out := buf.String()
@@ -191,7 +191,7 @@ func TestMarkdownRendering(t *testing.T) {
 
 func TestMarkdownWithoutCommunication(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Markdown(&buf, sharedResult(t), nil, nil, nil); err != nil {
+	if err := Markdown(&buf, sharedResult(t)); err != nil {
 		t.Fatalf("Markdown: %v", err)
 	}
 	if strings.Contains(buf.String(), "Communication & Execution") {
@@ -223,7 +223,7 @@ func TestRobustnessRendering(t *testing.T) {
 			t.Errorf("robustness report missing %q:\n%s", want, out)
 		}
 	}
-	for _, fault := range robust.Faults {
+	for _, fault := range robust.Columns {
 		if !strings.Contains(out, fault) {
 			t.Errorf("robustness report missing fault row %q", fault)
 		}
@@ -248,7 +248,7 @@ func TestVersionsRendering(t *testing.T) {
 			t.Errorf("versions report missing %q:\n%s", want, out)
 		}
 	}
-	for _, sc := range versions.Scenarios {
+	for _, sc := range versions.Columns {
 		if !strings.Contains(out, sc) {
 			t.Errorf("versions report missing scenario row %q", sc)
 		}
@@ -261,7 +261,7 @@ func TestVersionsRendering(t *testing.T) {
 
 	// The markdown renderer carries the same matrix.
 	var md bytes.Buffer
-	if err := Markdown(&md, sharedResult(t), nil, nil, versions); err != nil {
+	if err := Markdown(&md, sharedResult(t), versions.Matrix); err != nil {
 		t.Fatalf("Markdown: %v", err)
 	}
 	for _, want := range []string{

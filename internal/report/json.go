@@ -5,34 +5,33 @@ import (
 	"io"
 
 	"wsinterop/internal/campaign"
-	"wsinterop/internal/obs"
 )
 
-// jsonResult is the machine-readable export shape. It is a distinct
-// struct (rather than marshaling campaign.Result directly) so the
-// wire contract is explicit and stable under internal refactors.
-type jsonResult struct {
-	TotalServices       int                    `json:"totalServices"`
-	TotalPublished      int                    `json:"totalPublished"`
-	TotalTests          int                    `json:"totalTests"`
-	InteropErrors       int                    `json:"interopErrors"`
-	SameFramework       int                    `json:"sameFrameworkErrors"`
-	FlaggedServices     int                    `json:"flaggedServices"`
-	FlaggedClean        int                    `json:"flaggedCleanServices"`
-	Servers             []jsonServer           `json:"servers"`
-	Matrix              []jsonCell             `json:"matrix"`
-	Failures            []jsonFailure          `json:"failures,omitempty"`
-	PaperComparisonRows []jsonComparison       `json:"paperComparison"`
-	Communication       []campaign.CommSummary `json:"communication,omitempty"`
-	Robustness          []jsonRobust           `json:"robustness,omitempty"`
-	Versions            []jsonVersion          `json:"versions,omitempty"`
-	Dedup               *jsonDedup             `json:"dedup,omitempty"`
-	// Profiles is the per-profile compliance matrix: one row per
-	// registered compliance profile, keyed per server.
-	Profiles []jsonProfile `json:"profiles,omitempty"`
-	// Metrics carries the runner's observability snapshot as taken at
-	// the end of the static campaign (Result.Metrics).
-	Metrics *obs.Snapshot `json:"metrics,omitempty"`
+// object is a JSON object whose members keep their order: the export
+// shape, explicit and stable under internal refactors, whose wire
+// sections sit at the keys their axes declare.
+type object []member
+
+type member struct {
+	key string
+	val any
+}
+
+// MarshalJSON implements json.Marshaler.
+func (o object) MarshalJSON() ([]byte, error) {
+	b := []byte{'{'}
+	for i, m := range o {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		k, _ := json.Marshal(m.key)
+		v, err := json.Marshal(m.val)
+		if err != nil {
+			return nil, err
+		}
+		b = append(append(append(b, k...), ':'), v...)
+	}
+	return append(b, '}'), nil
 }
 
 // jsonDedup exports the structural-shape memoization statistics.
@@ -56,30 +55,6 @@ type jsonProfile struct {
 	Compliant      map[string]int `json:"compliantByServer"`
 	TotalCompliant int            `json:"totalCompliant"`
 	Checked        int            `json:"checked"`
-}
-
-// jsonVersion is one (server × scenario) row of the hybrid-version
-// interop matrix.
-type jsonVersion struct {
-	Server     string `json:"server"`
-	Scenario   string `json:"scenario"`
-	Cells      int    `json:"cells"`
-	Skipped    int    `json:"skipped"`
-	Accepted   int    `json:"accepted"`
-	Rejected   int    `json:"typedReject"`
-	Mishandled int    `json:"silentMishandle"`
-}
-
-// jsonRobust is one (server × fault) row of the robustness matrix.
-type jsonRobust struct {
-	Server       string `json:"server"`
-	Fault        string `json:"fault"`
-	Cells        int    `json:"cells"`
-	Skipped      int    `json:"skipped"`
-	Detected     int    `json:"detected"`
-	Masked       int    `json:"masked"`
-	WrongSuccess int    `json:"wrongSuccess"`
-	Recovered    int    `json:"retryRecovered"`
 }
 
 type jsonServer struct {
@@ -117,94 +92,88 @@ type jsonComparison struct {
 	Delta    int    `json:"delta"`
 }
 
-// JSON writes the complete campaign result (and optional
-// communication, robustness and version-matrix summaries) as indented
-// JSON.
-func JSON(w io.Writer, res *campaign.Result, comm *campaign.CommResult, robust *campaign.RobustResult, versions *campaign.VersionResult) error {
-	out := jsonResult{
-		TotalServices:   res.TotalServices,
-		TotalPublished:  res.TotalPublished,
-		TotalTests:      res.TotalTests,
-		InteropErrors:   res.InteropErrors,
-		SameFramework:   res.SameFrameworkErrors,
-		FlaggedServices: res.FlaggedServices,
-		FlaggedClean:    res.FlaggedCleanServices,
+// JSON writes the complete campaign result and the wire results
+// (RunWire or Merge results, in report order) as indented JSON.
+func JSON(w io.Writer, res *campaign.Result, wire ...campaign.WireResult) error {
+	out := object{
+		{"totalServices", res.TotalServices},
+		{"totalPublished", res.TotalPublished},
+		{"totalTests", res.TotalTests},
+		{"interopErrors", res.InteropErrors},
+		{"sameFrameworkErrors", res.SameFrameworkErrors},
+		{"flaggedServices", res.FlaggedServices},
+		{"flaggedCleanServices", res.FlaggedCleanServices},
 	}
+	var servers []jsonServer
 	for _, name := range res.ServerOrder {
 		s := res.Servers[name]
-		out.Servers = append(out.Servers, jsonServer{
+		servers = append(servers, jsonServer{
 			Name: name, Created: s.Created, Deployed: s.Deployed,
 			DescriptionWarnings: s.DescriptionWarnings,
 			GenWarnings:         s.GenWarnings, GenErrors: s.GenErrors,
 			CompileWarnings: s.CompileWarnings, CompileErrors: s.CompileErrors,
 		})
 	}
+	var matrix []jsonCell
 	for _, client := range res.ClientOrder {
 		for _, server := range res.ServerOrder {
 			c := res.Matrix[client][server]
-			out.Matrix = append(out.Matrix, jsonCell{
+			matrix = append(matrix, jsonCell{
 				Client: client, Server: server, Tests: c.Tests,
 				GenWarnings: c.GenWarnings, GenErrors: c.GenErrors,
 				CompileWarnings: c.CompileWarnings, CompileErrors: c.CompileErrors,
 			})
 		}
 	}
+	out = append(out, member{"servers", servers}, member{"matrix", matrix})
+	var failures []jsonFailure
 	for _, g := range GroupFailures(res) {
-		out.Failures = append(out.Failures, jsonFailure(g))
+		failures = append(failures, jsonFailure(g))
+	}
+	if len(failures) > 0 {
+		out = append(out, member{"failures", failures})
+	}
+	var comparisons []jsonComparison
+	for _, c := range Comparisons(res) {
+		comparisons = append(comparisons, jsonComparison{
+			Metric: c.Metric, Paper: c.Paper, Measured: c.Measured, Delta: c.Delta(),
+		})
+	}
+	out = append(out, member{"paperComparison", comparisons})
+	for _, wr := range wire {
+		if rows := wireFormats(wr).json(); len(rows) > 0 {
+			out = append(out, member{wr.Axis().JSONKey, rows})
+		}
 	}
 	if d := res.Dedup; d != nil {
-		out.Dedup = &jsonDedup{
+		out = append(out, member{"dedup", jsonDedup{
 			Enabled: d.Enabled, Shapes: d.Shapes,
 			PublishTotal: d.PublishTotal, PublishMemoized: d.PublishMemoized,
 			TestTotal: d.TestTotal, TestMemoized: d.TestMemoized,
 			Fallbacks: d.Fallbacks,
 			WSIChecks: d.WSIChecks, WSIMemoized: d.WSIMemoized,
-		}
+		}})
 	}
+	// The per-profile compliance matrix: one row per registered
+	// compliance profile, keyed per server.
+	var profiles []jsonProfile
 	for _, pc := range res.Profiles {
 		compliant := make(map[string]int, len(pc.Compliant))
 		for server, n := range pc.Compliant {
 			compliant[server] = n
 		}
-		out.Profiles = append(out.Profiles, jsonProfile{
+		profiles = append(profiles, jsonProfile{
 			ID: pc.ID, Name: pc.Name, Compliant: compliant,
 			TotalCompliant: pc.TotalCompliant, Checked: res.TotalPublished,
 		})
 	}
-	out.Metrics = res.Metrics
-	for _, c := range Comparisons(res) {
-		out.PaperComparisonRows = append(out.PaperComparisonRows, jsonComparison{
-			Metric: c.Metric, Paper: c.Paper, Measured: c.Measured, Delta: c.Delta(),
-		})
+	if len(profiles) > 0 {
+		out = append(out, member{"profiles", profiles})
 	}
-	if comm != nil {
-		for _, name := range comm.ServerOrder {
-			out.Communication = append(out.Communication, *comm.Servers[name])
-		}
-	}
-	if robust != nil {
-		for _, server := range robust.ServerOrder {
-			for _, fault := range robust.Faults {
-				c := robust.Servers[server][fault]
-				out.Robustness = append(out.Robustness, jsonRobust{
-					Server: server, Fault: fault, Cells: c.Cells,
-					Skipped: c.Skipped, Detected: c.Detected, Masked: c.Masked,
-					WrongSuccess: c.WrongSuccess, Recovered: c.Recovered,
-				})
-			}
-		}
-	}
-	if versions != nil {
-		for _, server := range versions.ServerOrder {
-			for _, sc := range versions.Scenarios {
-				c := versions.Servers[server][sc]
-				out.Versions = append(out.Versions, jsonVersion{
-					Server: server, Scenario: sc, Cells: c.Cells,
-					Skipped: c.Skipped, Accepted: c.Accepted,
-					Rejected: c.Rejected, Mishandled: c.Mishandled,
-				})
-			}
-		}
+	// The runner's observability snapshot as taken at the end of the
+	// static campaign (Result.Metrics).
+	if res.Metrics != nil {
+		out = append(out, member{"metrics", res.Metrics})
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

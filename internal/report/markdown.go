@@ -8,10 +8,11 @@ import (
 	"wsinterop/internal/campaign"
 )
 
-// Markdown renders the complete campaign result as GitHub-flavoured
+// Markdown renders the complete campaign result and the wire results
+// (RunWire or Merge results, in report order) as GitHub-flavoured
 // markdown — the format used by EXPERIMENTS.md, so CI runs can
 // regenerate the record verbatim (`cmd/interop -report markdown`).
-func Markdown(w io.Writer, res *campaign.Result, comm *campaign.CommResult, robust *campaign.RobustResult, versions *campaign.VersionResult) error {
+func Markdown(w io.Writer, res *campaign.Result, wire ...campaign.WireResult) error {
 	mw := &markdownWriter{w: w}
 
 	mw.heading(2, "Campaign result")
@@ -98,70 +99,8 @@ func Markdown(w io.Writer, res *campaign.Result, comm *campaign.CommResult, robu
 			fmt.Sprintf("%+d", c.Delta())})
 	}
 
-	if comm != nil {
-		mw.heading(3, "Communication & Execution extension")
-		mw.tableHeader([]string{"server", "combinations", "blocked", "no-operations",
-			"faults", "mismatches", "succeeded", "msg-violations"})
-		writeRow := func(s *campaign.CommSummary) {
-			mw.tableRow([]string{s.Server,
-				fmt.Sprintf("%d", s.Combinations), fmt.Sprintf("%d", s.Blocked),
-				fmt.Sprintf("%d", s.NoOperations), fmt.Sprintf("%d", s.Faults),
-				fmt.Sprintf("%d", s.Mismatches), fmt.Sprintf("%d", s.Succeeded),
-				fmt.Sprintf("%d", s.MessageViolations)})
-		}
-		for _, name := range comm.ServerOrder {
-			writeRow(comm.Servers[name])
-		}
-		totals := comm.Totals()
-		writeRow(&totals)
-	}
-
-	if robust != nil {
-		mw.heading(3, "Robustness extension (fault injection)")
-		mw.tableHeader([]string{"server", "fault", "cells", "skipped", "detected",
-			"masked", "wrong-success", "retry-recovered"})
-		writeRobust := func(server, fault string, c *campaign.RobustCounts) {
-			mw.tableRow([]string{server, fault,
-				fmt.Sprintf("%d", c.Cells), fmt.Sprintf("%d", c.Skipped),
-				fmt.Sprintf("%d", c.Detected), fmt.Sprintf("%d", c.Masked),
-				fmt.Sprintf("%d", c.WrongSuccess), fmt.Sprintf("%d", c.Recovered)})
-		}
-		for _, server := range robust.ServerOrder {
-			for _, fault := range robust.Faults {
-				writeRobust(server, fault, robust.Servers[server][fault])
-			}
-		}
-		faultTotals := robust.FaultTotals()
-		for _, fault := range robust.Faults {
-			writeRobust("total", fault, faultTotals[fault])
-		}
-		totals := robust.Totals()
-		mw.printf("\nwrong-success cells: %d · retry-recovered: %d\n",
-			totals.WrongSuccess, totals.Recovered)
-	}
-
-	if versions != nil {
-		mw.heading(3, "Version matrix extension (SOAP 1.1 / 1.2 / hybrid)")
-		mw.tableHeader([]string{"server", "scenario", "cells", "skipped", "accept",
-			"typed-reject", "silent-mishandle"})
-		writeVersion := func(server, scenario string, c *campaign.VersionCounts) {
-			mw.tableRow([]string{server, scenario,
-				fmt.Sprintf("%d", c.Cells), fmt.Sprintf("%d", c.Skipped),
-				fmt.Sprintf("%d", c.Accepted), fmt.Sprintf("%d", c.Rejected),
-				fmt.Sprintf("%d", c.Mishandled)})
-		}
-		for _, server := range versions.ServerOrder {
-			for _, sc := range versions.Scenarios {
-				writeVersion(server, sc, versions.Servers[server][sc])
-			}
-		}
-		scenarioTotals := versions.ScenarioTotals()
-		for _, sc := range versions.Scenarios {
-			writeVersion("total", sc, scenarioTotals[sc])
-		}
-		totals := versions.Totals()
-		mw.printf("\ntyped rejects: %d · silent mishandles: %d\n",
-			totals.Rejected, totals.Mishandled)
+	for _, wr := range wire {
+		wireFormats(wr).markdown(mw)
 	}
 	return mw.err
 }

@@ -203,11 +203,10 @@ func (r *Runner) journalFingerprint(ax *Axis) string {
 	return obs.TraceID(parts...)
 }
 
-// shardMeta is the journal identity of this runner's shard lease; nil
-// for a whole-campaign run. The lease is (re)derived from the
-// configuration fingerprint, and a caller-supplied lease that was
-// minted for a different campaign is refused — the lease check that
-// keeps a planned spec bound to its configuration.
+// shardMeta is the journal identity of this runner's shard; nil for a
+// whole-campaign run. Its lease is derived from the configuration
+// fingerprint, so a merge refuses a shard journal written for a
+// different campaign.
 func (r *Runner) shardMeta() (*journal.ShardMeta, error) {
 	sh := r.cfg.Shard
 	if err := sh.validate(); err != nil {
@@ -217,9 +216,6 @@ func (r *Runner) shardMeta() (*journal.ShardMeta, error) {
 		return nil, nil
 	}
 	lease := shardLease(r.checkpointFingerprint(), sh.Index, sh.Count)
-	if sh.Lease != "" && sh.Lease != lease {
-		return nil, fmt.Errorf("campaign: shard lease %s was issued for a different campaign configuration", sh.Lease)
-	}
 	return &journal.ShardMeta{Index: sh.Index, Count: sh.Count, Lease: lease}, nil
 }
 

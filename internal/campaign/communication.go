@@ -169,16 +169,14 @@ func commSummary(name string, n []int) *CommSummary {
 }
 
 // commRow classifies one combination and records its latency and
-// event. The cell's trace joins sniffer captures back to this (server,
-// class, client) combination: the bridge stamps it on the wire as
-// X-Wsinterop-Trace.
+// event, whose trace is the (server, class, client) cell's content
+// address.
 func commRow(x *wireCall, row []outcome, tally []int) {
-	trace := obs.TraceID(x.svc.Server, x.svc.Class, x.client.Name())
 	start := x.r.met.now()
-	row[0] = x.communicate(trace, tally)
+	row[0] = x.communicate(tally)
 	x.r.met.observe(x.r.met.commSeconds, start)
 	x.r.obs.Emit(obs.Event{
-		Trace:        trace,
+		Trace:        obs.TraceID(x.svc.Server, x.svc.Class, x.client.Name()),
 		Stage:        "communication",
 		Server:       x.svc.Server,
 		Client:       x.client.Name(),
@@ -192,7 +190,7 @@ func commRow(x *wireCall, row []outcome, tally []int) {
 // the result. The exchange flows through its own message-level
 // conformance sniffer — the wire-side complement of the step-1 WS-I
 // check — whose exchange and violation counts land in tally.
-func (x *wireCall) communicate(trace string, tally []int) outcome {
+func (x *wireCall) communicate(tally []int) outcome {
 	if x.blocked {
 		return commBlocked
 	}
@@ -201,7 +199,7 @@ func (x *wireCall) communicate(trace string, tally []int) outcome {
 		return commNoOperations
 	}
 	sniffer := transport.NewSniffer(x.handler, x.r.checker).WithObs(x.r.obs)
-	resp, err := x.invoke(x.bridge.WithHandler(sniffer), trace)
+	resp, err := x.invoke(x.bridge.WithHandler(sniffer))
 	tally[0], tally[1] = sniffer.Exchanges(), len(sniffer.Findings())
 	if err != nil {
 		return commFault

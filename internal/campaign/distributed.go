@@ -4,10 +4,11 @@ package campaign
 // embarrassingly parallel across catalog slices, and the durable cell
 // journal (checkpoint.go, internal/journal) is already a complete,
 // content-addressed record of a slice's outcomes — so scale-out is
-// journal-shaped: a planner splits every catalog into deterministic
-// shard leases, N worker processes each run one shard under its own
-// checkpoint directory, and a merge coordinator folds the shard
-// journals of every campaign mode back into one result per mode.
+// journal-shaped: every catalog splits into deterministic shards
+// (WithShard, `interop -shard i/n`), N worker processes each run one
+// shard under its own checkpoint directory, and a merge coordinator
+// folds the shard journals of every campaign mode back into one result
+// per mode.
 //
 // The determinism contract is the regression guard: the merged Result
 // and its obs counters are identical to a single-process run's. Replay
@@ -36,17 +37,12 @@ import (
 	"wsinterop/internal/obs"
 )
 
-// ShardSpec is one worker's lease on a deterministic slice of the
-// campaign: catalog definition indexes congruent to Index modulo
-// Count (after WithLimit). The zero value means "the whole
-// campaign". Lease, when set, is the content-addressed lease ID the
-// planner issued; a runner refuses a lease minted for a different
-// campaign configuration, so a spec cannot silently be replayed
-// against the wrong catalog or roster.
+// ShardSpec is one worker's deterministic slice of the campaign:
+// catalog definition indexes congruent to Index modulo Count (after
+// WithLimit). The zero value means "the whole campaign".
 type ShardSpec struct {
 	Index int
 	Count int
-	Lease string
 }
 
 // enabled reports whether the spec selects a proper slice.
@@ -55,7 +51,7 @@ func (s ShardSpec) enabled() bool { return s.Count != 0 }
 // validate checks the slice bounds.
 func (s ShardSpec) validate() error {
 	if !s.enabled() {
-		if s.Index != 0 || s.Lease != "" {
+		if s.Index != 0 {
 			return fmt.Errorf("campaign: shard spec %d/%d is not a slice", s.Index, s.Count)
 		}
 		return nil
@@ -69,31 +65,10 @@ func (s ShardSpec) validate() error {
 // String renders the CLI form, index/count.
 func (s ShardSpec) String() string { return fmt.Sprintf("%d/%d", s.Index, s.Count) }
 
-// shardLease content-addresses one shard lease: the campaign
-// configuration fingerprint plus the slice coordinates.
+// shardLease content-addresses one shard's journal identity: the
+// campaign configuration fingerprint plus the slice coordinates.
 func shardLease(fingerprint string, index, count int) string {
 	return obs.TraceID("shard-lease", fingerprint, strconv.Itoa(index), strconv.Itoa(count))
-}
-
-// PlanShards splits the runner's configured campaign into n shard
-// leases. The specs are deterministic and content-addressed: planning
-// the same configuration twice — on different machines — yields the
-// same leases, so workers need no coordinator beyond agreeing on the
-// configuration. Each spec is ready for a worker runner
-// (WithShard) or the CLI form `interop -shard i/n`.
-func (r *Runner) PlanShards(n int) ([]ShardSpec, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("campaign: cannot plan %d shards", n)
-	}
-	if r.cfg.Shard.enabled() {
-		return nil, fmt.Errorf("campaign: cannot re-plan from sharded configuration %s", r.cfg.Shard)
-	}
-	fp := r.checkpointFingerprint()
-	specs := make([]ShardSpec, n)
-	for i := range specs {
-		specs[i] = ShardSpec{Index: i, Count: n, Lease: shardLease(fp, i, n)}
-	}
-	return specs, nil
 }
 
 // Merged is the fold of completed shard journals: one result per

@@ -1,9 +1,9 @@
 package campaign
 
-// Tests for distributed campaign execution (distributed.go): the
-// shard-lease planner, shard-restricted runs journaling independently,
-// and the merge coordinator folding shard journals into a Result —
-// and metrics — identical to a single-process run. The determinism
+// Tests for distributed campaign execution (distributed.go):
+// shard-restricted runs journaling independently, and the merge
+// coordinator folding shard journals into a Result — and metrics —
+// identical to a single-process run. The determinism
 // contract is the acceptance criterion, proven at full study scale by
 // TestDistributedEquivalenceFull.
 
@@ -33,47 +33,11 @@ func TestShardSpecValidate(t *testing.T) {
 		{ShardSpec{Index: -1, Count: 4}, false},
 		{ShardSpec{Index: 0, Count: -2}, false},
 		{ShardSpec{Index: 2, Count: 0}, false},
-		{ShardSpec{Lease: "dangling"}, false},
 	}
 	for _, c := range cases {
 		if err := c.spec.validate(); (err == nil) != c.ok {
 			t.Errorf("validate(%+v) = %v, want ok=%v", c.spec, err, c.ok)
 		}
-	}
-}
-
-func TestPlanShards(t *testing.T) {
-	r := New(WithLimit(50))
-	specs, err := r.PlanShards(4)
-	if err != nil {
-		t.Fatalf("PlanShards: %v", err)
-	}
-	if len(specs) != 4 {
-		t.Fatalf("planned %d specs, want 4", len(specs))
-	}
-	again, _ := New(WithLimit(50)).PlanShards(4)
-	if !reflect.DeepEqual(specs, again) {
-		t.Error("planning the same configuration twice produced different leases")
-	}
-	other, _ := New(WithLimit(51)).PlanShards(4)
-	seen := map[string]bool{}
-	for i, s := range specs {
-		if s.Index != i || s.Count != 4 {
-			t.Errorf("spec %d = %s", i, s)
-		}
-		if s.Lease == "" || seen[s.Lease] {
-			t.Errorf("spec %d lease %q missing or duplicated", i, s.Lease)
-		}
-		seen[s.Lease] = true
-		if s.Lease == other[i].Lease {
-			t.Errorf("spec %d lease identical across different configurations", i)
-		}
-	}
-	if _, err := r.PlanShards(0); err == nil {
-		t.Error("PlanShards(0) should fail")
-	}
-	if _, err := New(WithShard(ShardSpec{Index: 0, Count: 2})).PlanShards(2); err == nil {
-		t.Error("planning from a sharded configuration should fail")
 	}
 }
 
@@ -347,8 +311,7 @@ func TestMergeRefusals(t *testing.T) {
 }
 
 // TestShardJournalIdentity: a shard journal refuses to resume as a
-// different shard or as a whole-campaign checkpoint, and a planned
-// lease is bound to its configuration.
+// different shard or as a whole-campaign checkpoint.
 func TestShardJournalIdentity(t *testing.T) {
 	const limit = 30
 	dir := t.TempDir()
@@ -370,21 +333,5 @@ func TestShardJournalIdentity(t *testing.T) {
 	whole.Checkpoint, whole.Resume = dir, true
 	if _, err := newRunner(whole).Run(context.Background()); !errors.Is(err, journal.ErrShard) {
 		t.Errorf("resuming a shard journal unsharded: err = %v, want journal.ErrShard", err)
-	}
-
-	// A lease planned for one configuration is refused by another.
-	specs, err := New(WithLimit(limit)).PlanShards(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stale := New(WithLimit(limit+5), WithShard(specs[0]))
-	if _, err := stale.Run(context.Background()); err == nil ||
-		!strings.Contains(err.Error(), "different campaign configuration") {
-		t.Errorf("stale lease: err = %v", err)
-	}
-	// The same spec under the configuration that planned it is accepted.
-	good := New(WithLimit(limit), WithShard(specs[0]), WithWorkers(2))
-	if _, err := good.Run(context.Background()); err != nil {
-		t.Errorf("planned spec under its own configuration: %v", err)
 	}
 }

@@ -120,8 +120,7 @@ func WithResume() Option {
 // catalog — definition indexes congruent to spec.Index modulo
 // spec.Count, after WithLimit — for distributed execution (DESIGN.md
 // §11). Combine with WithCheckpoint so the shard journals for a later
-// Merge. A spec planned by PlanShards carries a lease: a lease minted
-// for a different campaign configuration is refused at Run.
+// Merge.
 func WithShard(spec ShardSpec) Option {
 	return func(cfg *config) { cfg.Shard = spec }
 }

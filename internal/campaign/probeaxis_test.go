@@ -4,7 +4,6 @@ import (
 	"context"
 	"net/http"
 	"reflect"
-	"strconv"
 	"testing"
 
 	"wsinterop/internal/obs"
@@ -28,9 +27,8 @@ var probeAxis = &Axis{
 			if x.op == "" {
 				continue
 			}
-			trace := obs.TraceID("probe", x.svc.Server, x.svc.Class, x.client.Name(), strconv.Itoa(col))
 			row[col] = 2
-			if resp, err := x.invoke(x.bridge.WithCodec(codec), trace); err == nil {
+			if resp, err := x.invoke(x.bridge.WithCodec(codec)); err == nil {
 				if _, intact := x.echo(resp); intact {
 					row[col] = 1
 				}

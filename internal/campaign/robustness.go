@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"wsinterop/internal/faultinject"
-	"wsinterop/internal/obs"
 	"wsinterop/internal/soap"
 	"wsinterop/internal/transport"
 )
@@ -175,13 +174,8 @@ func robustRow(x *wireCall, row []outcome, _ []int) {
 		return
 	}
 	for col, f := range robustFaults {
-		// The cell's trace carries (server, class, client, fault). The
-		// bridge stamps it on every attempt as X-Wsinterop-Trace, where a
-		// handler composed around the injector (a sniffer, say) can join
-		// the traffic back to this cell; the injector only counts faults.
-		trace := obs.TraceID(x.svc.Server, x.svc.Class, x.client.Name(), f.Name)
 		attempts := 0
-		resp, err := x.invoke(x.bridge.WithRetry(robustRetryPolicy(f.Directive, &attempts)), trace)
+		resp, err := x.invoke(x.bridge.WithRetry(robustRetryPolicy(f.Directive, &attempts)))
 		row[col] = classifyRobust(f, attempts, &x.deployment, resp, err)
 	}
 }

@@ -13,9 +13,9 @@ package campaign
 //
 // Determinism follows the robustness-mode contract: cells land in
 // pre-indexed slots, the fold runs serially in fixed (server,
-// service, client, scenario) order, and all wire mutation is steered
-// by per-request directive headers — so worker count and scheduling
-// never change a cell. Like every campaign mode the matrix journals
+// service, client, scenario) order, and all wire mutation happens in a
+// version wire each row owns — so worker count and scheduling never
+// change a cell. Like every campaign mode the matrix journals
 // (one record per service, under <checkpoint>/versions), resumes, and
 // merges across shards (Runner.Merge).
 
@@ -24,20 +24,11 @@ import (
 	"fmt"
 	"net/http"
 	"slices"
-	"sync"
 
 	"wsinterop/internal/framework"
-	"wsinterop/internal/obs"
 	"wsinterop/internal/soap"
 	"wsinterop/internal/transport"
 )
-
-// HeaderVersionScenario is the request header steering the version
-// wire: the scenario name selects which hybrid mutation (if any) the
-// wire applies to the exchange. Like the fault injector's directive
-// header, it keeps all wire state per-request, so one wire instance
-// serves any number of concurrent cells deterministically.
-const HeaderVersionScenario = "X-Version-Scenario"
 
 // Scenario names. The catalog order is fixed and covered by the
 // checkpoint fingerprint.
@@ -52,7 +43,7 @@ const (
 // envelope codec the client speaks plus the wire mutation applied to
 // the exchange.
 type VersionScenario struct {
-	// Name labels the scenario and is the wire directive value.
+	// Name labels the scenario: its column in the matrix.
 	Name string
 	// Codec is the envelope version the client marshals and expects.
 	Codec soap.Codec
@@ -135,7 +126,7 @@ var versionsAxis = &Axis{
 			Codec:      soap.V11,
 			Strictness: framework.VersionStrictness(server),
 		})
-		return newVersionWire(host)
+		return host
 	},
 	exchange: versionRow,
 }
@@ -170,31 +161,23 @@ func versionNamed(n []int) *VersionCounts {
 		Rejected: n[versionTypedReject], Mishandled: n[versionMishandled]}
 }
 
-// wireCapture is the final on-the-wire response of one exchange, as
-// the client saw it — recorded after every wire mutation, so the
+// versionWire is one row's scenario-steered middleware between client
+// and host. The row sets the scenario before each exchange; the wire
+// applies its hybrid request and response mutations and keeps the
+// final response the client saw — after every mutation — so the
 // classification can ask what version(s) the bytes actually spoke.
-type wireCapture struct {
-	status      int
+type versionWire struct {
+	next        http.Handler
+	sc          VersionScenario
 	contentType string
 	body        []byte
 }
-
-// versionWire is the scenario-steered middleware between client and
-// host: it applies the hybrid request/response mutations and taps the
-// final response, keyed by the cell's trace header.
-type versionWire struct {
-	next http.Handler
-	taps sync.Map // trace → *wireCapture
-}
-
-func newVersionWire(next http.Handler) *versionWire { return &versionWire{next: next} }
 
 var _ http.Handler = (*versionWire)(nil)
 
 // ServeHTTP implements http.Handler.
 func (vw *versionWire) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	scenario := r.Header.Get(HeaderVersionScenario)
-	if scenario == scenarioHybridHeaders {
+	if vw.sc.HybridRequest {
 		// The body stays the client's 1.1 envelope; only the framing
 		// claims 1.2 — the host-side hybrid.
 		r.Header.Set("Content-Type", soap.ContentType12)
@@ -202,7 +185,7 @@ func (vw *versionWire) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	rec := transport.NewCapture(0)
 	vw.next.ServeHTTP(rec, r)
 	status, ctype, body := rec.Status(), rec.Header().Get("Content-Type"), rec.Body()
-	if scenario == scenarioHybridFault && status == http.StatusOK {
+	if vw.sc.HybridFault && status == http.StatusOK {
 		// Replace the successful response with a 1.2 fault under the
 		// unchanged 1.1 Content-Type and 200 status: the wire now
 		// unambiguously signals failure, in the wrong vocabulary.
@@ -212,31 +195,9 @@ func (vw *versionWire) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			body = fb
 		}
 	}
-	if trace := r.Header.Get(obs.TraceHeader); trace != "" {
-		vw.taps.Store(trace, &wireCapture{status: status, contentType: ctype, body: body})
-	}
+	vw.contentType, vw.body = ctype, body
 	rec.WriteHeaderTo(w, status, ctype)
 	_, _ = w.Write(body)
-}
-
-// take removes and returns the tapped response of one cell; nil when
-// the exchange never produced a response (the cell was skipped).
-func (vw *versionWire) take(trace string) *wireCapture {
-	v, ok := vw.taps.LoadAndDelete(trace)
-	if !ok {
-		return nil
-	}
-	return v.(*wireCapture)
-}
-
-// versionRetryPolicy builds the per-cell client policy: a single
-// attempt whose Annotate hook stamps the scenario directive onto the
-// request — the same header-steered mechanism the fault injector
-// uses, so the shared wire stays stateless per request.
-func versionRetryPolicy(scenario string) *transport.RetryPolicy {
-	return &transport.RetryPolicy{
-		Annotate: func(_ int, h http.Header) { h.Set(HeaderVersionScenario, scenario) },
-	}
 }
 
 // classifyVersion maps one exchange into the taxonomy. Order matters:
@@ -247,17 +208,17 @@ func versionRetryPolicy(scenario string) *transport.RetryPolicy {
 // success with a corrupted or misshapen echo accepted wrong data; a
 // success whose response wire mixed versions absorbed a hybrid
 // without noticing. Only a clean echo over a coherent wire accepts.
-func classifyVersion(sc VersionScenario, cap *wireCapture, d *deployment, resp *soap.Message, err error) outcome {
+func classifyVersion(wire *versionWire, d *deployment, resp *soap.Message, err error) outcome {
 	if err != nil {
 		return versionTypedReject
 	}
-	if sc.HybridFault {
+	if wire.sc.HybridFault {
 		return versionMishandled
 	}
 	if _, intact := d.echo(resp); !intact {
 		return versionMishandled
 	}
-	if cap != nil && soap.Detect(cap.body, cap.contentType) == soap.VersionHybrid {
+	if soap.Detect(wire.body, wire.contentType) == soap.VersionHybrid {
 		return versionMishandled
 	}
 	return versionAccepted
@@ -284,14 +245,13 @@ func versionRow(x *wireCall, row []outcome, _ []int) {
 		}
 		return
 	}
-	wire := x.handler.(*versionWire)
-	strict := framework.VersionStrictness(x.client.Name())
+	wire := versionWire{next: x.handler}
+	bridge := x.bridge.WithStrictness(framework.VersionStrictness(x.client.Name())).WithHandler(&wire)
 	for col, sc := range versionScenarios {
-		trace := obs.TraceID("versions", x.svc.Server, x.svc.Class, x.client.Name(), sc.Name)
-		resp, err := x.invoke(x.bridge.
-			WithCodec(sc.Codec).
-			WithStrictness(strict).
-			WithRetry(versionRetryPolicy(sc.Name)), trace)
-		row[col] = classifyVersion(sc, wire.take(trace), &x.deployment, resp, err)
+		// Reset the tap too: an exchange that never reaches the host
+		// leaves nothing to detect.
+		wire.sc, wire.contentType, wire.body = sc, "", nil
+		resp, err := x.invoke(bridge.WithCodec(sc.Codec))
+		row[col] = classifyVersion(&wire, &x.deployment, resp, err)
 	}
 }

@@ -158,10 +158,9 @@ type wireCall struct {
 	deployment
 }
 
-// invoke sends the service's echo request through bridge under the
-// cell's trace.
-func (x *wireCall) invoke(bridge *transport.LocalBridge, trace string) (*soap.Message, error) {
-	return bridge.Invoke(obs.WithTrace(x.ctx, trace), x.ep.Path, x.req)
+// invoke sends the service's echo request through bridge.
+func (x *wireCall) invoke(bridge *transport.LocalBridge) (*soap.Message, error) {
+	return bridge.Invoke(x.ctx, x.ep.Path, x.req)
 }
 
 // Matrix is the fold of one wire axis run: outcome histograms per

@@ -319,3 +319,69 @@ func TestDeployServesPublishedBytes(t *testing.T) {
 		t.Fatal("no service deployed")
 	}
 }
+
+// TestWireRowAllocs pins the allocations of one robust row (eleven
+// faulted exchanges) and one versions row (four scenarios) on a
+// service deployed at -limit 2, so per-exchange bookkeeping that
+// nothing reads — a minted trace, a stage-wide response tap — cannot
+// creep back into the rows.
+func TestWireRowAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	// Measured: 739 and 131. Minting one trace per exchange adds 44 and
+	// 16; with the trace also stamped on the wire and, for versions, a
+	// tap map shared by the stage's rows, the same rows took 837 and 186.
+	for _, c := range []struct {
+		ax    *Axis
+		bound float64
+	}{
+		{robustAxis, 770},
+		{versionsAxis, 140},
+	} {
+		x := deployedRow(t, c.ax)
+		row := make([]outcome, len(c.ax.columns))
+		allocs := testing.AllocsPerRun(20, func() { c.ax.exchange(x, row, nil) })
+		if allocs > c.bound {
+			t.Errorf("%s row: %.0f allocs, want <= %.0f", c.ax.name, allocs, c.bound)
+		}
+		t.Logf("%s row: %.0f allocs", c.ax.name, allocs)
+	}
+}
+
+// deployedRow stages the axis for the roster's first server at -limit
+// 2, as runAxisStage does, and returns the first (service × client)
+// row whose static steps passed and whose service has an operation.
+func deployedRow(t *testing.T, ax *Axis) *wireCall {
+	t.Helper()
+	ctx := context.Background()
+	r := newRunner(config{Limit: 2})
+	server := r.servers[0]
+	sp, err := r.planFor(server)
+	if err != nil {
+		t.Fatal(err)
+	}
+	published, _, err := r.Publish(ctx, server)
+	if err != nil {
+		t.Fatal(err)
+	}
+	host := transport.NewHost()
+	handler := ax.handler(r, server.Name(), host)
+	deployed, _, err := r.deployPublished(host, server, sp.defs, published)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bridge := transport.NewLocalBridge(handler).WithObs(r.obs)
+	for pi := range published {
+		for ci, client := range r.clients {
+			code := r.verdict(&published[pi], ci)
+			if code.errorAnywhere() || code&codeCompileRan == 0 || deployed[pi].op == "" {
+				continue
+			}
+			return &wireCall{ctx: ctx, r: r, handler: handler, bridge: bridge, client: client,
+				svc: &published[pi], deployment: deployed[pi]}
+		}
+	}
+	t.Fatalf("no exchangeable %s row at -limit 2", ax.name)
+	return nil
+}

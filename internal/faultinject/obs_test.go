@@ -19,7 +19,6 @@ func TestInjectionLogAndCounters(t *testing.T) {
 	req := httptest.NewRequest(http.MethodPost, "/svc", nil)
 	req.Header.Set(HeaderFault, string(KindTruncate))
 	req.Header.Set(HeaderAttempt, "2")
-	req.Header.Set(obs.TraceHeader, "feedface00000000")
 	inj.ServeHTTP(httptest.NewRecorder(), req)
 
 	if n := reg.Counter("faultinject.injected").Value(); n != 1 {

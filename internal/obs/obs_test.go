@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"reflect"
 	"strings"
@@ -167,17 +166,6 @@ func TestTraceIDDeterministicAndDistinct(t *testing.T) {
 	// Length prefixing: component boundaries matter.
 	if TraceID("ab", "c") == TraceID("a", "bc") {
 		t.Error("component boundaries must be part of the address")
-	}
-}
-
-func TestTraceContextRoundTrip(t *testing.T) {
-	ctx := context.Background()
-	if TraceFrom(ctx) != "" {
-		t.Error("fresh context should carry no trace")
-	}
-	ctx = WithTrace(ctx, "deadbeef01234567")
-	if got := TraceFrom(ctx); got != "deadbeef01234567" {
-		t.Errorf("TraceFrom = %q", got)
 	}
 }
 

@@ -1,28 +1,18 @@
 package obs
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 )
 
-// TraceHeader is the HTTP request header carrying a campaign cell's
-// trace ID on the wire. Every transport path (networked Client and
-// in-process LocalBridge) stamps it when the invocation context
-// carries a trace, so fault-injection logs and sniffer captures can be
-// joined back to the (server, client, class) cell that produced the
-// exchange.
-const TraceHeader = "X-Wsinterop-Trace"
-
 // TraceID mints the deterministic correlation ID for a campaign cell
 // from its identifying components — typically (server, class) for a
-// publish, (server, class, client) for a test cell, and (server,
-// class, client, fault) for a robustness cell. The ID is a content
-// address: the same components always produce the same ID, so any two
-// records of one cell join without shared state. Components are
-// length-prefixed before hashing, so ("ab","c") and ("a","bc") yield
-// distinct IDs.
+// publish and (server, class, client) for a test cell. The ID is a
+// content address: the same components always produce the same ID, so
+// any two records of one cell (an event, a journal record) join without
+// shared state. Components are length-prefixed before hashing, so
+// ("ab","c") and ("a","bc") yield distinct IDs.
 func TraceID(components ...string) string {
 	h := sha256.New()
 	var n [8]byte
@@ -32,19 +22,4 @@ func TraceID(components ...string) string {
 		h.Write([]byte(c))
 	}
 	return hex.EncodeToString(h.Sum(nil))[:16]
-}
-
-// ctxKey is the private context key for trace IDs.
-type ctxKey struct{}
-
-// WithTrace attaches a trace ID to a context.
-func WithTrace(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, ctxKey{}, id)
-}
-
-// TraceFrom extracts the trace ID from a context; empty when none was
-// attached.
-func TraceFrom(ctx context.Context) string {
-	id, _ := ctx.Value(ctxKey{}).(string)
-	return id
 }

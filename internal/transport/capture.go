@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"net/http"
+	"sync"
 )
 
 // errCaptureFull is what a bounded Capture answers a write past its
@@ -33,12 +34,28 @@ func NewCapture(limit int) *Capture { return &Capture{limit: limit} }
 
 var _ http.ResponseWriter = (*Capture)(nil)
 
+// headerMaps recycles the header maps of released captures. A cleared
+// map keeps its slot group, so a handler's Content-Type lands in a
+// recycled map without allocating the map or its group again.
+var headerMaps = sync.Pool{New: func() any { return make(http.Header) }}
+
 // Header implements http.ResponseWriter.
 func (c *Capture) Header() http.Header {
 	if c.header == nil {
-		c.header = make(http.Header)
+		c.header = headerMaps.Get().(http.Header)
 	}
 	return c.header
+}
+
+// release hands the header map back for reuse once the exchange's
+// status, headers and body have been read; the capture is not used
+// afterwards. The header values and the body stay valid.
+func (c *Capture) release() {
+	if c.header != nil {
+		clear(c.header)
+		headerMaps.Put(c.header)
+		c.header = nil
+	}
 }
 
 // WriteHeader implements http.ResponseWriter; only the first status

@@ -110,6 +110,7 @@ func (b *LocalBridge) Invoke(ctx context.Context, path string, req *soap.Message
 		// The capture enforces the read budget while the handler writes,
 		// so an oversized response is never held in full.
 		rec := NewCapture(maxResponseBytes)
+		defer rec.release()
 		if err := b.serve(rec, httpReq); err != nil {
 			return nil, err
 		}
@@ -142,23 +143,19 @@ func (b *LocalBridge) serve(w http.ResponseWriter, r *http.Request) (err error) 
 // allocated as one: its body and its header values.
 type localParts struct {
 	body localBody
-	vals [3]string
+	vals [2]string
 }
 
 // newLocalRequest builds one attempt's in-process POST directly: the
 // request http.NewRequestWithContext would build for target, with
 // ContentLength set and no GetBody, and one header map sized for its
-// values — Content-Type, SOAPAction when the codec uses it, and the
-// trace header when ctx carries a trace.
+// values — Content-Type, and SOAPAction when the codec uses it.
 func newLocalRequest(ctx context.Context, target *url.URL, body []byte, contentType string, action bool) *http.Request {
-	p := &localParts{body: localBody{data: body}, vals: [3]string{contentType, `""`, obs.TraceFrom(ctx)}}
+	p := &localParts{body: localBody{data: body}, vals: [2]string{contentType, `""`}}
 	h := make(http.Header, len(p.vals))
 	h["Content-Type"] = p.vals[0:1:1]
 	if action {
 		h[soapActionHeader] = p.vals[1:2:2]
-	}
-	if p.vals[2] != "" {
-		h[obs.TraceHeader] = p.vals[2:3:3]
 	}
 	req := http.Request{
 		Method:        http.MethodPost,

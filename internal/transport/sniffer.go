@@ -21,7 +21,7 @@ type Sniffer struct {
 	reg *obs.Registry
 
 	mu        sync.Mutex
-	exchanges []Exchange
+	exchanges int
 	findings  []CapturedViolation
 }
 
@@ -30,28 +30,6 @@ type CapturedViolation struct {
 	// Direction is "request" or "response".
 	Direction string
 	Violation wsi.Violation
-	// Trace is the campaign cell's correlation ID, copied from the
-	// request's X-Wsinterop-Trace header; empty for untraced traffic.
-	Trace string
-}
-
-// Exchange is the per-pair capture record: one row per
-// request/response observed, joinable to a campaign cell by trace ID
-// even when the exchange produced no findings.
-type Exchange struct {
-	// Trace is the request's X-Wsinterop-Trace header value.
-	Trace string
-	// Status is the recorded response status; an implicit 200 when the
-	// inner handler wrote a body (or nothing) without calling
-	// WriteHeader.
-	Status int
-	// RequestViolations and ResponseViolations count the exchange's
-	// message-level findings per direction.
-	RequestViolations  int
-	ResponseViolations int
-	// ResponseBytes is how much of the response body the capture kept
-	// and checked: all of it, or the read budget for a longer one.
-	ResponseBytes int
 }
 
 // NewSniffer wraps a handler. A nil checker uses the default.
@@ -159,7 +137,7 @@ func (s *Sniffer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	rec := recorders.Get().(*recordingWriter)
 	rec.ResponseWriter = w
 	s.next.ServeHTTP(rec, r)
-	status, respBytes := rec.Status(), len(rec.body)
+	status := rec.Status()
 	respReport := s.checker.CheckMessage(rec.body, wsi.MessageMeta{
 		ContentType: rec.Header().Get("Content-Type"),
 		HTTPStatus:  status,
@@ -173,24 +151,17 @@ func (s *Sniffer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		recorders.Put(rec)
 	}
 
-	trace := r.Header.Get(obs.TraceHeader)
 	s.reg.Counter("sniffer.exchanges").Inc()
 	s.reg.Counter("sniffer.violations").Add(int64(len(reqReport.Violations) + len(respReport.Violations)))
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.exchanges = append(s.exchanges, Exchange{
-		Trace:              trace,
-		Status:             status,
-		RequestViolations:  len(reqReport.Violations),
-		ResponseViolations: len(respReport.Violations),
-		ResponseBytes:      respBytes,
-	})
+	s.exchanges++
 	for _, v := range reqReport.Violations {
-		s.findings = append(s.findings, CapturedViolation{Direction: "request", Violation: v, Trace: trace})
+		s.findings = append(s.findings, CapturedViolation{Direction: "request", Violation: v})
 	}
 	for _, v := range respReport.Violations {
-		s.findings = append(s.findings, CapturedViolation{Direction: "response", Violation: v, Trace: trace})
+		s.findings = append(s.findings, CapturedViolation{Direction: "response", Violation: v})
 	}
 }
 
@@ -198,14 +169,7 @@ func (s *Sniffer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func (s *Sniffer) Exchanges() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.exchanges)
-}
-
-// ExchangeLog returns a copy of the per-exchange capture records.
-func (s *Sniffer) ExchangeLog() []Exchange {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Exchange(nil), s.exchanges...)
+	return s.exchanges
 }
 
 // Findings returns a copy of every captured violation.

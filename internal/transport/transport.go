@@ -483,15 +483,6 @@ func (c *Client) WithStrictness(s soap.Strictness) *Client {
 	return &cp
 }
 
-// stampTrace copies the invocation context's campaign trace ID onto
-// the request, making the exchange joinable to its (server, client,
-// class) cell in sniffer captures and fault-injection logs.
-func stampTrace(ctx context.Context, h http.Header) {
-	if tr := obs.TraceFrom(ctx); tr != "" {
-		h.Set(obs.TraceHeader, tr)
-	}
-}
-
 // Invoke sends a request message to url and returns the response
 // message. A SOAP fault is returned as a *soap.Fault error; a non-2xx
 // response without a fault envelope as an *HTTPError. A configured
@@ -514,7 +505,6 @@ func (c *Client) Invoke(ctx context.Context, url, soapAction string, req *soap.M
 		if codec.UsesActionHeader() {
 			httpReq.Header.Set(soapActionHeader, fmt.Sprintf("%q", soapAction))
 		}
-		stampTrace(ctx, httpReq.Header)
 		c.retry.annotate(n, httpReq.Header)
 
 		httpResp, err := c.httpClient.Do(httpReq)

@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"context"
-	"net/http"
 
 	"wsinterop/internal/obs"
 	"wsinterop/internal/transport"
@@ -70,7 +69,6 @@ var commAxis = &Axis{
 	counters: []string{commCells, commCells, commCells, commCells, commCells},
 	tallies:  2,
 	view:     func(m *Matrix) WireResult { return commResult(m) },
-	handler:  func(_ *Runner, _ string, host *transport.Host) http.Handler { return host },
 	exchange: commRow,
 }
 
@@ -198,7 +196,7 @@ func (x *wireCall) communicate(tally []int) outcome {
 		// Artifacts with nothing to invoke: the silent failures.
 		return commNoOperations
 	}
-	sniffer := transport.NewSniffer(x.handler, x.r.checker).WithObs(x.r.obs)
+	sniffer := transport.NewSniffer(x.host, x.r.checker).WithObs(x.r.obs)
 	resp, err := x.invoke(x.bridge.WithHandler(sniffer))
 	tally[0], tally[1] = sniffer.Exchanges(), len(sniffer.Findings())
 	if err != nil {

@@ -93,11 +93,10 @@ func TestResultCarriesMetrics(t *testing.T) {
 	}
 }
 
-// TestCommunicationTraceJoin proves the per-cell trace ID travels from
-// the campaign worker through the LocalBridge onto the wire: every
-// communication event's trace recomputes from its (server, class,
-// client) coordinates, and the sniffer — which reads the trace off the
-// request header — feeds the same registry.
+// TestCommunicationTraceJoin proves the communication events join on
+// their content-addressed trace IDs: every event's trace recomputes
+// from its (server, class, client) coordinates. The cell's sniffer
+// feeds the same registry.
 func TestCommunicationTraceJoin(t *testing.T) {
 	reg := obs.NewRegistry()
 	r := newRunner(config{Limit: 2, Workers: 2, Obs: reg})

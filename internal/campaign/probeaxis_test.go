@@ -2,13 +2,11 @@ package campaign
 
 import (
 	"context"
-	"net/http"
 	"reflect"
 	"testing"
 
 	"wsinterop/internal/obs"
 	"wsinterop/internal/soap"
-	"wsinterop/internal/transport"
 )
 
 // probeAxis is a fourth matrix axis declared in this file alone: every
@@ -20,7 +18,6 @@ var probeAxis = &Axis{
 	columns:  []string{"v11", "v12"},
 	codes:    []string{"skipped", "echoed", "failed"},
 	counters: []string{"test.probe.skipped", "test.probe.echoed", "test.probe.failed"},
-	handler:  func(_ *Runner, _ string, host *transport.Host) http.Handler { return host },
 	exchange: func(x *wireCall, row []outcome, _ []int) {
 		for col, codec := range []soap.Codec{soap.V11, soap.V12} {
 			row[col] = 0

@@ -3,8 +3,6 @@ package campaign
 import (
 	"context"
 	"fmt"
-	"net/http"
-	"strconv"
 	"time"
 
 	"wsinterop/internal/faultinject"
@@ -66,15 +64,6 @@ var robustAxis = &Axis{
 	codes:           []string{"skipped", "detected-fault", "masked-fault", "wrong-success", "retry-recovered"},
 	counters: []string{"campaign.robust.skipped", "campaign.robust.detected", "campaign.robust.masked",
 		"campaign.robust.wrong_success", "campaign.robust.recovered"},
-	handler: func(r *Runner, _ string, host *transport.Host) http.Handler {
-		injector := faultinject.New(host)
-		// Keep the matrix wall-clock-free: the delay fault is classified
-		// by what the client does with a slow-but-valid response, not by
-		// actually stalling thousands of cells.
-		injector.Sleep = func(time.Duration) {}
-		injector.Obs = r.obs
-		return injector
-	},
 	exchange: robustRow,
 }
 
@@ -109,25 +98,10 @@ func (r *RobustResult) Totals() RobustCounts {
 	}
 }
 
-// robustRetryPolicy builds the per-cell client policy: bounded
-// attempts, exponential backoff with a deterministic jitter, a no-op
-// sleeper (the matrix must be wall-clock-free), and an Annotate hook
-// that stamps the fault directive plus attempt number onto every
-// request and records how many attempts ran.
-func robustRetryPolicy(directive string, attempts *int) *transport.RetryPolicy {
-	return &transport.RetryPolicy{
-		MaxAttempts: 2,
-		BaseDelay:   time.Millisecond,
-		MaxDelay:    4 * time.Millisecond,
-		Jitter:      func(attempt int, d time.Duration) time.Duration { return d + time.Duration(attempt)*time.Microsecond },
-		Sleep:       func(context.Context, time.Duration) error { return nil },
-		Annotate: func(attempt int, h http.Header) {
-			*attempts = attempt
-			h.Set(faultinject.HeaderFault, directive)
-			h.Set(faultinject.HeaderAttempt, strconv.Itoa(attempt))
-		},
-	}
-}
+// robustRetry is every robust exchange's client policy: a second
+// attempt after a retryable error, with no pause between them, so the
+// matrix stays wall-clock-free.
+var robustRetry = &transport.RetryPolicy{MaxAttempts: 2}
 
 // classifyRobust maps one exchange outcome into the taxonomy. Order
 // matters: a surfaced error is always detection; a misshapen response
@@ -165,7 +139,8 @@ func (r *Runner) RunRobustness(ctx context.Context) (*RobustResult, error) {
 }
 
 // robustRow runs one faulted invocation per catalog entry for the
-// (service × client) pair, writing outcomes into the row's slots.
+// (service × client) pair, writing outcomes into the row's slots. The
+// row owns its injector and arms it before every exchange.
 func robustRow(x *wireCall, row []outcome, _ []int) {
 	if x.op == "" {
 		for i := range row {
@@ -173,9 +148,16 @@ func robustRow(x *wireCall, row []outcome, _ []int) {
 		}
 		return
 	}
+	inj := faultinject.New(x.host)
+	// Keep the matrix wall-clock-free: the delay fault is classified by
+	// what the client does with a slow-but-valid response, not by
+	// actually stalling thousands of cells.
+	inj.Sleep = func(time.Duration) {}
+	inj.Obs = x.r.obs
+	bridge := x.bridge.WithRetry(robustRetry).WithHandler(inj)
 	for col, f := range robustFaults {
-		attempts := 0
-		resp, err := x.invoke(x.bridge.WithRetry(robustRetryPolicy(f.Directive, &attempts)))
-		row[col] = classifyRobust(f, attempts, &x.deployment, resp, err)
+		inj.Arm(f)
+		resp, err := x.invoke(bridge)
+		row[col] = classifyRobust(f, inj.Attempts(), &x.deployment, resp, err)
 	}
 }

@@ -181,12 +181,11 @@ func TestOversizeCellAllocationBound(t *testing.T) {
 	req := &soap.Message{Namespace: "urn:test", Local: "echo",
 		Fields: map[string]string{"input": "ping"}}
 	cell := func() {
-		attempts := 0
-		bridge := transport.NewLocalBridge(injector).
-			WithRetry(robustRetryPolicy(string(faultinject.KindOversize), &attempts))
+		injector.Arm(faultinject.Fault{Kind: faultinject.KindOversize})
+		bridge := transport.NewLocalBridge(injector).WithRetry(robustRetry)
 		_, err := bridge.Invoke(context.Background(), "/svc", req)
 		var de *soap.DecodeError
-		if !errors.As(err, &de) || attempts != 2 {
+		if attempts := injector.Attempts(); !errors.As(err, &de) || attempts != 2 {
 			t.Fatalf("oversize cell: attempts %d, error %v; want 2 attempts ending in a *soap.DecodeError", attempts, err)
 		}
 	}

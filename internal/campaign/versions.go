@@ -121,12 +121,8 @@ var versionsAxis = &Axis{
 	codes:   versionCodes,
 	counters: []string{"campaign.versions.skipped", "campaign.versions.accepted",
 		"campaign.versions.typed_reject", "campaign.versions.silent_mishandle"},
-	handler: func(_ *Runner, server string, host *transport.Host) http.Handler {
-		host.SetVersionPolicy(&transport.VersionPolicy{
-			Codec:      soap.V11,
-			Strictness: framework.VersionStrictness(server),
-		})
-		return host
+	version: func(server string) *transport.VersionPolicy {
+		return &transport.VersionPolicy{Codec: soap.V11, Strictness: framework.VersionStrictness(server)}
 	},
 	exchange: versionRow,
 }
@@ -197,6 +193,7 @@ func (vw *versionWire) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	vw.contentType, vw.body = ctype, body
 	rec.WriteHeaderTo(w, status, ctype)
+	rec.Release()
 	_, _ = w.Write(body)
 }
 
@@ -245,7 +242,7 @@ func versionRow(x *wireCall, row []outcome, _ []int) {
 		}
 		return
 	}
-	wire := versionWire{next: x.handler}
+	wire := versionWire{next: x.host}
 	bridge := x.bridge.WithStrictness(framework.VersionStrictness(x.client.Name())).WithHandler(&wire)
 	for col, sc := range versionScenarios {
 		// Reset the tap too: an exchange that never reaches the host

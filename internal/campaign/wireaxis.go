@@ -4,13 +4,14 @@ package campaign
 // that exchange SOAP messages over the in-process wire — steps 4–5 of
 // the paper's Fig. 1, which it leaves as future work. Each mode
 // (communication.go, robustness.go, versions.go) is one Axis
-// declaration: its column catalog, its outcome codes, its handler wrap,
-// its per-(service × client) exchange and its presentation. The
+// declaration: its column catalog, its outcome codes, its host version
+// policy, its per-(service × client) exchange and its presentation. The
 // executor owns the rest, once:
 //
 //   - per server stage: Publish, deployPublished (each service's
 //     endpoint and echo request, built once for all its clients), the
-//     axis's handler chain and the bridge with its invoke meters;
+//     host with the axis's version policy and the bridge with its
+//     invoke meters;
 //   - one (service × client) job feed with cancellation, each job
 //     writing its outcome codes into pre-indexed service × client ×
 //     column slots;
@@ -32,7 +33,6 @@ package campaign
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"slices"
 	"sync/atomic"
 
@@ -91,10 +91,9 @@ type Axis struct {
 	// view converts the fold into the axis's result; nil means the
 	// Matrix is the result.
 	view func(m *Matrix) WireResult
-	// handler prepares one server stage's host and returns the
-	// handler every exchange of the stage goes through; the stage's
-	// bridge invokes it.
-	handler func(r *Runner, server string, host *transport.Host) http.Handler
+	// version, when set, returns the version policy a server stage's
+	// host declares; nil leaves the host's SOAP 1.1 default.
+	version func(server string) *transport.VersionPolicy
 	// exchange fills one (service × client) row: an outcome per column
 	// and the row's tallies.
 	exchange func(x *wireCall, row []outcome, tally []int)
@@ -143,11 +142,11 @@ func (ax *Axis) complete() string { return ax.name + "-complete" }
 
 // wireCall is one (service × client) job of an axis.
 type wireCall struct {
-	ctx     context.Context
-	r       *Runner
-	handler http.Handler
-	// bridge is the stage's bridge over handler, metered into the
-	// runner's registry; exchanges derive their per-cell copies from it.
+	ctx  context.Context
+	r    *Runner
+	host *transport.Host
+	// bridge is the stage's bridge over host, metered into the runner's
+	// registry; exchanges derive their per-cell copies from it.
 	bridge *transport.LocalBridge
 	client framework.ClientFramework
 	svc    *PublishedService
@@ -330,8 +329,10 @@ func (r *Runner) runAxisStage(ctx context.Context, ax *Axis, cj *cellJournal, m 
 		return err
 	}
 	host := transport.NewHost()
-	handler := ax.handler(r, name, host)
-	bridge := transport.NewLocalBridge(handler).WithObs(r.obs)
+	if ax.version != nil {
+		host.SetVersionPolicy(ax.version(name))
+	}
+	bridge := host.Local().WithObs(r.obs)
 	deployed, collisions, err := r.deployPublished(host, server, sp.defs, published)
 	if err != nil {
 		return err
@@ -370,7 +371,7 @@ func (r *Runner) runAxisStage(ctx context.Context, ax *Axis, cj *cellJournal, m 
 	err = r.feed(ctx, len(todo)*nc, func(job int) {
 		pi, ci := todo[job/nc], job%nc
 		idx := pi*nc + ci
-		x := wireCall{ctx: ctx, r: r, handler: handler, bridge: bridge, client: r.clients[ci], svc: &published[pi]}
+		x := wireCall{ctx: ctx, r: r, host: host, bridge: bridge, client: r.clients[ci], svc: &published[pi]}
 		// Steps 4–5 start only where steps 2–3 succeeded; the generated
 		// proxy's first method is the document's first operation
 		// (unitgen's port-type order).

@@ -3,44 +3,31 @@
 // Fig. 1). An Injector is http.Handler middleware — composable with
 // transport.Sniffer and drivable through transport.Client or
 // transport.LocalBridge — that corrupts the response of the handler it
-// wraps according to a per-request directive: truncated envelopes,
+// wraps according to the fault it is armed with: truncated envelopes,
 // non-XML error pages, wrong content types, empty or oversized bodies,
 // duplicated or renamed payload children, delays, and connection
 // aborts.
 //
-// Faults are selected per request through the HeaderFault request
-// header rather than injector state, so one injector instance serves
-// any number of concurrent invocations deterministically — the
-// property the campaign's Robustness mode relies on to produce a
-// byte-identical (server × client × fault) matrix at any worker
-// count. Transient faults ("kind;times=N") read the attempt number
-// from HeaderAttempt, which a transport.RetryPolicy stamps via its
-// Annotate hook; the fault fires only on the first N attempts,
-// modeling the recoverable glitches that retry policies exist for.
+// An injector is per-exchange state: its owner arms it with a Fault
+// before each invocation (Arm), and the injector counts the attempts
+// it serves since (Attempts). The campaign's Robustness mode gives
+// every (service × client) row its own injector, so concurrent rows
+// never share one and the (server × client × fault) matrix is
+// byte-identical at any worker count. A transient fault (Times > 0)
+// fires on the first Times attempts only, modeling the recoverable
+// glitches that retry policies exist for.
 package faultinject
 
 import (
 	"bytes"
 	"net/http"
-	"regexp"
-	"strconv"
-	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"wsinterop/internal/obs"
 	"wsinterop/internal/soap"
 	"wsinterop/internal/transport"
-)
-
-// Request headers steering the injector.
-const (
-	// HeaderFault carries the fault directive: a Kind, optionally
-	// suffixed with ";times=N" to fire on the first N attempts only.
-	HeaderFault = "X-Inject-Fault"
-	// HeaderAttempt carries the 1-based attempt number of a retrying
-	// client; absent means attempt 1.
-	HeaderAttempt = "X-Inject-Attempt"
 )
 
 // Kind identifies one injectable wire-level fault.
@@ -75,13 +62,16 @@ const (
 	KindAbort Kind = "abort"
 )
 
-// Fault is one row of the robustness matrix: a named directive plus
+// Fault is one row of the robustness matrix: a named fault kind plus
 // the conformance expectation the outcome classification keys on.
 type Fault struct {
 	// Name labels the matrix row.
 	Name string
-	// Directive is the HeaderFault value selecting the fault.
-	Directive string
+	// Kind selects the fault; the zero Kind injects nothing.
+	Kind Kind
+	// Times, when positive, fires the fault on the first Times attempts
+	// only; zero fires it on every attempt.
+	Times int
 	// MustError reports whether a conforming client has to surface an
 	// error for this fault — the wire carried an unambiguous failure
 	// or corruption signal. A success against a MustError fault is a
@@ -94,17 +84,17 @@ type Fault struct {
 // on the first attempt only, so a client with a retry policy recovers.
 func Catalog() []Fault {
 	return []Fault{
-		{Name: "truncate", Directive: string(KindTruncate), MustError: true},
-		{Name: "html-error", Directive: string(KindHTMLError), MustError: true},
-		{Name: "status-500", Directive: string(KindStatus500), MustError: true},
-		{Name: "wrong-content-type", Directive: string(KindWrongContentType), MustError: false},
-		{Name: "empty-body", Directive: string(KindEmptyBody), MustError: true},
-		{Name: "oversize", Directive: string(KindOversize), MustError: true},
-		{Name: "dup-child", Directive: string(KindDuplicateChild), MustError: true},
-		{Name: "rename-child", Directive: string(KindRenameChild), MustError: true},
-		{Name: "delay", Directive: string(KindDelay), MustError: false},
-		{Name: "abort", Directive: string(KindAbort), MustError: true},
-		{Name: "abort-once", Directive: string(KindAbort) + ";times=1", MustError: false},
+		{Name: "truncate", Kind: KindTruncate, MustError: true},
+		{Name: "html-error", Kind: KindHTMLError, MustError: true},
+		{Name: "status-500", Kind: KindStatus500, MustError: true},
+		{Name: "wrong-content-type", Kind: KindWrongContentType, MustError: false},
+		{Name: "empty-body", Kind: KindEmptyBody, MustError: true},
+		{Name: "oversize", Kind: KindOversize, MustError: true},
+		{Name: "dup-child", Kind: KindDuplicateChild, MustError: true},
+		{Name: "rename-child", Kind: KindRenameChild, MustError: true},
+		{Name: "delay", Kind: KindDelay, MustError: false},
+		{Name: "abort", Kind: KindAbort, MustError: true},
+		{Name: "abort-once", Kind: KindAbort, Times: 1, MustError: false},
 	}
 }
 
@@ -116,13 +106,16 @@ const oversizePad = 1<<20 + 1024
 // carries: built once, on first use, and only ever read.
 var oversizeFiller = sync.OnceValue(func() []byte { return bytes.Repeat([]byte(" "), oversizePad) })
 
-// Injector is the fault-injecting middleware. A request without the
-// HeaderFault directive passes through untouched, so the injector can
-// stay permanently composed into a handler chain.
+// delayPause is the KindDelay pause.
+const delayPause = time.Millisecond
+
+// Injector is the fault-injecting middleware. An unarmed injector, or
+// one armed with the zero Fault, passes every request through
+// untouched, so it can stay permanently composed into a handler chain.
+// Arm is not synchronized with ServeHTTP: arm a networked injector
+// before its server starts.
 type Injector struct {
 	next http.Handler
-	// Delay is the KindDelay pause; zero means one millisecond.
-	Delay time.Duration
 	// Sleep overrides the KindDelay sleeper. The campaign installs a
 	// no-op here to keep the robustness matrix wall-clock-free.
 	Sleep func(d time.Duration)
@@ -133,6 +126,10 @@ type Injector struct {
 	// responses; KindOversize pads inside its closing Envelope tag. Nil
 	// means SOAP 1.1, the historical wire format.
 	codec soap.Codec
+	// fault is the armed fault; attempts counts the requests served
+	// since Arm.
+	fault    Fault
+	attempts atomic.Int64
 }
 
 // New wraps a handler with an injector.
@@ -146,6 +143,16 @@ func (i *Injector) WithCodec(c soap.Codec) *Injector {
 	return i
 }
 
+// Arm sets the fault the following requests get and zeroes the
+// attempt count.
+func (i *Injector) Arm(f Fault) {
+	i.fault = f
+	i.attempts.Store(0)
+}
+
+// Attempts returns the number of requests served since Arm.
+func (i *Injector) Attempts() int { return int(i.attempts.Load()) }
+
 // record counts one fired fault.
 func (i *Injector) record(kind Kind) {
 	i.Obs.Counter("faultinject.injected").Inc()
@@ -154,73 +161,45 @@ func (i *Injector) record(kind Kind) {
 
 var _ http.Handler = (*Injector)(nil)
 
-// parseDirective splits "kind" / "kind;times=N". times 0 means every
-// attempt.
-func parseDirective(s string) (Kind, int) {
-	kind, rest, ok := strings.Cut(s, ";")
-	if !ok {
-		return Kind(kind), 0
-	}
-	if v, found := strings.CutPrefix(rest, "times="); found {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return Kind(kind), n
-		}
-	}
-	return Kind(kind), 0
-}
-
-// ServeHTTP implements http.Handler.
+// ServeHTTP implements http.Handler. An unknown kind answers 500 and
+// is not counted: arbitrary kinds must not mint counter names.
 func (i *Injector) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	directive := r.Header.Get(HeaderFault)
-	if directive == "" {
+	attempt := i.attempts.Add(1)
+	kind := i.fault.Kind
+	if kind == "" || (i.fault.Times > 0 && attempt > int64(i.fault.Times)) {
 		i.next.ServeHTTP(w, r)
 		return
-	}
-	kind, times := parseDirective(directive)
-	attempt := 1
-	if n, err := strconv.Atoi(r.Header.Get(HeaderAttempt)); err == nil {
-		attempt = n
-	}
-	if times > 0 && attempt > times {
-		i.next.ServeHTTP(w, r)
-		return
-	}
-	switch kind {
-	case KindAbort, KindDelay, KindTruncate, KindHTMLError, KindStatus500,
-		KindWrongContentType, KindEmptyBody, KindOversize,
-		KindDuplicateChild, KindRenameChild:
-		i.record(kind)
 	}
 	switch kind {
 	case KindAbort:
+		i.record(kind)
 		// The stdlib convention for dropping the connection: a real
 		// http.Server closes the socket, LocalBridge maps it to
 		// transport.ErrAborted.
 		panic(http.ErrAbortHandler)
 	case KindDelay:
-		d := i.Delay
-		if d == 0 {
-			d = time.Millisecond
-		}
+		i.record(kind)
 		if i.Sleep != nil {
-			i.Sleep(d)
+			i.Sleep(delayPause)
 		} else {
-			time.Sleep(d)
+			time.Sleep(delayPause)
 		}
 		i.next.ServeHTTP(w, r)
 	case KindTruncate, KindHTMLError, KindStatus500, KindWrongContentType,
 		KindEmptyBody, KindOversize, KindDuplicateChild, KindRenameChild:
+		i.record(kind)
 		rec := transport.NewCapture(0)
 		i.next.ServeHTTP(rec, r)
 		status, ctype, body := i.mutate(kind, rec.Status(), rec.Header().Get("Content-Type"), rec.Body())
 		rec.WriteHeaderTo(w, status, ctype)
+		rec.Release()
 		if kind == KindOversize {
 			i.writeOversize(w, body)
 			return
 		}
 		_, _ = w.Write(body)
 	default:
-		http.Error(w, "faultinject: unknown fault directive "+directive, http.StatusInternalServerError)
+		http.Error(w, "faultinject: unknown fault kind "+string(kind), http.StatusInternalServerError)
 	}
 }
 
@@ -270,32 +249,62 @@ func (i *Injector) writeOversize(w http.ResponseWriter, body []byte) {
 	}
 }
 
-// childLine matches one single-line payload child of the canonical
-// soap.Marshal wire format: indented "<m:name>value</m:name>". The
-// wrapper element spans multiple lines and carries an attribute, so
-// only genuine children match.
-var childLine = regexp.MustCompile(`(?m)^( +)<m:([A-Za-z0-9_.-]+)>(.*)</m:[A-Za-z0-9_.-]+>$`)
-
 // mutateChild duplicates (with a corrupted value) or renames the first
 // payload child. A body with no children — or a non-envelope body —
 // is returned unchanged, making the fault a no-op for that exchange.
 func mutateChild(body []byte, duplicate bool) []byte {
-	loc := childLine.FindSubmatchIndex(body)
-	if loc == nil {
-		return body
+	for start := 0; start < len(body); {
+		end := len(body)
+		if i := bytes.IndexByte(body[start:], '\n'); i >= 0 {
+			end = start + i
+		}
+		indent, name, value, ok := parseChild(body[start:end])
+		if !ok {
+			start = end + 1
+			continue
+		}
+		// A duplicate keeps the child and repeats it with an "x" appended
+		// to its value; a rename appends an "X" to its name. Either grows
+		// the body by at most the line plus the name and one byte.
+		out := append(make([]byte, 0, len(body)+(end-start)+len(name)+1), body[:start]...)
+		nameSuffix, valueSuffix := "X", ""
+		if duplicate {
+			out = append(append(out, body[start:end]...), '\n')
+			nameSuffix, valueSuffix = "", "x"
+		}
+		out = append(append(append(append(out, indent...), "<m:"...), name...), nameSuffix...)
+		out = append(append(append(append(out, '>'), value...), valueSuffix...), "</m:"...)
+		out = append(append(append(out, name...), nameSuffix...), '>')
+		return append(out, body[end:]...)
 	}
-	indent := string(body[loc[2]:loc[3]])
-	name := string(body[loc[4]:loc[5]])
-	value := string(body[loc[6]:loc[7]])
-	var repl string
-	if duplicate {
-		orig := string(body[loc[0]:loc[1]])
-		repl = orig + "\n" + indent + "<m:" + name + ">" + value + "x</m:" + name + ">"
-	} else {
-		repl = indent + "<m:" + name + "X>" + value + "</m:" + name + "X>"
+	return body
+}
+
+// parseChild matches one line of the canonical soap.Marshal wire format
+// against a single-line payload child: one or more spaces, then
+// "<m:name>value</m:close>" to the line's end, where name and close are
+// runs of [A-Za-z0-9_.-]. The wrapper element spans multiple lines and
+// carries an attribute, so only genuine children match.
+func parseChild(line []byte) (indent, name, value []byte, ok bool) {
+	trimmed := bytes.TrimLeft(line, " ")
+	elem, found := bytes.CutPrefix(trimmed, []byte("<m:"))
+	// The closing tag is the line's last "</m:": nothing after it may
+	// hold another.
+	open, tag := bytes.IndexByte(elem, '>'), bytes.LastIndex(elem, []byte("</m:"))
+	if len(trimmed) == len(line) || !found || open < 0 || tag <= open || elem[len(elem)-1] != '>' ||
+		!isName(elem[:open]) || !isName(elem[tag+len("</m:"):len(elem)-1]) {
+		return nil, nil, nil, false
 	}
-	out := make([]byte, 0, len(body)+len(repl))
-	out = append(out, body[:loc[0]]...)
-	out = append(out, repl...)
-	return append(out, body[loc[1]:]...)
+	return line[:len(line)-len(trimmed)], elem[:open], elem[open+1 : tag], true
+}
+
+// isName reports whether b is a payload child's name: a non-empty run
+// of [A-Za-z0-9_.-].
+func isName(b []byte) bool {
+	for _, c := range b {
+		if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || c == '_' || c == '.' || c == '-') {
+			return false
+		}
+	}
+	return len(b) > 0
 }

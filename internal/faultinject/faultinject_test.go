@@ -45,18 +45,12 @@ func echoRequest() *soap.Message {
 		Fields: map[string]string{"input": "ping", "count": "3"}}
 }
 
-// invokeFaulted drives one invocation through the injector with the
-// given directive stamped on every attempt.
-func invokeFaulted(t *testing.T, handler http.Handler, directive string) (*soap.Message, error) {
+// invokeFaulted arms the injector with the fault and drives one
+// single-attempt invocation through it.
+func invokeFaulted(t *testing.T, inj *Injector, f Fault) (*soap.Message, error) {
 	t.Helper()
-	policy := &transport.RetryPolicy{
-		Annotate: func(attempt int, h http.Header) {
-			h.Set(HeaderFault, directive)
-			h.Set(HeaderAttempt, "1")
-		},
-	}
-	bridge := transport.NewLocalBridge(handler).WithRetry(policy)
-	return bridge.Invoke(context.Background(), "/svc", echoRequest())
+	inj.Arm(f)
+	return transport.NewLocalBridge(inj).Invoke(context.Background(), "/svc", echoRequest())
 }
 
 func TestPassthroughWithoutDirective(t *testing.T) {
@@ -141,7 +135,7 @@ func TestFaultKinds(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(string(c.kind), func(t *testing.T) {
-			resp, err := invokeFaulted(t, inj, string(c.kind))
+			resp, err := invokeFaulted(t, inj, Fault{Kind: c.kind})
 			c.check(t, resp, err)
 		})
 	}
@@ -149,7 +143,7 @@ func TestFaultKinds(t *testing.T) {
 
 func TestDuplicateChildCorruptsValue(t *testing.T) {
 	inj := New(echoHandler(t))
-	_, err := invokeFaulted(t, inj, string(KindDuplicateChild))
+	_, err := invokeFaulted(t, inj, Fault{Kind: KindDuplicateChild})
 	var de *soap.DecodeError
 	if !errors.As(err, &de) {
 		t.Fatalf("duplicated child must be rejected by the codec, got %v", err)
@@ -159,26 +153,21 @@ func TestDuplicateChildCorruptsValue(t *testing.T) {
 	}
 }
 
-// TestTransientFaultRespectsAttempts checks the ";times=N" directive:
-// the fault fires on the first N attempts and passes through after.
+// TestTransientFaultRespectsAttempts checks a fault with Times set:
+// it fires on the first Times attempts and passes through after.
 func TestTransientFaultRespectsAttempts(t *testing.T) {
 	inj := New(echoHandler(t))
-	attempts := 0
+	inj.Arm(Fault{Kind: KindAbort, Times: 1})
 	policy := &transport.RetryPolicy{
 		MaxAttempts: 3,
 		Sleep:       func(context.Context, time.Duration) error { return nil },
-		Annotate: func(attempt int, h http.Header) {
-			attempts = attempt
-			h.Set(HeaderFault, string(KindAbort)+";times=1")
-			h.Set(HeaderAttempt, itoa(attempt))
-		},
 	}
 	bridge := transport.NewLocalBridge(inj).WithRetry(policy)
 	resp, err := bridge.Invoke(context.Background(), "/svc", echoRequest())
 	if err != nil {
 		t.Fatalf("transient fault should recover under retry: %v", err)
 	}
-	if attempts != 2 {
+	if attempts := inj.Attempts(); attempts != 2 {
 		t.Errorf("attempts = %d, want 2 (fault on first only)", attempts)
 	}
 	if v, _ := resp.Field("input"); v != "ping" {
@@ -186,12 +175,9 @@ func TestTransientFaultRespectsAttempts(t *testing.T) {
 	}
 }
 
-// itoa avoids strconv in the one place a test stamps attempt numbers.
-func itoa(n int) string { return string(rune('0' + n)) }
-
 func TestTransientFaultWithoutRetryFails(t *testing.T) {
 	inj := New(echoHandler(t))
-	_, err := invokeFaulted(t, inj, string(KindAbort)+";times=1")
+	_, err := invokeFaulted(t, inj, Fault{Kind: KindAbort, Times: 1})
 	if !errors.Is(err, transport.ErrAborted) {
 		t.Fatalf("single attempt must still hit the transient fault, got %v", err)
 	}
@@ -199,7 +185,7 @@ func TestTransientFaultWithoutRetryFails(t *testing.T) {
 
 func TestUnknownDirectiveIsServerError(t *testing.T) {
 	inj := New(echoHandler(t))
-	_, err := invokeFaulted(t, inj, "no-such-fault")
+	_, err := invokeFaulted(t, inj, Fault{Kind: "no-such-fault"})
 	var he *transport.HTTPError
 	if !errors.As(err, &he) || he.Status != http.StatusInternalServerError {
 		t.Fatalf("unknown directive should 500, got %v", err)
@@ -224,9 +210,9 @@ func TestComposesWithSniffer(t *testing.T) {
 func TestOversizeExceedsReadBudget(t *testing.T) {
 	rec := httptest.NewRecorder()
 	inj := New(echoHandler(t))
+	inj.Arm(Fault{Kind: KindOversize})
 	req := httptest.NewRequest(http.MethodPost, "/svc", strings.NewReader(mustMarshal(t)))
 	req.Header.Set("Content-Type", soap.ContentType)
-	req.Header.Set(HeaderFault, string(KindOversize))
 	req.ContentLength = int64(len(mustMarshal(t)))
 	inj.ServeHTTP(rec, req)
 	if rec.Body.Len() <= 1<<20 {

@@ -16,9 +16,8 @@ func TestInjectionLogAndCounters(t *testing.T) {
 	inj := New(inner)
 	inj.Obs = reg
 
+	inj.Arm(Fault{Kind: KindTruncate})
 	req := httptest.NewRequest(http.MethodPost, "/svc", nil)
-	req.Header.Set(HeaderFault, string(KindTruncate))
-	req.Header.Set(HeaderAttempt, "2")
 	inj.ServeHTTP(httptest.NewRecorder(), req)
 
 	if n := reg.Counter("faultinject.injected").Value(); n != 1 {
@@ -28,30 +27,33 @@ func TestInjectionLogAndCounters(t *testing.T) {
 		t.Errorf("per-kind counter = %d, want 1", n)
 	}
 
-	// An unknown directive is rejected, not counted: arbitrary header
-	// input must not mint counter names.
+	// An unknown kind is rejected, not counted: arbitrary kinds must
+	// not mint counter names.
+	inj.Arm(Fault{Kind: "bogus-kind"})
 	bad := httptest.NewRequest(http.MethodPost, "/svc", nil)
-	bad.Header.Set(HeaderFault, "bogus-kind")
 	rec := httptest.NewRecorder()
 	inj.ServeHTTP(rec, bad)
 	if rec.Code != http.StatusInternalServerError {
-		t.Errorf("unknown directive status = %d, want 500", rec.Code)
+		t.Errorf("unknown kind status = %d, want 500", rec.Code)
 	}
 	if reg.Counter("faultinject.injected").Value() != 1 {
-		t.Error("unknown directive was counted")
+		t.Error("unknown kind was counted")
 	}
 
 	// A transient fault past its attempt window passes through without
 	// firing — and without a count.
+	inj.Arm(Fault{Kind: KindTruncate, Times: 1})
+	inj.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/svc", nil))
+	if reg.Counter("faultinject.injected").Value() != 2 {
+		t.Error("first attempt of a transient fault was not counted")
+	}
 	done := httptest.NewRequest(http.MethodPost, "/svc", nil)
-	done.Header.Set(HeaderFault, string(KindTruncate)+";times=1")
-	done.Header.Set(HeaderAttempt, "2")
 	rec = httptest.NewRecorder()
 	inj.ServeHTTP(rec, done)
 	if rec.Body.String() != "0123456789" {
 		t.Errorf("expired fault body = %q, want passthrough", rec.Body.String())
 	}
-	if reg.Counter("faultinject.injected").Value() != 1 {
+	if reg.Counter("faultinject.injected").Value() != 2 {
 		t.Error("expired transient fault was counted")
 	}
 }

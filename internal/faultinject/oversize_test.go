@@ -70,8 +70,8 @@ func TestOversizeWireBytesPinned(t *testing.T) {
 			if c.codec != nil {
 				inj.WithCodec(c.codec)
 			}
+			inj.Arm(Fault{Kind: KindOversize})
 			req := httptest.NewRequest(http.MethodPost, "/svc", nil)
-			req.Header.Set(HeaderFault, string(KindOversize))
 			rec := httptest.NewRecorder()
 			inj.ServeHTTP(rec, req)
 
@@ -105,29 +105,33 @@ func TestOversizeRefusedOverNetwork(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(New(host))
+	oversize := func() *Injector {
+		inj := New(host)
+		inj.Arm(Fault{Kind: KindOversize})
+		return inj
+	}
+	// The injector is armed before the server starts serving.
+	srv := httptest.NewServer(oversize())
 	defer srv.Close()
 
-	policy := &transport.RetryPolicy{
-		Annotate: func(_ int, h http.Header) { h.Set(HeaderFault, string(KindOversize)) },
-	}
-	client := transport.NewClient(nil).WithRetry(policy)
-	_, err := client.Invoke(context.Background(), srv.URL+"/svc", "", echoRequest())
+	_, err := transport.NewClient(nil).Invoke(context.Background(), srv.URL+"/svc", "", echoRequest())
 	var de *soap.DecodeError
 	if !errors.As(err, &de) || !strings.Contains(de.Reason, "read budget") {
 		t.Fatalf("networked oversize: want the read-budget *soap.DecodeError, got %v", err)
 	}
 
-	_, local := transport.NewLocalBridge(New(host)).WithRetry(policy).
-		Invoke(context.Background(), "/svc", echoRequest())
+	_, local := transport.NewLocalBridge(oversize()).Invoke(context.Background(), "/svc", echoRequest())
 	if local == nil || local.Error() != err.Error() {
 		t.Errorf("bridge error %v differs from networked error %v", local, err)
 	}
 
-	// The host itself stays healthy once the fault is gone.
+	// The host itself stays healthy once the fault is gone: an unarmed
+	// injector over it passes the exchange through.
+	clean := httptest.NewServer(New(host))
+	defer clean.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if _, err := transport.NewClient(nil).Invoke(ctx, srv.URL+"/svc", "", echoRequest()); err != nil {
+	if _, err := transport.NewClient(nil).Invoke(ctx, clean.URL+"/svc", "", echoRequest()); err != nil {
 		t.Errorf("clean invoke after oversize: %v", err)
 	}
 }
@@ -145,7 +149,9 @@ func TestOversizeBehindSniffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	sniffer := transport.NewSniffer(New(host), nil).WithObs(reg)
+	inj := New(host)
+	inj.Arm(Fault{Kind: KindOversize})
+	sniffer := transport.NewSniffer(inj, nil).WithObs(reg)
 	body, err := soap.V11.Marshal(echoRequest())
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +159,6 @@ func TestOversizeBehindSniffer(t *testing.T) {
 	req := httptest.NewRequest(http.MethodPost, "/svc", bytes.NewReader(body))
 	req.Header.Set("Content-Type", soap.ContentType)
 	req.Header.Set("SOAPAction", `""`)
-	req.Header.Set(HeaderFault, string(KindOversize))
 	rec := httptest.NewRecorder()
 	sniffer.ServeHTTP(rec, req)
 

@@ -47,10 +47,11 @@ func (c *Capture) Header() http.Header {
 	return c.header
 }
 
-// release hands the header map back for reuse once the exchange's
-// status, headers and body have been read; the capture is not used
-// afterwards. The header values and the body stay valid.
-func (c *Capture) release() {
+// Release hands the header map back for reuse once the exchange's
+// status, headers and body have been read or forwarded; the capture is
+// not used afterwards. The header value slices and the body stay
+// valid.
+func (c *Capture) Release() {
 	if c.header != nil {
 		clear(c.header)
 		headerMaps.Put(c.header)

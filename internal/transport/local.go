@@ -105,12 +105,11 @@ func (b *LocalBridge) Invoke(ctx context.Context, path string, req *soap.Message
 			u = &cp
 		}
 		httpReq := newLocalRequest(ctx, u, body, contentType, action)
-		b.retry.annotate(n, httpReq.Header)
 
 		// The capture enforces the read budget while the handler writes,
 		// so an oversized response is never held in full.
 		rec := NewCapture(maxResponseBytes)
-		defer rec.release()
+		defer rec.Release()
 		if err := b.serve(rec, httpReq); err != nil {
 			return nil, err
 		}

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
-	"net/url"
 	"strings"
 	"time"
 	"unicode/utf8"
@@ -161,10 +159,8 @@ func decodeResponse(codec soap.Codec, strict soap.Strictness, status int, conten
 
 // RetryPolicy bounds and paces invocation retries: a deadline over the
 // whole invocation, a capped number of attempts, and exponential
-// backoff between them. The Jitter, Sleep and Annotate hooks keep the
-// policy deterministic and testable — a fake clock slots into Sleep,
-// a seeded spread into Jitter, and per-attempt request stamping (the
-// fault-injection harness uses it) into Annotate.
+// backoff between them. The Sleep hook keeps the policy deterministic
+// and testable: a fake clock slots into it.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of attempts; values below 2 mean
 	// a single attempt (no retry).
@@ -177,15 +173,8 @@ type RetryPolicy struct {
 	// Deadline, when positive, bounds the whole invocation (all
 	// attempts and backoffs) via a derived context.
 	Deadline time.Duration
-	// Jitter, when non-nil, maps the computed backoff of an attempt to
-	// the delay actually slept. Keeping it a hook (rather than baked-in
-	// randomness) is what makes campaign runs reproducible.
-	Jitter func(attempt int, d time.Duration) time.Duration
 	// Sleep, when non-nil, replaces the real timer between attempts.
 	Sleep func(ctx context.Context, d time.Duration) error
-	// Annotate, when non-nil, is called with each attempt's number and
-	// request headers before the request is sent.
-	Annotate func(attempt int, h http.Header)
 }
 
 // maxAttempts normalizes the attempt budget; a nil policy means one.
@@ -194,13 +183,6 @@ func (p *RetryPolicy) maxAttempts() int {
 		return 1
 	}
 	return p.MaxAttempts
-}
-
-// annotate stamps one attempt's request headers.
-func (p *RetryPolicy) annotate(attempt int, h http.Header) {
-	if p != nil && p.Annotate != nil {
-		p.Annotate(attempt, h)
-	}
 }
 
 // backoff computes the pause after a failed attempt (1-based).
@@ -212,9 +194,6 @@ func (p *RetryPolicy) backoff(attempt int) time.Duration {
 			d = p.MaxDelay
 			break
 		}
-	}
-	if p.Jitter != nil {
-		d = p.Jitter(attempt, d)
 	}
 	return d
 }
@@ -243,31 +222,84 @@ func (p *RetryPolicy) sleep(ctx context.Context, d time.Duration) error {
 // connections, malformed bodies and network failures are transient
 // wire conditions worth retrying.
 func Retryable(err error) bool {
-	var fault *soap.Fault
-	if errors.As(err, &fault) {
-		return false
+	_, retry := classify(err)
+	return retry
+}
+
+// errClass is the meter class of a failed attempt, indexing
+// invokeMeters.errs.
+type errClass uint8
+
+const (
+	classFault   errClass = iota // a *soap.Fault: transport.errors.fault
+	classHTTP                    // an *HTTPError: transport.errors.http
+	classDecode                  // a *soap.DecodeError: transport.errors.decode
+	classVersion                 // a *VersionMismatchError: transport.errors.version
+	classAborted                 // ErrAborted: transport.errors.aborted
+	classOther                   // the rest: transport.errors.other
+)
+
+// conditions records the typed conditions an error tree holds, and the
+// status of its first *HTTPError.
+type conditions struct {
+	fault, http, version, decode, aborted, eof, network bool
+	status                                              int
+}
+
+// walk visits an error tree in the order errors.As does: each error,
+// then what it wraps, depth first.
+func (c *conditions) walk(err error) {
+	for err != nil {
+		switch e := err.(type) {
+		case *soap.Fault:
+			c.fault = true
+		case *HTTPError:
+			if !c.http {
+				c.http, c.status = true, e.Status
+			}
+		case *VersionMismatchError:
+			c.version = true
+		case *soap.DecodeError:
+			c.decode = true
+		case net.Error: // *url.Error is one too
+			c.network = true
+		}
+		c.aborted = c.aborted || err == ErrAborted
+		c.eof = c.eof || err == io.ErrUnexpectedEOF
+		switch u := err.(type) {
+		case interface{ Unwrap() error }:
+			err = u.Unwrap()
+		case interface{ Unwrap() []error }:
+			for _, e := range u.Unwrap() {
+				c.walk(e)
+			}
+			return
+		default:
+			return
+		}
 	}
-	var vm *VersionMismatchError
-	if errors.As(err, &vm) {
-		return false
+}
+
+// classify walks a failed attempt's error tree once and returns its
+// meter class, the first condition it holds in the order fault, HTTP,
+// version, decode, aborted, and whether a fresh attempt may succeed
+// (see Retryable), where a version mismatch outranks an HTTP status.
+func classify(err error) (errClass, bool) {
+	var c conditions
+	c.walk(err)
+	switch {
+	case c.fault:
+		return classFault, false
+	case c.http:
+		return classHTTP, c.status >= 500 && !c.version
+	case c.version:
+		return classVersion, false
+	case c.decode:
+		return classDecode, true
+	case c.aborted:
+		return classAborted, true
 	}
-	var he *HTTPError
-	if errors.As(err, &he) {
-		return he.Status >= 500
-	}
-	var de *soap.DecodeError
-	if errors.As(err, &de) {
-		return true
-	}
-	if errors.Is(err, ErrAborted) || errors.Is(err, io.ErrUnexpectedEOF) {
-		return true
-	}
-	var ne net.Error
-	if errors.As(err, &ne) {
-		return true
-	}
-	var ue *url.Error
-	return errors.As(err, &ue)
+	return classOther, c.eof || c.network
 }
 
 // invokeMeters caches one registry's transport instruments so the
@@ -278,12 +310,10 @@ type invokeMeters struct {
 	latency  *obs.Histogram // transport.invoke.seconds, per attempt
 	attempts *obs.Counter   // transport.attempts
 	retries  *obs.Counter   // transport.retries (attempts beyond the first)
-	faults   *obs.Counter   // transport.errors.fault (definitive SOAP faults)
-	httpErrs *obs.Counter   // transport.errors.http (*HTTPError)
-	decode   *obs.Counter   // transport.errors.decode (malformed bodies)
-	version  *obs.Counter   // transport.errors.version (*VersionMismatchError)
-	aborted  *obs.Counter   // transport.errors.aborted (dropped connections)
-	other    *obs.Counter   // transport.errors.other (network and the rest)
+	// errs counts failed attempts by class (transport.errors.<class>):
+	// what the wire surfaced, the "fault detections" the robustness
+	// taxonomy keys on.
+	errs [classOther + 1]*obs.Counter
 }
 
 // newInvokeMeters resolves the instruments; nil registry → nil meters.
@@ -291,24 +321,20 @@ func newInvokeMeters(reg *obs.Registry) *invokeMeters {
 	if reg == nil {
 		return nil
 	}
-	return &invokeMeters{
+	m := &invokeMeters{
 		reg:      reg,
 		latency:  reg.Histogram("transport.invoke.seconds"),
 		attempts: reg.Counter("transport.attempts"),
 		retries:  reg.Counter("transport.retries"),
-		faults:   reg.Counter("transport.errors.fault"),
-		httpErrs: reg.Counter("transport.errors.http"),
-		decode:   reg.Counter("transport.errors.decode"),
-		version:  reg.Counter("transport.errors.version"),
-		aborted:  reg.Counter("transport.errors.aborted"),
-		other:    reg.Counter("transport.errors.other"),
 	}
+	for class, name := range []string{"fault", "http", "decode", "version", "aborted", "other"} {
+		m.errs[class] = reg.Counter("transport.errors." + name)
+	}
+	return m
 }
 
-// record folds one attempt's outcome into the meters. Error counters
-// classify what the wire surfaced — the "fault detections" the
-// robustness taxonomy keys on.
-func (m *invokeMeters) record(start time.Time, n int, err error) {
+// record folds one attempt's latency and number into the meters.
+func (m *invokeMeters) record(start time.Time, n int) {
 	if m == nil {
 		return
 	}
@@ -316,27 +342,6 @@ func (m *invokeMeters) record(start time.Time, n int, err error) {
 	m.attempts.Inc()
 	if n > 1 {
 		m.retries.Inc()
-	}
-	if err == nil {
-		return
-	}
-	var fault *soap.Fault
-	var he *HTTPError
-	var de *soap.DecodeError
-	var vm *VersionMismatchError
-	switch {
-	case errors.As(err, &fault):
-		m.faults.Inc()
-	case errors.As(err, &he):
-		m.httpErrs.Inc()
-	case errors.As(err, &vm):
-		m.version.Inc()
-	case errors.As(err, &de):
-		m.decode.Inc()
-	case errors.Is(err, ErrAborted):
-		m.aborted.Inc()
-	default:
-		m.other.Inc()
 	}
 }
 
@@ -364,11 +369,15 @@ func invokeWithRetry(ctx context.Context, m *invokeMeters, p *RetryPolicy,
 		var msg *soap.Message
 		start := m.now()
 		msg, err = attempt(ctx, n)
-		m.record(start, n, err)
+		m.record(start, n)
 		if err == nil {
 			return msg, nil
 		}
-		if n == budget || !Retryable(err) {
+		class, retry := classify(err)
+		if m != nil {
+			m.errs[class].Inc()
+		}
+		if n == budget || !retry {
 			return nil, err
 		}
 		if ctx.Err() != nil || p.sleep(ctx, p.backoff(n)) != nil {

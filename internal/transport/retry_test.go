@@ -244,30 +244,22 @@ func TestNoRetryOnDefinitiveErrors(t *testing.T) {
 }
 
 func TestBackoffCapAndJitter(t *testing.T) {
-	jitterCalls := 0
 	p := &RetryPolicy{
 		MaxAttempts: 6,
 		BaseDelay:   10 * time.Millisecond,
 		MaxDelay:    35 * time.Millisecond,
-		Jitter: func(attempt int, d time.Duration) time.Duration {
-			jitterCalls++
-			return d + time.Duration(attempt)
-		},
 	}
-	// Doubling capped at MaxDelay, each nudged by the jitter hook.
+	// Doubling capped at MaxDelay.
 	want := []time.Duration{
-		10*time.Millisecond + 1,
-		20*time.Millisecond + 2,
-		35*time.Millisecond + 3,
-		35*time.Millisecond + 4,
+		10 * time.Millisecond,
+		20 * time.Millisecond,
+		35 * time.Millisecond,
+		35 * time.Millisecond,
 	}
 	for i, attempt := range []int{1, 2, 3, 4} {
 		if got := p.backoff(attempt); got != want[i] {
 			t.Errorf("backoff(%d) = %v, want %v", attempt, got, want[i])
 		}
-	}
-	if jitterCalls != 4 {
-		t.Errorf("jitter calls = %d, want 4", jitterCalls)
 	}
 }
 
@@ -300,26 +292,6 @@ func TestRetryDeadlineBoundsInvocation(t *testing.T) {
 	var he *HTTPError
 	if !errors.As(err, &he) {
 		t.Errorf("want last attempt's HTTPError, got %v", err)
-	}
-}
-
-func TestAnnotateStampsEveryAttempt(t *testing.T) {
-	var stamps []string
-	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		stamps = append(stamps, r.Header.Get("X-Attempt"))
-		http.Error(w, "unavailable", http.StatusServiceUnavailable)
-	})
-	policy := &RetryPolicy{
-		MaxAttempts: 3,
-		Sleep:       func(context.Context, time.Duration) error { return nil },
-		Annotate: func(attempt int, hdr http.Header) {
-			hdr.Set("X-Attempt", string(rune('0'+attempt)))
-		},
-	}
-	_, _ = NewLocalBridge(h).WithRetry(policy).Invoke(context.Background(),
-		"/svc", &soap.Message{Namespace: "urn:test", Local: "echo"})
-	if len(stamps) != 3 || stamps[0] != "1" || stamps[1] != "2" || stamps[2] != "3" {
-		t.Errorf("attempt stamps = %v, want [1 2 3]", stamps)
 	}
 }
 

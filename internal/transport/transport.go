@@ -496,7 +496,7 @@ func (c *Client) Invoke(ctx context.Context, url, soapAction string, req *soap.M
 	if err != nil {
 		return nil, fmt.Errorf("encode request: %w", err)
 	}
-	return invokeWithRetry(ctx, c.meters, c.retry, func(ctx context.Context, n int) (*soap.Message, error) {
+	return invokeWithRetry(ctx, c.meters, c.retry, func(ctx context.Context, _ int) (*soap.Message, error) {
 		httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 		if err != nil {
 			return nil, fmt.Errorf("build request: %w", err)
@@ -505,7 +505,6 @@ func (c *Client) Invoke(ctx context.Context, url, soapAction string, req *soap.M
 		if codec.UsesActionHeader() {
 			httpReq.Header.Set(soapActionHeader, fmt.Sprintf("%q", soapAction))
 		}
-		c.retry.annotate(n, httpReq.Header)
 
 		httpResp, err := c.httpClient.Do(httpReq)
 		if err != nil {

@@ -48,7 +48,7 @@ func CodecOutputs(tb testing.TB) map[string][]byte {
 			tb.Fatal(err)
 		}
 		out[v+"/fault-short"] = f
-		out[v+"/host-echo"] = hostResponse(tb, c, "")
+		out[v+"/host-echo"] = hostResponse(tb, c, faultinject.Fault{})
 	}
 	return out
 }
@@ -61,7 +61,7 @@ func FaultBodies(tb testing.TB) map[string][]byte {
 	out := make(map[string][]byte)
 	for _, c := range []soap.Codec{soap.V11, soap.V12} {
 		for _, f := range faultinject.Catalog() {
-			if b := hostResponse(tb, c, f.Directive); b != nil {
+			if b := hostResponse(tb, c, f); b != nil {
 				out[c.Version().String()+"/"+f.Name] = b
 			}
 		}
@@ -72,7 +72,7 @@ func FaultBodies(tb testing.TB) map[string][]byte {
 // hostResponse posts a codec-c echo request to an echo Host, behind
 // the fault injector when fault is set, and returns the response body;
 // nil when the fault drops the connection.
-func hostResponse(tb testing.TB, c soap.Codec, fault string) (body []byte) {
+func hostResponse(tb testing.TB, c soap.Codec, fault faultinject.Fault) (body []byte) {
 	tb.Helper()
 	host := transport.NewHost()
 	host.SetVersionPolicy(&transport.VersionPolicy{Codec: c, Strictness: soap.StrictReject})
@@ -92,10 +92,10 @@ func hostResponse(tb testing.TB, c soap.Codec, fault string) (body []byte) {
 	r := httptest.NewRequest(http.MethodPost, "/svc", bytes.NewReader(req))
 	r.Header.Set("Content-Type", c.ContentType(""))
 	var h http.Handler = host
-	if fault != "" {
-		r.Header.Set(faultinject.HeaderFault, fault)
+	if fault.Kind != "" {
 		inj := faultinject.New(host).WithCodec(c)
 		inj.Sleep = func(time.Duration) {}
+		inj.Arm(fault)
 		h = inj
 	}
 	rec := httptest.NewRecorder()

@@ -2,10 +2,11 @@ package campaign
 
 // This file is the cell journal every campaign mode shares: the
 // durable checkpoint store (internal/journal) under WithCheckpoint, one
-// record per completed cell from a single writer goroutine, one
-// completion sentinel per (shard, server) stage, and — on resume —
-// replay of journaled cells into the deterministic fold instead of
-// re-executing them (DESIGN.md §9). The static study is the journal's
+// record per completed cell from a single writer goroutine, keyed by
+// the cell's server and class, one completion sentinel per server stage
+// (the server's record with no class), and — on resume — replay of
+// journaled cells into the deterministic fold instead of re-executing
+// them (DESIGN.md §9). The static study is the journal's
 // "study" axis, at the checkpoint directory's root; each wire axis
 // (wireaxis.go) journals under a subdirectory named after it.
 //
@@ -19,12 +20,12 @@ package campaign
 //     the precise counter and histogram contributions the original
 //     execution made.
 //
-//   - The shape memo entries of groups that still have members to run
-//     are re-seeded from the journal before the executed remainder
-//     starts (seedMemoFromJournal), so remaining classes take exactly
-//     the memo paths they would have taken had the run never stopped;
-//     a finished group's entry is seeded from its builder record when
-//     a later mode first publishes the shape.
+//   - The worker that owns a shape group replays its members' records
+//     and re-seeds the group's memo entry from them before any member
+//     left to run starts (replayGroup), so remaining classes take
+//     exactly the memo paths they would have taken had the run never
+//     stopped; a finished group's entry is seeded from its builder
+//     record when a later mode first publishes the shape.
 //     The counter totals are invariant under *which* class of a shape
 //     happens to be the builder: the builder contributes shapes+1 plus
 //     the full publish metrics, and every other same-shape class
@@ -104,9 +105,6 @@ func memoRouted(rec *journal.Record) bool {
 	return rec.Mode == modeMemoized.id() || (rec.Mode == modeBuilt.id() && rec.Verified)
 }
 
-// cellTrace is the journal key of one static service cell.
-func cellTrace(server, class string) string { return obs.TraceID(server, class) }
-
 // codeBytes copies a row of outcome codes into journal form.
 func codeBytes[C ~uint8](codes []C) []byte {
 	b := make([]byte, len(codes))
@@ -129,7 +127,7 @@ const journalFlushEvery = 64
 // records and no journal or writer (j and ch nil).
 type cellJournal struct {
 	j      *journal.Journal
-	loaded map[string]*journal.Record // trace → journaled record
+	loaded map[journal.Key]*journal.Record
 	ch     chan journal.Record
 	wg     sync.WaitGroup
 	err    error // writer-goroutine only until wg.Wait
@@ -139,7 +137,7 @@ type cellJournal struct {
 }
 
 // replayJournal is a replay-only handle over loaded records.
-func (r *Runner) replayJournal(loaded map[string]*journal.Record) *cellJournal {
+func (r *Runner) replayJournal(loaded map[journal.Key]*journal.Record) *cellJournal {
 	return &cellJournal{
 		loaded:   loaded,
 		resumed:  r.obs.Counter("journal.cells.resumed"),
@@ -303,13 +301,17 @@ func (cj *cellJournal) append(rec journal.Record) {
 }
 
 // record looks up a journaled record; nil-safe.
-func (cj *cellJournal) record(trace string) (*journal.Record, bool) {
+func (cj *cellJournal) record(server, class string) (*journal.Record, bool) {
 	if cj == nil {
 		return nil, false
 	}
-	rec, ok := cj.loaded[trace]
+	rec, ok := cj.loaded[journal.Key{Server: server, Class: class}]
 	return rec, ok
 }
+
+// replaying reports whether the journal holds records to replay;
+// nil-safe.
+func (cj *cellJournal) replaying() bool { return cj != nil && len(cj.loaded) > 0 }
 
 // completeStage journals the completion sentinel of one server stage
 // unless the journal already holds it. Merge completeness keys on it —
@@ -320,9 +322,8 @@ func (r *Runner) completeStage(cj *cellJournal, ax *Axis, server string, collisi
 	if cj == nil || cj.ch == nil {
 		return
 	}
-	trace := ax.sentinel(r.cfg.Shard, server)
-	if _, done := cj.loaded[trace]; !done {
-		cj.ch <- journal.Record{Trace: trace, Server: server, Mode: ax.complete(), Collisions: collisions}
+	if _, done := cj.record(server, ""); !done {
+		cj.ch <- journal.Record{Server: server, Mode: ax.complete(), Collisions: collisions}
 	}
 }
 
@@ -331,22 +332,18 @@ func (r *Runner) completeStage(cj *cellJournal, ax *Axis, server string, collisi
 // anything folds it. The fingerprint pins all of them, so a misfit
 // means a damaged or forged store, not a configuration drift.
 func (r *Runner) checkRecord(ax *Axis, rec *journal.Record) error {
-	fail := func(format string, args ...any) error {
-		return fmt.Errorf("campaign: journal record %s (%s on %s): "+format,
-			append([]any{rec.Trace, rec.Class, rec.Server}, args...)...)
-	}
 	codes, tallies := 0, 0
 	if rec.Published {
 		codes, tallies = len(r.clients)*len(ax.columns), len(r.clients)*ax.tallies
 	}
 	switch {
 	case len(rec.Codes) != codes:
-		return fail("%d outcome codes, want %d (%d clients × %d %s columns)",
+		return recordError(rec, "%d outcome codes, want %d (%d clients × %d %s columns)",
 			len(rec.Codes), codes, len(r.clients), len(ax.columns), ax.name)
 	case len(rec.Tallies) != tallies:
-		return fail("%d tallies, want %d", len(rec.Tallies), tallies)
+		return recordError(rec, "%d tallies, want %d", len(rec.Tallies), tallies)
 	case rec.Profiles>>len(r.profiles) != 0:
-		return fail("profile mask %#x has bits beyond the %d-profile roster", rec.Profiles, len(r.profiles))
+		return recordError(rec, "profile mask %#x has bits beyond the %d-profile roster", rec.Profiles, len(r.profiles))
 	}
 	catalog := len(ax.codes)
 	if ax == studyAxis {
@@ -354,10 +351,15 @@ func (r *Runner) checkRecord(ax *Axis, rec *journal.Record) error {
 	}
 	for i, c := range rec.Codes {
 		if int(c) >= catalog {
-			return fail("code %d in slot %d is past the %d-code %s catalog", c, i, catalog, ax.name)
+			return recordError(rec, "code %d in slot %d is past the %d-code %s catalog", c, i, catalog, ax.name)
 		}
 	}
 	return nil
+}
+
+// recordError refuses a journaled record, naming it by its key.
+func recordError(rec *journal.Record, format string, args ...any) error {
+	return fmt.Errorf("campaign: journal record %s on %s: "+format, append([]any{rec.Class, rec.Server}, args...)...)
 }
 
 // journalService records one fully tested service cell: its publish
@@ -368,7 +370,6 @@ func (r *Runner) journalService(s *publishSlot, codes []outcomeCode) {
 	}
 	svc := &s.svc
 	rec := journal.Record{
-		Trace:     cellTrace(svc.Server, svc.Class),
 		Server:    svc.Server,
 		Class:     svc.Class,
 		Mode:      s.mode.id(),
@@ -400,7 +401,6 @@ func (r *Runner) journalClone(server, class string, e *shapeEntry, codes []byte)
 		return
 	}
 	r.ckpt.append(journal.Record{
-		Trace:     cellTrace(server, class),
 		Server:    server,
 		Class:     class,
 		Mode:      modeMemoized.id(),
@@ -419,99 +419,81 @@ func (r *Runner) journalRejected(server framework.ServerFramework, def services.
 		return
 	}
 	r.ckpt.append(journal.Record{
-		Trace:  cellTrace(server.Name(), def.Parameter.Name),
 		Server: server.Name(),
 		Class:  def.Parameter.Name,
 		Mode:   slot.mode.id(),
 	})
 }
 
-// replayPlan maps this stage's definition indexes to their journaled
-// cells, each checked against the study's catalogs; nil when nothing
-// of this stage was journaled.
-func (r *Runner) replayPlan(server framework.ServerFramework, defs []services.Definition) (map[int]*journal.Record, error) {
-	cj := r.ckpt
-	if cj == nil || len(cj.loaded) == 0 {
-		return nil, nil
+// journaled looks up definition di's journaled cell and checks it
+// against the study's catalogs: nil when the cell was not journaled,
+// and ok false after a refused record failed the stage (st.fail).
+func (r *Runner) journaled(st *studyStage, di int) (rec *journal.Record, ok bool) {
+	rec, found := r.ckpt.record(st.server.Name(), st.sp.defs[di].Parameter.Name)
+	if !found {
+		return nil, true
 	}
-	plan := make(map[int]*journal.Record, min(len(defs), len(cj.loaded)))
-	for i := range defs {
-		if rec, ok := cj.loaded[cellTrace(server.Name(), defs[i].Parameter.Name)]; ok {
-			if err := r.checkRecord(studyAxis, rec); err != nil {
-				return nil, err
-			}
-			plan[i] = rec
-		}
+	if err := r.checkRecord(studyAxis, rec); err != nil {
+		st.fail(di, err)
+		return nil, false
 	}
-	if len(plan) == 0 {
-		return nil, nil
-	}
-	return plan, nil
+	return rec, true
 }
 
-// seedMemoFromJournal reconstructs the shape memo state of the stage's
-// journaled shape groups. In a group with work left, the builder record
-// rebuilds the full entry (seedBuilder) before any member runs;
-// memo-routed records whose builder was not journaled get a skeleton
-// entry (once untouched), so the first executing class becomes the
-// builder exactly as some class was in the interrupted run. A group
-// with every member journaled has nothing left to run in this stage, so
-// its entry only keeps the builder record: the first later publish of
-// the shape (a wire mode's Publish) seeds from it (publishEntry), and a
-// resumed wire stage neither re-checks nor re-tests a shape the study
-// finished, while a study resume that publishes nothing seeds nothing.
-// Journaled executed outcomes seed the entry's test row, so each
-// (shape, client) test executes at most once across the whole resumed
-// campaign.
-func (r *Runner) seedMemoFromJournal(server framework.ServerFramework, sp *serverPlan, plan map[int]*journal.Record) error {
-	d := r.dedup
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for gi := range sp.Groups {
-		g := &sp.Groups[gi]
-		done, builderAt := 0, -1
-		for _, di := range g.Members {
-			if rec, ok := plan[di]; ok {
-				done++
-				// At most one builder per shape in any journal, since a
-				// session only builds unseeded shapes.
-				if builderAt < 0 && rec.Mode == modeBuilt.id() {
-					builderAt = di
-				}
-			}
+// replayGroup is a resumed shape group's journal half, run by the
+// worker that owns the group: it replays the members' journaled cells
+// and reconstructs the group's memo entry e from them before any
+// member left to run starts. Executed outcomes of memo-routed records
+// seed e's test row, so each (shape, client) test executes at most once
+// across the whole resumed campaign. With members left, the builder
+// record rebuilds e now (seedBuilder); memo-routed records whose
+// builder was not journaled leave e unbuilt, so the first executing
+// class becomes the builder exactly as some class was in the
+// interrupted run. A group with every member journaled only keeps the
+// builder record: the first later publish of the shape (a wire mode's
+// Publish) seeds from it (publishEntry), so a resumed wire stage
+// neither re-checks nor re-tests a shape the study finished, while a
+// study resume that publishes nothing seeds nothing. It reports how
+// many members are left to run, and ok false after a refused record or
+// seed failed the stage.
+func (r *Runner) replayGroup(st *studyStage, g *planGroup, e *shapeEntry) (left int, ok bool) {
+	left, builder := len(g.Members), -1
+	var seed *journal.Record
+	for _, di := range g.Members {
+		rec, ok := r.journaled(st, di)
+		if !ok {
+			return 0, false
 		}
-		if done == 0 {
+		if rec == nil {
 			continue
 		}
-		key := shapeKey{server: server.Name(), fp: g.fp}
-		e := d.entries[key]
-		if e == nil {
-			e = r.newEntry(g)
-			d.entries[key] = e
-			if builderAt >= 0 {
-				e.seed, e.seedDef = plan[builderAt], &sp.defs[builderAt]
-			}
+		left--
+		// At most one builder per shape in any journal, since a session
+		// only builds unseeded shapes.
+		if seed == nil && rec.Mode == modeBuilt.id() {
+			seed, builder = rec, di
 		}
-		for _, di := range g.Members {
-			rec := plan[di]
-			if rec == nil || !rec.Published || !memoRouted(rec) {
-				continue
-			}
+		if rec.Published && memoRouted(rec) {
 			for ci, c := range rec.Codes {
 				if code := outcomeCode(c); code.executed() && e.row.codes[ci] == 0 {
 					e.row.codes[ci] = code
 				}
 			}
 		}
-		if e.seed != nil && done < len(g.Members) {
-			var err error
-			e.once.Do(func() { err = r.seedBuilder(e, server) })
-			if err != nil {
-				return err
-			}
+		r.replayCell(st, di, rec)
+	}
+	if seed == nil {
+		return left, true
+	}
+	e.seed, e.seedDef = seed, &st.sp.defs[builder]
+	if left > 0 {
+		var err error
+		if e.once.Do(func() { err = r.seedBuilder(e, st.server) }); err != nil {
+			st.fail(builder, err)
+			return 0, false
 		}
 	}
-	return nil
+	return left, true
 }
 
 // seedBuilder builds e from its journaled builder (e.seed), under e's
@@ -530,9 +512,6 @@ func (r *Runner) seedBuilder(e *shapeEntry, server framework.ServerFramework) er
 	if !rec.Verified {
 		return nil
 	}
-	fail := func(what string) error {
-		return fmt.Errorf("campaign: journal record %s (%s on %s): %s", rec.Trace, rec.Class, rec.Server, what)
-	}
 	rep := PublishedService{
 		Server:    rec.Server,
 		Class:     rec.Class,
@@ -546,26 +525,26 @@ func (r *Runner) seedBuilder(e *shapeEntry, server framework.ServerFramework) er
 	if e.solo {
 		doc, err := server.Publish(def)
 		if err != nil {
-			return fail("the journaled shape no longer publishes")
+			return recordError(rec, "the journaled shape no longer publishes")
 		}
 		if rep.Doc, err = r.repBytes(e, doc, false); err != nil {
-			return fail(err.Error())
+			return recordError(rec, "%v", err)
 		}
 		e.seedRep(rep, doc)
 		return nil
 	}
 	if len(rec.Doc) == 0 {
-		return fail("verified builder without a document")
+		return recordError(rec, "verified builder without a document")
 	}
 	if e.tmpl = r.splitShape(server, def, rec.Doc); e.tmpl == nil {
-		return fail("shape template no longer reproduces the journaled document")
+		return recordError(rec, "shape template no longer reproduces the journaled document")
 	}
 	e.rep = rep
 	return nil
 }
 
 // replayCell re-applies one journaled cell (already checked by
-// replayPlan) in place of executing it: its route's counter and
+// journaled) in place of executing it: its route's counter and
 // histogram contributions go through the same ledger the live routes
 // use, with zero spans (matching a frozen-clock run), and its outcome
 // codes fill its definition's slot for the fold. A record's executed
@@ -574,7 +553,7 @@ func (r *Runner) seedBuilder(e *shapeEntry, server framework.ServerFramework) er
 func (r *Runner) replayCell(st *studyStage, di int, rec *journal.Record) {
 	mode, err := parseMode(rec.Mode)
 	if err != nil {
-		st.fail(di, fmt.Errorf("campaign: journal record %s (%s on %s): %w", rec.Trace, rec.Class, rec.Server, err))
+		st.fail(di, recordError(rec, "%w", err))
 		return
 	}
 	r.creditPublish(mode, rec.Published, rec.Flagged, 1, 0, 0)
@@ -591,5 +570,6 @@ func (r *Runner) replayCell(st *studyStage, di int, rec *journal.Record) {
 		st.cells[di] = studyCell{published: true, flagged: rec.Flagged, profiles: rec.Profiles}
 	}
 	r.ckpt.resumed.Inc()
+	st.replayed.Add(1)
 	st.prog.serviceDone()
 }

@@ -85,9 +85,9 @@ func TestCheckpointDocsOnlyForSharedShapes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	byTrace := make(map[string]journal.Record, len(recs))
+	byKey := make(map[journal.Key]journal.Record, len(recs))
 	for _, rec := range recs {
-		byTrace[rec.Trace] = rec
+		byKey[rec.Key()] = rec
 	}
 	withDoc := 0
 	for _, rec := range recs {
@@ -103,7 +103,7 @@ func TestCheckpointDocsOnlyForSharedShapes(t *testing.T) {
 		}
 		for gi := range sp.Groups {
 			g := &sp.Groups[gi]
-			rec, ok := byTrace[cellTrace(server.Name(), sp.defs[g.Members[0]].Parameter.Name)]
+			rec, ok := byKey[journal.Key{Server: server.Name(), Class: sp.defs[g.Members[0]].Parameter.Name}]
 			if !ok || rec.Mode != modeBuilt.id() {
 				t.Fatalf("%s: group builder %s not journaled as built (%+v)", server.Name(), sp.defs[g.Members[0]].Parameter.Name, rec)
 			}
@@ -306,8 +306,7 @@ func TestJournalRecordChecks(t *testing.T) {
 	server, class := published[0].Server, published[0].Class
 	nc := len(r.clients)
 	study := func(mut func(rec *journal.Record)) journal.Record {
-		rec := journal.Record{Trace: cellTrace(server, class), Server: server, Class: class,
-			Mode: modeDirect.id(), Published: true, Codes: make([]byte, nc)}
+		rec := journal.Record{Server: server, Class: class, Mode: modeDirect.id(), Published: true, Codes: make([]byte, nc)}
 		mut(&rec)
 		return rec
 	}
@@ -341,7 +340,7 @@ func TestJournalRecordChecks(t *testing.T) {
 			}
 			recs := []journal.Record{c.rec}
 			for _, s := range r.servers {
-				recs = append(recs, journal.Record{Trace: c.ax.sentinel(ShardSpec{}, s.Name()), Server: s.Name(), Mode: c.ax.complete()})
+				recs = append(recs, journal.Record{Server: s.Name(), Mode: c.ax.complete()})
 			}
 			for _, rec := range recs {
 				if err := j.Append(rec); err != nil {
@@ -351,10 +350,11 @@ func TestJournalRecordChecks(t *testing.T) {
 			if err := j.Close(); err != nil {
 				t.Fatal(err)
 			}
+			named := c.rec.Class + " on " + c.rec.Server
 			refused := func(what string, res any, err error) {
 				t.Helper()
-				if err == nil || !strings.Contains(err.Error(), c.rec.Trace) || !strings.Contains(err.Error(), c.want) {
-					t.Errorf("%s: err = %v, want a %q refusal naming record %s", what, err, c.want, c.rec.Trace)
+				if err == nil || !strings.Contains(err.Error(), named) || !strings.Contains(err.Error(), c.want) {
+					t.Errorf("%s: err = %v, want a %q refusal naming record %s", what, err, c.want, named)
 				}
 				if !reflect.ValueOf(res).IsNil() {
 					t.Errorf("%s returned a result from a refused journal", what)
@@ -396,7 +396,7 @@ func TestStageErrorInCatalogOrder(t *testing.T) {
 	// The later class is journaled first, so journal order does not
 	// decide either.
 	for _, class := range []string{second, first} {
-		if err := j.Append(journal.Record{Trace: cellTrace(server, class), Server: server, Class: class, Mode: "bogus"}); err != nil {
+		if err := j.Append(journal.Record{Server: server, Class: class, Mode: "bogus"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -413,7 +413,7 @@ func TestStageErrorInCatalogOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := cellTrace(server, first)
+	want := first + " on " + server
 	for i := 0; i < 20; i++ {
 		run := t.TempDir()
 		if err := os.WriteFile(journaltest.Path(run), data, 0o644); err != nil {

@@ -90,7 +90,7 @@ type shapeEntry struct {
 	// seed is the journaled builder record of a group a resumed study
 	// replayed in full, and seedDef its class: the first publish of the
 	// shape (a later mode's Publish) seeds the entry from them under once
-	// instead of building it again (seedMemoFromJournal). Nil otherwise.
+	// instead of building it again (replayGroup). Nil otherwise.
 	seed    *journal.Record
 	seedDef *services.Definition
 	// rejected records a memoized NotDeployable outcome. A marshal

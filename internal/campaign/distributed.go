@@ -2,13 +2,13 @@ package campaign
 
 // Distributed campaign execution (DESIGN.md §11). The campaign is
 // embarrassingly parallel across catalog slices, and the durable cell
-// journal (checkpoint.go, internal/journal) is already a complete,
-// content-addressed record of a slice's outcomes — so scale-out is
-// journal-shaped: every catalog splits into deterministic shards
-// (WithShard, `interop -shard i/n`), N worker processes each run one
-// shard under its own checkpoint directory, and a merge coordinator
-// folds the shard journals of every campaign mode back into one result
-// per mode.
+// journal (checkpoint.go, internal/journal) is already a complete
+// record of a slice's outcomes, keyed by each cell's server and class —
+// so scale-out is journal-shaped: every catalog splits into
+// deterministic shards (WithShard, `interop -shard i/n`), N worker
+// processes each run one shard under its own checkpoint directory, and
+// a merge coordinator folds the shard journals of every campaign mode
+// back into one result per mode.
 //
 // The determinism contract is the regression guard: the merged Result
 // and its obs counters are identical to a single-process run's. Replay
@@ -130,14 +130,15 @@ func (r *Runner) Merge(ctx context.Context, dirs []string) (*Merged, error) {
 
 // loadShards reads one mode's journal from every shard directory and
 // verifies the set tiles this runner's campaign exactly once:
-// fingerprint, lease, no cell journaled twice, a completion sentinel
-// for every server stage of every shard, and shard indexes that cover
-// 0..Count-1. It returns the union of the records, sentinels included;
-// ok is false when no shard journaled the mode.
+// fingerprint, lease, no cell key journaled in two directories, a
+// completion sentinel in each directory for every server stage, and
+// shard indexes that cover 0..Count-1. It returns the union of the
+// records, every directory's sentinels included; ok is false when no
+// shard journaled the mode.
 func (r *Runner) loadShards(ax *Axis, dirs []string) (recs []journal.Record, ok bool, err error) {
 	fp, leaseFP := r.journalFingerprint(ax), r.checkpointFingerprint()
 	metas := make([]*journal.Meta, 0, len(dirs))
-	seen := make(map[string]*journal.Record)
+	seen := make(map[journal.Key]*journal.Record)
 	absent := ""
 	for _, dir := range dirs {
 		adir := ax.dir(dir)
@@ -153,26 +154,31 @@ func (r *Runner) loadShards(ax *Axis, dirs []string) (recs []journal.Record, ok 
 			return nil, false, fmt.Errorf("%w: %s (merge must be invoked with the exact configuration the shards ran)",
 				journal.ErrFingerprint, adir)
 		}
-		spec := ShardSpec{}
 		if sh := meta.Shard; sh != nil {
-			spec = ShardSpec{Index: sh.Index, Count: sh.Count}
 			if sh.Lease != "" && sh.Lease != shardLease(leaseFP, sh.Index, sh.Count) {
 				return nil, false, fmt.Errorf("campaign: %s: lease %s was not issued for shard %d/%d of this campaign",
 					adir, sh.Lease, sh.Index, sh.Count)
 			}
 		}
+		// A stage appends its sentinel only after every cell of the stage
+		// is journaled, so the directory's sentinels are its completion
+		// proof. Every shard journals one per server, so only cells count
+		// toward overlap.
+		complete := make(map[string]bool, len(r.servers))
 		for i := range shardRecs {
 			rec := &shardRecs[i]
-			if prev, dup := seen[rec.Trace]; dup {
-				return nil, false, fmt.Errorf("campaign: shard journals overlap: cell %s (%s on %s) journaled twice",
-					rec.Trace, prev.Class, prev.Server)
+			if ax.completes(rec) {
+				complete[rec.Server] = true
+				continue
 			}
-			seen[rec.Trace] = rec
+			if _, dup := seen[rec.Key()]; dup {
+				return nil, false, fmt.Errorf("campaign: shard journals overlap: cell %s on %s journaled twice",
+					rec.Class, rec.Server)
+			}
+			seen[rec.Key()] = rec
 		}
-		// A stage appends its sentinel only after every cell of the stage
-		// is journaled, so the sentinel set is the completion proof.
 		for _, server := range r.servers {
-			if _, ok := seen[ax.sentinel(spec, server.Name())]; !ok {
+			if !complete[server.Name()] {
 				return nil, false, fmt.Errorf("campaign: shard journals are incomplete: %s holds no completed %s stage on %s — resume the shard to completion first",
 					adir, ax.name, server.Name())
 			}
@@ -193,19 +199,21 @@ func (r *Runner) loadShards(ax *Axis, dirs []string) (recs []journal.Record, ok 
 	return recs, true, nil
 }
 
-// mergeStudy replays the unioned study records, normalized to the
-// single-builder form, through the stage executor. Every cell is
-// journaled, so the executor runs nothing.
+// mergeStudy replays the unioned study cells, normalized to the
+// single-builder form, through the stage executor; the shards'
+// sentinels stay out of the union. Every cell is journaled, so the
+// executor runs nothing.
 func (r *Runner) mergeStudy(ctx context.Context, recs []journal.Record) (*Result, error) {
-	loaded := make(map[string]*journal.Record, len(recs))
+	loaded := make(map[journal.Key]*journal.Record, len(recs))
 	for i := range recs {
 		rec := &recs[i]
-		if rec.Mode != studyAxis.complete() {
-			if err := r.checkRecord(studyAxis, rec); err != nil {
-				return nil, err
-			}
+		if studyAxis.completes(rec) {
+			continue
 		}
-		loaded[rec.Trace] = rec
+		if err := r.checkRecord(studyAxis, rec); err != nil {
+			return nil, err
+		}
+		loaded[rec.Key()] = rec
 	}
 	if err := r.normalizeShards(loaded); err != nil {
 		return nil, err
@@ -222,7 +230,7 @@ func (r *Runner) mergeStudy(ctx context.Context, recs []journal.Record) (*Result
 // client). A no-op for the nodedup ablation, whose plan has no groups
 // and whose journals hold only per-class records, already
 // shard-invariant.
-func (r *Runner) normalizeShards(loaded map[string]*journal.Record) error {
+func (r *Runner) normalizeShards(loaded map[journal.Key]*journal.Record) error {
 	for _, server := range r.servers {
 		sp, err := r.planFor(server)
 		if err != nil {
@@ -243,12 +251,12 @@ func (r *Runner) normalizeShards(loaded map[string]*journal.Record) error {
 // builder is demoted to the memo route it would have taken had the
 // designated builder's shard entry been visible to it. Executed test
 // bits consolidate onto the builder: one per (shape, client).
-func normalizeShapeGroup(server string, sp *serverPlan, g *planGroup, loaded map[string]*journal.Record) error {
+func normalizeShapeGroup(server string, sp *serverPlan, g *planGroup, loaded map[journal.Key]*journal.Record) error {
 	group := make([]*journal.Record, len(g.Members))
 	builderAt := -1
 	for mi, di := range g.Members {
 		class := sp.defs[di].Parameter.Name
-		rec := loaded[cellTrace(server, class)]
+		rec := loaded[journal.Key{Server: server, Class: class}]
 		if rec == nil {
 			return fmt.Errorf("campaign: shard journals are incomplete: no cell for %s on %s", class, server)
 		}
@@ -285,8 +293,7 @@ func normalizeShapeGroup(server string, sp *serverPlan, g *planGroup, loaded map
 		case modeDirect.id(), modeFallback.id():
 			// Memoizable classes never take these routes; a journal that
 			// says otherwise disagrees with this build's shape guard.
-			return fmt.Errorf("campaign: journal record %s (%s on %s) took route %q for a memoizable class",
-				rec.Trace, rec.Class, server, rec.Mode)
+			return recordError(rec, "took route %q for a memoizable class", rec.Mode)
 		}
 		switch {
 		case !builder.Published:

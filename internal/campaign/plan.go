@@ -32,9 +32,9 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"wsinterop/internal/framework"
-	"wsinterop/internal/journal"
 	"wsinterop/internal/obs"
 	"wsinterop/internal/services"
 	"wsinterop/internal/shape"
@@ -343,9 +343,8 @@ func fillTraits(t *classTraits, def services.Definition) {
 // pass under the table lock — the only mutex acquisition of a planned
 // stage or Publish. The entries live in the runner-wide table, so the
 // shapes one stage builds are reused by later Publish calls (the
-// communication, robustness and versions modes) and repeated Runs, and
-// a resumed stage finds the entries seedMemoFromJournal already
-// registered.
+// communication, robustness and versions modes) and repeated Runs; a
+// resumed stage's workers seed them from the journal (replayGroup).
 func (r *Runner) resolveEntries(server framework.ServerFramework, sp *serverPlan) []*shapeEntry {
 	if len(sp.Groups) == 0 {
 		return nil
@@ -366,17 +365,17 @@ func (r *Runner) resolveEntries(server framework.ServerFramework, sp *serverPlan
 	return entries
 }
 
-// studyStage is one study server stage in flight: its plan, the cells
-// its journal replays, and the slab every route writes its own
+// studyStage is one study server stage in flight: its plan, the count
+// of cells its journal replayed, and the slab every route writes its own
 // definition's cell into. Workers own whole plan items, so no two write
 // one cell; the serial fold (foldStage) reads the slab once the pool
 // drains.
 type studyStage struct {
-	server framework.ServerFramework
-	sp     *serverPlan
-	replay map[int]*journal.Record
-	prog   *progress
-	nc     int
+	server   framework.ServerFramework
+	sp       *serverPlan
+	replayed atomic.Int64
+	prog     *progress
+	nc       int
 	// codes holds one row of outcome codes per definition (nc clients,
 	// roster order), and cells the facts the fold reads beside each row.
 	codes []outcomeCode
@@ -424,20 +423,6 @@ func (r *Runner) runServer(ctx context.Context, server framework.ServerFramework
 	st.prog = newProgress(r.cfg.Progress, server.Name(), len(sp.defs))
 	defer st.prog.close()
 
-	if st.replay, err = r.replayPlan(server, sp.defs); err != nil {
-		return err
-	}
-	if st.replay != nil {
-		if err := r.seedMemoFromJournal(server, sp, st.replay); err != nil {
-			return err
-		}
-		r.obs.Emit(obs.Event{
-			Trace:  obs.TraceID(server.Name(), "resume"),
-			Stage:  "resume",
-			Server: server.Name(),
-			Detail: fmt.Sprintf("%d cells replayed from journal", len(st.replay)),
-		})
-	}
 	entries := r.resolveEntries(server, sp)
 
 	r.met.workers.Set(int64(r.workers()))
@@ -445,12 +430,25 @@ func (r *Runner) runServer(ctx context.Context, server framework.ServerFramework
 	err = r.feed(ctx, len(sp.Groups)+len(sp.Loose), func(it int) {
 		if it < len(sp.Groups) {
 			r.runPlannedGroup(st, &sp.Groups[it], entries[it])
-		} else if di := sp.Loose[it-len(sp.Groups)]; st.replay[di] != nil {
-			r.replayCell(st, di, st.replay[di])
-		} else {
+			return
+		}
+		di := sp.Loose[it-len(sp.Groups)]
+		switch rec, ok := r.journaled(st, di); {
+		case !ok:
+		case rec != nil:
+			r.replayCell(st, di, rec)
+		default:
 			r.runCell(st, di, r.publishLoose(server, sp.defs[di]))
 		}
 	})
+	if n := st.replayed.Load(); n > 0 {
+		r.obs.Emit(obs.Event{
+			Trace:  obs.TraceID(server.Name(), "resume"),
+			Stage:  "resume",
+			Server: server.Name(),
+			Detail: fmt.Sprintf("%d cells replayed from journal", n),
+		})
+	}
 	if err != nil {
 		return err
 	}
@@ -470,13 +468,21 @@ func (r *Runner) runServer(ctx context.Context, server framework.ServerFramework
 }
 
 // runPlannedGroup executes one shape group on its single owning
-// worker. Members run individually — through the memo code
-// (publishEntry/testRow) — until the entry's test row is filled; every
-// later safe member is then served by the clone broadcast. Unsafe
-// members always take the individual path, as do all members of
-// unverified shapes (publishEntry degrades them to per-class
-// fallbacks).
+// worker. On resume it first replays the members' journaled cells and
+// seeds the entry from them (replayGroup). Members left run
+// individually — through the memo code (publishEntry/testRow) — until
+// the entry's test row is filled; every later safe member is then
+// served by the clone broadcast. Unsafe members always take the
+// individual path, as do all members of unverified shapes
+// (publishEntry degrades them to per-class fallbacks).
 func (r *Runner) runPlannedGroup(st *studyStage, g *planGroup, e *shapeEntry) {
+	left := len(g.Members)
+	if r.ckpt.replaying() {
+		var ok bool
+		if left, ok = r.replayGroup(st, g, e); !ok || left == 0 {
+			return
+		}
+	}
 	// rowFilled means e's test row is known-filled, so a safe clone's
 	// row is e's codes with the executed bit cleared. It becomes true
 	// after any member runs testRow while holding a verified memo —
@@ -484,9 +490,10 @@ func (r *Runner) runPlannedGroup(st *studyStage, g *planGroup, e *shapeEntry) {
 	rowFilled := false
 	var clones []int
 	for mi, di := range g.Members {
-		if rec, ok := st.replay[di]; ok {
-			r.replayCell(st, di, rec)
-			continue
+		if left < len(g.Members) {
+			if _, replayed := r.ckpt.record(st.server.Name(), st.sp.defs[di].Parameter.Name); replayed {
+				continue
+			}
 		}
 		if rowFilled && g.safe[mi] {
 			clones = append(clones, di)

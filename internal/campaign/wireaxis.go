@@ -19,9 +19,10 @@ package campaign
 //     column) and per-client outcome histograms, plus the axis's
 //     per-code counters;
 //   - under WithCheckpoint, the cell journal (checkpoint.go) at
-//     <checkpoint>/<axis>: one record per completed service, queued by
-//     the worker that finishes its last client row, and one completion
-//     sentinel per (shard, server) stage carrying the stage's path
+//     <checkpoint>/<axis>: one record per completed service, keyed by
+//     its server and class and queued by the worker that finishes its
+//     last client row, and one completion sentinel per server stage
+//     (the server's record with no class) carrying the stage's path
 //     collisions;
 //   - under WithResume, the replay of journaled services, and the
 //     replay-only shard fold behind Merge.
@@ -55,7 +56,7 @@ type outcome uint8
 type Axis struct {
 	// name labels the axis: its -report mode, its checkpoint
 	// subdirectory (the study journals at the root), its journal record
-	// mode and trace prefix, and its fingerprint tag.
+	// mode, and its fingerprint tag.
 	name string
 	// Flag names the CLI switch that runs the axis and prints its
 	// section beside any -report; Usage is the switch's help. Empty for
@@ -125,20 +126,14 @@ type WireResult interface {
 	Axis() *Axis
 }
 
-// trace is the journal key of one service's record.
-func (ax *Axis) trace(server, class string) string {
-	return obs.TraceID(ax.name, server, class)
-}
-
-// sentinel is the journal key of one shard's completion sentinel for a
-// server stage. The shard coordinates keep sentinels from different
-// shards apart in a merge union.
-func (ax *Axis) sentinel(shard ShardSpec, server string) string {
-	return obs.TraceID(ax.complete(), shard.String(), server)
-}
-
 // complete is the journal mode of the axis's completion sentinels.
 func (ax *Axis) complete() string { return ax.name + "-complete" }
+
+// completes reports whether rec is one of the axis's completion
+// sentinels: a server's record with no class and the sentinel mode.
+func (ax *Axis) completes(rec *journal.Record) bool {
+	return rec.Class == "" && rec.Mode == ax.complete()
+}
 
 // wireCall is one (service × client) job of an axis.
 type wireCall struct {
@@ -321,7 +316,7 @@ func (r *Runner) runAxisStage(ctx context.Context, ax *Axis, cj *cellJournal, m 
 	if err != nil {
 		return err
 	}
-	if sentinel, done := cj.record(ax.sentinel(r.cfg.Shard, name)); done {
+	if sentinel, done := cj.record(name, ""); done {
 		return r.replayStage(ax, cj, m, si, sp, sentinel)
 	}
 	published, _, err := r.Publish(ctx, server)
@@ -351,7 +346,7 @@ func (r *Runner) runAxisStage(ctx context.Context, ax *Axis, cj *cellJournal, m 
 	pending := make([]atomic.Int32, len(published))
 	todo := make([]int, 0, len(published)) // the services the feed exchanges, in catalog order
 	for pi := range published {
-		rec, ok := cj.record(ax.trace(name, published[pi].Class))
+		rec, ok := cj.record(name, published[pi].Class)
 		if !ok {
 			pending[pi].Store(int32(nc))
 			todo = append(todo, pi)
@@ -404,8 +399,7 @@ func (r *Runner) runAxisStage(ctx context.Context, ax *Axis, cj *cellJournal, m 
 // axisRecord encodes one fully exchanged service: every client's
 // outcome codes and tallies, in roster and column order.
 func axisRecord(ax *Axis, server, class string, codes []outcome, tallies []int) journal.Record {
-	rec := journal.Record{Trace: ax.trace(server, class), Server: server, Class: class,
-		Mode: ax.name, Published: true, Codes: codeBytes(codes)}
+	rec := journal.Record{Server: server, Class: class, Mode: ax.name, Published: true, Codes: codeBytes(codes)}
 	if len(tallies) > 0 {
 		rec.Tallies = append([]int(nil), tallies...)
 	}
@@ -416,7 +410,7 @@ func axisRecord(ax *Axis, server, class string, codes []outcome, tallies []int) 
 // cell of the axis or does not fit its catalogs and the roster.
 func (r *Runner) checkAxisRecord(ax *Axis, rec *journal.Record) error {
 	if rec.Mode != ax.name || !rec.Published {
-		return fmt.Errorf("campaign: journal record %s: mode %q is not a %s cell", rec.Trace, rec.Mode, ax.name)
+		return recordError(rec, "mode %q is not a %s cell", rec.Mode, ax.name)
 	}
 	return r.checkRecord(ax, rec)
 }
@@ -426,7 +420,7 @@ func (r *Runner) checkAxisRecord(ax *Axis, rec *journal.Record) error {
 func (r *Runner) replayStage(ax *Axis, cj *cellJournal, m *Matrix, si int,
 	sp *serverPlan, sentinel *journal.Record) error {
 	for _, def := range sp.defs {
-		if rec, ok := cj.record(ax.trace(sp.Server, def.Parameter.Name)); ok {
+		if rec, ok := cj.record(sp.Server, def.Parameter.Name); ok {
 			if err := r.foldRecord(m, si, rec, cj.resumed); err != nil {
 				return err
 			}
@@ -449,7 +443,7 @@ func (r *Runner) foldShards(ax *Axis, recs []journal.Record) (WireResult, error)
 		rec := &recs[i]
 		si, ok := roster[rec.Server]
 		if !ok {
-			return nil, fmt.Errorf("campaign: journal record %s is for server %q, not in this roster", rec.Trace, rec.Server)
+			return nil, recordError(rec, "server %q is not in this roster", rec.Server)
 		}
 		if err := r.foldRecord(m, si, rec, resumed); err != nil {
 			return nil, err
@@ -462,7 +456,7 @@ func (r *Runner) foldShards(ax *Axis, recs []journal.Record) (WireResult, error)
 // a stage sentinel's path collisions, or a service's outcome codes and
 // tallies, counted as resumed.
 func (r *Runner) foldRecord(m *Matrix, si int, rec *journal.Record, resumed *obs.Counter) error {
-	if rec.Mode == m.ax.complete() {
+	if m.ax.completes(rec) {
 		m.Collisions[si] += rec.Collisions
 		return nil
 	}

@@ -120,17 +120,31 @@ type Injector struct {
 	// no-op here to keep the robustness matrix wall-clock-free.
 	Sleep func(d time.Duration)
 	// Obs, when non-nil, counts fired faults (faultinject.injected and
-	// one faultinject.injected.<kind> counter per kind).
+	// one faultinject.injected.<kind> counter per kind). Set it before
+	// Arm, which resolves the armed kind's counters.
 	Obs *obs.Registry
 	// codec identifies the envelope version of the wrapped handler's
 	// responses; KindOversize pads inside its closing Envelope tag. Nil
 	// means SOAP 1.1, the historical wire format.
 	codec soap.Codec
 	// fault is the armed fault; attempts counts the requests served
-	// since Arm.
+	// since Arm, and counted holds the counters a fired fault of its
+	// kind increments.
 	fault    Fault
 	attempts atomic.Int64
+	counted  [2]*obs.Counter
 }
+
+// kindCounters names the per-kind counter of every kind the catalog
+// injects. Arm resolves only these, so arbitrary kinds never mint
+// counter names.
+var kindCounters = func() map[Kind]string {
+	names := make(map[Kind]string)
+	for _, f := range Catalog() {
+		names[f.Kind] = "faultinject.injected." + string(f.Kind)
+	}
+	return names
+}()
 
 // New wraps a handler with an injector.
 func New(next http.Handler) *Injector { return &Injector{next: next} }
@@ -143,20 +157,25 @@ func (i *Injector) WithCodec(c soap.Codec) *Injector {
 	return i
 }
 
-// Arm sets the fault the following requests get and zeroes the
-// attempt count.
+// Arm sets the fault the following requests get, zeroes the attempt
+// count and resolves the counters the fault's kind fires.
 func (i *Injector) Arm(f Fault) {
 	i.fault = f
 	i.attempts.Store(0)
+	i.counted = [2]*obs.Counter{}
+	if name, ok := kindCounters[f.Kind]; ok {
+		i.counted = [2]*obs.Counter{i.Obs.Counter("faultinject.injected"), i.Obs.Counter(name)}
+	}
 }
 
 // Attempts returns the number of requests served since Arm.
 func (i *Injector) Attempts() int { return int(i.attempts.Load()) }
 
-// record counts one fired fault.
-func (i *Injector) record(kind Kind) {
-	i.Obs.Counter("faultinject.injected").Inc()
-	i.Obs.Counter("faultinject.injected." + string(kind)).Inc()
+// record counts one fired fault of the armed kind.
+func (i *Injector) record() {
+	for _, c := range i.counted {
+		c.Inc()
+	}
 }
 
 var _ http.Handler = (*Injector)(nil)
@@ -172,13 +191,13 @@ func (i *Injector) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	switch kind {
 	case KindAbort:
-		i.record(kind)
+		i.record()
 		// The stdlib convention for dropping the connection: a real
 		// http.Server closes the socket, LocalBridge maps it to
 		// transport.ErrAborted.
 		panic(http.ErrAbortHandler)
 	case KindDelay:
-		i.record(kind)
+		i.record()
 		if i.Sleep != nil {
 			i.Sleep(delayPause)
 		} else {
@@ -187,7 +206,7 @@ func (i *Injector) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		i.next.ServeHTTP(w, r)
 	case KindTruncate, KindHTMLError, KindStatus500, KindWrongContentType,
 		KindEmptyBody, KindOversize, KindDuplicateChild, KindRenameChild:
-		i.record(kind)
+		i.record()
 		rec := transport.NewCapture(0)
 		i.next.ServeHTTP(rec, r)
 		status, ctype, body := i.mutate(kind, rec.Status(), rec.Header().Get("Content-Type"), rec.Body())

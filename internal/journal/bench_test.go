@@ -19,7 +19,6 @@ func BenchmarkJournalAppend(b *testing.B) {
 			recs := make([]Record, n)
 			for i := range recs {
 				recs[i] = record(i)
-				recs[i].Trace = fmt.Sprintf("trace-%08d", i)
 				recs[i].Doc = doc
 			}
 			b.ReportAllocs()
@@ -64,7 +63,6 @@ func campaignRecords(n int) []Record {
 	recs := make([]Record, n)
 	for i := range recs {
 		rec := Record{
-			Trace:     fmt.Sprintf("%016x", i*7919),
 			Server:    []string{"Metro", "JBossWS CXF", "WCF .NET"}[i%3],
 			Class:     fmt.Sprintf("java.util.concurrent.Class%d", i),
 			Mode:      []string{"memoized", "built"}[min(i%20, 1)],

@@ -5,7 +5,6 @@ package journal
 // the first 8 header bytes, all little-endian — followed by the
 // payload. The payload lays out one Record's fields in a fixed order:
 //
-//	trace      literal
 //	server     dict
 //	class      literal
 //	mode       dict
@@ -79,7 +78,6 @@ func newEncoder(entries []string) *encoder {
 func (e *encoder) frame(rec *Record) ([]byte, error) {
 	e.added = e.added[:0]
 	b := append(e.buf[:0], make([]byte, headerSize)...)
-	b = appendLiteral(b, rec.Trace)
 	b = e.appendDict(b, rec.Server)
 	b = appendLiteral(b, rec.Class)
 	b = e.appendDict(b, rec.Mode)
@@ -101,7 +99,7 @@ func (e *encoder) frame(rec *Record) ([]byte, error) {
 		for _, s := range e.added {
 			delete(e.dict, s)
 		}
-		return nil, fmt.Errorf("journal: record %s exceeds the %d-byte frame cap", rec.Trace, maxPayload)
+		return nil, fmt.Errorf("journal: record %s on %s exceeds the %d-byte frame cap", rec.Class, rec.Server, maxPayload)
 	}
 	binary.LittleEndian.PutUint32(b[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(b[4:8], crc32.Checksum(payload, castagnoli))
@@ -246,7 +244,6 @@ func (d *decoder) damaged(cause error) error {
 func (d *decoder) record(rec *Record) error {
 	d.err = nil
 	*rec = Record{}
-	rec.Trace = d.literal()
 	rec.Server = d.str()
 	rec.Class = d.literal()
 	rec.Mode = d.str()
@@ -268,8 +265,8 @@ func (d *decoder) record(rec *Record) error {
 	switch {
 	case d.err != nil:
 		return d.err
-	case rec.Trace == "":
-		return errors.New("record has no trace ID")
+	case rec.Server == "":
+		return errors.New("record has no server")
 	case d.p != d.end:
 		return errors.New("trailing bytes after the record")
 	}

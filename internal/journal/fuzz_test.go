@@ -27,17 +27,17 @@ func FuzzJournalLoad(f *testing.F) {
 	f.Add(append(append([]byte(nil), valid...), make([]byte, 20)...))
 	f.Add([]byte{})
 	f.Add([]byte("garbage that is not a frame"))
-	// Version-3 corners: every study code byte, a full profile mask,
-	// extreme tallies, and a lone sentinel.
+	// Version-4 corners: every study code byte, a full profile mask,
+	// extreme tallies, and a lone sentinel (its server, no class).
 	corners := f.TempDir()
 	all := make([]byte, 256)
 	for i := range all {
 		all[i] = byte(i)
 	}
 	writeStore(f, corners, testMeta(), []Record{
-		{Trace: "codes", Server: "SrvA", Mode: "study", Published: true, Codes: all, Profiles: math.MaxUint64},
-		{Trace: "tallies", Server: "SrvB", Mode: "comm", Published: true, Codes: []byte{4}, Tallies: []int{math.MinInt, math.MaxInt}},
-		{Trace: "sentinel", Server: "SrvB", Mode: "comm-complete", Collisions: 3},
+		{Server: "SrvA", Class: "pkg.Codes", Mode: "study", Published: true, Codes: all, Profiles: math.MaxUint64},
+		{Server: "SrvB", Class: "pkg.Tallies", Mode: "comm", Published: true, Codes: []byte{4}, Tallies: []int{math.MinInt, math.MaxInt}},
+		{Server: "SrvB", Mode: "comm-complete", Collisions: 3},
 	})
 	edge, err := os.ReadFile(filepath.Join(corners, DataFile))
 	if err != nil {

@@ -1,6 +1,6 @@
 // Package journal is the campaign's durable checkpoint store: an
-// append-only log of completed campaign cells, keyed by the cell's
-// content-addressed trace ID (obs.TraceID). A campaign run that is
+// append-only log of completed campaign cells, keyed by the (server,
+// class) each record carries (Key). A campaign run that is
 // interrupted — SIGINT, SIGTERM, preemption, crash — leaves a journal
 // from which a later run replays every completed cell instead of
 // re-executing it, and the replayed-plus-executed Result is
@@ -54,10 +54,11 @@ const (
 	metaFile = "meta.json"
 
 	// Version is the record schema version stamped into meta.json:
-	// 3 is the binary frame format whose records carry outcome codes
-	// and a profile mask (version 2 spelled out per-client test flags,
-	// outcome names and profile IDs).
-	Version = 3
+	// 4 is the binary frame format whose records are keyed by their
+	// server and class and carry outcome codes and a profile mask
+	// (version 3 also stored a trace hash of the key, version 2 spelled
+	// out per-client test flags, outcome names and profile IDs).
+	Version = 4
 
 	// SyncEvery is the append count between fsyncs of journal.wal:
 	// a record reaches the file at its flush, and stable storage at the
@@ -156,15 +157,15 @@ func (s *ShardMeta) describe() string {
 
 // Record is one journaled campaign cell — a (server, class) service of
 // one campaign mode, complete with every client's outcomes — or a
-// server stage's completion sentinel. Trace is the cell's
-// content-addressed key. Mode is the static study's publish route
-// (direct, fallback, built, memo-rejected, memo-fallback, memoized), so
-// replay reconstructs memo statistics and the shape table, or a wire
-// mode's name. Doc carries the serialized WSDL only on the verified
-// builder of a shared shape, where it seeds the shape template on
-// resume.
+// server stage's completion sentinel, the record of its server with an
+// empty Class and the Mode "<axis>-complete". Server and Class are the
+// record's key in its store (Key). Mode is the static study's publish
+// route (direct, fallback, built, memo-rejected, memo-fallback,
+// memoized), so replay reconstructs memo statistics and the shape
+// table, or a wire mode's name. Doc carries the serialized WSDL only
+// on the verified builder of a shared shape, where it seeds the shape
+// template on resume.
 type Record struct {
-	Trace     string
 	Server    string
 	Class     string
 	Mode      string
@@ -188,6 +189,14 @@ type Record struct {
 	Collisions int
 }
 
+// Key is a record's identity in its store: the server and class of a
+// cell, or the server of a stage's completion sentinel with an empty
+// class. Each mode journals in its own store, so the pair is unique.
+type Key struct{ Server, Class string }
+
+// Key returns the record's key.
+func (r *Record) Key() Key { return Key{r.Server, r.Class} }
+
 // Journal is an open checkpoint store. Append must be serialized by
 // the caller (the campaign writes from a single goroutine); the other
 // methods are not safe for concurrent use either.
@@ -195,7 +204,7 @@ type Journal struct {
 	f      *os.File
 	w      *bufio.Writer
 	enc    *encoder
-	loaded map[string]*Record
+	loaded map[Key]*Record
 
 	// FlushEvery is the number of appends between durable flushes; 0
 	// or 1 (the default) flushes every record before Append returns.
@@ -289,9 +298,9 @@ func (j *Journal) load(path string) error {
 	if err != nil {
 		return err
 	}
-	j.loaded = make(map[string]*Record, len(recs))
+	j.loaded = make(map[Key]*Record, len(recs))
 	for i := range recs {
-		j.loaded[recs[i].Trace] = &recs[i]
+		j.loaded[recs[i].Key()] = &recs[i]
 	}
 	if err := j.f.Truncate(valid); err != nil {
 		return fmt.Errorf("journal: truncate torn tail: %w", err)
@@ -407,13 +416,10 @@ func syncDir(dir string) error {
 }
 
 // Loaded returns the records the store held when it was opened, keyed
-// by trace; a trace journaled twice keeps its last record. Appends do
-// not add to it, so a resuming campaign may read it from any goroutine
+// by Key; a key journaled twice keeps its last record. Appends do not
+// add to it, so a resuming campaign may read it from any goroutine
 // while its writer appends. Callers must not modify it.
-func (j *Journal) Loaded() map[string]*Record { return j.loaded }
-
-// Appended reports the number of records appended this session.
-func (j *Journal) Appended() int { return j.appended }
+func (j *Journal) Loaded() map[Key]*Record { return j.loaded }
 
 // Append records one completed cell. With the default FlushEvery the
 // frame is written and flushed before Append returns, so a kill after
@@ -422,8 +428,8 @@ func (j *Journal) Appended() int { return j.appended }
 // is flushed and fsynced, which also makes every pending record
 // durable.
 func (j *Journal) Append(rec Record) error {
-	if rec.Trace == "" {
-		return errors.New("journal: record has no trace ID")
+	if rec.Server == "" {
+		return errors.New("journal: record has no server")
 	}
 	frame, err := j.enc.frame(&rec)
 	if err != nil {
@@ -487,7 +493,7 @@ func (j *Journal) notifyDurable() {
 
 // Load reads the checkpoint store in dir without opening it for
 // writing: the meta identity plus every record in first-journaled
-// order, a trace journaled twice keeping its last record. It tolerates
+// order, a key journaled twice keeping its last record. It tolerates
 // a torn tail exactly as a resume open would, but never truncates it —
 // Load never mutates the store. It is the merge coordinator's view of
 // a shard worker's journal.
@@ -511,15 +517,15 @@ func Load(dir string) (*Meta, []Record, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	// Keep each trace's last record at its first position.
-	at := make(map[string]int, len(recs))
+	// Keep each key's last record at its first position.
+	at := make(map[Key]int, len(recs))
 	out := recs[:0]
 	for _, rec := range recs {
-		if i, seen := at[rec.Trace]; seen {
+		if i, seen := at[rec.Key()]; seen {
 			out[i] = rec
 			continue
 		}
-		at[rec.Trace] = len(out)
+		at[rec.Key()] = len(out)
 		out = append(out, rec)
 	}
 	return meta, out, nil

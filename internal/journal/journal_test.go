@@ -14,7 +14,6 @@ func testMeta() Meta { return Meta{Fingerprint: "fp-test"} }
 
 func record(i int) Record {
 	rec := Record{
-		Trace:     fmt.Sprintf("trace-%04d", i),
 		Server:    "SrvA",
 		Class:     fmt.Sprintf("pkg.Class%d", i),
 		Mode:      "built",
@@ -31,10 +30,9 @@ func record(i int) Record {
 
 // axisRecord is a wire-axis record: two columns of outcome codes and
 // two tallies per client, and on every fourth a completion sentinel's
-// collisions.
+// collisions, keyed by a server of its own and an empty class.
 func axisRecord(i int) Record {
 	rec := Record{
-		Trace:     fmt.Sprintf("axis-%04d", i),
 		Server:    "SrvB",
 		Class:     fmt.Sprintf("pkg.Wire%d", i),
 		Mode:      "robust",
@@ -44,6 +42,7 @@ func axisRecord(i int) Record {
 	}
 	if i%4 == 0 {
 		rec.Codes, rec.Tallies, rec.Mode, rec.Collisions = nil, nil, "robust-complete", i+1
+		rec.Server, rec.Class = fmt.Sprintf("Stage%d", i), ""
 	}
 	return rec
 }
@@ -118,8 +117,8 @@ func TestRoundTrip(t *testing.T) {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
-	if j.Appended() != 25 {
-		t.Errorf("Appended = %d, want 25", j.Appended())
+	if j.appended != 25 {
+		t.Errorf("appended = %d, want 25", j.appended)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatalf("close: %v", err)
@@ -135,8 +134,8 @@ func TestRoundTrip(t *testing.T) {
 		t.Errorf("reload holds %d records, want %d", len(loaded), len(want))
 	}
 	for _, rec := range want {
-		if got := loaded[rec.Trace]; got == nil || !reflect.DeepEqual(*got, rec) {
-			t.Errorf("record %s after reload differs:\ngot  %+v\nwant %+v", rec.Trace, got, rec)
+		if got := loaded[rec.Key()]; got == nil || !reflect.DeepEqual(*got, rec) {
+			t.Errorf("record %v after reload differs:\ngot  %+v\nwant %+v", rec.Key(), got, rec)
 		}
 	}
 	if _, got, err := Load(dir); err != nil || !reflect.DeepEqual(got, want) {
@@ -325,6 +324,30 @@ func TestOversizeRecordRefused(t *testing.T) {
 	}
 }
 
+// TestServerlessRecordRefused: a record's server is the first half of
+// its key, so Append refuses a record without one, and a verifying
+// frame that decodes to one is corruption at its offset.
+func TestServerlessRecordRefused(t *testing.T) {
+	dir := t.TempDir()
+	j, err := Open(dir, testMeta(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(Record{Class: "pkg.Orphan", Mode: "built"}); err == nil {
+		t.Error("a record without a server was appended")
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	forged, err := newEncoder(nil).frame(&Record{Class: "pkg.Orphan", Mode: "built"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendBytes(t, dir, forged)
+	_, _, err = Load(dir)
+	requireCorrupt(t, err, 0)
+}
+
 // requireCorrupt asserts err is a *CorruptError at offset, matching
 // ErrCorrupt.
 func requireCorrupt(t *testing.T, err error, offset int64) {
@@ -468,16 +491,21 @@ func TestSnapshotLoadsBeforeJournal(t *testing.T) {
 }
 
 // TestVersionOneRefused: a version-1 journal.jsonl store, and a meta
-// of any other version, is refused with ErrVersion at Open and Load.
+// of any other version — the version-3 layout whose records led with a
+// trace hash among them — is refused with ErrVersion at Open and Load.
 func TestVersionOneRefused(t *testing.T) {
 	v1 := t.TempDir()
 	legacyStore(t, v1, "journal.jsonl")
-	future := t.TempDir()
-	writeStore(t, future, testMeta(), []Record{record(0)})
-	if err := writeMeta(future, Meta{Version: Version + 1, Fingerprint: testMeta().Fingerprint}); err != nil {
-		t.Fatal(err)
+	var stamped []string
+	for _, v := range []int{3, Version + 1} {
+		dir := t.TempDir()
+		writeStore(t, dir, testMeta(), []Record{record(0)})
+		if err := writeMeta(dir, Meta{Version: v, Fingerprint: testMeta().Fingerprint}); err != nil {
+			t.Fatal(err)
+		}
+		stamped = append(stamped, dir)
 	}
-	for _, dir := range []string{v1, future} {
+	for _, dir := range append([]string{v1}, stamped...) {
 		if _, err := Open(dir, testMeta(), true); !errors.Is(err, ErrVersion) {
 			t.Errorf("resume of %s: err = %v, want ErrVersion", dir, err)
 		}
@@ -505,20 +533,27 @@ func dirFiles(t *testing.T, dir string) map[string]string {
 	return files
 }
 
-// TestDuplicateTraceLastWins: a trace appended twice keeps one record,
-// and the newest must win on load.
-func TestDuplicateTraceLastWins(t *testing.T) {
+// TestDuplicateKeyLastWins: a (server, class) key appended twice keeps
+// one record, and the newest must win on load; records that differ in
+// either field are kept apart — among them a stage's completion
+// sentinel (empty class) and a cell of the same server, and one class
+// on two servers.
+func TestDuplicateKeyLastWins(t *testing.T) {
 	dir := t.TempDir()
 	rec := record(1)
 	dup := rec
 	dup.Mode = "memoized"
-	writeStore(t, dir, testMeta(), []Record{record(0), rec, record(2), dup})
+	sentinel := Record{Server: rec.Server, Mode: "study-complete"}
+	other := rec
+	other.Server = "SrvOther"
+	writeStore(t, dir, testMeta(), []Record{record(0), rec, record(2), sentinel, other, dup})
 	_, recs, err := Load(dir)
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	if len(recs) != 3 || recs[1].Trace != rec.Trace || recs[1].Mode != "memoized" {
-		t.Errorf("Load = %+v, want 3 records (dedup by trace), the second with the last-written mode", recs)
+	want := []Record{record(0), dup, record(2), sentinel, other}
+	if !reflect.DeepEqual(recs, want) {
+		t.Errorf("Load = %+v, want %+v (one record per key, the second with the last-written mode)", recs, want)
 	}
 	j2, err := Open(dir, testMeta(), true)
 	if err != nil {
@@ -526,8 +561,13 @@ func TestDuplicateTraceLastWins(t *testing.T) {
 	}
 	defer func() { _ = j2.Close() }()
 	loaded := j2.Loaded()
-	if got := loaded[rec.Trace]; len(loaded) != 3 || got == nil || got.Mode != "memoized" {
-		t.Errorf("loaded = %+v, want 3 records, %s with the last-written mode", loaded, rec.Trace)
+	if len(loaded) != len(want) {
+		t.Errorf("loaded %d records, want %d", len(loaded), len(want))
+	}
+	for _, w := range want {
+		if got := loaded[w.Key()]; got == nil || !reflect.DeepEqual(*got, w) {
+			t.Errorf("loaded[%v] = %+v, want %+v", w.Key(), got, w)
+		}
 	}
 }
 

@@ -7,8 +7,9 @@
 // file makes the envelope version a first-class parameter: a Codec
 // interface with V11 and V12 implementations, a Detect classifier
 // that labels raw bytes v11/v12/hybrid/unknown, and two deliberately
-// less-strict parsers (UnmarshalFlexible, UnmarshalCoerce) that model
-// how lenient and namespace-blind frameworks consume such traffic.
+// less-strict readers (Scanned.Flexible, Scanned.Coerce in scan.go)
+// that model how lenient and namespace-blind frameworks consume such
+// traffic.
 package soap
 
 import (
@@ -407,22 +408,4 @@ func mediaType(contentType string) (string, bool) {
 	}
 	mt, _, err := mime.ParseMediaType(contentType)
 	return mt, err == nil
-}
-
-// UnmarshalFlexible parses an envelope in either version, including
-// hybrids, recognizing fault markup in both shapes. This models the
-// lenient-accept frameworks (Axis, PHP): they never mistake a fault
-// for data, but they also never refuse a version mix.
-func UnmarshalFlexible(data []byte) (*Message, error) {
-	return Scan(data).Flexible()
-}
-
-// UnmarshalCoerce parses namespace-blind: any root named Envelope is
-// accepted and only the native 1.1 faultcode shape is recognized as a
-// fault. This models the silent-coerce frameworks (ASMX-era .NET,
-// suds): a 1.2-shaped fault parses as a *successful* message with
-// Local="Fault" — the silent mishandling the version matrix exists to
-// expose.
-func UnmarshalCoerce(data []byte) (*Message, error) {
-	return Scan(data).Coerce()
 }

@@ -164,10 +164,10 @@ func TestDetect(t *testing.T) {
 func TestUnmarshalFlexible(t *testing.T) {
 	// Hybrid fault parses as a fault, in either hybrid variant.
 	for _, data := range []string{hybridFaultEnvelope, hybridShapeEnvelope} {
-		_, err := UnmarshalFlexible([]byte(data))
+		_, err := Scan([]byte(data)).Flexible()
 		var f *Fault
 		if !errors.As(err, &f) {
-			t.Fatalf("UnmarshalFlexible(hybrid fault) = %v, want *Fault", err)
+			t.Fatalf("Scan(hybrid fault).Flexible() = %v, want *Fault", err)
 		}
 		if f.Code == "" || f.String == "" {
 			t.Fatalf("fault fields not mapped from 1.2 shape: %+v", f)
@@ -179,8 +179,8 @@ func TestUnmarshalFlexible(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, data := range []string{string(data11), sample12Envelope} {
-		if _, err := UnmarshalFlexible([]byte(data)); err != nil {
-			t.Fatalf("UnmarshalFlexible(pure envelope) = %v", err)
+		if _, err := Scan([]byte(data)).Flexible(); err != nil {
+			t.Fatalf("Scan(pure envelope).Flexible() = %v", err)
 		}
 	}
 }
@@ -192,9 +192,9 @@ func TestUnmarshalCoerce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := UnmarshalCoerce(data12)
+	m, err := Scan(data12).Coerce()
 	if err != nil {
-		t.Fatalf("UnmarshalCoerce(v12 fault) = %v, want silent success", err)
+		t.Fatalf("Scan(v12 fault).Coerce() = %v, want silent success", err)
 	}
 	if m.Local != "Fault" {
 		t.Fatalf("coerced payload = %+v, want Local=Fault", m)
@@ -204,14 +204,14 @@ func TestUnmarshalCoerce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = UnmarshalCoerce(data11)
+	_, err = Scan(data11).Coerce()
 	var f *Fault
 	if !errors.As(err, &f) {
-		t.Fatalf("UnmarshalCoerce(v11 fault) = %v, want *Fault", err)
+		t.Fatalf("Scan(v11 fault).Coerce() = %v, want *Fault", err)
 	}
 	// And a 1.2 message is consumed without complaint.
-	if _, err := UnmarshalCoerce([]byte(sample12Envelope)); err != nil {
-		t.Fatalf("UnmarshalCoerce(v12 message) = %v", err)
+	if _, err := Scan([]byte(sample12Envelope)).Coerce(); err != nil {
+		t.Fatalf("Scan(v12 message).Coerce() = %v", err)
 	}
 }
 

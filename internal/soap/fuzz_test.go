@@ -116,8 +116,8 @@ func FuzzCodecs(f *testing.F) {
 		}
 		// The lenient parsers must not panic and must agree with the
 		// strict parsers on pure accepted inputs.
-		flexMsg, flexErr := UnmarshalFlexible(data)
-		if _, err := UnmarshalCoerce(data); err != nil {
+		flexMsg, flexErr := Scan(data).Flexible()
+		if _, err := Scan(data).Coerce(); err != nil {
 			_ = err
 		}
 		if err11 == nil && (flexErr != nil || flexMsg.Local != m11.Local) {

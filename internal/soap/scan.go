@@ -428,7 +428,10 @@ func (s *Scanned) messageFromNode(i int32) (*Message, error) {
 	return m, nil
 }
 
-// Flexible is UnmarshalFlexible over the scanned message.
+// Flexible parses the scanned envelope in either version, including
+// hybrids, recognizing fault markup in both shapes. This models the
+// lenient-accept frameworks (Axis, PHP): they never mistake a fault
+// for data, but they also never refuse a version mix.
 func (s *Scanned) Flexible() (*Message, error) {
 	switch s.Detect("") {
 	case Version11, VersionUnknown:
@@ -473,7 +476,12 @@ func (s *Scanned) Flexible() (*Message, error) {
 	return nil, f
 }
 
-// Coerce is UnmarshalCoerce over the scanned message.
+// Coerce parses the scanned envelope namespace-blind: any root named
+// Envelope is accepted and only the native 1.1 faultcode shape is
+// recognized as a fault. This models the silent-coerce frameworks
+// (ASMX-era .NET, suds): a 1.2-shaped fault parses as a *successful*
+// message with Local="Fault" — the silent mishandling the version
+// matrix exists to expose.
 func (s *Scanned) Coerce() (*Message, error) {
 	first, err := s.bodyFirst()
 	if err != nil {

@@ -172,8 +172,8 @@ func checkScanMatchesOracle(t *testing.T, data []byte) {
 	}{
 		{"V11", V11.Unmarshal, oracleUnmarshal11},
 		{"V12", V12.Unmarshal, oracleUnmarshal12},
-		{"Flexible", UnmarshalFlexible, oracleFlexible},
-		{"Coerce", UnmarshalCoerce, oracleCoerce},
+		{"Flexible", func(b []byte) (*Message, error) { return Scan(b).Flexible() }, oracleFlexible},
+		{"Coerce", func(b []byte) (*Message, error) { return Scan(b).Coerce() }, oracleCoerce},
 	}
 	for _, r := range readers {
 		gotM, gotErr := r.got(data)

@@ -138,16 +138,16 @@ func decodeResponse(codec soap.Codec, strict soap.Strictness, status int, conten
 		msg, err = codec.UnmarshalScanned(scan)
 	}
 	if err != nil {
-		var fault *soap.Fault
-		if errors.As(err, &fault) {
-			return nil, fault
+		var c conditions
+		c.walk(err)
+		if c.fault != nil {
+			return nil, c.fault
 		}
 		if !ok {
 			return nil, &HTTPError{Status: status, ContentType: contentType, Snippet: snippet(body)}
 		}
-		var de *soap.DecodeError
-		if errors.As(err, &de) && de.Version == soap.VersionUnknown {
-			de.Version = detected
+		if c.decode != nil && c.decode.Version == soap.VersionUnknown {
+			c.decode.Version = detected
 		}
 		return nil, fmt.Errorf("decode response (HTTP %d): %w", status, err)
 	}
@@ -239,11 +239,15 @@ const (
 	classOther                   // the rest: transport.errors.other
 )
 
-// conditions records the typed conditions an error tree holds, and the
-// status of its first *HTTPError.
+// conditions records the typed conditions an error tree holds: its
+// first *soap.Fault and *soap.DecodeError, and the status of its first
+// *HTTPError. Finding them in one walk needs none of the heap-allocated
+// targets errors.As takes.
 type conditions struct {
-	fault, http, version, decode, aborted, eof, network bool
-	status                                              int
+	fault                                *soap.Fault
+	decode                               *soap.DecodeError
+	http, version, aborted, eof, network bool
+	status                               int
 }
 
 // walk visits an error tree in the order errors.As does: each error,
@@ -252,7 +256,9 @@ func (c *conditions) walk(err error) {
 	for err != nil {
 		switch e := err.(type) {
 		case *soap.Fault:
-			c.fault = true
+			if c.fault == nil {
+				c.fault = e
+			}
 		case *HTTPError:
 			if !c.http {
 				c.http, c.status = true, e.Status
@@ -260,7 +266,9 @@ func (c *conditions) walk(err error) {
 		case *VersionMismatchError:
 			c.version = true
 		case *soap.DecodeError:
-			c.decode = true
+			if c.decode == nil {
+				c.decode = e
+			}
 		case net.Error: // *url.Error is one too
 			c.network = true
 		}
@@ -288,13 +296,13 @@ func classify(err error) (errClass, bool) {
 	var c conditions
 	c.walk(err)
 	switch {
-	case c.fault:
+	case c.fault != nil:
 		return classFault, false
 	case c.http:
 		return classHTTP, c.status >= 500 && !c.version
 	case c.version:
 		return classVersion, false
-	case c.decode:
+	case c.decode != nil:
 		return classDecode, true
 	case c.aborted:
 		return classAborted, true

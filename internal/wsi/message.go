@@ -168,20 +168,6 @@ func (c *Checker) CheckMessage(raw []byte, meta MessageMeta) *Report {
 	return c.checkMessageRules(raw, meta, rules)
 }
 
-// CheckMessageCodec validates one captured message against the
-// messaging rules of the given envelope version regardless of the
-// checker's profile, always including the hybrid version-coherence
-// guard: a message mixing 1.1 and 1.2 signals is flagged under RMH001
-// even when each signal would be valid alone.
-func (c *Checker) CheckMessageCodec(raw []byte, meta MessageMeta, codec soap.Codec) *Report {
-	rules := v11MsgRules
-	if codec.Version() == soap.Version12 {
-		rules = v12MsgRules
-	}
-	rules.versionGuard = true
-	return c.checkMessageRules(raw, meta, rules)
-}
-
 // checkMessageRules runs the message walk on the xmltok scanner; a
 // message the scanner declines is checked again from byte 0 on
 // encoding/xml, so every report and error text is encoding/xml's.

@@ -151,12 +151,12 @@ func TestMessageAssertionIDsUnique(t *testing.T) {
 // Sender status).
 func TestCheckMessageCodecClean12(t *testing.T) {
 	c := NewChecker()
-	if r := c.CheckMessageCodec([]byte(cleanEnvelope12), cleanMeta12(), soap.V12); len(r.Violations) != 0 {
+	if r := checkMessageCodec(c, []byte(cleanEnvelope12), cleanMeta12(), soap.V12); len(r.Violations) != 0 {
 		t.Errorf("clean 1.2 message has findings: %v", r.Violations)
 	}
 	meta := cleanMeta12()
 	meta.HTTPStatus = 400
-	if r := c.CheckMessageCodec([]byte(cleanFault12), meta, soap.V12); len(r.Violations) != 0 {
+	if r := checkMessageCodec(c, []byte(cleanFault12), meta, soap.V12); len(r.Violations) != 0 {
 		t.Errorf("clean 1.2 fault at 400 has findings: %v", r.Violations)
 	}
 }
@@ -166,7 +166,7 @@ func TestCheckMessageCodecClean12(t *testing.T) {
 // 1.2 framing, and a 1.2-shaped fault inside a 1.1 envelope.
 func TestCheckMessageCodecHybrid(t *testing.T) {
 	c := NewChecker()
-	r := c.CheckMessageCodec([]byte(cleanEnvelope), cleanMeta12(), soap.V11)
+	r := checkMessageCodec(c, []byte(cleanEnvelope), cleanMeta12(), soap.V11)
 	found := false
 	for _, v := range r.Violations {
 		if v.Assertion.ID == AssertionMsgVersionCoherent.ID {
@@ -180,7 +180,7 @@ func TestCheckMessageCodecHybrid(t *testing.T) {
 	<soap:Body><env:Fault xmlns:env="http://www.w3.org/2003/05/soap-envelope">
 	<env:Code><env:Value>env:Sender</env:Value></env:Code>
 	<env:Reason><env:Text>x</env:Text></env:Reason></env:Fault></soap:Body></soap:Envelope>`
-	r = c.CheckMessageCodec([]byte(hybrid), MessageMeta{ContentType: "text/xml", HTTPStatus: 500}, soap.V11)
+	r = checkMessageCodec(c, []byte(hybrid), MessageMeta{ContentType: "text/xml", HTTPStatus: 500}, soap.V11)
 	found = false
 	for _, v := range r.Violations {
 		if v.Assertion.ID == AssertionMsgVersionCoherent.ID {
@@ -270,4 +270,18 @@ func TestMediaTypeMatchesMIME(t *testing.T) {
 			t.Errorf("mediaType(%q) = %q, %v; mime.ParseMediaType = %q, %v", ct, mt, ok, want, err)
 		}
 	}
+}
+
+// checkMessageCodec validates one captured message against the
+// messaging rules of the given envelope version regardless of the
+// checker's profile, always including the hybrid version-coherence
+// guard: a message mixing 1.1 and 1.2 signals is flagged under RMH001
+// even when each signal would be valid alone.
+func checkMessageCodec(c *Checker, raw []byte, meta MessageMeta, codec soap.Codec) *Report {
+	rules := v11MsgRules
+	if codec.Version() == soap.Version12 {
+		rules = v12MsgRules
+	}
+	rules.versionGuard = true
+	return c.checkMessageRules(raw, meta, rules)
 }

@@ -66,18 +66,6 @@ func (r *Report) Compliant() bool {
 	return true
 }
 
-// ExtendedFindings returns only the extended (beyond-profile)
-// violations.
-func (r *Report) ExtendedFindings() []Violation {
-	var out []Violation
-	for _, v := range r.Violations {
-		if v.Assertion.Extended {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // Assertions implemented by the checker.
 var (
 	AssertionResolvableRefs = Assertion{

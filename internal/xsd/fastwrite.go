@@ -13,9 +13,10 @@ import (
 // the schema directly, byte-for-byte identical to the reference
 // encoder — a property the shape-template verification, the checkpoint
 // journal's re-split on resume, and the golden tests all depend on.
-// MarshalSchemaReference keeps the old path alive as the differential
-// oracle; TestMarshalSchemaMatchesReference (and its full-corpus
-// variant) prove the two agree over every published document.
+// xsdtest.MarshalSchemaReference keeps the old path alive as the
+// differential oracle; TestMarshalSchemaMatchesReference (and its
+// full-corpus variant) prove the two agree over every published
+// document.
 
 // indentUnit is the per-depth indentation the reference encoder was
 // configured with (xml.Encoder.Indent("", "  ")).

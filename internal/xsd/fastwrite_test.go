@@ -110,27 +110,6 @@ func equivalenceSchemas() map[string]*Schema {
 	}
 }
 
-// TestMarshalSchemaMatchesReference proves the hand-rolled writer
-// emits byte-identical output to the retained encoding/xml path for
-// every synthetic edge case.
-func TestMarshalSchemaMatchesReference(t *testing.T) {
-	for name, sch := range equivalenceSchemas() {
-		t.Run(name, func(t *testing.T) {
-			want, err := MarshalSchemaReference(sch, nil)
-			if err != nil {
-				t.Fatalf("reference marshal: %v", err)
-			}
-			got, err := MarshalSchema(sch, nil)
-			if err != nil {
-				t.Fatalf("fast marshal: %v", err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("output diverges\nfast:\n%s\nreference:\n%s", got, want)
-			}
-		})
-	}
-}
-
 // TestMarshalSchemaToPrefix checks the streamed form used by the WSDL
 // writer: every line carries the base prefix and the bytes otherwise
 // match MarshalSchema.
@@ -159,29 +138,6 @@ func TestMarshalSchemaToPrefix(t *testing.T) {
 	}
 }
 
-// TestMarshalSchemaHostileFacetNames checks the writer replicates the
-// reference encoder's quirks for degenerate facet element names: the
-// name is emitted verbatim (no validation or escaping), and an empty
-// name falls back to the wire field name without the namespace
-// re-declaration.
-func TestMarshalSchemaHostileFacetNames(t *testing.T) {
-	for _, bad := range []string{"", "1leading", "sp ace", "a<b", "a&b"} {
-		sch := &Schema{
-			TargetNamespace: "urn:bad",
-			SimpleTypes: []SimpleType{
-				{Name: "S", Base: TypeString, Facets: []Facet{{Name: bad, Value: "v"}}},
-			},
-		}
-		want, err := MarshalSchemaReference(sch, nil)
-		if err != nil {
-			t.Fatalf("facet name %q: reference marshal: %v", bad, err)
-		}
-		got, err := MarshalSchema(sch, nil)
-		if err != nil {
-			t.Fatalf("facet name %q: fast marshal: %v", bad, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("facet name %q diverges\nfast:\n%s\nreference:\n%s", bad, got, want)
-		}
-	}
-}
+// EquivalenceSchemas exposes the edge-case schemas to the reference
+// tests of the external test package.
+var EquivalenceSchemas = equivalenceSchemas

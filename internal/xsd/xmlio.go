@@ -14,18 +14,20 @@ import (
 // serializes one or more schema blocks per published document.
 var schemaBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// This file implements XML serialization and parsing for the schema
-// object model. The wire format follows the conventional layout used
-// by JAX-WS and WCF emitters: one xs:schema element per target
-// namespace, qualified references written as prefix:local with the
-// prefix map declared on the schema element.
+// This file implements XML parsing for the schema object model and the
+// prefix table its writer (fastwrite.go) serializes with. The wire
+// format follows the conventional layout used by JAX-WS and WCF
+// emitters: one xs:schema element per target namespace, qualified
+// references written as prefix:local with the prefix map declared on
+// the schema element.
 //
 // The writer assigns prefixes deterministically (tns for the target
 // namespace, xs for XML Schema, q1..qN for foreign namespaces) so that
 // document output is byte-stable for a given model — a property the
 // campaign runner and the round-trip property tests rely on.
 
-// xmlSchema is the wire representation of a Schema.
+// xmlSchema is the wire representation of a Schema, as UnmarshalSchema
+// decodes it.
 type xmlSchema struct {
 	XMLName            xml.Name         `xml:"http://www.w3.org/2001/XMLSchema schema"`
 	TargetNamespace    string           `xml:"targetNamespace,attr,omitempty"`
@@ -90,9 +92,8 @@ type xmlSimpleType struct {
 }
 
 type xmlRestriction struct {
-	Base   string     `xml:"base,attr"`
-	Inner  []innerXML `xml:",any"`
-	Facets []Facet    `xml:"-"`
+	Base  string     `xml:"base,attr"`
+	Inner []innerXML `xml:",any"`
 }
 
 type innerXML struct {
@@ -199,7 +200,8 @@ func (pt *PrefixTable) Ref(q QName) string {
 }
 
 // Declarations returns the xmlns attributes for every assigned prefix
-// except the reserved xml: prefix.
+// except the reserved xml: prefix, in assignment order: the
+// declarations the reference encoder (xsdtest) writes.
 func (pt *PrefixTable) Declarations() []xml.Attr {
 	attrs := make([]xml.Attr, 0, len(pt.ns))
 	for i, ns := range pt.ns {
@@ -212,124 +214,6 @@ func (pt *PrefixTable) Declarations() []xml.Attr {
 		})
 	}
 	return attrs
-}
-
-// MarshalSchemaReference serializes one schema block through the wire
-// structs and encoding/xml — the original implementation, retained as
-// the differential-testing oracle for the hand-rolled writer
-// (fastwrite.go). MarshalSchema must produce byte-identical output;
-// the equivalence tests prove it over the full published corpus.
-func MarshalSchemaReference(sch *Schema, pt *PrefixTable) ([]byte, error) {
-	if pt == nil {
-		pt = NewPrefixTable(sch.TargetNamespace)
-	}
-	ws := toWireSchema(sch, pt)
-	ws.Attrs = pt.Declarations()
-	buf := schemaBufs.Get().(*bytes.Buffer)
-	defer schemaBufs.Put(buf)
-	buf.Reset()
-	enc := xml.NewEncoder(buf)
-	enc.Indent("", "  ")
-	if err := enc.Encode(ws); err != nil {
-		return nil, err
-	}
-	out := make([]byte, buf.Len())
-	copy(out, buf.Bytes())
-	return out, nil
-}
-
-func toWireSchema(sch *Schema, pt *PrefixTable) *xmlSchema {
-	ws := &xmlSchema{
-		TargetNamespace:    sch.TargetNamespace,
-		ElementFormDefault: sch.ElementFormDefault,
-	}
-	for _, imp := range sch.Imports {
-		ws.Imports = append(ws.Imports, xmlImport(imp))
-	}
-	for i := range sch.SimpleTypes {
-		ws.SimpleTypes = append(ws.SimpleTypes, toWireSimpleType(&sch.SimpleTypes[i], pt))
-	}
-	for i := range sch.ComplexTypes {
-		ws.ComplexTypes = append(ws.ComplexTypes, *toWireComplexType(&sch.ComplexTypes[i], pt))
-	}
-	for i := range sch.Elements {
-		ws.Elements = append(ws.Elements, toWireElement(&sch.Elements[i], pt))
-	}
-	return ws
-}
-
-func toWireElement(el *Element, pt *PrefixTable) xmlElement {
-	we := xmlElement{
-		Name: el.Name,
-		Type: pt.Ref(el.Type),
-		Ref:  pt.Ref(el.Ref),
-	}
-	if el.Occurs != Once && el.Occurs != (Occurs{}) {
-		we.MinOccurs = strconv.Itoa(el.Occurs.Min)
-		if el.Occurs.Max < 0 {
-			we.MaxOccurs = "unbounded"
-		} else {
-			we.MaxOccurs = strconv.Itoa(el.Occurs.Max)
-		}
-	}
-	if el.Nillable {
-		we.Nillable = "true"
-	}
-	if el.Inline != nil {
-		ct := toWireComplexType(el.Inline, pt)
-		ct.Name = ""
-		we.Inline = ct
-	}
-	return we
-}
-
-func toWireComplexType(ct *ComplexType, pt *PrefixTable) *xmlComplexType {
-	wct := &xmlComplexType{Name: ct.Name}
-	if ct.Abstract {
-		wct.Abstract = "true"
-	}
-	seq := &xmlSequence{}
-	for i := range ct.Sequence {
-		seq.Elements = append(seq.Elements, toWireElement(&ct.Sequence[i], pt))
-	}
-	for _, a := range ct.Any {
-		wa := xmlAny{Namespace: a.Namespace, ProcessContents: a.ProcessContents}
-		if a.Occurs != Once && a.Occurs != (Occurs{}) {
-			wa.MinOccurs = strconv.Itoa(a.Occurs.Min)
-			if a.Occurs.Max < 0 {
-				wa.MaxOccurs = "unbounded"
-			} else {
-				wa.MaxOccurs = strconv.Itoa(a.Occurs.Max)
-			}
-		}
-		seq.Any = append(seq.Any, wa)
-	}
-	var attrs []xmlAttrDecl
-	for _, at := range ct.Attributes {
-		attrs = append(attrs, xmlAttrDecl{Name: at.Name, Type: pt.Ref(at.Type), Ref: pt.Ref(at.Ref)})
-	}
-	if !ct.Base.IsZero() {
-		wct.Extension = &xmlExtension{Base: pt.Ref(ct.Base), Sequence: seq, Attrs: attrs}
-	} else {
-		if len(seq.Elements) > 0 || len(seq.Any) > 0 {
-			wct.Sequence = seq
-		}
-		wct.Attrs = attrs
-	}
-	return wct
-}
-
-func toWireSimpleType(st *SimpleType, pt *PrefixTable) xmlSimpleType {
-	wst := xmlSimpleType{Name: st.Name}
-	r := &xmlRestriction{Base: pt.Ref(st.Base)}
-	for _, f := range st.Facets {
-		r.Inner = append(r.Inner, innerXML{
-			XMLName: xml.Name{Space: NamespaceXSD, Local: f.Name},
-			Value:   f.Value,
-		})
-	}
-	wst.Restriction = r
-	return wst
 }
 
 // nsResolver resolves prefix:local strings back to QNames using the

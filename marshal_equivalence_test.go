@@ -8,13 +8,14 @@ import (
 	"wsinterop/internal/services"
 	"wsinterop/internal/typesys"
 	"wsinterop/internal/xsd"
+	"wsinterop/internal/xsd/xsdtest"
 )
 
 // TestMarshalSchemaEquivalenceCorpus is the full-corpus differential
 // proof for the hand-rolled schema writer (DESIGN.md §10): every
 // schema block of every document any server publishes must serialize
 // byte-identically through xsd.MarshalSchema (fastwrite.go) and
-// xsd.MarshalSchemaReference (the retained encoding/xml oracle). The
+// xsdtest.MarshalSchemaReference (the retained encoding/xml oracle). The
 // shape-template verification, journal resume re-split, and golden
 // outputs all assume these bytes are stable.
 func TestMarshalSchemaEquivalenceCorpus(t *testing.T) {
@@ -41,7 +42,7 @@ func TestMarshalSchemaEquivalenceCorpus(t *testing.T) {
 				continue
 			}
 			for _, sch := range doc.Types.Schemas {
-				want, err := xsd.MarshalSchemaReference(sch, nil)
+				want, err := xsdtest.MarshalSchemaReference(sch, nil)
 				if err != nil {
 					t.Fatalf("%s/%s: reference marshal: %v", server.Name(), def.Name, err)
 				}

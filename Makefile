@@ -6,8 +6,9 @@ GO ?= go
 # BENCH='Fig4Campaign|TableIII$$') for a quicker refresh. Plan records
 # the cold plan build only (Plan/cold): there is no plan cache to warm.
 BENCH ?= Fig4Campaign|TableIII$$|FullCampaign|Plan$$|RobustnessMatrix
-# The ablation benches run through internal/campaign's test hooks, so
-# they live in that package.
+# The ablation benches time production against internal/campaign's
+# test-side per-class reference (an in-package helper), so they live in
+# that package.
 BENCH_ABLATIONS ?= ShapeDedup|AnalysisCache
 # bench-check tolerance: fail when the capped FullCampaign tests/s
 # drops by more than this fraction vs the committed BENCH_campaign.json.

@@ -390,7 +390,7 @@ func run(args []string, out io.Writer) error {
 		}
 		wire = append(wire, wr)
 	}
-	if *progress && res.Dedup != nil && res.Dedup.Enabled {
+	if *progress && res.Dedup != nil {
 		d := res.Dedup
 		fmt.Fprintf(os.Stderr, "interop: WS-I verdicts: %d executed, %d memoized from shapes\n",
 			d.WSIChecks, d.WSIMemoized)

@@ -28,36 +28,40 @@ func benchCampaign(b *testing.B, cfg config) *Result {
 	return res
 }
 
-// BenchmarkAnalysisCache is the shared-analysis ablation (DESIGN.md
-// §6.4): the scaled campaign with each published document parsed and
-// analyzed once per service (cached) vs once per client test
-// (reparse) — the two paths TestReparseEquivalence proves identical.
-func BenchmarkAnalysisCache(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		reparse bool
-	}{{"cached", false}, {"reparse", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			benchCampaign(b, config{Limit: benchLimit, reparse: mode.reparse})
-		})
+// benchReference builds the scaled campaign's Result on the test-side
+// per-class reference (referenceResult) once per iteration, reporting
+// tests/s like benchCampaign.
+func benchReference(b *testing.B, bytePath bool) {
+	b.Helper()
+	tests := 0
+	for i := 0; i < b.N; i++ {
+		tests += referenceResult(b, config{Limit: benchLimit}, bytePath).TotalTests
+	}
+	if s := b.Elapsed().Seconds(); s > 0 {
+		b.ReportMetric(float64(tests)/s, "tests/s")
 	}
 }
 
-// BenchmarkShapeDedup is the structural-shape memo ablation (DESIGN.md
-// §6.6): the scaled campaign with the memo on (default) vs off (the
-// noDedup hook) — the two paths TestDedupEquivalenceFull proves
-// identical. The dedup run also reports the corpus's compression as
-// classes per structural shape.
+// BenchmarkAnalysisCache prices the shared analysis (DESIGN.md §6.4):
+// the scaled campaign in production (cached) vs the per-class reference
+// with every client re-parsing the bytes per test (reparse) — the two
+// paths TestReparseEquivalence proves identical.
+func BenchmarkAnalysisCache(b *testing.B) {
+	b.Run("cached", func(b *testing.B) { benchCampaign(b, config{Limit: benchLimit}) })
+	b.Run("reparse", func(b *testing.B) { benchReference(b, true) })
+}
+
+// BenchmarkShapeDedup prices the structural-shape memo (DESIGN.md
+// §6.6): the scaled campaign in production (dedup) vs the per-class
+// reference with its shared analysis (nodedup) — the two paths
+// TestDedupEquivalenceFull proves identical. The dedup run also
+// reports the corpus's compression as classes per structural shape.
 func BenchmarkShapeDedup(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		nodedup bool
-	}{{"dedup", false}, {"nodedup", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			res := benchCampaign(b, config{Limit: benchLimit, noDedup: mode.nodedup})
-			if stats := res.Dedup; stats.Enabled && stats.Shapes > 0 {
-				b.ReportMetric(float64(stats.PublishTotal)/float64(stats.Shapes), "classes/shape")
-			}
-		})
-	}
+	b.Run("dedup", func(b *testing.B) {
+		res := benchCampaign(b, config{Limit: benchLimit})
+		if stats := res.Dedup; stats.Shapes > 0 {
+			b.ReportMetric(float64(stats.PublishTotal)/float64(stats.Shapes), "classes/shape")
+		}
+	})
+	b.Run("nodedup", func(b *testing.B) { benchReference(b, false) })
 }

@@ -152,9 +152,6 @@ type TestResult struct {
 	CompileRan bool
 }
 
-// ErrorAnywhere reports whether any executed step errored.
-func (t *TestResult) ErrorAnywhere() bool { return t.Gen.Error || t.Compile.Error }
-
 // Cell aggregates the (client × server) combination for Table III.
 type Cell struct {
 	Tests           int
@@ -274,8 +271,7 @@ type Result struct {
 	Profiles []*ProfileCompliance
 
 	// Dedup reports the structural-shape memo layer's statistics for
-	// this run: Enabled=false (all other fields zero) when the noDedup
-	// test hook was set. It is bookkeeping, not campaign outcome — the
+	// this run. It is bookkeeping, not campaign outcome — the
 	// equivalence tests exclude it when comparing Results.
 	Dedup *DedupStats
 
@@ -290,8 +286,8 @@ type Result struct {
 }
 
 // config parameterizes a campaign run. It is built only through New and
-// its options (options.go); in-package tests also set the ablation
-// hooks at the end of the struct.
+// its options (options.go); in-package tests also set the kill-point
+// probe at the end of the struct.
 type config struct {
 	// Servers and Clients select the frameworks under test; nil means
 	// the full sets of the study.
@@ -346,9 +342,10 @@ type config struct {
 	// and metrics counters — is identical to an uninterrupted run's
 	// (TestResumeEquivalenceFull proves this at full scale). The journal
 	// must have been written by the same campaign configuration: roster,
-	// limit, variant, style and the ablation hooks are fingerprinted and
-	// a mismatch is refused. Worker count is deliberately not part of the
-	// fingerprint. Resume without Checkpoint is an error.
+	// limit, variant, style, catalog source and compliance profiles are
+	// fingerprinted and a mismatch is refused. Worker count is
+	// deliberately not part of the fingerprint. Resume without Checkpoint
+	// is an error.
 	Resume bool
 	// Shard restricts the run to one deterministic slice of every
 	// catalog — definition indexes congruent to Shard.Index modulo
@@ -361,17 +358,6 @@ type config struct {
 	// checkpointProbe, when non-nil, observes every durable journal
 	// append — test instrumentation for kill-point injection.
 	checkpointProbe func(appended int)
-	// reparse and noDedup are the two ablations, set only by tests: the
-	// oracles the shared analysis and the shape memo are proved against
-	// (DESIGN.md §6.4, §6.6). reparse makes every client re-parse the
-	// serialized WSDL per test, as the real tools do
-	// (TestReparseEquivalence); noDedup publishes, WS-I checks and
-	// client-tests every class individually (TestDedupEquivalenceFull).
-	// Both produce an identical Result; the checkpoint fingerprint
-	// records them, so a journal written under a hook is refused by a
-	// production runner.
-	reparse bool
-	noDedup bool
 }
 
 // Runner executes campaigns.
@@ -614,7 +600,7 @@ loop:
 // (resumable) unit.
 func RunTest(client framework.ClientFramework, svc PublishedService) TestResult {
 	var code [1]outcomeCode
-	runRow(nil, false, &svc, []framework.ClientFramework{client}, code[:])
+	runRow(nil, &svc, []framework.ClientFramework{client}, code[:])
 	return code[0].testResult(svc.Server, client.Name(), svc.Class)
 }
 
@@ -630,8 +616,7 @@ const rowUnits = 16
 // into campaign.generate.seconds and campaign.compile.seconds (the
 // compile span only when a unit generated); the run and error counters
 // stay per test. A row with nothing pending reads no clock.
-func runRow(m *runnerMetrics, reparse bool, svc *PublishedService,
-	clients []framework.ClientFramework, codes []outcomeCode) {
+func runRow(m *runnerMetrics, svc *PublishedService, clients []framework.ClientFramework, codes []outcomeCode) {
 	pending := false
 	for _, c := range codes {
 		pending = pending || c == 0
@@ -651,7 +636,7 @@ func runRow(m *runnerMetrics, reparse bool, svc *PublishedService,
 		if codes[i] != 0 {
 			continue
 		}
-		gen := generationFor(client, svc, reparse)
+		gen := generationFor(client, svc)
 		var o Outcome
 		o.mergeIssues(gen.Issues)
 		code := codeExecuted
@@ -702,9 +687,11 @@ func runRow(m *runnerMetrics, reparse bool, svc *PublishedService,
 // generationFor runs the artifact generation step through the
 // service's shared analysis, computed on first use, when it has one.
 // Otherwise, and for a document the shared parse rejects, it takes the
-// byte path (framework.Generate), exactly as under the reparse ablation.
-func generationFor(client framework.ClientFramework, svc *PublishedService, reparse bool) framework.GenerationResult {
-	if sa := svc.analysis; sa != nil && !reparse {
+// byte path (framework.Generate), as the real tools do: the path of a
+// service built outside the runner (RunTest, Explain) and of the
+// test-side reference every shared analysis is proved against.
+func generationFor(client framework.ClientFramework, svc *PublishedService) framework.GenerationResult {
+	if sa := svc.analysis; sa != nil {
 		sa.once.Do(func() { sa.a, sa.err = framework.Analyze(svc.Doc) })
 		if sa.err == nil {
 			return client.GenerateAnalyzed(sa.a)
@@ -766,15 +753,9 @@ func (r *Runner) runCampaign(ctx context.Context) (*Result, error) {
 			return nil, err
 		}
 	}
-	if r.dedupOn() {
-		res.Dedup = r.dedup.statsSince(before)
-		res.Dedup.WSIChecks = int(r.met.wsiChecks.Value() - wsiBefore)
-		res.Dedup.WSIMemoized = int(r.met.wsiMemoized.Value() - memoBefore)
-	} else {
-		// The nodedup ablation reports the zero value, matching the
-		// "memoization disabled" rendering.
-		res.Dedup = &DedupStats{}
-	}
+	res.Dedup = r.dedup.statsSince(before)
+	res.Dedup.WSIChecks = int(r.met.wsiChecks.Value() - wsiBefore)
+	res.Dedup.WSIMemoized = int(r.met.wsiMemoized.Value() - memoBefore)
 	res.Metrics = r.obs.Snapshot()
 	return res, nil
 }

@@ -52,7 +52,6 @@ type recordMode uint8
 
 const (
 	modeUnknown      recordMode = iota
-	modeDirect                  // memo layer off (the noDedup hook)
 	modeFallback                // class failed the shape.Memoizable guard
 	modeBuilt                   // first-seen class of its shape: full per-class path
 	modeMemoRejected            // memoized NotDeployable outcome
@@ -62,7 +61,6 @@ const (
 
 // modeIDs names each route in the journal, indexed by recordMode.
 var modeIDs = [...]string{
-	modeDirect:       "direct",
 	modeFallback:     "fallback",
 	modeBuilt:        "built",
 	modeMemoRejected: "memo-rejected",
@@ -73,7 +71,7 @@ var modeIDs = [...]string{
 func (m recordMode) id() string { return modeIDs[m] }
 
 func parseMode(s string) (recordMode, error) {
-	for m := modeDirect; int(m) < len(modeIDs); m++ {
+	for m := modeFallback; int(m) < len(modeIDs); m++ {
 		if modeIDs[m] == s {
 			return m, nil
 		}
@@ -155,8 +153,6 @@ func (r *Runner) checkpointFingerprint() string {
 	parts := []string{
 		"wsinterop-campaign-v1",
 		"limit=" + strconv.Itoa(r.cfg.Limit),
-		"reparse=" + strconv.FormatBool(r.cfg.reparse),
-		"nodedup=" + strconv.FormatBool(r.cfg.noDedup),
 		"variant=" + strconv.Itoa(int(r.cfg.Variant)),
 		"style=" + string(r.cfg.Style),
 		"custom-catalog=" + strconv.FormatBool(r.cfg.CatalogFor != nil),

@@ -306,7 +306,7 @@ func TestJournalRecordChecks(t *testing.T) {
 	server, class := published[0].Server, published[0].Class
 	nc := len(r.clients)
 	study := func(mut func(rec *journal.Record)) journal.Record {
-		rec := journal.Record{Server: server, Class: class, Mode: modeDirect.id(), Published: true, Codes: make([]byte, nc)}
+		rec := journal.Record{Server: server, Class: class, Mode: modeMemoFallback.id(), Published: true, Codes: make([]byte, nc)}
 		mut(&rec)
 		return rec
 	}

@@ -28,7 +28,8 @@ const (
 // executed reports whether the test actually ran.
 func (c outcomeCode) executed() bool { return c&codeExecuted != 0 }
 
-// errorAnywhere mirrors TestResult.ErrorAnywhere over the packed form.
+// errorAnywhere reports whether an executed step (generation or
+// compilation) errored.
 func (c outcomeCode) errorAnywhere() bool {
 	return c&(codeGenError|codeCompileError) != 0
 }

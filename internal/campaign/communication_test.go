@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"context"
-	"reflect"
 	"testing"
 
 	"wsinterop/internal/framework"
@@ -88,23 +87,11 @@ func TestCommOutcomeString(t *testing.T) {
 	}
 }
 
-// TestCommunicationReparseEquivalence checks that routing the
-// communication extension through the shared WSDL analysis cache
-// (the default) and re-parsing the published bytes per step
-// (config.reparse, the ablation) classify every combination the same.
+// TestCommunicationReparseEquivalence checks every communication cell's
+// verdict and deployment against the per-class byte path
+// (requireWireReference).
 func TestCommunicationReparseEquivalence(t *testing.T) {
-	run := func(reparse bool) *CommResult {
-		res, err := newRunner(config{Limit: 100, Workers: 4, reparse: reparse}).RunCommunication(context.Background())
-		if err != nil {
-			t.Fatalf("run (reparse=%v): %v", reparse, err)
-		}
-		return res
-	}
-	cached, reparsed := run(false), run(true)
-	if !reflect.DeepEqual(cached, reparsed) {
-		t.Errorf("outcomes differ between shared-analysis and reparse modes:\ncached:   %+v\nreparsed: %+v",
-			cached.Totals(), reparsed.Totals())
-	}
+	requireWireReference(t, commAxis)
 }
 
 func TestCommunicationCancellation(t *testing.T) {

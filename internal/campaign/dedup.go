@@ -45,9 +45,6 @@ import (
 // DedupStats summarizes the shape memo layer's effect on one
 // campaign run (Result.Dedup).
 type DedupStats struct {
-	// Enabled reports whether the memo layer was active
-	// (the noDedup hook unset).
-	Enabled bool
 	// Shapes is the number of distinct (server, fingerprint) memo
 	// entries built — the structural diversity of the corpus.
 	Shapes int
@@ -182,7 +179,6 @@ func (d *dedupState) snapshot() dedupCounters {
 func (d *dedupState) statsSince(before dedupCounters) *DedupStats {
 	now := d.snapshot()
 	return &DedupStats{
-		Enabled:         true,
 		Shapes:          int(now.shapes - before.shapes),
 		PublishTotal:    int(now.pubTotal - before.pubTotal),
 		PublishMemoized: int(now.pubHits - before.pubHits),
@@ -191,9 +187,6 @@ func (d *dedupState) statsSince(before dedupCounters) *DedupStats {
 		Fallbacks:       int(now.fallbacks - before.fallbacks),
 	}
 }
-
-// dedupOn reports whether the shape memo layer is active.
-func (r *Runner) dedupOn() bool { return !r.cfg.noDedup }
 
 // publishEntry routes one memoizable definition through its shape memo
 // entry, resolved in bulk from the plan (resolveEntries). The returned
@@ -207,8 +200,8 @@ func (r *Runner) dedupOn() bool { return !r.cfg.noDedup }
 // document and only multi-member builder records journal bytes — so Run
 // passes false and skips those renders; the public Publish API passes
 // true, rendering a solo representative's bytes at most once per entry
-// (repDoc). Every other route (direct, fallback, multi-member builder)
-// always carries its document.
+// (repDoc). Every other route (fallback, memo-fallback, multi-member
+// builder) always carries its document.
 func (r *Runner) publishEntry(e *shapeEntry, server framework.ServerFramework, def services.Definition, needDoc bool) (s publishSlot) {
 	defer r.creditSlot(&s)
 	built := false
@@ -349,12 +342,12 @@ func (r *Runner) buildShape(e *shapeEntry, server framework.ServerFramework, def
 // repBytes returns the serialized form of a shape representative's
 // published document, when anything reads it: a multi-member shape
 // splits it into its template, while a solo shape's bytes have no
-// reader unless the caller (needDoc) or the reparse hook asks for them;
-// repDoc renders them later on demand. Skipping the marshal hides no
-// error: wsdl.Marshal fails only when xsd.MarshalSchemaTo does, and the
-// schema writer has no failing path.
+// reader unless the caller (needDoc) asks for them; repDoc renders them
+// later on demand. Skipping the marshal hides no error: wsdl.Marshal
+// fails only when xsd.MarshalSchemaTo does, and the schema writer has
+// no failing path.
 func (r *Runner) repBytes(e *shapeEntry, doc *wsdl.Definitions, needDoc bool) ([]byte, error) {
-	if !e.solo || needDoc || r.cfg.reparse {
+	if !e.solo || needDoc {
 		return wsdl.Marshal(doc)
 	}
 	return nil, nil
@@ -418,7 +411,7 @@ func (r *Runner) testRow(svc *PublishedService, codes []outcomeCode) {
 	e := svc.memo
 	if e == nil {
 		clear(codes)
-		runRow(r.met, r.cfg.reparse, svc, r.clients, codes)
+		runRow(r.met, svc, r.clients, codes)
 		r.creditTests(false, nc, 0)
 		return
 	}
@@ -427,7 +420,7 @@ func (r *Runner) testRow(svc *PublishedService, codes []outcomeCode) {
 		// codes keeps the pre-run row: a zero slot is one this call runs.
 		won = true
 		copy(codes, e.row.codes)
-		runRow(r.met, r.cfg.reparse, &e.rep, r.clients, e.row.codes)
+		runRow(r.met, &e.rep, r.clients, e.row.codes)
 	})
 	runs := int64(0)
 	for ci, code := range e.row.codes {
@@ -450,9 +443,9 @@ func (r *Runner) verdict(svc *PublishedService, ci int) outcomeCode {
 	e := svc.memo
 	if e == nil {
 		var code [1]outcomeCode
-		runRow(r.met, r.cfg.reparse, svc, r.clients[ci:ci+1], code[:])
+		runRow(r.met, svc, r.clients[ci:ci+1], code[:])
 		return code[0]
 	}
-	e.row.once.Do(func() { runRow(r.met, r.cfg.reparse, &e.rep, r.clients, e.row.codes) })
+	e.row.once.Do(func() { runRow(r.met, &e.rep, r.clients, e.row.codes) })
 	return e.row.codes[ci]
 }

@@ -227,9 +227,8 @@ func (r *Runner) mergeStudy(ctx context.Context, recs []journal.Record) (*Result
 // single-process run would have journaled: one builder per (server,
 // shape) group of the plan, every other member demoted to its
 // memo-served mode, and exactly one executed test set per (shape,
-// client). A no-op for the nodedup ablation, whose plan has no groups
-// and whose journals hold only per-class records, already
-// shard-invariant.
+// client). Loose classes are per-class records, already
+// shard-invariant, so only the plan's groups are folded.
 func (r *Runner) normalizeShards(loaded map[journal.Key]*journal.Record) error {
 	for _, server := range r.servers {
 		sp, err := r.planFor(server)
@@ -289,9 +288,8 @@ func normalizeShapeGroup(server string, sp *serverPlan, g *planGroup, loaded map
 		if i == builderAt {
 			continue
 		}
-		switch rec.Mode {
-		case modeDirect.id(), modeFallback.id():
-			// Memoizable classes never take these routes; a journal that
+		if rec.Mode == modeFallback.id() {
+			// Memoizable classes never take this route; a journal that
 			// says otherwise disagrees with this build's shape guard.
 			return recordError(rec, "took route %q for a memoizable class", rec.Mode)
 		}

@@ -203,42 +203,6 @@ func TestDistributedEquivalenceFull(t *testing.T) {
 	}
 }
 
-// TestDistributedNoDedupAblation: sharded execution composes with the
-// shape-memo ablation — per-class journals merge without any
-// cross-shard normalization.
-func TestDistributedNoDedupAblation(t *testing.T) {
-	const limit = 60
-	cleanCfg := resumeConfig(limit, 4)
-	cleanCfg.noDedup = true
-	clean, err := newRunner(cleanCfg).Run(context.Background())
-	if err != nil {
-		t.Fatalf("single-process run: %v", err)
-	}
-	base := t.TempDir()
-	dirs := make([]string, 2)
-	for i := range dirs {
-		dirs[i] = filepath.Join(base, fmt.Sprintf("shard%d", i))
-		cfg := resumeConfig(limit, 4)
-		cfg.noDedup = true
-		cfg.Shard = ShardSpec{Index: i, Count: 2}
-		cfg.Checkpoint = dirs[i]
-		if _, err := newRunner(cfg).Run(context.Background()); err != nil {
-			t.Fatalf("shard %d: %v", i, err)
-		}
-	}
-	mcfg := resumeConfig(limit, 4)
-	mcfg.noDedup = true
-	m, err := newRunner(mcfg).Merge(context.Background(), dirs)
-	if err != nil {
-		t.Fatalf("merge: %v", err)
-	}
-	res := m.Study
-	compareResults(t, clean, res)
-	if got, want := resultBytes(t, res), resultBytes(t, clean); string(got) != string(want) {
-		t.Error("merged nodedup Result is not byte-identical to the single-process run")
-	}
-}
-
 // TestMergeRefusals: every way a merge can be wrong fails loudly with
 // nothing executed, instead of producing a silently-miscounted Result.
 func TestMergeRefusals(t *testing.T) {

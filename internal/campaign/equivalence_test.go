@@ -4,30 +4,104 @@ import (
 	"context"
 	"reflect"
 	"testing"
+
+	"wsinterop/internal/framework"
+	"wsinterop/internal/services"
 )
 
-// These tests enforce the analysis-cache contract: a campaign that
-// shares one memoized document analysis across all clients must
-// produce a Result identical — every headline statistic, the full
-// Table III matrix, and the failure index — to one where every client
-// re-parses the serialized WSDL per test (config.reparse, the
-// behaviour of the real tools and the DESIGN.md §6.3 ablation).
+// The oracles of the campaign's two sharing layers compare production
+// against a test-side reference that shares nothing: the per-class path
+// the paper's counts come from, every class published and tested on
+// its own. The shape memo must be invisible against it
+// (TestDedupEquivalence*), and so must the shared document analysis
+// when every client re-parses the serialized WSDL per test, as the real
+// tools do (TestReparseEquivalence*).
 
-// runEquivalencePair executes the same campaign twice, cached and
-// reparsed (with different worker counts, so scheduling differences
-// are covered too), and fails on any divergence.
-func runEquivalencePair(t *testing.T, cached, reparse config) {
+// referenceCell runs one definition through the per-class reference
+// path: publishDirect, then steps 2–3 for every client into codes. With
+// bytePath set the service carries no shared analysis, so every client
+// runs framework.Generate on the document's bytes.
+func (r *Runner) referenceCell(server framework.ServerFramework, def services.Definition,
+	bytePath bool, codes []outcomeCode) publishSlot {
+	s := r.publishDirect(server, def)
+	if s.err == nil && s.ok {
+		if bytePath {
+			s.svc.analysis = nil
+		}
+		runRow(nil, &s.svc, r.clients, codes)
+	}
+	return s
+}
+
+// referenceResult builds cfg's Result on the reference path: every
+// definition of every server through referenceCell, fanned out over the
+// runner's pool (each definition writes only its own slot), then the
+// production fold (foldStage). No shape memo or plan is involved.
+func referenceResult(t testing.TB, cfg config, bytePath bool) *Result {
 	t.Helper()
-	reparse.reparse = true
-	a, err := newRunner(cached).Run(context.Background())
-	if err != nil {
-		t.Fatalf("cached run: %v", err)
+	r := newRunner(cfg)
+	res := newResult(r)
+	nc := len(r.clients)
+	for _, server := range r.servers {
+		defs, err := r.defsFor(server)
+		if err != nil {
+			t.Fatalf("reference definitions on %s: %v", server.Name(), err)
+		}
+		st := &studyStage{server: server, sp: &serverPlan{Defs: len(defs), defs: defs}, nc: nc,
+			codes: make([]outcomeCode, len(defs)*nc), cells: make([]studyCell, len(defs))}
+		err = r.feed(context.Background(), len(defs), func(di int) {
+			switch s := r.referenceCell(server, defs[di], bytePath, st.row(di)); {
+			case s.err != nil:
+				st.fail(di, s.err)
+			case s.ok:
+				st.cells[di] = studyCell{published: true, flagged: s.svc.Flagged, profiles: s.svc.Profiles}
+			}
+		})
+		if err == nil {
+			err = st.err
+		}
+		if err != nil {
+			t.Fatalf("reference stage on %s: %v", server.Name(), err)
+		}
+		r.foldStage(res, st)
 	}
-	b, err := newRunner(reparse).Run(context.Background())
+	return res
+}
+
+// requireReference runs cfg in production and refCfg on the reference
+// path (with different worker counts, so scheduling differences are
+// covered too), fails on any divergence, and returns both Results.
+func requireReference(t *testing.T, cfg, refCfg config, bytePath bool) (prod, ref *Result) {
+	t.Helper()
+	prod, err := newRunner(cfg).Run(context.Background())
 	if err != nil {
-		t.Fatalf("reparse run: %v", err)
+		t.Fatalf("production run: %v", err)
 	}
-	compareResults(t, a, b)
+	ref = referenceResult(t, refCfg, bytePath)
+	compareResults(t, prod, ref)
+	return prod, ref
+}
+
+// requirePaperCounts checks the paper's full-scale invariants.
+func requirePaperCounts(t *testing.T, results ...*Result) {
+	t.Helper()
+	for _, res := range results {
+		if res.TotalServices != 22024 {
+			t.Errorf("services created = %d, want 22024", res.TotalServices)
+		}
+		if res.TotalPublished != 7239 {
+			t.Errorf("published = %d, want 7239", res.TotalPublished)
+		}
+		if res.TotalTests != 79629 {
+			t.Errorf("tests = %d, want 79629", res.TotalTests)
+		}
+		if res.InteropErrors != 1588 {
+			t.Errorf("interop errors = %d, want 1588", res.InteropErrors)
+		}
+		if res.SameFrameworkErrors != 307 {
+			t.Errorf("same-framework errors = %d, want 307", res.SameFrameworkErrors)
+		}
+	}
 }
 
 // compareResults asserts two campaign results are identical,
@@ -49,7 +123,7 @@ func compareResults(t *testing.T, a, b *Result) {
 		{"UnflaggedFailingServices", a.UnflaggedFailingServices, b.UnflaggedFailingServices},
 	} {
 		if s.a != s.b {
-			t.Errorf("%s: cached %d != reparse %d", s.name, s.a, s.b)
+			t.Errorf("%s: %d != %d", s.name, s.a, s.b)
 		}
 	}
 	if !reflect.DeepEqual(a.ServerOrder, b.ServerOrder) || !reflect.DeepEqual(a.ClientOrder, b.ClientOrder) {
@@ -72,7 +146,7 @@ func compareResults(t *testing.T, a, b *Result) {
 		}
 	}
 	if len(a.Profiles) != len(b.Profiles) {
-		t.Fatalf("profile roster length: cached %d != reparse %d", len(a.Profiles), len(b.Profiles))
+		t.Fatalf("profile roster length: %d != %d", len(a.Profiles), len(b.Profiles))
 	}
 	for i := range a.Profiles {
 		if !reflect.DeepEqual(a.Profiles[i], b.Profiles[i]) {
@@ -80,7 +154,7 @@ func compareResults(t *testing.T, a, b *Result) {
 		}
 	}
 	if len(a.Failures) != len(b.Failures) {
-		t.Fatalf("failure index length: cached %d != reparse %d", len(a.Failures), len(b.Failures))
+		t.Fatalf("failure index length: %d != %d", len(a.Failures), len(b.Failures))
 	}
 	for i := range a.Failures {
 		if a.Failures[i] != b.Failures[i] {
@@ -90,43 +164,15 @@ func compareResults(t *testing.T, a, b *Result) {
 }
 
 func TestReparseEquivalenceScaled(t *testing.T) {
-	runEquivalencePair(t,
+	requireReference(t,
 		config{Limit: 200, Workers: 4, KeepFailures: true},
-		config{Limit: 200, Workers: 2, KeepFailures: true})
+		config{Limit: 200, Workers: 2, KeepFailures: true}, true)
 }
 
 func TestReparseEquivalenceFull(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale equivalence skipped in -short mode")
 	}
-	cached := config{KeepFailures: true}
-	reparse := config{KeepFailures: true, reparse: true}
-	a, err := newRunner(cached).Run(context.Background())
-	if err != nil {
-		t.Fatalf("cached run: %v", err)
-	}
-	b, err := newRunner(reparse).Run(context.Background())
-	if err != nil {
-		t.Fatalf("reparse run: %v", err)
-	}
-	compareResults(t, a, b)
-
-	// The paper's full-scale invariants must hold on both paths.
-	for _, res := range []*Result{a, b} {
-		if res.TotalServices != 22024 {
-			t.Errorf("services created = %d, want 22024", res.TotalServices)
-		}
-		if res.TotalPublished != 7239 {
-			t.Errorf("published = %d, want 7239", res.TotalPublished)
-		}
-		if res.TotalTests != 79629 {
-			t.Errorf("tests = %d, want 79629", res.TotalTests)
-		}
-		if res.InteropErrors != 1588 {
-			t.Errorf("interop errors = %d, want 1588", res.InteropErrors)
-		}
-		if res.SameFrameworkErrors != 307 {
-			t.Errorf("same-framework errors = %d, want 307", res.SameFrameworkErrors)
-		}
-	}
+	prod, ref := requireReference(t, config{KeepFailures: true}, config{KeepFailures: true}, true)
+	requirePaperCounts(t, prod, ref)
 }

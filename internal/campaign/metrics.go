@@ -167,14 +167,14 @@ func (m *runnerMetrics) creditRow(t rowTally, genSpan, compileSpan time.Duration
 // creditPublish is the publish-route ledger: the one place k publishes
 // of one route (recordMode) credit the campaign.publish.* and
 // campaign.wsi.* counters and the memo table's statistics. A route that
-// executed its publish (direct, fallback, built, memo-fallback; k is 1)
+// executed its publish (fallback, built, memo-fallback; k is 1)
 // also observes the publish span and, when it published, the WS-I check
 // span. The live routes pass the spans they measured, the clone
 // broadcast passes k clones, and journal replay passes zero spans.
 func (r *Runner) creditPublish(mode recordMode, published, flagged bool, k int64, publishSpan, wsiSpan time.Duration) {
 	m, d := r.met, r.dedup
 	m.publishTotal.Add(k)
-	if mode != modeDirect && mode != modeFallback {
+	if mode != modeFallback {
 		d.pubTotal.Add(k)
 	}
 	switch mode {

@@ -25,8 +25,9 @@ package campaign
 // byte-verify their templates, and execute real client tests through
 // the memo code (publishEntry/testRow), so the §6.6 guarantee —
 // memoization can never change a Result — holds unchanged;
-// TestDedupEquivalenceFull proves it against the per-class noDedup
-// path at full scale.
+// TestDedupEquivalenceFull proves it at full scale against the
+// test-side per-class reference (publishDirect → runRow → foldStage for
+// every definition).
 
 import (
 	"context"
@@ -57,10 +58,9 @@ type planGroup struct {
 
 // serverPlan is one server's stage plan: a partition of the catalog's
 // definition indexes into shape groups plus the loose remainder —
-// classes the memo layer cannot serve (shape.Memoizable failures, or
-// every class under the noDedup ablation). Servers of one language
-// share the partition (Groups, Loose and defs alias one immutable
-// catalog partition); only Server differs.
+// classes the memo layer cannot serve (shape.Memoizable failures).
+// Servers of one language share the partition (Groups, Loose and defs
+// alias one immutable catalog partition); only Server differs.
 type serverPlan struct {
 	Server string
 	Defs   int
@@ -141,7 +141,7 @@ func (r *Runner) AdoptPlan(p *Plan) error {
 
 // planFingerprint content-addresses everything the plan depends on:
 // the campaign configuration fingerprint (roster, limit, variant,
-// style, ablations) plus the shard slice, which changes defsFor's
+// style, profiles) plus the shard slice, which changes defsFor's
 // output. Workers are excluded — a plan is execution-shape, not
 // schedule.
 func (r *Runner) planFingerprint() string {
@@ -232,14 +232,6 @@ type classTraits struct {
 // carries no server name, and nothing mutates it once built.
 func (r *Runner) partition(defs []services.Definition) *serverPlan {
 	sp := &serverPlan{Defs: len(defs), defs: defs}
-	if !r.dedupOn() {
-		// noDedup: every class is loose; the executor routes them direct.
-		sp.Loose = make([]int, len(defs))
-		for i := range sp.Loose {
-			sp.Loose[i] = i
-		}
-		return sp
-	}
 	traits := r.classTraitsFor(defs)
 	index := make(map[shape.Fingerprint]int)
 	var sizes []int
@@ -553,16 +545,13 @@ func (r *Runner) broadcastClones(st *studyStage, e *shapeEntry, clones []int) {
 	st.prog.add(len(clones))
 }
 
-// publishLoose runs the description step for one loose class outside
-// the shape memo: a non-memoizable class (the fallback route), or any
-// class under the noDedup ablation (the direct route).
+// publishLoose runs the description step for one loose class — a
+// class that failed the shape.Memoizable guard — outside the shape
+// memo (the fallback route).
 func (r *Runner) publishLoose(server framework.ServerFramework, def services.Definition) (s publishSlot) {
 	defer r.creditSlot(&s)
 	s = r.publishDirect(server, def)
 	s.mode = modeFallback
-	if !r.dedupOn() {
-		s.mode = modeDirect
-	}
 	return s
 }
 

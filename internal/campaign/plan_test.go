@@ -30,7 +30,7 @@ type memoParity struct {
 // it exactly at every worker count, resumed, and shard-merged.
 var pinnedParity = map[int]memoParity{
 	150: {
-		dedup: DedupStats{Enabled: true, Shapes: 254, PublishTotal: 450, PublishMemoized: 196,
+		dedup: DedupStats{Shapes: 254, PublishTotal: 450, PublishMemoized: 196,
 			TestTotal: 4928, TestMemoized: 2156, Fallbacks: 0, WSIChecks: 252, WSIMemoized: 196},
 		counters: map[string]int64{
 			"campaign.publish.total": 450, "campaign.publish.memoized": 196,
@@ -41,7 +41,7 @@ var pinnedParity = map[int]memoParity{
 		},
 	},
 	0: {
-		dedup: DedupStats{Enabled: true, Shapes: 4856, PublishTotal: 22024, PublishMemoized: 17168,
+		dedup: DedupStats{Shapes: 4856, PublishTotal: 22024, PublishMemoized: 17168,
 			TestTotal: 79629, TestMemoized: 28127, Fallbacks: 0, WSIChecks: 4682, WSIMemoized: 2557},
 		counters: map[string]int64{
 			"campaign.publish.total": 22024, "campaign.publish.memoized": 17168,
@@ -202,19 +202,6 @@ func TestPlanPartition(t *testing.T) {
 		if row.Classes != row.Shapes+row.Clones+row.Unsafe+row.Loose {
 			t.Errorf("%s: %d classes != %d shapes + %d clones + %d unsafe + %d loose",
 				row.Server, row.Classes, row.Shapes, row.Clones, row.Unsafe, row.Loose)
-		}
-	}
-
-	// NoDedup plans are all loose.
-	nd := newRunner(config{Limit: 50, noDedup: true})
-	np, err := nd.ensurePlan()
-	if err != nil {
-		t.Fatalf("NoDedup ensurePlan: %v", err)
-	}
-	for name, sp := range np.servers {
-		if len(sp.Groups) != 0 || len(sp.Loose) != sp.Defs {
-			t.Errorf("%s: NoDedup plan has %d groups, %d of %d loose",
-				name, len(sp.Groups), len(sp.Loose), sp.Defs)
 		}
 	}
 

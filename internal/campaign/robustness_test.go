@@ -106,21 +106,11 @@ func TestRobustnessDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRobustnessReparseEquivalence checks the cache ablation: routing
-// WSDL analysis through the shared cache or re-parsing bytes per cell
-// must produce the same matrix.
+// TestRobustnessReparseEquivalence checks every robustness cell's
+// verdict and deployment against the per-class byte path
+// (requireWireReference).
 func TestRobustnessReparseEquivalence(t *testing.T) {
-	run := func(reparse bool) *RobustResult {
-		res, err := newRunner(config{Limit: robustLimit(60), Workers: 4, reparse: reparse}).RunRobustness(context.Background())
-		if err != nil {
-			t.Fatalf("run (reparse=%v): %v", reparse, err)
-		}
-		return res
-	}
-	if cached, reparsed := run(false), run(true); !reflect.DeepEqual(cached, reparsed) {
-		t.Errorf("matrix differs between shared-analysis and reparse modes:\ncached:   %+v\nreparsed: %+v",
-			cached.Totals(), reparsed.Totals())
-	}
+	requireWireReference(t, robustAxis)
 }
 
 func TestRobustnessCancellation(t *testing.T) {

@@ -192,8 +192,8 @@ func TestRunTestStepSemantics(t *testing.T) {
 	if !res.Gen.Error || !res.CompileRan {
 		t.Errorf("Axis1 client: %+v", res)
 	}
-	if !res.ErrorAnywhere() {
-		t.Error("ErrorAnywhere should be true")
+	if !res.Gen.Error && !res.Compile.Error {
+		t.Error("no executed step errored")
 	}
 }
 

@@ -218,7 +218,7 @@ func TestDaemonRequestErrors(t *testing.T) {
 		"not json":         http.StatusBadRequest,
 		`{"bogus":1}`:      http.StatusBadRequest, // unknown fields are refused
 		`{"noPlan":true}`:  http.StatusBadRequest, // so is a removed knob: never silently ignored
-		`{"reparse":true}`: http.StatusBadRequest, // the ablations are test hooks, not spec fields
+		`{"reparse":true}`: http.StatusBadRequest, // the ablations are test-side oracles, not spec fields
 		`{"noDedup":true}`: http.StatusBadRequest,
 		`{"server":"zzz"}`: http.StatusBadRequest,
 		`{"client":"zzz"}`: http.StatusBadRequest,

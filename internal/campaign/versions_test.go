@@ -107,6 +107,13 @@ func TestVersionsScaled(t *testing.T) {
 	}
 }
 
+// TestVersionsReparseEquivalence checks every version-matrix cell's
+// verdict and deployment against the per-class byte path
+// (requireWireReference).
+func TestVersionsReparseEquivalence(t *testing.T) {
+	requireWireReference(t, versionsAxis)
+}
+
 // TestVersionsShardMerge: two shard workers journal their slices, the
 // coordinator merges, and the merged matrix equals a single-process
 // run. PathCollisions is deploy-set-dependent bookkeeping (documented

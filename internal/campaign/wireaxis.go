@@ -501,14 +501,14 @@ func (d *deployment) echo(resp *soap.Message) (shaped, intact bool) {
 
 // deployPublished deploys every published service once, from the typed
 // document its server emits for the plan's definition — the route the
-// daemon's POST /services takes (the reparse test hook parses the
-// published bytes instead). The endpoint serves at ?wsdl the bytes
+// daemon's POST /services takes. The endpoint serves at ?wsdl the bytes
 // Publish rendered, which equal wsdl.Marshal of the typed document, so
-// nothing is serialized again. Zero-operation documents are rejected by
-// the runtime exactly as FromWSDL defines. A path collision between two
-// services is resolved with a deterministic numeric suffix and counted,
-// so the summary can surface it instead of silently dropping an
-// endpoint.
+// nothing is serialized again; the wire reference tests deploy from
+// those bytes, parsed, and require the same deployments. Zero-operation
+// documents are rejected by the runtime exactly as FromWSDL defines. A
+// path collision between two services is resolved with a deterministic
+// numeric suffix and counted, so the summary can surface it instead of
+// silently dropping an endpoint.
 func (r *Runner) deployPublished(host *transport.Host, server framework.ServerFramework,
 	defs []services.Definition, published []PublishedService) ([]deployment, int, error) {
 	out := make([]deployment, len(published))
@@ -523,41 +523,45 @@ func (r *Runner) deployPublished(host *transport.Host, server framework.ServerFr
 		if di == len(defs) {
 			return nil, 0, fmt.Errorf("deploy %s: no definition in the %s plan", class, server.Name())
 		}
-		var doc *wsdl.Definitions
-		var err error
-		if r.cfg.reparse {
-			doc, err = wsdl.Unmarshal(published[i].Doc)
-		} else {
-			doc, err = server.Publish(defs[di])
-		}
+		doc, err := server.Publish(defs[di])
 		if err != nil {
 			return nil, 0, fmt.Errorf("deploy %s: %w", class, err)
 		}
-		ep, err := transport.FromWSDL(doc)
-		if err != nil {
-			continue // zero-operation services stay undeployed
-		}
-		ep.Description = published[i].Doc
-		if err := host.Deploy(ep); err != nil {
+		if deploy(host, doc, &published[i], &out[i]) {
 			collisions++
-			base := ep.Path
-			for n := 2; ; n++ {
-				ep.Path = fmt.Sprintf("%s-%d", base, n)
-				if host.Deploy(ep) == nil {
-					break
-				}
-			}
 		}
-		out[i].ep = ep
-		for _, pt := range doc.PortTypes {
-			if len(pt.Operations) > 0 {
-				out[i].op = pt.Operations[0].Name
-				out[i].req, out[i].probe = buildEchoRequest(ep, out[i].op, class)
+	}
+	return out, collisions, nil
+}
+
+// deploy derives svc's deployment from its typed document into d and
+// deploys its endpoint on host, suffixing the path when it collides;
+// it reports whether it did. A zero-operation document leaves d zero.
+func deploy(host *transport.Host, doc *wsdl.Definitions, svc *PublishedService, d *deployment) (collided bool) {
+	ep, err := transport.FromWSDL(doc)
+	if err != nil {
+		return false // zero-operation services stay undeployed
+	}
+	ep.Description = svc.Doc
+	if err := host.Deploy(ep); err != nil {
+		collided = true
+		base := ep.Path
+		for n := 2; ; n++ {
+			ep.Path = fmt.Sprintf("%s-%d", base, n)
+			if host.Deploy(ep) == nil {
 				break
 			}
 		}
 	}
-	return out, collisions, nil
+	d.ep = ep
+	for _, pt := range doc.PortTypes {
+		if len(pt.Operations) > 0 {
+			d.op = pt.Operations[0].Name
+			d.req, d.probe = buildEchoRequest(ep, d.op, svc.Class)
+			break
+		}
+	}
+	return collided
 }
 
 // buildEchoRequest builds the invocation payload for one operation

@@ -48,10 +48,92 @@ var wireModes = []struct {
 		func(res any) { clear(res.(*VersionResult).Collisions) }},
 }
 
+// requireWireReference is the per-cell oracle of one wire axis, at the
+// contract suite's limit: it runs the axis, then checks every cell's
+// inputs besides its exchange against the test-side reference. Each
+// verdict the executor reads (r.verdict, served from the shape memo)
+// must equal the code the per-class byte path computes (referenceCell),
+// executed bit aside; and every deployment, built from the typed
+// document the server emits, must equal the one built from the
+// published bytes parsed back. A wire row is a function of its verdict,
+// its deployment and its exchange, so the two checks cover the matrix.
+func requireWireReference(t *testing.T, ax *Axis) {
+	t.Helper()
+	limit := 0
+	for _, m := range wireModes {
+		if m.axis == ax {
+			limit = m.limit
+			if testing.Short() {
+				limit = m.short
+			}
+		}
+	}
+	ctx := context.Background()
+	r := newRunner(config{Limit: limit, Workers: 4})
+	if _, err := r.RunWire(ctx, ax); err != nil {
+		t.Fatalf("%s run: %v", ax.name, err)
+	}
+	ref := newRunner(config{Limit: limit})
+	nc := len(r.clients)
+	for si, server := range r.servers {
+		sp, err := r.planFor(server)
+		if err != nil {
+			t.Fatal(err)
+		}
+		published, _, err := r.Publish(ctx, server)
+		if err != nil {
+			t.Fatalf("publish on %s: %v", server.Name(), err)
+		}
+		pi := 0
+		for _, def := range sp.defs {
+			want := make([]outcomeCode, nc)
+			s := ref.referenceCell(ref.servers[si], def, true, want)
+			if s.err != nil {
+				t.Fatalf("reference publish of %s on %s: %v", def.Parameter.Name, server.Name(), s.err)
+			}
+			if !s.ok {
+				continue
+			}
+			if pi == len(published) || published[pi].Class != def.Parameter.Name {
+				t.Fatalf("%s: %s published on the reference path only", server.Name(), def.Parameter.Name)
+			}
+			for ci := range want {
+				if got := r.verdict(&published[pi], ci) &^ codeExecuted; got != want[ci]&^codeExecuted {
+					t.Errorf("%s %s × %s: verdict %06b, reference %06b", server.Name(), def.Parameter.Name,
+						r.clients[ci].Name(), got, want[ci]&^codeExecuted)
+				}
+			}
+			pi++
+		}
+		if pi != len(published) {
+			t.Fatalf("%s: published %d services, the reference path %d", server.Name(), len(published), pi)
+		}
+
+		got, _, err := r.deployPublished(transport.NewHost(), server, sp.defs, published)
+		if err != nil {
+			t.Fatalf("deploy on %s: %v", server.Name(), err)
+		}
+		host := transport.NewHost()
+		for i := range published {
+			doc, err := wsdl.Unmarshal(published[i].Doc)
+			if err != nil {
+				t.Fatalf("parse %s on %s: %v", published[i].Class, server.Name(), err)
+			}
+			var want deployment
+			deploy(host, doc, &published[i], &want)
+			if !reflect.DeepEqual(got[i], want) {
+				t.Errorf("%s %s: deployment from the typed document differs from the parsed bytes' one",
+					server.Name(), published[i].Class)
+			}
+		}
+	}
+}
+
 // TestWireAxisContract is the shared contract of every wire mode:
 //
-//   - equivalence: worker count, scheduling, the reparse hook and the
-//     shape-memo ablation never change a cell;
+//   - equivalence: worker count and scheduling never change a cell
+//     (requireWireReference checks each cell's inputs against the
+//     per-class reference);
 //   - resume: interrupted at several journal append counts, a resumed
 //     run returns the clean run's result byte for byte (for
 //     communication, with the sniffer's exchange and violation
@@ -98,8 +180,6 @@ func TestWireAxisContract(t *testing.T) {
 			}{
 				{"serial", config{Limit: limit, Workers: 1}},
 				{"parallel", config{Limit: limit, Workers: 8}},
-				{"reparse", config{Limit: limit, Workers: 4, reparse: true}},
-				{"nodedup", config{Limit: limit, Workers: 4, noDedup: true}},
 			} {
 				got, gotBytes := mustRun(t, v.cfg)
 				if string(gotBytes) != string(baseBytes) || !reflect.DeepEqual(got, base) {

@@ -116,7 +116,6 @@ func (c *dotNetClient) generate(f *docFeatures) GenerationResult {
 		b.renameCaseCollisions = true
 	case artifact.LangJScript:
 		b.accessorCalls = true
-		b.omitReservedAccessors = true
 	}
 	return GenerationResult{Unit: b.build(f), Issues: issues}
 }

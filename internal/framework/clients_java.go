@@ -25,10 +25,8 @@ import (
 type javaToolPolicy struct {
 	name string
 	tool string
-	// errOnForeignRef fires on unresolvable non-XSD element
-	// references.
-	errOnForeignRef bool
-	// foreignRefNeedsMissingImport restricts the above to documents
+	// foreignRefNeedsMissingImport restricts the error every Java tool
+	// raises on unresolvable non-XSD element references to documents
 	// that do not even declare an import for the namespace (the Metro
 	// emission variant) — Axis2's observed asymmetry.
 	foreignRefNeedsMissingImport bool
@@ -85,7 +83,6 @@ func NewMetroClient(opts ...ClientOption) ClientFramework {
 	return &javaClient{policy: applyClientOptions(javaToolPolicy{
 		name:              "Metro",
 		tool:              "wsimport",
-		errOnForeignRef:   true,
 		errOnSchemaRef:    true,
 		errOnWildcardOnly: true,
 		errOnZeroOps:      true,
@@ -98,7 +95,6 @@ func NewCXFClient(opts ...ClientOption) ClientFramework {
 	return &javaClient{policy: applyClientOptions(javaToolPolicy{
 		name:              "Apache CXF",
 		tool:              "wsdl2java",
-		errOnForeignRef:   true,
 		errOnSchemaRef:    true,
 		errOnWildcardOnly: true,
 		builder:           unitBuilder{lang: artifact.LangJava, stemSfx: "Client"},
@@ -110,7 +106,6 @@ func NewJBossWSClient(opts ...ClientOption) ClientFramework {
 	return &javaClient{policy: applyClientOptions(javaToolPolicy{
 		name:              "JBossWS CXF",
 		tool:              "wsconsume",
-		errOnForeignRef:   true,
 		errOnSchemaRef:    true,
 		errOnWildcardOnly: true,
 		builder:           unitBuilder{lang: artifact.LangJava, stemSfx: "Service"},
@@ -122,7 +117,6 @@ func NewAxis1Client() ClientFramework {
 	return &javaClient{policy: javaToolPolicy{
 		name:                   "Apache Axis1",
 		tool:                   "wsdl2java",
-		errOnForeignRef:        true,
 		errOnSchemaRef:         true,
 		schemaRefNeedsWildcard: true,
 		silentArtifacts:        true,
@@ -140,7 +134,6 @@ func NewAxis2Client() ClientFramework {
 	return &javaClient{policy: javaToolPolicy{
 		name:                         "Apache Axis2",
 		tool:                         "wsdl2java",
-		errOnForeignRef:              true,
 		foreignRefNeedsMissingImport: true,
 		errOnZeroOps:                 true,
 		silentArtifacts:              true,
@@ -171,7 +164,7 @@ func (c *javaClient) generate(f *docFeatures) GenerationResult {
 	p := &c.policy
 
 	var issues []Issue
-	if p.errOnForeignRef && len(f.foreignRefs) > 0 {
+	if len(f.foreignRefs) > 0 {
 		if !p.foreignRefNeedsMissingImport || !f.importWithoutLocation {
 			issues = append(issues, errIssue(CodeUnresolvableRef,
 				"undefined element declaration %s", f.foreignRefs[0]))

@@ -79,12 +79,10 @@ type unitBuilder struct {
 	// the member does not exist, so compilation fails.
 	throwableWrapperBug bool
 	// accessorCalls emits per-field accessor functions plus call sites
-	// (the JScript artifact style).
+	// (the JScript artifact style), and drops the accessor definitions
+	// of fields whose names are reserved words while keeping their call
+	// sites (the JScript generator bug behind 100 compile errors).
 	accessorCalls bool
-	// omitReservedAccessors drops accessor definitions for fields
-	// whose names are reserved words — while keeping the call sites
-	// (the JScript generator bug behind 100 compile errors).
-	omitReservedAccessors bool
 	// flattenParams names the port method's parameter after the first
 	// property of the parameter bean instead of a fixed name (the
 	// Visual Basic style behind the method/parameter collisions).
@@ -280,7 +278,7 @@ func (b unitBuilder) beanClass(ct *xsd.ComplexType, throwable bool, scalars map[
 			fn := fields[i].Name
 			accessor := "get_" + fn
 			calls = append(calls, accessor)
-			if b.omitReservedAccessors && jscriptReservedWords[fn] {
+			if jscriptReservedWords[fn] {
 				continue // the bug: call emitted, definition skipped
 			}
 			*marena = append(*marena, artifact.Method{

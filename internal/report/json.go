@@ -35,6 +35,8 @@ func (o object) MarshalJSON() ([]byte, error) {
 }
 
 // jsonDedup exports the structural-shape memoization statistics.
+// Enabled is always true: the memo layer has no off switch, and the
+// key stays so readers of earlier dumps keep working.
 type jsonDedup struct {
 	Enabled         bool `json:"enabled"`
 	Shapes          int  `json:"shapes"`
@@ -147,7 +149,7 @@ func JSON(w io.Writer, res *campaign.Result, wire ...campaign.WireResult) error 
 	}
 	if d := res.Dedup; d != nil {
 		out = append(out, member{"dedup", jsonDedup{
-			Enabled: d.Enabled, Shapes: d.Shapes,
+			Enabled: true, Shapes: d.Shapes,
 			PublishTotal: d.PublishTotal, PublishMemoized: d.PublishMemoized,
 			TestTotal: d.TestTotal, TestMemoized: d.TestMemoized,
 			Fallbacks: d.Fallbacks,

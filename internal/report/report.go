@@ -7,7 +7,6 @@ package report
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"text/tabwriter"
 
@@ -111,9 +110,8 @@ func Findings(w io.Writer, res *campaign.Result) error {
 // work the memo layer absorbed.
 func Dedup(w io.Writer, res *campaign.Result) error {
 	d := res.Dedup
-	if d == nil || !d.Enabled {
-		_, err := fmt.Fprintln(w, "shape memoization disabled (the noDedup test hook)")
-		return err
+	if d == nil {
+		return nil
 	}
 	rate := func(hits, total int) float64 {
 		if total == 0 {
@@ -263,15 +261,4 @@ func WriteComparisons(w io.Writer, cmp []PaperComparison) error {
 		fmt.Fprintf(tw, "%s\t%d\t%d\t%+d\n", c.Metric, c.Paper, c.Measured, c.Delta())
 	}
 	return tw.Flush()
-}
-
-// SortedServerNames returns result server names sorted alphabetically
-// (utility for deterministic ad-hoc reporting).
-func SortedServerNames(res *campaign.Result) []string {
-	names := make([]string, 0, len(res.Servers))
-	for n := range res.Servers {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -113,15 +113,3 @@ func TestComparisons(t *testing.T) {
 		t.Errorf("comparison table header missing:\n%s", buf.String())
 	}
 }
-
-func TestSortedServerNames(t *testing.T) {
-	names := SortedServerNames(sharedResult(t))
-	if len(names) != 3 {
-		t.Fatalf("names = %v", names)
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Errorf("not sorted: %v", names)
-		}
-	}
-}

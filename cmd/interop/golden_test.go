@@ -11,7 +11,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite the wire report goldens under testdata/")
+var update = flag.Bool("update", false, "rewrite the report goldens under testdata/")
 
 // wireGoldens are the wire reports pinned byte for byte: each mode's
 // text report, the Markdown dump and the wire keys of the JSON dump.
@@ -90,6 +90,48 @@ func TestWireReportGoldens(t *testing.T) {
 				runPinned(t, "-shard", fmt.Sprintf("%d/%d", i, len(dirs)), "-checkpoint", dir)
 			}
 			check("2-shard merge", runPinned(t, "-merge", strings.Join(dirs, ",")))
+		})
+	}
+}
+
+// staticGoldens are two study outputs pinned byte for byte: the plan
+// summary (report.Plan) and one class's drill-down (report.Explain).
+var staticGoldens = []struct {
+	name string
+	args []string
+}{
+	{"plan", []string{"-limit", "20", "-report", "plan"}},
+	{"explain", []string{"-limit", "20", "-explain", "javax.xml.ws.wsaddressing.W3CEndpointReference"}},
+}
+
+// TestStaticReportGoldens pins -report plan and -explain at workers 1
+// and 8. Run with -update to rewrite the goldens.
+func TestStaticReportGoldens(t *testing.T) {
+	for _, g := range staticGoldens {
+		t.Run(g.name, func(t *testing.T) {
+			path := filepath.Join("testdata", g.name+".golden")
+			runWorkers := func(t *testing.T, workers string) []byte {
+				t.Helper()
+				var buf bytes.Buffer
+				if err := run(append(append([]string(nil), g.args...), "-workers", workers), &buf); err != nil {
+					t.Fatalf("run %v: %v", g.args, err)
+				}
+				return buf.Bytes()
+			}
+			if *update {
+				if err := os.WriteFile(path, runWorkers(t, "1"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []string{"1", "8"} {
+				if got := runWorkers(t, workers); !bytes.Equal(got, want) {
+					t.Errorf("workers %s output differs from %s:\n--- got ---\n%s--- want ---\n%s", workers, path, got, want)
+				}
+			}
 		})
 	}
 }

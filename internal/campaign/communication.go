@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"time"
 
 	"wsinterop/internal/obs"
 	"wsinterop/internal/transport"
@@ -56,7 +57,9 @@ const commCells = "campaign.communication.cells"
 // commAxis is the communication extension over the wire-axis
 // executor: one echo exchange per (service × client) row, through a
 // per-cell message-level sniffer whose counts the row carries as its
-// two tallies (exchanges, message violations).
+// two tallies (exchanges, message violations). The client reaches the
+// wire only through its verdict, so the roster is one profile; a
+// copied row still emits its cell's event.
 var commAxis = &Axis{
 	name:          "comm",
 	Dumped:        true,
@@ -70,6 +73,7 @@ var commAxis = &Axis{
 	tallies:  2,
 	view:     func(m *Matrix) WireResult { return commResult(m) },
 	exchange: commRow,
+	copied:   func(x *wireCall, row []outcome) { commEvent(x, row[0], 0) },
 }
 
 // CommSummary aggregates the communication extension for one server.
@@ -83,7 +87,11 @@ type CommSummary struct {
 	Succeeded    int
 	// Exchanges and MessageViolations come from the wire-level sniffer
 	// (transport.Sniffer): captured request/response pairs and WS-I
-	// message-assertion findings among them.
+	// message-assertion findings among them, per combination. A
+	// combination copied from its profile's representative carries the
+	// representative's counts, so Exchanges counts the combinations
+	// that reached the wire, not the exchanges the run made
+	// (transport.attempts).
 	Exchanges         int
 	MessageViolations int
 	// PathCollisions counts deployed services whose derived HTTP path
@@ -167,20 +175,25 @@ func commSummary(name string, n []int) *CommSummary {
 }
 
 // commRow classifies one combination and records its latency and
-// event, whose trace is the (server, class, client) cell's content
-// address.
+// event.
 func commRow(x *wireCall, row []outcome, tally []int) {
 	start := x.r.met.now()
 	row[0] = x.communicate(tally)
 	x.r.met.observe(x.r.met.commSeconds, start)
+	commEvent(x, row[0], x.r.met.since(start))
+}
+
+// commEvent emits one combination's event, whose trace is the (server,
+// class, client) cell's content address.
+func commEvent(x *wireCall, o outcome, elapsed time.Duration) {
 	x.r.obs.Emit(obs.Event{
 		Trace:        obs.TraceID(x.svc.Server, x.svc.Class, x.client.Name()),
 		Stage:        "communication",
 		Server:       x.svc.Server,
 		Client:       x.client.Name(),
 		Class:        x.svc.Class,
-		Detail:       commCodes[row[0]],
-		ElapsedNanos: int64(x.r.met.since(start)),
+		Detail:       commCodes[o],
+		ElapsedNanos: int64(elapsed),
 	})
 }
 

@@ -51,9 +51,12 @@ type runnerMetrics struct {
 	planBuilds *obs.Counter // plans built from a catalog walk
 	planShared *obs.Counter // plans adopted from another runner (AdoptPlan)
 
-	// wire maps a wire axis name to its per-outcome counters, which
-	// the executor increments only in its serial fold (wireaxis.go).
-	wire map[string][]*obs.Counter
+	// wire maps a wire axis name to its per-outcome counters, and
+	// memoized to its campaign.<axis>.memoized counter (cells copied
+	// from their profile's representative), which the executor
+	// increments only in its serial fold (wireaxis.go).
+	wire     map[string][]*obs.Counter
+	memoized map[string]*obs.Counter
 
 	// Live gauges — outside the determinism contract.
 	workers *obs.Gauge // configured worker count
@@ -70,10 +73,12 @@ func newRunnerMetrics(reg *obs.Registry) *runnerMetrics {
 			reg.Counter("campaign.wsi.profile."+p.ID+".compliant"))
 	}
 	wire := make(map[string][]*obs.Counter, len(wireAxes))
+	memoized := make(map[string]*obs.Counter, len(wireAxes))
 	for _, ax := range wireAxes {
 		for _, name := range ax.counters {
 			wire[ax.name] = append(wire[ax.name], reg.Counter(name))
 		}
+		memoized[ax.name] = reg.Counter("campaign." + ax.name + ".memoized")
 	}
 	return &runnerMetrics{
 		reg:              reg,
@@ -99,6 +104,7 @@ func newRunnerMetrics(reg *obs.Registry) *runnerMetrics {
 		planBuilds:       reg.Counter("campaign.plan.builds"),
 		planShared:       reg.Counter("campaign.plan.shared"),
 		wire:             wire,
+		memoized:         memoized,
 		workers:          reg.Gauge("campaign.workers"),
 	}
 }
@@ -230,4 +236,13 @@ func (m *runnerMetrics) axisCounters(ax *Axis) []*obs.Counter {
 		return make([]*obs.Counter, len(ax.codes))
 	}
 	return m.wire[ax.name]
+}
+
+// axisMemoized returns a wire axis's memoized counter; a nil (no-op)
+// counter when metering is off.
+func (m *runnerMetrics) axisMemoized(ax *Axis) *obs.Counter {
+	if m == nil {
+		return nil
+	}
+	return m.memoized[ax.name]
 }

@@ -47,7 +47,8 @@ var robustFaults = faultinject.Catalog()
 
 // robustAxis is the Robustness mode over the wire-axis executor: one
 // faulted exchange per catalog fault for every (service × client) row,
-// through a wire-level fault injector.
+// through a wire-level fault injector. The client reaches the wire
+// only through its verdict, so the roster is one profile.
 var robustAxis = &Axis{
 	name:            "robust",
 	Flag:            "faults",

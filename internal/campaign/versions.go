@@ -97,7 +97,9 @@ var versionCodes = []string{"skipped", "accept", "typed-reject", "silent-mishand
 
 // versionsAxis is the version matrix over the wire-axis executor: one
 // exchange per scenario for every (service × client) row, against a
-// host that declares its framework's version strictness.
+// host that declares its framework's version strictness. A client
+// reaches the wire through its declared strictness, which is its wire
+// profile.
 var versionsAxis = &Axis{
 	name:          "versions",
 	Flag:          "versions",
@@ -124,6 +126,7 @@ var versionsAxis = &Axis{
 	version: func(server string) *transport.VersionPolicy {
 		return &transport.VersionPolicy{Codec: soap.V11, Strictness: framework.VersionStrictness(server)}
 	},
+	profile:  func(client string) int { return int(framework.VersionStrictness(client)) },
 	exchange: versionRow,
 }
 

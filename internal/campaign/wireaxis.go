@@ -5,25 +5,27 @@ package campaign
 // the paper's Fig. 1, which it leaves as future work. Each mode
 // (communication.go, robustness.go, versions.go) is one Axis
 // declaration: its column catalog, its outcome codes, its host version
-// policy, its per-(service × client) exchange and its presentation. The
-// executor owns the rest, once:
+// policy, its client wire profile, its per-(service × client) exchange
+// and its presentation. The executor owns the rest, once:
 //
 //   - per server stage: Publish, deployPublished (each service's
 //     endpoint and echo request, built once for all its clients), the
 //     host with the axis's version policy and the bridge with its
 //     invoke meters;
-//   - one (service × client) job feed with cancellation, each job
-//     writing its outcome codes into pre-indexed service × client ×
-//     column slots;
+//   - one service job feed with cancellation: the worker that takes a
+//     service reads each client's step-2/3 verdict, exchanges once per
+//     client wire profile — for the profile's first unblocked client in
+//     roster order, its representative — and copies that row into the
+//     profile's other unblocked clients, writing pre-indexed
+//     service × client × column slots;
 //   - the serial fixed-order fold into the Matrix: per-(server,
 //     column) and per-client outcome histograms, plus the axis's
-//     per-code counters;
+//     per-code counters and its memoized counter;
 //   - under WithCheckpoint, the cell journal (checkpoint.go) at
 //     <checkpoint>/<axis>: one record per completed service, keyed by
-//     its server and class and queued by the worker that finishes its
-//     last client row, and one completion sentinel per server stage
-//     (the server's record with no class) carrying the stage's path
-//     collisions;
+//     its server and class and queued by the worker that ran it, and
+//     one completion sentinel per server stage (the server's record
+//     with no class) carrying the stage's path collisions;
 //   - under WithResume, the replay of journaled services, and the
 //     replay-only shard fold behind Merge.
 //
@@ -34,8 +36,8 @@ package campaign
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"slices"
-	"sync/atomic"
 
 	"wsinterop/internal/framework"
 	"wsinterop/internal/journal"
@@ -95,9 +97,17 @@ type Axis struct {
 	// version, when set, returns the version policy a server stage's
 	// host declares; nil leaves the host's SOAP 1.1 default.
 	version func(server string) *transport.VersionPolicy
+	// profile keys a client's wire profile: every unblocked client of
+	// one profile puts the same bytes on the wire for a service, so the
+	// executor exchanges once per (service, profile) and copies the
+	// row. nil puts the whole roster in one profile.
+	profile func(client string) int
 	// exchange fills one (service × client) row: an outcome per column
 	// and the row's tallies.
 	exchange func(x *wireCall, row []outcome, tally []int)
+	// copied, when set, records a row the executor copied from its
+	// profile's representative, as exchange records the rows it runs.
+	copied func(x *wireCall, row []outcome)
 }
 
 // wireAxes lists every wire axis in report order, so the runner's
@@ -126,6 +136,14 @@ type WireResult interface {
 	Axis() *Axis
 }
 
+// profileOf returns a client's wire profile.
+func (ax *Axis) profileOf(client string) int {
+	if ax.profile == nil {
+		return 0
+	}
+	return ax.profile(client)
+}
+
 // complete is the journal mode of the axis's completion sentinels.
 func (ax *Axis) complete() string { return ax.name + "-complete" }
 
@@ -135,11 +153,12 @@ func (ax *Axis) completes(rec *journal.Record) bool {
 	return rec.Class == "" && rec.Mode == ax.complete()
 }
 
-// wireCall is one (service × client) job of an axis.
+// wireCall is one (service × client) row of an axis.
 type wireCall struct {
-	ctx  context.Context
-	r    *Runner
-	host *transport.Host
+	ctx context.Context
+	r   *Runner
+	// host is the stage host, which a row's middleware wraps.
+	host http.Handler
 	// bridge is the stage's bridge over host, metered into the runner's
 	// registry; exchanges derive their per-cell copies from it.
 	bridge *transport.LocalBridge
@@ -337,18 +356,17 @@ func (r *Runner) runAxisStage(ctx context.Context, ax *Axis, cj *cellJournal, m 
 	nc, ncol, nt := len(r.clients), len(ax.columns), ax.tallies
 	codes := make([]outcome, len(published)*nc*ncol)
 	tallies := make([]int, len(published)*nc*nt)
+	copies := make([]int, len(published)) // memoized cells per service
 	service := func(pi int) ([]outcome, []int) {
 		return codes[pi*nc*ncol : (pi+1)*nc*ncol], tallies[pi*nc*nt : (pi+1)*nc*nt]
 	}
 
-	// Resume: replay journaled services into their slots. A replayed
-	// service has no pending rows, which keeps it out of the feed.
-	pending := make([]atomic.Int32, len(published))
+	// Resume: replay journaled services into their slots, which keeps
+	// them out of the feed.
 	todo := make([]int, 0, len(published)) // the services the feed exchanges, in catalog order
 	for pi := range published {
 		rec, ok := cj.record(name, published[pi].Class)
 		if !ok {
-			pending[pi].Store(int32(nc))
 			todo = append(todo, pi)
 			continue
 		}
@@ -363,26 +381,42 @@ func (r *Runner) runAxisStage(ctx context.Context, ax *Axis, cj *cellJournal, m 
 		cj.resumed.Inc()
 	}
 
-	err = r.feed(ctx, len(todo)*nc, func(job int) {
-		pi, ci := todo[job/nc], job%nc
-		idx := pi*nc + ci
-		x := wireCall{ctx: ctx, r: r, host: host, bridge: bridge, client: r.clients[ci], svc: &published[pi]}
-		// Steps 4–5 start only where steps 2–3 succeeded; the generated
-		// proxy's first method is the document's first operation
-		// (unitgen's port-type order).
-		code := r.verdict(x.svc, ci)
-		x.blocked = code.errorAnywhere() || code&codeCompileRan == 0
-		if !x.blocked {
-			x.deployment = deployed[pi]
+	err = r.feed(ctx, len(todo), func(job int) {
+		pi := todo[job]
+		c, n := service(pi)
+		reps := make(map[int]int, 1) // profile → its representative's roster index
+		for ci, client := range r.clients {
+			row, tally := c[ci*ncol:(ci+1)*ncol], n[ci*nt:(ci+1)*nt]
+			x := wireCall{ctx: ctx, r: r, host: host, bridge: bridge, client: client, svc: &published[pi]}
+			// Steps 4–5 start only where steps 2–3 succeeded; the
+			// generated proxy's first method is the document's first
+			// operation (unitgen's port-type order).
+			code := r.verdict(x.svc, ci)
+			x.blocked = code.errorAnywhere() || code&codeCompileRan == 0
+			if !x.blocked {
+				x.deployment = deployed[pi]
+			}
+			// Blocked and no-operation rows exchange nothing; the rest
+			// copy their profile's representative once it has run.
+			if !x.blocked && x.op != "" {
+				p := ax.profileOf(client.Name())
+				if rep, ok := reps[p]; ok {
+					copy(row, c[rep*ncol:(rep+1)*ncol])
+					copy(tally, n[rep*nt:(rep+1)*nt])
+					copies[pi] += ncol
+					if ax.copied != nil {
+						ax.copied(&x, row)
+					}
+					continue
+				}
+				reps[p] = ci
+			}
+			ax.exchange(&x, row, tally)
 		}
-		ax.exchange(&x, codes[idx*ncol:(idx+1)*ncol], tallies[idx*nt:(idx+1)*nt])
-		// The worker finishing a service's last row journals it: the
-		// atomic counter orders the other rows' slot writes before this
-		// read. A cancellation may have cut a retry or an exchange short,
-		// so nothing after it journals.
-		if pending[pi].Add(-1) == 0 && ctx.Err() == nil {
-			c, n := service(pi)
-			cj.append(axisRecord(ax, name, x.svc.Class, c, n))
+		// A cancellation may have cut a retry or an exchange short, so
+		// nothing after it journals.
+		if ctx.Err() == nil {
+			cj.append(axisRecord(ax, name, published[pi].Class, c, n))
 		}
 	})
 	if err != nil {
@@ -392,6 +426,7 @@ func (r *Runner) runAxisStage(ctx context.Context, ax *Axis, cj *cellJournal, m 
 	// Serial fixed-order fold: counters land here, inside the
 	// determinism contract, never in workers.
 	fold(m, r.met.axisCounters(ax), si, codes, tallies)
+	r.met.axisMemoized(ax).Add(int64(sum(copies)))
 	r.completeStage(cj, ax, name, collisions)
 	return nil
 }

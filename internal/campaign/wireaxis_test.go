@@ -6,6 +6,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"maps"
+	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -126,6 +129,366 @@ func requireWireReference(t *testing.T, ax *Axis) {
 					server.Name(), published[i].Class)
 			}
 		}
+	}
+}
+
+// cellOracle is what a wire axis returns and journals when every
+// (service × client) row exchanges on its own.
+type cellOracle struct {
+	res  WireResult
+	recs map[journal.Key]journal.Record
+	// attempts counts the exchanges the rows made and exchanged the
+	// rows that reached the wire: the transport.attempts and exchanged
+	// cells of a run with no memo.
+	attempts, exchanged int
+	// clashes names each row whose traffic differs from its profile's
+	// first row on the same service.
+	clashes []string
+}
+
+// wireOracle is the per-cell oracle of one wire axis under cfg
+// (unsharded or one shard). It runs the axis's exchange for every row
+// — no profile, no representative, no copy — serially, on a fresh
+// stage host per server, and folds the rows and builds the journal
+// records as the executor does. Every row's traffic passes a wireTap,
+// so the oracle also guards the profiles: a profile is sound only if
+// its clients put the same bytes on the wire.
+func wireOracle(t *testing.T, cfg config, ax *Axis) *cellOracle {
+	t.Helper()
+	ctx := context.Background()
+	reg := obs.NewRegistry()
+	cfg.Obs, cfg.Workers, cfg.Checkpoint, cfg.Resume = reg, 1, "", false
+	r := newRunner(cfg)
+	m := r.newMatrix(ax)
+	o := &cellOracle{recs: make(map[journal.Key]journal.Record)}
+	nc, ncol, nt := len(r.clients), len(ax.columns), ax.tallies
+	for si, server := range r.servers {
+		sp, err := r.planFor(server)
+		if err != nil {
+			t.Fatal(err)
+		}
+		published, _, err := r.Publish(ctx, server)
+		if err != nil {
+			t.Fatalf("publish on %s: %v", server.Name(), err)
+		}
+		host := transport.NewHost()
+		if ax.version != nil {
+			host.SetVersionPolicy(ax.version(server.Name()))
+		}
+		bridge := host.Local().WithObs(r.obs)
+		deployed, collisions, err := r.deployPublished(host, server, sp.defs, published)
+		if err != nil {
+			t.Fatalf("deploy on %s: %v", server.Name(), err)
+		}
+		m.Collisions[si] = collisions
+		codes := make([]outcome, len(published)*nc*ncol)
+		tallies := make([]int, len(published)*nc*nt)
+		for pi := range published {
+			c, n := codes[pi*nc*ncol:(pi+1)*nc*ncol], tallies[pi*nc*nt:(pi+1)*nc*nt]
+			first := make(map[int]string) // profile → its first exchanging row's traffic
+			for ci, client := range r.clients {
+				code := r.verdict(&published[pi], ci)
+				tap := &wireTap{next: host}
+				x := wireCall{ctx: ctx, r: r, host: tap, bridge: bridge.WithHandler(tap), client: client, svc: &published[pi]}
+				x.blocked = code.errorAnywhere() || code&codeCompileRan == 0
+				if !x.blocked {
+					x.deployment = deployed[pi]
+				}
+				ax.exchange(&x, c[ci*ncol:(ci+1)*ncol], n[ci*nt:(ci+1)*nt])
+				if tap.log.Len() == 0 {
+					continue
+				}
+				o.exchanged++
+				traffic, p := tap.log.String(), ax.profileOf(client.Name())
+				if want, ok := first[p]; !ok {
+					first[p] = traffic
+				} else if traffic != want {
+					o.clashes = append(o.clashes, fmt.Sprintf("%s %s: %s's traffic differs from its profile's first row",
+						server.Name(), published[pi].Class, client.Name()))
+				}
+			}
+			rec := axisRecord(ax, server.Name(), published[pi].Class, c, n)
+			o.recs[rec.Key()] = rec
+		}
+		fold(m, r.met.axisCounters(ax), si, codes, tallies)
+		o.recs[journal.Key{Server: server.Name()}] = journal.Record{Server: server.Name(), Mode: ax.complete(), Collisions: collisions}
+	}
+	o.res, o.attempts = ax.result(m), int(reg.Counter("transport.attempts").Value())
+	return o
+}
+
+// wireTap sits between a row's middleware and the stage host and logs
+// every request and response that passes: the fields that steer an
+// exchange and the bytes.
+type wireTap struct {
+	next http.Handler
+	log  bytes.Buffer
+}
+
+func (tap *wireTap) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	body, _ := io.ReadAll(r.Body)
+	r.Body = io.NopCloser(bytes.NewReader(body))
+	fmt.Fprintf(&tap.log, "> %s %q %q\n%s\n", r.URL, r.Header.Get("Content-Type"), r.Header.Get("SOAPAction"), body)
+	rec := transport.NewCapture(0)
+	tap.next.ServeHTTP(rec, r)
+	status, ctype := rec.Status(), rec.Header().Get("Content-Type")
+	fmt.Fprintf(&tap.log, "< %d %q\n%s\n", status, ctype, rec.Body())
+	rec.WriteHeaderTo(w, status, ctype)
+	rec.Release()
+	_, _ = w.Write(rec.Body())
+}
+
+// journaled loads an axis's journal under dir, keyed as the oracle
+// keys its records.
+func journaled(t *testing.T, ax *Axis, dir string) map[journal.Key]journal.Record {
+	t.Helper()
+	_, recs, err := journal.Load(ax.dir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[journal.Key]journal.Record, len(recs))
+	for _, rec := range recs {
+		if _, dup := out[rec.Key()]; dup {
+			t.Errorf("%s journal holds %v twice", ax.name, rec.Key())
+		}
+		if len(rec.Tallies) == 0 {
+			rec.Tallies = nil
+		}
+		out[rec.Key()] = rec
+	}
+	return out
+}
+
+// wireRun is one production route to a wire result: the result, the
+// journals the route wrote with the shard each ran, whether it merged
+// them, and the registry of the fresh route's run.
+type wireRun struct {
+	label    string
+	res      WireResult
+	journals map[string]ShardSpec
+	merge    bool
+	reg      *obs.Registry
+}
+
+// wireRuns runs ax at limit and workers the three ways production
+// reaches a result: fresh and checkpointed; cut at half its journal
+// and resumed; and as two checkpointed shards, merged.
+func wireRuns(t *testing.T, ax *Axis, limit, workers int) []wireRun {
+	t.Helper()
+	ctx := context.Background()
+	run := func(ctx context.Context, cfg config) (WireResult, error) { return newRunner(cfg).RunWire(ctx, ax) }
+	mustRun := func(cfg config) WireResult {
+		t.Helper()
+		res, err := run(ctx, cfg)
+		if err != nil {
+			t.Fatalf("%s run at %d workers: %v", ax.name, workers, err)
+		}
+		return res
+	}
+
+	dir := t.TempDir()
+	fresh := wireRun{label: fmt.Sprintf("fresh, workers %d", workers), journals: map[string]ShardSpec{dir: {}},
+		reg: obs.NewRegistry()}
+	fresh.res = mustRun(config{Limit: limit, Workers: workers, Checkpoint: dir, Obs: fresh.reg})
+	_, recs, err := journal.Load(ax.dir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir = t.TempDir()
+	cut := len(recs) / 2
+	killCtx, cancel := context.WithCancel(ctx)
+	cfg := config{Limit: limit, Workers: workers, Checkpoint: dir}
+	cfg.checkpointProbe = func(appended int) {
+		if appended == cut {
+			cancel()
+		}
+	}
+	if _, err := run(killCtx, cfg); err == nil {
+		t.Errorf("%s at %d workers: the run finished past its cut at record %d", ax.name, workers, cut)
+	}
+	cancel()
+	resumed := wireRun{label: fmt.Sprintf("resumed, workers %d", workers), journals: map[string]ShardSpec{dir: {}},
+		res: mustRun(config{Limit: limit, Workers: workers, Checkpoint: dir, Resume: true})}
+
+	merged := wireRun{label: fmt.Sprintf("2-shard merge, workers %d", workers), journals: map[string]ShardSpec{}, merge: true}
+	var dirs []string
+	for i := range 2 {
+		shard := ShardSpec{Index: i, Count: 2}
+		dir := t.TempDir()
+		mustRun(config{Limit: limit, Workers: workers, Checkpoint: dir, Shard: shard})
+		merged.journals[dir] = shard
+		dirs = append(dirs, dir)
+	}
+	m, err := newRunner(config{Limit: limit, Workers: workers}).Merge(ctx, dirs)
+	if err != nil {
+		t.Fatalf("%s merge at %d workers: %v", ax.name, workers, err)
+	}
+	merged.res = m.Wire[ax.name]
+	return []wireRun{fresh, resumed, merged}
+}
+
+// TestWireCellOracle holds each wire axis's memoized executor to the
+// per-cell oracle (wireOracle) at workers 1 and 8: a fresh
+// checkpointed run, a run cut mid-journal and resumed, and a 2-shard
+// merge return the oracle's result (a merge's path collisions aside),
+// and each journal holds the oracle's records for its shard. The fresh
+// run exchanges less than the oracle, comm's attempts and memoized
+// cells add up to the oracle's exchanged cells, and no profile's
+// clients clash.
+func TestWireCellOracle(t *testing.T) {
+	for _, m := range wireModes {
+		t.Run(m.axis.name, func(t *testing.T) {
+			limit := m.limit
+			if testing.Short() {
+				limit = m.short
+			}
+			oracles := make(map[ShardSpec]*cellOracle)
+			oracle := func(shard ShardSpec) *cellOracle {
+				if oracles[shard] == nil {
+					oracles[shard] = wireOracle(t, config{Limit: limit, Shard: shard}, m.axis)
+				}
+				return oracles[shard]
+			}
+			full := oracle(ShardSpec{})
+			if len(full.clashes) > 0 {
+				t.Errorf("%d clashing rows, e.g. %s", len(full.clashes), full.clashes[0])
+			}
+			// zero clears a result's path collisions through the mode's
+			// entry-point type: a merge sums each shard's deploy.
+			zero := func(res WireResult) { m.zero(m.merged(&Merged{Wire: map[string]WireResult{m.axis.name: res}})) }
+			var zeroed WireResult
+			for _, workers := range []int{1, 8} {
+				for _, run := range wireRuns(t, m.axis, limit, workers) {
+					want := full.res
+					if run.merge {
+						if zeroed == nil {
+							zeroed = wireOracle(t, config{Limit: limit}, m.axis).res
+							zero(zeroed)
+						}
+						want = zeroed
+						zero(run.res)
+					}
+					gotBytes, _ := json.Marshal(run.res)
+					wantBytes, _ := json.Marshal(want)
+					if string(gotBytes) != string(wantBytes) || !reflect.DeepEqual(run.res, want) {
+						t.Errorf("%s: result differs from the per-cell oracle:\ngot:    %s\noracle: %s", run.label, gotBytes, wantBytes)
+					}
+					for dir, shard := range run.journals {
+						got := journaled(t, m.axis, dir)
+						want := oracle(shard).recs
+						for k, rec := range want {
+							if g, ok := got[k]; !ok || !reflect.DeepEqual(g, rec) {
+								t.Errorf("%s, shard %s: journaled %v = %+v, oracle %+v", run.label, shard, k, g, rec)
+							}
+						}
+						if len(got) != len(want) {
+							t.Errorf("%s, shard %s: %d journal records, oracle %d", run.label, shard, len(got), len(want))
+						}
+					}
+					if run.reg == nil {
+						continue
+					}
+					attempts := run.reg.Counter("transport.attempts").Value()
+					memoized := run.reg.Counter("campaign." + m.axis.name + ".memoized").Value()
+					if attempts >= int64(full.attempts) || memoized == 0 {
+						t.Errorf("%s: %d attempts and %d memoized cells, the per-cell oracle %d attempts",
+							run.label, attempts, memoized, full.attempts)
+					}
+					if m.axis == commAxis && int(attempts+memoized) != full.exchanged {
+						t.Errorf("%s: %d attempts + %d memoized cells, the oracle exchanged %d cells",
+							run.label, attempts, memoized, full.exchanged)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestWireProfileGuard shows the oracle's profile guard bites: an axis
+// whose rows echo the client's name puts client-dependent bytes on
+// the wire, so it clashes while its roster shares one profile and is
+// clean once every client declares its own.
+func TestWireProfileGuard(t *testing.T) {
+	named := *commAxis
+	named.exchange = func(x *wireCall, row []outcome, _ []int) {
+		row[0] = commBlocked
+		if x.blocked || x.op == "" {
+			return
+		}
+		req := *x.req
+		req.Fields = maps.Clone(x.req.Fields)
+		req.Fields[x.probe] = x.client.Name()
+		row[0] = commFault
+		if _, err := x.bridge.Invoke(x.ctx, x.ep.Path, &req); err == nil {
+			row[0] = commOK
+		}
+	}
+	if o := wireOracle(t, config{Limit: 6}, &named); len(o.clashes) == 0 || o.exchanged == 0 {
+		t.Errorf("one profile over client-named requests: %d clashes in %d exchanged rows, want some",
+			len(o.clashes), o.exchanged)
+	}
+	roster := make(map[string]int)
+	for i, c := range newRunner(config{}).clients {
+		roster[c.Name()] = i
+	}
+	named.profile = func(client string) int { return roster[client] }
+	if o := wireOracle(t, config{Limit: 6}, &named); len(o.clashes) != 0 {
+		t.Errorf("a profile per client still clashes: %s", o.clashes[0])
+	}
+}
+
+// TestCommExchangeCount pins the memo's exchange count on the
+// communication axis at -limit 300: one exchange per service that has
+// an operation and an unblocked client, and every other unblocked
+// client's cell memoized, so attempts and memoized cells add up to the
+// 8,769 exchanges a per-cell run makes.
+func TestCommExchangeCount(t *testing.T) {
+	ctx := context.Background()
+	reg := obs.NewRegistry()
+	r := newRunner(config{Limit: 300, Workers: 4, Obs: reg})
+	res, err := r.RunCommunication(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	services, cells := 0, 0
+	for _, server := range r.servers {
+		sp, err := r.planFor(server)
+		if err != nil {
+			t.Fatal(err)
+		}
+		published, _, err := r.Publish(ctx, server)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deployed, _, err := r.deployPublished(transport.NewHost(), server, sp.defs, published)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pi := range published {
+			unblocked := 0
+			for ci := range r.clients {
+				if code := r.verdict(&published[pi], ci); !code.errorAnywhere() && code&codeCompileRan != 0 {
+					unblocked++
+				}
+			}
+			if deployed[pi].op != "" && unblocked > 0 {
+				services++
+				cells += unblocked
+			}
+		}
+	}
+	attempts := reg.Counter("transport.attempts").Value()
+	memoized := reg.Counter("campaign.comm.memoized").Value()
+	if attempts != int64(services) || services != 896 {
+		t.Errorf("transport.attempts = %d, want one per exchanged service: %d (896 at -limit 300)", attempts, services)
+	}
+	if attempts+memoized != int64(cells) || cells != 8769 {
+		t.Errorf("%d attempts + %d memoized cells, want the %d unblocked cells with an operation (8769 at -limit 300)",
+			attempts, memoized, cells)
+	}
+	if n := res.Totals().Exchanges; n != cells {
+		t.Errorf("the report's exchanges total %d, want %d", n, cells)
 	}
 }
 

@@ -451,7 +451,16 @@ func (r *Runner) catalog(lang typesys.Language) *typesys.Catalog {
 // catalog order) and the created-service count. It executes over the
 // runner's execution plan exactly like Run: workers own whole plan
 // items, and each shape's builder is its first member in catalog order.
+// Every returned service carries its Doc bytes.
 func (r *Runner) Publish(ctx context.Context, server framework.ServerFramework) ([]PublishedService, int, error) {
+	return r.publish(ctx, server, true)
+}
+
+// publish is Publish with publishEntry's needDoc flag: a wire stage
+// passes false, since it deploys from typed documents and reads no
+// bytes, so memo clones and solo representatives come back without
+// Doc (DESIGN.md §6.6).
+func (r *Runner) publish(ctx context.Context, server framework.ServerFramework, needDoc bool) ([]PublishedService, int, error) {
 	sp, err := r.planFor(server)
 	if err != nil {
 		return nil, 0, err
@@ -466,7 +475,7 @@ func (r *Runner) Publish(ctx context.Context, server framework.ServerFramework) 
 			return
 		}
 		for _, di := range sp.Groups[it].Members {
-			slots[di] = r.publishEntry(entries[it], server, defs[di], true)
+			slots[di] = r.publishEntry(entries[it], server, defs[di], needDoc)
 		}
 	})
 	if err != nil {

@@ -183,11 +183,11 @@ func commRow(x *wireCall, row []outcome, tally []int) {
 	commEvent(x, row[0], x.r.met.since(start))
 }
 
-// commEvent emits one combination's event, whose trace is the (server,
-// class, client) cell's content address.
+// commEvent emits one combination's event without a trace: the event
+// log derives the (server, class, client) cell's content address when
+// the event is read, so a cell the ring evicts is never hashed.
 func commEvent(x *wireCall, o outcome, elapsed time.Duration) {
 	x.r.obs.Emit(obs.Event{
-		Trace:        obs.TraceID(x.svc.Server, x.svc.Class, x.client.Name()),
 		Stage:        "communication",
 		Server:       x.svc.Server,
 		Client:       x.client.Name(),

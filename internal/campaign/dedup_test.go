@@ -3,7 +3,6 @@ package campaign
 import (
 	"bytes"
 	"context"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -243,7 +242,7 @@ func TestDedupCommunicationEquivalence(t *testing.T) {
 			if deploy(host, doc, &want[i], &d) {
 				collisions++
 			}
-			if !reflect.DeepEqual(got[i], d) {
+			if !sameDeployment(got[i], d) {
 				t.Errorf("comm %s %s: memo-served deployment differs from the per-class one", server.Name(), want[i].Class)
 			}
 		}
@@ -271,25 +270,62 @@ func TestPublishAfterRun(t *testing.T) {
 	}
 	requireSoloRepsUnrendered(t, r)
 	for _, server := range r.servers {
-		var pubs [2][]PublishedService
-		var errs [2]error
-		var wg sync.WaitGroup
-		for k := range pubs {
-			wg.Add(1)
-			go func(k int) {
-				defer wg.Done()
-				pubs[k], _, errs[k] = r.Publish(ctx, server)
-			}(k)
-		}
-		wg.Wait()
 		want := referencePublished(t, config{Limit: limit}, server)
-		for k, got := range pubs {
-			if errs[k] != nil {
-				t.Fatalf("publish %d after run on %s: %v", k, server.Name(), errs[k])
-			}
+		for _, got := range publishTwice(t, r, server) {
 			requireSamePublished(t, server.Name(), got, want)
 		}
 	}
+}
+
+// TestPublishAfterWireStage covers Publish after a wire stage, which
+// publishes through the same shape entries without bytes: the stage
+// leaves every solo representative unrendered, so two concurrent
+// Publish calls race for its render cell (repDoc) while clones render
+// from their templates. Both must return the bytes and verdicts that
+// Publish on a fresh runner returns.
+func TestPublishAfterWireStage(t *testing.T) {
+	limit := 0
+	if testing.Short() {
+		limit = 500
+	}
+	ctx := context.Background()
+	r := newRunner(config{Limit: limit, Workers: 4})
+	if _, err := r.RunCommunication(ctx); err != nil {
+		t.Fatalf("communication: %v", err)
+	}
+	requireSoloRepsUnrendered(t, r)
+	fresh := newRunner(config{Limit: limit, Workers: 4})
+	for si, server := range r.servers {
+		want, _, err := fresh.Publish(ctx, fresh.servers[si])
+		if err != nil {
+			t.Fatalf("fresh publish on %s: %v", server.Name(), err)
+		}
+		for _, got := range publishTwice(t, r, server) {
+			requireSamePublished(t, server.Name(), got, want)
+		}
+	}
+}
+
+// publishTwice runs two concurrent Publish calls of server on r.
+func publishTwice(t *testing.T, r *Runner, server framework.ServerFramework) [2][]PublishedService {
+	t.Helper()
+	var pubs [2][]PublishedService
+	var errs [2]error
+	var wg sync.WaitGroup
+	for k := range pubs {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			pubs[k], _, errs[k] = r.Publish(context.Background(), server)
+		}(k)
+	}
+	wg.Wait()
+	for k, err := range errs {
+		if err != nil {
+			t.Fatalf("publish %d on %s: %v", k, server.Name(), err)
+		}
+	}
+	return pubs
 }
 
 // TestSoloBuildersSkipMarshal pins the saving structurally, with a

@@ -42,7 +42,6 @@ import (
 	"wsinterop/internal/obs"
 	"wsinterop/internal/services"
 	"wsinterop/internal/transport"
-	"wsinterop/internal/wsdl"
 )
 
 // CampaignSpec is the daemon's wire form of a campaign request — the
@@ -483,10 +482,6 @@ func (d *Daemon) publishService(w http.ResponseWriter, r *http.Request) {
 	ep, err := transport.FromWSDL(doc)
 	if err != nil {
 		http.Error(w, "endpoint derivation: "+err.Error(), http.StatusInternalServerError)
-		return
-	}
-	if ep.Description, err = wsdl.Marshal(doc); err != nil {
-		http.Error(w, "serialize description: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
 	already := false

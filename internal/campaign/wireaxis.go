@@ -8,10 +8,11 @@ package campaign
 // policy, its client wire profile, its per-(service × client) exchange
 // and its presentation. The executor owns the rest, once:
 //
-//   - per server stage: Publish, deployPublished (each service's
-//     endpoint and echo request, built once for all its clients), the
-//     host with the axis's version policy and the bridge with its
-//     invoke meters;
+//   - per server stage: Publish's entry loop without WSDL bytes (no
+//     cell reads them), deployPublished (each service's endpoint, which
+//     keeps its typed document for ?wsdl, and its echo request, built
+//     once for all its clients), the host with the axis's version
+//     policy and the bridge with its invoke meters;
 //   - one service job feed with cancellation: the worker that takes a
 //     service reads each client's step-2/3 verdict, exchanges once per
 //     client wire profile — for the profile's first unblocked client in
@@ -338,7 +339,7 @@ func (r *Runner) runAxisStage(ctx context.Context, ax *Axis, cj *cellJournal, m 
 	if sentinel, done := cj.record(name, ""); done {
 		return r.replayStage(ax, cj, m, si, sp, sentinel)
 	}
-	published, _, err := r.Publish(ctx, server)
+	published, _, err := r.publish(ctx, server, false)
 	if err != nil {
 		return err
 	}
@@ -381,41 +382,15 @@ func (r *Runner) runAxisStage(ctx context.Context, ax *Axis, cj *cellJournal, m 
 		cj.resumed.Inc()
 	}
 
+	stage := wireCall{ctx: ctx, r: r, host: host, bridge: bridge}
 	err = r.feed(ctx, len(todo), func(job int) {
 		pi := todo[job]
 		c, n := service(pi)
-		reps := make(map[int]int, 1) // profile → its representative's roster index
-		for ci, client := range r.clients {
-			row, tally := c[ci*ncol:(ci+1)*ncol], n[ci*nt:(ci+1)*nt]
-			x := wireCall{ctx: ctx, r: r, host: host, bridge: bridge, client: client, svc: &published[pi]}
-			// Steps 4–5 start only where steps 2–3 succeeded; the
-			// generated proxy's first method is the document's first
-			// operation (unitgen's port-type order).
-			code := r.verdict(x.svc, ci)
-			x.blocked = code.errorAnywhere() || code&codeCompileRan == 0
-			if !x.blocked {
-				x.deployment = deployed[pi]
-			}
-			// Blocked and no-operation rows exchange nothing; the rest
-			// copy their profile's representative once it has run.
-			if !x.blocked && x.op != "" {
-				p := ax.profileOf(client.Name())
-				if rep, ok := reps[p]; ok {
-					copy(row, c[rep*ncol:(rep+1)*ncol])
-					copy(tally, n[rep*nt:(rep+1)*nt])
-					copies[pi] += ncol
-					if ax.copied != nil {
-						ax.copied(&x, row)
-					}
-					continue
-				}
-				reps[p] = ci
-			}
-			ax.exchange(&x, row, tally)
-		}
+		copies[pi] = ax.exchangeService(&stage, &published[pi], &deployed[pi], c, n)
 		// A cancellation may have cut a retry or an exchange short, so
-		// nothing after it journals.
-		if ctx.Err() == nil {
+		// nothing after it journals; without a journal there is no
+		// record to build.
+		if cj != nil && ctx.Err() == nil {
 			cj.append(axisRecord(ax, name, published[pi].Class, c, n))
 		}
 	})
@@ -430,6 +405,60 @@ func (r *Runner) runAxisStage(ctx context.Context, ax *Axis, cj *cellJournal, m 
 	r.completeStage(cj, ax, name, collisions)
 	return nil
 }
+
+// exchangeService runs one service job of a stage, whose context,
+// runner, host and bridge stage carries: it reads each client's
+// step-2/3 verdict, exchanges once per client wire profile — for the
+// profile's first unblocked client in roster order, its representative
+// — and copies that row into the profile's other unblocked clients. c
+// and n are the service's outcome and tally slots, in roster and column
+// order. It returns the number of copied cells.
+func (ax *Axis) exchangeService(stage *wireCall, svc *PublishedService, d *deployment, c []outcome, n []int) (copies int) {
+	ncol, nt := len(ax.columns), ax.tallies
+	// One row state per job, reset for each client: the axis's funcs
+	// take it by pointer, so a per-client literal would move to the
+	// heap once per cell.
+	x := new(wireCall)
+	reps := make([]profileRep, 0, 4) // in roster order of their representatives
+clients:
+	for ci, client := range stage.r.clients {
+		row, tally := c[ci*ncol:(ci+1)*ncol], n[ci*nt:(ci+1)*nt]
+		*x = *stage
+		x.client, x.svc = client, svc
+		// Steps 4–5 start only where steps 2–3 succeeded; the generated
+		// proxy's first method is the document's first operation
+		// (unitgen's port-type order).
+		code := stage.r.verdict(svc, ci)
+		x.blocked = code.errorAnywhere() || code&codeCompileRan == 0
+		if !x.blocked {
+			x.deployment = *d
+		}
+		// Blocked and no-operation rows exchange nothing; the rest copy
+		// their profile's representative once it has run.
+		if !x.blocked && x.op != "" {
+			p := ax.profileOf(client.Name())
+			for _, rep := range reps {
+				if rep.profile != p {
+					continue
+				}
+				copy(row, c[rep.client*ncol:(rep.client+1)*ncol])
+				copy(tally, n[rep.client*nt:(rep.client+1)*nt])
+				copies += ncol
+				if ax.copied != nil {
+					ax.copied(x, row)
+				}
+				continue clients
+			}
+			reps = append(reps, profileRep{profile: p, client: ci})
+		}
+		ax.exchange(x, row, tally)
+	}
+	return copies
+}
+
+// profileRep names the representative of one client wire profile on a
+// service: the roster index of the profile's first exchanged client.
+type profileRep struct{ profile, client int }
 
 // axisRecord encodes one fully exchanged service: every client's
 // outcome codes and tallies, in roster and column order.
@@ -536,13 +565,14 @@ func (d *deployment) echo(resp *soap.Message) (shaped, intact bool) {
 
 // deployPublished deploys every published service once, from the typed
 // document its server emits for the plan's definition — the route the
-// daemon's POST /services takes. The endpoint serves at ?wsdl the bytes
-// Publish rendered, which equal wsdl.Marshal of the typed document, so
-// nothing is serialized again; the wire reference tests deploy from
-// those bytes, parsed, and require the same deployments. Zero-operation
-// documents are rejected by the runtime exactly as FromWSDL defines. A
-// path collision between two services is resolved with a deterministic
-// numeric suffix and counted, so the summary can surface it instead of
+// daemon's POST /services takes. The endpoint keeps that document and
+// the host renders it only when a GET ?wsdl asks, so a stage serializes
+// nothing; the rendered bytes equal the Doc Publish returns, and the
+// wire reference tests deploy from those bytes, parsed, and require the
+// same deployments. Zero-operation documents are rejected by the
+// runtime exactly as FromWSDL defines. A path collision between two
+// services is resolved with a deterministic numeric suffix and
+// counted, so the summary can surface it instead of
 // silently dropping an endpoint.
 func (r *Runner) deployPublished(host *transport.Host, server framework.ServerFramework,
 	defs []services.Definition, published []PublishedService) ([]deployment, int, error) {
@@ -577,7 +607,6 @@ func deploy(host *transport.Host, doc *wsdl.Definitions, svc *PublishedService, 
 	if err != nil {
 		return false // zero-operation services stay undeployed
 	}
-	ep.Description = svc.Doc
 	if err := host.Deploy(ep); err != nil {
 		collided = true
 		base := ep.Path

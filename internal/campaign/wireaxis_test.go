@@ -9,6 +9,7 @@ import (
 	"io"
 	"maps"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -124,12 +125,35 @@ func requireWireReference(t *testing.T, ax *Axis) {
 			}
 			var want deployment
 			deploy(host, doc, &published[i], &want)
-			if !reflect.DeepEqual(got[i], want) {
+			if !sameDeployment(got[i], want) {
 				t.Errorf("%s %s: deployment from the typed document differs from the parsed bytes' one",
 					server.Name(), published[i].Class)
 			}
 		}
 	}
+}
+
+// sameDeployment reports whether two deployments of one service match:
+// the same endpoint, operation and echo request, with the endpoints'
+// descriptions compared by the bytes ?wsdl serves. A parsed document
+// spells out defaults that an emitted one leaves zero (a global
+// element's occurrence bounds), so the typed forms may differ where
+// the rendered ones cannot.
+func sameDeployment(a, b deployment) bool {
+	if (a.ep == nil) != (b.ep == nil) {
+		return false
+	}
+	if a.ep != nil {
+		ra, errA := wsdl.Marshal(a.ep.Definitions)
+		rb, errB := wsdl.Marshal(b.ep.Definitions)
+		if errA != nil || errB != nil || !bytes.Equal(ra, rb) {
+			return false
+		}
+		ea, eb := *a.ep, *b.ep
+		ea.Definitions, eb.Definitions = nil, nil
+		a.ep, b.ep = &ea, &eb
+	}
+	return reflect.DeepEqual(a, b)
 }
 
 // cellOracle is what a wire axis returns and journals when every
@@ -715,15 +739,26 @@ func TestWireAxisContract(t *testing.T) {
 }
 
 // TestDeployServesPublishedBytes holds the stage host to the bytes it
-// serves at ?wsdl: every deployed endpoint's Description, taken from
-// Publish instead of a second render, equals wsdl.Marshal of the typed
-// document the endpoint was derived from.
+// serves at ?wsdl. It deploys as a wire stage does — Publish's entry
+// loop without bytes, then deployPublished — and sends GET <path>?wsdl
+// to every endpoint through the host: the body must equal wsdl.Marshal
+// of the typed document the endpoint was derived from, and the Doc
+// that Publish returns for the class, memo clones included.
 func TestDeployServesPublishedBytes(t *testing.T) {
 	ctx := context.Background()
 	r := newRunner(limitedConfig(60))
-	deployedTotal := 0
+	served, clones, bare := 0, 0, 0
 	for _, server := range r.servers {
 		sp, err := r.planFor(server)
+		if err != nil {
+			t.Fatal(err)
+		}
+		staged, _, err := r.publish(ctx, server, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		host := transport.NewHost()
+		deployed, _, err := r.deployPublished(host, server, sp.defs, staged)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -731,20 +766,34 @@ func TestDeployServesPublishedBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		deployed, _, err := r.deployPublished(transport.NewHost(), server, sp.defs, published)
-		if err != nil {
-			t.Fatal(err)
+		if len(published) != len(staged) {
+			t.Fatalf("%s: Publish returned %d services, the stage's publish %d", server.Name(), len(published), len(staged))
 		}
 		defs := make(map[string]services.Definition, len(sp.defs))
 		for _, def := range sp.defs {
 			defs[def.Parameter.Name] = def
 		}
 		for i, d := range deployed {
+			svc := &staged[i]
+			if svc.Doc == nil {
+				bare++
+			}
 			if d.ep == nil {
 				continue
 			}
-			deployedTotal++
-			doc, err := server.Publish(defs[published[i].Class])
+			served++
+			if svc.memo != nil && svc.memo.rep.Class != svc.Class {
+				clones++
+			}
+			req := httptest.NewRequest(http.MethodGet, "/", nil)
+			req.URL.Path, req.URL.RawQuery = d.ep.Path, "wsdl"
+			rec := httptest.NewRecorder()
+			host.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK {
+				t.Errorf("%s %s: GET ?wsdl status %d: %s", server.Name(), svc.Class, rec.Code, rec.Body.String())
+				continue
+			}
+			doc, err := server.Publish(defs[svc.Class])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -752,22 +801,24 @@ func TestDeployServesPublishedBytes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(d.ep.Description, want) {
-				t.Errorf("%s %s: ?wsdl serves %d bytes that differ from wsdl.Marshal of the deployed document (%d bytes)",
-					server.Name(), published[i].Class, len(d.ep.Description), len(want))
+			if got := rec.Body.Bytes(); !bytes.Equal(got, want) || !bytes.Equal(got, published[i].Doc) {
+				t.Errorf("%s %s: ?wsdl serves %d bytes; wsdl.Marshal of the deployed document is %d bytes (equal: %v), Publish's Doc %d bytes (equal: %v)",
+					server.Name(), svc.Class, len(got), len(want), bytes.Equal(got, want),
+					len(published[i].Doc), bytes.Equal(got, published[i].Doc))
 			}
 		}
 	}
-	if deployedTotal == 0 {
-		t.Fatal("no service deployed")
+	if served == 0 || clones == 0 || bare == 0 {
+		t.Fatalf("served %d endpoints, %d of them memo clones, %d services published without bytes; want each > 0",
+			served, clones, bare)
 	}
 }
 
 // TestWireRowAllocs pins the allocations of one robust row (eleven
-// faulted exchanges) and one versions row (four scenarios) on a
-// service deployed at -limit 2, so per-exchange bookkeeping that
-// nothing reads — a minted trace, a stage-wide response tap — cannot
-// creep back into the rows.
+// faulted exchanges), one versions row (four scenarios) and one whole
+// comm service job on a service deployed at -limit 2, so per-exchange
+// or per-cell bookkeeping that nothing reads — a minted trace, a
+// stage-wide response tap — cannot creep back into the rows.
 func TestWireRowAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -794,6 +845,24 @@ func TestWireRowAllocs(t *testing.T) {
 		}
 		t.Logf("%s row: %.0f allocs", c.ax.name, allocs)
 	}
+
+	// One whole comm service job: the representative's exchange plus
+	// every copied client, whose cells cost no trace hash and no row
+	// state of their own. Measured: 28. With a trace hashed per emitted
+	// cell event, a row state per client and a profile map per job, the
+	// same job took 82.
+	x := deployedRow(t, commAxis)
+	stage := wireCall{ctx: x.ctx, r: x.r, host: x.host, bridge: x.bridge}
+	nc := len(x.r.clients)
+	c, n := make([]outcome, nc), make([]int, nc*commAxis.tallies)
+	if copies := commAxis.exchangeService(&stage, x.svc, &x.deployment, c, n); copies == 0 {
+		t.Fatalf("comm job on %s copied no client", x.svc.Class)
+	}
+	allocs := testing.AllocsPerRun(20, func() { commAxis.exchangeService(&stage, x.svc, &x.deployment, c, n) })
+	if allocs > 30 {
+		t.Errorf("comm job: %.0f allocs, want <= 30", allocs)
+	}
+	t.Logf("comm job: %.0f allocs", allocs)
 }
 
 // deployedRow stages the axis for the roster's first server at -limit

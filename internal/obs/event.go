@@ -8,8 +8,11 @@ import "sync"
 // retention is bounded and arrival order follows scheduling, so events
 // sit outside the determinism contract.
 type Event struct {
-	// Trace is the cell's correlation ID (TraceID over the same
-	// components recorded below).
+	// Trace is the event's correlation ID. An event emitted without
+	// one reads back with its cell's: TraceID(Server, Class, Client),
+	// derived by Events, so emitting a cell hashes nothing and a read
+	// hashes at most the ring. Plan, resume and daemon events carry
+	// their own.
 	Trace string `json:"trace"`
 	// Stage names the lifecycle stage ("publish", "wsi", "generate",
 	// "compile", "communication", "robustness").
@@ -53,14 +56,20 @@ func (l *EventLog) Append(e Event) {
 	l.mu.Unlock()
 }
 
-// Events returns the retained events, oldest first.
+// Events returns the retained events, oldest first, each with its
+// trace: an empty one is filled with TraceID(Server, Class, Client).
 func (l *EventLog) Events() []Event {
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	out := make([]Event, 0, l.len)
 	start := (l.next - l.len + eventLogCap) % eventLogCap
 	for i := 0; i < l.len; i++ {
 		out = append(out, l.ring[(start+i)%eventLogCap])
+	}
+	l.mu.Unlock()
+	for i := range out {
+		if e := &out[i]; e.Trace == "" {
+			e.Trace = TraceID(e.Server, e.Class, e.Client)
+		}
 	}
 	return out
 }

@@ -169,6 +169,76 @@ func TestTraceIDDeterministicAndDistinct(t *testing.T) {
 	}
 }
 
+// TestTraceIDGolden pins the IDs themselves, not just their
+// properties: journals, fingerprints and shard leases persist them, so
+// a rewrite of the hash path must mint the same strings.
+func TestTraceIDGolden(t *testing.T) {
+	for _, c := range []struct {
+		components []string
+		want       string
+	}{
+		{nil, "e3b0c44298fc1c14"},
+		{[]string{""}, "af5570f5a1810b7a"},
+		{[]string{"", ""}, "374708fff7719dd5"},
+		{[]string{"ab", "c"}, "601d5476e2ccfe2c"},
+		{[]string{"a", "bc"}, "3fafa1cf2f19a7c1"},
+		{[]string{"Metro", "java.lang.String", "gSOAP"}, "948ca0b00cb16cb2"},
+		{[]string{"Metro", "java.lang.String", "gSOAP2"}, "68e6e995a3e6f926"},
+		{[]string{"Metro", "resume"}, "b19aa0e7ce0fa36b"},
+		{[]string{"daemon", "c1"}, "b0a45ba43ac8d903"},
+		{[]string{"shard-lease", "fp", "0", "2"}, "42f510b263316c6d"},
+		{[]string{"wsinterop-plan-v1", "0123456789abcdef", "1/2"}, "fc1fa34342022179"},
+		{[]string{"ünïcødé", "\x00\xff"}, "8a6ebe90a4e75897"},
+		// Longer than the stack buffer.
+		{[]string{strings.Repeat("x", 1000), "y"}, "147ddcf4da06c493"},
+	} {
+		if got := TraceID(c.components...); got != c.want {
+			t.Errorf("TraceID(%q) = %s, want %s", c.components, got, c.want)
+		}
+	}
+}
+
+// TestTraceIDAllocs pins a cell ID to one allocation: the returned
+// string.
+func TestTraceIDAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	allocs := testing.AllocsPerRun(100, func() { _ = TraceID("Metro", "java.lang.String", "gSOAP") })
+	if allocs > 1 {
+		t.Errorf("TraceID: %.0f allocs per call, want <= 1", allocs)
+	}
+}
+
+// TestEventTraceOnRead holds the event log to the trace it derives on
+// read: an event emitted without a trace reads back with its cell's
+// TraceID(Server, Class, Client), an explicit trace is kept, and a read
+// leaves Dropped as it was.
+func TestEventTraceOnRead(t *testing.T) {
+	var l EventLog
+	for i := 0; i < eventLogCap+2; i++ {
+		l.Append(Event{Stage: "communication", Server: "Metro", Class: "java.lang.String", Client: "gSOAP"})
+	}
+	l.Append(Event{Trace: "explicit", Stage: "plan", Server: "Metro"})
+	dropped := l.Dropped()
+	events := l.Events()
+	if len(events) != eventLogCap {
+		t.Fatalf("retained = %d, want %d", len(events), eventLogCap)
+	}
+	cell := TraceID("Metro", "java.lang.String", "gSOAP")
+	for _, e := range events[:len(events)-1] {
+		if e.Trace != cell {
+			t.Fatalf("traceless event reads back with trace %q, want TraceID(server, class, client) = %q", e.Trace, cell)
+		}
+	}
+	if e := events[len(events)-1]; e.Trace != "explicit" {
+		t.Errorf("explicit trace read back as %q", e.Trace)
+	}
+	if dropped != 3 || l.Dropped() != dropped {
+		t.Errorf("dropped = %d before the read and %d after, want 3 both times", dropped, l.Dropped())
+	}
+}
+
 func TestEventLogRing(t *testing.T) {
 	var l EventLog
 	for i := 0; i < eventLogCap+10; i++ {

@@ -51,9 +51,12 @@ type Endpoint struct {
 	// present the host validates incoming payloads against it (the
 	// Execution step's deserialization checks).
 	Inputs map[string][]FieldSpec
-	// Description is the serialized WSDL served at GET <path>?wsdl —
-	// the discovery convention every framework of the study supports.
-	Description []byte
+	// Definitions is the typed description the endpoint was derived
+	// from. The host renders it with wsdl.Marshal at each GET
+	// <path>?wsdl — the discovery convention every framework of the
+	// study supports — so an endpoint whose description nobody asks for
+	// never holds its bytes. Nil serves no description (404).
+	Definitions *wsdl.Definitions
 }
 
 // SampleValue returns a lexically valid sample for a field, carrying
@@ -89,10 +92,9 @@ func SampleValue(spec FieldSpec, payload string) string {
 
 // FromWSDL derives the endpoint dispatch table from a service
 // description. It returns an error when the description declares no
-// operations — a live deployment of the "unusable WSDL" finding. It
-// leaves Description empty: a caller that serves ?wsdl fills it with
-// the serialized document (DeployWSDL marshals it; the campaign's
-// stage hosts reuse the bytes Publish rendered).
+// operations — a live deployment of the "unusable WSDL" finding. The
+// endpoint keeps d as its Definitions, which the host renders at
+// ?wsdl, so the caller must not change d once the endpoint serves.
 func FromWSDL(d *wsdl.Definitions) (*Endpoint, error) {
 	if d.OperationCount() == 0 {
 		return nil, fmt.Errorf("transport: description %q declares no operations", d.Name)
@@ -102,7 +104,8 @@ func FromWSDL(d *wsdl.Definitions) (*Endpoint, error) {
 		Namespace: d.TargetNamespace,
 		Operations: make(map[string]string,
 			d.OperationCount()),
-		Inputs: make(map[string][]FieldSpec, d.OperationCount()),
+		Inputs:      make(map[string][]FieldSpec, d.OperationCount()),
+		Definitions: d,
 	}
 	for _, pt := range d.PortTypes {
 		for _, op := range pt.Operations {
@@ -243,14 +246,11 @@ func (h *Host) Deploy(ep *Endpoint) error {
 }
 
 // DeployWSDL derives an endpoint from a description and deploys it,
-// serving the serialized description at GET <path>?wsdl.
+// serving the description, rendered per request, at GET <path>?wsdl.
 func (h *Host) DeployWSDL(d *wsdl.Definitions) (*Endpoint, error) {
 	ep, err := FromWSDL(d)
 	if err != nil {
 		return nil, err
-	}
-	if ep.Description, err = wsdl.Marshal(d); err != nil {
-		return nil, fmt.Errorf("transport: serialize description: %w", err)
 	}
 	if err := h.Deploy(ep); err != nil {
 		return nil, err
@@ -310,15 +310,20 @@ func (h *Host) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if _, ok := r.URL.Query()["wsdl"]; ok {
-			if len(ep.Description) == 0 {
+			if ep.Definitions == nil {
 				// The client asked the right question of the right
 				// endpoint; a 405 "accept POST (or GET ?wsdl)" here would
 				// point at the method, not the real problem.
 				http.Error(w, "no description published for this endpoint", http.StatusNotFound)
 				return
 			}
+			raw, err := wsdl.Marshal(ep.Definitions)
+			if err != nil {
+				http.Error(w, "render description: "+err.Error(), http.StatusInternalServerError)
+				return
+			}
 			w.Header().Set("Content-Type", "text/xml; charset=utf-8")
-			_, _ = w.Write(ep.Description)
+			_, _ = w.Write(raw)
 			return
 		}
 		http.Error(w, "SOAP endpoints accept POST (or GET ?wsdl)", http.StatusMethodNotAllowed)

@@ -267,7 +267,7 @@ func BenchmarkCommunication(b *testing.B) {
 	client := transport.NewClient(nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := client.Invoke(context.Background(), base+ep.Path, "", req); err != nil {
+		if _, err := client.Invoke(context.Background(), base+ep.Path, req); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -275,9 +275,9 @@ func BenchmarkCommunication(b *testing.B) {
 
 // localExchange builds the in-process echo exchange of the
 // communication campaign: the echoService host behind a WS-I message
-// sniffer, reached through a LocalBridge. It returns the bridge, the
-// endpoint path and the request.
-func localExchange(tb testing.TB) (*transport.LocalBridge, string, *soap.Message) {
+// sniffer, reached through an in-process client. It returns the
+// client, the endpoint path and the request.
+func localExchange(tb testing.TB) (*transport.Client, string, *soap.Message) {
 	tb.Helper()
 	host, ep, req := echoService(tb)
 	return transport.NewLocalBridge(transport.NewSniffer(host, wsi.NewChecker())), ep.Path, req

@@ -77,7 +77,7 @@ func run() error {
 		Local:     def.OperationName,
 		Fields:    map[string]string{"input": "interoperability achieved"},
 	}
-	resp, err := client.Invoke(ctx, base+ep.Path, "", req)
+	resp, err := client.Invoke(ctx, base+ep.Path, req)
 	if err != nil {
 		return fmt.Errorf("invoke: %w", err)
 	}
@@ -86,7 +86,7 @@ func run() error {
 
 	// Fault path: unknown operation.
 	bad := &soap.Message{Namespace: ep.Namespace, Local: "noSuchOperation"}
-	if _, err := client.Invoke(ctx, base+ep.Path, "", bad); err != nil {
+	if _, err := client.Invoke(ctx, base+ep.Path, bad); err != nil {
 		var fault *soap.Fault
 		if errors.As(err, &fault) {
 			fmt.Printf("fault handling works: %s\n", fault)

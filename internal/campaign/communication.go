@@ -210,7 +210,7 @@ func (x *wireCall) communicate(tally []int) outcome {
 		return commNoOperations
 	}
 	sniffer := transport.NewSniffer(x.host, x.r.checker).WithObs(x.r.obs)
-	resp, err := x.invoke(x.bridge.WithHandler(sniffer))
+	resp, err := x.invoke(x.via(sniffer))
 	tally[0], tally[1] = sniffer.Exchanges(), len(sniffer.Findings())
 	if err != nil {
 		return commFault

@@ -155,7 +155,7 @@ func robustRow(x *wireCall, row []outcome, _ []int) {
 	// actually stalling thousands of cells.
 	inj.Sleep = func(time.Duration) {}
 	inj.Obs = x.r.obs
-	bridge := x.bridge.WithRetry(robustRetry).WithHandler(inj)
+	bridge := x.via(inj).WithRetry(robustRetry)
 	for col, f := range robustFaults {
 		inj.Arm(f)
 		resp, err := x.invoke(bridge)

@@ -6,8 +6,8 @@ package campaign
 // POST work to, not a batch job. The daemon multiplexes concurrent
 // campaigns (each on its own metrics registry), streams progress as
 // NDJSON while a campaign runs, and serves published WSDLs over real
-// TCP through transport.Host instead of the in-process LocalBridge —
-// the same HTTP surface, one hardened http.Server.
+// TCP through transport.Host — the host the wire axes serve in
+// process, behind one hardened http.Server.
 //
 // API (all JSON):
 //

@@ -262,7 +262,7 @@ func TestDaemonRequestErrors(t *testing.T) {
 // TestDaemonServesWSDLOverTCP is the daemon acceptance check for the
 // transport half: POST /services publishes a class on a framework, and
 // both its WSDL and its live SOAP endpoint answer over a real TCP
-// listener (transport.Host), not the in-process LocalBridge.
+// listener (transport.Host), not an in-process client.
 func TestDaemonServesWSDLOverTCP(t *testing.T) {
 	d := NewDaemon(nil)
 	base, err := d.Start("127.0.0.1:0", nil)
@@ -330,7 +330,7 @@ func TestDaemonServesWSDLOverTCP(t *testing.T) {
 	// The live SOAP endpoint over TCP.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	reply, err := transport.NewClient(nil).Invoke(ctx, base+pub.Path, "", &soap.Message{
+	reply, err := transport.NewClient(nil).Invoke(ctx, base+pub.Path, &soap.Message{
 		Namespace: pub.Namespace,
 		Local:     "echo",
 		Fields:    map[string]string{"input": "ping"},

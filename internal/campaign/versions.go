@@ -246,7 +246,7 @@ func versionRow(x *wireCall, row []outcome, _ []int) {
 		return
 	}
 	wire := versionWire{next: x.host}
-	bridge := x.bridge.WithStrictness(framework.VersionStrictness(x.client.Name())).WithHandler(&wire)
+	bridge := x.via(&wire).WithStrictness(framework.VersionStrictness(x.client.Name()))
 	for col, sc := range versionScenarios {
 		// Reset the tap too: an exchange that never reaches the host
 		// leaves nothing to detect.

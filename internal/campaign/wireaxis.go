@@ -160,21 +160,38 @@ type wireCall struct {
 	r   *Runner
 	// host is the stage host, which a row's middleware wraps.
 	host http.Handler
-	// bridge is the stage's bridge over host, metered into the runner's
-	// registry; exchanges derive their per-cell copies from it.
-	bridge *transport.LocalBridge
+	// bridge is the stage's in-process client over host, metered into
+	// the runner's registry; exchanges derive their per-cell copies
+	// from it.
+	bridge *transport.Client
 	client framework.ClientFramework
 	svc    *PublishedService
 	// blocked marks a combination whose static steps failed. The
 	// deployment is zero when blocked; its op is empty too when the
 	// artifacts expose nothing (the silent no-operation stubs).
 	blocked bool
+	// loopback, when set, replaces bridge.WithHandler for the rows
+	// (via): the test-side network oracle serves the row's middleware
+	// on a loopback server and returns its networked client, and its
+	// rows' endpoint paths are URLs on that server. Production leaves
+	// it nil.
+	loopback func(h http.Handler) *transport.Client
 	deployment
 }
 
-// invoke sends the service's echo request through bridge.
-func (x *wireCall) invoke(bridge *transport.LocalBridge) (*soap.Message, error) {
-	return bridge.Invoke(x.ctx, x.ep.Path, x.req)
+// via returns the client a row invokes its middleware h with: a copy
+// of the stage's in-process client over h, or what loopback returns
+// for h.
+func (x *wireCall) via(h http.Handler) *transport.Client {
+	if x.loopback == nil {
+		return x.bridge.WithHandler(h)
+	}
+	return x.loopback(h)
+}
+
+// invoke sends the service's echo request through client.
+func (x *wireCall) invoke(client *transport.Client) (*soap.Message, error) {
+	return client.Invoke(x.ctx, x.ep.Path, x.req)
 }
 
 // Matrix is the fold of one wire axis run: outcome histograms per
@@ -347,7 +364,7 @@ func (r *Runner) runAxisStage(ctx context.Context, ax *Axis, cj *cellJournal, m 
 	if ax.version != nil {
 		host.SetVersionPolicy(ax.version(name))
 	}
-	bridge := host.Local().WithObs(r.obs)
+	bridge := transport.NewLocalBridge(host).WithObs(r.obs)
 	deployed, collisions, err := r.deployPublished(host, server, sp.defs, published)
 	if err != nil {
 		return err

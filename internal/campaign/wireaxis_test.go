@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"wsinterop/internal/journal"
@@ -161,6 +162,8 @@ func sameDeployment(a, b deployment) bool {
 type cellOracle struct {
 	res  WireResult
 	recs map[journal.Key]journal.Record
+	// reg is the run's registry.
+	reg *obs.Registry
 	// attempts counts the exchanges the rows made and exchanged the
 	// rows that reached the wire: the transport.attempts and exchanged
 	// cells of a run with no memo.
@@ -179,12 +182,31 @@ type cellOracle struct {
 // its clients put the same bytes on the wire.
 func wireOracle(t *testing.T, cfg config, ax *Axis) *cellOracle {
 	t.Helper()
+	return cellOracleRun(t, cfg, ax, false)
+}
+
+// netOracle is wireOracle over real HTTP. Each server stage gets one
+// loopback httptest.Server, reached through its keep-alive transport,
+// and every row's middleware — its sniffer, armed injector or version
+// wire — becomes the server's handler before the row sends
+// (wireCall.loopback), so the socket serves that row's own chain. A
+// difference from wireOracle is behaviour the in-process bridge does
+// not preserve.
+func netOracle(t *testing.T, cfg config, ax *Axis) *cellOracle {
+	t.Helper()
+	return cellOracleRun(t, cfg, ax, true)
+}
+
+// cellOracleRun runs wireOracle, in process or, with overHTTP, as
+// netOracle.
+func cellOracleRun(t *testing.T, cfg config, ax *Axis, overHTTP bool) *cellOracle {
+	t.Helper()
 	ctx := context.Background()
 	reg := obs.NewRegistry()
 	cfg.Obs, cfg.Workers, cfg.Checkpoint, cfg.Resume = reg, 1, "", false
 	r := newRunner(cfg)
 	m := r.newMatrix(ax)
-	o := &cellOracle{recs: make(map[journal.Key]journal.Record)}
+	o := &cellOracle{recs: make(map[journal.Key]journal.Record), reg: reg}
 	nc, ncol, nt := len(r.clients), len(ax.columns), ax.tallies
 	for si, server := range r.servers {
 		sp, err := r.planFor(server)
@@ -199,7 +221,19 @@ func wireOracle(t *testing.T, cfg config, ax *Axis) *cellOracle {
 		if ax.version != nil {
 			host.SetVersionPolicy(ax.version(server.Name()))
 		}
-		bridge := host.Local().WithObs(r.obs)
+		bridge := transport.NewLocalBridge(host).WithObs(r.obs)
+		var srv *httptest.Server
+		var loopback func(http.Handler) *transport.Client
+		if overHTTP {
+			serving := new(swapHandler)
+			srv = httptest.NewServer(serving)
+			t.Cleanup(srv.Close)
+			netClient := transport.NewClient(srv.Client()).WithObs(r.obs)
+			loopback = func(h http.Handler) *transport.Client {
+				serving.set(h)
+				return netClient
+			}
+		}
 		deployed, collisions, err := r.deployPublished(host, server, sp.defs, published)
 		if err != nil {
 			t.Fatalf("deploy on %s: %v", server.Name(), err)
@@ -218,6 +252,16 @@ func wireOracle(t *testing.T, cfg config, ax *Axis) *cellOracle {
 				if !x.blocked {
 					x.deployment = deployed[pi]
 				}
+				if overHTTP {
+					// No row may reach the host in process, and every row
+					// targets its endpoint's URL on the loopback server.
+					x.bridge, x.loopback = nil, loopback
+					if x.ep != nil {
+						ep := *x.ep
+						ep.Path = srv.URL + ep.Path
+						x.ep = &ep
+					}
+				}
 				ax.exchange(&x, c[ci*ncol:(ci+1)*ncol], n[ci*nt:(ci+1)*nt])
 				if tap.log.Len() == 0 {
 					continue
@@ -234,11 +278,36 @@ func wireOracle(t *testing.T, cfg config, ax *Axis) *cellOracle {
 			rec := axisRecord(ax, server.Name(), published[pi].Class, c, n)
 			o.recs[rec.Key()] = rec
 		}
+		if srv != nil {
+			// Close waits for every handler the stage started, so the
+			// server-side counters are final.
+			srv.Close()
+		}
 		fold(m, r.met.axisCounters(ax), si, codes, tallies)
 		o.recs[journal.Key{Server: server.Name()}] = journal.Record{Server: server.Name(), Mode: ax.complete(), Collisions: collisions}
 	}
 	o.res, o.attempts = ax.result(m), int(reg.Counter("transport.attempts").Value())
 	return o
+}
+
+// swapHandler serves with the handler set last: a loopback server's
+// handler, which netOracle points at each row's middleware in turn.
+type swapHandler struct {
+	mu sync.Mutex
+	h  http.Handler
+}
+
+func (s *swapHandler) set(h http.Handler) {
+	s.mu.Lock()
+	s.h = h
+	s.mu.Unlock()
+}
+
+func (s *swapHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	s.mu.Lock()
+	h := s.h
+	s.mu.Unlock()
+	h.ServeHTTP(w, r)
 }
 
 // wireTap sits between a row's middleware and the stage host and logs
@@ -427,6 +496,71 @@ func TestWireCellOracle(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestNetOracle holds the in-process bridge to real HTTP. On each wire
+// axis, at the contract suite's limits, netOracle — every row's
+// exchange over a loopback socket — must return wireOracle's result
+// and journal records, and every transport.*, sniffer.* and
+// faultinject.* counter must read the same. TestWireCellOracle ties
+// wireOracle to the production executor, so production's in-process
+// matrices are what the network returns.
+func TestNetOracle(t *testing.T) {
+	for _, m := range wireModes {
+		t.Run(m.axis.name, func(t *testing.T) {
+			limit := m.limit
+			if testing.Short() {
+				limit = m.short
+			}
+			want := wireOracle(t, config{Limit: limit}, m.axis)
+			got := netOracle(t, config{Limit: limit}, m.axis)
+			gotBytes, _ := json.Marshal(got.res)
+			wantBytes, _ := json.Marshal(want.res)
+			if string(gotBytes) != string(wantBytes) || !reflect.DeepEqual(got.res, want.res) {
+				t.Errorf("result over HTTP differs from the in-process oracle:\nhttp:       %s\nin process: %s", gotBytes, wantBytes)
+			}
+			for k, rec := range want.recs {
+				if g, ok := got.recs[k]; !ok || !reflect.DeepEqual(g, rec) {
+					t.Errorf("record %v over HTTP = %+v, in process %+v", k, g, rec)
+				}
+			}
+			if len(got.recs) != len(want.recs) {
+				t.Errorf("%d records over HTTP, %d in process", len(got.recs), len(want.recs))
+			}
+			if got.exchanged != want.exchanged || len(got.clashes) != len(want.clashes) {
+				t.Errorf("%d exchanged rows and %d clashes over HTTP, %d and %d in process",
+					got.exchanged, len(got.clashes), want.exchanged, len(want.clashes))
+			}
+			gotN, wantN := wireCounters(got.reg), wireCounters(want.reg)
+			for name := range wantN {
+				if _, ok := gotN[name]; !ok {
+					gotN[name] = 0
+				}
+			}
+			for name, n := range gotN {
+				if n != wantN[name] {
+					t.Errorf("%s = %d over HTTP, %d in process", name, n, wantN[name])
+				}
+			}
+			if wantN["transport.attempts"] == 0 {
+				t.Error("the oracles exchanged nothing")
+			}
+		})
+	}
+}
+
+// wireCounters returns a registry's transport.*, sniffer.* and
+// faultinject.* counters by name.
+func wireCounters(reg *obs.Registry) map[string]int64 {
+	out := make(map[string]int64)
+	for _, c := range reg.Snapshot().Counters {
+		for _, prefix := range []string{"transport.", "sniffer.", "faultinject."} {
+			if strings.HasPrefix(c.Name, prefix) {
+				out[c.Name] = c.Value
+			}
+		}
+	}
+	return out
 }
 
 // TestWireProfileGuard shows the oracle's profile guard bites: an axis
@@ -889,7 +1023,7 @@ func deployedRow(t *testing.T, ax *Axis) *wireCall {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bridge := host.Local().WithObs(r.obs)
+	bridge := transport.NewLocalBridge(host).WithObs(r.obs)
 	for pi := range published {
 		for ci, client := range r.clients {
 			code := r.verdict(&published[pi], ci)

@@ -1,8 +1,9 @@
 // Package faultinject implements a wire-level fault-injection harness
 // for the Communication and Execution steps (4–5 of the paper's
 // Fig. 1). An Injector is http.Handler middleware — composable with
-// transport.Sniffer and drivable through transport.Client or
-// transport.LocalBridge — that corrupts the response of the handler it
+// transport.Sniffer and drivable through a transport.Client in either
+// mode, in process or behind a real http.Server, with the same
+// client-visible effect — that corrupts the response of the handler it
 // wraps according to the fault it is armed with: truncated envelopes,
 // non-XML error pages, wrong content types, empty or oversized bodies,
 // duplicated or renamed payload children, delays, and connection
@@ -112,8 +113,9 @@ const delayPause = time.Millisecond
 // Injector is the fault-injecting middleware. An unarmed injector, or
 // one armed with the zero Fault, passes every request through
 // untouched, so it can stay permanently composed into a handler chain.
-// Arm is not synchronized with ServeHTTP: arm a networked injector
-// before its server starts.
+// Arm is synchronized with ServeHTTP, so its owner may re-arm an
+// injector a server still serves: over HTTP, a client whose connection
+// the abort fault dropped cannot tell when the handler returned.
 type Injector struct {
 	next http.Handler
 	// Sleep overrides the KindDelay sleeper. The campaign installs a
@@ -127,9 +129,10 @@ type Injector struct {
 	// responses; KindOversize pads inside its closing Envelope tag. Nil
 	// means SOAP 1.1, the historical wire format.
 	codec soap.Codec
-	// fault is the armed fault; attempts counts the requests served
-	// since Arm, and counted holds the counters a fired fault of its
-	// kind increments.
+	// mu guards fault and counted. fault is the armed fault; attempts
+	// counts the requests served since Arm, and counted holds the
+	// counters a fired fault of its kind increments.
+	mu       sync.Mutex
 	fault    Fault
 	attempts atomic.Int64
 	counted  [2]*obs.Counter
@@ -160,20 +163,22 @@ func (i *Injector) WithCodec(c soap.Codec) *Injector {
 // Arm sets the fault the following requests get, zeroes the attempt
 // count and resolves the counters the fault's kind fires.
 func (i *Injector) Arm(f Fault) {
-	i.fault = f
-	i.attempts.Store(0)
-	i.counted = [2]*obs.Counter{}
+	var counted [2]*obs.Counter
 	if name, ok := kindCounters[f.Kind]; ok {
-		i.counted = [2]*obs.Counter{i.Obs.Counter("faultinject.injected"), i.Obs.Counter(name)}
+		counted = [2]*obs.Counter{i.Obs.Counter("faultinject.injected"), i.Obs.Counter(name)}
 	}
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	i.fault, i.counted = f, counted
+	i.attempts.Store(0)
 }
 
 // Attempts returns the number of requests served since Arm.
 func (i *Injector) Attempts() int { return int(i.attempts.Load()) }
 
-// record counts one fired fault of the armed kind.
-func (i *Injector) record() {
-	for _, c := range i.counted {
+// record counts one fired fault: counted is the armed kind's counters.
+func record(counted [2]*obs.Counter) {
+	for _, c := range counted {
 		c.Inc()
 	}
 }
@@ -183,21 +188,24 @@ var _ http.Handler = (*Injector)(nil)
 // ServeHTTP implements http.Handler. An unknown kind answers 500 and
 // is not counted: arbitrary kinds must not mint counter names.
 func (i *Injector) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	i.mu.Lock()
 	attempt := i.attempts.Add(1)
-	kind := i.fault.Kind
-	if kind == "" || (i.fault.Times > 0 && attempt > int64(i.fault.Times)) {
+	kind, times, counted := i.fault.Kind, i.fault.Times, i.counted
+	i.mu.Unlock()
+	if kind == "" || (times > 0 && attempt > int64(times)) {
 		i.next.ServeHTTP(w, r)
 		return
 	}
 	switch kind {
 	case KindAbort:
-		i.record()
+		record(counted)
 		// The stdlib convention for dropping the connection: a real
-		// http.Server closes the socket, LocalBridge maps it to
+		// http.Server closes the socket, an in-process client recovers
+		// the panic; either way the client reports
 		// transport.ErrAborted.
 		panic(http.ErrAbortHandler)
 	case KindDelay:
-		i.record()
+		record(counted)
 		if i.Sleep != nil {
 			i.Sleep(delayPause)
 		} else {
@@ -206,7 +214,7 @@ func (i *Injector) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		i.next.ServeHTTP(w, r)
 	case KindTruncate, KindHTMLError, KindStatus500, KindWrongContentType,
 		KindEmptyBody, KindOversize, KindDuplicateChild, KindRenameChild:
-		i.record()
+		record(counted)
 		rec := transport.NewCapture(0)
 		i.next.ServeHTTP(rec, r)
 		status, ctype, body := i.mutate(kind, rec.Status(), rec.Header().Get("Content-Type"), rec.Body())

@@ -64,8 +64,8 @@ func TestPassthroughWithoutDirective(t *testing.T) {
 	}
 }
 
-// TestFaultKinds drives every catalog fault end to end through a
-// LocalBridge and asserts the client-visible effect.
+// TestFaultKinds drives every catalog fault end to end through an
+// in-process client and asserts the client-visible effect.
 func TestFaultKinds(t *testing.T) {
 	inj := New(echoHandler(t))
 	inj.Sleep = func(time.Duration) {} // keep the delay fault instant
@@ -180,6 +180,28 @@ func TestTransientFaultWithoutRetryFails(t *testing.T) {
 	_, err := invokeFaulted(t, inj, Fault{Kind: KindAbort, Times: 1})
 	if !errors.Is(err, transport.ErrAborted) {
 		t.Fatalf("single attempt must still hit the transient fault, got %v", err)
+	}
+}
+
+// TestRearmBehindServer re-arms one injector behind a live server
+// after each dropped connection, as a robust row does over HTTP. The
+// client sees a closed socket, which orders nothing after the
+// handler's return, so Arm must synchronize with the handler's read of
+// the armed fault: run it with -race.
+func TestRearmBehindServer(t *testing.T) {
+	inj := New(echoHandler(t))
+	srv := httptest.NewServer(inj)
+	defer srv.Close()
+	client := transport.NewClient(srv.Client())
+	for range 20 {
+		inj.Arm(Fault{Name: "abort", Kind: KindAbort})
+		if _, err := client.Invoke(context.Background(), srv.URL+"/svc", echoRequest()); !errors.Is(err, transport.ErrAborted) {
+			t.Fatalf("armed abort: want ErrAborted, got %v", err)
+		}
+		inj.Arm(Fault{})
+		if _, err := client.Invoke(context.Background(), srv.URL+"/svc", echoRequest()); err != nil {
+			t.Fatalf("unarmed: %v", err)
+		}
 	}
 }
 

@@ -114,7 +114,7 @@ func TestOversizeRefusedOverNetwork(t *testing.T) {
 	srv := httptest.NewServer(oversize())
 	defer srv.Close()
 
-	_, err := transport.NewClient(nil).Invoke(context.Background(), srv.URL+"/svc", "", echoRequest())
+	_, err := transport.NewClient(nil).Invoke(context.Background(), srv.URL+"/svc", echoRequest())
 	var de *soap.DecodeError
 	if !errors.As(err, &de) || !strings.Contains(de.Reason, "read budget") {
 		t.Fatalf("networked oversize: want the read-budget *soap.DecodeError, got %v", err)
@@ -131,7 +131,7 @@ func TestOversizeRefusedOverNetwork(t *testing.T) {
 	defer clean.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if _, err := transport.NewClient(nil).Invoke(ctx, clean.URL+"/svc", "", echoRequest()); err != nil {
+	if _, err := transport.NewClient(nil).Invoke(ctx, clean.URL+"/svc", echoRequest()); err != nil {
 		t.Errorf("clean invoke after oversize: %v", err)
 	}
 }

@@ -70,7 +70,8 @@ func paddedRequest(t *testing.T, size int) (*soap.Message, []byte) {
 	return msg, body
 }
 
-// TestBridgeRequestBody pins what a handler behind LocalBridge reads:
+// TestBridgeRequestBody pins what a handler behind an in-process client
+// reads:
 // the marshalled envelope, with ContentLength equal to its length (a
 // handler may size its read by it), on every retry attempt.
 func TestBridgeRequestBody(t *testing.T) {
@@ -150,7 +151,7 @@ func TestPartlyReadBodyReachesSnifferAndHost(t *testing.T) {
 }
 
 // TestSnifferFlagsOverBudgetRequest sends requests of exactly the
-// request budget and one byte more, through a LocalBridge and over TCP.
+// request budget and one byte more, in process and over TCP.
 // The longer one's first maxRequestBytes bytes are a complete envelope
 // (only the trailing newline is cut), so only the byte read past the
 // budget shows the truncation: the sniffer must flag it (RM9980) and

@@ -46,22 +46,23 @@ func chunkedHandler(body []byte, chunk int) http.Handler {
 	})
 }
 
-// invokeBoth sends one echo request through a LocalBridge and through
-// a networked Client to the same handler.
+// invokeBoth sends one echo request to the same handler in each client
+// mode: in process ("bridge") and over loopback HTTP ("client").
 func invokeBoth(t *testing.T, h http.Handler) (bridgeResp *soap.Message, bridgeErr error,
 	clientResp *soap.Message, clientErr error) {
 	t.Helper()
 	req := &soap.Message{Namespace: "urn:test", Local: "echo",
 		Fields: map[string]string{"input": "ping"}}
-	bridgeResp, bridgeErr = NewLocalBridge(h).Invoke(context.Background(), "/svc", req)
-	srv := httptest.NewServer(h)
-	defer srv.Close()
-	clientResp, clientErr = NewClient(nil).Invoke(context.Background(), srv.URL, "", req)
-	return
+	resps, errs := make([]*soap.Message, len(clientModes)), make([]error, len(clientModes))
+	for i, mode := range clientModes {
+		client, base := mode.open(t, h)
+		resps[i], errs[i] = client.Invoke(context.Background(), base+"/svc", req)
+	}
+	return resps[0], errs[0], resps[1], errs[1]
 }
 
-// TestReadBudgetParity checks that LocalBridge and Client draw the
-// read budget at the same byte: a response of exactly maxResponseBytes
+// TestReadBudgetParity checks that both client modes draw the read
+// budget at the same byte: a response of exactly maxResponseBytes
 // decodes on both, one byte more is the same read-budget
 // *soap.DecodeError on both, however the handler splits its writes.
 func TestReadBudgetParity(t *testing.T) {

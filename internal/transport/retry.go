@@ -18,10 +18,10 @@ import (
 // before a complete response could be read.
 var ErrAborted = errors.New("transport: connection aborted")
 
-// maxResponseBytes is the response read budget shared by Client and
-// LocalBridge. Client reads at most one byte past it, LocalBridge
-// stores at most the budget itself; either way a longer response is
-// refused with errReadBudget before any parse.
+// maxResponseBytes is the response read budget of both client modes.
+// Over the network a client reads at most one byte past it, in process
+// its capture stores at most the budget itself; either way a longer
+// response is refused with errReadBudget before any parse.
 const maxResponseBytes = 1 << 20
 
 // maxRequestBytes is the request read budget shared by Host and
@@ -98,7 +98,7 @@ func snippet(body []byte) string {
 }
 
 // decodeResponse is the status-, version- and strictness-aware decode
-// shared by Client and LocalBridge:
+// of both client modes:
 //
 //   - a response whose detected version contradicts the pinned codec
 //     is a *VersionMismatchError under StrictReject — the typed

@@ -117,17 +117,43 @@ func TestStatusDecodeMatrix(t *testing.T) {
 		}
 	}
 
-	for _, c := range cases {
-		t.Run("bridge/"+c.name, func(t *testing.T) {
-			bridge := NewLocalBridge(cannedHandler(c.status, c.contentType, c.body(t)))
-			resp, err := bridge.Invoke(context.Background(), "/svc", req)
-			check(t, c, resp, err)
+	for _, mode := range clientModes {
+		t.Run(mode.name, func(t *testing.T) {
+			for _, c := range cases {
+				t.Run(c.name, func(t *testing.T) {
+					client, base := mode.open(t, cannedHandler(c.status, c.contentType, c.body(t)))
+					resp, err := client.Invoke(context.Background(), base+"/svc", req)
+					check(t, c, resp, err)
+				})
+			}
 		})
-		t.Run("client/"+c.name, func(t *testing.T) {
-			srv := httptest.NewServer(cannedHandler(c.status, c.contentType, c.body(t)))
-			defer srv.Close()
-			resp, err := NewClient(nil).Invoke(context.Background(), srv.URL, "", req)
-			check(t, c, resp, err)
+	}
+}
+
+// clientModes are the two ways a Client moves an attempt's bytes, as
+// the parity tests name their subtests: in process into a handler, and
+// over a loopback httptest.Server serving it. open returns the client
+// and the prefix that turns an endpoint path into its target.
+var clientModes = []struct {
+	name string
+	open func(t *testing.T, h http.Handler) (c *Client, base string)
+}{
+	{"bridge", func(_ *testing.T, h http.Handler) (*Client, string) { return NewLocalBridge(h), "" }},
+	{"client", func(t *testing.T, h http.Handler) (*Client, string) {
+		srv := httptest.NewServer(h)
+		t.Cleanup(srv.Close)
+		return NewClient(srv.Client()), srv.URL
+	}},
+}
+
+// eachMode runs f over h once per client mode, as a subtest named for
+// the mode.
+func eachMode(t *testing.T, h http.Handler, f func(t *testing.T, c *Client, base string)) {
+	t.Helper()
+	for _, mode := range clientModes {
+		t.Run(mode.name, func(t *testing.T) {
+			c, base := mode.open(t, h)
+			f(t, c, base)
 		})
 	}
 }
@@ -150,38 +176,42 @@ func (h *flakyHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 func TestRetryRecoversTransientFailure(t *testing.T) {
-	h := &flakyHandler{failures: 2, echo: echoEnvelope(t)}
-	var slept []time.Duration
-	policy := &RetryPolicy{
-		MaxAttempts: 3,
-		BaseDelay:   10 * time.Millisecond,
-		Sleep: func(_ context.Context, d time.Duration) error {
-			slept = append(slept, d)
-			return nil
-		},
-	}
-	bridge := NewLocalBridge(h).WithRetry(policy)
-	resp, err := bridge.Invoke(context.Background(),
-		"/svc", &soap.Message{Namespace: "urn:test", Local: "echo",
-			Fields: map[string]string{"input": "ping"}})
-	if err != nil {
-		t.Fatalf("invoke: %v", err)
-	}
-	if v, _ := resp.Field("input"); v != "ping" {
-		t.Errorf("echo = %q", v)
-	}
-	if h.seen != 3 {
-		t.Errorf("attempts = %d, want 3", h.seen)
-	}
-	// Fake clock observed the exponential backoff: base, then doubled.
-	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond}
-	if len(slept) != len(want) {
-		t.Fatalf("sleeps = %v, want %v", slept, want)
-	}
-	for i := range want {
-		if slept[i] != want[i] {
-			t.Errorf("sleep %d = %v, want %v", i, slept[i], want[i])
-		}
+	for _, mode := range clientModes {
+		t.Run(mode.name, func(t *testing.T) {
+			h := &flakyHandler{failures: 2, echo: echoEnvelope(t)}
+			var slept []time.Duration
+			policy := &RetryPolicy{
+				MaxAttempts: 3,
+				BaseDelay:   10 * time.Millisecond,
+				Sleep: func(_ context.Context, d time.Duration) error {
+					slept = append(slept, d)
+					return nil
+				},
+			}
+			client, base := mode.open(t, h)
+			resp, err := client.WithRetry(policy).Invoke(context.Background(),
+				base+"/svc", &soap.Message{Namespace: "urn:test", Local: "echo",
+					Fields: map[string]string{"input": "ping"}})
+			if err != nil {
+				t.Fatalf("invoke: %v", err)
+			}
+			if v, _ := resp.Field("input"); v != "ping" {
+				t.Errorf("echo = %q", v)
+			}
+			if h.seen != 3 {
+				t.Errorf("attempts = %d, want 3", h.seen)
+			}
+			// Fake clock observed the exponential backoff: base, then doubled.
+			want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond}
+			if len(slept) != len(want) {
+				t.Fatalf("sleeps = %v, want %v", slept, want)
+			}
+			for i := range want {
+				if slept[i] != want[i] {
+					t.Errorf("sleep %d = %v, want %v", i, slept[i], want[i])
+				}
+			}
+		})
 	}
 }
 
@@ -292,19 +322,5 @@ func TestRetryDeadlineBoundsInvocation(t *testing.T) {
 	var he *HTTPError
 	if !errors.As(err, &he) {
 		t.Errorf("want last attempt's HTTPError, got %v", err)
-	}
-}
-
-func TestLocalBridgeAbortIsTyped(t *testing.T) {
-	h := http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
-		panic(http.ErrAbortHandler)
-	})
-	_, err := NewLocalBridge(h).Invoke(context.Background(),
-		"/svc", &soap.Message{Namespace: "urn:test", Local: "echo"})
-	if !errors.Is(err, ErrAborted) {
-		t.Fatalf("want ErrAborted, got %v", err)
-	}
-	if !Retryable(err) {
-		t.Error("aborted connections must be retryable")
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"wsinterop/internal/soap"
 )
 
-func snifferFixture(t *testing.T) (*Sniffer, *LocalBridge, *Endpoint) {
+func snifferFixture(t *testing.T) (*Sniffer, *Client, *Endpoint) {
 	t.Helper()
 	host := NewHost()
 	ep := &Endpoint{

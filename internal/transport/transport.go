@@ -3,25 +3,28 @@
 // paper's Fig. 1) — the extension the paper announces as future work.
 //
 // A Host deploys the echo services a server framework published and
-// serves them over real HTTP on a loopback listener. A Client invokes
-// a deployed operation by exchanging SOAP 1.1 envelopes with the
-// endpoint, completing the round trip that the first three
-// (statically tested) steps enable.
+// serves them over real HTTP on a loopback listener, or in process to
+// a handler chain. A Client invokes a deployed operation by exchanging
+// SOAP envelopes with the endpoint, completing the round trip that the
+// first three (statically tested) steps enable. It is one type with
+// two ways to move an attempt's bytes — served straight into a handler
+// (NewLocalBridge, WithHandler) or sent through an *http.Client
+// (NewClient) — that share the envelope, the headers, the read budget,
+// the decode, the meters and the retries. The campaign's wire axes run
+// in process; a test-side oracle runs them over loopback HTTP and
+// requires the same matrices, journals and counters.
 package transport
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"strings"
 	"sync"
 	"time"
 
-	"wsinterop/internal/obs"
 	"wsinterop/internal/soap"
 	"wsinterop/internal/wsdl"
 	"wsinterop/internal/xsd"
@@ -429,100 +432,4 @@ func writeFault(w http.ResponseWriter, codec soap.Codec, contentType string, f *
 	w.Header().Set("Content-Type", contentType)
 	w.WriteHeader(status)
 	_, _ = w.Write(out)
-}
-
-// Client invokes deployed SOAP endpoints.
-type Client struct {
-	httpClient *http.Client
-	retry      *RetryPolicy
-	meters     *invokeMeters
-	codec      soap.Codec      // nil means soap.V11
-	strict     soap.Strictness // zero value is StrictReject
-}
-
-// NewClient creates a SOAP client. Pass nil to use a default HTTP
-// client with a 10-second timeout.
-func NewClient(hc *http.Client) *Client {
-	if hc == nil {
-		hc = &http.Client{Timeout: 10 * time.Second}
-	}
-	return &Client{httpClient: hc}
-}
-
-// WithRetry returns a copy of the client that invokes under the given
-// retry policy.
-func (c *Client) WithRetry(p *RetryPolicy) *Client {
-	cp := *c
-	cp.retry = p
-	return &cp
-}
-
-// WithObs returns a copy of the client that records invoke latency,
-// attempts, retries and error classes into the registry.
-func (c *Client) WithObs(reg *obs.Registry) *Client {
-	cp := *c
-	cp.meters = newInvokeMeters(reg)
-	return &cp
-}
-
-// WithCodec returns a copy of the client pinned to an envelope
-// version: requests are framed per the codec's binding (Content-Type,
-// SOAPAction vs action parameter) and responses are required to match
-// it under the configured strictness. The default is soap.V11, which
-// keeps the historical wire format byte for byte.
-func (c *Client) WithCodec(codec soap.Codec) *Client {
-	cp := *c
-	cp.codec = codec
-	return &cp
-}
-
-// WithStrictness returns a copy of the client that treats
-// version-mismatched responses per the given framework model:
-// StrictReject (default) surfaces a *VersionMismatchError,
-// LenientAccept parses either version, SilentCoerce parses
-// namespace-blind — reproducing the framework behaviors the version
-// matrix measures.
-func (c *Client) WithStrictness(s soap.Strictness) *Client {
-	cp := *c
-	cp.strict = s
-	return &cp
-}
-
-// Invoke sends a request message to url and returns the response
-// message. A SOAP fault is returned as a *soap.Fault error; a non-2xx
-// response without a fault envelope as an *HTTPError. A configured
-// RetryPolicy re-attempts transient failures (see Retryable).
-func (c *Client) Invoke(ctx context.Context, url, soapAction string, req *soap.Message) (*soap.Message, error) {
-	codec := c.codec
-	if codec == nil {
-		codec = soap.V11
-	}
-	body, err := codec.Marshal(req)
-	if err != nil {
-		return nil, fmt.Errorf("encode request: %w", err)
-	}
-	return invokeWithRetry(ctx, c.meters, c.retry, func(ctx context.Context, _ int) (*soap.Message, error) {
-		httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-		if err != nil {
-			return nil, fmt.Errorf("build request: %w", err)
-		}
-		httpReq.Header.Set("Content-Type", codec.ContentType(soapAction))
-		if codec.UsesActionHeader() {
-			httpReq.Header.Set(soapActionHeader, fmt.Sprintf("%q", soapAction))
-		}
-
-		httpResp, err := c.httpClient.Do(httpReq)
-		if err != nil {
-			return nil, fmt.Errorf("invoke %s: %w", url, err)
-		}
-		defer func() { _ = httpResp.Body.Close() }()
-
-		// One byte past the budget lets the decode distinguish an
-		// exactly-full response from an oversized one.
-		respBody, err := io.ReadAll(io.LimitReader(httpResp.Body, maxResponseBytes+1))
-		if err != nil {
-			return nil, fmt.Errorf("read response: %w", err)
-		}
-		return decodeResponse(codec, c.strict, httpResp.StatusCode, httpResp.Header.Get("Content-Type"), respBody)
-	})
 }

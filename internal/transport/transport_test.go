@@ -60,7 +60,7 @@ func TestEchoRoundTrip(t *testing.T) {
 		Local:     "echo",
 		Fields:    map[string]string{"input": "ping"},
 	}
-	resp, err := client.Invoke(ctx, base+ep.Path, "", req)
+	resp, err := client.Invoke(ctx, base+ep.Path, req)
 	if err != nil {
 		t.Fatalf("invoke: %v", err)
 	}
@@ -78,7 +78,7 @@ func TestUnknownOperationFaults(t *testing.T) {
 
 	client := NewClient(nil)
 	ctx := context.Background()
-	_, err := client.Invoke(ctx, base+ep.Path, "", &soap.Message{
+	_, err := client.Invoke(ctx, base+ep.Path, &soap.Message{
 		Namespace: ep.Namespace, Local: "bogus",
 	})
 	var fault *soap.Fault
@@ -158,7 +158,7 @@ func TestConcurrentInvocations(t *testing.T) {
 				Local:     "echo",
 				Fields:    map[string]string{"input": strings.Repeat("x", i+1)},
 			}
-			resp, err := client.Invoke(ctx, base+ep.Path, "", req)
+			resp, err := client.Invoke(ctx, base+ep.Path, req)
 			if err != nil {
 				errs[i] = err
 				return
@@ -257,7 +257,7 @@ func TestDiscoveryFlow(t *testing.T) {
 		Local:     port.Methods[0].Name,
 		Fields:    map[string]string{"input": "discovered"},
 	}
-	got, err := soapClient.Invoke(context.Background(), base+ep.Path, "", req)
+	got, err := soapClient.Invoke(context.Background(), base+ep.Path, req)
 	if err != nil {
 		t.Fatalf("invoke: %v", err)
 	}

@@ -13,7 +13,7 @@ import (
 
 // deployVariant deploys one service with the given interface variant
 // and returns a local bridge plus the endpoint.
-func deployVariant(t *testing.T, v services.Variant) (*LocalBridge, *Endpoint) {
+func deployVariant(t *testing.T, v services.Variant) (*Client, *Endpoint) {
 	t.Helper()
 	cls, ok := typesys.JavaCatalog().Lookup(typesys.JavaXMLGregorianCalendar)
 	if !ok {
@@ -28,7 +28,7 @@ func deployVariant(t *testing.T, v services.Variant) (*LocalBridge, *Endpoint) {
 	if err != nil {
 		t.Fatalf("deploy: %v", err)
 	}
-	return host.Local(), ep
+	return NewLocalBridge(host), ep
 }
 
 func TestPayloadValidationAccepts(t *testing.T) {

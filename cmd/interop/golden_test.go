@@ -94,13 +94,16 @@ func TestWireReportGoldens(t *testing.T) {
 	}
 }
 
-// staticGoldens are two study outputs pinned byte for byte: the plan
-// summary (report.Plan) and one class's drill-down (report.Explain).
+// staticGoldens are study outputs pinned byte for byte: the plan
+// summary (report.Plan), whole and for each shard of a 2-way split, and
+// one class's drill-down (report.Explain).
 var staticGoldens = []struct {
 	name string
 	args []string
 }{
 	{"plan", []string{"-limit", "20", "-report", "plan"}},
+	{"plan-shard0of2", []string{"-limit", "20", "-shard", "0/2", "-report", "plan"}},
+	{"plan-shard1of2", []string{"-limit", "20", "-shard", "1/2", "-report", "plan"}},
 	{"explain", []string{"-limit", "20", "-explain", "javax.xml.ws.wsaddressing.W3CEndpointReference"}},
 }
 

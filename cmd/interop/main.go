@@ -31,10 +31,11 @@
 // anything.
 //
 // Distribution: -shard I/N runs one deterministic slice of the
-// campaign — N worker processes, each with its own -checkpoint DIR,
-// cover every cell exactly once — and -merge DIR,DIR,... folds the
-// completed shard journals into one report identical to a
-// single-process run (DESIGN.md §11). Every journaled mode merges: the
+// campaign, whole shape groups and loose classes — N worker processes,
+// each with its own -checkpoint DIR, cover every cell exactly once —
+// and -merge DIR,DIR,... replays the union of the completed shard
+// journals into one report identical to a single-process run
+// (DESIGN.md §11). Every journaled mode merges: the
 // static study, and the comm, robust (-faults) and versions matrices
 // when every shard ran them; the merge executes nothing. -serve ADDR runs the command as
 // a long-lived campaign daemon instead: POST /campaigns streams a
@@ -132,7 +133,7 @@ func run(args []string, out io.Writer) error {
 	resume := fs.Bool("resume", false,
 		"replay the cells journaled under -checkpoint DIR instead of re-executing them, then finish the rest")
 	shard := fs.String("shard", "",
-		"run one deterministic slice INDEX/COUNT of the campaign; combine with -checkpoint so the shard can be merged later (DESIGN.md §11)")
+		"run one deterministic slice INDEX/COUNT of the campaign: the plan items (whole shape groups, then loose classes) numbered INDEX modulo COUNT; combine with -checkpoint so the shard can be merged later (DESIGN.md §11)")
 	merge := fs.String("merge", "",
 		"merge completed shard journals (comma-separated checkpoint directories; positional arguments are appended) into one report; "+
 			"serves the study and, when every shard ran them, the comm, robust and versions reports without executing anything")

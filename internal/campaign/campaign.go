@@ -348,11 +348,12 @@ type config struct {
 	// is an error.
 	Resume bool
 	// Shard restricts the run to one deterministic slice of every
-	// catalog — definition indexes congruent to Shard.Index modulo
-	// Shard.Count, applied after Limit — for distributed execution
-	// (distributed.go, DESIGN.md §11). The zero value runs the whole
-	// campaign. Shard workers journal under Checkpoint; Merge folds the
-	// shard journals back into one Result.
+	// catalog — the plan items (whole shape groups, then loose classes,
+	// numbered after Limit) congruent to Shard.Index modulo Shard.Count —
+	// for distributed execution (distributed.go, DESIGN.md §11). The
+	// zero value runs the whole campaign. Shard workers journal under
+	// Checkpoint; Merge replays the union of the shard journals into one
+	// Result.
 	Shard ShardSpec
 
 	// checkpointProbe, when non-nil, observes every durable journal
@@ -905,20 +906,6 @@ func (r *Runner) defsFor(server framework.ServerFramework) ([]services.Definitio
 	defs := services.GenerateVariant(cat, variant)
 	if r.cfg.Limit > 0 && len(defs) > r.cfg.Limit {
 		defs = defs[:r.cfg.Limit]
-	}
-	if sh := r.cfg.Shard; sh.enabled() {
-		if err := sh.validate(); err != nil {
-			return nil, err
-		}
-		// Interleaved assignment: index i belongs to shard i mod Count.
-		// Sharding after Limit keeps every shard's cell set a pure
-		// function of (catalog, Limit, Index, Count), independent of how
-		// many other shards exist or run.
-		slice := make([]services.Definition, 0, (len(defs)+sh.Count-1)/sh.Count)
-		for i := sh.Index; i < len(defs); i += sh.Count {
-			slice = append(slice, defs[i])
-		}
-		defs = slice
 	}
 	return defs, nil
 }

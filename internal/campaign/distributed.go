@@ -1,29 +1,24 @@
 package campaign
 
 // Distributed campaign execution (DESIGN.md §11). The campaign is
-// embarrassingly parallel across catalog slices, and the durable cell
+// embarrassingly parallel across plan items, and the durable cell
 // journal (checkpoint.go, internal/journal) is already a complete
 // record of a slice's outcomes, keyed by each cell's server and class —
-// so scale-out is journal-shaped: every catalog splits into
+// so scale-out is journal-shaped: every catalog's plan splits into
 // deterministic shards (WithShard, `interop -shard i/n`), N worker
 // processes each run one shard under its own checkpoint directory, and
 // a merge coordinator folds the shard journals of every campaign mode
 // back into one result per mode.
 //
 // The determinism contract is the regression guard: the merged Result
-// and its obs counters are identical to a single-process run's. Replay
-// (replayCell) already reconstructs exact counter contributions per
-// journal record; what merging adds is normalization. Each shard runs
-// its own shape memo, so a shape spanning k shards was built k times —
-// k "built" records and k executed test sets where a single process
-// would have one builder and k-1 memo-served clones. normalizeShards
-// rewrites every (server, shape) group of journaled cells into that
-// single-builder form before replay; the rewrite is counter-exact
-// because builder choice is invariant (the builder contributes
-// shapes+1 plus the full publish metrics, every other same-shape class
-// contributes one memo hit — the checkpoint.go invariant), and
-// outcomes are invariant because same-shape classes classify
-// identically (the memo layer's verified property).
+// and its obs counters are identical to a single-process run's. A
+// shard holds whole plan items — a shape group, or one loose class —
+// so every shape is built, memo-served and journaled by one shard
+// exactly as a single process would, and a shard's journal is the
+// matching subset of a single-process journal. The merge therefore
+// checks that the journals tile the campaign, unions them, and replays
+// the union (replayCell reconstructs each record's exact counter
+// contribution).
 
 import (
 	"context"
@@ -37,9 +32,10 @@ import (
 	"wsinterop/internal/obs"
 )
 
-// ShardSpec is one worker's deterministic slice of the campaign:
-// catalog definition indexes congruent to Index modulo Count (after
-// WithLimit). The zero value means "the whole campaign".
+// ShardSpec is one worker's deterministic slice of the campaign: the
+// plan items (shape groups in plan order, then loose classes, after
+// WithLimit) whose item number is congruent to Index modulo Count. The
+// zero value means "the whole campaign".
 type ShardSpec struct {
 	Index int
 	Count int
@@ -66,9 +62,12 @@ func (s ShardSpec) validate() error {
 func (s ShardSpec) String() string { return fmt.Sprintf("%d/%d", s.Index, s.Count) }
 
 // shardLease content-addresses one shard's journal identity: the
-// campaign configuration fingerprint plus the slice coordinates.
+// campaign configuration fingerprint plus the slice coordinates. The
+// tag names the assignment rule, so a shard journal of the earlier
+// definition-index rule, which covers another class set, is refused on
+// resume and at merge.
 func shardLease(fingerprint string, index, count int) string {
-	return obs.TraceID("shard-lease", fingerprint, strconv.Itoa(index), strconv.Itoa(count))
+	return obs.TraceID("shard-lease-items", fingerprint, strconv.Itoa(index), strconv.Itoa(count))
 }
 
 // Merged is the fold of completed shard journals: one result per
@@ -91,8 +90,7 @@ type Merged struct {
 // an interrupted shard is resumed in place (WithResume) before
 // merging, and incompleteness is refused with the unfinished stage
 // named. The merge itself executes nothing: it verifies the journals
-// tile the campaign exactly once, normalizes cross-shard memo state,
-// and replays.
+// tile the campaign exactly once and replays their union.
 func (r *Runner) Merge(ctx context.Context, dirs []string) (*Merged, error) {
 	switch {
 	case len(dirs) == 0:
@@ -199,10 +197,9 @@ func (r *Runner) loadShards(ax *Axis, dirs []string) (recs []journal.Record, ok 
 	return recs, true, nil
 }
 
-// mergeStudy replays the unioned study cells, normalized to the
-// single-builder form, through the stage executor; the shards'
-// sentinels stay out of the union. Every cell is journaled, so the
-// executor runs nothing.
+// mergeStudy replays the unioned study cells through the stage
+// executor; the shards' sentinels stay out of the union. Every cell is
+// journaled, so the executor runs nothing.
 func (r *Runner) mergeStudy(ctx context.Context, recs []journal.Record) (*Result, error) {
 	loaded := make(map[journal.Key]*journal.Record, len(recs))
 	for i := range recs {
@@ -215,119 +212,7 @@ func (r *Runner) mergeStudy(ctx context.Context, recs []journal.Record) (*Result
 		}
 		loaded[rec.Key()] = rec
 	}
-	if err := r.normalizeShards(loaded); err != nil {
-		return nil, err
-	}
 	r.ckpt = r.replayJournal(loaded)
 	defer func() { r.ckpt = nil }()
 	return r.runCampaign(ctx)
-}
-
-// normalizeShards rewrites the unioned shard records into the form a
-// single-process run would have journaled: one builder per (server,
-// shape) group of the plan, every other member demoted to its
-// memo-served mode, and exactly one executed test set per (shape,
-// client). Loose classes are per-class records, already
-// shard-invariant, so only the plan's groups are folded.
-func (r *Runner) normalizeShards(loaded map[journal.Key]*journal.Record) error {
-	for _, server := range r.servers {
-		sp, err := r.planFor(server)
-		if err != nil {
-			return err
-		}
-		for gi := range sp.Groups {
-			if err := normalizeShapeGroup(server.Name(), sp, &sp.Groups[gi], loaded); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// normalizeShapeGroup folds one (server, shape) group: the designated
-// builder is the group's first builder record in catalog order — any
-// builder works, the totals are builder-invariant — and every other
-// builder is demoted to the memo route it would have taken had the
-// designated builder's shard entry been visible to it. Executed test
-// bits consolidate onto the builder: one per (shape, client).
-func normalizeShapeGroup(server string, sp *serverPlan, g *planGroup, loaded map[journal.Key]*journal.Record) error {
-	group := make([]*journal.Record, len(g.Members))
-	builderAt := -1
-	for mi, di := range g.Members {
-		class := sp.defs[di].Parameter.Name
-		rec := loaded[journal.Key{Server: server, Class: class}]
-		if rec == nil {
-			return fmt.Errorf("campaign: shard journals are incomplete: no cell for %s on %s", class, server)
-		}
-		group[mi] = rec
-		if rec.Mode != modeBuilt.id() {
-			continue
-		}
-		if builderAt == -1 {
-			builderAt = mi
-			continue
-		}
-		// Cross-shard consistency: independent builders of one shape must
-		// agree on every shape-level fact, or the journals were produced
-		// by diverging builds and the merge would be fiction.
-		if a := group[builderAt]; a.Published != rec.Published || a.Verified != rec.Verified ||
-			a.Flagged != rec.Flagged || a.Compliant != rec.Compliant || a.Profiles != rec.Profiles {
-			return fmt.Errorf("campaign: shard journals disagree on the shape of %s and %s on %s",
-				a.Class, rec.Class, server)
-		}
-	}
-	if builderAt == -1 {
-		// Every shard builds a shape before memo-serving it, so a group
-		// whose cells are all memo-served has no owning builder anywhere —
-		// mismatched journals.
-		return fmt.Errorf("campaign: no shard journaled a builder for the shape of %s on %s",
-			group[0].Class, server)
-	}
-	builder := group[builderAt]
-	for i, rec := range group {
-		if i == builderAt {
-			continue
-		}
-		if rec.Mode == modeFallback.id() {
-			// Memoizable classes never take this route; a journal that
-			// says otherwise disagrees with this build's shape guard.
-			return recordError(rec, "took route %q for a memoizable class", rec.Mode)
-		}
-		switch {
-		case !builder.Published:
-			rec.Mode = modeMemoRejected.id()
-			rec.Published, rec.Verified = false, false
-			rec.Flagged, rec.Compliant = false, false
-			rec.Profiles, rec.Doc, rec.Codes = 0, nil, nil
-		case builder.Verified && g.safe[i]:
-			rec.Mode = modeMemoized.id()
-			rec.Verified = false
-			rec.Doc = nil
-			setExecuted(rec.Codes, false)
-		default:
-			// Unverified shape, or name-sensitive WS-I predicates refuse
-			// the substitution: the per-class path, executed in full.
-			rec.Mode = modeMemoFallback.id()
-			rec.Verified = false
-			rec.Doc = nil
-			setExecuted(rec.Codes, true)
-		}
-	}
-	if builder.Published && builder.Verified {
-		// The single process's builder executes every client test once;
-		// its same-shape clones are all memo-served.
-		setExecuted(builder.Codes, true)
-	}
-	return nil
-}
-
-// setExecuted sets or clears the executed bit of every journaled code.
-func setExecuted(codes []byte, ran bool) {
-	for i := range codes {
-		if ran {
-			codes[i] |= byte(codeExecuted)
-		} else {
-			codes[i] &^= byte(codeExecuted)
-		}
-	}
 }

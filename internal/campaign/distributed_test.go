@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -41,38 +42,87 @@ func TestShardSpecValidate(t *testing.T) {
 	}
 }
 
-// TestShardPartitionTiles proves the shard filter is a partition: for
-// every server the shard slices are disjoint and their union, ordered
-// by shard-interleaving, is exactly the unsharded definition list.
+// TestShardPartitionTiles proves the shard filter partitions the plan
+// by item: for every server the shards' class sets are disjoint, their
+// union is the unsharded definition list, and every item of the
+// unsharded plan — a shape group in plan order, then each loose class —
+// lies wholly in shard (item number mod n).
 func TestShardPartitionTiles(t *testing.T) {
-	full := newRunner(config{Limit: 37})
-	for _, server := range full.servers {
-		defs, err := full.defsFor(server)
-		if err != nil {
-			t.Fatal(err)
+	const limit = 150
+	full := newRunner(config{Limit: limit})
+	for _, n := range []int{2, 4} {
+		shards := make([]*Runner, n)
+		for i := range shards {
+			shards[i] = newRunner(config{Limit: limit, Shard: ShardSpec{Index: i, Count: n}})
 		}
-		const n = 4
-		seen := make(map[string]int)
-		total := 0
-		for i := 0; i < n; i++ {
-			shr := newRunner(config{Limit: 37, Shard: ShardSpec{Index: i, Count: n}})
-			sdefs, err := shr.defsFor(server)
+		for _, server := range full.servers {
+			sp, err := full.planFor(server)
 			if err != nil {
 				t.Fatal(err)
 			}
-			total += len(sdefs)
-			for k, d := range sdefs {
-				if prev, dup := seen[d.Parameter.Name]; dup {
-					t.Fatalf("%s: class %s in shards %d and %d", server.Name(), d.Parameter.Name, prev, i)
+			owner := make(map[string]int)
+			for i, shr := range shards {
+				ssp, err := shr.planFor(server)
+				if err != nil {
+					t.Fatal(err)
 				}
-				seen[d.Parameter.Name] = i
-				if want := defs[i+k*n].Parameter.Name; d.Parameter.Name != want {
-					t.Fatalf("%s shard %d slot %d = %s, want %s", server.Name(), i, k, d.Parameter.Name, want)
+				for _, d := range ssp.defs {
+					if prev, dup := owner[d.Parameter.Name]; dup {
+						t.Fatalf("%d-way %s: class %s in shards %d and %d", n, server.Name(), d.Parameter.Name, prev, i)
+					}
+					owner[d.Parameter.Name] = i
+				}
+			}
+			if len(owner) != len(sp.defs) {
+				t.Fatalf("%d-way %s: shards cover %d of %d definitions", n, server.Name(), len(owner), len(sp.defs))
+			}
+			items := make([][]int, 0, len(sp.Groups)+len(sp.Loose))
+			for _, g := range sp.Groups {
+				items = append(items, g.Members)
+			}
+			for _, di := range sp.Loose {
+				items = append(items, []int{di})
+			}
+			for k, members := range items {
+				for _, di := range members {
+					class := sp.defs[di].Parameter.Name
+					if got, ok := owner[class]; !ok || got != k%n {
+						t.Fatalf("%d-way %s: item %d's class %s in shard %d (present %v), want shard %d",
+							n, server.Name(), k, class, got, ok, k%n)
+					}
 				}
 			}
 		}
-		if total != len(defs) {
-			t.Fatalf("%s: shards cover %d of %d definitions", server.Name(), total, len(defs))
+	}
+}
+
+// TestShardsBuildEachShapeOnce: a shape lives in one shard, so summed
+// over the shards the study builds, generates and WS-I-checks exactly
+// what a single process does.
+func TestShardsBuildEachShapeOnce(t *testing.T) {
+	const limit = 150
+	work := func(cfg config) [3]int64 {
+		t.Helper()
+		cfg.Obs = obs.NewRegistry()
+		res, err := newRunner(cfg).Run(context.Background())
+		if err != nil {
+			t.Fatalf("shard %s: %v", cfg.Shard, err)
+		}
+		return [3]int64{int64(res.Dedup.Shapes),
+			cfg.Obs.Counter("campaign.generate.runs").Value(),
+			cfg.Obs.Counter("campaign.wsi.checks").Value()}
+	}
+	want := work(config{Limit: limit, Workers: 4})
+	for _, n := range []int{2, 4} {
+		var got [3]int64
+		for i := 0; i < n; i++ {
+			w := work(config{Limit: limit, Workers: 4, Shard: ShardSpec{Index: i, Count: n}})
+			for k := range got {
+				got[k] += w[k]
+			}
+		}
+		if got != want {
+			t.Errorf("%d-way: shards sum to (shapes, generate runs, wsi checks) = %v, single process %v", n, got, want)
 		}
 	}
 }
@@ -265,6 +315,40 @@ func TestMergeRefusals(t *testing.T) {
 		cfg.Checkpoint = t.TempDir()
 		if _, err := newRunner(cfg).Merge(context.Background(), dirs); err == nil {
 			t.Error("merge with its own checkpoint should fail")
+		}
+	})
+	t.Run("stale-lease", func(t *testing.T) {
+		// A shard journal whose lease follows the earlier definition-index
+		// assignment covers another class set: resuming it and merging it
+		// are both refused.
+		dir := t.TempDir()
+		cfg := resumeConfig(limit, 4)
+		cfg.Shard, cfg.Checkpoint = ShardSpec{Index: 0, Count: 2}, dir
+		r := newRunner(cfg)
+		if _, err := r.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		meta := filepath.Join(studyAxis.dir(dir), "meta.json")
+		data, err := os.ReadFile(meta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp := r.checkpointFingerprint()
+		lease, stale := shardLease(fp, 0, 2), obs.TraceID("shard-lease", fp, "0", "2")
+		if !strings.Contains(string(data), lease) {
+			t.Fatalf("meta.json has no lease %s: %s", lease, data)
+		}
+		if err := os.WriteFile(meta, []byte(strings.Replace(string(data), lease, stale, 1)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rcfg := resumeConfig(limit, 4)
+		rcfg.Shard, rcfg.Checkpoint, rcfg.Resume = cfg.Shard, dir, true
+		if _, err := newRunner(rcfg).Run(context.Background()); !errors.Is(err, journal.ErrShard) {
+			t.Errorf("resuming a stale-lease shard: err = %v, want journal.ErrShard", err)
+		}
+		_, err = newRunner(resumeConfig(limit, 4)).Merge(context.Background(), []string{dir, dirs[1]})
+		if err == nil || !strings.Contains(err.Error(), "lease") {
+			t.Errorf("merging a stale-lease shard: err = %v", err)
 		}
 	})
 	t.Run("no-dirs", func(t *testing.T) {

@@ -117,10 +117,11 @@ func WithResume() Option {
 }
 
 // WithShard restricts the run to one deterministic slice of every
-// catalog — definition indexes congruent to spec.Index modulo
-// spec.Count, after WithLimit — for distributed execution (DESIGN.md
-// §11). Combine with WithCheckpoint so the shard journals for a later
-// Merge.
+// catalog — the plan items (whole shape groups in plan order, then
+// loose classes, after WithLimit) numbered congruent to spec.Index
+// modulo spec.Count — for distributed execution (DESIGN.md §11).
+// Combine with WithCheckpoint so the shard journals for a later Merge,
+// which replays their union.
 func WithShard(spec ShardSpec) Option {
 	return func(cfg *config) { cfg.Shard = spec }
 }

@@ -141,8 +141,8 @@ func (r *Runner) AdoptPlan(p *Plan) error {
 
 // planFingerprint content-addresses everything the plan depends on:
 // the campaign configuration fingerprint (roster, limit, variant,
-// style, profiles) plus the shard slice, which changes defsFor's
-// output. Workers are excluded — a plan is execution-shape, not
+// style, profiles) plus the shard slice, which selects the plan's
+// items. Workers are excluded — a plan is execution-shape, not
 // schedule.
 func (r *Runner) planFingerprint() string {
 	return obs.TraceID("wsinterop-plan-v1", r.checkpointFingerprint(), r.cfg.Shard.String())
@@ -193,6 +193,9 @@ func (r *Runner) resolvePlan() (*campaignPlan, error) {
 // safety computations are spread over the worker pool; grouping itself
 // is a single cheap pass.
 func (r *Runner) buildPlan(fp string) (*campaignPlan, error) {
+	if err := r.cfg.Shard.validate(); err != nil {
+		return nil, err
+	}
 	p := &campaignPlan{
 		fingerprint: fp,
 		servers:     make(map[string]*serverPlan, len(r.servers)),
@@ -229,10 +232,15 @@ type classTraits struct {
 
 // partition groups one catalog's definitions by shape fingerprint. The
 // result is shared by every server of the catalog's language, so it
-// carries no server name, and nothing mutates it once built.
+// carries no server name, and nothing mutates it once built. A sharded
+// runner keeps only its shard's plan items (shardItems) and groups
+// those.
 func (r *Runner) partition(defs []services.Definition) *serverPlan {
-	sp := &serverPlan{Defs: len(defs), defs: defs}
 	traits := r.classTraitsFor(defs)
+	if sh := r.cfg.Shard; sh.enabled() {
+		defs, traits = shardItems(defs, traits, sh)
+	}
+	sp := &serverPlan{Defs: len(defs), defs: defs}
 	index := make(map[shape.Fingerprint]int)
 	var sizes []int
 	for i := range defs {
@@ -269,6 +277,42 @@ func (r *Runner) partition(defs []services.Definition) *serverPlan {
 		}
 	}
 	return sp
+}
+
+// shardItems keeps the definitions of one shard's plan items, in
+// catalog order. An item is a shape group, numbered in plan order
+// (first member in catalog order), or one loose class, numbered after
+// every group; the shard holds the items whose number is congruent to
+// sh.Index modulo sh.Count. A shape therefore lives in exactly one
+// shard, so a shard builds and journals its groups exactly as a
+// single process does.
+func shardItems(defs []services.Definition, traits []classTraits, sh ShardSpec) ([]services.Definition, []classTraits) {
+	item := make([]int, len(defs))
+	groups := make(map[shape.Fingerprint]int)
+	for i := range traits {
+		if t := &traits[i]; t.memoizable {
+			gi, ok := groups[t.fp]
+			if !ok {
+				gi = len(groups)
+				groups[t.fp] = gi
+			}
+			item[i] = gi
+		}
+	}
+	loose := len(groups)
+	var keptDefs []services.Definition
+	var keptTraits []classTraits
+	for i := range defs {
+		if !traits[i].memoizable {
+			item[i] = loose
+			loose++
+		}
+		if item[i]%sh.Count == sh.Index {
+			keptDefs = append(keptDefs, defs[i])
+			keptTraits = append(keptTraits, traits[i])
+		}
+	}
+	return keptDefs, keptTraits
 }
 
 // substitutionSafe reports whether the class's name-derived strings

@@ -476,7 +476,7 @@ func routeCatalogs(t *testing.T) func(lang typesys.Language) *typesys.Catalog {
 // every journal record and resumes it, at workers 1 and 4, and merges
 // 2- and 3-way shard splits: each must reproduce the clean run's Result
 // bytes, dedup statistics and frozen-clock metrics. The catalog takes
-// every route, so replay and merge normalization see every record mode:
+// every route, so replay and merge see every record mode:
 // built, memoized, memo-rejected, memo-fallback and fallback.
 func TestResumeEveryRoute(t *testing.T) {
 	catalogs := routeCatalogs(t)

@@ -25,11 +25,11 @@
 //     and the load is refused with a *CorruptError (ErrCorrupt).
 //   - meta.json: the schema Version and the campaign configuration
 //     fingerprint. Resuming under a different configuration (roster,
-//     limit, variant, memo ablations) is refused rather than silently
-//     merging incompatible cells. A store of another schema version,
-//     including the JSONL layouts of version 1 (journal.jsonl, and
-//     snapshot.jsonl from builds that compacted), is refused with
-//     ErrVersion.
+//     limit, variant, style, catalog source, compliance profiles) is
+//     refused rather than silently merging incompatible cells. A
+//     store of another schema version, including the JSONL layouts of
+//     version 1 (journal.jsonl, and snapshot.jsonl from builds that
+//     compacted), is refused with ErrVersion.
 //   - Directory entries: creating the checkpoint directory, creating
 //     journal.wal and renaming meta.json into place each fsync the
 //     directory that holds the new entry, so a crash after Open cannot
@@ -160,8 +160,7 @@ func (s *ShardMeta) describe() string {
 // server stage's completion sentinel, the record of its server with an
 // empty Class and the Mode "<axis>-complete". Server and Class are the
 // record's key in its store (Key). Mode is the static study's publish
-// route (direct, fallback, built, memo-rejected, memo-fallback,
-// memoized), so replay reconstructs memo statistics and the shape
+// route (fallback, built, memo-rejected, memo-fallback, memoized), so replay reconstructs memo statistics and the shape
 // table, or a wire mode's name. Doc carries the serialized WSDL only
 // on the verified builder of a shared shape, where it seeds the shape
 // template on resume.
